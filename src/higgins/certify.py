@@ -1,10 +1,12 @@
 """Empirical certification of fellow-traveller properties.
 
 Distances are path distances in the Cayley graph, realized inside a ball
-built by breadth-first search over canonical keys: d(g, h) is the radius of
-the canonical key of g^-1 h, which is exact whenever that key lies in the
-ball and otherwise reported as escaping it.  Certificates never claim
-failure beyond the tested radius; an escape is an explicit signal.
+built by breadth-first search over canonical keys: d(g, h) is the depth of
+the canonical key of g^-1 h.  The ball grows one sphere at a time, only as
+far as the lookups ask, up to a cap of R + BALL_MARGIN for a radius-R sweep;
+a distance is exact whenever its key lies within the cap and is otherwise
+reported as escaping the ball.  Certificates never claim failure beyond the
+tested radius; an escape is an explicit signal, meaning "beyond the cap".
 """
 
 from __future__ import annotations
@@ -22,47 +24,80 @@ class HypothesisViolation(ValueError):
     pass
 
 
+BALL_MARGIN = 6  # a radius-R sweep measures distances in a ball of radius R + BALL_MARGIN
+
+
 class CayleyBall:
-    """Ball of given radius around the identity, with exact internal metric."""
+    """Ball around the identity with exact internal metric, grown on demand.
+
+    It starts as the identity alone.  A lookup that misses adds whole
+    breadth-first spheres until the key turns up or max_radius is reached;
+    len() and elements() first grow the ball to max_radius.  radius is the
+    radius reached so far and dist holds exactly the depths 0..radius.  A
+    level-by-level search finds the same first word for each element however
+    far it runs, so no answer depends on how far the ball has grown.
+    """
 
     def __init__(self, oracle, radius: int):
         self.oracle = oracle
         self.alphabet = oracle.alphabet
-        self.radius = radius
-        self.words: list[Word] = []
-        self.dist: list[int] = []
-        self._index: dict = {}
+        self.max_radius = radius
+        self.radius = 0
         empty = self.alphabet.empty()
-        self._add(oracle.key(empty), empty, 0)
-        frontier = [empty]
-        for d in range(1, radius + 1):
-            nxt = []
-            for u in frontier:
-                for x in range(len(self.alphabet)):
-                    w = Word(self.alphabet, u.letters + (x,))
-                    k = oracle.key(w)
-                    if k not in self._index:
-                        self._add(k, w, d)
-                        nxt.append(w)
-            frontier = nxt
+        self.words: list[Word] = [empty]
+        self.dist: list[int] = [0]
+        self._index: dict = {oracle.key(empty): 0}
+        self._frontier = [empty]
         self._pair_cache: dict = {}
 
-    def _add(self, key, word, d):
-        self._index[key] = len(self.words)
-        self.words.append(word)
-        self.dist.append(d)
+    def _grow(self):
+        """Add the next sphere: extend the last one by every letter, in
+        letter order, keeping the first word found for each new key."""
+        d = self.radius + 1
+        alphabet, key, index = self.alphabet, self.oracle.key, self._index
+        nxt = []
+        for u in self._frontier:
+            for x in range(len(alphabet)):
+                w = Word(alphabet, u.letters + (x,))
+                k = key(w)
+                if k not in index:
+                    index[k] = len(self.words)
+                    self.words.append(w)
+                    self.dist.append(d)
+                    nxt.append(w)
+        self._frontier = nxt
+        self.radius = d
+
+    def _grow_to(self, key) -> Optional[int]:
+        """Grow until key is in the ball, or to max_radius; its index or None."""
+        while self.radius < self.max_radius:
+            self._grow()
+            idx = self._index.get(key)
+            if idx is not None:
+                return idx
+        return None
+
+    def _complete(self):
+        while self.radius < self.max_radius:
+            self._grow()
 
     def __len__(self):
+        self._complete()
         return len(self.words)
 
     def index(self, w: Word) -> Optional[int]:
-        return self._index.get(self.oracle.key(w))
+        k = self.oracle.key(w)
+        idx = self._index.get(k)
+        if idx is None:
+            idx = self._grow_to(k)
+        return idx
 
     def elements(self) -> list[Word]:
+        self._complete()
         return list(self.words)
 
     def distance(self, i: int, j: int) -> Optional[int]:
-        """d(g_i, g_j), or None when g_i^-1 g_j falls outside the ball."""
+        """d(g_i, g_j), or None when g_i^-1 g_j falls outside the capped ball."""
         if i == j:
             return 0
         key = (i, j) if i < j else (j, i)
@@ -71,6 +106,8 @@ class CayleyBall:
             a, b = key
             k = self.oracle.key(invert(self.words[a]) * self.words[b])
             idx = self._index.get(k)
+            if idx is None:
+                idx = self._grow_to(k)
             hit = self.dist[idx] if idx is not None else UNBOUNDED
             self._pair_cache[key] = hit
         return hit
@@ -178,30 +215,24 @@ def _letter_words(alphabet: Alphabet):
 
 
 def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = None,
-                         ball_margin: int = 6, ball: Optional[CayleyBall] = None,
-                         jobs: int = 1) -> FellowCertificate:
+                         ball: Optional[CayleyBall] = None) -> FellowCertificate:
     """Sweep all v, w in the language with d(v, hw) <= 1 for some h in the
-    subgroup, and measure the optimal per-pair fellow constant.
-
-    jobs > 1 spreads the per-representative work over a thread pool; results
-    are merged in sweep order, so the certificate is identical either way.
-    """
+    subgroup, and measure the optimal per-pair fellow constant."""
     ctx = sys.context
     parent = ctx.parent
     mode = mode if mode is not None else sys.mode
     if ball is None:
-        ball = CayleyBall(parent, radius + ball_margin)
+        ball = CayleyBall(parent, radius + BALL_MARGIN)
     lang_words = enumerate_language(sys.language, radius)
     by_coset: dict = {}
     for w in lang_words:
         by_coset.setdefault(ctx.coset_key(w), []).append(w)
     measure = sync_fellow_distance if mode == "sync" else async_fellow_distance
-
-    def work(v):
+    K = 0
+    pairs = 0
+    violations = []
+    for v in lang_words:
         seen = set()
-        best = 0
-        n = 0
-        bad = []
         for x in _letter_words(parent.alphabet):
             g = v * x
             for w in by_coset.get(ctx.coset_key(g), ()):
@@ -210,27 +241,17 @@ def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = No
                 if pk in seen:
                     continue
                 seen.add(pk)
-                n += 1
+                pairs += 1
                 hi = ball.index(h)
                 if hi is None:
-                    bad.append((v, h, w))
+                    violations.append((v, h, w))
                     continue
                 h_short = ball.words[hi]
                 d = measure(v, h_short, w, ball)
                 if d is UNBOUNDED:
-                    bad.append((v, h_short, w))
+                    violations.append((v, h_short, w))
                 else:
-                    best = max(best, d)
-        return n, best, bad
-
-    results = _run_sweep(work, lang_words, jobs)
-    K = 0
-    pairs = 0
-    violations = []
-    for n, best, bad in results:
-        pairs += n
-        K = max(K, best)
-        violations.extend(bad)
+                    K = max(K, d)
     kappa = None
     if ctx.gen_words:
         idxs = [ball.index(gw) for gw in ctx.gen_words]
@@ -246,54 +267,34 @@ def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = No
     return FellowCertificate(mode, radius, pairs, K, violations, kappa, states)
 
 
-def _run_sweep(work, items, jobs: int):
-    if jobs <= 1:
-        return [work(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, items))
-
-
 def certify_automatic(lang, oracle, radius: int, mode: str = "sync",
-                      ball_margin: int = 6, ball: Optional[CayleyBall] = None,
-                      jobs: int = 1) -> FellowCertificate:
+                      ball: Optional[CayleyBall] = None) -> FellowCertificate:
     """Fellow-traveller sweep with trivial subgroup: pairs u, v in the
     language whose endpoints are at distance <= 1."""
     if ball is None:
-        ball = CayleyBall(oracle, radius + ball_margin)
+        ball = CayleyBall(oracle, radius + BALL_MARGIN)
     words = enumerate_language(lang, radius)
     by_elt: dict = {}
     for w in words:
         by_elt.setdefault(oracle.key(w), []).append(w)
     measure = sync_fellow_distance if mode == "sync" else async_fellow_distance
     empty = oracle.alphabet.empty()
-
-    def work(u):
+    K = 0
+    pairs = 0
+    violations = []
+    for u in words:
         seen = set()
-        best = 0
-        n = 0
-        bad = []
         for x in _letter_words(oracle.alphabet):
             for v in by_elt.get(oracle.key(u * x), ()):
                 if v.letters in seen:
                     continue
                 seen.add(v.letters)
-                n += 1
+                pairs += 1
                 d = measure(u, empty, v, ball)
                 if d is UNBOUNDED:
-                    bad.append((u, empty, v))
+                    violations.append((u, empty, v))
                 else:
-                    best = max(best, d)
-        return n, best, bad
-
-    results = _run_sweep(work, words, jobs)
-    K = 0
-    pairs = 0
-    violations = []
-    for n, best, bad in results:
-        pairs += n
-        K = max(K, best)
-        violations.extend(bad)
+                    K = max(K, d)
     violations.sort(key=lambda t: tuple(shortlex_key(w) for w in t))
     states = None
     if isinstance(lang, LazyLanguage) and lang.dfa is not None:
@@ -546,7 +547,7 @@ def combination_hypotheses_report(gog, radius: int, lambda_max: int = 3,
     edges = sorted(gog.graph.edges.values(), key=lambda e: e.name)
     balls = {}
     for v, backend in gog.vertex_backends.items():
-        balls[v] = CayleyBall(backend, radius + 6)
+        balls[v] = CayleyBall(backend, radius + BALL_MARGIN)
     for e in edges:
         ctx = gog.ctx(e)
         sysd = CosetSystem(ctx, mode="async")

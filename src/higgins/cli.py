@@ -13,7 +13,6 @@ Exit codes: 0 pass, 1 property failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import fsa
@@ -123,7 +122,7 @@ def cmd_certify(args) -> int:
         return PASS if report.passed else FAIL
     if args.what == "coset":
         system = config.coset_system(args.system)
-        cert = certify_coset_system(system, args.radius, jobs=args.jobs)
+        cert = certify_coset_system(system, args.radius)
         _emit(str(cert))
         return PASS if cert.bounded else FAIL
     if args.what == "sync-filter":
@@ -133,7 +132,7 @@ def cmd_certify(args) -> int:
         except HypothesisViolation as exc:
             _emit(f"hypothesis-violation {exc}")
             return FAIL
-        cert = certify_coset_system(filtered, args.radius, mode="sync", jobs=args.jobs)
+        cert = certify_coset_system(filtered, args.radius, mode="sync")
         _emit(str(cert))
         return PASS if cert.bounded else FAIL
     if args.what == "automatic":
@@ -147,7 +146,7 @@ def cmd_certify(args) -> int:
             lang, oracle = built
         else:
             lang, oracle = built, ctx.parent
-        cert = certify_automatic(lang, oracle, args.radius, jobs=args.jobs)
+        cert = certify_automatic(lang, oracle, args.radius)
         _emit(str(cert))
         return PASS if cert.bounded else FAIL
     raise ConfigError(0, f"unknown certification target {args.what!r}")
@@ -225,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", help="name of a declared coset system")
     p.add_argument("--sync", action="store_true",
                    help="include the synchronous hypothesis rows")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("HIGGINS_JOBS", "1")),
-                   help="thread pool size for certifier sweeps "
-                        "(results are identical at any setting)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("experiment", help="run a built-in experiment")

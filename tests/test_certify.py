@@ -1,5 +1,8 @@
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -8,19 +11,25 @@ from higgins.backends import (
     abelian_backend, abelian_subgroup, free_backend, trivial_subgroup,
 )
 from higgins.certify import (
-    CayleyBall, HypothesisViolation, async_fellow_distance, cayley_ball,
+    BALL_MARGIN, CayleyBall, HypothesisViolation, async_fellow_distance, cayley_ball,
     certify_automatic, certify_coset_system, combination_hypotheses_report,
     detour_padded_language,
     concat_structure, geodesic_coset_filter, sync_fellow_distance,
 )
+from higgins.config import load_config
 from higgins.cosets import CosetSystem
 from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.words import Word, all_words
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Z2 = abelian_backend(2)
 AXIS = abelian_subgroup(Z2, [Z2.alphabet.word("x1")])
+
+
+def config_path(name):
+    return os.path.join(ROOT, "configs", name)
 
 
 def w2(text):
@@ -273,16 +282,98 @@ def test_hypotheses_report_unstable_iso():
     assert not report.passed
 
 
-def test_jobs_threading_is_deterministic():
-    sys_ = CosetSystem(AXIS, mode="sync")
-    one = certify_coset_system(sys_, radius=5, jobs=1)
-    four = certify_coset_system(sys_, radius=5, jobs=4)
-    assert (one.K_observed, one.pairs_tested) == (four.K_observed, four.pairs_tested)
-    assert str(one) == str(four)
-    F = free_backend(2)
-    a1 = certify_automatic(F.canonical_language, F, radius=4, jobs=1)
-    a4 = certify_automatic(F.canonical_language, F, radius=4, jobs=4)
-    assert str(a1) == str(a4)
+def test_certificate_identical_across_hash_seeds():
+    # the README promises byte-identical output on every run; set and dict
+    # order over tuple keys varies with the hash seed, so run two seeds
+    src = os.path.join(ROOT, "src")
+    argv = [sys.executable, "-m", "higgins.cli", "certify", config_path("hnn_z2.gog"),
+            "--what", "coset", "--system", "edge-cosets", "--radius", "3"]
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("certificate mode=async radius=3 ")
+
+
+def _random_words(rng, alphabet, n, max_len):
+    m = len(alphabet)
+    return [Word(alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(max_len + 1))))
+            for _ in range(n)]
+
+
+def _assert_levels(ball):
+    assert 0 <= ball.radius <= ball.max_radius
+    assert ball.dist == sorted(ball.dist)
+    assert set(ball.dist) == set(range(ball.radius + 1))
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
+def test_lazy_ball_equals_complete_ball(name):
+    if name == "z2":
+        oracle, cap = abelian_backend(2), 6
+    elif name == "f2":
+        oracle, cap = free_backend(2), 5
+    else:
+        from higgins.cascade import Pi1Backend
+        oracle, cap = Pi1Backend(load_config(config_path("hnn_z2.gog")).system()), 4
+    full = CayleyBall(oracle, cap)
+    n = len(full)
+    assert full.radius == cap and len(full.words) == n
+    # breadth-first search keeps, for each element, its shortlex-least
+    # geodesic, and lists the elements in shortlex order of those words
+    first: dict = {}
+    for w in all_words(oracle.alphabet, cap):
+        first.setdefault(oracle.key(w), w)
+    assert full.words == list(first.values())
+    assert full.dist == [len(w) for w in full.words]
+    lazy = CayleyBall(oracle, cap)
+    assert lazy.radius == 0 and len(lazy.words) == 1
+    rng = random.Random(29)
+    seen = []
+    for w in _random_words(rng, oracle.alphabet, 60, cap + 2):
+        i = lazy.index(w)
+        _assert_levels(lazy)
+        assert i == full.index(w)
+        if i is None:
+            assert lazy.radius == cap
+            continue
+        assert lazy.words[i] == full.words[i]
+        assert lazy.dist[i] == full.dist[i]
+        assert oracle.key(lazy.words[i]) == oracle.key(w)
+        seen.append(i)
+        j = rng.choice(seen)
+        assert lazy.distance(i, j) == full.distance(i, j)
+        _assert_levels(lazy)
+    assert lazy.words == full.words[:len(lazy.words)]
+    assert len(lazy) == n and lazy.words == full.words and lazy.dist == full.dist
+
+
+def test_escape_beyond_the_cap_is_reported():
+    system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
+    parent = system.context.parent
+    R = 3  # a cap of R leaves some distances of this sweep outside the ball
+    lazy = CayleyBall(parent, R)
+    cert = certify_coset_system(system, R, ball=lazy)
+    assert not cert.bounded
+    assert cert.lines()[0].endswith("status=exceeds-ball")
+    assert any(line.startswith("witness ") for line in cert.lines())
+    assert lazy.radius == lazy.max_radius == R
+    full = CayleyBall(parent, R)
+    len(full)
+    assert cert.lines() == certify_coset_system(system, R, ball=full).lines()
+
+
+def test_hnn_certificate_grows_a_small_ball():
+    system = load_config(config_path("hnn_z2.gog")).coset_system("edge-cosets")
+    ball = CayleyBall(system.context.parent, 1 + BALL_MARGIN)
+    cert = certify_coset_system(system, 1, ball=ball)
+    assert cert.bounded
+    assert ball.radius <= 3 and len(ball.words) < 100
 
 
 def test_higgins_lazy_language_agrees_with_its_dfa():
