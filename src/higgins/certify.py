@@ -18,6 +18,7 @@ from .fsa import Dfa, LazyLanguage, concat as dfa_concat, enumerate_language
 from .words import Alphabet, Word, invert, prefix, shortlex_key
 
 UNBOUNDED = None
+_MISS = object()  # a pair-cache miss; a cached escape is stored as UNBOUNDED
 
 
 class HypothesisViolation(ValueError):
@@ -101,8 +102,8 @@ class CayleyBall:
         if i == j:
             return 0
         key = (i, j) if i < j else (j, i)
-        hit = self._pair_cache.get(key)
-        if hit is None:
+        hit = self._pair_cache.get(key, _MISS)
+        if hit is _MISS:
             a, b = key
             k = self.oracle.key(invert(self.words[a]) * self.words[b])
             idx = self._index.get(k)

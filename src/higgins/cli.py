@@ -7,12 +7,14 @@
     higgins experiment trefoil --radius R --lambda-max M
     higgins fsa min|concat|intersect|enum FILES ...
 
-Exit codes: 0 pass, 1 property failure, 2 usage or input error.
+Exit codes: 0 pass, 1 property failure, 2 usage or input error.  A reader
+that closes the output early (`| head`) ends the run quietly with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import fsa
@@ -245,10 +247,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
+        return code
     except (ConfigError, DfaFormatError, AlphabetError, GogError,
             BackendError, VerifierError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except BrokenPipeError:
+        # send what is still buffered to devnull so the shutdown flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return USAGE
 
 

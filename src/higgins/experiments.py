@@ -9,9 +9,11 @@ shortlex-least words over {x, y} per right coset.
 
 H contains the center, so it is the full preimage of <x̄> under
 G -> G/<d> = Z/2 * Z/3; membership and coset labels reduce to power-pattern
-matching on free-product normal forms.  Representatives come from a
+matching on free-product normal forms, and a label (the least form in the
+orbit <x̄> s) takes O(n) time in the length of s.  Representatives come from a
 breadth-first search of the coset (Schreier) graph over those labels, pruned
-at a syllable cap so deep products stay tractable; the pruning cap is part of
+at a syllable cap so deep products stay tractable; the search grows one level
+at a time, only when a label is not yet known.  The pruning cap is part of
 the documented representative choice and is cross-checked against an
 unpruned element search at small radius in the tests.
 
@@ -25,7 +27,7 @@ from typing import Optional
 
 from .backends import abelian_backend, abelian_subgroup
 from .cascade import Pi1Backend, Pi1System
-from .cosets import CosetSystem, check_limited_crossover
+from .cosets import CosetSystem, VerifierError, check_limited_crossover
 from .fsa import LazyLanguage
 from .gog import DirectedGraph, GraphOfGroups
 from .words import Alphabet, Word, invert, shortlex_key
@@ -132,6 +134,22 @@ def _syl_key(s):
     return (_syl_len(s), s)
 
 
+def orbit_label(s):
+    """Least syllable form, by _syl_key, in the orbit <x̄> s, in O(len(s)).
+
+    Strip the longest prefix of s that is a power of x̄ or of x̄^-1, leaving
+    t.  As t starts with neither b^2 a nor a b, at most one of x̄ t and
+    x̄^-1 t cancels into t, and every further power of x̄^±1 only prepends
+    syllables; so the least form is one of x̄^-1 t, t, x̄ t.
+    """
+    unit = X_BAR if s[:1] == X_BAR[:1] else X_BAR_INV
+    i = 0
+    while s[i:i + 2] == unit:
+        i += 2
+    t = s[i:]
+    return min((_mul(X_BAR_INV, t), t, _mul(X_BAR, t)), key=_syl_key)
+
+
 class TrefoilCentralizerContext:
     """Subgroup context for H = <x, d> over the generators {x, y}.
 
@@ -178,17 +196,7 @@ class TrefoilCentralizerContext:
 
     def coset_label(self, w: Word):
         """Least syllable form in the orbit <x̄> w̄; a canonical coset name."""
-        return self._label_of(self.syllables(w))
-
-    def _label_of(self, s):
-        best = s
-        for unit in (X_BAR, X_BAR_INV):
-            cur = s
-            for _ in range(_syl_len(s) + 2):
-                cur = _mul(unit, cur)
-                if _syl_key(cur) < _syl_key(best):
-                    best = cur
-        return best
+        return orbit_label(self.syllables(w))
 
     # -- representatives: breadth-first search of the coset graph --------------
 
@@ -196,7 +204,7 @@ class TrefoilCentralizerContext:
         alpha = self.parent.alphabet
         if self._depth < 0:
             empty = alpha.empty()
-            self._reps = {self._label_of(()): empty}
+            self._reps = {orbit_label(()): empty}
             self._frontier = [((), empty)]
             self._depth = 0
             return
@@ -206,7 +214,7 @@ class TrefoilCentralizerContext:
                 s2 = _mul(s, self._letter_syl[letter])
                 if _syl_len(s2) > self.syllable_cap:
                     continue
-                label = self._label_of(s2)
+                label = orbit_label(s2)
                 if label in self._reps:
                     continue
                 w2 = Word(alpha, word.letters + (letter,))
@@ -220,15 +228,18 @@ class TrefoilCentralizerContext:
             self._grow()
 
     def coset_rep(self, w: Word) -> Word:
+        # a label, once found, keeps its representative: look it up first and
+        # grow the search one level at a time only on a miss
         label = self.coset_label(w)
-        self.ensure_depth(len(w))
         rep = self._reps.get(label)
-        hard_cap = 3 * self.syllable_cap
-        while rep is None and self._frontier and self._depth < hard_cap:
-            self._grow()
-            rep = self._reps.get(label)
         if rep is None:
-            raise RuntimeError(
+            self.ensure_depth(0)
+            bound = max(len(w), 3 * self.syllable_cap)
+            while rep is None and self._frontier and self._depth < bound:
+                self._grow()
+                rep = self._reps.get(label)
+        if rep is None:
+            raise VerifierError(
                 f"no representative found for the coset of {w}; raise syllable_cap")
         return rep
 

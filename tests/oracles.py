@@ -145,3 +145,41 @@ def hnn_z2_key(w: Word):
             rest.append(x)
     reduced = free_reduce(Word(alpha, tuple(rest)))
     return (exp, reduced.letters)
+
+
+# --- trefoil cosets of H = <x, d> in the central quotient Z/2 * Z/3 ----------
+#
+# H is the preimage of <x̄>, x̄ = b^2 a, so a coset is an orbit <x̄> s of
+# reduced syllable forms s.  The label is found by brute force: multiply by
+# x̄ and by x̄^-1 well past the length of s and keep the least form.
+
+_ZZ_ORDER = {"a": 2, "b": 3}
+_XBAR = (("b", 2), ("a", 1))
+_XBAR_INV = (("a", 1), ("b", 1))
+
+
+def _zz_mul(s, t):
+    stack = list(s)
+    for v, e in t:
+        if stack and stack[-1][0] == v:
+            e = (stack.pop()[1] + e) % _ZZ_ORDER[v]
+        if e % _ZZ_ORDER[v]:
+            stack.append((v, e % _ZZ_ORDER[v]))
+    return tuple(stack)
+
+
+def _zz_key(s):
+    return (sum(1 if v == "a" else e for v, e in s), s)
+
+
+def trefoil_orbit_label(s):
+    """Least (syllable length, form) in the orbit <x̄> s, by a scan of
+    |s| + 2 powers of x̄ in each direction."""
+    best = s
+    for unit in (_XBAR, _XBAR_INV):
+        cur = s
+        for _ in range(_zz_key(s)[0] + 2):
+            cur = _zz_mul(unit, cur)
+            if _zz_key(cur) < _zz_key(best):
+                best = cur
+    return best

@@ -376,6 +376,26 @@ def test_hnn_certificate_grows_a_small_ball():
     assert ball.radius <= 3 and len(ball.words) < 100
 
 
+class CountingOracle:
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.alphabet = oracle.alphabet
+        self.key_calls = 0
+
+    def key(self, w):
+        self.key_calls += 1
+        return self.oracle.key(w)
+
+
+def test_escaped_pair_is_keyed_once():
+    oracle = CountingOracle(free_backend(2))
+    ball = CayleyBall(oracle, 1)
+    i, j = ball.index(oracle.alphabet.word("a")), ball.index(oracle.alphabet.word("a^-1"))
+    before = oracle.key_calls
+    assert [ball.distance(i, j) for _ in range(5)] == [None] * 5  # d = 2 escapes radius 1
+    assert oracle.key_calls - before == 1
+
+
 def test_higgins_lazy_language_agrees_with_its_dfa():
     from builders import trefoil_system
     from higgins.cascade import Pi1EdgeSubgroup

@@ -230,3 +230,24 @@ def test_console_entry_point():
         [sys.executable, "-m", "higgins.cli", "validate", cfg("free_product_zz.gog")],
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "valid"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # `higgins certify ... | head -1`, with the reader gone before any write
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "higgins.cli", "certify", cfg("hnn_z2.gog"),
+             "--what", "coset", "--system", "edge-cosets", "--radius", "3"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr, proc.stderr
+    assert proc.returncode == 2
