@@ -7,6 +7,12 @@ far as the lookups ask, up to a cap of R + BALL_MARGIN for a radius-R sweep;
 a distance is exact whenever its key lies within the cap and is otherwise
 reported as escaping the ball.  Certificates never claim failure beyond the
 tested radius; an escape is an explicit signal, meaning "beyond the cap".
+
+A certificate reports K, the largest over all swept pairs of each pair's
+optimal fellow constant.  The sweep measures every pair against the running
+K, so a pair's own value is exact only where it exceeds that K (a pair that
+stays within it skips the exact computation); the reported K is still the
+exact maximum, and escapes are found exactly as without the threshold.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Optional
 
 from .cosets import CosetSystem, WordMetric, check_limited_crossover, check_stability
 from .fsa import Dfa, LazyLanguage, concat as dfa_concat, enumerate_language
-from .words import Alphabet, Word, invert, prefix, shortlex_key
+from .words import Alphabet, Word, invert, shortlex_key
 
 UNBOUNDED = None
 _MISS = object()  # a pair-cache miss; a cached escape is stored as UNBOUNDED
@@ -37,6 +43,10 @@ class CayleyBall:
     radius reached so far and dist holds exactly the depths 0..radius.  A
     level-by-level search finds the same first word for each element however
     far it runs, so no answer depends on how far the ball has grown.
+
+    edges is the Cayley graph of the grown part: edges[i][x] is the index of
+    words[i] * x.  Growing a sphere fills in the rows of the sphere before it,
+    so every element inside the outermost sphere has its row, in index order.
     """
 
     def __init__(self, oracle, radius: int):
@@ -47,8 +57,8 @@ class CayleyBall:
         empty = self.alphabet.empty()
         self.words: list[Word] = [empty]
         self.dist: list[int] = [0]
+        self.edges: list[list[int]] = []
         self._index: dict = {oracle.key(empty): 0}
-        self._frontier = [empty]
         self._pair_cache: dict = {}
 
     def _grow(self):
@@ -56,17 +66,20 @@ class CayleyBall:
         letter order, keeping the first word found for each new key."""
         d = self.radius + 1
         alphabet, key, index = self.alphabet, self.oracle.key, self._index
-        nxt = []
-        for u in self._frontier:
+        words, edges = self.words, self.edges
+        for i in range(len(edges), len(words)):
+            u = words[i].letters
+            row = []
             for x in range(len(alphabet)):
-                w = Word(alphabet, u.letters + (x,))
+                w = Word(alphabet, u + (x,))
                 k = key(w)
-                if k not in index:
-                    index[k] = len(self.words)
-                    self.words.append(w)
+                j = index.get(k)
+                if j is None:
+                    j = index[k] = len(words)
+                    words.append(w)
                     self.dist.append(d)
-                    nxt.append(w)
-        self._frontier = nxt
+                row.append(j)
+            edges.append(row)
         self.radius = d
 
     def _grow_to(self, key) -> Optional[int]:
@@ -119,12 +132,21 @@ def cayley_ball(oracle, radius: int) -> CayleyBall:
 
 
 def _prefix_indices(ball: CayleyBall, start: Word, w: Word) -> Optional[list[int]]:
-    out = []
-    for t in range(len(w) + 1):
-        idx = ball.index(start * prefix(w, t))
-        if idx is None:
-            return None
-        out.append(idx)
+    """Ball indices of start * prefix(w, t) for t = 0..|w|, walked along the
+    edge table; only a step off the outermost grown sphere asks the ball."""
+    i = ball.index(start) if start.letters else 0
+    if i is None:
+        return None
+    out = [i]
+    edges, words, alphabet = ball.edges, ball.words, ball.alphabet
+    for x in w.letters:
+        if i < len(edges):
+            i = edges[i][x]
+        else:
+            i = ball.index(Word(alphabet, words[i].letters + (x,)))
+            if i is None:
+                return None
+        out.append(i)
     return out
 
 
@@ -144,15 +166,54 @@ def sync_fellow_distance(w1: Word, h: Word, w2: Word, ball: CayleyBall) -> Optio
     return best
 
 
-def async_fellow_distance(w1: Word, h: Word, w2: Word, ball: CayleyBall) -> Optional[int]:
+def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int) -> bool:
+    """Whether some monotone alignment of the prefix paths a and b keeps every
+    cell within threshold: a depth-first flood fill of the prefix grid from
+    (0, 0) over cells at distance <= threshold, with diagonal, right and down
+    moves, that evaluates distances only for the cells it reaches."""
+    n1, n2 = len(a) - 1, len(b) - 1
+    distance = ball.distance
+    d = distance(a[0], b[0])
+    if d is UNBOUNDED or d > threshold:
+        return False
+    seen = {(0, 0)}
+    path = [(0, 0)]
+    while path:
+        i, j = path[-1]
+        if i == n1 and j == n2:
+            return True
+        for cell in ((i + 1, j + 1), (i, j + 1), (i + 1, j)):
+            p, q = cell
+            if p > n1 or q > n2 or cell in seen:
+                continue
+            seen.add(cell)
+            d = distance(a[p], b[q])
+            if d is not UNBOUNDED and d <= threshold:
+                path.append(cell)
+                break
+        else:
+            path.pop()
+    return False
+
+
+def async_fellow_distance(w1: Word, h: Word, w2: Word, ball: CayleyBall,
+                          threshold: Optional[int] = None) -> Optional[int]:
     """Minimal K for which some monotone alignment keeps the paths K-close:
     bottleneck dynamic programming over the prefix grid with right, down and
-    diagonal moves."""
+    diagonal moves.
+
+    With a threshold, a pair that some alignment keeps within it returns the
+    threshold without running the dynamic programme, so the result is
+    max(exact value, threshold): exact only where it exceeds the threshold,
+    and UNBOUNDED exactly when the exact value is.  A sweep that passes its
+    running maximum therefore still ends on the exact maximum."""
     empty = ball.alphabet.empty()
     a = _prefix_indices(ball, empty, w1)
     b = _prefix_indices(ball, h, w2)
     if a is None or b is None:
         return UNBOUNDED
+    if threshold is not None and _aligns_within(ball, a, b, threshold):
+        return threshold
     INF = float("inf")
     n1, n2 = len(w1), len(w2)
     dp = [[INF] * (n2 + 1) for _ in range(n1 + 1)]
@@ -215,94 +276,87 @@ def _letter_words(alphabet: Alphabet):
     return out
 
 
-def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = None,
-                         ball: Optional[CayleyBall] = None) -> FellowCertificate:
-    """Sweep all v, w in the language with d(v, hw) <= 1 for some h in the
-    subgroup, and measure the optimal per-pair fellow constant."""
-    ctx = sys.context
-    parent = ctx.parent
-    mode = mode if mode is not None else sys.mode
-    if ball is None:
-        ball = CayleyBall(parent, radius + BALL_MARGIN)
-    lang_words = enumerate_language(sys.language, radius)
+def _language_states(lang) -> Optional[int]:
+    if isinstance(lang, LazyLanguage) and lang.dfa is not None:
+        return lang.dfa.n_states
+    if isinstance(lang, Dfa):
+        return lang.n_states
+    return None
+
+
+def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=None):
+    """The fellow-traveller sweep behind every certificate: all v, w in the
+    language with d(v, hw) <= 1 for some h in the subgroup, each measured
+    against the running K, so K ends as the exact largest per-pair constant.
+    coset_key None stands for the trivial subgroup: words are grouped by
+    element and h is the empty word.  Returns (pairs, K, violations)."""
+    words = enumerate_language(lang, radius)
+    group = coset_key if coset_key is not None else oracle.key
     by_coset: dict = {}
-    for w in lang_words:
-        by_coset.setdefault(ctx.coset_key(w), []).append(w)
-    measure = sync_fellow_distance if mode == "sync" else async_fellow_distance
+    for w in words:
+        by_coset.setdefault(group(w), []).append(w)
+    empty = oracle.alphabet.empty()
     K = 0
     pairs = 0
     violations = []
-    for v in lang_words:
+    for v in words:
         seen = set()
-        for x in _letter_words(parent.alphabet):
+        for x in _letter_words(oracle.alphabet):
             g = v * x
-            for w in by_coset.get(ctx.coset_key(g), ()):
-                h = g * invert(w)
-                pk = (w.letters, parent.key(h))
+            for w in by_coset.get(group(g), ()):
+                if coset_key is None:
+                    h, pk = empty, w.letters
+                else:
+                    h = g * invert(w)
+                    pk = (w.letters, oracle.key(h))
                 if pk in seen:
                     continue
                 seen.add(pk)
                 pairs += 1
-                hi = ball.index(h)
+                hi = ball.index(h) if h.letters else 0
                 if hi is None:
                     violations.append((v, h, w))
                     continue
-                h_short = ball.words[hi]
-                d = measure(v, h_short, w, ball)
+                h = ball.words[hi]
+                # looked up at call time, so a wrapped module function is used
+                if mode == "sync":
+                    d = sync_fellow_distance(v, h, w, ball)
+                else:
+                    d = async_fellow_distance(v, h, w, ball, K)
                 if d is UNBOUNDED:
-                    violations.append((v, h_short, w))
+                    violations.append((v, h, w))
                 else:
                     K = max(K, d)
+    violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))
+    return pairs, K, violations
+
+
+def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = None,
+                         ball: Optional[CayleyBall] = None) -> FellowCertificate:
+    """Sweep all v, w in the language with d(v, hw) <= 1 for some h in the
+    subgroup, and report the largest optimal per-pair fellow constant."""
+    ctx = sys.context
+    mode = mode if mode is not None else sys.mode
+    if ball is None:
+        ball = CayleyBall(ctx.parent, radius + BALL_MARGIN)
+    pairs, K, violations = _sweep(sys.language, ctx.parent, radius, mode, ball, ctx.coset_key)
     kappa = None
     if ctx.gen_words:
         idxs = [ball.index(gw) for gw in ctx.gen_words]
         if all(i is not None for i in idxs):
             kappa = max(ball.dist[i] for i in idxs)
-    states = None
-    lang = sys.language
-    if isinstance(lang, LazyLanguage) and lang.dfa is not None:
-        states = lang.dfa.n_states
-    elif isinstance(lang, Dfa):
-        states = lang.n_states
-    violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))
-    return FellowCertificate(mode, radius, pairs, K, violations, kappa, states)
+    return FellowCertificate(mode, radius, pairs, K, violations, kappa,
+                             _language_states(sys.language))
 
 
 def certify_automatic(lang, oracle, radius: int, mode: str = "sync",
                       ball: Optional[CayleyBall] = None) -> FellowCertificate:
-    """Fellow-traveller sweep with trivial subgroup: pairs u, v in the
-    language whose endpoints are at distance <= 1."""
+    """The coset sweep with the trivial subgroup: pairs u, v in the language
+    whose endpoints are at distance <= 1."""
     if ball is None:
         ball = CayleyBall(oracle, radius + BALL_MARGIN)
-    words = enumerate_language(lang, radius)
-    by_elt: dict = {}
-    for w in words:
-        by_elt.setdefault(oracle.key(w), []).append(w)
-    measure = sync_fellow_distance if mode == "sync" else async_fellow_distance
-    empty = oracle.alphabet.empty()
-    K = 0
-    pairs = 0
-    violations = []
-    for u in words:
-        seen = set()
-        for x in _letter_words(oracle.alphabet):
-            for v in by_elt.get(oracle.key(u * x), ()):
-                if v.letters in seen:
-                    continue
-                seen.add(v.letters)
-                pairs += 1
-                d = measure(u, empty, v, ball)
-                if d is UNBOUNDED:
-                    violations.append((u, empty, v))
-                else:
-                    K = max(K, d)
-    violations.sort(key=lambda t: tuple(shortlex_key(w) for w in t))
-    states = None
-    if isinstance(lang, LazyLanguage) and lang.dfa is not None:
-        states = lang.dfa.n_states
-    elif isinstance(lang, Dfa):
-        states = lang.n_states
-    return FellowCertificate(mode, radius, pairs, K, violations, None, states)
+    pairs, K, violations = _sweep(lang, oracle, radius, mode, ball)
+    return FellowCertificate(mode, radius, pairs, K, violations, None, _language_states(lang))
 
 
 class ExtendedBackend:

@@ -251,7 +251,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
         return code
     except (ConfigError, DfaFormatError, AlphabetError, GogError,
-            BackendError, VerifierError, FileNotFoundError, NotADirectoryError) as exc:
+            BackendError, VerifierError, FileNotFoundError, NotADirectoryError,
+            IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except BrokenPipeError:

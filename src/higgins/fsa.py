@@ -1,4 +1,4 @@
-"""Deterministic finite automata over generator alphabets and padded pair alphabets.
+"""Deterministic finite automata over generator alphabets.
 
 States are 0..n-1 with state 0 the start after canonicalization.  Transition
 functions are partial (missing entry = implicit dead state).  All construction
@@ -12,54 +12,6 @@ from collections import deque
 from typing import Callable, Iterable, Optional
 
 from .words import Alphabet, AlphabetError, Word, all_words
-
-
-class PairAlphabet:
-    """Pairs (a, b) over a base alphabet with a padding slot on either track.
-
-    Pair letters are encoded as a*(k+1)+b where k = len(base) is the padding
-    index; (pad, pad) is excluded.  Padding may only appear as a suffix on the
-    shorter track; machines built here enforce that in their state logic.
-    """
-
-    __slots__ = ("base", "names", "pad")
-
-    PAD_NAME = "-"
-
-    def __init__(self, base: Alphabet):
-        self.base = base
-        self.pad = len(base)
-        names = []
-        syms = list(base.names) + [self.PAD_NAME]
-        for a in range(len(base) + 1):
-            for b in range(len(base) + 1):
-                names.append(f"({syms[a]},{syms[b]})")
-        self.names = tuple(names)
-
-    def __len__(self):
-        return (len(self.base) + 1) ** 2
-
-    def __eq__(self, other):
-        return isinstance(other, PairAlphabet) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("pair", self.base))
-
-    def encode(self, a: int, b: int) -> int:
-        return a * (self.pad + 1) + b
-
-    def decode(self, c: int) -> tuple[int, int]:
-        return divmod(c, self.pad + 1)
-
-    def pair_word(self, w: Word, v: Word) -> Word:
-        """Pad the shorter of (w, v) and zip into a word over this alphabet."""
-        n = max(len(w), len(v))
-        letters = []
-        for t in range(n):
-            a = w.letters[t] if t < len(w) else self.pad
-            b = v.letters[t] if t < len(v) else self.pad
-            letters.append(self.encode(a, b))
-        return Word(self, tuple(letters))  # type: ignore[arg-type]
 
 
 class Dfa:
@@ -404,10 +356,6 @@ class LazyLanguage:
         return bool(self.membership(w))
 
 
-def language_alphabet(lang):
-    return lang.alphabet
-
-
 def enumerate_language(lang, max_len: int) -> list[Word]:
     """All accepted words of length <= max_len in shortlex order, no duplicates.
 
@@ -462,79 +410,6 @@ def enumerate_language(lang, max_len: int) -> list[Word]:
     walk(dfa.start)
     out.sort(key=lambda w: (len(w), w.letters))
     return out
-
-
-def build_pair_machine(alphabet: Alphabet, differences, table, targets,
-                       name="pairs") -> Dfa:
-    """Word-difference machine over padded pairs.
-
-    `differences` is a list of hashable difference keys with the identity
-    first; `table` maps (difference, (a, b)) -> difference for a, b letter
-    indices or None (padding); `targets` is the set of accepting differences.
-    Accepts a padded pair (w, v) whose running difference stays inside the
-    table and ends on a target.  Padding is only legal as a suffix; the
-    machine tracks which track has padded and rejects resumed tracks.
-    """
-    pa = PairAlphabet(alphabet)
-    pad = pa.pad
-    diff_index = {d: i for i, d in enumerate(differences)}
-    if len(diff_index) != len(differences):
-        raise ValueError("duplicate difference keys")
-    for (d, (a, b)), d2 in table.items():
-        if d not in diff_index or d2 not in diff_index:
-            raise ValueError(f"table not closed at {(d, (a, b))} -> {d2}")
-    # state = (difference, padflag) ; padflag 0 none, 1 left padded, 2 right padded
-    index = {(differences[0], 0): 0}
-    order = [(differences[0], 0)]
-    transitions = {}
-    qi = 0
-    while qi < len(order):
-        d, flag = order[qi]
-        for c in range(len(pa)):
-            a, b = pa.decode(c)
-            if a == pad and b == pad:
-                continue
-            if flag == 1 and a != pad:
-                continue
-            if flag == 2 and b != pad:
-                continue
-            nflag = flag
-            if a == pad:
-                nflag = 1
-            elif b == pad:
-                nflag = 2
-            key = (d, (None if a == pad else a, None if b == pad else b))
-            d2 = table.get(key)
-            if d2 is None:
-                continue
-            nstate = (d2, nflag)
-            if nstate not in index:
-                index[nstate] = len(order)
-                order.append(nstate)
-            transitions[(qi, c)] = index[nstate]
-        qi += 1
-    accepting = {i for i, (d, _f) in enumerate(order) if d in targets}
-    return _trim(Dfa(pa, len(order), 0, accepting, transitions, name))
-
-
-def project_first(pair_dfa: Dfa, name="projection") -> Dfa:
-    """First-track projection: accepts w iff some v makes (w, v) accepted."""
-    pa: PairAlphabet = pair_dfa.alphabet  # type: ignore[assignment]
-    if not isinstance(pa, PairAlphabet):
-        raise AlphabetError("project_first needs a pair-alphabet automaton")
-    pad = pa.pad
-    nfa = Nfa(pa.base)
-    for _ in range(pair_dfa.n_states):
-        nfa.add_state()
-    nfa.starts = {pair_dfa.start}
-    nfa.accepting = set(pair_dfa.accepting)
-    for (s, c), t in pair_dfa.transitions.items():
-        a, b = pa.decode(c)
-        if a == pad:
-            nfa.add_eps(s, t)  # second track runs on alone
-        else:
-            nfa.add_edge(s, a, t)
-    return determinize(nfa, name)
 
 
 # --- text format ------------------------------------------------------------

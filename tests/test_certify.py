@@ -10,17 +10,18 @@ from builders import trefoil_gog, zz_gog
 from higgins.backends import (
     abelian_backend, abelian_subgroup, free_backend, trivial_subgroup,
 )
+import higgins.certify
 from higgins.certify import (
-    BALL_MARGIN, CayleyBall, HypothesisViolation, async_fellow_distance, cayley_ball,
-    certify_automatic, certify_coset_system, combination_hypotheses_report,
-    detour_padded_language,
-    concat_structure, geodesic_coset_filter, sync_fellow_distance,
+    BALL_MARGIN, CayleyBall, HypothesisViolation, _aligns_within, _prefix_indices,
+    async_fellow_distance, cayley_ball, certify_automatic, certify_coset_system,
+    combination_hypotheses_report, concat_structure, detour_padded_language,
+    geodesic_coset_filter, sync_fellow_distance,
 )
 from higgins.config import load_config
 from higgins.cosets import CosetSystem
 from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
-from higgins.words import Word, all_words
+from higgins.words import Word, all_words, prefix
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,7 +70,6 @@ def test_async_distance_examples():
 
 def brute_async(w1, h, w2w, ball):
     """Minimum over all monotone staircases of the maximum distance."""
-    from higgins.certify import _prefix_indices
     a = _prefix_indices(ball, ball.alphabet.empty(), w1)
     b = _prefix_indices(ball, h, w2w)
     if a is None or b is None:
@@ -312,15 +312,18 @@ def _assert_levels(ball):
     assert set(ball.dist) == set(range(ball.radius + 1))
 
 
+def _backend(name):
+    if name == "z2":
+        return abelian_backend(2)
+    if name == "f2":
+        return free_backend(2)
+    from higgins.cascade import Pi1Backend
+    return Pi1Backend(load_config(config_path("hnn_z2.gog")).system())
+
+
 @pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
 def test_lazy_ball_equals_complete_ball(name):
-    if name == "z2":
-        oracle, cap = abelian_backend(2), 6
-    elif name == "f2":
-        oracle, cap = free_backend(2), 5
-    else:
-        from higgins.cascade import Pi1Backend
-        oracle, cap = Pi1Backend(load_config(config_path("hnn_z2.gog")).system()), 4
+    oracle, cap = _backend(name), {"z2": 6, "f2": 5, "hnn": 4}[name]
     full = CayleyBall(oracle, cap)
     n = len(full)
     assert full.radius == cap and len(full.words) == n
@@ -413,3 +416,117 @@ def test_hypotheses_report_sync_rows():
     names = [n for n, _ok, _d in report.rows]
     assert any(n.startswith("sync-language") for n in names)
     assert report.passed, str(report)
+
+
+# --- the edge table and the threshold-pruned sweep ---------------------------
+
+@pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
+def test_prefix_walk_follows_the_edge_table(name):
+    oracle = _backend(name)
+    cap = {"z2": 4, "f2": 4, "hnn": 3}[name]
+    ball, ref = CayleyBall(oracle, cap), CayleyBall(oracle, cap)
+    rng = random.Random(43)
+    grew = capped = 0
+    for _ in range(60):
+        start = _random_words(rng, oracle.alphabet, 1, 2)[0]
+        w = _random_words(rng, oracle.alphabet, 1, 2 * cap)[0]
+        want = [ref.index(start * prefix(w, t)) for t in range(len(w) + 1)]
+        ball.index(start)
+        before = ball.radius
+        got = _prefix_indices(ball, start, w)
+        grew += ball.radius > before  # the walk itself left the grown ball
+        assert got == (None if None in want else want)
+        capped += got is None
+        _assert_levels(ball)
+    assert grew and capped
+    # a row for exactly the elements inside the outermost sphere
+    assert len(ball.edges) == sum(d < ball.radius for d in ball.dist)
+    for i, row in enumerate(ball.edges):
+        assert len(row) == len(oracle.alphabet)
+        for x, j in enumerate(row):
+            step = Word(oracle.alphabet, ball.words[i].letters + (x,))
+            assert oracle.key(step) == oracle.key(ball.words[j])
+
+
+def _seeded_pairs(rng, alphabet, n, max_len):
+    m = len(alphabet)
+
+    def word(k):
+        return Word(alphabet, tuple(rng.randrange(m) for _ in range(k)))
+    pairs = []
+    for _ in range(n):
+        w1 = word(rng.randrange(max_len + 1))
+        kind = rng.randrange(3)
+        if kind == 0:
+            w2 = w1  # equal paths stay at distance 0 only along the diagonal
+        elif kind == 1:
+            w2 = w1 * word(1)
+        else:
+            w2 = word(rng.randrange(max_len + 1))
+        pairs.append((w1, word(rng.randrange(2)), w2))
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
+def test_threshold_pruning_keeps_the_exact_maximum(name):
+    oracle = _backend(name)
+    ball = CayleyBall(oracle, {"z2": 8, "f2": 7, "hnn": 4}[name])
+    pairs = _seeded_pairs(random.Random(41), oracle.alphabet, 60, 4)
+    exact = [async_fellow_distance(w1, h, w2, ball) for w1, h, w2 in pairs]
+    finite = [d for d in exact if d is not None]
+    assert finite and 0 in finite and max(finite) > 1
+    for (w1, h, w2), d in zip(pairs, exact):
+        a = _prefix_indices(ball, ball.alphabet.empty(), w1)
+        b = _prefix_indices(ball, h, w2)
+        for t in range(4):
+            got = async_fellow_distance(w1, h, w2, ball, threshold=t)
+            if d is None:
+                assert got is None
+                assert a is None or b is None or not _aligns_within(ball, a, b, t)
+                continue
+            assert (got <= t) == (d <= t) and got == max(d, t)
+            # the decision form alone: the fallback would hide a wrong answer
+            assert _aligns_within(ball, a, b, t) == (d <= t)
+    # a sweep that passes its running K ends on the exact maximum
+    K = escapes = 0
+    for w1, h, w2 in pairs:
+        got = async_fellow_distance(w1, h, w2, ball, threshold=K)
+        if got is None:
+            escapes += 1
+        else:
+            K = max(K, got)
+    assert K == max(finite) and escapes == exact.count(None)
+
+
+def _exact_async(w1, h, w2, ball, threshold=None):
+    return async_fellow_distance(w1, h, w2, ball)
+
+
+def _abelian_axis_cert(system, radius, cap):
+    sys = load_config(config_path("abelian_pairs.gog")).coset_system(system)
+    ball = CayleyBall(sys.context.parent, cap)
+    return certify_coset_system(sys, radius, mode="async", ball=ball), ball
+
+
+def _free_automatic_cert(radius, cap):
+    F = free_backend(2)
+    ball = CayleyBall(F, cap)
+    return certify_automatic(F.canonical_language, F, radius, mode="async", ball=ball), ball
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _abelian_axis_cert("axis-padded", 6, 6 + BALL_MARGIN),
+    lambda: _abelian_axis_cert("axis-padded", 3, 3),  # escapes beyond the cap
+    lambda: _abelian_axis_cert("axis", 6, 6 + BALL_MARGIN),
+    lambda: _free_automatic_cert(4, 4 + BALL_MARGIN),
+], ids=["axis-padded", "axis-padded-capped", "axis", "f2-automatic"])
+def test_pruned_certificate_equals_the_exact_sweep(monkeypatch, run):
+    pruned, pruned_ball = run()
+    monkeypatch.setattr(higgins.certify, "async_fellow_distance", _exact_async)
+    exact, exact_ball = run()
+    assert pruned.K_observed == exact.K_observed
+    assert pruned.pairs_tested == exact.pairs_tested
+    assert pruned.violations == exact.violations
+    assert pruned.lines() == exact.lines()
+    # the pruned sweep skipped cells that the exact one measured
+    assert len(pruned_ball._pair_cache) < len(exact_ball._pair_cache)

@@ -115,6 +115,25 @@ def test_cmd_validate_missing_file(capsys):
     assert code == 2
 
 
+def test_directory_argument_is_a_usage_error(capsys):
+    for argv in (["validate", CONFIGS], ["fsa", "min", CONFIGS]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Is a directory" in err
+
+
+def test_unreadable_config_is_a_usage_error(capsys, monkeypatch):
+    # raised by hand: a superuser reads a chmod 000 file all the same
+    import higgins.config
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+    monkeypatch.setattr(higgins.config, "open", refuse, raising=False)
+    code = main(["validate", cfg("trefoil_amalgam.gog")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "Permission denied" in err
+
+
 def test_cmd_nf_examples(capsys):
     code, out = run_cli(capsys, "nf", cfg("trefoil_amalgam.gog"), "--word", "a a b")
     nf1 = out.strip()

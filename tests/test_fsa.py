@@ -4,12 +4,11 @@ import random
 import pytest
 
 from higgins.fsa import (
-    Dfa, DfaFormatError, LazyLanguage, PairAlphabet, build_pair_machine,
-    complement, concat, dfa_from_text, dfa_to_text, empty_dfa,
-    enumerate_language, intersect, minimize, project_first, single_word_dfa,
-    union, universal_dfa, word_set_dfa,
+    Dfa, DfaFormatError, LazyLanguage, complement, concat, dfa_from_text,
+    dfa_to_text, empty_dfa, enumerate_language, intersect, minimize,
+    single_word_dfa, union, universal_dfa, word_set_dfa,
 )
-from higgins.words import Alphabet, Word, all_words
+from higgins.words import Alphabet, all_words
 
 AB = Alphabet(["a", "b"])
 
@@ -102,120 +101,6 @@ def test_lazy_language_enumeration():
     got = enumerate_language(lang, 3)
     assert all(len(w) % 2 == 0 for w in got)
     assert len(got) == 1 + 16
-
-
-# --- pair machines ----------------------------------------------------------
-
-Z2 = Alphabet(["x1", "x2"])
-
-
-def z2_vec(letters):
-    v = [0, 0]
-    for x in letters:
-        i, s = divmod(x, 2)
-        v[i] += 1 if s == 0 else -1
-    return tuple(v)
-
-
-def z2_diff_table(radius):
-    """Word differences d = v(t)^-1 w(t) for Z^2, as exponent vectors."""
-    deltas = {None: (0, 0)}
-    for x in range(4):
-        deltas[x] = z2_vec((x,))
-    ball = [
-        (i, j)
-        for i in range(-radius, radius + 1)
-        for j in range(-radius, radius + 1)
-        if abs(i) + abs(j) <= radius
-    ]
-    table = {}
-    for d in ball:
-        for a in list(range(4)) + [None]:
-            for b in list(range(4)) + [None]:
-                if a is None and b is None:
-                    continue
-                da, db = deltas[a], deltas[b]
-                d2 = (d[0] - db[0] + da[0], d[1] - db[1] + da[1])
-                if abs(d2[0]) + abs(d2[1]) <= radius:
-                    table[(d, (a, b))] = d2
-    return ball, table
-
-
-def test_pair_machine_diagonal():
-    x = Alphabet(["x"])
-    table = {((0,), (a, a)): (0,) for a in range(2)}
-    m = build_pair_machine(x, [(0,)], table, {(0,)})
-    pa = m.alphabet
-    w1, w2 = x.word("x x"), x.word("x x")
-    assert m.accepts(pa.pair_word(w1, w2))
-    assert not m.accepts(pa.pair_word(w1, x.word("x")))
-
-
-def test_pair_machine_z2_identity_target():
-    ball, table = z2_diff_table(2)
-    m = build_pair_machine(Z2, [(0, 0)] + [d for d in ball if d != (0, 0)], table, {(0, 0)})
-    pa = m.alphabet
-    assert m.accepts(pa.pair_word(Z2.word("x1 x2"), Z2.word("x2 x1")))
-    assert not m.accepts(pa.pair_word(Z2.word("x1 x2"), Z2.word("x1 x1")))
-
-
-def test_pair_machine_z2_x1_target():
-    ball, table = z2_diff_table(2)
-    m = build_pair_machine(Z2, [(0, 0)] + [d for d in ball if d != (0, 0)], table, {(1, 0)})
-    pa = m.alphabet
-    # difference v^-1 w = x1 when w = x1 x2, v = x2
-    assert m.accepts(pa.pair_word(Z2.word("x1 x2"), Z2.word("x2")))
-    assert not m.accepts(pa.pair_word(Z2.word("x1 x2"), Z2.word("x2 x1")))
-
-
-def test_pair_machine_rejects_interior_padding():
-    ball, table = z2_diff_table(2)
-    m = build_pair_machine(Z2, [(0, 0)] + [d for d in ball if d != (0, 0)], table, {(0, 0)})
-    pa = m.alphabet
-    pad = pa.pad
-    x1 = 0
-    word = Word(pa, (pa.encode(x1, pad), pa.encode(x1, x1)))
-    assert not m.accepts(word)
-
-
-def test_project_first():
-    ball, table = z2_diff_table(2)
-    diffs = [(0, 0)] + [d for d in ball if d != (0, 0)]
-    diag = build_pair_machine(Z2, diffs, {k: v for k, v in table.items()
-                                          if k[1][0] is not None and k[1][1] is not None},
-                              {(0, 0)})
-    proj = project_first(diag)
-    # every word pairs with itself, so the projection is universal on short words
-    for w in all_words(Z2, 3):
-        assert proj.accepts(w)
-
-    nothing = project_first(
-        build_pair_machine(Z2, diffs, table, set()))
-    assert enumerate_language(nothing, 4) == []
-
-    one = build_pair_machine(Z2, diffs, table, {(0, 0)})
-    pa = one.alphabet
-    only = intersect_pairs_with_single(one, pa, Z2.word("x1 x2"), Z2.word("x2 x1"))
-    got = project_first(only)
-    assert enum_set(got, 4) == {Z2.word("x1 x2").letters}
-
-
-def intersect_pairs_with_single(machine, pa, w, v):
-    from higgins.fsa import intersect as fsa_intersect
-    return fsa_intersect(machine, single_word_dfa(pa.pair_word(w, v)))
-
-
-def test_project_first_existential_brute():
-    ball, table = z2_diff_table(2)
-    diffs = [(0, 0)] + [d for d in ball if d != (0, 0)]
-    m = build_pair_machine(Z2, diffs, table, {(1, 0)})
-    proj = project_first(m)
-    pa = m.alphabet
-    for w in all_words(Z2, 3):
-        exists = any(
-            m.accepts(pa.pair_word(w, v)) for v in all_words(Z2, len(w) + 2)
-        )
-        assert proj.accepts(w) == exists
 
 
 # --- text format ------------------------------------------------------------
