@@ -362,10 +362,6 @@ class SubgroupContext:
             self._expand[p] = self.gen_words[i]
             self._expand[self.gen_alphabet.inv[p]] = invert(self.gen_words[i])
 
-    @property
-    def generators(self):
-        return list(self.gen_words)
-
     def expand(self, yword: Word) -> Word:
         """Map a word over the subgroup generators to a parent-alphabet word."""
         out = self.parent.alphabet.empty()

@@ -487,10 +487,6 @@ class Pi1EdgeSubgroup:
         self._edge_ctx = edge_ctx
         self._rep_cache = {}
 
-    @property
-    def generators(self):
-        return list(self.gen_words)
-
     def expand(self, yword: Word) -> Word:
         out = self.system.alphabet.empty()
         for y in yword.letters:

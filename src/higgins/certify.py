@@ -82,15 +82,6 @@ class CayleyBall:
             edges.append(row)
         self.radius = d
 
-    def _grow_to(self, key) -> Optional[int]:
-        """Grow until key is in the ball, or to max_radius; its index or None."""
-        while self.radius < self.max_radius:
-            self._grow()
-            idx = self._index.get(key)
-            if idx is not None:
-                return idx
-        return None
-
     def _complete(self):
         while self.radius < self.max_radius:
             self._grow()
@@ -100,10 +91,15 @@ class CayleyBall:
         return len(self.words)
 
     def index(self, w: Word) -> Optional[int]:
-        k = self.oracle.key(w)
+        return self.index_of_key(self.oracle.key(w))
+
+    def index_of_key(self, k) -> Optional[int]:
+        """Index of the element with canonical key k, growing the ball until
+        it turns up; None when it lies beyond max_radius."""
         idx = self._index.get(k)
-        if idx is None:
-            idx = self._grow_to(k)
+        while idx is None and self.radius < self.max_radius:
+            self._grow()
+            idx = self._index.get(k)
         return idx
 
     def elements(self) -> list[Word]:
@@ -118,10 +114,7 @@ class CayleyBall:
         hit = self._pair_cache.get(key, _MISS)
         if hit is _MISS:
             a, b = key
-            k = self.oracle.key(invert(self.words[a]) * self.words[b])
-            idx = self._index.get(k)
-            if idx is None:
-                idx = self._grow_to(k)
+            idx = self.index_of_key(self.oracle.key(invert(self.words[a]) * self.words[b]))
             hit = self.dist[idx] if idx is not None else UNBOUNDED
             self._pair_cache[key] = hit
         return hit
@@ -131,12 +124,16 @@ def cayley_ball(oracle, radius: int) -> CayleyBall:
     return CayleyBall(oracle, radius)
 
 
-def _prefix_indices(ball: CayleyBall, start: Word, w: Word) -> Optional[list[int]]:
+def _prefix_indices(ball: CayleyBall, start, w: Word) -> Optional[list[int]]:
     """Ball indices of start * prefix(w, t) for t = 0..|w|, walked along the
-    edge table; only a step off the outermost grown sphere asks the ball."""
-    i = ball.index(start) if start.letters else 0
-    if i is None:
-        return None
+    edge table; only a step off the outermost grown sphere asks the ball.
+    start is a word, or its index in the ball, which saves keying it."""
+    if isinstance(start, int):
+        i = start
+    else:
+        i = ball.index(start) if start.letters else 0
+        if i is None:
+            return None
     out = [i]
     edges, words, alphabet = ball.edges, ball.words, ball.alphabet
     for x in w.letters:
@@ -150,8 +147,9 @@ def _prefix_indices(ball: CayleyBall, start: Word, w: Word) -> Optional[list[int
     return out
 
 
-def sync_fellow_distance(w1: Word, h: Word, w2: Word, ball: CayleyBall) -> Optional[int]:
-    """max_t d(w1(t), h w2(t)), with each path resting at its endpoint."""
+def sync_fellow_distance(w1: Word, h, w2: Word, ball: CayleyBall) -> Optional[int]:
+    """max_t d(w1(t), h w2(t)), with each path resting at its endpoint; h is
+    a word or its index in the ball."""
     empty = ball.alphabet.empty()
     a = _prefix_indices(ball, empty, w1)
     b = _prefix_indices(ball, h, w2)
@@ -196,7 +194,7 @@ def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int)
     return False
 
 
-def async_fellow_distance(w1: Word, h: Word, w2: Word, ball: CayleyBall,
+def async_fellow_distance(w1: Word, h, w2: Word, ball: CayleyBall,
                           threshold: Optional[int] = None) -> Optional[int]:
     """Minimal K for which some monotone alignment keeps the paths K-close:
     bottleneck dynamic programming over the prefix grid with right, down and
@@ -206,7 +204,8 @@ def async_fellow_distance(w1: Word, h: Word, w2: Word, ball: CayleyBall,
     threshold without running the dynamic programme, so the result is
     max(exact value, threshold): exact only where it exceeds the threshold,
     and UNBOUNDED exactly when the exact value is.  A sweep that passes its
-    running maximum therefore still ends on the exact maximum."""
+    running maximum therefore still ends on the exact maximum.  h is a word
+    or its index in the ball."""
     empty = ball.alphabet.empty()
     a = _prefix_indices(ball, empty, w1)
     b = _prefix_indices(ball, h, w2)
@@ -289,7 +288,8 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     language with d(v, hw) <= 1 for some h in the subgroup, each measured
     against the running K, so K ends as the exact largest per-pair constant.
     coset_key None stands for the trivial subgroup: words are grouped by
-    element and h is the empty word.  Returns (pairs, K, violations)."""
+    element and h is the empty word.  Each h is keyed once, for the pair's
+    dedup and its ball index alike.  Returns (pairs, K, violations)."""
     words = enumerate_language(lang, radius)
     group = coset_key if coset_key is not None else oracle.key
     by_coset: dict = {}
@@ -308,23 +308,23 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                     h, pk = empty, w.letters
                 else:
                     h = g * invert(w)
-                    pk = (w.letters, oracle.key(h))
+                    hk = oracle.key(h)
+                    pk = (w.letters, hk)
                 if pk in seen:
                     continue
                 seen.add(pk)
                 pairs += 1
-                hi = ball.index(h) if h.letters else 0
+                hi = 0 if coset_key is None else ball.index_of_key(hk)
                 if hi is None:
                     violations.append((v, h, w))
                     continue
-                h = ball.words[hi]
                 # looked up at call time, so a wrapped module function is used
                 if mode == "sync":
-                    d = sync_fellow_distance(v, h, w, ball)
+                    d = sync_fellow_distance(v, hi, w, ball)
                 else:
-                    d = async_fellow_distance(v, h, w, ball, K)
+                    d = async_fellow_distance(v, hi, w, ball, K)
                 if d is UNBOUNDED:
-                    violations.append((v, h, w))
+                    violations.append((v, ball.words[hi], w))
                 else:
                     K = max(K, d)
     violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))

@@ -4,7 +4,9 @@ pruning.
 
 Subgroup lengths |h|_Y are path lengths in the subgroup's own Cayley graph
 over the probe generating set, computed by breadth-first search and memoized
-per report; they are not ambient word lengths.
+per report; they are not ambient word lengths.  A context whose generators
+form a basis of a free abelian subgroup may offer y_coords(w); the crossover
+checks then read |h|_Y off those coordinates, with the search as fallback.
 """
 
 from __future__ import annotations
@@ -38,14 +40,22 @@ class WordMetric:
 
     When a probe alphabet is supplied (one generator per probe word), each
     reached element also records its shortest word over that alphabet.
+
+    coords, when given, maps a parent word to its coordinates in the free
+    abelian subgroup with basis probe_words, or to None off the subgroup.  It
+    keys the search in place of parent.key, so the search itself is
+    unchanged, and length() reads the L1 norm of the coordinates instead of
+    searching.
     """
 
-    def __init__(self, parent, probe_words: Sequence[Word], probe_alphabet=None):
+    def __init__(self, parent, probe_words: Sequence[Word], probe_alphabet=None,
+                 coords=None):
         self.parent = parent
-        self.probe_alphabet = probe_alphabet
+        self.coords = coords
+        self._key = key = coords if coords is not None else parent.key
         steps = []
         seen_steps = set()
-        identity = parent.key(parent.alphabet.empty())
+        identity = key(parent.alphabet.empty())
         for i, w in enumerate(probe_words):
             if probe_alphabet is not None:
                 p = probe_alphabet.index(probe_alphabet.generators[i])
@@ -53,7 +63,7 @@ class WordMetric:
             else:
                 variants = ((w, None), (invert(w), None))
             for s, letter in variants:
-                k = parent.key(s)
+                k = key(s)
                 if k not in seen_steps and k != identity:
                     seen_steps.add(k)
                     steps.append((s, letter))
@@ -64,12 +74,13 @@ class WordMetric:
         self.depth = 0
 
     def grow_to(self, depth: int):
+        key = self._key
         while self.depth < depth and self.frontier:
             nxt = []
             for u, ypath in self.frontier:
                 for s, letter in self.steps:
                     w = u * s
-                    k = self.parent.key(w)
+                    k = key(w)
                     if k not in self.table:
                         ny = ypath + (letter,)
                         self.table[k] = (self.depth + 1, w, ny)
@@ -78,6 +89,14 @@ class WordMetric:
             self.depth += 1
 
     def length(self, w: Word, cap: int) -> Optional[int]:
+        """|w| over the probe words, or None when the search grown to cap
+        (or further, if it already is) does not reach w."""
+        if self.coords is not None:
+            c = self.coords(w)
+            if c is None:
+                return None
+            d = sum(abs(t) for t in c)
+            return d if d <= max(cap, self.depth) else None
         k = self.parent.key(w)
         hit = self.table.get(k)
         while hit is None and self.depth < cap and self.frontier:
@@ -86,15 +105,12 @@ class WordMetric:
         return None if hit is None else hit[0]
 
     def elements_within(self, radius: int):
-        """(shortest witness word, length) for every element of length <= radius."""
+        """(shortest witness word, length, probe path) for every element of
+        length <= radius, by length and then shortlex."""
         self.grow_to(radius)
-        return [(w, d) for d, w, _y in sorted(
+        return [(w, d, y) for d, w, y in sorted(
             self.table.values(), key=lambda t: (t[0], shortlex_key(t[1])))
             if d <= radius]
-
-    def probe_word_of(self, key) -> Word:
-        _d, _w, ypath = self.table[key]
-        return Word(self.probe_alphabet, ypath)
 
 
 class CrossoverReport:
@@ -160,11 +176,6 @@ class StabilityReport:
         return "\n".join(self.lines())
 
 
-def _sorted_witnesses(witnesses):
-    witnesses.sort(key=lambda t: tuple(shortlex_key(w) for w in t[:-1]))
-    return witnesses[:WITNESS_LIMIT], len(witnesses)
-
-
 def _check_generates(metric: WordMetric, ctx, radius: int):
     for gw in ctx.gen_words:
         if metric.length(gw, radius + 2) is None:
@@ -179,30 +190,7 @@ def check_limited_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None
     """Exhaustively test |u g v^-1|_Y <= lambda for u in the language with
     |u| <= radius, g in <Z> with |g|_Z <= lambda, and v the representative of
     the coset of u g."""
-    ctx = sys.context
-    parent = ctx.parent
-    Y = list(Y) if Y is not None else list(ctx.gen_words)
-    Z = list(Z) if Z is not None else list(Y)
-    y_metric = WordMetric(parent, Y)
-    _check_generates(y_metric, ctx, radius)
-    z_metric = WordMetric(parent, Z)
-    cap = length_cap if length_cap is not None else 4 * (radius + lam) + 8
-    witnesses = []
-    swept = 0
-    for u in enumerate_language(sys.language, radius):
-        for g, _glen in z_metric.elements_within(lam):
-            swept += 1
-            product = u * g
-            v = ctx.coset_rep(product)
-            h = product * invert(v)
-            hlen = y_metric.length(h, cap)
-            if hlen is None:
-                raise VerifierError(
-                    f"Y does not express u g v^-1 = {h} within length {cap}")
-            if hlen > lam:
-                witnesses.append((u, g, v, hlen - lam))
-    kept, total = _sorted_witnesses(witnesses)
-    return CrossoverReport("limited-crossover", lam, Y, Z, radius, kept, total, swept)
+    return _crossover(sys, Y, Z, lam, radius, length_cap, maximal=False)
 
 
 def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None,
@@ -210,20 +198,30 @@ def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None
                             radius: int = 4, length_cap: Optional[int] = None) -> CrossoverReport:
     """Like limited crossover but g ranges over all of <Z> with |g|_Z <= radius
     and u is restricted to non-subgroup representatives."""
+    return _crossover(sys, Y, Z, lam, radius, length_cap, maximal=True)
+
+
+def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, length_cap, maximal: bool):
+    """The crossover sweep behind both checks.  Y and Z left at the context's
+    generators take their lengths from the context's y_coords, when it has
+    one, instead of a breadth-first search."""
     ctx = sys.context
     parent = ctx.parent
+    y_coords = getattr(ctx, "y_coords", None) if Y is None else None
+    z_coords = y_coords if Z is None else None
     Y = list(Y) if Y is not None else list(ctx.gen_words)
     Z = list(Z) if Z is not None else list(Y)
-    y_metric = WordMetric(parent, Y)
+    y_metric = WordMetric(parent, Y, coords=y_coords)
     _check_generates(y_metric, ctx, radius)
-    z_metric = WordMetric(parent, Z)
+    z_metric = WordMetric(parent, Z, coords=z_coords)
+    gs = z_metric.elements_within(radius if maximal else lam)
     cap = length_cap if length_cap is not None else 4 * (radius + lam) + 8
     witnesses = []
     swept = 0
     for u in enumerate_language(sys.language, radius):
-        if ctx.membership(u):
+        if maximal and ctx.membership(u):
             continue
-        for g, _glen in z_metric.elements_within(radius):
+        for g, _glen, _y in gs:
             swept += 1
             product = u * g
             v = ctx.coset_rep(product)
@@ -234,8 +232,10 @@ def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None
                     f"Y does not express u g v^-1 = {h} within length {cap}")
             if hlen > lam:
                 witnesses.append((u, g, v, hlen - lam))
-    kept, total = _sorted_witnesses(witnesses)
-    return CrossoverReport("maximal-crossover", lam, Y, Z, radius, kept, total, swept)
+    witnesses.sort(key=lambda t: tuple(shortlex_key(w) for w in t[:-1]))
+    kind = "maximal-crossover" if maximal else "limited-crossover"
+    return CrossoverReport(kind, lam, Y, Z, radius, witnesses[:WITNESS_LIMIT],
+                           len(witnesses), swept)
 
 
 def map_generator_word(images: Sequence[Word], src_alphabet, yword: Word,
@@ -299,13 +299,9 @@ def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) ->
     cap = 4 * (mu + radius) + 8
     witnesses = []
     swept = 0
-    m1.grow_to(mu)
-    for key in sorted(m1.table, key=lambda k: (m1.table[k][0], shortlex_key(m1.table[k][1]))):
-        d = m1.table[key][0]
-        if d > mu:
-            continue
+    for _w, _d, ypath in m1.elements_within(mu):
         swept += 1
-        yword = m1.probe_word_of(key)
+        yword = Word(H1.gen_alphabet, ypath)
         img = image_of_yword(yword)
         img_len = m2.length(img, cap)
         if img_len is None:

@@ -17,6 +17,12 @@ at a time, only when a label is not yet known.  The pruning cap is part of
 the documented representative choice and is cross-checked against an
 unpruned element search at small radius in the tests.
 
+H = <x> x <d> is free abelian, so subgroup lengths need no search either:
+y_coords reads the coordinates (m, n) of h = x^m d^n off the syllable form
+and the exponent sum, and |h|_{x, d} = |m| + |n|.  The crossover checks use
+them when Y and Z are left at {x, d}; the breadth-first search of WordMetric
+stays the fallback for any other probe set, and the oracle in the tests.
+
 No bound is proved here: per crossover constant, the report only says
 whether witnesses were found at the tested radius.
 """
@@ -30,7 +36,7 @@ from .cascade import Pi1Backend, Pi1System
 from .cosets import CosetSystem, VerifierError, check_limited_crossover
 from .fsa import LazyLanguage
 from .gog import DirectedGraph, GraphOfGroups
-from .words import Alphabet, Word, invert, shortlex_key
+from .words import Alphabet, Word, shortlex_key
 
 
 def trefoil_amalgam() -> GraphOfGroups:
@@ -162,27 +168,13 @@ class TrefoilCentralizerContext:
         self.parent = TrefoilXYBackend(system)
         alpha = self.parent.alphabet
         self._letter_syl = {alpha.index(nm): syl for nm, syl in _LETTER_SYL.items()}
+        self._letter_exp = {alpha.index(nm): -1 if nm.endswith("^-1") else 1
+                            for nm in _LETTER_SYL}
         self.gen_words = [alpha.word("x"), alpha.word("x y x x y x")]
-        self.gen_alphabet = Alphabet(["x", "d"])
-        self._yexp = {}
-        for i, nm in enumerate(("x", "d")):
-            p = self.gen_alphabet.index(nm)
-            self._yexp[p] = self.gen_words[i]
-            self._yexp[self.gen_alphabet.inv[p]] = invert(self.gen_words[i])
         self.syllable_cap = syllable_cap
         self._reps: dict = {}
         self._depth = -1
         self._frontier = None
-
-    @property
-    def generators(self):
-        return list(self.gen_words)
-
-    def expand(self, yword: Word) -> Word:
-        out = self.parent.alphabet.empty()
-        for y in yword.letters:
-            out = out * self._yexp[y]
-        return out
 
     def syllables(self, w: Word):
         stack = []
@@ -193,6 +185,22 @@ class TrefoilCentralizerContext:
 
     def membership(self, w: Word) -> bool:
         return in_xbar_powers(self.syllables(w))
+
+    def y_coords(self, w: Word):
+        """(m, n) with w = x^m d^n, or None when w is not in H; O(|w|).
+
+        The syllable form of a member is x̄^m, and since d = (xyx)^2 the
+        exponent sum of w over {x, y} is m + 6n.  H = <x> x <d> is free
+        abelian on {x, d}, so |w|_{x, d} = |m| + |n|.
+        """
+        s = self.syllables(w)
+        if not in_xbar_powers(s):
+            return None
+        m = len(s) // 2 if s[:1] == X_BAR[:1] else -(len(s) // 2)
+        n, rest = divmod(sum(self._letter_exp[x] for x in w.letters) - m, 6)
+        if rest:
+            raise VerifierError(f"exponent sum of {w} is not {m} mod 6")
+        return m, n
 
     def coset_label(self, w: Word):
         """Least syllable form in the orbit <x̄> w̄; a canonical coset name."""

@@ -399,6 +399,29 @@ def test_escaped_pair_is_keyed_once():
     assert oracle.key_calls - before == 1
 
 
+def test_coset_sweep_keys_each_h_once(monkeypatch):
+    # on a complete ball the sweep keys each candidate h once, each measured
+    # pair of ball elements once and each subgroup generator (kappa) once;
+    # keying h again for its ball index and its prefix walk added 84 calls
+    system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
+    ctx, parent, R = system.context, system.context.parent, 3
+    ball = CayleyBall(parent, R + BALL_MARGIN)
+    len(ball)
+    words = enumerate_language(system.language, R)
+    cosets = {}
+    for w in words:
+        cosets.setdefault(ctx.coset_key(w), []).append(w)
+    steps = [parent.alphabet.empty()] + [Word(parent.alphabet, (x,))
+                                         for x in range(len(parent.alphabet))]
+    candidates = sum(len(cosets.get(ctx.coset_key(v * x), ())) for v in words for x in steps)
+    calls = []
+    key = parent.key
+    monkeypatch.setattr(parent, "key", lambda w: calls.append(w) or key(w))
+    cert = certify_coset_system(system, R, ball=ball)
+    assert cert.lines()[0] == "certificate mode=async radius=3 pairs=59 K=2 status=bounded"
+    assert len(calls) == candidates + len(ball._pair_cache) + len(ctx.gen_words) == 90
+
+
 def test_higgins_lazy_language_agrees_with_its_dfa():
     from builders import trefoil_system
     from higgins.cascade import Pi1EdgeSubgroup

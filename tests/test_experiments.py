@@ -1,17 +1,21 @@
 """The trefoil coset context: its O(n) coset label against the orbit scan,
-its pruned coset-graph search against an unpruned element search, and how far
-that search grows."""
+its pruned coset-graph search against an unpruned element search, how far
+that search grows, and its subgroup coordinates against breadth-first
+subgroup lengths."""
 
 import random
 
 import pytest
 
 from oracles import trefoil_orbit_label
-from higgins.cosets import VerifierError
+from higgins.cosets import (
+    CosetSystem, VerifierError, WordMetric, check_limited_crossover,
+    check_maximal_crossover,
+)
 from higgins.experiments import (
     TrefoilCentralizerContext, orbit_label, run_trefoil_experiment,
 )
-from higgins.words import Word, all_words, shortlex_key
+from higgins.words import Word, all_words, invert, shortlex_key
 
 
 def reduced_forms(max_syllables):
@@ -68,3 +72,64 @@ def test_syllable_cap_too_small_is_a_verifier_error():
     ctx = TrefoilCentralizerContext(syllable_cap=1)
     with pytest.raises(VerifierError, match="raise syllable_cap"):
         ctx.coset_rep(ctx.parent.alphabet.word("y"))
+
+
+def seeded_words(ctx, count, max_len, seed):
+    alpha = ctx.parent.alphabet
+    rng = random.Random(seed)
+    return [Word(alpha, tuple(rng.randrange(len(alpha)) for _ in range(rng.randint(0, max_len))))
+            for _ in range(count)]
+
+
+def test_coordinates_give_the_breadth_first_length():
+    ctx = TrefoilCentralizerContext()
+    bfs = WordMetric(ctx.parent, ctx.gen_words)
+    for w in seeded_words(ctx, 600, 8, 5):
+        h = w * invert(ctx.coset_rep(w))
+        m, n = ctx.y_coords(h)
+        assert abs(m) + abs(n) == bfs.length(h, 40), str(h)
+
+
+def test_coordinates_exist_exactly_on_the_subgroup():
+    ctx = TrefoilCentralizerContext()
+    words = seeded_words(ctx, 600, 10, 6)
+    words += [w * invert(ctx.coset_rep(w)) for w in words[:100]]
+    members = 0
+    for w in words:
+        assert (ctx.y_coords(w) is not None) == ctx.membership(w), str(w)
+        members += ctx.membership(w)
+    assert 100 <= members < len(words)
+
+
+def test_coordinates_round_trip_on_the_basis():
+    ctx = TrefoilCentralizerContext()
+    alpha = ctx.parent.alphabet
+    x, d = ctx.gen_words
+    for m in range(-5, 6):
+        xm = Word(alpha, (x if m > 0 else invert(x)).letters * abs(m))
+        for n in range(-5, 6):
+            dn = Word(alpha, (d if n > 0 else invert(d)).letters * abs(n))
+            assert ctx.y_coords(xm * dn) == (m, n)
+            assert ctx.y_coords(dn * xm) == (m, n)
+
+
+def test_coordinate_keys_leave_the_search_unchanged():
+    ctx = TrefoilCentralizerContext()
+    by_key = WordMetric(ctx.parent, ctx.gen_words)
+    by_coords = WordMetric(ctx.parent, ctx.gen_words, coords=ctx.y_coords)
+    for lam in range(4):
+        assert by_coords.elements_within(lam) == by_key.elements_within(lam)
+
+
+@pytest.mark.parametrize("check", [check_limited_crossover, check_maximal_crossover])
+def test_crossover_from_coordinates_equals_the_search(monkeypatch, check):
+    ctx = TrefoilCentralizerContext()
+    sys = CosetSystem(ctx)
+    searched = [check(sys, Y=ctx.gen_words, lam=lam, radius=3) for lam in (1, 2)]
+
+    def no_key(w):
+        raise AssertionError("the crossover sweep keyed a word")
+    monkeypatch.setattr(ctx.parent, "key", no_key)
+    for lam, want in zip((1, 2), searched):
+        got = check(sys, lam=lam, radius=3)
+        assert got.lines() == want.lines() and got.swept == want.swept
