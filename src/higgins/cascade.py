@@ -8,20 +8,26 @@ edge-subgroup components leftward through the edge isomorphisms while each
 segment drops into its coset language.  Deflating the result gives the unique
 normal form, because every component language has unique representatives.
 
-Two drivers implement the same procedure: the phase pipeline below, which
-materializes each stage and records a trace, and CascadeScan, an incremental
-form that consumes letters right to left and shares suffix state across a
-word tree (the sweeps in the test suite walk millions of words through it).
+Pi1System.scan_word computes every normal form: it consumes letters right to
+left and closes each segment into its coset language as the segment ends, so
+suffix state can be shared across a word tree, and it memoizes each close by
+edge and vertex element.  The phase pipeline (parse_alternating, pinch_reduce,
+cascade) materializes one round with the connector trace that `nf --trace`
+prints; higgins_membership and Pi1EdgeSubgroup.h_express parse with it.
 """
 
 from __future__ import annotations
 
 
+from itertools import chain
 from typing import Optional
 
 from .fsa import Dfa, LazyLanguage
 from .gog import Edge, GogError, GraphOfGroups, SpanningTree, StableAlphabets, maximal_tree
 from .words import Word, invert
+
+
+_BOTTOM = (None, (), None, ())
 
 
 class ParseError(ValueError):
@@ -88,6 +94,7 @@ class Pi1System:
         self.alphabets = StableAlphabets(gog, self.tree)
         self.alphabet = self.alphabets.deflated
         self._tree_paths = {}
+        self._closes = {}  # (edge name, vertex key) -> (rep, connector, deflated step)
 
     def tree_path(self, u: str, v: str):
         key = (u, v)
@@ -192,32 +199,12 @@ class Pi1System:
             path.pop()
         return CascadeTrace(connectors, reps, HigginsWord(base_vertex, u0, path))
 
-    def _reduce(self, w: Word, base) -> InflatedWord:
-        kind, anchor = base
-        base_vertex = anchor if kind == "group" else anchor.dst
-        iw = self.parse_alternating(self.alphabets.inflate(w, base_vertex), base_vertex)
-        for _ in range(len(iw.path) + 3):
-            iw = self.pinch_reduce(iw)
-            out = self.cascade(iw, base).output
-            if out == iw:
-                return iw
-            iw = out
-        raise AssertionError("cascade failed to reach a fixed point")
-
-    def deflate_inflated(self, iw: InflatedWord) -> Word:
-        letters = list(self.alphabets.vertex_word_to_x(iw.base_vertex, iw.u0))
-        for e, u in iw.path:
-            if not self.tree.contains(e):
-                letters.append(self.alphabets.edge_to_x[e.name])
-            letters.extend(self.alphabets.vertex_word_to_x(e.dst, u))
-        return Word(self.alphabet, tuple(letters))
-
     def normal_form(self, w: Word, v0: Optional[str] = None) -> Word:
         v0 = v0 if v0 is not None else self.tree.root
-        return self.deflate_inflated(self._reduce(w, ("group", v0)))
+        return self.scan_word(w, ("group", v0))
 
     def coset_normal_form(self, w: Word, e0: Edge) -> Word:
-        return self.deflate_inflated(self._reduce(w, ("coset", e0)))
+        return self.scan_word(w, ("coset", e0))
 
     def normal_form_trace(self, w: Word, base) -> CascadeTrace:
         kind, anchor = base
@@ -231,9 +218,6 @@ class Pi1System:
 
     # -- membership and the language automaton --------------------------------
 
-    def _segment_is_rep(self, ctx, u: Word) -> bool:
-        return ctx.coset_rep(u) == u
-
     def higgins_membership(self, w: Word, base) -> bool:
         kind, anchor = base
         base_vertex = anchor if kind == "group" else anchor.dst
@@ -242,10 +226,10 @@ class Pi1System:
             if self.gog.backend(base_vertex).canonical(iw.u0) != iw.u0:
                 return False
         else:
-            if not self._segment_is_rep(self.gog.ctx(anchor), iw.u0):
+            if self.gog.ctx(anchor).coset_rep(iw.u0) != iw.u0:
                 return False
         for i, (e, u) in enumerate(iw.path):
-            if not self._segment_is_rep(self.gog.ctx(e), u):
+            if self.gog.ctx(e).coset_rep(u) != u:
                 return False
             if i + 1 < len(iw.path) and iw.path[i + 1][0] is e.reverse and len(u) == 0:
                 return False
@@ -344,29 +328,42 @@ class Pi1System:
 
     # -- incremental right-to-left driver --------------------------------------
 
-    def scan_initial(self):
-        return (None, (), (), None)
+    # A scan state is (vertex, active, suffix, tail).  The tail holds the
+    # closed segments, leftmost on top, as nodes (edge, rep letters, node
+    # below, deflated letters of the step); _BOTTOM ends it.
 
-    def _close_chain(self, edges, seg_letters, vertex, tail):
-        """Close the open segment at the last edge of `edges`, then the empty
-        segments at the earlier ones, connectors flowing left.  Returns the
-        carry entering the next segment (at the source of edges[0]) and the
-        updated tail."""
-        carry = seg_letters
+    def scan_initial(self):
+        return (None, (), (), _BOTTOM)
+
+    def _close_chain(self, edges, carry, tail):
+        """Close the open segment (letters `carry`) at the last edge of
+        `edges`, then the empty segments at the earlier ones, connectors
+        flowing left.  Returns the carry entering the next segment (at the
+        source of edges[0]) and the updated tail.
+
+        A close's coset rep and connector (seg rep^-1 mapped across the edge)
+        are only needed up to the element seg represents, so _closes keeps
+        them, with the step's deflated letters, per (edge, vertex element)."""
+        closes = self._closes
         for e in reversed(edges):
             ctx = self.gog.ctx(e)
             seg = Word(ctx.parent.alphabet, carry)
-            rep = ctx.coset_rep(seg)
-            if len(rep) == 0 and tail is not None and tail[0][0] is e.reverse:
+            k = (e.name, ctx.parent.key(seg))
+            hit = closes.get(k)
+            if hit is None:
+                rep = ctx.coset_rep(seg)
                 img = self.gog.ctx(e.reverse).expand(
-                    self.gog.apply_iso(e, ctx.h_express(seg)))
-                (_, u_next), tail = tail
-                carry = img.letters + u_next
+                    self.gog.apply_iso(e, ctx.h_express(seg * invert(rep))))
+                step = self.alphabets.vertex_word_to_x(e.dst, rep)
+                if not self.tree.contains(e):
+                    step = (self.alphabets.edge_to_x[e.name],) + step
+                hit = closes[k] = (rep.letters, img.letters, step)
+            rep, carry, step = hit
+            if not rep and tail[0] is e.reverse:  # backtrack: join the segment beyond
+                carry += tail[1]
+                tail = tail[2]
             else:
-                h_y = ctx.h_express(seg * invert(rep))
-                carry = self.gog.ctx(e.reverse).expand(
-                    self.gog.apply_iso(e, h_y)).letters
-                tail = ((e, rep.letters), tail)
+                tail = (e, rep, tail, step)
         return carry, tail
 
     def scan_prepend(self, state, xl: int):
@@ -380,16 +377,16 @@ class Pi1System:
             if v == vertex:
                 return (vertex, (bl,) + active, suffix, tail)
             carry, tail = self._close_chain(
-                self.tree_path(v, vertex), active + suffix, vertex, tail)
+                self.tree_path(v, vertex), active + suffix, tail)
             return (v, (bl,), carry, tail)
         f = k[1]
         if vertex is None:
             vertex, active, suffix = f.dst, (), ()
         if vertex != f.dst:
             carry, tail = self._close_chain(
-                self.tree_path(f.dst, vertex), active + suffix, vertex, tail)
+                self.tree_path(f.dst, vertex), active + suffix, tail)
             active, suffix, vertex = (), carry, f.dst
-        carry, tail = self._close_chain((f,), active + suffix, vertex, tail)
+        carry, tail = self._close_chain((f,), active + suffix, tail)
         return (f.src, (), carry, tail)
 
     def scan_finalize(self, state, base) -> Word:
@@ -401,23 +398,15 @@ class Pi1System:
         seg0 = active + suffix
         if vertex != base_vertex:
             seg0, tail = self._close_chain(
-                self.tree_path(base_vertex, vertex), seg0, vertex, tail)
+                self.tree_path(base_vertex, vertex), seg0, tail)
         backend = self.gog.backend(base_vertex)
         w0 = Word(backend.alphabet, seg0)
         u0 = backend.canonical(w0) if kind == "group" else self.gog.ctx(anchor).coset_rep(w0)
-        steps = []
-        while tail is not None:
-            head, tail = tail
-            steps.append(head)
-        while steps and self.tree.contains(steps[-1][0]) and not steps[-1][1]:
-            steps.pop()
-        letters = list(self.alphabets.vertex_word_to_x(base_vertex, u0))
-        for e, rep in steps:
-            if not self.tree.contains(e):
-                letters.append(self.alphabets.edge_to_x[e.name])
-            letters.extend(
-                self.alphabets.vx_to_x[(e.dst, bl)] for bl in rep)
-        return Word(self.alphabet, tuple(letters))
+        parts = [self.alphabets.vertex_word_to_x(base_vertex, u0)]
+        while tail is not _BOTTOM:
+            parts.append(tail[3])
+            tail = tail[2]
+        return Word(self.alphabet, tuple(chain.from_iterable(parts)))
 
     def scan_word(self, w: Word, base) -> Word:
         state = self.scan_initial()

@@ -1,9 +1,12 @@
 """Shared graph-of-groups instances used across the test suite."""
 
+import os
+
 from higgins.backends import (
     abelian_backend, abelian_subgroup, free_backend, trivial_subgroup,
 )
 from higgins.cascade import Pi1System
+from higgins.config import parse_config
 from higgins.gog import DirectedGraph, GraphOfGroups
 
 
@@ -68,3 +71,43 @@ def hnn_z2_gog():
 
 def hnn_z2_system():
     return Pi1System(hnn_z2_gog())
+
+
+# --- every shipped config as a graph of groups -----------------------------------
+#
+# abelian_pairs.gog and finite_s3.gog declare vertex groups but no graph; these
+# graphs put their torsion groups at the vertices.  In the HNN of Z^2 x Z/4
+# over <t> (t -> t^-1) two spellings of one element can give different
+# h_express words, and S3 *_{Z/2} S3 has finite vertex groups throughout.
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+SHIPPED_GRAPHS = {
+    "abelian_pairs.gog": """
+[subgroup Tor in M]
+generators=t
+[subgroup TorR in M]
+generators=t
+[graph]
+vertices=v:M
+edge f: v -> v subgroup=Tor reverse_subgroup=TorR iso=y1->y1^-1
+""",
+    "finite_s3.gog": """
+[subgroup HsR in S]
+generators=s
+[graph]
+vertices=va:S,vb:S
+edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
+""",
+    "free_product_zz.gog": "",
+    "hnn_z2.gog": "",
+    "trefoil_amalgam.gog": "",
+}
+
+
+def shipped_system(name):
+    """A fresh Pi1System for a shipped config, with the graph above added
+    where the config has none."""
+    with open(os.path.join(CONFIGS, name)) as fh:
+        text = fh.read()
+    return parse_config(text + SHIPPED_GRAPHS[name], base_dir=CONFIGS).system()

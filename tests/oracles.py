@@ -1,12 +1,43 @@
 """Independent oracles the package is tested against.
 
-Each oracle decides word problems by a route that shares nothing with the
-cascade machinery: the Artin braid action on a free group for the trefoil
+Each group oracle decides word problems by a route that shares nothing with
+the cascade machinery: the Artin braid action on a free group for the trefoil
 amalgam, syllable reduction for free products, and direct-product splitting
-for the HNN of Z^2 over a central generator.
+for the HNN of Z^2 over a central generator.  The normal-form scan is checked
+against a second driver, the phase pipeline: pinch and cascade rounds over a
+materialized path word, repeated to a fixed point.
 """
 
 from higgins.words import Alphabet, Word, free_reduce
+
+
+# --- normal forms by the phase pipeline ---------------------------------------
+
+def deflate_inflated(system, iw) -> Word:
+    """Working-alphabet word of an inflated word: tree stable letters dropped."""
+    alphabets = system.alphabets
+    letters = list(alphabets.vertex_word_to_x(iw.base_vertex, iw.u0))
+    for e, u in iw.path:
+        if not system.tree.contains(e):
+            letters.append(alphabets.edge_to_x[e.name])
+        letters.extend(alphabets.vertex_word_to_x(e.dst, u))
+    return Word(system.alphabet, tuple(letters))
+
+
+def pipeline_normal_form(system, w: Word, base) -> Word:
+    """Higgins (coset) normal form of w, base ("group", v0) or ("coset", e0),
+    by pinch_reduce and cascade rounds until the path word stops changing."""
+    kind, anchor = base
+    base_vertex = anchor if kind == "group" else anchor.dst
+    iw = system.parse_alternating(system.alphabets.inflate(w, base_vertex), base_vertex)
+    for _ in range(len(iw.path) + 3):
+        iw = system.pinch_reduce(iw)
+        out = system.cascade(iw, base).output
+        if out == iw:
+            return deflate_inflated(system, iw)
+        iw = out
+    raise AssertionError(f"cascade failed to reach a fixed point on {w}")
+
 
 # --- trefoil group via the braid action --------------------------------------
 #

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from builders import hnn_z2_system, trefoil_system, zz_system
+from builders import SHIPPED_GRAPHS, hnn_z2_system, shipped_system, trefoil_system, zz_system
 from oracles import (
-    A_AUT, B_AUT, IDENT, aut_compose, hnn_z2_key, syllables, trefoil_key,
-    trefoil_letter_table, zz_vertex_table,
+    A_AUT, B_AUT, IDENT, aut_compose, hnn_z2_key, pipeline_normal_form, syllables,
+    trefoil_key, trefoil_letter_table, zz_vertex_table,
 )
 from higgins.cascade import ParseError, Pi1EdgeSubgroup
 from higgins.fsa import enumerate_language
@@ -206,20 +206,121 @@ def test_scan_matches_pipeline_exhaustive():
     for sys in (ZZ, TREFOIL, HNN):
         base = ("group", sys.tree.root)
         for w in all_words(sys.alphabet, 4):
-            assert sys.scan_word(w, base) == sys.normal_form(w), f"{sys}: {w}"
+            assert sys.normal_form(w) == pipeline_normal_form(sys, w, base), f"{sys}: {w}"
+
+
+def _random_word(rng, sys, lo, hi):
+    m = len(sys.alphabet)
+    return Word(sys.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(lo, hi))))
 
 
 def test_scan_matches_pipeline_random_long():
     rng = random.Random(11)
-    for sys in (ZZ, TREFOIL, HNN):
-        m = len(sys.alphabet)
-        base = ("group", sys.tree.root)
-        e0 = next(iter(sys.gog.graph.edges.values()))
-        cbase = ("coset", e0)
-        for _ in range(300):
-            w = Word(sys.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(6, 12))))
-            assert sys.scan_word(w, base) == sys.normal_form(w)
-            assert sys.scan_word(w, cbase) == sys.coset_normal_form(w, e0)
+    for config in sorted(SHIPPED_GRAPHS):
+        sys = shipped_system(config)
+        edges = [sys.gog.graph.edges[name] for name in sorted(sys.gog.graph.edges)]
+        for _ in range(150):
+            w = _random_word(rng, sys, 6, 12)
+            assert sys.normal_form(w) == pipeline_normal_form(sys, w, ("group", sys.tree.root))
+            for e0 in edges:
+                assert sys.coset_normal_form(w, e0) == pipeline_normal_form(
+                    sys, w, ("coset", e0)), f"{config}: {w} at {e0.name}"
+
+
+@pytest.mark.parametrize("config", sorted(SHIPPED_GRAPHS))
+def test_normal_form_laws(config):
+    """nf(nf w) = nf w, nf(u v) = nf(nf u . nf v) and nf(w w^-1) = 1 at every
+    base vertex."""
+    rng = random.Random(12)
+    sys = shipped_system(config)
+    for v0 in sys.gog.graph.vertices:
+        for _ in range(100):
+            u, v = _random_word(rng, sys, 0, 11), _random_word(rng, sys, 0, 11)
+            nu, nv = sys.normal_form(u, v0), sys.normal_form(v, v0)
+            assert sys.normal_form(nu, v0) == nu
+            assert sys.normal_form(u * v, v0) == sys.normal_form(nu * nv, v0)
+            assert sys.normal_form(u * invert(u), v0) == sys.alphabet.empty()
+
+
+# --- the close memo -----------------------------------------------------------------
+
+MEMO_CONFIGS = ("abelian_pairs.gog", "finite_s3.gog")
+
+
+def _memo_words(config):
+    """Seeded words, plus pairs that close one vertex element under two
+    spellings in the middle segment (t and t^5 in Z/4, s and s^3 in S3)."""
+    sys = shipped_system(config)
+    rng = random.Random(13)
+    words = [_random_word(rng, sys, 0, 14) for _ in range(200)]
+    if config == "abelian_pairs.gog":
+        pairs = [("s_f {} s_f^-1 x2", "t", "t t t t t"),
+                 ("x1 s_f^-1 {} s_f", "t^-1", "t t t")]
+    else:
+        pairs = [("vb.r {} vb.r", "va.s", "va.s va.s va.s"),
+                 ("vb.s {} vb.r", "va.r", "va.r va.r va.r va.r")]
+    for text, short, long in pairs:
+        words += [sys.word(text.format(short)), sys.word(text.format(long))]
+    return words
+
+
+def _closes_recorded(sys, log):
+    """Log (edge name, vertex key, segment letters) for every coset_rep the
+    scan computes at an edge."""
+    for name, e in sys.gog.graph.edges.items():
+        ctx = sys.gog.ctx(e)
+
+        def coset_rep(w, ctx=ctx, name=name, inner=ctx.coset_rep):
+            log.append((name, ctx.parent.key(w), w.letters))
+            return inner(w)
+        ctx.coset_rep = coset_rep
+
+
+class _NoMemo(dict):
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("config", MEMO_CONFIGS)
+def test_close_memo_is_independent_of_spelling_order(config):
+    words = _memo_words(config)
+    oracle_sys = shipped_system(config)
+    memos = []
+    for order in (words, words[::-1]):
+        sys = shipped_system(config)
+        for w in order:
+            for v0 in sys.gog.graph.vertices:
+                assert sys.normal_form(w, v0) == pipeline_normal_form(
+                    oracle_sys, w, ("group", v0)), f"{config}: {w} at {v0}"
+        memos.append(sys._closes)
+    if config == "abelian_pairs.gog":
+        # the order decides which connector spelling a key keeps
+        first, second = memos
+        assert any(first[k] != second[k] for k in first.keys() & second.keys())
+
+
+@pytest.mark.parametrize("config", MEMO_CONFIGS)
+def test_close_memo_has_one_entry_per_closed_element(config):
+    words = _memo_words(config)
+    every, misses = [], []
+    unmemoized, memoized = shipped_system(config), shipped_system(config)
+    unmemoized._closes = _NoMemo()
+    _closes_recorded(unmemoized, every)
+    _closes_recorded(memoized, misses)
+    for w in words:
+        assert unmemoized.normal_form(w) == memoized.normal_form(w)
+    pairs = {(name, key) for name, key, _ in every}
+    spellings = {}
+    for name, key, letters in every:
+        spellings.setdefault((name, key), set()).add(letters)
+    assert max(len(s) for s in spellings.values()) > 1  # some element closed twice, spelled apart
+    # each pair is computed once, where the unmemoized scan first closes it
+    assert [(name, key) for name, key, _ in misses] == list(
+        dict.fromkeys((name, key) for name, key, _ in every))
+    assert len(memoized._closes) == len(pairs)
 
 
 # --- membership and the automaton -------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -155,6 +156,41 @@ def test_cmd_nf_trace(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "b"  # b a^2 = b^4 and b^3 lies in the edge subgroup
     assert lines[1] == "i=1 h=y1 h'=y1 u'=ε"
+
+
+NF_CONFIGS = ("free_product_zz.gog", "hnn_z2.gog", "trefoil_amalgam.gog")
+
+
+def nf_seeded_runs():
+    """The `nf` runs pinned by snapshots/nf_seeded.txt: 40 seeded words per
+    shipped graph config, each as a group normal form, a coset normal form
+    and a trace (group and coset bases in turn)."""
+    rng = random.Random(8)
+    for name in NF_CONFIGS:
+        system = load_config(cfg(name)).system()
+        names = system.alphabet.names
+        vertices = sorted(system.gog.graph.vertices)
+        edges = sorted(system.gog.graph.edges)
+        for i in range(40):
+            text = " ".join(rng.choice(names) for _ in range(rng.randrange(17))) or "ε"
+            group = ("--base", vertices[i % len(vertices)])
+            coset = ("--coset-edge", edges[i % len(edges)])
+            yield name, ("--word", text) + group
+            yield name, ("--word", text) + coset
+            yield name, ("--word", text) + (coset if i % 2 else group) + ("--trace",)
+
+
+def nf_seeded_transcript(capsys):
+    lines = []
+    for name, args in nf_seeded_runs():
+        code, out = run_cli(capsys, "nf", cfg(name), *args)
+        lines.append(f"$ higgins nf {name} {' '.join(args)}  # exit {code}\n")
+        lines.append(out)
+    return "".join(lines)
+
+
+def test_cmd_nf_seeded_snapshot(capsys):
+    assert nf_seeded_transcript(capsys) == snapshot("nf_seeded.txt")
 
 
 def test_cmd_enum_higgins_unique(capsys):
