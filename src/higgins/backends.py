@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import fsa
 from .fsa import Dfa, LazyLanguage, Nfa, determinize, minimize, word_set_dfa
-from .words import Alphabet, Word, free_reduce, invert, shortlex_key
+from .words import Alphabet, Word, WordMap, free_reduce, invert, shortlex_key
 
 
 class BackendError(ValueError):
@@ -356,18 +356,8 @@ class SubgroupContext:
             and len(parent.canonical(gw)) > 0
         ]
         self.gen_alphabet = Alphabet(gen_names, self_inverse=self_inv)
-        self._expand = {}
-        for i, nm in enumerate(gen_names):
-            p = self.gen_alphabet.index(nm)
-            self._expand[p] = self.gen_words[i]
-            self._expand[self.gen_alphabet.inv[p]] = invert(self.gen_words[i])
-
-    def expand(self, yword: Word) -> Word:
-        """Map a word over the subgroup generators to a parent-alphabet word."""
-        out = self.parent.alphabet.empty()
-        for y in yword.letters:
-            out = out * self._expand[y]
-        return out
+        # words over the subgroup generators -> parent-alphabet words
+        self.expand = WordMap(self.gen_alphabet, self.gen_words, parent.alphabet)
 
     # concrete contexts implement: membership, h_express, coset_rep,
     # min_coset_length, coset_language

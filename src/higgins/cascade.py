@@ -24,7 +24,7 @@ from typing import Optional
 
 from .fsa import Dfa, LazyLanguage
 from .gog import Edge, GogError, GraphOfGroups, SpanningTree, StableAlphabets, maximal_tree
-from .words import Word, invert
+from .words import Word, WordMap, invert
 
 
 _BOTTOM = (None, (), None, ())
@@ -473,21 +473,9 @@ class Pi1EdgeSubgroup:
                  system.alphabets.vertex_word_to_x(e0.dst, gw))
             for gw in edge_ctx.gen_words
         ]
+        self.expand = WordMap(self.gen_alphabet, self.gen_words, system.alphabet)
         self._edge_ctx = edge_ctx
         self._rep_cache = {}
-
-    def expand(self, yword: Word) -> Word:
-        out = self.system.alphabet.empty()
-        for y in yword.letters:
-            gi = yword.alphabet.inv[y]
-            if gi < y:
-                out = out * invert(self.gen_words[self._gen_index(gi)])
-            else:
-                out = out * self.gen_words[self._gen_index(y)]
-        return out
-
-    def _gen_index(self, letter):
-        return self.gen_alphabet.generators.index(self.gen_alphabet.names[letter])
 
     def coset_rep(self, w: Word) -> Word:
         hit = self._rep_cache.get(w.letters)

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .cosets import CosetSystem, WordMetric, check_limited_crossover, check_stability
 from .fsa import Dfa, LazyLanguage, concat as dfa_concat, enumerate_language
-from .words import Alphabet, Word, invert, shortlex_key
+from .words import Alphabet, Word, WordMap, invert, shortlex_key
 
 UNBOUNDED = None
 _MISS = object()  # a pair-cache miss; a cached escape is stored as UNBOUNDED
@@ -118,10 +118,6 @@ class CayleyBall:
             hit = self.dist[idx] if idx is not None else UNBOUNDED
             self._pair_cache[key] = hit
         return hit
-
-
-def cayley_ball(oracle, radius: int) -> CayleyBall:
-    return CayleyBall(oracle, radius)
 
 
 def _prefix_indices(ball: CayleyBall, start, w: Word) -> Optional[list[int]]:
@@ -363,17 +359,11 @@ class ExtendedBackend:
     """Oracle over an enlarged generating set: old letters plus subgroup
     generators realized as words over the parent."""
 
-    def __init__(self, parent, alphabet: Alphabet, expansions):
+    def __init__(self, parent, expand: WordMap):
         self.parent = parent
-        self.alphabet = alphabet
-        self._exp = expansions  # letter -> parent Word
+        self.alphabet = expand.source
+        self.expand = expand  # enlarged-alphabet words -> parent words
         self.name = f"extended({parent.name})"
-
-    def expand(self, w: Word) -> Word:
-        out = self.parent.alphabet.empty()
-        for x in w.letters:
-            out = out * self._exp[x]
-        return out
 
     def canonical(self, w: Word) -> Word:
         return self.parent.canonical(self.expand(w))
@@ -389,16 +379,14 @@ def concat_structure(L_H, sys: CosetSystem):
     subgroup generator is a single parent letter the result lives over the
     parent alphabet (and is an explicit automaton whenever both inputs are);
     otherwise the alphabet is extended by the subgroup generators and the
-    companion oracle comes from concat_oracle.
+    companion oracle is an ExtendedBackend over the enlarged alphabet.
     """
     ctx = sys.context
     parent = ctx.parent
     if all(len(gw) == 1 for gw in ctx.gen_words):
-        letter_map = {}
-        for i, gw in enumerate(ctx.gen_words):
-            p = ctx.gen_alphabet.index(ctx.gen_alphabet.generators[i])
-            letter_map[p] = gw.letters[0]
-            letter_map[ctx.gen_alphabet.inv[p]] = parent.alphabet.inv[gw.letters[0]]
+        to_parent = WordMap(ctx.gen_alphabet, ctx.gen_words, parent.alphabet)
+        letter_map = {y: x for y, (x,) in enumerate(to_parent.table)}
+        back = {x: y for y, x in letter_map.items()}
         lang = sys.language
         if isinstance(L_H, Dfa) and isinstance(lang, Dfa):
             remapped = Dfa(
@@ -408,19 +396,20 @@ def concat_structure(L_H, sys: CosetSystem):
             return dfa_concat(remapped, lang, name="concat")
 
         def member(w: Word) -> bool:
+            head = []
             for cut in range(len(w) + 1):
-                head, tail = w[:cut], w[cut:]
-                hy = _pull_back(head, letter_map, ctx.gen_alphabet)
-                if hy is None:
-                    break
-                if L_H.accepts(hy) and lang.accepts(tail):
+                if (L_H.accepts(Word(ctx.gen_alphabet, tuple(head)))
+                        and lang.accepts(w[cut:])):
                     return True
+                if cut == len(w) or w.letters[cut] not in back:
+                    break
+                head.append(back[w.letters[cut]])
             return False
 
         def enum(n: int):
             out = set()
             for head in enumerate_language(L_H, n):
-                hw = Word(parent.alphabet, tuple(letter_map[y] for y in head.letters))
+                hw = to_parent(head)
                 for tail in enumerate_language(lang, n - len(head)):
                     out.add((hw * tail).letters)
             return [Word(parent.alphabet, ls) for ls in sorted(out, key=lambda t: (len(t), t))]
@@ -437,24 +426,10 @@ def concat_structure(L_H, sys: CosetSystem):
         gen_names.append(nm)
         names.append(nm)
     union = Alphabet(names, self_inverse=selfinv)
-    expansions = {}
-    for g in parent.alphabet.generators:
-        p = union.index(g)
-        q = parent.alphabet.index(g)
-        expansions[p] = Word(parent.alphabet, (q,))
-        expansions[union.inv[p]] = Word(parent.alphabet, (parent.alphabet.inv[q],))
-    y_map = {}
-    for i, nm in enumerate(gen_names):
-        p = union.index(nm)
-        expansions[p] = ctx.gen_words[i]
-        expansions[union.inv[p]] = invert(ctx.gen_words[i])
-        q = ctx.gen_alphabet.index(ctx.gen_alphabet.generators[i])
-        y_map[q] = p
-        y_map[ctx.gen_alphabet.inv[q]] = union.inv[p]
+    y_map = WordMap(ctx.gen_alphabet, [union.letter(nm) for nm in gen_names], union)
     x_map = {parent.alphabet.index(nm): union.index(nm) for nm in parent.alphabet.names}
-
-    y_back = _invert_map(y_map)
-    x_back = _invert_map(x_map)
+    y_back = {x: y for y, (x,) in enumerate(y_map.table)}
+    x_back = {x: y for y, x in x_map.items()}
 
     def member(w: Word) -> bool:
         cut = 0
@@ -472,29 +447,16 @@ def concat_structure(L_H, sys: CosetSystem):
     def enum(n: int):
         out = set()
         for head in enumerate_language(L_H, n):
-            hw = tuple(y_map[y] for y in head.letters)
+            hw = y_map(head).letters
             for tail in enumerate_language(sys.language, n - len(head)):
                 out.add(hw + tuple(x_map[x] for x in tail.letters))
         return [Word(union, ls) for ls in sorted(out, key=lambda t: (len(t), t))]
 
     lazy = LazyLanguage(union, member, enumerator=enum, name="concat")
-    lazy_oracle = ExtendedBackend(parent, union, expansions)
-    return lazy, lazy_oracle
-
-
-def _invert_map(m):
-    return {v: k for k, v in m.items()}
-
-
-def _pull_back(w: Word, letter_map, gen_alphabet) -> Optional[Word]:
-    back = _invert_map(letter_map)
-    letters = []
-    for x in w.letters:
-        y = back.get(x)
-        if y is None:
-            return None
-        letters.append(y)
-    return Word(gen_alphabet, tuple(letters))
+    to_parent = WordMap(
+        union, [parent.alphabet.letter(g) for g in parent.alphabet.generators] + ctx.gen_words,
+        parent.alphabet)
+    return lazy, ExtendedBackend(parent, to_parent)
 
 
 def detour_padded_language(lang, alphabet: Alphabet) -> LazyLanguage:

@@ -33,7 +33,7 @@ from .cascade import Pi1EdgeSubgroup, Pi1System
 from .certify import detour_padded_language
 from .cosets import CosetSystem
 from .gog import DirectedGraph, GraphOfGroups, SpanningTree
-from .words import Word
+from .words import Word, WordMap
 
 
 class ConfigError(ValueError):
@@ -226,12 +226,11 @@ def derive_reverse_iso(src_ctx, dst_ctx, images, depth: int = 10):
     """Invert a generator-level isomorphism by breadth-first search over the
     source subgroup: for each target generator find a source word whose image
     matches it."""
-    from .cosets import map_generator_word
     parent_dst = dst_ctx.parent
+    iso = WordMap(src_ctx.gen_alphabet, images, dst_ctx.gen_alphabet)
 
     def image_key(yword: Word):
-        return parent_dst.key(dst_ctx.expand(
-            map_generator_word(images, src_ctx.gen_alphabet, yword, dst_ctx.gen_alphabet)))
+        return parent_dst.key(dst_ctx.expand(iso(yword)))
 
     targets = {parent_dst.key(gw): i for i, gw in enumerate(dst_ctx.gen_words)}
     found: dict = {}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .fsa import Dfa, LazyLanguage, enumerate_language
-from .words import Word, invert, shortlex_key
+from .words import Word, WordMap, invert, shortlex_key
 
 WITNESS_LIMIT = 100
 
@@ -238,26 +238,6 @@ def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, length_cap, maxima
                            len(witnesses), swept)
 
 
-def map_generator_word(images: Sequence[Word], src_alphabet, yword: Word,
-                       dst_alphabet=None) -> Word:
-    """Apply a generator map letterwise; images live over the target alphabet."""
-    if dst_alphabet is None:
-        if not images:
-            raise VerifierError("generator map with no generators needs a target alphabet")
-        dst_alphabet = images[0].alphabet
-    out = dst_alphabet.empty()
-    for letter in yword.letters:
-        base = letter
-        inverse = False
-        if src_alphabet.inv[letter] < letter:
-            base = src_alphabet.inv[letter]
-            inverse = True
-        gi = src_alphabet.generators.index(src_alphabet.names[base])
-        img = images[gi]
-        out = out * (invert(img) if inverse else img)
-    return out
-
-
 def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) -> StabilityReport:
     """mu-stability of the generator map H1 -> H2: elements of Y1-length <= mu
     must have images of Y2-length <= mu.
@@ -270,9 +250,10 @@ def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) ->
     if len(iso_images) != len(H1.gen_words):
         raise VerifierError("iso must map every generator")
 
+    iso = WordMap(H1.gen_alphabet, iso_images, H2.gen_alphabet)
+
     def image_of_yword(yword: Word) -> Word:
-        return H2.expand(map_generator_word(iso_images, H1.gen_alphabet, yword,
-                                            H2.gen_alphabet))
+        return H2.expand(iso(yword))
 
     # homomorphism check on observable relations
     seen: dict = {}

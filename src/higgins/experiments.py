@@ -36,7 +36,7 @@ from .cascade import Pi1Backend, Pi1System
 from .cosets import CosetSystem, VerifierError, check_limited_crossover
 from .fsa import LazyLanguage
 from .gog import DirectedGraph, GraphOfGroups
-from .words import Alphabet, Word, shortlex_key
+from .words import Alphabet, Word, WordMap, shortlex_key
 
 
 def trefoil_amalgam() -> GraphOfGroups:
@@ -69,19 +69,8 @@ class TrefoilXYBackend:
         self.pi1 = Pi1Backend(self.system, "va")
         self.alphabet = Alphabet(["x", "y"])
         ab = self.pi1.alphabet
-        self._exp = {
-            self.alphabet.index("x"): ab.word("b^-1 a"),
-            self.alphabet.index("x^-1"): ab.word("a^-1 b"),
-            self.alphabet.index("y"): ab.word("a^-1 b b"),
-            self.alphabet.index("y^-1"): ab.word("b^-1 b^-1 a"),
-        }
+        self.expand = WordMap(self.alphabet, [ab.word("b^-1 a"), ab.word("a^-1 b b")], ab)
         self.name = "trefoil-xy"
-
-    def expand(self, w: Word) -> Word:
-        out = self.pi1.alphabet.empty()
-        for letter in w.letters:
-            out = out * self._exp[letter]
-        return out
 
     def canonical(self, w: Word) -> Word:
         # canonical key only; there is no re-serialization over {x, y}

@@ -1,10 +1,12 @@
 """Graph-of-groups data model.
 
 A directed graph with edge involution carries a group backend per vertex, a
-subgroup context of the terminal vertex group per directed edge, and
-generator-level edge isomorphisms (inverse pairs).  A spanning tree fixes the
-stable letters that are trivial in the fundamental group; inflation and
-deflation move words between the full stable alphabet and the working one.
+subgroup context of the terminal vertex group per directed edge, and edge
+isomorphisms in inverse pairs.  Each isomorphism is given on the generators
+of its edge subgroup and applied to words as a `words.WordMap`.  A spanning
+tree fixes the stable letters that are trivial in the fundamental group;
+inflation and deflation move words between the full stable alphabet and the
+working one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .words import Alphabet, Word, invert
+from .words import Alphabet, Word, WordMap
 
 
 class GogError(ValueError):
@@ -139,7 +141,9 @@ class GraphOfGroups:
     """The quadruple: graph, vertex backends, edge subgroup contexts, edge isos.
 
     `edge_iso[e]` lists, per generator of the edge subgroup at e, its image as
-    a word over the generators of the subgroup at the reverse edge.
+    a word over the generators of the subgroup at the reverse edge.  To change
+    an isomorphism, assign a new list to its entry: apply_iso keeps one map per
+    entry object.
     """
 
     def __init__(self, graph: DirectedGraph, vertex_backends, edge_contexts, edge_iso):
@@ -147,6 +151,7 @@ class GraphOfGroups:
         self.vertex_backends = dict(vertex_backends)
         self.edge_contexts = dict(edge_contexts)
         self.edge_iso = dict(edge_iso)
+        self._iso_maps: dict = {}  # edge name -> (edge_iso entry, its WordMap)
 
     def backend(self, vertex: str):
         return self.vertex_backends[vertex]
@@ -157,21 +162,13 @@ class GraphOfGroups:
     def apply_iso(self, edge: Edge, yword: Word) -> Word:
         """Image of a word over Y_e under the edge isomorphism, over Y_ebar."""
         images = self.edge_iso[edge.name]
-        src_ctx = self.ctx(edge)
-        dst_ctx = self.ctx(edge.reverse)
-        out = dst_ctx.gen_alphabet.empty()
-        alpha = src_ctx.gen_alphabet
-        for letter in yword.letters:
-            # letter = generator i or its inverse
-            base = letter
-            inverse = False
-            if alpha.inv[letter] < letter:
-                base = alpha.inv[letter]
-                inverse = True
-            gi = alpha.generators.index(alpha.names[base])
-            img = images[gi]
-            out = out * (invert(img) if inverse else img)
-        return out
+        hit = self._iso_maps.get(edge.name)
+        if hit is None or hit[0] is not images:
+            # built on first use, and again after edge_iso[name] is reassigned
+            hit = (images, WordMap(self.ctx(edge).gen_alphabet, images,
+                                   self.ctx(edge.reverse).gen_alphabet))
+            self._iso_maps[edge.name] = hit
+        return hit[1](yword)
 
     def validate(self) -> list[str]:
         problems = []
@@ -192,9 +189,9 @@ class GraphOfGroups:
                 problems.append(f"edge {name}: iso must map every subgroup generator")
                 continue
             rctx = self.edge_contexts.get(e.reverse.name)
-            if rctx is None:
-                continue
-            rback = self.vertex_backends[e.src]
+            rimages = self.edge_iso.get(e.reverse.name)
+            if rctx is None or rimages is None or len(rimages) != len(rctx.gen_words):
+                continue  # the reverse edge reports its own problem
             for i, img in enumerate(images):
                 expanded = rctx.expand(img)
                 if not rctx.membership(expanded):

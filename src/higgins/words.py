@@ -134,6 +134,36 @@ def invert(w: Word) -> Word:
     return Word(w.alphabet, tuple(inv[i] for i in reversed(w.letters)))
 
 
+class WordMap:
+    """The free-monoid homomorphism given on generators: the i-th generator
+    of the source alphabet goes to images[i], its inverse letter to the
+    inverted image.  A self-inverse generator maps to its image as given.
+
+    Edge isomorphisms, subgroup inclusions and enlarged generating sets are
+    all such maps; each letter's image is tabled once, so a word maps with
+    one tuple join.
+    """
+
+    __slots__ = ("source", "target", "table")
+
+    def __init__(self, source: Alphabet, images: Sequence[Word], target: Alphabet):
+        if len(images) != len(source.generators):
+            raise AlphabetError(
+                f"{len(images)} images for {len(source.generators)} generators")
+        table: list = [None] * len(source)
+        for g, img in zip(source.generators, images):
+            p = source.index(g)
+            table[source.inv[p]] = invert(img).letters
+            table[p] = img.letters
+        self.source = source
+        self.target = target
+        self.table = tuple(table)
+
+    def __call__(self, w: Word) -> Word:
+        table = self.table
+        return Word(self.target, tuple(x for y in w.letters for x in table[y]))
+
+
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain."""
     inv = w.alphabet.inv
@@ -171,6 +201,8 @@ def words_of_length(alphabet: Alphabet, n: int):
         yield Word(alphabet, ())
         return
     m = len(alphabet)
+    if m == 0:
+        return
     stack = [0] * n
     while True:
         yield Word(alphabet, tuple(stack))

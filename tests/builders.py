@@ -105,9 +105,14 @@ edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
 }
 
 
-def shipped_system(name):
-    """A fresh Pi1System for a shipped config, with the graph above added
-    where the config has none."""
+def shipped_config(name):
+    """A fresh parse of a shipped config, with the graph above added where
+    the config has none."""
     with open(os.path.join(CONFIGS, name)) as fh:
         text = fh.read()
-    return parse_config(text + SHIPPED_GRAPHS[name], base_dir=CONFIGS).system()
+    return parse_config(text + SHIPPED_GRAPHS[name], base_dir=CONFIGS)
+
+
+def shipped_system(name):
+    """A fresh Pi1System for a shipped config (see shipped_config)."""
+    return shipped_config(name).system()

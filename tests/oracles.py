@@ -5,7 +5,9 @@ the cascade machinery: the Artin braid action on a free group for the trefoil
 amalgam, syllable reduction for free products, and direct-product splitting
 for the HNN of Z^2 over a central generator.  The normal-form scan is checked
 against a second driver, the phase pipeline: pinch and cascade rounds over a
-materialized path word, repeated to a fixed point.
+materialized path word, repeated to a fixed point.  Generator maps (edge
+isomorphisms and subgroup inclusions) are checked against an image read off
+the letter names.
 """
 
 from higgins.words import Alphabet, Word, free_reduce
@@ -37,6 +39,25 @@ def pipeline_normal_form(system, w: Word, base) -> Word:
             return deflate_inflated(system, iw)
         iw = out
     raise AssertionError(f"cascade failed to reach a fixed point on {w}")
+
+
+# --- generator maps, letter by letter ----------------------------------------
+
+
+def generator_image(source: Alphabet, images, target: Alphabet, w: Word) -> Word:
+    """Image of w under the map sending the i-th generator of source to
+    images[i], read off the letter names: a letter named g^-1 goes to the
+    reversed, letterwise-inverted image of g, every other letter to its
+    image as given."""
+    out = []
+    for x in w.letters:
+        name = source.names[x]
+        if name.endswith("^-1"):
+            img = images[list(source.generators).index(name[:-3])]
+            out.extend(target.inv[y] for y in reversed(img.letters))
+        else:
+            out.extend(images[list(source.generators).index(name)].letters)
+    return Word(target, tuple(out))
 
 
 # --- trefoil group via the braid action --------------------------------------

@@ -21,7 +21,7 @@ from higgins.backends import (
 )
 from higgins.cascade import Pi1EdgeSubgroup
 from higgins.certify import (
-    cayley_ball, certify_automatic, certify_coset_system,
+    CayleyBall, certify_automatic, certify_coset_system,
     combination_hypotheses_report, concat_structure, detour_padded_language,
     geodesic_coset_filter, async_fellow_distance, sync_fellow_distance,
 )
@@ -315,7 +315,7 @@ def test_criterion_9_infrastructure_suites():
 
     # alignment: async <= sync, and the DP matches brute staircase search
     G = abelian_backend(2)
-    ball = cayley_ball(G, 9)
+    ball = CayleyBall(G, 9)
     from test_certify import brute_async
     checked = 0
     for _ in range(80):

@@ -8,12 +8,13 @@ import pytest
 
 from builders import trefoil_gog, zz_gog
 from higgins.backends import (
-    abelian_backend, abelian_subgroup, free_backend, trivial_subgroup,
+    AbelianSubgroupAsGroup, abelian_backend, abelian_subgroup, free_backend,
+    trivial_subgroup,
 )
 import higgins.certify
 from higgins.certify import (
     BALL_MARGIN, CayleyBall, HypothesisViolation, _aligns_within, _prefix_indices,
-    async_fellow_distance, cayley_ball, certify_automatic, certify_coset_system,
+    async_fellow_distance, certify_automatic, certify_coset_system,
     combination_hypotheses_report, concat_structure, detour_padded_language,
     geodesic_coset_filter, sync_fellow_distance,
 )
@@ -38,13 +39,13 @@ def w2(text):
 
 
 def test_ball_sizes():
-    assert len(cayley_ball(Z2, 2)) == 13
-    assert len(cayley_ball(free_backend(2), 2)) == 17
-    assert len(cayley_ball(Z2, 0)) == 1
+    assert len(CayleyBall(Z2, 2)) == 13
+    assert len(CayleyBall(free_backend(2), 2)) == 17
+    assert len(CayleyBall(Z2, 0)) == 1
 
 
 def test_ball_distance_exact():
-    ball = cayley_ball(Z2, 4)
+    ball = CayleyBall(Z2, 4)
     i = ball.index(w2("x1 x2"))
     j = ball.index(w2("x2 x1"))
     assert ball.distance(i, j) == 0  # same element
@@ -54,7 +55,7 @@ def test_ball_distance_exact():
 
 
 def test_sync_distance_examples():
-    ball = cayley_ball(Z2, 6)
+    ball = CayleyBall(Z2, 6)
     e = w2("")
     assert sync_fellow_distance(w2("x1 x2"), e, w2("x1 x2"), ball) == 0
     assert sync_fellow_distance(w2("x1 x2"), e, w2("x2 x1"), ball) == 2
@@ -62,7 +63,7 @@ def test_sync_distance_examples():
 
 
 def test_async_distance_examples():
-    ball = cayley_ball(Z2, 6)
+    ball = CayleyBall(Z2, 6)
     e = w2("")
     assert async_fellow_distance(w2("x1 x2"), e, w2("x1 x2"), ball) == 0
     assert async_fellow_distance(w2("x1 x2"), e, w2("x2 x1"), ball) == 1
@@ -100,7 +101,7 @@ def brute_async(w1, h, w2w, ball):
 
 def test_async_dp_matches_brute_force():
     rng = random.Random(17)
-    ball = cayley_ball(Z2, 9)
+    ball = CayleyBall(Z2, 9)
     m = len(Z2.alphabet)
     for _ in range(60):
         w1 = Word(Z2.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(7))))
@@ -242,6 +243,19 @@ def test_concat_structure_extended_alphabet():
     assert oracle.key(lang.alphabet.word("y1")) == G.key(G.alphabet.word("x1 x2"))
     cert = certify_automatic(lang, oracle, radius=4)
     assert cert.bounded
+
+
+def test_concat_structure_order_two_generator_spelled_as_given():
+    # <t t> in Z x Z/4: y1 has order 2 and is self-inverse over the subgroup
+    # generators, so the concatenation words spell it y1, never y1^-1
+    G = abelian_backend(1, [4])
+    H = abelian_subgroup(G, [G.alphabet.word("t t")])
+    lang, oracle = concat_structure(AbelianSubgroupAsGroup(H).shortlex_language, CosetSystem(H))
+    y1, y1_inv = lang.alphabet.word("y1"), lang.alphabet.word("y1^-1")
+    words = enumerate_language(lang, 2)
+    assert y1 in words and all(y1_inv.letters[0] not in u.letters for u in words)
+    assert lang.membership(y1) and not lang.membership(y1_inv)
+    assert oracle.key(y1) == oracle.key(y1_inv) == G.key(G.alphabet.word("t t"))
 
 
 def test_hypotheses_report_trefoil():

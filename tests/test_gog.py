@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from builders import trefoil_gog, trefoil_system, hnn_z2_system, zz_system
-from higgins.backends import abelian_backend
+from builders import (
+    SHIPPED_GRAPHS, hnn_z2_system, shipped_config, trefoil_gog, trefoil_system, zz_system,
+)
+from oracles import generator_image
+from higgins.backends import abelian_backend, abelian_subgroup
+from higgins.cascade import Pi1EdgeSubgroup
 from higgins.gog import (
     DirectedGraph, GogError, GraphOfGroups, StableAlphabets, maximal_tree,
 )
-from higgins.words import Word
+from higgins.words import Word, all_words
 
 
 def test_graph_involution():
@@ -71,6 +75,64 @@ def test_validate_bad_iso():
     gog.edge_iso["e~"] = [ctx_e.gen_alphabet.word("y1 y1")]
     problems = gog.validate()
     assert any("identity" in p for p in problems)
+
+
+@pytest.mark.parametrize("name, images", [
+    ("e", []), ("e~", []), ("e", None), ("e~", None)])
+def test_validate_reports_short_or_missing_iso(name, images):
+    gog = trefoil_gog()
+    if images is None:
+        del gog.edge_iso[name]
+    else:
+        gog.edge_iso[name] = images
+    problems = gog.validate()
+    assert f"edge {name}: iso must map every subgroup generator" in problems
+
+
+def test_apply_iso_follows_reassigned_iso():
+    gog = trefoil_gog()
+    e = gog.graph.edges["e"]
+    y = gog.ctx(e).gen_alphabet.word("y1 y1^-1 y1")
+    assert str(gog.apply_iso(e, y)) == "y1 y1^-1 y1"
+    gog.edge_iso["e"] = [gog.ctx(e.reverse).gen_alphabet.word("y1 y1")]
+    assert str(gog.apply_iso(e, y)) == "y1 y1 y1^-1 y1^-1 y1 y1"
+
+
+def test_expand_keeps_order_two_generator_key():
+    # <t t> in Z/4: y1 has order 2, so it is self-inverse; its image "t t"
+    # is not letterwise self-inverse and is used as given
+    Z4 = abelian_backend(0, [4])
+    H = abelian_subgroup(Z4, [Z4.alphabet.word("t t")])
+    y1 = H.gen_alphabet.word("y1")
+    assert H.gen_alphabet.names == ("y1",)
+    assert str(H.expand(y1)) == "t t"
+    assert Z4.key(H.expand(y1)) == Z4.key(Z4.alphabet.word("t^-1 t^-1"))
+    assert Z4.key(H.expand(y1 * y1)) == Z4.key(Z4.alphabet.empty())
+    for w in (Z4.alphabet.word("t t"), Z4.alphabet.word("t^-1 t^-1 t^-1 t^-1 t t")):
+        assert Z4.key(H.expand(H.h_express(w))) == Z4.key(w)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_GRAPHS))
+def test_generator_maps_match_letterwise_oracle(name):
+    config = shipped_config(name)
+    system = config.system()
+    gog = system.gog
+    contexts = [ctx for ctx, _group in config.subgroups.values()]
+    checked = 0
+    for ctx in contexts + list(gog.edge_contexts.values()):
+        for w in all_words(ctx.gen_alphabet, 3):
+            assert ctx.expand(w) == generator_image(
+                ctx.gen_alphabet, ctx.gen_words, ctx.parent.alphabet, w)
+            checked += 1
+    for e in gog.graph.edges.values():
+        src, dst = gog.ctx(e).gen_alphabet, gog.ctx(e.reverse).gen_alphabet
+        pi1_ctx = Pi1EdgeSubgroup(system, e)
+        for w in all_words(src, 3):
+            assert gog.apply_iso(e, w) == generator_image(src, gog.edge_iso[e.name], dst, w)
+            assert pi1_ctx.expand(w) == generator_image(
+                src, pi1_ctx.gen_words, system.alphabet, w)
+            checked += 1
+    assert checked > 0
 
 
 def test_validate_disconnected():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from higgins.words import (
-    Alphabet, AlphabetError, Word, all_words, free_reduce, invert, prefix,
+    Alphabet, AlphabetError, Word, WordMap, all_words, free_reduce, invert, prefix,
     shortlex_cmp,
 )
 
@@ -125,3 +125,35 @@ def test_all_words_shortlex_order():
     assert len(words) == 1 + 4 + 16
     keys = [(len(u), u.letters) for u in words]
     assert keys == sorted(keys)
+
+
+# s -> x y, t -> y^-1 y^-1 x: t is self-inverse in ST, its image is not
+ST_TO_XY = WordMap(ST, [w("x y"), w("y^-1 y^-1 x")], XY)
+
+
+@given(random_words(ST, 6), random_words(ST, 6))
+def test_word_map_is_a_monoid_homomorphism(u, v):
+    assert ST_TO_XY(u * v) == ST_TO_XY(u) * ST_TO_XY(v)
+    assert ST_TO_XY(ST.empty()) == XY.empty()
+
+
+def test_word_map_images():
+    assert ST_TO_XY(ST.word("s")) == w("x y")
+    # a non-self-inverse letter's inverse maps to the inverted image
+    assert ST_TO_XY(ST.word("s^-1")) == invert(w("x y")) == w("y^-1 x^-1")
+    # a self-inverse generator maps to its image as given
+    assert ST_TO_XY(ST.word("t")) == w("y^-1 y^-1 x")
+    assert ST_TO_XY(ST.word("s t s^-1")) == w("x y y^-1 y^-1 x y^-1 x^-1")
+    assert ST_TO_XY(ST.word("s")).alphabet is XY
+
+
+def test_word_map_empty_source():
+    none = Alphabet([])
+    m = WordMap(none, [], XY)
+    assert list(all_words(none, 3)) == [none.empty()]
+    assert m(none.empty()) == XY.empty()
+
+
+def test_word_map_needs_one_image_per_generator():
+    with pytest.raises(AlphabetError):
+        WordMap(ST, [w("x")], XY)
