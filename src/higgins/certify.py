@@ -120,10 +120,19 @@ class CayleyBall:
         return hit
 
 
+def _step(ball: CayleyBall, i: int, x: int) -> Optional[int]:
+    """Index of words[i] * x, or None beyond the cap.  An element of the
+    outermost grown sphere has no edge-table row yet; its step is keyed and
+    looked up, which grows the ball only when the neighbour is new."""
+    if i < len(ball.edges):
+        return ball.edges[i][x]
+    return ball.index(Word(ball.alphabet, ball.words[i].letters + (x,)))
+
+
 def _prefix_indices(ball: CayleyBall, start, w: Word) -> Optional[list[int]]:
-    """Ball indices of start * prefix(w, t) for t = 0..|w|, walked along the
-    edge table; only a step off the outermost grown sphere asks the ball.
-    start is a word, or its index in the ball, which saves keying it."""
+    """Ball indices of start * prefix(w, t) for t = 0..|w|, walked forward
+    along the edge table, or None when a step leaves the capped ball.  start
+    is a word, or its index in the ball, which saves keying it."""
     if isinstance(start, int):
         i = start
     else:
@@ -131,29 +140,54 @@ def _prefix_indices(ball: CayleyBall, start, w: Word) -> Optional[list[int]]:
         if i is None:
             return None
     out = [i]
-    edges, words, alphabet = ball.edges, ball.words, ball.alphabet
+    edges = ball.edges
     for x in w.letters:
-        if i < len(edges):
-            i = edges[i][x]
-        else:
-            i = ball.index(Word(alphabet, words[i].letters + (x,)))
-            if i is None:
-                return None
+        i = edges[i][x] if i < len(edges) else _step(ball, i, x)
+        if i is None:
+            return None
         out.append(i)
     return out
 
 
-def sync_fellow_distance(w1: Word, h, w2: Word, ball: CayleyBall) -> Optional[int]:
-    """max_t d(w1(t), h w2(t)), with each path resting at its endpoint; h is
-    a word or its index in the ball."""
-    empty = ball.alphabet.empty()
-    a = _prefix_indices(ball, empty, w1)
-    b = _prefix_indices(ball, h, w2)
+def _walk_back(ball: CayleyBall, g: int, letters: tuple) -> Optional[list[int]]:
+    """Ball indices b[t] = h * prefix(w, t) for t = 0..|w|, where g = h * w is
+    given by its index and w by its letters: the edge table is walked from g
+    along w^-1, one inverse letter at a time from the right, so b[0] is the
+    index of h = g * w^-1, found without building or keying h.  None when a
+    step leaves the capped ball."""
+    n = len(letters)
+    out = [g] * (n + 1)
+    inv, edges = ball.alphabet.inv, ball.edges
+    i = g
+    for t in range(n, 0, -1):
+        x = inv[letters[t - 1]]
+        i = edges[i][x] if i < len(edges) else _step(ball, i, x)
+        if i is None:
+            return None
+        out[t - 1] = i
+    return out
+
+
+def _paths(ball: CayleyBall, w1, h, w2):
+    """The prefix paths of w1 from the identity and of w2 from h.  Either word
+    may already be given as its path, a list of ball indices; a path for w2
+    starts at h, so h is then not read."""
+    a = w1 if isinstance(w1, list) else _prefix_indices(ball, 0, w1)
+    b = w2 if isinstance(w2, list) else _prefix_indices(ball, h, w2)
+    return a, b
+
+
+def sync_fellow_distance(w1, h, w2, ball: CayleyBall) -> Optional[int]:
+    """max_t d(w1(t), h w2(t)), with each path resting at its endpoint.  h is
+    a word or its index in the ball; w1 and w2 are words or their prefix
+    paths as lists of ball indices (see _paths)."""
+    a, b = _paths(ball, w1, h, w2)
     if a is None or b is None:
         return UNBOUNDED
+    n1, n2 = len(a) - 1, len(b) - 1
     best = 0
-    for t in range(max(len(w1), len(w2)) + 1):
-        d = ball.distance(a[min(t, len(w1))], b[min(t, len(w2))])
+    for t in range(max(n1, n2) + 1):
+        d = ball.distance(a[min(t, n1)], b[min(t, n2)])
         if d is UNBOUNDED:
             return UNBOUNDED
         best = max(best, d)
@@ -164,9 +198,20 @@ def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int)
     """Whether some monotone alignment of the prefix paths a and b keeps every
     cell within threshold: a depth-first flood fill of the prefix grid from
     (0, 0) over cells at distance <= threshold, with diagonal, right and down
-    moves, that evaluates distances only for the cells it reaches."""
+    moves, that evaluates distances only for the cells it reaches.
+
+    The fill's first descent is the lockstep diagonal, each path resting at
+    its end; it is tried first on its own, without the fill's bookkeeping,
+    and most pairs that align end there.  A pair that falls through starts
+    the fill afresh, whose repeated cells are pair-cache hits."""
     n1, n2 = len(a) - 1, len(b) - 1
     distance = ball.distance
+    for t in range(max(n1, n2) + 1):
+        d = distance(a[t if t < n1 else n1], b[t if t < n2 else n2])
+        if d is UNBOUNDED or d > threshold:
+            break
+    else:
+        return True
     d = distance(a[0], b[0])
     if d is UNBOUNDED or d > threshold:
         return False
@@ -190,7 +235,7 @@ def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int)
     return False
 
 
-def async_fellow_distance(w1: Word, h, w2: Word, ball: CayleyBall,
+def async_fellow_distance(w1, h, w2, ball: CayleyBall,
                           threshold: Optional[int] = None) -> Optional[int]:
     """Minimal K for which some monotone alignment keeps the paths K-close:
     bottleneck dynamic programming over the prefix grid with right, down and
@@ -201,16 +246,15 @@ def async_fellow_distance(w1: Word, h, w2: Word, ball: CayleyBall,
     max(exact value, threshold): exact only where it exceeds the threshold,
     and UNBOUNDED exactly when the exact value is.  A sweep that passes its
     running maximum therefore still ends on the exact maximum.  h is a word
-    or its index in the ball."""
-    empty = ball.alphabet.empty()
-    a = _prefix_indices(ball, empty, w1)
-    b = _prefix_indices(ball, h, w2)
+    or its index in the ball; w1 and w2 are words or their prefix paths as
+    lists of ball indices (see _paths)."""
+    a, b = _paths(ball, w1, h, w2)
     if a is None or b is None:
         return UNBOUNDED
     if threshold is not None and _aligns_within(ball, a, b, threshold):
         return threshold
     INF = float("inf")
-    n1, n2 = len(w1), len(w2)
+    n1, n2 = len(a) - 1, len(b) - 1
     dp = [[INF] * (n2 + 1) for _ in range(n1 + 1)]
     for i in range(n1 + 1):
         row = dp[i]
@@ -281,44 +325,60 @@ def _language_states(lang) -> Optional[int]:
 
 def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=None):
     """The fellow-traveller sweep behind every certificate: all v, w in the
-    language with d(v, hw) <= 1 for some h in the subgroup, each measured
-    against the running K, so K ends as the exact largest per-pair constant.
-    coset_key None stands for the trivial subgroup: words are grouped by
-    element and h is the empty word.  Each h is keyed once, for the pair's
-    dedup and its ball index alike.  Returns (pairs, K, violations)."""
+    language with v x = h w for a letter or empty x and some h in the
+    subgroup, each measured against the running K, so K ends as the exact
+    largest per-pair constant.  coset_key None stands for the trivial
+    subgroup: words are grouped by element and h is the identity.
+
+    Every pair is measured on index paths in the Cayley graph of the ball.
+    v's prefix path is walked once per v and gives g = v x by one more edge;
+    each candidate w is then walked back from g along w^-1 (_walk_back),
+    which yields h's index and w's path from h at once, so h is neither
+    built nor keyed.  Only a walk that leaves the capped ball falls back to
+    building h and keying it; an h beyond the cap is told apart by its key.
+    Returns (pairs, K, violations)."""
     words = enumerate_language(lang, radius)
     group = coset_key if coset_key is not None else oracle.key
     by_coset: dict = {}
     for w in words:
         by_coset.setdefault(group(w), []).append(w)
-    empty = oracle.alphabet.empty()
+    steps = _letter_words(oracle.alphabet)
     K = 0
     pairs = 0
     violations = []
     for v in words:
+        a = _prefix_indices(ball, 0, v)
+        path_v = v if a is None else a
         seen = set()
-        for x in _letter_words(oracle.alphabet):
+        for x in steps:
             g = v * x
+            if a is None:
+                gi = None
+            else:
+                gi = _step(ball, a[-1], x.letters[0]) if x.letters else a[-1]
             for w in by_coset.get(group(g), ()):
-                if coset_key is None:
-                    h, pk = empty, w.letters
+                b = None if gi is None else _walk_back(ball, gi, w.letters)
+                if b is not None:
+                    hi = b[0]
+                    pk = (w.letters, hi)
                 else:
                     h = g * invert(w)
                     hk = oracle.key(h)
-                    pk = (w.letters, hk)
+                    hi = ball.index_of_key(hk)
+                    pk = (w.letters, hi) if hi is not None else (w.letters, None, hk)
                 if pk in seen:
                     continue
                 seen.add(pk)
                 pairs += 1
-                hi = 0 if coset_key is None else ball.index_of_key(hk)
                 if hi is None:
                     violations.append((v, h, w))
                     continue
                 # looked up at call time, so a wrapped module function is used
+                path_w = w if b is None else b
                 if mode == "sync":
-                    d = sync_fellow_distance(v, hi, w, ball)
+                    d = sync_fellow_distance(path_v, hi, path_w, ball)
                 else:
-                    d = async_fellow_distance(v, hi, w, ball, K)
+                    d = async_fellow_distance(path_v, hi, path_w, ball, K)
                 if d is UNBOUNDED:
                     violations.append((v, ball.words[hi], w))
                 else:
@@ -375,31 +435,39 @@ class ExtendedBackend:
 def concat_structure(L_H, sys: CosetSystem):
     """The concatenation language L_H . L^H over the union generating set.
 
-    L_H is a language over the subgroup's generator alphabet.  When every
-    subgroup generator is a single parent letter the result lives over the
-    parent alphabet (and is an explicit automaton whenever both inputs are);
-    otherwise the alphabet is extended by the subgroup generators and the
-    companion oracle is an ExtendedBackend over the enlarged alphabet.
+    L_H is a language over its own alphabet, whose i-th generator stands for
+    the i-th subgroup generator; it need not be the context's generator
+    alphabet (an order-2 generator takes one slot there but two in the
+    alphabet of AbelianSubgroupAsGroup).  When every subgroup generator is a
+    single parent letter the result lives over the parent alphabet (and is an
+    explicit automaton whenever both inputs are); a self-inverse parent letter
+    then pulls back to the generator, never to its inverse letter, the only
+    spelling a shortlex L_H uses.  Otherwise the alphabet is extended by the
+    subgroup generators and the companion oracle is an ExtendedBackend over
+    the enlarged alphabet.
     """
     ctx = sys.context
     parent = ctx.parent
+    sub = L_H.alphabet
     if all(len(gw) == 1 for gw in ctx.gen_words):
-        to_parent = WordMap(ctx.gen_alphabet, ctx.gen_words, parent.alphabet)
+        to_parent = WordMap(sub, ctx.gen_words, parent.alphabet)
         letter_map = {y: x for y, (x,) in enumerate(to_parent.table)}
-        back = {x: y for y, x in letter_map.items()}
+        back: dict = {}
+        for y, x in letter_map.items():
+            back.setdefault(x, y)
         lang = sys.language
         if isinstance(L_H, Dfa) and isinstance(lang, Dfa):
             remapped = Dfa(
                 parent.alphabet, L_H.n_states, L_H.start, L_H.accepting,
-                {(s, letter_map[a]): t for (s, a), t in L_H.transitions.items()},
+                {(s, letter_map[a]): t for (s, a), t in L_H.transitions.items()
+                 if back[letter_map[a]] == a},
                 "subgroup")
             return dfa_concat(remapped, lang, name="concat")
 
         def member(w: Word) -> bool:
             head = []
             for cut in range(len(w) + 1):
-                if (L_H.accepts(Word(ctx.gen_alphabet, tuple(head)))
-                        and lang.accepts(w[cut:])):
+                if L_H.accepts(Word(sub, tuple(head))) and lang.accepts(w[cut:]):
                     return True
                 if cut == len(w) or w.letters[cut] not in back:
                     break
@@ -421,12 +489,12 @@ def concat_structure(L_H, sys: CosetSystem):
     selfinv = [g for g in names
                if parent.alphabet.inv[parent.alphabet.index(g)] == parent.alphabet.index(g)]
     gen_names = []
-    for i, g in enumerate(ctx.gen_alphabet.generators):
+    for g in sub.generators:
         nm = g if g not in names else f"h.{g}"
         gen_names.append(nm)
         names.append(nm)
     union = Alphabet(names, self_inverse=selfinv)
-    y_map = WordMap(ctx.gen_alphabet, [union.letter(nm) for nm in gen_names], union)
+    y_map = WordMap(sub, [union.letter(nm) for nm in gen_names], union)
     x_map = {parent.alphabet.index(nm): union.index(nm) for nm in parent.alphabet.names}
     y_back = {x: y for y, (x,) in enumerate(y_map.table)}
     x_back = {x: y for y, x in x_map.items()}
@@ -439,7 +507,7 @@ def concat_structure(L_H, sys: CosetSystem):
             tail_letters = tuple(x_back.get(x) for x in w.letters[c:])
             if any(x is None for x in tail_letters):
                 continue
-            head = Word(ctx.gen_alphabet, tuple(y_back[x] for x in w.letters[:c]))
+            head = Word(sub, tuple(y_back[x] for x in w.letters[:c]))
             if L_H.accepts(head) and sys.language.accepts(Word(parent.alphabet, tail_letters)):
                 return True
         return False

@@ -371,7 +371,6 @@ def enumerate_language(lang, max_len: int) -> list[Word]:
             return enumerate_language(lang.dfa, max_len)
         return [w for w in all_words(lang.alphabet, max_len) if lang.membership(w)]
     dfa: Dfa = lang
-    m = len(dfa.alphabet)
     # distance from each state to the nearest accepting state
     INF = max_len + 1
     dist = [INF] * dfa.n_states
@@ -390,25 +389,23 @@ def enumerate_language(lang, max_len: int) -> list[Word]:
     out: list[Word] = []
     if dist[dfa.start] > max_len:
         return out
-    path: list[int] = []
-
-    def walk(state: int):
-        if state in dfa.accepting:
-            out.append(Word(dfa.alphabet, tuple(path)))
-        if len(path) == max_len:
-            return
-        remaining = max_len - len(path) - 1
-        for a in range(m):
-            t = dfa.transitions.get((state, a))
-            if t is not None and dist[t] <= remaining:
-                path.append(a)
-                walk(t)
-                path.pop()
-
-    # depth-first in letter order gives lexicographic order per length; a
-    # final stable sort by length yields shortlex
-    walk(dfa.start)
-    out.sort(key=lambda w: (len(w), w.letters))
+    # each state's live moves in letter order
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(dfa.n_states)]
+    for (s, a), t in sorted(dfa.transitions.items()):
+        if dist[t] <= max_len:
+            moves[s].append((a, t))
+    # level n holds, in lexicographic order, the words of length n that can
+    # still reach acceptance within max_len; extending each in letter order
+    # keeps the next level lexicographic, so the output is shortlex unsorted
+    accepting, alphabet = dfa.accepting, dfa.alphabet
+    level = [((), dfa.start)]
+    for n in range(max_len + 1):
+        out += [Word(alphabet, u) for u, s in level if s in accepting]
+        if n == max_len:
+            break
+        remaining = max_len - n - 1
+        level = [(u + (a,), t) for u, s in level for a, t in moves[s]
+                 if dist[t] <= remaining]
     return out
 
 

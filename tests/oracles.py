@@ -7,10 +7,13 @@ for the HNN of Z^2 over a central generator.  The normal-form scan is checked
 against a second driver, the phase pipeline: pinch and cascade rounds over a
 materialized path word, repeated to a fixed point.  Generator maps (edge
 isomorphisms and subgroup inclusions) are checked against an image read off
-the letter names.
+the letter names.  The fellow-traveller sweep, which finds each h on the
+Cayley graph, is checked against a sweep that builds and keys every h.
 """
 
-from higgins.words import Alphabet, Word, free_reduce
+from higgins import certify
+from higgins.fsa import enumerate_language
+from higgins.words import Alphabet, Word, free_reduce, invert, shortlex_key
 
 
 # --- normal forms by the phase pipeline ---------------------------------------
@@ -39,6 +42,48 @@ def pipeline_normal_form(system, w: Word, base) -> Word:
             return deflate_inflated(system, iw)
         iw = out
     raise AssertionError(f"cascade failed to reach a fixed point on {w}")
+
+
+# --- the fellow sweep with every h keyed -------------------------------------
+
+def keyed_sweep(lang, oracle, radius, mode, ball, coset_key=None):
+    """(pairs, K, violations) of the coset fellow sweep, with every candidate
+    h = v x w^-1 built as a word, keyed by the oracle, looked up in the ball
+    and walked forward along w; pairs are told apart by (w, key of h)."""
+    words = enumerate_language(lang, radius)
+    group = coset_key if coset_key is not None else oracle.key
+    by_coset: dict = {}
+    for w in words:
+        by_coset.setdefault(group(w), []).append(w)
+    alphabet = oracle.alphabet
+    steps = [alphabet.empty()] + [Word(alphabet, (x,)) for x in range(len(alphabet))]
+    K = pairs = 0
+    violations = []
+    for v in words:
+        seen = set()
+        for x in steps:
+            g = v * x
+            for w in by_coset.get(group(g), ()):
+                h = g * invert(w)
+                hk = oracle.key(h)
+                if (w.letters, hk) in seen:
+                    continue
+                seen.add((w.letters, hk))
+                pairs += 1
+                hi = ball.index_of_key(hk)
+                if hi is None:
+                    violations.append((v, h, w))
+                    continue
+                if mode == "sync":
+                    d = certify.sync_fellow_distance(v, hi, w, ball)
+                else:
+                    d = certify.async_fellow_distance(v, hi, w, ball, K)
+                if d is None:
+                    violations.append((v, ball.words[hi], w))
+                else:
+                    K = max(K, d)
+    violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))
+    return pairs, K, violations
 
 
 # --- generator maps, letter by letter ----------------------------------------

@@ -13,7 +13,8 @@ from higgins.backends import (
 )
 import higgins.certify
 from higgins.certify import (
-    BALL_MARGIN, CayleyBall, HypothesisViolation, _aligns_within, _prefix_indices,
+    BALL_MARGIN, CayleyBall, HypothesisViolation, _aligns_within, _prefix_indices, _sweep,
+    _walk_back,
     async_fellow_distance, certify_automatic, certify_coset_system,
     combination_hypotheses_report, concat_structure, detour_padded_language,
     geodesic_coset_filter, sync_fellow_distance,
@@ -22,7 +23,8 @@ from higgins.config import load_config
 from higgins.cosets import CosetSystem
 from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
-from higgins.words import Word, all_words, prefix
+from higgins.words import Word, all_words, invert, prefix
+from oracles import keyed_sweep
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -258,6 +260,27 @@ def test_concat_structure_order_two_generator_spelled_as_given():
     assert oracle.key(y1) == oracle.key(y1_inv) == G.key(G.alphabet.word("t t"))
 
 
+def test_concat_structure_order_two_generator_before_another():
+    # <t, x1> in Z x Z/2: t takes one slot in the subgroup's generator
+    # alphabet but two in the alphabet of its shortlex language, so x1 sits at
+    # different indices in the two; the explicit and the lazy concatenation
+    # must both read L_H's letters through L_H's own alphabet
+    G = abelian_backend(1, [2])
+    H = abelian_subgroup(G, [G.alphabet.word("t"), G.alphabet.word("x1")])
+    L_H = AbelianSubgroupAsGroup(H).shortlex_language
+    assert len(L_H.alphabet) != len(H.gen_alphabet)
+    explicit = concat_structure(L_H, CosetSystem(H))
+    base = H.coset_language
+    lazy = concat_structure(L_H, CosetSystem(H, LazyLanguage(
+        G.alphabet, base.accepts, enumerator=lambda n: enumerate_language(base, n))))
+    got = enumerate_language(explicit, 4)
+    assert enumerate_language(lazy, 4) == got
+    # every element of the radius-4 ball is spelled exactly once
+    assert sorted(G.key(w) for w in got) == sorted({G.key(w) for w in all_words(G.alphabet, 4)})
+    for w in all_words(G.alphabet, 4):
+        assert lazy.membership(w) == explicit.accepts(w) == (w in got)
+
+
 def test_hypotheses_report_trefoil():
     report = combination_hypotheses_report(trefoil_gog(), radius=4)
     assert report.passed, str(report)
@@ -390,7 +413,9 @@ def test_hnn_certificate_grows_a_small_ball():
     ball = CayleyBall(system.context.parent, 1 + BALL_MARGIN)
     cert = certify_coset_system(system, 1, ball=ball)
     assert cert.bounded
-    assert ball.radius <= 3 and len(ball.words) < 100
+    # a step off the outermost sphere is keyed, not met by growing a sphere
+    # for its row: filling rows eagerly reached radius 3 and 99 elements
+    assert ball.radius <= 2 and len(ball.words) <= 29
 
 
 class CountingOracle:
@@ -413,27 +438,21 @@ def test_escaped_pair_is_keyed_once():
     assert oracle.key_calls - before == 1
 
 
-def test_coset_sweep_keys_each_h_once(monkeypatch):
-    # on a complete ball the sweep keys each candidate h once, each measured
-    # pair of ball elements once and each subgroup generator (kappa) once;
-    # keying h again for its ball index and its prefix walk added 84 calls
+def test_coset_sweep_keys_no_h_inside_the_ball(monkeypatch):
+    # on a complete ball every h is found by walking the edge table back from
+    # v x, so the sweep keys only each measured pair of ball elements once and
+    # each subgroup generator (kappa) once; keying every candidate h cost 59
+    # more calls
     system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
     ctx, parent, R = system.context, system.context.parent, 3
     ball = CayleyBall(parent, R + BALL_MARGIN)
     len(ball)
-    words = enumerate_language(system.language, R)
-    cosets = {}
-    for w in words:
-        cosets.setdefault(ctx.coset_key(w), []).append(w)
-    steps = [parent.alphabet.empty()] + [Word(parent.alphabet, (x,))
-                                         for x in range(len(parent.alphabet))]
-    candidates = sum(len(cosets.get(ctx.coset_key(v * x), ())) for v in words for x in steps)
     calls = []
     key = parent.key
     monkeypatch.setattr(parent, "key", lambda w: calls.append(w) or key(w))
     cert = certify_coset_system(system, R, ball=ball)
     assert cert.lines()[0] == "certificate mode=async radius=3 pairs=59 K=2 status=bounded"
-    assert len(calls) == candidates + len(ball._pair_cache) + len(ctx.gen_words) == 90
+    assert len(calls) == len(ball._pair_cache) + len(ctx.gen_words) == 31
 
 
 def test_higgins_lazy_language_agrees_with_its_dfa():
@@ -483,6 +502,28 @@ def test_prefix_walk_follows_the_edge_table(name):
         for x, j in enumerate(row):
             step = Word(oracle.alphabet, ball.words[i].letters + (x,))
             assert oracle.key(step) == oracle.key(ball.words[j])
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
+def test_walk_back_finds_h_on_the_edge_table(name):
+    oracle = _backend(name)
+    cap = {"z2": 4, "f2": 4, "hnn": 3}[name]
+    ball, ref = CayleyBall(oracle, cap), CayleyBall(oracle, cap)
+    rng = random.Random(47)
+    grew = capped = 0
+    for _ in range(60):
+        g = _random_words(rng, oracle.alphabet, 1, 2)[0]
+        w = _random_words(rng, oracle.alphabet, 1, 2 * cap)[0]
+        h = g * invert(w)
+        want = [ref.index(h * prefix(w, t)) for t in range(len(w) + 1)]
+        gi = ball.index(g)
+        before = ball.radius
+        got = _walk_back(ball, gi, w.letters)
+        grew += ball.radius > before  # the walk itself left the grown ball
+        assert got == (None if None in want else want)
+        capped += got is None
+        _assert_levels(ball)
+    assert grew and capped
 
 
 def _seeded_pairs(rng, alphabet, n, max_len):
@@ -567,3 +608,53 @@ def test_pruned_certificate_equals_the_exact_sweep(monkeypatch, run):
     assert pruned.lines() == exact.lines()
     # the pruned sweep skipped cells that the exact one measured
     assert len(pruned_ball._pair_cache) < len(exact_ball._pair_cache)
+
+
+SHIPPED_COSET_SYSTEMS = [
+    ("abelian_pairs.gog", "axis", 6), ("abelian_pairs.gog", "diag", 5),
+    ("abelian_pairs.gog", "mixed", 4), ("abelian_pairs.gog", "axis-padded", 6),
+    ("finite_s3.gog", "s3-cosets", 4), ("free_product_zz.gog", "edge-cosets", 4),
+    ("hnn_z2.gog", "edge-cosets", 3), ("trefoil_amalgam.gog", "edge-cosets", 3),
+]
+
+
+@pytest.mark.parametrize("config, name, radius", SHIPPED_COSET_SYSTEMS,
+                         ids=[f"{c.split('.')[0]}-{n}" for c, n, _r in SHIPPED_COSET_SYSTEMS])
+def test_sweep_equals_the_keyed_sweep(config, name, radius):
+    system = load_config(config_path(config)).coset_system(name)
+    ctx = system.context
+    for mode in ("sync", "async"):
+        got = _sweep(system.language, ctx.parent, radius, mode,
+                     CayleyBall(ctx.parent, radius + BALL_MARGIN), ctx.coset_key)
+        want = keyed_sweep(system.language, ctx.parent, radius, mode,
+                           CayleyBall(ctx.parent, radius + BALL_MARGIN), ctx.coset_key)
+        assert got == want
+        assert got[0] > 0
+
+
+@pytest.mark.parametrize("name", ["z2", "f2"])
+def test_trivial_subgroup_sweep_equals_the_keyed_sweep(name):
+    oracle, R = _backend(name), 4
+    for mode in ("sync", "async"):
+        got = _sweep(oracle.canonical_language, oracle, R, mode,
+                     CayleyBall(oracle, R + BALL_MARGIN))
+        want = keyed_sweep(oracle.canonical_language, oracle, R, mode,
+                           CayleyBall(oracle, R + BALL_MARGIN))
+        assert got == want and got[0] > 0
+
+
+@pytest.mark.parametrize("cap, beyond", [(3, 0), (1, 0), (0, 26)],
+                         ids=["axis-padded-capped", "cap-1", "cap-0"])
+def test_sweep_equals_the_keyed_sweep_beyond_the_cap(cap, beyond):
+    # walks leave the capped ball; on the identity alone (cap 0) h lies beyond
+    # it too, often several h for one (v, w), told apart by their keys
+    system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
+    ctx, R = system.context, 3
+    for mode in ("sync", "async"):
+        got = _sweep(system.language, ctx.parent, R, mode, CayleyBall(ctx.parent, cap),
+                     ctx.coset_key)
+        want = keyed_sweep(system.language, ctx.parent, R, mode,
+                           CayleyBall(ctx.parent, cap), ctx.coset_key)
+        assert got == want
+        ref = CayleyBall(ctx.parent, cap)
+        assert got[2] and sum(ref.index(h) is None for _v, h, _w in got[2]) == beyond

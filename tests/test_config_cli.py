@@ -228,12 +228,41 @@ def test_cmd_certify_snapshots(capsys):
     code, out = run_cli(capsys, "certify", cfg("hnn_z2.gog"),
                         "--what", "coset", "--system", "edge-cosets", "--radius", "4")
     assert code == 0 and out == snapshot("certify_hnn_r4.txt")
+    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
+                        "--what", "coset", "--system", "axis-padded", "--radius", "9")
+    assert code == 0 and out == snapshot("certify_axis_padded_r9.txt")
+    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
+                        "--what", "automatic", "--system", "axis", "--radius", "8")
+    assert code == 0 and out == snapshot("automatic_axis_r8.txt")
+    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
+                        "--what", "coset", "--system", "mixed", "--radius", "6")
+    assert code == 0 and out == snapshot("certify_mixed_r6.txt")
 
 
 def test_cmd_certify_automatic(capsys):
     code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
                         "--what", "automatic", "--system", "axis", "--radius", "4")
     assert code == 0 and "status=bounded" in out
+
+
+@pytest.mark.parametrize("generators", ["t;x1", "t;x1 x1"])
+def test_cmd_certify_automatic_order_two_generator(tmp_path, generators):
+    # an order-2 generator takes one slot in the subgroup's generator alphabet
+    # but two in the alphabet of its shortlex language; a later generator used
+    # to be read at the wrong index (KeyError, IndexError)
+    path = tmp_path / "tx.gog"
+    path.write_text("[group M] kind=abelian rank=1 torsion=2\n"
+                    f"[subgroup TX in M]\ngenerators={generators}\n"
+                    "[cosetsystem tx] subgroup=TX mode=sync\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "higgins.cli", "certify", str(path), "--what", "automatic",
+         "--system", "tx", "--radius", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("certificate mode=sync radius=2 ")
 
 
 def test_cmd_experiment_snapshot(capsys):

@@ -94,6 +94,17 @@ def test_enumerate_matches_acceptance():
         got = enumerate_language(d, 6)
         keys = [(len(w), w.letters) for w in got]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert [w.letters for w in got] == sorted(brute_set(d, 6), key=lambda t: (len(t), t))
+
+
+def test_enumerate_accepting_states_beyond_max_len():
+    # a chain to the one accepting state, with a loop on the way: live
+    # prefixes exist at every level, yet none is accepted within max_len
+    chain = Dfa(AB, 4, 0, {3}, {(0, 0): 1, (1, 0): 2, (1, 2): 1, (2, 0): 3}, "chain")
+    assert enumerate_language(chain, 2) == []
+    assert [str(w) for w in enumerate_language(chain, 3)] == ["a a a"]
+    assert [str(w) for w in enumerate_language(chain, 5)] == [
+        "a a a", "a b a a", "a b b a a"]
 
 
 def test_lazy_language_enumeration():
