@@ -1,8 +1,9 @@
 """Concrete vertex-group backends and subgroup contexts.
 
 A backend bundles the oracles everything downstream consumes: canonical
-(shortlex) forms, geodesic lengths, ball enumeration and an explicit canonical
-language.  A subgroup context adds membership, the coset decomposition
+(shortlex) forms and their keys, geodesic lengths and an explicit canonical
+language; balls come from certify.CayleyBall, a search over those keys.
+A subgroup context adds membership, the coset decomposition
 g = h * coset_rep(g), and a coset language whose only identity-coset
 representative is the empty word.
 
@@ -272,28 +273,6 @@ class AbelianBackend:
     def geodesic_length(self, w: Word) -> int:
         return sum(abs(r) for r in self.normalize(self.vec(w)))
 
-    def ball(self, radius: int) -> list[Word]:
-        vecs = []
-
-        def rec(i, budget, acc):
-            if i == self.n:
-                vecs.append(tuple(acc))
-                return
-            d = self.modulus(i)
-            lo, hi = -budget, budget
-            if d is not None:
-                lo = max(lo, -((d - 1) // 2))
-                hi = min(hi, d // 2)
-            for r in range(lo, hi + 1):
-                acc.append(r)
-                rec(i + 1, budget - abs(r), acc)
-                acc.pop()
-
-        rec(0, radius, [])
-        words = [self.serialize(v) for v in vecs]
-        words.sort(key=shortlex_key)
-        return words
-
     @property
     def canonical_language(self) -> Dfa:
         if self._canonical_language is None:
@@ -366,9 +345,15 @@ class SubgroupContext:
         return self.coset_rep(w).letters
 
 
+# coset language synthesis for non-independent subgroups: residual
+# signatures look DFA_WINDOW letters ahead, and the learned DFA is checked on
+# every collected word of up to DFA_HORIZON letters
+DFA_WINDOW = 8
+DFA_HORIZON = 24
+
+
 class AbelianSubgroup(SubgroupContext):
-    def __init__(self, parent: AbelianBackend, gen_words, gen_names=None,
-                 dfa_window: int = 8, dfa_horizon: int = 24):
+    def __init__(self, parent: AbelianBackend, gen_words, gen_names=None):
         super().__init__(parent, gen_words, gen_names)
         self.gen_vecs = [parent.vec(g) for g in gen_words]
         rows = list(self.gen_vecs)
@@ -382,9 +367,8 @@ class AbelianSubgroup(SubgroupContext):
         self._orders = self._image_orders()
         self._independent = self._images_independent()
         self._chosen_cache: dict[tuple, tuple] = {}
-        self._dfa_window = dfa_window
-        self._dfa_horizon = dfa_horizon
         self._language = None
+        self._as_group = None
 
     # image of e_i in parent/H
     def _image_orders(self):
@@ -429,9 +413,16 @@ class AbelianSubgroup(SubgroupContext):
         if x is None:
             # vec may differ from a lattice point by nothing: membership implies solvable
             raise BackendError(f"h_express on non-member {w}")
+        coeffs = x[: len(self.gen_words)]
+        if self._as_group is None:
+            self._as_group = AbelianSubgroupAsGroup(self)
+        if self._as_group.relations:
+            # the generators satisfy relations, so the lattice solution is one
+            # spelling of many: take the subgroup's own canonical one
+            coeffs = self._as_group.presentation.chosen(tuple(coeffs))
         letters = []
         alpha = self.gen_alphabet
-        for i, c in enumerate(x[: len(self.gen_words)]):
+        for i, c in enumerate(coeffs):
             p = alpha.index(alpha.generators[i])
             letters.extend([p if c > 0 else alpha.inv[p]] * abs(c))
         return Word(alpha, tuple(letters))
@@ -531,7 +522,6 @@ class AbelianSubgroup(SubgroupContext):
         result is verified against the oracle on every collected word up to
         the horizon and the construction fails loudly on any disagreement.
         """
-        W, H = self._dfa_window, self._dfa_horizon
         alpha = self.parent.alphabet
 
         def signature(letters):
@@ -539,7 +529,7 @@ class AbelianSubgroup(SubgroupContext):
             if not self.is_rep(word):
                 return None
             acc = []
-            for ext in self._collected_extensions(letters, W):
+            for ext in self._collected_extensions(letters, DFA_WINDOW):
                 if self.is_rep(Word(alpha, letters + ext)):
                     acc.append(ext)
             return frozenset(acc)
@@ -551,10 +541,10 @@ class AbelianSubgroup(SubgroupContext):
         qi = 0
         while qi < len(reps):
             u = reps[qi]
-            if len(u) >= H:
+            if len(u) >= DFA_HORIZON:
                 raise BackendError(
-                    "coset language synthesis exceeded its horizon; "
-                    "increase dfa_horizon/dfa_window")
+                    "coset language synthesis did not close within its "
+                    f"horizon of {DFA_HORIZON} letters")
             for ext in self._collected_extensions(u, 1):
                 if not ext:
                     continue
@@ -567,16 +557,17 @@ class AbelianSubgroup(SubgroupContext):
                 transitions[(qi, ext[0])] = states[sig]
             qi += 1
         dfa = fsa._trim(Dfa(alpha, len(reps), 0, set(range(len(reps))), transitions, "cosets"))
-        self._verify_dfa(dfa, H)
+        self._verify_dfa(dfa)
         return minimize(dfa)
 
-    def _verify_dfa(self, dfa: Dfa, horizon: int):
-        for ext in self._collected_extensions((), horizon):
+    def _verify_dfa(self, dfa: Dfa):
+        for ext in self._collected_extensions((), DFA_HORIZON):
             w = Word(self.parent.alphabet, ext)
             if dfa.accepts(w) != self.is_rep(w):
                 raise BackendError(
-                    f"synthesized coset DFA disagrees with the oracle at {w}; "
-                    "increase dfa_window")
+                    f"synthesized coset DFA disagrees with the oracle at {w}: "
+                    f"a lookahead window of {DFA_WINDOW} letters does not "
+                    "separate its states")
 
 
 def _is_collected(backend: AbelianBackend, w: Word) -> bool:
@@ -724,21 +715,6 @@ class FreeBackend:
     def geodesic_length(self, w: Word) -> int:
         return len(free_reduce(w))
 
-    def ball(self, radius: int) -> list[Word]:
-        out = [self.alphabet.empty()]
-        frontier = [()]
-        inv = self.alphabet.inv
-        for _ in range(radius):
-            nxt = []
-            for letters in frontier:
-                for x in range(len(self.alphabet)):
-                    if letters and inv[letters[-1]] == x:
-                        continue
-                    nxt.append(letters + (x,))
-            out.extend(Word(self.alphabet, ls) for ls in nxt)
-            frontier = nxt
-        return out
-
     @property
     def canonical_language(self) -> Dfa:
         if self._canonical_language is None:
@@ -826,8 +802,9 @@ class FreeCyclicSubgroup(SubgroupContext):
                 self._language = LazyLanguage(
                     self.parent.alphabet,
                     membership=lambda w: free_reduce(w) == w and self.coset_rep(w) == w,
-                    enumerator=lambda n: [w for w in self.parent.ball(n)
-                                          if self.coset_rep(w) == w],
+                    enumerator=lambda n: [
+                        w for w in fsa.enumerate_language(self.parent.canonical_language, n)
+                        if self.coset_rep(w) == w],
                     name="cosets")
         return self._language
 
@@ -841,6 +818,24 @@ def free_subgroup_cyclic(parent: FreeBackend, gen: Word, gen_names=None) -> Free
 
 
 # --- finite backend ----------------------------------------------------------
+
+def _table_bfs(table, steps) -> dict[int, tuple]:
+    """Shortlex-least word of every element reached from the identity 0 of a
+    multiplication table, by breadth-first search.  steps are (element,
+    letter) pairs in letter order; the letter moves e to table[e][element]."""
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g, letter in steps:
+                e2 = table[e][g]
+                if e2 not in words:
+                    words[e2] = words[e] + (letter,)
+                    nxt.append(e2)
+        frontier = nxt
+    return words
+
 
 class FiniteBackend:
     """Group given by a multiplication table; element 0 is the identity."""
@@ -878,18 +873,8 @@ class FiniteBackend:
             p = self.alphabet.index(nm)
             self._letter_elt[p] = self.gen_elts[nm]
             self._letter_elt[self.alphabet.inv[p]] = inv[self.gen_elts[nm]]
-        # shortlex-least word per element, by breadth-first search
-        self._canon: dict[int, tuple] = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for x in range(len(self.alphabet)):
-                    e2 = self.table[e][self._letter_elt[x]]
-                    if e2 not in self._canon:
-                        self._canon[e2] = self._canon[e] + (x,)
-                        nxt.append(e2)
-            frontier = nxt
+        self._canon = _table_bfs(
+            self.table, [(self._letter_elt[x], x) for x in range(len(self.alphabet))])
         if len(self._canon) != n:
             raise BackendError("declared generators do not generate the group")
         self.name = f"finite(order={n})"
@@ -910,11 +895,6 @@ class FiniteBackend:
     def geodesic_length(self, w: Word) -> int:
         return len(self._canon[self.eval(w)])
 
-    def ball(self, radius: int) -> list[Word]:
-        words = [Word(self.alphabet, ls) for ls in self._canon.values() if len(ls) <= radius]
-        words.sort(key=shortlex_key)
-        return words
-
     @property
     def canonical_language(self) -> Dfa:
         if self._canonical_language is None:
@@ -927,51 +907,29 @@ class FiniteBackend:
 class FiniteSubgroup(SubgroupContext):
     def __init__(self, parent: FiniteBackend, gens: Sequence[Word], gen_names=None):
         super().__init__(parent, gens, gen_names)
-        elts = {0}
-        frontier = [0]
-        gen_elts = [parent.eval(g) for g in gens]
-        step = gen_elts + [parent.inv_elt[e] for e in gen_elts]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in step:
-                    e2 = parent.table[e][g]
-                    if e2 not in elts:
-                        elts.add(e2)
-                        nxt.append(e2)
-            frontier = nxt
-        self.elements = frozenset(elts)
+        # words over the subgroup generators, by a search of H
+        ystep = []
+        for i, g in enumerate(self.gen_words):
+            p = self.gen_alphabet.index(self.gen_alphabet.generators[i])
+            e = parent.eval(g)
+            ystep.append((e, p))
+            if self.gen_alphabet.inv[p] != p:
+                ystep.append((parent.inv_elt[e], self.gen_alphabet.inv[p]))
+        self._yword = _table_bfs(parent.table, ystep)
+        self.elements = frozenset(self._yword)
         # right cosets Hg, representative = element with shortlex-least word
         self._coset_of = {}
         self._rep_word = {}
         for g in range(parent.order):
             if g in self._coset_of:
                 continue
-            coset = sorted(parent.table[h][g] for h in elts)
+            coset = sorted(parent.table[h][g] for h in self.elements)
             rep = min(coset, key=lambda e: shortlex_key(Word(parent.alphabet, parent._canon[e])))
             cid = len(self._rep_word)
             for e in coset:
                 self._coset_of[e] = cid
             self._rep_word[cid] = Word(parent.alphabet, parent._canon[rep])
         self._language = None
-        # words over the subgroup generators, by BFS in H
-        self._yword: dict[int, tuple] = {0: ()}
-        frontier = [0]
-        ystep = []
-        for i in range(len(self.gen_words)):
-            p = self.gen_alphabet.index(self.gen_alphabet.generators[i])
-            ystep.append((gen_elts[i], p))
-            if self.gen_alphabet.inv[p] != p:
-                ystep.append((parent.inv_elt[gen_elts[i]], self.gen_alphabet.inv[p]))
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g, letter in ystep:
-                    e2 = parent.table[e][g]
-                    if e2 not in self._yword:
-                        self._yword[e2] = self._yword[e] + (letter,)
-                        nxt.append(e2)
-            frontier = nxt
 
     def membership(self, w: Word) -> bool:
         return self.parent.eval(w) in self.elements

@@ -416,8 +416,9 @@ class Pi1System:
 
 
 class Pi1Backend:
-    """Group-backend facade over a Pi1System: canonical forms are Higgins
-    normal forms, balls come from breadth-first search with those keys."""
+    """Group-backend facade over a Pi1System: canonical forms and keys are
+    Higgins normal forms, memoized by word; a certify.CayleyBall over these
+    keys gives its balls."""
 
     def __init__(self, system: Pi1System, v0: Optional[str] = None):
         self.system = system
@@ -435,21 +436,6 @@ class Pi1Backend:
 
     def key(self, w: Word):
         return self.canonical(w).letters
-
-    def ball(self, radius: int) -> list[Word]:
-        seen = {self.key(self.alphabet.empty()): self.alphabet.empty()}
-        frontier = [self.alphabet.empty()]
-        for _ in range(radius):
-            nxt = []
-            for u in frontier:
-                for xl in range(len(self.alphabet)):
-                    w = Word(self.alphabet, u.letters + (xl,))
-                    k = self.key(w)
-                    if k not in seen:
-                        seen[k] = w
-                        nxt.append(w)
-            frontier = nxt
-        return list(seen.values())
 
     @property
     def canonical_language(self):

@@ -17,6 +17,7 @@ exact maximum, and escapes are found exactly as without the threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from .cosets import CosetSystem, WordMetric, check_limited_crossover, check_stability
@@ -39,7 +40,9 @@ class CayleyBall:
 
     It starts as the identity alone.  A lookup that misses adds whole
     breadth-first spheres until the key turns up or max_radius is reached;
-    len() and elements() first grow the ball to max_radius.  radius is the
+    len() and elements() first grow the ball to max_radius, and within(r) to
+    r.  Its words are each element's shortlex-least geodesic, in shortlex
+    order: the standard word acceptor's ball.  radius is the
     radius reached so far and dist holds exactly the depths 0..radius.  A
     level-by-level search finds the same first word for each element however
     far it runs, so no answer depends on how far the ball has grown.
@@ -82,13 +85,8 @@ class CayleyBall:
             edges.append(row)
         self.radius = d
 
-    def _complete(self):
-        while self.radius < self.max_radius:
-            self._grow()
-
     def __len__(self):
-        self._complete()
-        return len(self.words)
+        return len(self.elements())
 
     def index(self, w: Word) -> Optional[int]:
         return self.index_of_key(self.oracle.key(w))
@@ -103,8 +101,14 @@ class CayleyBall:
         return idx
 
     def elements(self) -> list[Word]:
-        self._complete()
-        return list(self.words)
+        return self.within(self.max_radius)
+
+    def within(self, r: int) -> list[Word]:
+        """The words at distance <= r, growing the ball to r only (never
+        past max_radius)."""
+        while self.radius < min(r, self.max_radius):
+            self._grow()
+        return self.words[:bisect_right(self.dist, r)]
 
     def distance(self, i: int, j: int) -> Optional[int]:
         """d(g_i, g_j), or None when g_i^-1 g_j falls outside the capped ball."""
@@ -594,11 +598,11 @@ def geodesic_coset_filter(sys: CosetSystem, radius: int) -> CosetSystem:
                               if len(w) == ctx.min_coset_length(w)],
         name="geodesic-filter")
     covered = {ctx.coset_key(w) for w in enumerate_language(filtered, radius)}
-    for g in ctx.parent.ball(radius):
+    for g in CayleyBall(ctx.parent, radius).elements():
         if ctx.coset_key(g) not in covered:
             raise HypothesisViolation(
                 f"geodesic filter misses the coset of {g} within radius {radius}")
-    return CosetSystem(ctx, filtered, sys.claimed_K, "sync")
+    return CosetSystem(ctx, filtered, mode="sync")
 
 
 class HypothesesReport:
@@ -690,7 +694,7 @@ def _sync_rows(gog, e, radius, ball):
     metric = WordMetric(parent, ctx.gen_words)
     fact_ok = True
     detail = "g = y_g z_g with |y_g| + |z_g| = |g|"
-    for g in parent.ball(radius):
+    for g in ball.within(radius):
         z = ctx.coset_rep(g)
         h = g * invert(z)
         hlen = metric.length(h, 4 * radius + 8)

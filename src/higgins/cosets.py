@@ -24,13 +24,11 @@ class VerifierError(ValueError):
 
 
 class CosetSystem:
-    def __init__(self, context, language=None, claimed_K: Optional[int] = None,
-                 mode: str = "async"):
+    def __init__(self, context, language=None, mode: str = "async"):
         if mode not in ("sync", "async"):
             raise VerifierError(f"mode must be sync or async, got {mode!r}")
         self.context = context
         self.language = language if language is not None else context.coset_language
-        self.claimed_K = claimed_K
         self.mode = mode
 
 
@@ -387,7 +385,7 @@ def prune_identity_coset(sys: CosetSystem) -> CosetSystem:
         pruned = minimize(union(
             intersect(lang, complement(members)),
             intersect(lang, single_word_dfa(empty))))
-        return CosetSystem(ctx, pruned, sys.claimed_K, sys.mode)
+        return CosetSystem(ctx, pruned, mode=sys.mode)
     accepts = lang.accepts
     membership = ctx.membership
     pruned = LazyLanguage(
@@ -396,4 +394,4 @@ def prune_identity_coset(sys: CosetSystem) -> CosetSystem:
         enumerator=lambda n: [w for w in enumerate_language(lang, n)
                               if len(w) == 0 or not membership(w)],
         name="pruned")
-    return CosetSystem(ctx, pruned, sys.claimed_K, sys.mode)
+    return CosetSystem(ctx, pruned, mode=sys.mode)

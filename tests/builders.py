@@ -77,8 +77,9 @@ def hnn_z2_system():
 #
 # abelian_pairs.gog and finite_s3.gog declare vertex groups but no graph; these
 # graphs put their torsion groups at the vertices.  In the HNN of Z^2 x Z/4
-# over <t> (t -> t^-1) two spellings of one element can give different
-# h_express words, and S3 *_{Z/2} S3 has finite vertex groups throughout.
+# over <t> (t -> t^-1) the edge generator has a relation (t^4 = 1), so
+# h_express must pick one spelling per element, and S3 *_{Z/2} S3 has finite
+# vertex groups throughout.
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 

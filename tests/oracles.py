@@ -8,8 +8,12 @@ against a second driver, the phase pipeline: pinch and cascade rounds over a
 materialized path word, repeated to a fixed point.  Generator maps (edge
 isomorphisms and subgroup inclusions) are checked against an image read off
 the letter names.  The fellow-traveller sweep, which finds each h on the
-Cayley graph, is checked against a sweep that builds and keys every h.
+Cayley graph, is checked against a sweep that builds and keys every h.  The
+Cayley ball, a breadth-first search, is checked against a sort of every word
+up to its radius, and a finite subgroup against a closure of its generators.
 """
+
+import itertools
 
 from higgins import certify
 from higgins.fsa import enumerate_language
@@ -84,6 +88,33 @@ def keyed_sweep(lang, oracle, radius, mode, ball, coset_key=None):
                     K = max(K, d)
     violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))
     return pairs, K, violations
+
+
+# --- balls and finite subgroups by brute force -------------------------------
+
+def brute_ball(oracle, radius: int) -> list[Word]:
+    """Every word of length <= radius grouped by the oracle's key, the
+    shortlex-least word of each group, listed in shortlex order."""
+    least: dict = {}
+    for n in range(radius + 1):
+        for letters in itertools.product(range(len(oracle.alphabet)), repeat=n):
+            w = Word(oracle.alphabet, letters)
+            k = oracle.key(w)
+            if k not in least or shortlex_key(w) < shortlex_key(least[k]):
+                least[k] = w
+    return sorted(least.values(), key=shortlex_key)
+
+
+def table_closure(table, gens) -> frozenset:
+    """The elements of a finite group table generated by gens: the identity
+    and gens, multiplied together until the set stops growing (closure under
+    products alone gives a subgroup in a finite group)."""
+    elts = {0, *gens}
+    while True:
+        more = {table[a][b] for a in elts for b in elts} - elts
+        if not more:
+            return frozenset(elts)
+        elts |= more
 
 
 # --- generator maps, letter by letter ----------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,8 +7,10 @@ from higgins.backends import (
     BackendError, abelian_backend, abelian_subgroup, finite_backend,
     finite_subgroup, free_backend, free_subgroup_cyclic, trivial_subgroup,
 )
+from higgins.certify import CayleyBall
 from higgins.fsa import enumerate_language
 from higgins.words import Word, all_words, free_reduce, invert
+from oracles import table_closure
 
 
 # --- brute-force oracles ------------------------------------------------------
@@ -92,8 +95,8 @@ def test_abelian_canonical_equals_brute_equality():
 
 def test_abelian_ball_count():
     G = abelian_backend(2)
-    assert len(G.ball(2)) == 13  # |{(a,b): |a|+|b| <= 2}|
-    ball = G.ball(3)
+    assert len(CayleyBall(G, 2).elements()) == 13  # |{(a,b): |a|+|b| <= 2}|
+    ball = CayleyBall(G, 3).elements()
     assert len(set(w.letters for w in ball)) == len(ball)
 
 
@@ -136,14 +139,18 @@ def test_abelian_membership_against_brute():
     gens = [G.alphabet.word("x1 x2 t t"), G.alphabet.word("x2 x2")]
     H = abelian_subgroup(G, gens)
     gen_vecs = [G.vec(g) for g in gens] + [(0, 0, 4)]
+    verdicts = {}  # by exponent vector: 259 words meet only 63 vectors
     for w in all_words(G.alphabet, 3):
-        assert H.membership(w) == brute_abelian_member(G, gen_vecs, G.vec(w)), str(w)
+        vec = G.vec(w)
+        if vec not in verdicts:
+            verdicts[vec] = brute_abelian_member(G, gen_vecs, vec)
+        assert H.membership(w) == verdicts[vec], str(w)
 
 
 def test_abelian_decomposition_identity():
     G = abelian_backend(2, [4], names=["x1", "x2", "t"])
     H = abelian_subgroup(G, [G.alphabet.word("x1 t")])
-    for w in G.ball(4):
+    for w in CayleyBall(G, 4).elements():
         rep = H.coset_rep(w)
         h = H.h_express(w * invert(rep))
         assert G.key(H.expand(h) * rep) == G.key(w)
@@ -152,11 +159,43 @@ def test_abelian_decomposition_identity():
             assert H.coset_rep(g * w) == rep
 
 
+@pytest.mark.parametrize("gens", ["t", "t t", "t; t t", "x1 t t; x2 t", "x1 x2; t; x2 t t"])
+def test_abelian_h_express_one_connector_per_element(gens):
+    # generators with relations spell an element many ways; every spelling
+    # must get one connector, a geodesic one over the generators
+    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
+    H = abelian_subgroup(G, [G.alphabet.word(g) for g in gens.split(";")])
+    rng = random.Random(11)
+    connector, shortest = {}, {}
+    for coeffs in itertools.product(range(-5, 6), repeat=len(H.gen_words)):
+        letters = []
+        for c, g in zip(coeffs, H.gen_words):
+            letters.extend((g if c > 0 else invert(g)).letters * abs(c))
+        rng.shuffle(letters)
+        w = Word(G.alphabet, tuple(letters))
+        k = G.key(w)
+        h = H.h_express(w)
+        assert G.key(H.expand(h)) == k
+        assert connector.setdefault(k, h) == h, f"{w}: {h} vs {connector[k]}"
+        shortest[k] = min(shortest.get(k, 99), sum(map(abs, coeffs)))
+    for k, h in connector.items():
+        if shortest[k] <= 5:
+            assert len(h) == shortest[k], str(h)
+
+
+def test_abelian_h_express_reduces_torsion_powers():
+    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
+    H = abelian_subgroup(G, [G.alphabet.word("t")])
+    assert str(H.h_express(G.alphabet.word("t t t t t"))) == "y1"
+    assert str(H.h_express(G.alphabet.word("t^-1 t^-1 t^-1"))) == "y1"
+    assert str(H.h_express(G.alphabet.word("t^-1 t^-1"))) == "y1 y1"
+
+
 def test_abelian_coset_rep_is_shortlex_least():
     G = abelian_backend(2)
     for gens in ([G.alphabet.word("x1 x2")], [G.alphabet.word("x1 x1 x2")]):
         H = abelian_subgroup(G, gens)
-        for w in G.ball(3):
+        for w in CayleyBall(G, 3).elements():
             rep = H.coset_rep(w)
             brute = brute_coset_rep(H, w, len(rep))
             assert brute == rep, f"{w} -> {rep} vs {brute}"
@@ -179,7 +218,7 @@ def test_abelian_coset_language_unique_reps():
         assert key not in seen
         seen[key] = w
     # every coset met in the radius-4 ball is covered
-    for w in G.ball(4):
+    for w in CayleyBall(G, 4).elements():
         assert H.lattice.key(G.vec(w)) in seen
 
 
@@ -188,6 +227,19 @@ def test_abelian_coset_language_geodesic():
     H = abelian_subgroup(G, [G.alphabet.word("x1 t")])
     for w in enumerate_language(H.coset_language, 6):
         assert len(w) == H.min_coset_length(w)
+
+
+@pytest.mark.parametrize("limit, value, message", [
+    ("DFA_HORIZON", 1, "horizon of 1 letters"),
+    ("DFA_WINDOW", 0, "window of 0 letters"),
+])
+def test_abelian_synthesis_errors_name_their_limit(monkeypatch, limit, value, message):
+    import higgins.backends
+    monkeypatch.setattr(higgins.backends, limit, value)
+    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
+    H = abelian_subgroup(G, [G.alphabet.word("x1 t")])
+    with pytest.raises(BackendError, match=message):
+        H.coset_language
 
 
 def test_abelian_rejects_bad_modulus():
@@ -212,7 +264,7 @@ def test_trivial_subgroup():
 def test_free_canonical_and_ball():
     F = free_backend(2)
     assert F.canonical(F.alphabet.word("a b b^-1")) == F.alphabet.word("a")
-    assert len(F.ball(2)) == 17  # 1 + 4 + 12
+    assert len(CayleyBall(F, 2).elements()) == 17  # 1 + 4 + 12
     dfa = F.canonical_language
     for w in all_words(F.alphabet, 4):
         assert dfa.accepts(w) == (free_reduce(w) == w)
@@ -238,7 +290,7 @@ def test_free_cyclic_rep_constant_and_least():
     F = free_backend(2)
     for gen in ("a", "a b", "a a"):
         H = free_subgroup_cyclic(F, F.alphabet.word(gen))
-        for w in F.ball(3):
+        for w in CayleyBall(F, 3).elements():
             rep = H.coset_rep(w)
             assert H.coset_rep(H.gen_words[0] * w) == rep
             assert H.coset_rep(invert(H.gen_words[0]) * w) == rep
@@ -258,6 +310,8 @@ def test_free_cyclic_language_agrees():
     for w in all_words(F.alphabet, 4):
         expected = free_reduce(w) == w and H2.coset_rep(w) == w
         assert lazy.accepts(w) == expected
+    assert enumerate_language(lazy, 4) == [w for w in all_words(F.alphabet, 4)
+                                           if lazy.accepts(w)]
 
 
 def test_free_cyclic_rejects_unreduced():
@@ -318,6 +372,22 @@ def test_finite_subgroup_language_and_h_express():
     for w in all_words(G.alphabet, 3):
         if H.membership(w):
             assert G.eval(H.expand(H.h_express(w))) == G.eval(w)
+
+
+def test_finite_subgroup_elements_are_the_closure():
+    _perms, s3 = s3_table()
+    c6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    cases = [(s3, {"r": 1, "s": 3}, ["", "s", "r", "r r", "s r", "s;r", "r s;s r"]),
+             (c6, {"g": 1}, ["", "g", "g g", "g g g", "g g;g g g", "g g g g"])]
+    for table, gens, subgroups in cases:
+        G = finite_backend(table, gens)
+        for spec in subgroups:
+            words = [G.alphabet.word(g) for g in spec.split(";") if g]
+            H = finite_subgroup(G, words)
+            assert H.elements == table_closure(table, [G.eval(w) for w in words]), spec
+            for e in H.elements:
+                member = Word(G.alphabet, G._canon[e])
+                assert G.eval(H.expand(H.h_express(member))) == e
 
 
 def test_finite_validation_errors():

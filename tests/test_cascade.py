@@ -296,10 +296,11 @@ def test_close_memo_is_independent_of_spelling_order(config):
                 assert sys.normal_form(w, v0) == pipeline_normal_form(
                     oracle_sys, w, ("group", v0)), f"{config}: {w} at {v0}"
         memos.append(sys._closes)
-    if config == "abelian_pairs.gog":
-        # the order decides which connector spelling a key keeps
-        first, second = memos
-        assert any(first[k] != second[k] for k in first.keys() & second.keys())
+    # h_express gives one connector per element, also over abelian_pairs'
+    # <t>, whose generator has a relation (t^4), so either order fills the
+    # memo alike
+    first, second = memos
+    assert first == second
 
 
 @pytest.mark.parametrize("config", MEMO_CONFIGS)

@@ -24,7 +24,7 @@ from higgins.cosets import CosetSystem
 from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.words import Word, all_words, invert, prefix
-from oracles import keyed_sweep
+from oracles import brute_ball, keyed_sweep
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -391,6 +391,37 @@ def test_lazy_ball_equals_complete_ball(name):
         _assert_levels(lazy)
     assert lazy.words == full.words[:len(lazy.words)]
     assert len(lazy) == n and lazy.words == full.words and lazy.dist == full.dist
+
+
+def _oracle_backend(name):
+    if name == "z2xz2":
+        return abelian_backend(1, [2], names=["x", "t"])
+    if name == "z2xz4":
+        return abelian_backend(2, [4], names=["x1", "x2", "t"])
+    if name == "f2":
+        return free_backend(2)
+    if name == "s3":
+        return load_config(config_path("finite_s3.gog")).groups["S"]
+    from higgins.cascade import Pi1Backend
+    return Pi1Backend(load_config(config_path("hnn_z2.gog")).system())
+
+
+@pytest.mark.parametrize("name", ["z2xz2", "z2xz4", "f2", "s3", "hnn"])
+def test_ball_equals_the_brute_force_ball(name):
+    # the ball is each element's shortlex-least geodesic, in shortlex order,
+    # at every radius and however far the ball has already grown
+    oracle = _oracle_backend(name)
+    cap = 3 if name == "hnn" else 4
+    brute = [brute_ball(oracle, r) for r in range(cap + 1)]
+    for r in range(cap + 1):
+        assert CayleyBall(oracle, r).elements() == brute[r]
+    grown = CayleyBall(oracle, cap)
+    for r in range(cap + 1):
+        assert grown.within(r) == brute[r]
+        assert grown.radius == r
+    for r in range(cap + 3):
+        assert grown.within(r) == brute[min(r, cap)]
+    assert grown.radius == cap
 
 
 def test_escape_beyond_the_cap_is_reported():

@@ -237,6 +237,20 @@ def test_cmd_certify_snapshots(capsys):
     code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
                         "--what", "coset", "--system", "mixed", "--radius", "6")
     assert code == 0 and out == snapshot("certify_mixed_r6.txt")
+    # the sync-factorization rows name the first failing g of the ball, so
+    # this pins the ball's order
+    code, out = run_cli(capsys, "certify", cfg("trefoil_amalgam.gog"),
+                        "--what", "hypotheses", "--radius", "3", "--sync")
+    assert code == 1 and out == snapshot("hypotheses_trefoil_r3_sync.txt")
+    code, out = run_cli(capsys, "certify", cfg("hnn_z2.gog"),
+                        "--what", "hypotheses", "--radius", "3", "--sync")
+    assert code == 0 and out == snapshot("hypotheses_hnn_r3_sync.txt")
+    code, out = run_cli(capsys, "certify", cfg("hnn_z2.gog"), "--what", "sync-filter",
+                        "--system", "edge-cosets", "--radius", "3")
+    assert code == 0 and out == snapshot("sync_filter_hnn_r3.txt")
+    code, out = run_cli(capsys, "certify", cfg("finite_s3.gog"), "--what", "sync-filter",
+                        "--system", "s3-cosets", "--radius", "4")
+    assert code == 0 and out == snapshot("sync_filter_s3_r4.txt")
 
 
 def test_cmd_certify_automatic(capsys):
