@@ -3,6 +3,9 @@
 A backend bundles the oracles everything downstream consumes: canonical
 (shortlex) forms and their keys, geodesic lengths and an explicit canonical
 language; balls come from certify.CayleyBall, a search over those keys.
+A vertex backend's key of a word is also the element the cascade scan
+carries: identity(), prepend(x, e) and append(e, x) give the elements of
+x*e and e*x in O(1) or O(head), and element_word(e) gives e's canonical word.
 A subgroup context adds membership, the coset decomposition
 g = h * coset_rep(g), and a coset language whose only identity-coset
 representative is the empty word.
@@ -232,13 +235,12 @@ class AbelianBackend:
             self._letter_vec[self.pos[i]] = (i, 1)
             if self.neg[i] != self.pos[i]:
                 self._letter_vec[self.neg[i]] = (i, -1)
+        self._moduli = (None,) * rank + self.torsion
         self.name = f"abelian(rank={rank}, torsion={list(torsion)})"
         self._canonical_language = None
 
     def modulus(self, i: int) -> Optional[int]:
-        if i < self.rank:
-            return None
-        return self.torsion[i - self.rank]
+        return self._moduli[i]
 
     def vec(self, w: Word):
         v = [0] * self.n
@@ -272,6 +274,29 @@ class AbelianBackend:
 
     def geodesic_length(self, w: Word) -> int:
         return sum(abs(r) for r in self.normalize(self.vec(w)))
+
+    # elements: the normalized exponent vector, which is key(w)
+
+    def identity(self) -> tuple:
+        return (0,) * self.n
+
+    def prepend(self, x: int, vec: tuple) -> tuple:
+        """The element of x * vec: one coordinate moves and is renormalized."""
+        i, s = self._letter_vec[x]
+        r = vec[i] + s
+        d = self._moduli[i]
+        if d is not None:
+            r %= d
+            if 2 * r > d:
+                r -= d
+        return vec[:i] + (r,) + vec[i + 1:]
+
+    def append(self, vec: tuple, x: int) -> tuple:
+        """The element of vec * x, which is x * vec."""
+        return self.prepend(x, vec)
+
+    def element_word(self, vec: tuple) -> Word:
+        return self.serialize(vec)
 
     @property
     def canonical_language(self) -> Dfa:
@@ -703,6 +728,7 @@ class FreeBackend:
                 names = [chr(ord("a") + i) for i in range(rank)]
         self.rank = rank
         self.alphabet = Alphabet(names)
+        self._inv = self.alphabet.inv
         self.name = f"free(rank={rank})"
         self._canonical_language = None
 
@@ -714,6 +740,26 @@ class FreeBackend:
 
     def geodesic_length(self, w: Word) -> int:
         return len(free_reduce(w))
+
+    # elements: the freely reduced letter tuple, which is key(w)
+
+    def identity(self) -> tuple:
+        return ()
+
+    def prepend(self, x: int, letters: tuple) -> tuple:
+        """The element of x * letters: x cancels against the head or joins it."""
+        if letters and letters[0] == self._inv[x]:
+            return letters[1:]
+        return (x,) + letters
+
+    def append(self, letters: tuple, x: int) -> tuple:
+        """The element of letters * x: x cancels against the end or joins it."""
+        if letters and letters[-1] == self._inv[x]:
+            return letters[:-1]
+        return letters + (x,)
+
+    def element_word(self, letters: tuple) -> Word:
+        return Word(self.alphabet, letters)
 
     @property
     def canonical_language(self) -> Dfa:
@@ -873,6 +919,8 @@ class FiniteBackend:
             p = self.alphabet.index(nm)
             self._letter_elt[p] = self.gen_elts[nm]
             self._letter_elt[self.alphabet.inv[p]] = inv[self.gen_elts[nm]]
+        # row x of the table, indexed by e, is the element of x * e
+        self._prepend_row = {x: self.table[g] for x, g in self._letter_elt.items()}
         self._canon = _table_bfs(
             self.table, [(self._letter_elt[x], x) for x in range(len(self.alphabet))])
         if len(self._canon) != n:
@@ -894,6 +942,22 @@ class FiniteBackend:
 
     def geodesic_length(self, w: Word) -> int:
         return len(self._canon[self.eval(w)])
+
+    # elements: the table index, which is key(w)
+
+    def identity(self) -> int:
+        return 0
+
+    def prepend(self, x: int, e: int) -> int:
+        """The element of x * e, one table lookup."""
+        return self._prepend_row[x][e]
+
+    def append(self, e: int, x: int) -> int:
+        """The element of e * x, one table lookup."""
+        return self.table[e][self._letter_elt[x]]
+
+    def element_word(self, e: int) -> Word:
+        return Word(self.alphabet, self._canon[e])
 
     @property
     def canonical_language(self) -> Dfa:

@@ -10,16 +10,20 @@ normal form, because every component language has unique representatives.
 
 Pi1System.scan_word computes every normal form: it consumes letters right to
 left and closes each segment into its coset language as the segment ends, so
-suffix state can be shared across a word tree, and it memoizes each close by
-edge and vertex element.  The phase pipeline (parse_alternating, pinch_reduce,
-cascade) materializes one round with the connector trace that `nf --trace`
-prints; higgins_membership and Pi1EdgeSubgroup.h_express parse with it.
+suffix state can be shared across a word tree.  The scan state is (vertex,
+element, tail): the open segment is carried as its element in the vertex
+backend, updated per letter by backend.prepend, so no segment is ever keyed
+again.  Each close is memoized by edge and that element, together with the
+element of the carry it sends left; a group-based finalize reads the base
+element's canonical word, memoized by vertex and element.  The phase pipeline
+(parse_alternating, pinch_reduce, cascade) materializes one round with the
+connector trace that `nf --trace` prints; higgins_membership and
+Pi1EdgeSubgroup.h_express parse with it.
 """
 
 from __future__ import annotations
 
 
-from itertools import chain
 from typing import Optional
 
 from .fsa import Dfa, LazyLanguage
@@ -94,7 +98,20 @@ class Pi1System:
         self.alphabets = StableAlphabets(gog, self.tree)
         self.alphabet = self.alphabets.deflated
         self._tree_paths = {}
-        self._closes = {}  # (edge name, vertex key) -> (rep, connector, deflated step)
+        # (edge name, vertex element) -> (rep letters, carry element,
+        # deflated step); see _close_chain
+        self._closes = {}
+        # (vertex, element) -> working letters of the element's canonical word
+        self._heads = {}
+        # working letter -> (vertex, backend letter, backend.prepend), or
+        # (None, Edge, None) for a stable letter
+        self._scan_letters = {}
+        for xl, kind in self.alphabets.kind_x.items():
+            if kind[0] == "v":
+                _, v, bl = kind
+                self._scan_letters[xl] = (v, bl, gog.backend(v).prepend)
+            else:
+                self._scan_letters[xl] = (None, kind[1], None)
 
     def tree_path(self, u: str, v: str):
         key = (u, v)
@@ -328,85 +345,88 @@ class Pi1System:
 
     # -- incremental right-to-left driver --------------------------------------
 
-    # A scan state is (vertex, active, suffix, tail).  The tail holds the
+    # A scan state is (vertex, element, tail): the open segment's vertex and
+    # its element in that vertex's backend (backend.key of the segment's
+    # letters, updated by backend.prepend per letter).  The tail holds the
     # closed segments, leftmost on top, as nodes (edge, rep letters, node
     # below, deflated letters of the step); _BOTTOM ends it.
 
     def scan_initial(self):
-        return (None, (), (), _BOTTOM)
+        return (None, None, _BOTTOM)
 
-    def _close_chain(self, edges, carry, tail):
-        """Close the open segment (letters `carry`) at the last edge of
+    def _close_chain(self, edges, elem, tail):
+        """Close the open segment (element `elem`) at the last edge of
         `edges`, then the empty segments at the earlier ones, connectors
-        flowing left.  Returns the carry entering the next segment (at the
-        source of edges[0]) and the updated tail.
+        flowing left.  Returns the element of the carry entering the next
+        segment (at the source of edges[0]) and the updated tail.
 
         A close's coset rep and connector (seg rep^-1 mapped across the edge)
         are only needed up to the element seg represents, so _closes keeps
-        them, with the step's deflated letters, per (edge, vertex element)."""
+        them, with the carry's element and the step's deflated letters, per
+        (edge, vertex element)."""
         closes = self._closes
         for e in reversed(edges):
-            ctx = self.gog.ctx(e)
-            seg = Word(ctx.parent.alphabet, carry)
-            k = (e.name, ctx.parent.key(seg))
+            k = (e.name, elem)
             hit = closes.get(k)
             if hit is None:
+                ctx = self.gog.ctx(e)
+                seg = ctx.parent.element_word(elem)
                 rep = ctx.coset_rep(seg)
                 img = self.gog.ctx(e.reverse).expand(
                     self.gog.apply_iso(e, ctx.h_express(seg * invert(rep))))
                 step = self.alphabets.vertex_word_to_x(e.dst, rep)
                 if not self.tree.contains(e):
                     step = (self.alphabets.edge_to_x[e.name],) + step
-                hit = closes[k] = (rep.letters, img.letters, step)
-            rep, carry, step = hit
+                hit = closes[k] = (rep.letters, self.gog.backend(e.src).key(img), step)
+            rep, elem, step = hit
             if not rep and tail[0] is e.reverse:  # backtrack: join the segment beyond
-                carry += tail[1]
+                append = self.gog.backend(e.src).append
+                for y in tail[1]:
+                    elem = append(elem, y)
                 tail = tail[2]
             else:
                 tail = (e, rep, tail, step)
-        return carry, tail
+        return elem, tail
 
     def scan_prepend(self, state, xl: int):
         """Prepend one working-alphabet letter to the suffix state."""
-        vertex, active, suffix, tail = state
-        k = self.alphabets.kind_x[xl]
-        if k[0] == "v":
-            _, v, bl = k
-            if vertex is None:
-                return (v, (bl,), (), tail)
-            if v == vertex:
-                return (vertex, (bl,) + active, suffix, tail)
-            carry, tail = self._close_chain(
-                self.tree_path(v, vertex), active + suffix, tail)
-            return (v, (bl,), carry, tail)
-        f = k[1]
+        vertex, elem, tail = state
+        v, bl, prepend = self._scan_letters[xl]
+        if prepend is not None:
+            if v != vertex:
+                if vertex is None:
+                    elem = self.gog.backend(v).identity()
+                else:
+                    elem, tail = self._close_chain(self.tree_path(v, vertex), elem, tail)
+            return (v, prepend(bl, elem), tail)
+        f = bl
         if vertex is None:
-            vertex, active, suffix = f.dst, (), ()
-        if vertex != f.dst:
-            carry, tail = self._close_chain(
-                self.tree_path(f.dst, vertex), active + suffix, tail)
-            active, suffix, vertex = (), carry, f.dst
-        carry, tail = self._close_chain((f,), active + suffix, tail)
-        return (f.src, (), carry, tail)
+            vertex, elem = f.dst, self.gog.backend(f.dst).identity()
+        elem, tail = self._close_chain((f,) + self.tree_path(f.dst, vertex), elem, tail)
+        return (f.src, elem, tail)
 
     def scan_finalize(self, state, base) -> Word:
         kind, anchor = base
         base_vertex = anchor if kind == "group" else anchor.dst
-        vertex, active, suffix, tail = state
-        if vertex is None:
-            vertex, active, suffix = base_vertex, (), ()
-        seg0 = active + suffix
-        if vertex != base_vertex:
-            seg0, tail = self._close_chain(
-                self.tree_path(base_vertex, vertex), seg0, tail)
+        vertex, elem, tail = state
         backend = self.gog.backend(base_vertex)
-        w0 = Word(backend.alphabet, seg0)
-        u0 = backend.canonical(w0) if kind == "group" else self.gog.ctx(anchor).coset_rep(w0)
-        parts = [self.alphabets.vertex_word_to_x(base_vertex, u0)]
+        if vertex is None:
+            elem = backend.identity()
+        elif vertex != base_vertex:
+            elem, tail = self._close_chain(self.tree_path(base_vertex, vertex), elem, tail)
+        if kind == "group":
+            head = self._heads.get((base_vertex, elem))
+            if head is None:
+                head = self._heads[(base_vertex, elem)] = self.alphabets.vertex_word_to_x(
+                    base_vertex, backend.element_word(elem))
+        else:
+            head = self.alphabets.vertex_word_to_x(
+                base_vertex, self.gog.ctx(anchor).coset_rep(backend.element_word(elem)))
+        letters = list(head)
         while tail is not _BOTTOM:
-            parts.append(tail[3])
+            letters += tail[3]
             tail = tail[2]
-        return Word(self.alphabet, tuple(chain.from_iterable(parts)))
+        return Word(self.alphabet, tuple(letters))
 
     def scan_word(self, w: Word, base) -> Word:
         state = self.scan_initial()

@@ -49,6 +49,13 @@ def cmd_validate(args) -> int:
     return PASS
 
 
+def _base_vertex(system, name):
+    v0 = name or system.tree.root
+    if v0 not in system.gog.graph.vertices:
+        raise ConfigError(0, f"unknown vertex {v0!r}")
+    return v0
+
+
 def cmd_nf(args) -> int:
     config = load_config(args.config)
     system = config.system()
@@ -60,9 +67,7 @@ def cmd_nf(args) -> int:
         base = ("coset", edge)
         nf = system.coset_normal_form(word, edge)
     else:
-        v0 = args.base or system.tree.root
-        if v0 not in system.gog.graph.vertices:
-            raise ConfigError(0, f"unknown vertex {v0!r}")
+        v0 = _base_vertex(system, args.base)
         base = ("group", v0)
         nf = system.normal_form(word, v0)
     _emit(str(nf))
@@ -83,7 +88,7 @@ def cmd_enum(args) -> int:
     else:
         system = config.system()
         if args.language == "higgins":
-            base = ("group", args.base or system.tree.root)
+            base = ("group", _base_vertex(system, args.base))
         else:
             ename = args.coset_edge or sorted(system.gog.graph.edges)[0]
             edge = system.gog.graph.edges.get(ename)
@@ -188,6 +193,18 @@ def cmd_fsa(args) -> int:
     return PASS
 
 
+def _size(text: str) -> int:
+    """argparse type of a radius or length: an int >= 0.  A negative size
+    would make a sweep over nothing and so a pass that checks nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="higgins",
@@ -211,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--language", choices=("higgins", "coset", "component"),
                    default="higgins")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_size, default=4)
     p.add_argument("--base")
     p.add_argument("--coset-edge")
     p.add_argument("--component")
@@ -222,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--what", choices=("coset", "automatic", "hypotheses", "sync-filter"),
                    required=True)
-    p.add_argument("--radius", type=int, default=4)
+    p.add_argument("--radius", type=_size, default=4)
     p.add_argument("--system", help="name of a declared coset system")
     p.add_argument("--sync", action="store_true",
                    help="include the synchronous hypothesis rows")
@@ -230,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a built-in experiment")
     p.add_argument("name", choices=("trefoil",))
-    p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--lambda-max", type=int, default=3)
+    p.add_argument("--radius", type=_size, default=4)
+    p.add_argument("--lambda-max", type=_size, default=3)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("fsa", help="operate on automaton files")
     p.add_argument("op", choices=("min", "concat", "intersect", "enum"))
     p.add_argument("files", nargs="+")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_size, default=4)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fsa)
     return parser

@@ -412,3 +412,29 @@ def test_backend_canonical_idempotent_across_backends():
             assert G.geodesic_length(c) == len(c)
             v = G.alphabet.word(str(G.alphabet.letter(G.alphabet.names[0])))
             assert G.canonical(w * v * invert(v)) == c
+
+
+@pytest.mark.parametrize("name", ["Z2xZ/4", "ZxZ/2", "F2", "S3"])
+def test_prepend_and_append_fold_to_the_key(name):
+    """The scan's element of a word, built by prepending its letters right to
+    left from the identity, is the backend's key of the word, and so is the
+    fold of append left to right; the element's word is the word's canonical
+    form."""
+    _perms, s3 = s3_table()
+    G = {"Z2xZ/4": lambda: abelian_backend(2, [4]),
+         "ZxZ/2": lambda: abelian_backend(1, [2]),  # t is self-inverse
+         "F2": lambda: free_backend(2),
+         "S3": lambda: finite_backend(s3, {"r": 1, "s": 3})}[name]()
+    rng = random.Random(7)
+    m = len(G.alphabet)
+    for _ in range(300):
+        w = Word(G.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(25))))
+        e = G.identity()
+        for x in reversed(w.letters):
+            e = G.prepend(x, e)
+        assert e == G.key(w), w
+        assert G.element_word(e) == G.canonical(w), w
+        e = G.identity()
+        for x in w.letters:
+            e = G.append(e, x)
+        assert e == G.key(w), w

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from higgins.cli import main
+from higgins.cli import build_parser, main
 from higgins.config import ConfigError, derive_reverse_iso, load_config, parse_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -307,6 +307,33 @@ def test_cmd_fsa_bad_file(capsys, tmp_path):
     bad.write_text("dfa x\nalphabet a a^-1\nstates 1 begin 0\n")
     code = main(["fsa", "min", str(bad)])
     assert code == 2
+
+
+def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
+    code = main(["enum", cfg("hnn_z2.gog"), "--base", "nope", "--max-len", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "error: unknown vertex 'nope'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "hnn_z2.gog", "--what", "coset", "--system", "edge-cosets", "--radius"],
+    ["certify", "trefoil_amalgam.gog", "--what", "hypotheses", "--radius"],
+    ["enum", "hnn_z2.gog", "--max-len"],
+    ["fsa", "enum", "hnn_z2.gog", "--max-len"],
+    ["experiment", "trefoil", "--radius"],
+    ["experiment", "trefoil", "--lambda-max"],
+], ids=" ".join)
+def test_negative_size_is_a_usage_error(capsys, argv):
+    # a negative radius or length sweeps nothing, so it may not pass
+    argv = [cfg(a) if a.endswith(".gog") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {argv[-1]}: must be >= 0, got -1" in captured.err
+    dest = argv[-1].lstrip("-").replace("-", "_")
+    assert getattr(build_parser().parse_args(argv + ["0"]), dest) == 0
 
 
 def test_cmd_certify_radius_zero_trivial_pass(capsys):
