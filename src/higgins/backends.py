@@ -11,12 +11,15 @@ g = h * coset_rep(g), and a coset language whose only identity-coset
 representative is the empty word.
 
 Abelian groups are handled in exponent space: the subgroup plus the torsion
-relations span an integer lattice, and Smith reduction of that lattice gives
-exact quotient keys, membership, and minimal coset representatives.
+relations span an integer lattice, and one Smith decomposition
+U M V = diag(d) of that lattice answers every question asked of it: quotient
+keys (hence membership and minimal coset representatives), the relations
+among the generators, and the coordinates h_express reads off a member.
 """
 
 from __future__ import annotations
 
+import math
 
 from typing import Optional, Sequence
 
@@ -34,10 +37,11 @@ class BackendError(ValueError):
 def smith_normal_form(rows):
     """Return (d, V, U) for the lattice spanned by `rows` in Z^n.
 
-    d is the list of diagonal entries (zeros trimmed), V the unimodular
-    column transform and U the unimodular row transform with U M V = diag(d).
-    V drives quotient keys; the rows of U beyond the rank span the left
-    integer nullspace of M.
+    d is the list of diagonal entries, all positive (zeros trimmed), V the
+    unimodular column transform and U the unimodular row transform with
+    U M V = diag(d) exactly.  V is returned transposed: V[c] is column c, so
+    (vec V)_c = sum_k vec[k] * V[c][k].  V drives quotient keys and solve;
+    the rows of U beyond the rank span the left integer nullspace of M.
     """
     rows = [list(r) for r in rows]
     n = len(rows[0]) if rows else 0
@@ -99,23 +103,23 @@ def smith_normal_form(rows):
                     done = False
             if done:
                 break
-        diag.append(abs(a[t][t]))
+        if a[t][t] < 0:  # row t is zero off the pivot, so this only flips it
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        diag.append(a[t][t])
         t += 1
     # note: divisibility chain is not enforced; quotient keys only need a
     # diagonal presentation, not the canonical one
     return diag, v, u
 
-# transposed-V note: v[c] is the c-th column transform row; key computation
-# multiplies the vector by V on the right, i.e. w_c = sum_k vec[k] * V[k][c].
-# We store v as v[c][k] above (columns as rows), so w_c = sum vec[k]*v[c][k].
-
 
 class IntLattice:
-    """Sublattice of Z^n with exact membership and quotient keys."""
+    """Sublattice of Z^n spanned by the rows of M: quotient keys, integer
+    solutions of x M = vec and the relations among the rows, all read off
+    one Smith decomposition."""
 
     def __init__(self, rows, n):
         self.n = n
-        self.rows = [tuple(r) for r in rows]
         if rows:
             self.diag, self.v, self.u = smith_normal_form(rows)
         else:
@@ -133,65 +137,28 @@ class IntLattice:
         for c in range(self.n):
             col = self.v[c]
             w = sum(vec[k] * col[k] for k in range(self.n))
-            if c < len(self.diag) and self.diag[c] != 0:
+            if c < len(self.diag):
                 out.append(w % self.diag[c])
             else:
                 out.append(w)
         return tuple(out)
 
-    def contains(self, vec) -> bool:
-        return self.key(vec) == self.key((0,) * self.n)
+    def solve(self, vec) -> Optional[list[int]]:
+        """Integer x with x M = vec, or None when vec is off the lattice.
 
-    def solve(self, rows, vec) -> Optional[list[int]]:
-        """Integer x with sum_i x_i rows[i] = vec, or None.
-
-        Plain fraction-free row reduction over the row space; desk scale.
-        """
-        m = len(rows)
-        n = self.n
-        # augmented: work on transpose system rows^T x^T = vec^T
-        aug = [[rows[i][j] for i in range(m)] + [vec[j]] for j in range(n)]
-        pivots = []
-        r = 0
-        for c in range(m):
-            prow = None
-            for i in range(r, n):
-                if aug[i][c] != 0 and (prow is None or abs(aug[i][c]) < abs(aug[prow][c])):
-                    prow = i
-            if prow is None:
-                continue
-            aug[r], aug[prow] = aug[prow], aug[r]
-            # clear column c below and above by gcd steps
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    if i != r and aug[i][c] != 0:
-                        q = aug[i][c] // aug[r][c]
-                        aug[i] = [x - q * y for x, y in zip(aug[i], aug[r])]
-                        if aug[i][c] != 0:
-                            aug[r], aug[i] = aug[i], aug[r]
-                            changed = True
-            pivots.append((r, c))
-            r += 1
-        x = [0] * m
-        for i, c in pivots:
-            num = aug[i][-1]
-            for j in range(m):
-                if j != c:
-                    num -= aug[i][j] * x[j]
-            piv = aug[i][c]
-            if num % piv != 0:
+        With U M V = D, the diag(d) padded with zeros, x M = vec exactly
+        when y D = vec V for y = x U^-1: (vec V)_c must be divisible by d_c
+        below the rank and zero past it, and then x = y U with
+        y_c = (vec V)_c / d_c (and y_c = 0 past the rank)."""
+        x = [0] * len(self.u)
+        for c in range(self.n):
+            col = self.v[c]
+            w = sum(vec[k] * col[k] for k in range(self.n))
+            y, r = divmod(w, self.diag[c]) if c < len(self.diag) else (0, w)
+            if r:
                 return None
-            x[c] = num // piv
-        # consistency on non-pivot rows
-        for i in range(r, n):
-            val = aug[i][-1] - sum(aug[i][j] * x[j] for j in range(m))
-            if val != 0:
-                return None
-        for j in range(n):
-            if sum(x[i] * rows[i][j] for i in range(m)) != vec[j]:
-                return None
+            if y:
+                x = [xi + y * ui for xi, ui in zip(x, self.u[c])]
         return x
 
 
@@ -395,27 +362,23 @@ class AbelianSubgroup(SubgroupContext):
         self._language = None
         self._as_group = None
 
-    # image of e_i in parent/H
     def _image_orders(self):
+        """Order of the image of each generator e_i in parent/H, None when
+        infinite, read off the key of e_i: coordinate c is a residue mod d_c
+        below the rank and free past it."""
+        n = self.parent.n
+        diag = self.lattice.diag
         orders = []
-        for i in range(self.parent.n):
-            e = tuple(1 if j == i else 0 for j in range(self.parent.n))
-            col = [sum(e[k] * self.lattice.v[c][k] for k in range(self.parent.n))
-                   for c in range(self.parent.n)]
+        for i in range(n):
+            key = self.lattice.key(tuple(1 if j == i else 0 for j in range(n)))
+            if any(key[len(diag):]):
+                orders.append(None)
+                continue
             ord_i = 1
-            infinite = False
-            for c in range(self.parent.n):
-                w = col[c]
-                if c < len(self.lattice.diag) and self.lattice.diag[c] != 0:
-                    d = self.lattice.diag[c]
-                    w %= d
-                    if w:
-                        step = d // _gcd(w, d)
-                        ord_i = _lcm(ord_i, step)
-                else:
-                    if w != 0:
-                        infinite = True
-            orders.append(None if infinite else ord_i)
+            for w, d in zip(key, diag):
+                if w:
+                    ord_i = math.lcm(ord_i, d // math.gcd(w, d))
+            orders.append(ord_i)
         return orders
 
     def _images_independent(self):
@@ -434,9 +397,8 @@ class AbelianSubgroup(SubgroupContext):
 
     def h_express(self, w: Word) -> Word:
         vec = self.parent.vec(w)
-        x = self.lattice.solve(self._rows, list(vec))
+        x = self.lattice.solve(vec)
         if x is None:
-            # vec may differ from a lattice point by nothing: membership implies solvable
             raise BackendError(f"h_express on non-member {w}")
         coeffs = x[: len(self.gen_words)]
         if self._as_group is None:
@@ -621,16 +583,6 @@ def _sphere(n, m):
             yield (head,) + rest
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a, b):
-    return a // _gcd(a, b) * b if a and b else 0
-
-
 def abelian_backend(rank: int, torsion: Sequence[int] = (), names=None) -> AbelianBackend:
     return AbelianBackend(rank, torsion, names)
 
@@ -647,39 +599,18 @@ class AbelianSubgroupAsGroup:
     """
 
     def __init__(self, ctx: "AbelianSubgroup"):
-        parent = ctx.parent
         k = len(ctx.gen_words)
-        torsion_rows = []
-        for i in range(parent.n):
-            d = parent.modulus(i)
-            if d is not None:
-                torsion_rows.append(tuple(d if j == i else 0 for j in range(parent.n)))
-        stacked = IntLattice([list(v) for v in ctx.gen_vecs] + torsion_rows, parent.n)
-        relations = []
-        for row in stacked.left_nullspace():
-            c = row[:k]
-            if any(c):
-                relations.append(c)
+        # ctx's lattice stacks the generators over the torsion rows
+        relations = [row[:k] for row in ctx.lattice.left_nullspace() if any(row[:k])]
         names = list(ctx.gen_alphabet.generators)
         self.backend = AbelianBackend(k, names=names) if k else AbelianBackend(0, names=[])
         self.relations = [self.backend.serialize(c) for c in relations]
         self.presentation = AbelianSubgroup(self.backend, self.relations)
-        self.ctx = ctx
-
-    @property
-    def alphabet(self):
-        return self.backend.alphabet
 
     @property
     def shortlex_language(self):
         """Unique shortlex representatives of the subgroup over its generators."""
         return self.presentation.coset_language
-
-    def key(self, yword: Word):
-        return self.presentation.lattice.key(self.backend.vec(yword))
-
-    def canonical(self, yword: Word) -> Word:
-        return self.presentation.coset_rep(yword)
 
 
 def abelian_subgroup(parent: AbelianBackend, gens: Sequence[Word], gen_names=None) -> AbelianSubgroup:

@@ -15,10 +15,11 @@ element, tail): the open segment is carried as its element in the vertex
 backend, updated per letter by backend.prepend, so no segment is ever keyed
 again.  Each close is memoized by edge and that element, together with the
 element of the carry it sends left; a group-based finalize reads the base
-element's canonical word, memoized by vertex and element.  The phase pipeline
-(parse_alternating, pinch_reduce, cascade) materializes one round with the
-connector trace that `nf --trace` prints; higgins_membership and
-Pi1EdgeSubgroup.h_express parse with it.
+element's canonical word, memoized by vertex and element.  Membership in a
+Higgins (coset) language is scan_word(w, base) == w, and Pi1System.language
+pairs that predicate with the product automaton where one exists.  The phase
+pipeline (parse_alternating, pinch_reduce, cascade) stays only behind
+`nf --trace`: it materializes one round with the connector trace printed.
 """
 
 from __future__ import annotations
@@ -233,26 +234,22 @@ class Pi1System:
     def word_problem(self, w1: Word, w2: Word, v0: Optional[str] = None) -> bool:
         return self.normal_form(w1, v0) == self.normal_form(w2, v0)
 
-    # -- membership and the language automaton --------------------------------
+    # -- the language and its automaton ----------------------------------------
 
-    def higgins_membership(self, w: Word, base) -> bool:
-        kind, anchor = base
-        base_vertex = anchor if kind == "group" else anchor.dst
-        iw = self.parse_alternating(self.alphabets.inflate(w, base_vertex), base_vertex)
-        if kind == "group":
-            if self.gog.backend(base_vertex).canonical(iw.u0) != iw.u0:
-                return False
-        else:
-            if self.gog.ctx(anchor).coset_rep(iw.u0) != iw.u0:
-                return False
-        for i, (e, u) in enumerate(iw.path):
-            if self.gog.ctx(e).coset_rep(u) != u:
-                return False
-            if i + 1 < len(iw.path) and iw.path[i + 1][0] is e.reverse and len(u) == 0:
-                return False
-        if iw.path and self.tree.contains(iw.path[-1][0]) and len(iw.path[-1][1]) == 0:
-            return False
-        return True
+    def language(self, base) -> LazyLanguage:
+        """The Higgins language at base ("group", v0), or the coset language
+        at ("coset", e0): the words that are their own normal form.  Its dfa
+        is higgins_automaton(base), or None when some component language has
+        no explicit automaton."""
+        try:
+            dfa = self.higgins_automaton(base)
+        except GogError:
+            dfa = None
+        return LazyLanguage(
+            self.alphabet,
+            membership=lambda w: self.scan_word(w, base) == w,
+            dfa=dfa,
+            name="higgins" if base[0] == "group" else "higgins-cosets")
 
     def _component_dfa(self, base) -> Dfa:
         kind, anchor = base
@@ -263,7 +260,8 @@ class Pi1System:
         if isinstance(lang, LazyLanguage):
             lang = lang.dfa
         if not isinstance(lang, Dfa):
-            raise GogError("component language has no explicit automaton")
+            raise GogError(f"{kind} {getattr(anchor, 'name', anchor)}: "
+                           "component language has no explicit automaton")
         return lang
 
     def higgins_automaton(self, base) -> Dfa:
@@ -277,14 +275,8 @@ class Pi1System:
         kind, anchor = base
         base_vertex = anchor if kind == "group" else anchor.dst
         base_dfa = self._component_dfa(base)
-        edge_dfas = {}
-        for name in self.gog.graph.edges:
-            lang = self.gog.ctx(self.gog.graph.edges[name]).coset_language
-            if isinstance(lang, LazyLanguage):
-                lang = lang.dfa
-            if not isinstance(lang, Dfa):
-                raise GogError(f"edge {name}: coset language has no explicit automaton")
-            edge_dfas[name] = lang
+        edge_dfas = {name: self._component_dfa(("coset", e))
+                     for name, e in self.gog.graph.edges.items()}
 
         def comp(marker):
             return base_dfa if marker is None else edge_dfas[marker.name]
@@ -459,10 +451,7 @@ class Pi1Backend:
 
     @property
     def canonical_language(self):
-        return LazyLanguage(
-            self.alphabet,
-            membership=lambda w: self.system.higgins_membership(w, ("group", self.v0)),
-            name="higgins")
+        return self.system.language(("group", self.v0))
 
 
 class Pi1EdgeSubgroup:
@@ -497,25 +486,18 @@ class Pi1EdgeSubgroup:
         return len(self.coset_rep(w)) == 0
 
     def h_express(self, w: Word) -> Word:
-        # a member reduces, inside the vertex backend, to an edge-group element
-        nf = self.parent.canonical(w)
-        iw = self.system.parse_alternating(
-            self.system.alphabets.inflate(nf, self.e0.dst), self.e0.dst)
-        if iw.path or not self._edge_ctx.membership(iw.u0):
-            raise GogError(f"h_express on non-member {w}")
-        return self._edge_ctx.h_express(iw.u0)
+        # a member's normal form is a word of the vertex group at e0.dst
+        v0, alphabets = self.e0.dst, self.system.alphabets
+        kinds = [alphabets.kind_x[xl] for xl in self.parent.canonical(w).letters]
+        if all(k[:2] == ("v", v0) for k in kinds):
+            u = alphabets.to_vertex_word(v0, [k[2] for k in kinds])
+            if self._edge_ctx.membership(u):
+                return self._edge_ctx.h_express(u)
+        raise GogError(f"h_express on non-member {w}")
 
     def min_coset_length(self, w: Word) -> int:
         return len(self.coset_rep(w))
 
     @property
     def coset_language(self):
-        try:
-            dfa = self.system.higgins_automaton(("coset", self.e0))
-        except GogError:
-            dfa = None
-        return LazyLanguage(
-            self.system.alphabet,
-            membership=lambda w: self.system.higgins_membership(w, ("coset", self.e0)),
-            dfa=dfa,
-            name="higgins-cosets")
+        return self.system.language(("coset", self.e0))

@@ -33,6 +33,10 @@ class HypothesisViolation(ValueError):
 
 
 BALL_MARGIN = 6  # a radius-R sweep measures distances in a ball of radius R + BALL_MARGIN
+# the hypotheses report tries stability constants mu and crossover constants
+# lambda from 1 up to these
+HYPOTHESES_MU_MAX = 3
+HYPOTHESES_LAMBDA_MAX = 3
 
 
 class CayleyBall:
@@ -626,8 +630,7 @@ class HypothesesReport:
         return "\n".join(self.lines())
 
 
-def combination_hypotheses_report(gog, radius: int, lambda_max: int = 3,
-                                  mu_max: int = 3, sync: bool = False) -> HypothesesReport:
+def combination_hypotheses_report(gog, radius: int, sync: bool = False) -> HypothesesReport:
     """Check, per edge, the hypotheses of the combination pipeline: coset
     automaticity of the vertex pair, stability of the edge isomorphism, and
     crossover against every edge with the same target; sync mode adds the
@@ -645,25 +648,26 @@ def combination_hypotheses_report(gog, radius: int, lambda_max: int = 3,
                      f"K={cert.K_observed} pairs={cert.pairs_tested}"))
         rctx = gog.ctx(e.reverse)
         best_mu = None
-        for mu in range(1, mu_max + 1):
+        for mu in range(1, HYPOTHESES_MU_MAX + 1):
             rep = check_stability(gog.edge_iso[e.name], ctx, rctx, mu, radius)
             if rep.passed:
                 best_mu = mu
                 break
         rows.append((f"stability({e.name})", best_mu is not None,
-                     f"mu={best_mu}" if best_mu else f"no mu <= {mu_max}"))
+                     f"mu={best_mu}" if best_mu else f"no mu <= {HYPOTHESES_MU_MAX}"))
         for f in edges:
             if f.dst != e.dst:
                 continue
             best_lam = None
-            for lam in range(1, lambda_max + 1):
+            for lam in range(1, HYPOTHESES_LAMBDA_MAX + 1):
                 rep = check_limited_crossover(
                     sysd, Y=ctx.gen_words, Z=gog.ctx(f).gen_words, lam=lam, radius=radius)
                 if rep.passed:
                     best_lam = lam
                     break
             rows.append((f"crossover({e.name},{f.name})", best_lam is not None,
-                         f"lambda={best_lam}" if best_lam else f"no lambda <= {lambda_max}"))
+                         f"lambda={best_lam}" if best_lam
+                         else f"no lambda <= {HYPOTHESES_LAMBDA_MAX}"))
         if sync:
             rows.extend(_sync_rows(gog, e, radius, balls[e.dst]))
     return HypothesesReport(radius, rows)

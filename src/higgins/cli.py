@@ -19,7 +19,6 @@ import sys
 
 from . import fsa
 from .backends import AbelianSubgroupAsGroup, AbelianSubgroup, BackendError
-from .cascade import Pi1EdgeSubgroup
 from .certify import (
     certify_automatic, certify_coset_system, combination_hypotheses_report,
     geodesic_coset_filter, concat_structure, HypothesisViolation,
@@ -95,14 +94,7 @@ def cmd_enum(args) -> int:
             if edge is None:
                 raise ConfigError(0, f"unknown edge {ename!r}")
             base = ("coset", edge)
-        try:
-            lang = system.higgins_automaton(base)
-        except GogError:
-            backend_like = (system.gog.backend(base[1]) if base[0] == "group"
-                            else Pi1EdgeSubgroup(system, base[1]))
-            lang = (backend_like.canonical_language if base[0] == "group"
-                    else backend_like.coset_language)
-        words = enumerate_language(lang, args.max_len)
+        words = enumerate_language(system.language(base), args.max_len)
     for w in words:
         _emit(str(w))
     if args.check_unique:

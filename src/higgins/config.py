@@ -222,10 +222,13 @@ def _parse_iso(lineno, text, src_ctx, dst_ctx):
     return out
 
 
-def derive_reverse_iso(src_ctx, dst_ctx, images, depth: int = 10):
+REVERSE_ISO_DEPTH = 10  # longest source word the reverse-iso search tries
+
+
+def derive_reverse_iso(src_ctx, dst_ctx, images):
     """Invert a generator-level isomorphism by breadth-first search over the
-    source subgroup: for each target generator find a source word whose image
-    matches it."""
+    source subgroup: for each target generator find a source word of at most
+    REVERSE_ISO_DEPTH letters whose image matches it."""
     parent_dst = dst_ctx.parent
     iso = WordMap(src_ctx.gen_alphabet, images, dst_ctx.gen_alphabet)
 
@@ -239,7 +242,7 @@ def derive_reverse_iso(src_ctx, dst_ctx, images, depth: int = 10):
     frontier = [empty]
     if image_key(empty) in targets:
         found[targets[image_key(empty)]] = empty
-    for _ in range(depth):
+    for _ in range(REVERSE_ISO_DEPTH):
         if len(found) == len(dst_ctx.gen_words):
             break
         nxt = []

@@ -17,6 +17,10 @@ from .fsa import Dfa, LazyLanguage, enumerate_language
 from .words import Word, WordMap, invert, shortlex_key
 
 WITNESS_LIMIT = 100
+# a crossover's h = u g v^-1 is looked for in <Y> up to length
+# LENGTH_CAP_PER_STEP * (radius + lambda) + LENGTH_CAP_MARGIN
+LENGTH_CAP_PER_STEP = 4
+LENGTH_CAP_MARGIN = 8
 
 
 class VerifierError(ValueError):
@@ -184,22 +188,22 @@ def _check_generates(metric: WordMetric, ctx, radius: int):
 
 def check_limited_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None,
                             Z: Optional[Sequence[Word]] = None, lam: int = 1,
-                            radius: int = 4, length_cap: Optional[int] = None) -> CrossoverReport:
+                            radius: int = 4) -> CrossoverReport:
     """Exhaustively test |u g v^-1|_Y <= lambda for u in the language with
     |u| <= radius, g in <Z> with |g|_Z <= lambda, and v the representative of
     the coset of u g."""
-    return _crossover(sys, Y, Z, lam, radius, length_cap, maximal=False)
+    return _crossover(sys, Y, Z, lam, radius, maximal=False)
 
 
 def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None,
                             Z: Optional[Sequence[Word]] = None, lam: int = 1,
-                            radius: int = 4, length_cap: Optional[int] = None) -> CrossoverReport:
+                            radius: int = 4) -> CrossoverReport:
     """Like limited crossover but g ranges over all of <Z> with |g|_Z <= radius
     and u is restricted to non-subgroup representatives."""
-    return _crossover(sys, Y, Z, lam, radius, length_cap, maximal=True)
+    return _crossover(sys, Y, Z, lam, radius, maximal=True)
 
 
-def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, length_cap, maximal: bool):
+def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
     """The crossover sweep behind both checks.  Y and Z left at the context's
     generators take their lengths from the context's y_coords, when it has
     one, instead of a breadth-first search."""
@@ -213,7 +217,7 @@ def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, length_cap, maxima
     _check_generates(y_metric, ctx, radius)
     z_metric = WordMetric(parent, Z, coords=z_coords)
     gs = z_metric.elements_within(radius if maximal else lam)
-    cap = length_cap if length_cap is not None else 4 * (radius + lam) + 8
+    cap = LENGTH_CAP_PER_STEP * (radius + lam) + LENGTH_CAP_MARGIN
     witnesses = []
     swept = 0
     for u in enumerate_language(sys.language, radius):

@@ -64,8 +64,8 @@ class TrefoilXYBackend:
     """Word-problem oracle for the trefoil group over its own generators:
     keys are amalgam normal forms of the expanded words."""
 
-    def __init__(self, system: Optional[Pi1System] = None):
-        self.system = system if system is not None else trefoil_system()
+    def __init__(self):
+        self.system = trefoil_system()
         self.pi1 = Pi1Backend(self.system, "va")
         self.alphabet = Alphabet(["x", "y"])
         ab = self.pi1.alphabet
@@ -153,8 +153,8 @@ class TrefoilCentralizerContext:
     2(r + lambda), so the cap must dominate that.
     """
 
-    def __init__(self, system: Optional[Pi1System] = None, syllable_cap: int = 24):
-        self.parent = TrefoilXYBackend(system)
+    def __init__(self, syllable_cap: int = 24):
+        self.parent = TrefoilXYBackend()
         alpha = self.parent.alphabet
         self._letter_syl = {alpha.index(nm): syl for nm, syl in _LETTER_SYL.items()}
         self._letter_exp = {alpha.index(nm): -1 if nm.endswith("^-1") else 1

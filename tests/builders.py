@@ -106,14 +106,53 @@ edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
 }
 
 
+# --- regression configs ------------------------------------------------------------
+#
+# Whole configs for shapes the shipped ones lack, each pinned after a crash or
+# a wrong answer: Z *_Z Z over <a^2, a^3>, whose edge generators are
+# dependent (h_express used to reject members), and the HNN extension of F2
+# over <a b>, whose edge coset language has no automaton (enum used to list
+# the vertex group's words instead).
+
+REGRESSION_GRAPHS = {
+    "dependent_amalgam.gog": """
+[group A] kind=abelian rank=1 names=a
+[group B] kind=abelian rank=1 names=b
+[subgroup H in A]
+generators=a a; a a a
+[subgroup K in B]
+generators=b b; b b b
+[graph]
+vertices=va:A,vb:B
+edge e: vb -> va subgroup=H reverse_subgroup=K iso=y1->y1; y2->y2
+""",
+    "hnn_f2.gog": """
+[group F] kind=free rank=2 names=a,b
+[subgroup H in F]
+generators=a b
+[subgroup Hr in F]
+generators=a b
+[graph]
+vertices=v:F
+edge f: v -> v subgroup=H reverse_subgroup=Hr iso=y1->y1
+""",
+}
+
+# the configs the normal-form law tests run on: shipped first, then regressions
+LAW_CONFIGS = sorted(SHIPPED_GRAPHS) + sorted(REGRESSION_GRAPHS)
+
+
 def shipped_config(name):
     """A fresh parse of a shipped config, with the graph above added where
-    the config has none."""
+    the config has none, or of a regression config."""
+    if name in REGRESSION_GRAPHS:
+        return parse_config(REGRESSION_GRAPHS[name])
     with open(os.path.join(CONFIGS, name)) as fh:
         text = fh.read()
     return parse_config(text + SHIPPED_GRAPHS[name], base_dir=CONFIGS)
 
 
 def shipped_system(name):
-    """A fresh Pi1System for a shipped config (see shipped_config)."""
+    """A fresh Pi1System for a shipped or regression config (see
+    shipped_config)."""
     return shipped_config(name).system()

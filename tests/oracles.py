@@ -5,7 +5,9 @@ the cascade machinery: the Artin braid action on a free group for the trefoil
 amalgam, syllable reduction for free products, and direct-product splitting
 for the HNN of Z^2 over a central generator.  The normal-form scan is checked
 against a second driver, the phase pipeline: pinch and cascade rounds over a
-materialized path word, repeated to a fixed point.  Generator maps (edge
+materialized path word, repeated to a fixed point.  Membership in a Higgins
+language, nf(w) == w in the package, is checked against a parse of w into
+its path word, segment by segment.  Generator maps (edge
 isomorphisms and subgroup inclusions) are checked against an image read off
 the letter names.  The fellow-traveller sweep, which finds each h on the
 Cayley graph, is checked against a sweep that builds and keys every h.  The
@@ -46,6 +48,31 @@ def pipeline_normal_form(system, w: Word, base) -> Word:
             return deflate_inflated(system, iw)
         iw = out
     raise AssertionError(f"cascade failed to reach a fixed point on {w}")
+
+
+def higgins_membership(system, w: Word, base) -> bool:
+    """Is w in the Higgins (coset) language at base?  Parse w into its path
+    word and check each segment: the base segment canonical (or a coset
+    representative of e0), every later one a coset representative, no empty
+    segment between a stable letter and its inverse, and no empty segment
+    after a final tree edge."""
+    kind, anchor = base
+    base_vertex = anchor if kind == "group" else anchor.dst
+    iw = system.parse_alternating(system.alphabets.inflate(w, base_vertex), base_vertex)
+    if kind == "group":
+        if system.gog.backend(base_vertex).canonical(iw.u0) != iw.u0:
+            return False
+    else:
+        if system.gog.ctx(anchor).coset_rep(iw.u0) != iw.u0:
+            return False
+    for i, (e, u) in enumerate(iw.path):
+        if system.gog.ctx(e).coset_rep(u) != u:
+            return False
+        if i + 1 < len(iw.path) and iw.path[i + 1][0] is e.reverse and len(u) == 0:
+            return False
+    if iw.path and system.tree.contains(iw.path[-1][0]) and len(iw.path[-1][1]) == 0:
+        return False
+    return True
 
 
 # --- the fellow sweep with every h keyed -------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from higgins.backends import (
-    BackendError, abelian_backend, abelian_subgroup, finite_backend,
+    BackendError, IntLattice, abelian_backend, abelian_subgroup, finite_backend,
     finite_subgroup, free_backend, free_subgroup_cyclic, trivial_subgroup,
 )
 from higgins.certify import CayleyBall
@@ -189,6 +189,50 @@ def test_abelian_h_express_reduces_torsion_powers():
     assert str(H.h_express(G.alphabet.word("t t t t t"))) == "y1"
     assert str(H.h_express(G.alphabet.word("t^-1 t^-1 t^-1"))) == "y1"
     assert str(H.h_express(G.alphabet.word("t^-1 t^-1"))) == "y1 y1"
+
+
+@pytest.mark.parametrize("rank, torsion, gens", [
+    (1, [], "x1 x1; x1 x1 x1"),
+    (1, [], "x1; x1 x1"),
+    (2, [4], "x1 t; t t"),
+], ids=["z-squares-cubes", "z-one-two", "z2-z4-mixed"])
+def test_abelian_h_express_dependent_generators(rank, torsion, gens):
+    # the generators satisfy relations among themselves; h_express must still
+    # answer every member, with an h that expands to the member's element
+    G = abelian_backend(rank, torsion)
+    H = abelian_subgroup(G, [G.alphabet.word(g) for g in gens.split(";")])
+    members = [w for w in CayleyBall(G, 6).elements() if H.membership(w)]
+    assert len(members) > 5
+    for w in members:
+        assert G.key(H.expand(H.h_express(w))) == G.key(w), str(w)
+    for w in CayleyBall(G, 3).elements():
+        if not H.membership(w):
+            with pytest.raises(BackendError):
+                H.h_express(w)
+
+
+def test_lattice_solve_reads_the_smith_decomposition():
+    """U M V = diag(d) with every d > 0, and solve(v) gives an x with
+    x M = v exactly when v's key is the lattice's zero key."""
+    rng = random.Random(21)
+    for _ in range(80):
+        m, n = rng.randint(1, 4), rng.randint(1, 3)
+        M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        L = IntLattice(M, n)
+        d, Vt, U = L.diag, L.v, L.u  # Vt[c] is column c of V
+        assert all(x > 0 for x in d)
+        for i in range(m):
+            for j in range(n):
+                entry = sum(U[i][k] * M[k][l] * Vt[j][l] for k in range(m) for l in range(n))
+                assert entry == (d[i] if i == j and i < len(d) else 0), (M, i, j)
+        zero = L.key((0,) * n)
+        for v in itertools.product(range(-3, 4), repeat=n):
+            x = L.solve(v)
+            if L.key(v) == zero:
+                assert x is not None, (M, v)
+                assert [sum(x[i] * M[i][j] for i in range(m)) for j in range(n)] == list(v)
+            else:
+                assert x is None, (M, v)
 
 
 def test_abelian_coset_rep_is_shortlex_least():

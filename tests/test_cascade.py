@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from builders import SHIPPED_GRAPHS, hnn_z2_system, shipped_system, trefoil_system, zz_system
+from builders import LAW_CONFIGS, hnn_z2_system, shipped_system, trefoil_system, zz_system
 from oracles import (
-    A_AUT, B_AUT, IDENT, aut_compose, hnn_z2_key, pipeline_normal_form, syllables,
-    trefoil_key, trefoil_letter_table, zz_vertex_table,
+    A_AUT, B_AUT, IDENT, aut_compose, higgins_membership, hnn_z2_key,
+    pipeline_normal_form, syllables, trefoil_key, trefoil_letter_table, zz_vertex_table,
 )
 from higgins.cascade import ParseError, Pi1EdgeSubgroup
 from higgins.fsa import enumerate_language
+from higgins.gog import GogError
 from higgins.words import Word, all_words, invert
 
 
@@ -119,7 +120,7 @@ def test_normal_form_idempotent_and_member():
             w = Word(sys.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(9))))
             nf = sys.normal_form(w)
             assert sys.normal_form(nf) == nf
-            assert sys.higgins_membership(nf, base)
+            assert higgins_membership(sys, nf, base)
 
 
 def test_cascade_fixed_point_on_higgins_words():
@@ -216,7 +217,7 @@ def _random_word(rng, sys, lo, hi):
 
 def test_scan_matches_pipeline_random_long():
     rng = random.Random(11)
-    for config in sorted(SHIPPED_GRAPHS):
+    for config in LAW_CONFIGS:
         sys = shipped_system(config)
         edges = [sys.gog.graph.edges[name] for name in sorted(sys.gog.graph.edges)]
         for _ in range(150):
@@ -227,7 +228,7 @@ def test_scan_matches_pipeline_random_long():
                     sys, w, ("coset", e0)), f"{config}: {w} at {e0.name}"
 
 
-@pytest.mark.parametrize("config", sorted(SHIPPED_GRAPHS))
+@pytest.mark.parametrize("config", LAW_CONFIGS)
 def test_normal_form_laws(config):
     """nf(nf w) = nf w, nf(u v) = nf(nf u . nf v) and nf(w w^-1) = 1 at every
     base vertex."""
@@ -240,6 +241,38 @@ def test_normal_form_laws(config):
             assert sys.normal_form(nu, v0) == nu
             assert sys.normal_form(u * v, v0) == sys.normal_form(nu * nv, v0)
             assert sys.normal_form(u * invert(u), v0) == sys.alphabet.empty()
+
+
+@pytest.mark.parametrize("config", LAW_CONFIGS)
+def test_language_membership_matches_the_parse_oracle(config):
+    """At every base, the language (nf(w) == w) and its automaton, where it
+    has one, accept exactly the words the parse-based oracle accepts; every
+    edge's h_express gives back a member's element and rejects non-members."""
+    rng = random.Random(14)
+    sys = shipped_system(config)
+    words = list(all_words(sys.alphabet, 2)) + [_random_word(rng, sys, 3, 9) for _ in range(60)]
+    bases = [("group", v) for v in sys.gog.graph.vertices] + [
+        ("coset", sys.gog.graph.edges[name]) for name in sorted(sys.gog.graph.edges)]
+    for base in bases:
+        lang = sys.language(base)
+        for w in words + [sys.scan_word(w, base) for w in words]:
+            want = higgins_membership(sys, w, base)
+            assert lang.accepts(w) == want, f"{config}: {w} at {base}"
+            if lang.dfa is not None:
+                assert lang.dfa.accepts(w) == want, f"{config}: {w} at {base}"
+    for name in sorted(sys.gog.graph.edges):
+        H = Pi1EdgeSubgroup(sys, sys.gog.graph.edges[name])
+        m = len(H.gen_alphabet)
+        for _ in range(40):
+            n = rng.randrange(6) if m else 0
+            h = Word(H.gen_alphabet, tuple(rng.randrange(m) for _ in range(n)))
+            x = rng.randrange(len(sys.alphabet))
+            w = Word(sys.alphabet, (x, sys.alphabet.inv[x])) * H.expand(h)
+            assert H.parent.key(H.expand(H.h_express(w))) == H.parent.key(w), f"{name}: {w}"
+        for w in words:
+            if not H.membership(w):
+                with pytest.raises(GogError):
+                    H.h_express(w)
 
 
 # --- the close memo -----------------------------------------------------------------
@@ -333,16 +366,16 @@ def test_close_memo_has_one_entry_per_closed_element(config):
 
 def test_membership_examples():
     base = ("group", "va")
-    assert TREFOIL.higgins_membership(TREFOIL.word(""), base)
-    assert TREFOIL.higgins_membership(TREFOIL.normal_form(TREFOIL.word("a b a b")), base)
-    assert not TREFOIL.higgins_membership(TREFOIL.word("b b b"), base)  # = a^2 at base
+    assert higgins_membership(TREFOIL, TREFOIL.word(""), base)
+    assert higgins_membership(TREFOIL, TREFOIL.normal_form(TREFOIL.word("a b a b")), base)
+    assert not higgins_membership(TREFOIL, TREFOIL.word("b b b"), base)  # = a^2 at base
 
 
 def test_membership_rejects_pinchable_stable_pair():
     base = ("group", "v")
-    assert not HNN.higgins_membership(HNN.word("s_f s_f^-1"), base)
-    assert not HNN.higgins_membership(HNN.word("s_f x1 s_f^-1"), base)  # x1 in the edge group
-    assert HNN.higgins_membership(HNN.word("s_f x2 s_f^-1"), base)
+    assert not higgins_membership(HNN, HNN.word("s_f s_f^-1"), base)
+    assert not higgins_membership(HNN, HNN.word("s_f x1 s_f^-1"), base)  # x1 in the edge group
+    assert higgins_membership(HNN, HNN.word("s_f x2 s_f^-1"), base)
 
 
 def test_higgins_automaton_group_language():
@@ -350,7 +383,7 @@ def test_higgins_automaton_group_language():
         base = ("group", sys.tree.root)
         dfa = sys.higgins_automaton(base)
         want = {w.letters for w in all_words(sys.alphabet, n)
-                if sys.higgins_membership(w, base)}
+                if higgins_membership(sys, w, base)}
         got = {w.letters for w in enumerate_language(dfa, n)}
         assert got == want
 
@@ -360,7 +393,7 @@ def test_higgins_automaton_coset_language():
     e0 = sys.gog.graph.edges["e"]
     dfa = sys.higgins_automaton(("coset", e0))
     want = {w.letters for w in all_words(sys.alphabet, 5)
-            if sys.higgins_membership(w, ("coset", e0))}
+            if higgins_membership(sys, w, ("coset", e0))}
     got = {w.letters for w in enumerate_language(dfa, 5)}
     assert got == want
 
@@ -370,7 +403,7 @@ def test_higgins_automaton_hnn():
     e0 = sys.gog.graph.edges["f"]
     dfa = sys.higgins_automaton(("coset", e0))
     want = {w.letters for w in all_words(sys.alphabet, 4)
-            if sys.higgins_membership(w, ("coset", e0))}
+            if higgins_membership(sys, w, ("coset", e0))}
     got = {w.letters for w in enumerate_language(dfa, 4)}
     assert got == want
 

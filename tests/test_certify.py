@@ -313,7 +313,7 @@ def test_hypotheses_report_unstable_iso():
         },
     )
     assert gog.validate() == []
-    report = combination_hypotheses_report(gog, radius=3, mu_max=3)
+    report = combination_hypotheses_report(gog, radius=3)
     rows = {n: ok for n, ok, _d in report.rows}
     assert rows["stability(e)"] is False
     assert not report.passed

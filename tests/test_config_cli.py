@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from builders import REGRESSION_GRAPHS
 from higgins.cli import build_parser, main
 from higgins.config import ConfigError, derive_reverse_iso, load_config, parse_config
 
@@ -199,6 +200,32 @@ def test_cmd_enum_higgins_unique(capsys):
     assert code == 0
     assert "unique" in out
     assert out.splitlines()[0] == "ε"
+
+
+def _regression_config(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(REGRESSION_GRAPHS[name])
+    return str(path)
+
+
+def test_cmd_nf_dependent_edge_generators(capsys, tmp_path):
+    # the edge group <a^2, a^3> is all of <a>, so b a = a a; the old solver
+    # rejected a as a non-member and the run exited 2
+    code, out = run_cli(capsys, "nf", _regression_config(tmp_path, "dependent_amalgam.gog"),
+                        "--word", "b a")
+    assert code == 0
+    assert out == "a a\n"
+
+
+def test_cmd_enum_lists_stable_letters_without_an_automaton(capsys, tmp_path):
+    # the edge coset language of <a b> in F2 has no automaton; the language is
+    # still that of Pi1, stable letters included, not the vertex group's
+    code, out = run_cli(capsys, "enum", _regression_config(tmp_path, "hnn_f2.gog"),
+                        "--max-len", "2", "--check-unique")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-1] == f"unique {len(lines) - 1} words"
+    assert any("s_f" in line for line in lines[:-1])
 
 
 def test_cmd_enum_component(capsys):
