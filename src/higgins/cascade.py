@@ -12,14 +12,19 @@ Pi1System.scan_word computes every normal form: it consumes letters right to
 left and closes each segment into its coset language as the segment ends, so
 suffix state can be shared across a word tree.  The scan state is (vertex,
 element, tail): the open segment is carried as its element in the vertex
-backend, updated per letter by backend.prepend, so no segment is ever keyed
-again.  Each close is memoized by edge and that element, together with the
-element of the carry it sends left; a group-based finalize reads the base
-element's canonical word, memoized by vertex and element.  Membership in a
-Higgins (coset) language is scan_word(w, base) == w, and Pi1System.language
-pairs that predicate with the product automaton where one exists.  The phase
-pipeline (parse_alternating, pinch_reduce, cascade) stays only behind
-`nf --trace`: it materializes one round with the connector trace printed.
+backend, so no segment is ever keyed again.  One loop, Pi1System._scan, reads
+every letter.  A letter of the open vertex costs one backend.prepend; a letter
+that leaves it costs one probe of a memo keyed by (letter, vertex, element),
+whose entry holds the whole switch: the closed edge and its step, the carry,
+the element the new segment opens with.  A miss, and any route of two or more
+tree edges, closes through _close_chain, which memoizes each close by edge and
+element with the element of the carry it sends left; a group-based finalize
+reads the base element's canonical word, memoized by vertex and element.
+Membership in a Higgins (coset) language is scan_word(w, base) == w, and
+Pi1System.language pairs that predicate with the product automaton where one
+exists.  The phase pipeline (parse_alternating, pinch_reduce, cascade) stays
+only behind `nf --trace`: it materializes one round with the connector trace
+printed.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ from .words import Word, WordMap, invert
 
 
 _BOTTOM = (None, (), None, ())
+
+
+def _pass(_x, elem):  # a stable letter's prepend: the carry opens the segment
+    return elem
 
 
 class ParseError(ValueError):
@@ -104,15 +113,17 @@ class Pi1System:
         self._closes = {}
         # (vertex, element) -> working letters of the element's canonical word
         self._heads = {}
+        # (letter, open vertex, element) -> a one-edge switch; see _scan
+        self._switches = {}
         # working letter -> (vertex, backend letter, backend.prepend), or
-        # (None, Edge, None) for a stable letter
+        # (Edge, None, _pass) for a stable letter
         self._scan_letters = {}
         for xl, kind in self.alphabets.kind_x.items():
             if kind[0] == "v":
                 _, v, bl = kind
                 self._scan_letters[xl] = (v, bl, gog.backend(v).prepend)
             else:
-                self._scan_letters[xl] = (None, kind[1], None)
+                self._scan_letters[xl] = (kind[1], None, _pass)
 
     def tree_path(self, u: str, v: str):
         key = (u, v)
@@ -341,7 +352,12 @@ class Pi1System:
     # its element in that vertex's backend (backend.key of the segment's
     # letters, updated by backend.prepend per letter).  The tail holds the
     # closed segments, leftmost on top, as nodes (edge, rep letters, node
-    # below, deflated letters of the step); _BOTTOM ends it.
+    # below, deflated letters of the step); _BOTTOM ends it.  _switches maps
+    # (letter, vertex, element), for a letter that leaves the vertex along one
+    # edge e, to (e, e.reverse if the rep is empty else False, rep letters,
+    # step, new vertex, carry, carry with the letter prepended, e.src's
+    # backend.append): a hit pushes the node, or joins the segment below
+    # into the carry when that node is e.reverse's.
 
     def scan_initial(self):
         return (None, None, _BOTTOM)
@@ -350,7 +366,8 @@ class Pi1System:
         """Close the open segment (element `elem`) at the last edge of
         `edges`, then the empty segments at the earlier ones, connectors
         flowing left.  Returns the element of the carry entering the next
-        segment (at the source of edges[0]) and the updated tail.
+        segment (at the source of edges[0]), the updated tail, and the close
+        made at edges[0].
 
         A close's coset rep and connector (seg rep^-1 mapped across the edge)
         are only needed up to the element seg represents, so _closes keeps
@@ -378,24 +395,58 @@ class Pi1System:
                 tail = tail[2]
             else:
                 tail = (e, rep, tail, step)
-        return elem, tail
+        return elem, tail, hit
+
+    def _scan(self, state, letters):
+        """Prepend `letters`, in the order given, to the suffix state."""
+        vertex, elem, tail = state
+        table, switches = self._scan_letters, self._switches
+        for xl in letters:
+            v, bl, prepend = table[xl]
+            if v == vertex:
+                elem = prepend(bl, elem)
+                continue
+            hit = switches.get((xl, vertex, elem))
+            if hit is None:
+                vertex, elem, tail = self._switch(xl, vertex, elem, tail)
+                continue
+            e, back, rep, step, vertex, carry, opened, append = hit
+            if tail[0] is back:  # backtrack: join the segment beyond
+                for y in tail[1]:
+                    carry = append(carry, y)
+                tail = tail[2]
+                elem = prepend(bl, carry)
+            else:
+                tail = (e, rep, tail, step)
+                elem = opened
+        return (vertex, elem, tail)
+
+    def _switch(self, xl, vertex, elem, tail):
+        """Prepend a letter that leaves the open segment's vertex, on a miss
+        of the letter memo.  A route of one edge is remembered under
+        (letter, vertex, element) with the close _close_chain just made."""
+        v, bl, prepend = self._scan_letters[xl]
+        key = (xl, vertex, elem)
+        if bl is None:  # stable letter s_f, read at f.src
+            f, v = v, v.src
+            if vertex is None:
+                vertex, elem = f.dst, self.gog.backend(f.dst).identity()
+            edges = (f,) + self.tree_path(f.dst, vertex)
+        elif vertex is None:
+            return v, prepend(bl, self.gog.backend(v).identity()), tail
+        else:
+            edges = self.tree_path(v, vertex)
+        carry, tail, (rep, closed, step) = self._close_chain(edges, elem, tail)
+        if len(edges) == 1:
+            e = edges[0]
+            self._switches[key] = (
+                e, False if rep else e.reverse, rep, step, v, closed,
+                prepend(bl, closed), self.gog.backend(e.src).append)
+        return v, prepend(bl, carry), tail
 
     def scan_prepend(self, state, xl: int):
         """Prepend one working-alphabet letter to the suffix state."""
-        vertex, elem, tail = state
-        v, bl, prepend = self._scan_letters[xl]
-        if prepend is not None:
-            if v != vertex:
-                if vertex is None:
-                    elem = self.gog.backend(v).identity()
-                else:
-                    elem, tail = self._close_chain(self.tree_path(v, vertex), elem, tail)
-            return (v, prepend(bl, elem), tail)
-        f = bl
-        if vertex is None:
-            vertex, elem = f.dst, self.gog.backend(f.dst).identity()
-        elem, tail = self._close_chain((f,) + self.tree_path(f.dst, vertex), elem, tail)
-        return (f.src, elem, tail)
+        return self._scan(state, (xl,))
 
     def scan_finalize(self, state, base) -> Word:
         kind, anchor = base
@@ -405,7 +456,8 @@ class Pi1System:
         if vertex is None:
             elem = backend.identity()
         elif vertex != base_vertex:
-            elem, tail = self._close_chain(self.tree_path(base_vertex, vertex), elem, tail)
+            elem, tail, _ = self._close_chain(
+                self.tree_path(base_vertex, vertex), elem, tail)
         if kind == "group":
             head = self._heads.get((base_vertex, elem))
             if head is None:
@@ -421,10 +473,7 @@ class Pi1System:
         return Word(self.alphabet, tuple(letters))
 
     def scan_word(self, w: Word, base) -> Word:
-        state = self.scan_initial()
-        for xl in reversed(w.letters):
-            state = self.scan_prepend(state, xl)
-        return self.scan_finalize(state, base)
+        return self.scan_finalize(self._scan(self.scan_initial(), reversed(w.letters)), base)
 
 
 class Pi1Backend:

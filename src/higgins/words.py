@@ -78,7 +78,10 @@ class Alphabet:
         text = text.strip()
         if text in ("", "ε"):
             return Word(self, ())
-        return Word(self, tuple(self.index(tok) for tok in text.split()))
+        try:
+            return Word(self, tuple(map(self._index.__getitem__, text.split())))
+        except KeyError as err:  # map stops at the first unknown token
+            raise AlphabetError(f"unknown letter {err.args[0]!r}") from None
 
 
 class Word:

@@ -112,7 +112,10 @@ edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
 # a wrong answer: Z *_Z Z over <a^2, a^3>, whose edge generators are
 # dependent (h_express used to reject members), and the HNN extension of F2
 # over <a b>, whose edge coset language has no automaton (enum used to list
-# the vertex group's words instead).
+# the vertex group's words instead).  The path tree va - vb - vc of Z
+# vertices, with an HNN loop at vc, is the one config whose letters switch
+# along routes of two or three edges (a letter of va read at vc, s_f read at
+# va), the routes the scan's letter memo leaves to _close_chain.
 
 REGRESSION_GRAPHS = {
     "dependent_amalgam.gog": """
@@ -135,6 +138,28 @@ generators=a b
 [graph]
 vertices=v:F
 edge f: v -> v subgroup=H reverse_subgroup=Hr iso=y1->y1
+""",
+    "path_tree_hnn.gog": """
+[group A] kind=abelian rank=1 names=a
+[group B] kind=abelian rank=1 names=b
+[group C] kind=abelian rank=1 names=c
+[subgroup A2 in A]
+generators=a a
+[subgroup B3 in B]
+generators=b b b
+[subgroup B2 in B]
+generators=b b
+[subgroup C3 in C]
+generators=c c c
+[subgroup C2 in C]
+generators=c c
+[subgroup C2r in C]
+generators=c c
+[graph]
+vertices=va:A,vb:B,vc:C
+edge e: vb -> va subgroup=A2 reverse_subgroup=B3 iso=y1->y1
+edge g: vc -> vb subgroup=B2 reverse_subgroup=C3 iso=y1->y1
+edge f: vc -> vc subgroup=C2 reverse_subgroup=C2r iso=y1->y1^-1
 """,
 }
 

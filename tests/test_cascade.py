@@ -215,6 +215,11 @@ def _random_word(rng, sys, lo, hi):
     return Word(sys.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(lo, hi))))
 
 
+def _bases(sys):
+    return [("group", v) for v in sys.gog.graph.vertices] + [
+        ("coset", sys.gog.graph.edges[name]) for name in sorted(sys.gog.graph.edges)]
+
+
 def test_scan_matches_pipeline_random_long():
     rng = random.Random(11)
     for config in LAW_CONFIGS:
@@ -251,9 +256,7 @@ def test_language_membership_matches_the_parse_oracle(config):
     rng = random.Random(14)
     sys = shipped_system(config)
     words = list(all_words(sys.alphabet, 2)) + [_random_word(rng, sys, 3, 9) for _ in range(60)]
-    bases = [("group", v) for v in sys.gog.graph.vertices] + [
-        ("coset", sys.gog.graph.edges[name]) for name in sorted(sys.gog.graph.edges)]
-    for base in bases:
+    for base in _bases(sys):
         lang = sys.language(base)
         for w in words + [sys.scan_word(w, base) for w in words]:
             want = higgins_membership(sys, w, base)
@@ -341,7 +344,9 @@ def test_close_memo_has_one_entry_per_closed_element(config):
     words = _memo_words(config)
     every, misses = [], []
     unmemoized, memoized = shipped_system(config), shipped_system(config)
+    # a letter-memo hit skips _closes, so the reference keeps neither memo
     unmemoized._closes = _NoMemo()
+    unmemoized._switches = _NoMemo()
     _closes_recorded(unmemoized, every)
     _closes_recorded(memoized, misses)
     for w in words:
@@ -360,6 +365,52 @@ def test_close_memo_has_one_entry_per_closed_element(config):
     assert [(name, key) for name, key, _ in misses] == list(
         dict.fromkeys((name, key) for name, key, _ in every))
     assert len(memoized._closes) == len(pairs)
+
+
+# the HNN configs, whose stable letters switch vertex, and the three-vertex
+# path tree, whose switches also take routes of two and three edges
+SWITCH_CONFIGS = ("abelian_pairs.gog", "hnn_f2.gog", "hnn_z2.gog", "path_tree_hnn.gog")
+
+
+def _switch_words(config):
+    """Seeded words, plus s_f g s_f^-1 for short g, which backtracks exactly
+    when g lies in the edge subgroup at f."""
+    sys = shipped_system(config)
+    rng = random.Random(15)
+    words = [_random_word(rng, sys, 0, 16) for _ in range(120)]
+    f = sys.alphabet.index("s_f")
+    fi = sys.alphabet.inv[f]
+    for g in all_words(sys.alphabet, 2):
+        words.append(Word(sys.alphabet, (f,) + g.letters + (fi,)))
+        words.append(Word(sys.alphabet, (fi,) + g.letters + (f,)))
+    return words
+
+
+@pytest.mark.parametrize("config", SWITCH_CONFIGS)
+def test_warm_memos_give_the_fresh_normal_forms(config):
+    """Normal forms read through warm memos (every word scanned once at
+    every base) equal those of a fresh system per word."""
+    words = _switch_words(config)
+    warm = shipped_system(config)
+    for w in words:
+        for base in _bases(warm):
+            warm.scan_word(w, base)
+    assert warm._switches
+    for w in words:
+        fresh = shipped_system(config)
+        for base, fresh_base in zip(_bases(warm), _bases(fresh)):
+            assert warm.scan_word(w, base).letters == fresh.scan_word(w, fresh_base).letters, (
+                f"{config}: {w} at {base}")
+
+
+@pytest.mark.parametrize("config", SWITCH_CONFIGS)
+def test_scan_prepend_folds_to_the_scan(config):
+    sys = shipped_system(config)
+    for w in _switch_words(config):
+        state = sys.scan_initial()
+        for xl in reversed(w.letters):
+            state = sys.scan_prepend(state, xl)
+        assert state == sys._scan(sys.scan_initial(), reversed(w.letters)), f"{config}: {w}"
 
 
 # --- membership and the automaton -------------------------------------------------
@@ -448,11 +499,15 @@ def test_hnn_coset_language_unique_cosets():
     dfa = sys.higgins_automaton(("coset", e0))
     seen = {}
     for w in enumerate_language(dfa, 4):
-        exp, rest = hnn_z2_key(w)
-        key = rest  # cosets of <x1>: kill the central coordinate
+        _, key = hnn_z2_key(w)  # cosets of <x1>: kill the central coordinate
         assert key not in seen, f"duplicate coset: {w} vs {seen[key]}"
         seen[key] = w
-        assert H.membership(w) == (key == () and exp == 0 or len(w) == 0) or True
+        # a coset's representative lies in H only for the trivial coset
+        assert H.membership(w) == (len(w) == 0), w
+    # H = <x1>, and x1 is central in Z x F2: w is in H exactly when w is
+    # x1^k times a freely trivial word in x2 and s_f
+    for w in all_words(sys.alphabet, 4):
+        assert H.membership(w) == (hnn_z2_key(w)[1] == ()), w
 
 
 # --- edge subgroup context over pi1 ------------------------------------------------

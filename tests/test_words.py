@@ -42,6 +42,9 @@ def test_word_parse_and_str():
     assert XY.word("ε") == XY.empty()
     with pytest.raises(AlphabetError):
         XY.word("z")
+    # the error names the first unknown token
+    with pytest.raises(AlphabetError, match="unknown letter 'z'"):
+        XY.word("x z w y")
 
 
 def test_invert_examples():
