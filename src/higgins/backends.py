@@ -197,12 +197,13 @@ class AbelianBackend:
         self.alphabet = Alphabet(names, self_inverse=self_inverse)
         self.pos = tuple(self.alphabet.index(nm) for nm in names)
         self.neg = tuple(self.alphabet.inv[p] for p in self.pos)
+        self._moduli = (None,) * rank + self.torsion
+        # letter -> (factor, sign, the factor's modulus or None)
         self._letter_vec = {}
         for i in range(self.n):
-            self._letter_vec[self.pos[i]] = (i, 1)
+            self._letter_vec[self.pos[i]] = (i, 1, self._moduli[i])
             if self.neg[i] != self.pos[i]:
-                self._letter_vec[self.neg[i]] = (i, -1)
-        self._moduli = (None,) * rank + self.torsion
+                self._letter_vec[self.neg[i]] = (i, -1, self._moduli[i])
         self.name = f"abelian(rank={rank}, torsion={list(torsion)})"
         self._canonical_language = None
 
@@ -212,7 +213,7 @@ class AbelianBackend:
     def vec(self, w: Word):
         v = [0] * self.n
         for x in w.letters:
-            i, s = self._letter_vec[x]
+            i, s, _d = self._letter_vec[x]
             v[i] += s
         return tuple(v)
 
@@ -249,9 +250,8 @@ class AbelianBackend:
 
     def prepend(self, x: int, vec: tuple) -> tuple:
         """The element of x * vec: one coordinate moves and is renormalized."""
-        i, s = self._letter_vec[x]
+        i, s, d = self._letter_vec[x]
         r = vec[i] + s
-        d = self._moduli[i]
         if d is not None:
             r %= d
             if 2 * r > d:
@@ -359,6 +359,7 @@ class AbelianSubgroup(SubgroupContext):
         self._orders = self._image_orders()
         self._independent = self._images_independent()
         self._chosen_cache: dict[tuple, tuple] = {}
+        self._labelled = -1  # dependent images: spheres labelled in _chosen_cache
         self._language = None
         self._as_group = None
 
@@ -433,17 +434,32 @@ class AbelianSubgroup(SubgroupContext):
                     out.append(r)
             res = tuple(out)
         else:
-            start = self.parent.normalize(vec)
-            budget = sum(abs(r) for r in start)
-            res = None
-            for m in range(budget + 1):
-                hits = [r for r in _sphere(self.parent.n, m) if self.lattice.key(r) == key]
-                if hits:
-                    res = min(hits, key=lambda r: tuple(_pref_key(x) for x in r))
-                    break
+            # the coset meets the sphere of vec's normalized norm at the latest
+            budget = sum(abs(r) for r in self.parent.normalize(vec))
+            while key not in self._chosen_cache and self._labelled < budget:
+                self._label_next_sphere()
+            res = self._chosen_cache.get(key)
             assert res is not None
         self._chosen_cache[key] = res
         return res
+
+    def _label_next_sphere(self):
+        """Label each coset key that the next L1 sphere reaches first with its
+        least _pref_key point there.  All least-norm points of a coset lie on
+        the first sphere that meets it, and a sphere is labelled whole before
+        it is committed, so a key is either labelled exactly or absent."""
+        self._labelled += 1
+        cache, lattice = self._chosen_cache, self.lattice
+        best: dict = {}
+        for r in _sphere(self.parent.n, self._labelled):
+            k = lattice.key(r)
+            if k in cache:
+                continue
+            pk = tuple(_pref_key(x) for x in r)
+            if k not in best or pk < best[k][0]:
+                best[k] = (pk, r)
+        for k, (_pk, r) in best.items():
+            cache[k] = r
 
     def coset_rep(self, w: Word) -> Word:
         return self.parent.serialize(self.chosen(self.parent.vec(w)))
@@ -476,7 +492,7 @@ class AbelianSubgroup(SubgroupContext):
         """Collected continuations (as letter tuples) of a collected word."""
         parent = self.parent
         if word_letters:
-            i, s = parent._letter_vec[word_letters[-1]]
+            i, s, _d = parent._letter_vec[word_letters[-1]]
             start_factor, start_sign = i, s
         else:
             start_factor, start_sign = -1, 0
@@ -560,7 +576,7 @@ class AbelianSubgroup(SubgroupContext):
 def _is_collected(backend: AbelianBackend, w: Word) -> bool:
     last = (-1, 0)
     for x in w.letters:
-        i, s = backend._letter_vec[x]
+        i, s, _d = backend._letter_vec[x]
         if i < last[0] or (i == last[0] and s != last[1]):
             return False
         last = (i, s)

@@ -118,10 +118,14 @@ class Pi1System:
         # working letter -> (vertex, backend letter, backend.prepend), or
         # (Edge, None, _pass) for a stable letter
         self._scan_letters = {}
+        # vertex letter -> the scan state of the one-letter word; see scan_word
+        self._opens = {}
         for xl, kind in self.alphabets.kind_x.items():
             if kind[0] == "v":
                 _, v, bl = kind
-                self._scan_letters[xl] = (v, bl, gog.backend(v).prepend)
+                backend = gog.backend(v)
+                self._scan_letters[xl] = (v, bl, backend.prepend)
+                self._opens[xl] = (v, backend.prepend(bl, backend.identity()), _BOTTOM)
             else:
                 self._scan_letters[xl] = (kind[1], None, _pass)
 
@@ -473,7 +477,15 @@ class Pi1System:
         return Word(self.alphabet, tuple(letters))
 
     def scan_word(self, w: Word, base) -> Word:
-        return self.scan_finalize(self._scan(self.scan_initial(), reversed(w.letters)), base)
+        # a vertex letter opens the empty word's segment without a close, which
+        # no letter-memo entry expresses, so a last vertex letter is read here
+        letters = w.letters
+        state = self._opens.get(letters[-1]) if letters else None
+        if state is None:
+            state = self.scan_initial()
+        else:
+            letters = letters[:-1]
+        return self.scan_finalize(self._scan(state, reversed(letters)), base)
 
 
 class Pi1Backend:

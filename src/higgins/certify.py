@@ -13,6 +13,12 @@ optimal fellow constant.  The sweep measures every pair against the running
 K, so a pair's own value is exact only where it exceeds that K (a pair that
 stays within it skips the exact computation); the reported K is still the
 exact maximum, and escapes are found exactly as without the threshold.
+
+Within one sweep, the words of g's coset and each walk back from g are kept
+per ball index of g = v x, since a padded language spells one g many ways.
+A pair's alignment check reads the ball's pair cache in place, and a pair
+whose lockstep diagonal fails resumes the flood fill at the failing cell
+rather than starting it again from (0, 0).
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ class CayleyBall:
         self.dist: list[int] = [0]
         self.edges: list[list[int]] = []
         self._index: dict = {oracle.key(empty): 0}
+        # (i, j) with i < j -> d(g_i, g_j) or UNBOUNDED; _aligns_within reads
+        # it in place and calls distance only on a miss
         self._pair_cache: dict = {}
 
     def _grow(self):
@@ -209,32 +217,41 @@ def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int)
     moves, that evaluates distances only for the cells it reaches.
 
     The fill's first descent is the lockstep diagonal, each path resting at
-    its end; it is tried first on its own, without the fill's bookkeeping,
-    and most pairs that align end there.  A pair that falls through starts
-    the fill afresh, whose repeated cells are pair-cache hits."""
+    its end; it is read first on its own, without the fill's bookkeeping, and
+    most pairs that align end there.  A lockstep that fails at its cell t
+    resumes the fill where that descent stands: cells 0..t-1 on the stack and
+    cell t seen.  So the fill visits the cells in the same order as from
+    (0, 0) and reads each at most once.  Distances are read from the ball's
+    pair cache in place, and ball.distance runs only on a miss."""
     n1, n2 = len(a) - 1, len(b) - 1
-    distance = ball.distance
+    cache, distance = ball._pair_cache, ball.distance
     for t in range(max(n1, n2) + 1):
-        d = distance(a[t if t < n1 else n1], b[t if t < n2 else n2])
+        i, j = a[t if t < n1 else n1], b[t if t < n2 else n2]
+        d = 0 if i == j else cache.get((i, j) if i < j else (j, i), _MISS)
+        if d is _MISS:
+            d = distance(i, j)
         if d is UNBOUNDED or d > threshold:
             break
     else:
         return True
-    d = distance(a[0], b[0])
-    if d is UNBOUNDED or d > threshold:
+    if t == 0:
         return False
-    seen = {(0, 0)}
-    path = [(0, 0)]
+    path = [(s if s < n1 else n1, s if s < n2 else n2) for s in range(t + 1)]
+    seen = set(path)
+    path.pop()
     while path:
-        i, j = path[-1]
-        if i == n1 and j == n2:
+        p, q = path[-1]
+        if p == n1 and q == n2:
             return True
-        for cell in ((i + 1, j + 1), (i, j + 1), (i + 1, j)):
-            p, q = cell
-            if p > n1 or q > n2 or cell in seen:
+        for cell in ((p + 1, q + 1), (p, q + 1), (p + 1, q)):
+            r, s = cell
+            if r > n1 or s > n2 or cell in seen:
                 continue
             seen.add(cell)
-            d = distance(a[p], b[q])
+            i, j = a[r], b[s]
+            d = 0 if i == j else cache.get((i, j) if i < j else (j, i), _MISS)
+            if d is _MISS:
+                d = distance(i, j)
             if d is not UNBOUNDED and d <= threshold:
                 path.append(cell)
                 break
@@ -344,12 +361,19 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     which yields h's index and w's path from h at once, so h is neither
     built nor keyed.  Only a walk that leaves the capped ball falls back to
     building h and keying it; an h beyond the cap is told apart by its key.
-    Returns (pairs, K, violations)."""
+
+    Many v share one g (a padded language spells each element many ways), so
+    two memos local to the call serve each g in the ball once: its coset's
+    words, keyed by g's ball index gi, and each walk back, keyed by
+    (gi, letters of w).  A walked path is shared by every pair that reads
+    it, and no pair writes to it.  Returns (pairs, K, violations)."""
     words = enumerate_language(lang, radius)
     group = coset_key if coset_key is not None else oracle.key
     by_coset: dict = {}
     for w in words:
         by_coset.setdefault(group(w), []).append(w)
+    cosets: dict = {}  # gi -> the words of g's coset
+    walks: dict = {}   # (gi, w.letters) -> _walk_back(ball, gi, w.letters)
     steps = _letter_words(oracle.alphabet)
     K = 0
     pairs = 0
@@ -364,8 +388,19 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                 gi = None
             else:
                 gi = _step(ball, a[-1], x.letters[0]) if x.letters else a[-1]
-            for w in by_coset.get(group(g), ()):
-                b = None if gi is None else _walk_back(ball, gi, w.letters)
+            if gi is None:
+                coset = by_coset.get(group(g), ())
+            else:
+                coset = cosets.get(gi)
+                if coset is None:
+                    coset = cosets[gi] = by_coset.get(group(g), ())
+            for w in coset:
+                if gi is None:
+                    b = None
+                else:
+                    b = walks.get((gi, w.letters), _MISS)
+                    if b is _MISS:
+                        b = walks[gi, w.letters] = _walk_back(ball, gi, w.letters)
                 if b is not None:
                     hi = b[0]
                     pk = (w.letters, hi)

@@ -89,6 +89,8 @@ def cmd_enum(args) -> int:
         if args.language == "higgins":
             base = ("group", _base_vertex(system, args.base))
         else:
+            if not args.coset_edge and not system.gog.graph.edges:
+                raise ConfigError(0, "enum --language coset: the graph has no edges")
             ename = args.coset_edge or sorted(system.gog.graph.edges)[0]
             edge = system.gog.graph.edges.get(ename)
             if edge is None:

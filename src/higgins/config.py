@@ -147,17 +147,25 @@ class ProjectConfig:
         return CosetSystem(ctx, language, mode=decl.get("mode", "async"))
 
 
+def _int(lineno, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(lineno, f"{what}: expected an integer, got {text!r}") from None
+
+
 def _build_group(section: _Section, base_dir: str):
     entries = {k: v for _ln, k, v in section.entries}
     kind = entries.get("kind")
     name = section.header[1]
     if kind == "abelian":
-        rank = int(entries.get("rank", "0"))
-        torsion = [int(t) for t in entries.get("torsion", "").split(",") if t]
+        rank = _int(section.lineno, f"group {name}: rank", entries.get("rank", "0"))
+        torsion = [_int(section.lineno, f"group {name}: torsion", t)
+                   for t in entries.get("torsion", "").split(",") if t]
         names = [n for n in entries.get("names", "").split(",") if n] or None
         return abelian_backend(rank, torsion, names)
     if kind == "free":
-        rank = int(entries.get("rank", "1"))
+        rank = _int(section.lineno, f"group {name}: rank", entries.get("rank", "1"))
         names = [n for n in entries.get("names", "").split(",") if n] or None
         return free_backend(rank, names)
     if kind == "finite":
@@ -166,14 +174,19 @@ def _build_group(section: _Section, base_dir: str):
             raise ConfigError(section.lineno, f"group {name}: finite groups need table=")
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
         with open(full) as fh:
-            table = [[int(cell) for cell in line.strip().split(",")]
+            table = [[_int(section.lineno, f"group {name}: table {path} cell", cell)
+                      for cell in line.strip().split(",")]
                      for line in fh if line.strip()]
         gens = None
         if "generators" in entries:
             gens = {}
             for item in entries["generators"].split(","):
-                nm, idx = item.split(":")
-                gens[nm.strip()] = int(idx)
+                nm, colon, idx = item.partition(":")
+                if not colon:
+                    raise ConfigError(section.lineno,
+                                      f"group {name}: generator {item!r} is not name:index")
+                nm = nm.strip()
+                gens[nm] = _int(section.lineno, f"group {name}: generator {nm}", idx)
         return finite_backend(table, gens)
     raise ConfigError(section.lineno, f"group {name}: unknown kind {kind!r}")
 

@@ -10,9 +10,12 @@ language, nf(w) == w in the package, is checked against a parse of w into
 its path word, segment by segment.  Generator maps (edge
 isomorphisms and subgroup inclusions) are checked against an image read off
 the letter names.  The fellow-traveller sweep, which finds each h on the
-Cayley graph, is checked against a sweep that builds and keys every h.  The
+Cayley graph, is checked against a sweep that builds and keys every h, and
+its alignment fill against reachability over the whole prefix grid.  The
 Cayley ball, a breadth-first search, is checked against a sort of every word
 up to its radius, and a finite subgroup against a closure of its generators.
+An abelian coset's representative, read off L1 spheres labelled once, is
+checked against a scan of the spheres for each query.
 """
 
 import itertools
@@ -115,6 +118,43 @@ def keyed_sweep(lang, oracle, radius, mode, ball, coset_key=None):
                     K = max(K, d)
     violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))
     return pairs, K, violations
+
+
+def aligns_by_grid(ball, a, b, threshold) -> bool:
+    """Whether some monotone alignment of the prefix paths a and b keeps every
+    cell within threshold: every cell of the grid is measured, and reachability
+    from (0, 0) by diagonal, right and down moves is filled row by row."""
+    n1, n2 = len(a) - 1, len(b) - 1
+    ok = [[d is not None and d <= threshold
+           for d in (ball.distance(a[i], b[j]) for j in range(n2 + 1))]
+          for i in range(n1 + 1)]
+    reach = [[False] * (n2 + 1) for _ in range(n1 + 1)]
+    for i in range(n1 + 1):
+        for j in range(n2 + 1):
+            if not ok[i][j]:
+                continue
+            reach[i][j] = (i == j == 0
+                           or (i > 0 and reach[i - 1][j])
+                           or (j > 0 and reach[i][j - 1])
+                           or (i > 0 and j > 0 and reach[i - 1][j - 1]))
+    return reach[n1][n2]
+
+
+# --- abelian coset representatives by a scan per query ------------------------
+
+def scanned_chosen(ctx, vec) -> tuple:
+    """Exponent vector of the canonical representative of vec's coset in the
+    abelian subgroup ctx: the L1 spheres are scanned from radius 0 up to the
+    norm of vec's normal form, and the first sphere that meets the coset gives
+    its point least under the backend's preference order."""
+    from higgins.backends import _pref_key, _sphere
+    key = ctx.lattice.key(vec)
+    budget = sum(abs(r) for r in ctx.parent.normalize(vec))
+    for m in range(budget + 1):
+        hits = [r for r in _sphere(ctx.parent.n, m) if ctx.lattice.key(r) == key]
+        if hits:
+            return min(hits, key=lambda r: tuple(_pref_key(x) for x in r))
+    raise AssertionError(f"no sphere up to {budget} meets the coset of {vec}")
 
 
 # --- balls and finite subgroups by brute force -------------------------------

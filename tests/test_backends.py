@@ -10,7 +10,7 @@ from higgins.backends import (
 from higgins.certify import CayleyBall
 from higgins.fsa import enumerate_language
 from higgins.words import Word, all_words, free_reduce, invert
-from oracles import table_closure
+from oracles import scanned_chosen, table_closure
 
 
 # --- brute-force oracles ------------------------------------------------------
@@ -251,6 +251,44 @@ def test_abelian_mixed_subgroup_synthesized_dfa():
     dfa = H.coset_language
     for w in all_words(G.alphabet, 5):
         assert dfa.accepts(w) == H.is_rep(w), str(w)
+
+
+def _seeded_abelian_subgroup(rng):
+    rank = rng.randint(1, 3)
+    torsion = [rng.choice((2, 3, 4, 6)) for _ in range(rng.randint(0, 3 - rank))]
+    G = abelian_backend(rank, torsion)
+    m = len(G.alphabet)
+    gens = [Word(G.alphabet, tuple(rng.randrange(m) for _ in range(rng.randint(1, 4))))
+            for _ in range(rng.randint(1, 2))]
+    return G, abelian_subgroup(G, gens)
+
+
+def test_abelian_labelled_spheres_match_the_scan_per_query():
+    # Z^n x torsion with n <= 3; a third or more of the seeded subgroups have
+    # dependent images, where chosen reads the labelled spheres
+    rng = random.Random(3)
+    dependent = 0
+    for _ in range(40):
+        G, H = _seeded_abelian_subgroup(rng)
+        dependent += not H._independent
+        for _ in range(30):
+            vec = tuple(rng.randint(-4, 4) for _ in range(G.n))
+            assert H.chosen(vec) == scanned_chosen(H, vec), (G.name, H.gen_words, vec)
+    assert dependent >= 10
+
+
+@pytest.mark.parametrize("rank, torsion, gens", [
+    (1, [4], ["x1 t"]), (1, [4], ["x1 x1 t"]),
+    (1, [2, 3], ["x1 t1 t2"]), (2, [2], ["x1 t", "x2 x2"]),
+], ids=["z-z4-x1t", "z-z4-x1x1t", "z-z2-z3", "z2-z2-two-gens"])
+def test_abelian_labelled_spheres_synthesize_the_scanned_dfa(rank, torsion, gens):
+    names = None if len(torsion) != 1 else [f"x{i + 1}" for i in range(rank)] + ["t"]
+    G = abelian_backend(rank, torsion, names)
+    H = abelian_subgroup(G, [G.alphabet.word(g) for g in gens])
+    ref = abelian_subgroup(G, [G.alphabet.word(g) for g in gens])
+    ref.chosen = lambda vec: scanned_chosen(ref, vec)
+    assert not H._independent
+    assert H.coset_language == ref.coset_language
 
 
 def test_abelian_coset_language_unique_reps():

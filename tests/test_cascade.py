@@ -406,11 +406,23 @@ def test_warm_memos_give_the_fresh_normal_forms(config):
 @pytest.mark.parametrize("config", SWITCH_CONFIGS)
 def test_scan_prepend_folds_to_the_scan(config):
     sys = shipped_system(config)
+    switches = []
+    switch = sys._switch
+    sys._switch = lambda xl, *rest: switches.append(xl) or switch(xl, *rest)
     for w in _switch_words(config):
         state = sys.scan_initial()
         for xl in reversed(w.letters):
             state = sys.scan_prepend(state, xl)
         assert state == sys._scan(sys.scan_initial(), reversed(w.letters)), f"{config}: {w}"
+        for base in _bases(sys):
+            assert sys.scan_word(w, base) == sys.scan_finalize(state, base), f"{config}: {w}"
+    # scan_word reads a last vertex letter off its one-letter state, not _switch
+    del switches[:]
+    for xl, (_v, bl, _prepend) in sys._scan_letters.items():
+        if bl is not None:
+            for base in _bases(sys):
+                sys.scan_word(Word(sys.alphabet, (xl,)), base)
+    assert not switches
 
 
 # --- membership and the automaton -------------------------------------------------

@@ -24,7 +24,7 @@ from higgins.cosets import CosetSystem
 from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.words import Word, all_words, invert, prefix
-from oracles import brute_ball, keyed_sweep
+from oracles import aligns_by_grid, brute_ball, keyed_sweep
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -607,6 +607,73 @@ def test_threshold_pruning_keeps_the_exact_maximum(name):
     assert K == max(finite) and escapes == exact.count(None)
 
 
+@pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
+def test_fill_equals_the_grid_reachability(name):
+    # the caps are small, so many cells escape the ball and count as failed
+    oracle = _backend(name)
+    ball = CayleyBall(oracle, {"z2": 4, "f2": 3, "hnn": 3}[name])
+    rng = random.Random(53)
+    outcomes, escapes = set(), 0
+    for w1, h, w2 in _seeded_pairs(rng, oracle.alphabet, 80, 5):
+        a = _prefix_indices(ball, ball.alphabet.empty(), w1)
+        b = _prefix_indices(ball, h, w2)
+        if a is None or b is None:
+            continue
+        escapes += any(ball.distance(i, j) is None for i in a for j in b)
+        for t in range(4):
+            got = _aligns_within(ball, a, b, t)
+            assert got == aligns_by_grid(ball, a, b, t), (w1, h, w2, t)
+            outcomes.add(got)
+    assert outcomes == {False, True} and escapes
+
+
+class _CountingCache(dict):
+    """A pair cache that counts the reads of each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads: dict = {}
+
+    def get(self, key, default=None):
+        self.reads[key] = self.reads.get(key, 0) + 1
+        return super().get(key, default)
+
+
+class _GridBall:
+    """The pair-cache interface of a CayleyBall over a table of distances,
+    None for an escape; the paths a = 0..n1 and b = 100..100+n2 give every
+    cell of the grid its own key."""
+
+    def __init__(self, table):
+        self.table = table
+        self._pair_cache = _CountingCache()
+
+    def distance(self, i, j):
+        key = (i, j) if i < j else (j, i)
+        d = self.table[key[0]][key[1] - 100]
+        dict.__setitem__(self._pair_cache, key, d)
+        return d
+
+
+def test_fill_reads_each_cell_at_most_once():
+    # a lockstep that fails at cell t resumes the fill with cell t seen, so
+    # no cell is read twice, and the answer is the grid's reachability
+    rng = random.Random(59)
+    resumed = 0
+    for _ in range(300):
+        n1, n2 = rng.randrange(6), rng.randrange(6)
+        table = [[rng.choice((0, 1, 1, 2, 2, 3, None)) for _ in range(n2 + 1)]
+                 for _ in range(n1 + 1)]
+        a, b = list(range(n1 + 1)), list(range(100, 100 + n2 + 1))
+        for t in range(4):
+            ball = _GridBall(table)
+            got = _aligns_within(ball, a, b, t)
+            assert max(ball._pair_cache.reads.values()) == 1
+            resumed += len(ball._pair_cache.reads) > max(n1, n2) + 1
+            assert got == aligns_by_grid(_GridBall(table), a, b, t)
+    assert resumed
+
+
 def _exact_async(w1, h, w2, ball, threshold=None):
     return async_fellow_distance(w1, h, w2, ball)
 
@@ -661,6 +728,25 @@ def test_sweep_equals_the_keyed_sweep(config, name, radius):
                            CayleyBall(ctx.parent, radius + BALL_MARGIN), ctx.coset_key)
         assert got == want
         assert got[0] > 0
+
+
+def test_sweep_walks_back_once_per_ball_index_and_word(monkeypatch):
+    # the padded language spells each g = v x many ways, so many (v, x) share
+    # g's ball index; each (index, w) is walked back once per sweep
+    system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
+    ctx, R = system.context, 3
+    walks = []
+    walk_back = higgins.certify._walk_back
+    monkeypatch.setattr(higgins.certify, "_walk_back",
+                        lambda ball, g, letters: walks.append((g, letters))
+                        or walk_back(ball, g, letters))
+    got = _sweep(system.language, ctx.parent, R, "async",
+                 CayleyBall(ctx.parent, R + BALL_MARGIN), ctx.coset_key)
+    assert len(walks) == len(set(walks)) and got[0] > len(walks)
+    # the sweep with no memo, which keys every h, finds the same pairs and K
+    monkeypatch.undo()
+    assert got == keyed_sweep(system.language, ctx.parent, R, "async",
+                              CayleyBall(ctx.parent, R + BALL_MARGIN), ctx.coset_key)
 
 
 @pytest.mark.parametrize("name", ["z2", "f2"])

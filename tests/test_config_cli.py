@@ -343,6 +343,31 @@ def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("group, table, argv, message", [
+    ("[group G] kind=abelian rank=two", None, ["validate"],
+     "line 1: group G: rank: expected an integer, got 'two'"),
+    ("[group G] kind=abelian rank=1 torsion=2,x", None, ["validate"],
+     "line 1: group G: torsion: expected an integer, got 'x'"),
+    ("[group G] kind=free rank=1.5", None, ["validate"],
+     "line 1: group G: rank: expected an integer, got '1.5'"),
+    ("[group G] kind=finite table=z2.csv generators=r1", "0,1\n1,0\n", ["validate"],
+     "line 1: group G: generator 'r1' is not name:index"),
+    ("[group G] kind=finite table=z2.csv", "0,1\n1,one\n", ["validate"],
+     "line 1: group G: table z2.csv cell: expected an integer, got 'one'"),
+    ("[group G] kind=abelian rank=1", None, ["enum", "--language", "coset", "--max-len", "1"],
+     "enum --language coset: the graph has no edges"),
+], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges"])
+def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
+    path = tmp_path / "bad.gog"
+    path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
+    if table is not None:
+        (tmp_path / "z2.csv").write_text(table)
+    code = main([argv[0], str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "hnn_z2.gog", "--what", "coset", "--system", "edge-cosets", "--radius"],
     ["certify", "trefoil_amalgam.gog", "--what", "hypotheses", "--radius"],
