@@ -336,6 +336,13 @@ class SubgroupContext:
     def coset_key(self, w: Word):
         return self.coset_rep(w).letters
 
+    def relators(self) -> list:
+        """Words over the generators whose normal closure holds every
+        relation among them: a map of the generators into a group is a
+        homomorphism exactly when each relator maps to the identity.  Free
+        and trivial subgroups have none."""
+        return []
+
 
 # coset language synthesis for non-independent subgroups: residual
 # signatures look DFA_WINDOW letters ahead, and the learned DFA is checked on
@@ -396,6 +403,14 @@ class AbelianSubgroup(SubgroupContext):
     def membership(self, w: Word) -> bool:
         return self.lattice.key(self.parent.vec(w)) == self._zero_key
 
+    def _yword(self, coeffs) -> Word:
+        letters = []
+        alpha = self.gen_alphabet
+        for i, c in enumerate(coeffs):
+            p = alpha.index(alpha.generators[i])
+            letters.extend([p if c > 0 else alpha.inv[p]] * abs(c))
+        return Word(alpha, tuple(letters))
+
     def h_express(self, w: Word) -> Word:
         vec = self.parent.vec(w)
         x = self.lattice.solve(vec)
@@ -408,12 +423,15 @@ class AbelianSubgroup(SubgroupContext):
             # the generators satisfy relations, so the lattice solution is one
             # spelling of many: take the subgroup's own canonical one
             coeffs = self._as_group.presentation.chosen(tuple(coeffs))
-        letters = []
-        alpha = self.gen_alphabet
-        for i, c in enumerate(coeffs):
-            p = alpha.index(alpha.generators[i])
-            letters.extend([p if c > 0 else alpha.inv[p]] * abs(c))
-        return Word(alpha, tuple(letters))
+        return self._yword(coeffs)
+
+    def relators(self) -> list:
+        """The relations among the generators, as AbelianSubgroupAsGroup
+        reads them off the lattice, and the commutator of each pair."""
+        k = len(self.gen_words)
+        out = [self._yword(row[:k]) for row in self.lattice.left_nullspace() if any(row[:k])]
+        ys = [self._yword([int(t == i) for t in range(k)]) for i in range(k)]
+        return out + [a * b * invert(a) * invert(b) for i, a in enumerate(ys) for b in ys[i + 1:]]
 
     def chosen(self, vec) -> tuple:
         """Exponent vector of the coset's canonical representative."""
@@ -944,6 +962,20 @@ class FiniteSubgroup(SubgroupContext):
 
     def membership(self, w: Word) -> bool:
         return self.parent.eval(w) in self.elements
+
+    def relators(self) -> list:
+        """One relator per edge of H's Cayley graph over the generators:
+        word(h) y word(h y)^-1, |H| |Y| of them."""
+        alpha = self.gen_alphabet
+        table = self.parent.table
+        out = []
+        for i, g in enumerate(self.gen_words):
+            p = alpha.index(alpha.generators[i])
+            e = self.parent.eval(g)
+            for h, word in self._yword.items():
+                back = invert(Word(alpha, self._yword[table[h][e]]))
+                out.append(Word(alpha, word + (p,) + back.letters))
+        return out
 
     def h_express(self, w: Word) -> Word:
         e = self.parent.eval(w)

@@ -1,19 +1,21 @@
 """Coset systems and the hypothesis verifiers: limited and maximal crossover,
-stability of edge isomorphisms, concatenation of geodesics, and identity-coset
-pruning.
+and stability of edge isomorphisms.
 
 Subgroup lengths |h|_Y are path lengths in the subgroup's own Cayley graph
 over the probe generating set, computed by breadth-first search and memoized
 per report; they are not ambient word lengths.  A context whose generators
-form a basis of a free abelian subgroup may offer y_coords(w); the crossover
-checks then read |h|_Y off those coordinates, with the search as fallback.
+form a basis of a free abelian subgroup may offer y_coords(w), which keys
+those searches by coordinates, and coset_split(u, g) -> (v, coordinates of
+u g v^-1); with Y and Z left at the context's generators, the crossover
+sweep reads v and |h|_Y off that one call per (u, g), and other contexts
+keep coset_rep and the search.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .fsa import Dfa, LazyLanguage, enumerate_language
+from .fsa import enumerate_language
 from .words import Word, WordMap, invert, shortlex_key
 
 WITNESS_LIMIT = 100
@@ -206,9 +208,11 @@ def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None
 def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
     """The crossover sweep behind both checks.  Y and Z left at the context's
     generators take their lengths from the context's y_coords, when it has
-    one, instead of a breadth-first search."""
+    one, instead of a breadth-first search; with both left so, a context's
+    coset_split(u, g) gives v and the coordinates of u g v^-1 at once."""
     ctx = sys.context
     parent = ctx.parent
+    coset_split = getattr(ctx, "coset_split", None) if Y is None and Z is None else None
     y_coords = getattr(ctx, "y_coords", None) if Y is None else None
     z_coords = y_coords if Z is None else None
     Y = list(Y) if Y is not None else list(ctx.gen_words)
@@ -218,6 +222,18 @@ def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
     z_metric = WordMetric(parent, Z, coords=z_coords)
     gs = z_metric.elements_within(radius if maximal else lam)
     cap = LENGTH_CAP_PER_STEP * (radius + lam) + LENGTH_CAP_MARGIN
+    if coset_split is not None:
+        reach = max(cap, y_metric.depth)  # as y_metric.length(h, cap) would
+
+        def measure(u, g):
+            v, (m, n) = coset_split(u, g)
+            hlen = abs(m) + abs(n)
+            return v, (hlen if hlen <= reach else None)
+    else:
+        def measure(u, g):
+            product = u * g
+            v = ctx.coset_rep(product)
+            return v, y_metric.length(product * invert(v), cap)
     witnesses = []
     swept = 0
     for u in enumerate_language(sys.language, radius):
@@ -225,13 +241,10 @@ def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
             continue
         for g, _glen, _y in gs:
             swept += 1
-            product = u * g
-            v = ctx.coset_rep(product)
-            h = product * invert(v)
-            hlen = y_metric.length(h, cap)
+            v, hlen = measure(u, g)
             if hlen is None:
                 raise VerifierError(
-                    f"Y does not express u g v^-1 = {h} within length {cap}")
+                    f"Y does not express u g v^-1 = {u * g * invert(v)} within length {cap}")
             if hlen > lam:
                 witnesses.append((u, g, v, hlen - lam))
     witnesses.sort(key=lambda t: tuple(shortlex_key(w) for w in t[:-1]))
@@ -294,108 +307,3 @@ def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) ->
     witnesses.sort(key=lambda t: shortlex_key(t[0]))
     kept = witnesses[:WITNESS_LIMIT]
     return StabilityReport(mu, radius, kept, len(witnesses), swept)
-
-
-class ConcatReport:
-    def __init__(self, radius, witnesses, total_violations, swept):
-        self.radius = radius
-        self.witnesses = witnesses  # (w, v0)
-        self.total_violations = total_violations
-        self.swept = swept
-
-    @property
-    def passed(self) -> bool:
-        return self.total_violations == 0
-
-    def lines(self):
-        out = [
-            "property concatenates-up",
-            f"radius {self.radius}",
-            f"status {'pass' if self.passed else 'fail'}",
-            f"violations {self.total_violations}",
-        ]
-        for w, v0 in self.witnesses:
-            out.append(f"witness w={w} v0={v0}")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
-def check_concatenates_up(ctx, radius: int) -> ConcatReport:
-    """For geodesic words w over the subgroup letters and coset-minimal words
-    v0, check that w v0 is geodesic; requires Y to be a subset of the parent
-    letters."""
-    parent = ctx.parent
-    letters = []
-    for gw in ctx.gen_words:
-        if len(gw) != 1:
-            raise VerifierError("concatenation check needs letter generators (Y subset of X)")
-        letters.append(gw.letters[0])
-    sub_letters = sorted({x for p in letters for x in (p, parent.alphabet.inv[p])})
-    metric = WordMetric(parent, ctx.gen_words)
-
-    y_geodesics = [[parent.alphabet.empty()]]
-    frontier = [parent.alphabet.empty()]
-    for d in range(1, radius + 1):
-        nxt = []
-        for u in frontier:
-            for x in sub_letters:
-                w = Word(parent.alphabet, u.letters + (x,))
-                if metric.length(w, radius + 2) == d:
-                    nxt.append(w)
-        frontier = nxt
-        y_geodesics.append(list(frontier))
-
-    minimal_v0 = [[] for _ in range(radius + 1)]
-    from .words import words_of_length
-    for n in range(radius + 1):
-        for v0 in words_of_length(parent.alphabet, n):
-            if ctx.min_coset_length(v0) == n:
-                minimal_v0[n].append(v0)
-
-    witnesses = []
-    swept = 0
-    for wy in range(radius + 1):
-        for w in y_geodesics[wy]:
-            for n in range(radius + 1 - wy):
-                for v0 in minimal_v0[n]:
-                    swept += 1
-                    if parent.geodesic_length(w * v0) != wy + n:
-                        witnesses.append((w, v0))
-    witnesses.sort(key=lambda t: (shortlex_key(t[0]), shortlex_key(t[1])))
-    return ConcatReport(radius, witnesses[:WITNESS_LIMIT], len(witnesses), swept)
-
-
-def prune_identity_coset(sys: CosetSystem) -> CosetSystem:
-    """Remove nonempty identity-coset words from the language."""
-    ctx = sys.context
-    lang = sys.language
-    empty = ctx.parent.alphabet.empty()
-    if not lang.accepts(empty):
-        raise VerifierError("language does not contain the empty word")
-    if isinstance(lang, Dfa) and hasattr(ctx.parent, "table"):
-        # finite backend: the subgroup membership language is regular
-        from .fsa import complement, intersect, single_word_dfa, union, minimize
-        parent = ctx.parent
-        trans = {}
-        for e in range(parent.order):
-            for letter in range(len(parent.alphabet)):
-                trans[(e, letter)] = parent.table[e][parent._letter_elt[letter]]
-        members = Dfa(parent.alphabet, parent.order, 0,
-                      {e for e in range(parent.order) if ctx.membership(
-                          Word(parent.alphabet, parent._canon[e]))},
-                      trans, "members")
-        pruned = minimize(union(
-            intersect(lang, complement(members)),
-            intersect(lang, single_word_dfa(empty))))
-        return CosetSystem(ctx, pruned, mode=sys.mode)
-    accepts = lang.accepts
-    membership = ctx.membership
-    pruned = LazyLanguage(
-        ctx.parent.alphabet,
-        membership=lambda w: accepts(w) and (len(w) == 0 or not membership(w)),
-        enumerator=lambda n: [w for w in enumerate_language(lang, n)
-                              if len(w) == 0 or not membership(w)],
-        name="pruned")
-    return CosetSystem(ctx, pruned, mode=sys.mode)

@@ -9,19 +9,24 @@ shortlex-least words over {x, y} per right coset.
 
 H contains the center, so it is the full preimage of <x̄> under
 G -> G/<d> = Z/2 * Z/3; membership and coset labels reduce to power-pattern
-matching on free-product normal forms, and a label (the least form in the
-orbit <x̄> s) takes O(n) time in the length of s.  Representatives come from a
-breadth-first search of the coset (Schreier) graph over those labels, pruned
-at a syllable cap so deep products stay tractable; the search grows one level
-at a time, only when a label is not yet known.  The pruning cap is part of
-the documented representative choice and is cross-checked against an
-unpruned element search at small radius in the tests.
+matching on free-product normal forms: orbit_split(s) writes a form as
+s = x̄^k label, with label the least form in the orbit <x̄> s.  Representatives
+come from a breadth-first search of the coset (Schreier) graph over those
+labels, pruned at a syllable cap so deep products stay tractable; the search
+grows one level at a time, only when a label is not yet known, and keeps
+each representative v with its shift k' (v = x̄^k' label) and exponent sum.
+The pruning cap is part of the documented representative choice and is
+cross-checked against an unpruned element search at small radius in the
+tests.
 
 H = <x> x <d> is free abelian, so subgroup lengths need no search either:
-y_coords reads the coordinates (m, n) of h = x^m d^n off the syllable form
-and the exponent sum, and |h|_{x, d} = |m| + |n|.  The crossover checks use
-them when Y and Z are left at {x, d}; the breadth-first search of WordMetric
-stays the fallback for any other probe set, and the oracle in the tests.
+h = x^m d^n has |h|_{x, d} = |m| + |n|, and y_coords reads (m, n) off the
+syllable form and the exponent sum of h.  With Y and Z left at {x, d}, the
+crossover sweep asks coset_split(u, g) instead: it joins the carried forms
+of u and g at their junction, splits the product as x̄^k label and reads v,
+m = k - k' and n off the label's entry, building neither u g nor h.  The
+breadth-first search of WordMetric stays the fallback for any other probe
+set, and the oracle in the tests.
 
 No bound is proved here: per crossover constant, the report only says
 whether witnesses were found at the tested radius.
@@ -36,7 +41,7 @@ from .cascade import Pi1Backend, Pi1System
 from .cosets import CosetSystem, VerifierError, check_limited_crossover
 from .fsa import LazyLanguage
 from .gog import DirectedGraph, GraphOfGroups
-from .words import Alphabet, Word, WordMap, shortlex_key
+from .words import Alphabet, Word, WordMap, invert, shortlex_key
 
 
 def trefoil_amalgam() -> GraphOfGroups:
@@ -95,14 +100,30 @@ def _push(stack, v, e):
 
 
 def _mul(s, t):
-    stack = list(s)
-    for v, e in t:
-        _push(stack, v, e)
-    return tuple(stack)
+    """(s t, |s t| - |s| - |t|) for reduced forms s and t, with |.| the
+    syllable length of _syl_len.
+
+    Only syllables at the junction cancel: pop s's tail against t's head
+    while the vertices agree, then join what is left with one concatenation.
+    """
+    i, j, delta = len(s), 0, 0
+    while i and j < len(t) and s[i - 1][0] == t[j][0]:
+        v, e1 = s[i - 1]
+        e2 = t[j][1]
+        i -= 1
+        j += 1
+        if v == "a":                # a a = 1
+            delta -= 2
+            continue
+        e = (e1 + e2) % 3
+        delta += e - e1 - e2
+        if e:
+            return s[:i] + (("b", e),) + t[j:], delta
+    return s[:i] + t[j:], delta
 
 
-X_BAR = (("b", 2), ("a", 1))        # image of x
-X_BAR_INV = (("a", 1), ("b", 1))
+X_BAR = (("b", 2), ("a", 1))        # image of x, syllable length 3
+X_BAR_INV = (("a", 1), ("b", 1))    # syllable length 2
 
 _LETTER_SYL = {
     "x": X_BAR,
@@ -112,37 +133,35 @@ _LETTER_SYL = {
 }
 
 
-def in_xbar_powers(s) -> bool:
-    if not s:
-        return True
-    if len(s) % 2:
-        return False
-    unit = X_BAR if s[0] == X_BAR[0] else X_BAR_INV
-    return all(s[i] == unit[i % 2] for i in range(len(s)))
-
-
 def _syl_len(s):
     return sum(1 if v == "a" else e for v, e in s)
 
 
-def _syl_key(s):
-    return (_syl_len(s), s)
-
-
-def orbit_label(s):
-    """Least syllable form, by _syl_key, in the orbit <x̄> s, in O(len(s)).
+def orbit_split(s):
+    """(label, k) with s = x̄^k label, where label is the least syllable form
+    in the orbit <x̄> s by (syllable length, form); O(len(s)).
 
     Strip the longest prefix of s that is a power of x̄ or of x̄^-1, leaving
     t.  As t starts with neither b^2 a nor a b, at most one of x̄ t and
     x̄^-1 t cancels into t, and every further power of x̄^±1 only prepends
-    syllables; so the least form is one of x̄^-1 t, t, x̄ t.
+    syllables; so the least form is one of x̄^-1 t, t, x̄ t.  Their lengths
+    are compared relative to |t|, from the junction of each product.
     """
-    unit = X_BAR if s[:1] == X_BAR[:1] else X_BAR_INV
+    unit, step = (X_BAR, 1) if s[:1] == X_BAR[:1] else (X_BAR_INV, -1)
     i = 0
     while s[i:i + 2] == unit:
         i += 2
     t = s[i:]
-    return min((_mul(X_BAR_INV, t), t, _mul(X_BAR, t)), key=_syl_key)
+    k = step * (i // 2)
+    down, d_down = _mul(X_BAR_INV, t)
+    up, d_up = _mul(X_BAR, t)
+    (_n, label), k = min(((2 + d_down, down), k + 1), ((0, t), k), ((3 + d_up, up), k - 1))
+    return label, k
+
+
+def orbit_label(s):
+    """Least syllable form, by (syllable length, form), in the orbit <x̄> s."""
+    return orbit_split(s)[0]
 
 
 class TrefoilCentralizerContext:
@@ -159,11 +178,16 @@ class TrefoilCentralizerContext:
         self._letter_syl = {alpha.index(nm): syl for nm, syl in _LETTER_SYL.items()}
         self._letter_exp = {alpha.index(nm): -1 if nm.endswith("^-1") else 1
                             for nm in _LETTER_SYL}
+        # (letter, syllable form, its syllable length, exponent sum) per letter
+        self._steps = [(x, self._letter_syl[x], _syl_len(self._letter_syl[x]),
+                        self._letter_exp[x]) for x in range(len(alpha))]
         self.gen_words = [alpha.word("x"), alpha.word("x y x x y x")]
         self.syllable_cap = syllable_cap
+        # label -> (representative, k with rep = x̄^k label, exponent sum)
         self._reps: dict = {}
         self._depth = -1
         self._frontier = None
+        self._forms: dict = {}  # letters of a swept u or g -> (form, exponent sum)
 
     def syllables(self, w: Word):
         stack = []
@@ -173,7 +197,10 @@ class TrefoilCentralizerContext:
         return tuple(stack)
 
     def membership(self, w: Word) -> bool:
-        return in_xbar_powers(self.syllables(w))
+        return orbit_label(self.syllables(w)) == ()
+
+    def _exponent_sum(self, w: Word) -> int:
+        return sum(self._letter_exp[x] for x in w.letters)
 
     def y_coords(self, w: Word):
         """(m, n) with w = x^m d^n, or None when w is not in H; O(|w|).
@@ -182,11 +209,10 @@ class TrefoilCentralizerContext:
         exponent sum of w over {x, y} is m + 6n.  H = <x> x <d> is free
         abelian on {x, d}, so |w|_{x, d} = |m| + |n|.
         """
-        s = self.syllables(w)
-        if not in_xbar_powers(s):
+        label, m = orbit_split(self.syllables(w))
+        if label:
             return None
-        m = len(s) // 2 if s[:1] == X_BAR[:1] else -(len(s) // 2)
-        n, rest = divmod(sum(self._letter_exp[x] for x in w.letters) - m, 6)
+        n, rest = divmod(self._exponent_sum(w) - m, 6)
         if rest:
             raise VerifierError(f"exponent sum of {w} is not {m} mod 6")
         return m, n
@@ -195,28 +221,53 @@ class TrefoilCentralizerContext:
         """Least syllable form in the orbit <x̄> w̄; a canonical coset name."""
         return orbit_label(self.syllables(w))
 
+    def coset_split(self, u: Word, g: Word):
+        """(v, (m, n)) with v the representative of the coset of u g and
+        u g v^-1 = x^m d^n, without building u g or h = u g v^-1.
+
+        With u g = x̄^k label and v = x̄^k' label in G/<d>, h maps to x̄^(k - k'),
+        and the exponent sum of h is e(u) + e(g) - e(v) = m + 6n.  The forms
+        and exponent sums of u and g are computed once per word.
+        """
+        forms = self._forms
+        fu = forms.get(u.letters)
+        if fu is None:
+            fu = forms[u.letters] = (self.syllables(u), self._exponent_sum(u))
+        fg = forms.get(g.letters)
+        if fg is None:
+            fg = forms[g.letters] = (self.syllables(g), self._exponent_sum(g))
+        label, k = orbit_split(_mul(fu[0], fg[0])[0])
+        rep = self._reps.get(label) or self._search(label, u * g)
+        v, k_rep, e_rep = rep
+        m = k - k_rep
+        n, rest = divmod(fu[1] + fg[1] - e_rep - m, 6)
+        if rest:
+            raise VerifierError(f"exponent sum of {u * g * invert(v)} is not {m} mod 6")
+        return v, (m, n)
+
     # -- representatives: breadth-first search of the coset graph --------------
 
     def _grow(self):
         alpha = self.parent.alphabet
         if self._depth < 0:
             empty = alpha.empty()
-            self._reps = {orbit_label(()): empty}
-            self._frontier = [((), empty)]
+            self._reps = {(): (empty, 0, 0)}
+            self._frontier = [((), 0, 0, empty)]
             self._depth = 0
             return
         nxt = []
-        for s, word in self._frontier:
-            for letter in range(len(alpha)):
-                s2 = _mul(s, self._letter_syl[letter])
-                if _syl_len(s2) > self.syllable_cap:
+        for s, n, e, word in self._frontier:
+            for letter, syl, syl_n, syl_e in self._steps:
+                s2, delta = _mul(s, syl)
+                n2 = n + syl_n + delta
+                if n2 > self.syllable_cap:
                     continue
-                label = orbit_label(s2)
+                label, k = orbit_split(s2)
                 if label in self._reps:
                     continue
                 w2 = Word(alpha, word.letters + (letter,))
-                self._reps[label] = w2
-                nxt.append((s2, w2))
+                self._reps[label] = (w2, k, e + syl_e)
+                nxt.append((s2, n2, e + syl_e, w2))
         self._frontier = nxt
         self._depth += 1
 
@@ -224,21 +275,25 @@ class TrefoilCentralizerContext:
         while self._depth < depth and (self._depth < 0 or self._frontier):
             self._grow()
 
-    def coset_rep(self, w: Word) -> Word:
-        # a label, once found, keeps its representative: look it up first and
-        # grow the search one level at a time only on a miss
-        label = self.coset_label(w)
+    def _search(self, label, w: Word):
+        """The entry of label, growing the search one level at a time; w is a
+        word of the coset, for the search bound and the error."""
+        self.ensure_depth(0)
         rep = self._reps.get(label)
-        if rep is None:
-            self.ensure_depth(0)
-            bound = max(len(w), 3 * self.syllable_cap)
-            while rep is None and self._frontier and self._depth < bound:
-                self._grow()
-                rep = self._reps.get(label)
+        bound = max(len(w), 3 * self.syllable_cap)
+        while rep is None and self._frontier and self._depth < bound:
+            self._grow()
+            rep = self._reps.get(label)
         if rep is None:
             raise VerifierError(
                 f"no representative found for the coset of {w}; raise syllable_cap")
         return rep
+
+    def coset_rep(self, w: Word) -> Word:
+        # a label, once found, keeps its representative: look it up first and
+        # grow the search only on a miss
+        label = self.coset_label(w)
+        return (self._reps.get(label) or self._search(label, w))[0]
 
     def coset_key(self, w: Word):
         return self.coset_rep(w).letters
@@ -248,7 +303,7 @@ class TrefoilCentralizerContext:
 
     def representatives(self, radius: int):
         self.ensure_depth(radius)
-        reps = [w for w in self._reps.values() if len(w) <= radius]
+        reps = [w for w, _k, _e in self._reps.values() if len(w) <= radius]
         reps.sort(key=shortlex_key)
         return reps
 

@@ -300,21 +300,6 @@ def concat(a: Dfa, b: Dfa, name="concat") -> Dfa:
     return determinize(nfa, name)
 
 
-def universal_dfa(alphabet, name="universal") -> Dfa:
-    m = len(alphabet)
-    return Dfa(alphabet, 1, 0, {0}, {(0, a): 0 for a in range(m)}, name)
-
-
-def empty_dfa(alphabet, name="empty") -> Dfa:
-    return Dfa(alphabet, 1, 0, frozenset(), {}, name)
-
-
-def single_word_dfa(w: Word, name=None) -> Dfa:
-    n = len(w)
-    transitions = {(i, x): i + 1 for i, x in enumerate(w.letters)}
-    return Dfa(w.alphabet, n + 1, 0, {n}, transitions, name or f"word:{w}")
-
-
 def word_set_dfa(words: Iterable[Word], alphabet, name="wordset") -> Dfa:
     """Trie acceptor for a finite set of words."""
     nfa = Nfa(alphabet)

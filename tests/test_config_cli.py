@@ -428,3 +428,92 @@ def test_closed_pipe_exits_quietly(unbuffered):
         os.close(w)
     assert "Traceback" not in proc.stderr and "Error" not in proc.stderr, proc.stderr
     assert proc.returncode == 2
+
+
+# --- edge maps that are not homomorphisms ---------------------------------------
+#
+# validate() used to check only that iso images lie in the reverse subgroup and
+# that the two isos undo each other, so both configs below printed "valid"; in
+# the second, `nf --base vf --word "a b b^-1 t t^-1 a^-1"` printed a a a a for
+# a word equal to the identity.
+
+NOT_HOMOMORPHISMS = {
+    # Z * Z/2 glued along <a> and <t>: <a> is infinite, <t> has order 2
+    "z-z2": ("""
+[group A] kind=free rank=1 names=a
+[group B] kind=abelian rank=0 torsion=2 names=t
+[subgroup Ha in A]
+generators=a
+[subgroup Ht in B]
+generators=t
+[graph]
+vertices=va:A,vb:B
+edge e: vb -> va subgroup=Ha reverse_subgroup=Ht iso=y1->y1
+""", "va", "a t t^-1 a^-1"),
+    # F2 and Z/4 glued along <a a> and <t t>: a a has infinite order
+    "f2-z4": ("""
+[group F] kind=free rank=2 names=a,b
+[group C] kind=finite table=z4.csv generators=t:1
+[subgroup Ha in F]
+generators=a a
+[subgroup Ht in C]
+generators=t t
+[graph]
+vertices=vf:F,vc:C
+edge e: vc -> vf subgroup=Ha reverse_subgroup=Ht iso=y1->y1
+""", "vf", "a b b^-1 t t^-1 a^-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_HOMOMORPHISMS))
+def test_edge_map_that_is_not_a_homomorphism_is_invalid(capsys, tmp_path, name):
+    text, base, word = NOT_HOMOMORPHISMS[name]
+    path = tmp_path / "glued.gog"
+    path.write_text(text)
+    (tmp_path / "z4.csv").write_text("0,1,2,3\n1,2,3,0\n2,3,0,1\n3,0,1,2\n")
+    problem = ("edge e~: iso is not a homomorphism: the relator y1 y1 "
+               "does not map to the identity")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 1 and out == f"invalid: {problem}\n"
+    code = main(["nf", str(path), "--base", base, "--word", word])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: invalid graph of groups: {problem}\n"
+
+
+def test_finite_edge_maps_are_checked_on_the_cayley_graph():
+    # S3 over all of S3, with r and s swapped: each map undoes the other and
+    # stays in the subgroup, but r has order 3 and s order 2
+    swapped = """
+[group S] kind=finite table=s3.csv generators=r:1,s:3
+[subgroup H in S]
+generators=r; s
+[subgroup Hr in S]
+generators=r; s
+[graph]
+vertices=v:S
+edge f: v -> v subgroup=H reverse_subgroup=Hr iso=y1->y2; y2->y1 reverse_iso=y1->y2; y2->y1
+"""
+    gog = parse_config(swapped, base_dir=CONFIGS).gog()
+    assert len(gog.ctx(gog.graph.edges["f"]).relators()) == 6 * 2
+    problems = gog.validate()
+    assert [p.split(":")[0] for p in problems] == ["edge f", "edge f~"]
+    assert all("not a homomorphism" in p for p in problems)
+    same = swapped.replace("iso=y1->y2; y2->y1 reverse_iso=y1->y2; y2->y1", "iso=y1->y1; y2->y2")
+    assert parse_config(same, base_dir=CONFIGS).gog().validate() == []
+
+
+def test_abelian_relators_hold_the_relations_among_the_generators():
+    config = parse_config(REGRESSION_GRAPHS["dependent_amalgam.gog"])
+    gog = config.gog()
+    assert gog.validate() == []
+    ctx = gog.ctx(gog.graph.edges["e"])  # <a a, a a a> in Z: one relation
+    relators = ctx.relators()
+    assert len(relators) == 2  # the relation and one commutator
+    identity = ctx.parent.key(ctx.parent.alphabet.empty())
+    assert all(ctx.parent.key(ctx.expand(r)) == identity for r in relators)
+    # mapping a a to b b b and a a a to b b breaks the relation (a a)^3 = (a a a)^2
+    crossed = REGRESSION_GRAPHS["dependent_amalgam.gog"].replace(
+        "iso=y1->y1; y2->y2", "iso=y1->y2; y2->y1")
+    problems = parse_config(crossed).gog().validate()
+    assert problems and all("not a homomorphism" in p for p in problems)

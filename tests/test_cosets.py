@@ -5,14 +5,11 @@ from higgins.backends import (
     free_backend, free_subgroup_cyclic,
 )
 from higgins.cosets import (
-    CosetSystem, VerifierError, WordMetric, check_concatenates_up,
-    check_limited_crossover, check_maximal_crossover, check_stability,
-    prune_identity_coset,
+    CosetSystem, VerifierError, WordMetric, check_limited_crossover,
+    check_maximal_crossover, check_stability,
 )
-from higgins.fsa import enumerate_language, single_word_dfa, union, word_set_dfa
-from higgins.words import Word, invert
-
-from test_backends import s3_table
+from higgins.fsa import word_set_dfa
+from higgins.words import invert
 
 
 def z2_axis():
@@ -126,80 +123,3 @@ def test_stability_rejects_non_homomorphism():
     H2 = finite_subgroup(B, [B.alphabet.word("s")])
     with pytest.raises(VerifierError):
         check_stability([H2.gen_alphabet.word("y1")], H1, H2, mu=2, radius=4)
-
-
-def test_concatenates_up_z2():
-    G, H = z2_axis()
-    assert check_concatenates_up(H, 6).passed
-
-
-def test_concatenates_up_free():
-    F = free_backend(2)
-    H = free_subgroup_cyclic(F, F.alphabet.word("a"))
-    assert check_concatenates_up(H, 6).passed
-
-
-def test_concatenates_up_requires_letters():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1 x2")])
-    with pytest.raises(VerifierError):
-        check_concatenates_up(H, 4)
-
-
-def test_prune_fixed_point():
-    G, H = z2_axis()
-    sys = CosetSystem(H)
-    pruned = prune_identity_coset(sys)
-    a = [w.letters for w in enumerate_language(sys.language, 6)]
-    b = [w.letters for w in enumerate_language(pruned.language, 6)]
-    assert a == b
-
-
-def test_prune_removes_identity_words():
-    G, H = z2_axis()
-    padded = union(H.coset_language, single_word_dfa(G.alphabet.word("x1")))
-    pruned = prune_identity_coset(CosetSystem(H, padded))
-    words = [str(w) for w in enumerate_language(pruned.language, 2)]
-    assert "x1" not in words and "ε" in words and "x2" in words
-
-
-def test_prune_whole_group():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
-    sys = prune_identity_coset(CosetSystem(H))
-    assert [str(w) for w in enumerate_language(sys.language, 4)] == ["ε"]
-
-
-def test_prune_finite_explicit_dfa():
-    perms, table = s3_table()
-    G = finite_backend(table, {"r": 1, "s": 3})
-    H = finite_subgroup(G, [G.alphabet.word("s")])
-    padded = union(H.coset_language, single_word_dfa(G.alphabet.word("s")))
-    pruned = prune_identity_coset(CosetSystem(H, padded))
-    from higgins.fsa import Dfa
-    assert isinstance(pruned.language, Dfa)
-    words = [str(w) for w in enumerate_language(pruned.language, 3)]
-    assert "s" not in words and "ε" in words
-
-
-def test_prune_preserves_certified_reports():
-    from higgins.certify import certify_coset_system
-    G, H = z2_axis()
-    padded = union(H.coset_language, single_word_dfa(G.alphabet.word("x1")))
-    pruned = prune_identity_coset(CosetSystem(H, padded, mode="sync"))
-    clean = CosetSystem(H, mode="sync")
-    for lam in (1, 2):
-        a = check_limited_crossover(pruned, lam=lam, radius=5)
-        b = check_limited_crossover(clean, lam=lam, radius=5)
-        assert a.passed == b.passed and a.total_violations == b.total_violations
-    ca = certify_coset_system(pruned, radius=5)
-    cb = certify_coset_system(clean, radius=5)
-    assert (ca.K_observed, ca.pairs_tested, ca.bounded) == \
-        (cb.K_observed, cb.pairs_tested, cb.bounded)
-
-
-def test_prune_requires_empty_word():
-    G, H = z2_axis()
-    no_eps = single_word_dfa(G.alphabet.word("x2"))
-    with pytest.raises(VerifierError):
-        prune_identity_coset(CosetSystem(H, no_eps))

@@ -1,20 +1,24 @@
-"""The trefoil coset context: its O(n) coset label against the orbit scan,
-its pruned coset-graph search against an unpruned element search, how far
-that search grows, and its subgroup coordinates against breadth-first
-subgroup lengths."""
+"""The trefoil coset context: its coset label and split against the orbit
+scan, its junction product against a full push, its pruned coset-graph
+search against an unpruned element search, how far that search grows, and
+its subgroup coordinates and per-(u, g) split against breadth-first subgroup
+lengths."""
 
 import random
 
 import pytest
 
-from oracles import trefoil_orbit_label
+import higgins.cosets as cosets
+from oracles import _zz_mul, trefoil_orbit_label
 from higgins.cosets import (
     CosetSystem, VerifierError, WordMetric, check_limited_crossover,
     check_maximal_crossover,
 )
 from higgins.experiments import (
-    TrefoilCentralizerContext, orbit_label, run_trefoil_experiment,
+    X_BAR, X_BAR_INV, TrefoilCentralizerContext, _mul, _syl_len, orbit_label,
+    orbit_split, run_trefoil_experiment,
 )
+from higgins.fsa import enumerate_language
 from higgins.words import Word, all_words, invert, shortlex_key
 
 
@@ -29,11 +33,33 @@ def reduced_forms(max_syllables):
     return forms
 
 
+def xbar_power(k):
+    return X_BAR * k if k >= 0 else X_BAR_INV * -k
+
+
 def test_label_matches_orbit_scan_on_every_short_form():
     forms = reduced_forms(14)
     assert len(forms) == 890
     for s in forms:
         assert orbit_label(s) == trefoil_orbit_label(s), s
+
+
+def test_split_gives_the_form_back():
+    for s in reduced_forms(14):
+        label, k = orbit_split(s)
+        assert label == trefoil_orbit_label(s), s
+        assert _mul(xbar_power(k), label)[0] == s, (s, k)
+
+
+def test_junction_product_equals_the_full_push():
+    forms = reduced_forms(9)
+    rng = random.Random(17)
+    pairs = [(rng.choice(forms), rng.choice(forms)) for _ in range(3000)]
+    pairs += [(s, t) for s in forms[:40] for t in forms[:40]]
+    for s, t in pairs:
+        st, delta = _mul(s, t)
+        assert st == _zz_mul(s, t), (s, t)
+        assert delta == _syl_len(st) - _syl_len(s) - _syl_len(t), (s, t)
 
 
 def test_label_matches_orbit_scan_on_random_words():
@@ -58,6 +84,21 @@ def test_search_matches_unpruned_element_search():
     assert ctx.representatives(6) == sorted(least.values(), key=shortlex_key)
     for w, label in labelled:
         assert ctx.coset_rep(w) == least[label], str(w)
+
+
+def test_search_entries_carry_their_words():
+    # each stored representative is x̄^k label; the frontier carries each
+    # word's form, syllable length and exponent sum.  The cap binds here: at
+    # depth 6, cap 12 keeps 55 labels and cap 14 keeps 86
+    ctx = TrefoilCentralizerContext(syllable_cap=12)
+    ctx.ensure_depth(6)
+    assert len(ctx._reps) == 55
+    for label, (rep, k, e) in ctx._reps.items():
+        assert _mul(xbar_power(k), label)[0] == ctx.syllables(rep), str(rep)
+        assert e == ctx._exponent_sum(rep), str(rep)
+    assert ctx._frontier
+    for s, n, e, word in ctx._frontier:
+        assert (s, n, e) == (ctx.syllables(word), _syl_len(s), ctx._exponent_sum(word))
 
 
 def test_experiment_grows_a_small_search():
@@ -133,3 +174,56 @@ def test_crossover_from_coordinates_equals_the_search(monkeypatch, check):
     for lam, want in zip((1, 2), searched):
         got = check(sys, lam=lam, radius=3)
         assert got.lines() == want.lines() and got.swept == want.swept
+
+
+def swept_pairs(ctx, radius, lam):
+    """Every (u, g) of a crossover sweep at (radius, lam), Y and Z at {x, d}."""
+    gs = WordMetric(ctx.parent, ctx.gen_words, coords=ctx.y_coords).elements_within(lam)
+    return [(u, g) for u in enumerate_language(ctx.coset_language, radius) for g, _d, _y in gs]
+
+
+def test_split_equals_the_search_from_scratch():
+    # g up to length 4 covers the limited sweeps at r <= 4, lambda <= 3 and
+    # the maximal ones at r <= 4
+    ctx, scratch = TrefoilCentralizerContext(), TrefoilCentralizerContext()
+    bfs = WordMetric(scratch.parent, scratch.gen_words)
+    pairs = swept_pairs(ctx, 4, 4)
+    assert len(pairs) == 32 * 41
+    for u, g in pairs:
+        product = u * g
+        v = scratch.coset_rep(product)
+        h = product * invert(v)
+        got = ctx.coset_split(u, g)
+        assert got == (v, scratch.y_coords(h)), (str(u), str(g))
+        m, n = got[1]
+        assert abs(m) + abs(n) == bfs.length(h, 40), str(h)
+
+
+def test_split_grows_the_search_on_a_label_miss():
+    ctx = TrefoilCentralizerContext()
+    alpha = ctx.parent.alphabet
+    u, g = alpha.word("y x y^-1 x y"), alpha.word("x x")
+    assert ctx.coset_split(u, g)[0] == TrefoilCentralizerContext().coset_rep(u * g)
+    small = TrefoilCentralizerContext(syllable_cap=1)
+    with pytest.raises(VerifierError, match="raise syllable_cap"):
+        small.coset_split(alpha.word("y"), alpha.empty())
+
+
+def test_split_checks_the_exponent_sum():
+    ctx = TrefoilCentralizerContext()
+    alpha = ctx.parent.alphabet
+    u, g = alpha.word("y"), alpha.word("x")
+    v, _coords = ctx.coset_split(u, g)
+    label = orbit_label(ctx.syllables(v))
+    rep, k, e = ctx._reps[label]
+    ctx._reps[label] = (rep, k, e + 1)
+    with pytest.raises(VerifierError, match="mod 6"):
+        ctx.coset_split(u, g)
+
+
+def test_split_keeps_the_length_cap(monkeypatch):
+    monkeypatch.setattr(cosets, "LENGTH_CAP_PER_STEP", 0)
+    monkeypatch.setattr(cosets, "LENGTH_CAP_MARGIN", 0)
+    sys = CosetSystem(TrefoilCentralizerContext())
+    with pytest.raises(VerifierError, match=r"u g v\^-1 = .* within length 0"):
+        check_limited_crossover(sys, lam=1, radius=2)

@@ -5,8 +5,7 @@ import pytest
 
 from higgins.fsa import (
     Dfa, DfaFormatError, LazyLanguage, complement, concat, dfa_from_text,
-    dfa_to_text, empty_dfa, enumerate_language, intersect, minimize,
-    single_word_dfa, union, universal_dfa, word_set_dfa,
+    dfa_to_text, enumerate_language, intersect, minimize, union, word_set_dfa,
 )
 from higgins.words import Alphabet, all_words
 
@@ -37,7 +36,7 @@ def random_dfa(rng, alphabet=AB, max_states=5):
 
 
 def test_concat_example():
-    a = single_word_dfa(AB.word("a"))
+    a = word_set_dfa(words("a"), AB)
     b = word_set_dfa(words("b", "b b"), AB)
     c = concat(a, b)
     assert enum_set(c, 4) == {w.letters for w in words("a b", "a b b")}
@@ -54,7 +53,8 @@ def test_intersect_with_universal():
     rng = random.Random(8)
     for _ in range(10):
         d = random_dfa(rng)
-        assert enum_set(intersect(d, universal_dfa(AB)), 8) == enum_set(d, 8)
+        universal = Dfa(AB, 1, 0, {0}, {(0, a): 0 for a in range(len(AB))}, "universal")
+        assert enum_set(intersect(d, universal), 8) == enum_set(d, 8)
 
 
 def test_boolean_ops_agree_with_enumeration():
@@ -83,7 +83,7 @@ def test_enumerate_examples():
     star = Dfa(Alphabet(["x"]), 1, 0, {0}, {(0, 0): 0}, "xstar")
     got = enumerate_language(star, 2)
     assert [str(w) for w in got] == ["ε", "x", "x x"]
-    assert enumerate_language(empty_dfa(AB), 5) == []
+    assert enumerate_language(Dfa(AB, 1, 0, frozenset(), {}, "empty"), 5) == []
 
 
 def test_enumerate_matches_acceptance():
