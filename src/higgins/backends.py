@@ -425,11 +425,18 @@ class AbelianSubgroup(SubgroupContext):
             coeffs = self._as_group.presentation.chosen(tuple(coeffs))
         return self._yword(coeffs)
 
+    def _relation_rows(self) -> list:
+        """Exponent vectors of the relations among the generators: the left
+        kernel of the lattice (generators stacked over the torsion rows),
+        cut to the generator columns."""
+        k = len(self.gen_words)
+        return [row[:k] for row in self.lattice.left_nullspace() if any(row[:k])]
+
     def relators(self) -> list:
         """The relations among the generators, as AbelianSubgroupAsGroup
         reads them off the lattice, and the commutator of each pair."""
         k = len(self.gen_words)
-        out = [self._yword(row[:k]) for row in self.lattice.left_nullspace() if any(row[:k])]
+        out = [self._yword(row) for row in self._relation_rows()]
         ys = [self._yword([int(t == i) for t in range(k)]) for i in range(k)]
         return out + [a * b * invert(a) * invert(b) for i, a in enumerate(ys) for b in ys[i + 1:]]
 
@@ -634,8 +641,7 @@ class AbelianSubgroupAsGroup:
 
     def __init__(self, ctx: "AbelianSubgroup"):
         k = len(ctx.gen_words)
-        # ctx's lattice stacks the generators over the torsion rows
-        relations = [row[:k] for row in ctx.lattice.left_nullspace() if any(row[:k])]
+        relations = ctx._relation_rows()
         names = list(ctx.gen_alphabet.generators)
         self.backend = AbelianBackend(k, names=names) if k else AbelianBackend(0, names=[])
         self.relations = [self.backend.serialize(c) for c in relations]

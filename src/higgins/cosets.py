@@ -4,11 +4,12 @@ and stability of edge isomorphisms.
 Subgroup lengths |h|_Y are path lengths in the subgroup's own Cayley graph
 over the probe generating set, computed by breadth-first search and memoized
 per report; they are not ambient word lengths.  A context whose generators
-form a basis of a free abelian subgroup may offer y_coords(w), which keys
-those searches by coordinates, and coset_split(u, g) -> (v, coordinates of
-u g v^-1); with Y and Z left at the context's generators, the crossover
-sweep reads v and |h|_Y off that one call per (u, g), and other contexts
-keep coset_rep and the search.
+form a basis of a free abelian subgroup may offer coset_splitter(), which
+gives, for one crossover sweep, a function split(u, g) -> (v, coordinates of
+u g v^-1); with Y left at the context's generators, the sweep reads v and
+|h|_Y off that one call per (u, g), and other contexts keep coset_rep and the
+search.  Such a context's y_coords(w) keys the search for g in <Z> by
+coordinates when Y and Z are both left at the generators.
 """
 
 from __future__ import annotations
@@ -45,18 +46,15 @@ class WordMetric:
     When a probe alphabet is supplied (one generator per probe word), each
     reached element also records its shortest word over that alphabet.
 
-    coords, when given, maps a parent word to its coordinates in the free
-    abelian subgroup with basis probe_words, or to None off the subgroup.  It
-    keys the search in place of parent.key, so the search itself is
-    unchanged, and length() reads the L1 norm of the coordinates instead of
-    searching.
+    key, when given, keys the search in place of parent.key (a context's
+    coordinates of its subgroup's elements, say), so the search itself is
+    unchanged.
     """
 
     def __init__(self, parent, probe_words: Sequence[Word], probe_alphabet=None,
-                 coords=None):
+                 key=None):
         self.parent = parent
-        self.coords = coords
-        self._key = key = coords if coords is not None else parent.key
+        self._key = key = key if key is not None else parent.key
         steps = []
         seen_steps = set()
         identity = key(parent.alphabet.empty())
@@ -95,13 +93,7 @@ class WordMetric:
     def length(self, w: Word, cap: int) -> Optional[int]:
         """|w| over the probe words, or None when the search grown to cap
         (or further, if it already is) does not reach w."""
-        if self.coords is not None:
-            c = self.coords(w)
-            if c is None:
-                return None
-            d = sum(abs(t) for t in c)
-            return d if d <= max(cap, self.depth) else None
-        k = self.parent.key(w)
+        k = self._key(w)
         hit = self.table.get(k)
         while hit is None and self.depth < cap and self.frontier:
             self.grow_to(self.depth + 1)
@@ -206,34 +198,33 @@ def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None
 
 
 def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
-    """The crossover sweep behind both checks.  Y and Z left at the context's
-    generators take their lengths from the context's y_coords, when it has
-    one, instead of a breadth-first search; with both left so, a context's
-    coset_split(u, g) gives v and the coordinates of u g v^-1 at once."""
+    """The crossover sweep behind both checks.  With Y left at the context's
+    generators, a context's coset_splitter() gives v and the coordinates of
+    u g v^-1 at once; with Y and Z both left so, its y_coords keys the search
+    for g."""
     ctx = sys.context
     parent = ctx.parent
-    coset_split = getattr(ctx, "coset_split", None) if Y is None and Z is None else None
-    y_coords = getattr(ctx, "y_coords", None) if Y is None else None
-    z_coords = y_coords if Z is None else None
+    splitter = getattr(ctx, "coset_splitter", None) if Y is None else None
+    z_key = getattr(ctx, "y_coords", None) if Y is None and Z is None else None
     Y = list(Y) if Y is not None else list(ctx.gen_words)
     Z = list(Z) if Z is not None else list(Y)
-    y_metric = WordMetric(parent, Y, coords=y_coords)
-    _check_generates(y_metric, ctx, radius)
-    z_metric = WordMetric(parent, Z, coords=z_coords)
-    gs = z_metric.elements_within(radius if maximal else lam)
     cap = LENGTH_CAP_PER_STEP * (radius + lam) + LENGTH_CAP_MARGIN
-    if coset_split is not None:
-        reach = max(cap, y_metric.depth)  # as y_metric.length(h, cap) would
+    if splitter is not None:
+        split = splitter()
 
         def measure(u, g):
-            v, (m, n) = coset_split(u, g)
+            v, (m, n) = split(u, g)
             hlen = abs(m) + abs(n)
-            return v, (hlen if hlen <= reach else None)
+            return v, (hlen if hlen <= cap else None)
     else:
+        y_metric = WordMetric(parent, Y)
+        _check_generates(y_metric, ctx, radius)
+
         def measure(u, g):
             product = u * g
             v = ctx.coset_rep(product)
             return v, y_metric.length(product * invert(v), cap)
+    gs = WordMetric(parent, Z, key=z_key).elements_within(radius if maximal else lam)
     witnesses = []
     swept = 0
     for u in enumerate_language(sys.language, radius):

@@ -21,12 +21,12 @@ tests.
 
 H = <x> x <d> is free abelian, so subgroup lengths need no search either:
 h = x^m d^n has |h|_{x, d} = |m| + |n|, and y_coords reads (m, n) off the
-syllable form and the exponent sum of h.  With Y and Z left at {x, d}, the
-crossover sweep asks coset_split(u, g) instead: it joins the carried forms
-of u and g at their junction, splits the product as x̄^k label and reads v,
-m = k - k' and n off the label's entry, building neither u g nor h.  The
-breadth-first search of WordMetric stays the fallback for any other probe
-set, and the oracle in the tests.
+syllable form and the exponent sum of h.  With Y left at {x, d}, the
+crossover sweep asks coset_splitter()'s split(u, g) instead: it joins the
+carried forms of u and g at their junction, splits the product as x̄^k label
+and reads v, m = k - k' and n off the label's entry, building neither u g
+nor h.  The breadth-first search of WordMetric stays the fallback for any
+other probe set, and the oracle in the tests.
 
 No bound is proved here: per crossover constant, the report only says
 whether witnesses were found at the tested radius.
@@ -187,7 +187,6 @@ class TrefoilCentralizerContext:
         self._reps: dict = {}
         self._depth = -1
         self._frontier = None
-        self._forms: dict = {}  # letters of a swept u or g -> (form, exponent sum)
 
     def syllables(self, w: Word):
         stack = []
@@ -221,29 +220,33 @@ class TrefoilCentralizerContext:
         """Least syllable form in the orbit <x̄> w̄; a canonical coset name."""
         return orbit_label(self.syllables(w))
 
-    def coset_split(self, u: Word, g: Word):
-        """(v, (m, n)) with v the representative of the coset of u g and
-        u g v^-1 = x^m d^n, without building u g or h = u g v^-1.
+    def coset_splitter(self):
+        """A function split(u, g) -> (v, (m, n)) for one crossover sweep, with
+        v the representative of the coset of u g and u g v^-1 = x^m d^n; it
+        builds neither u g nor h = u g v^-1.
 
         With u g = x̄^k label and v = x̄^k' label in G/<d>, h maps to x̄^(k - k'),
         and the exponent sum of h is e(u) + e(g) - e(v) = m + 6n.  The forms
-        and exponent sums of u and g are computed once per word.
+        and exponent sums of u and g are computed once per word per sweep,
+        and dropped with the function.
         """
-        forms = self._forms
-        fu = forms.get(u.letters)
-        if fu is None:
-            fu = forms[u.letters] = (self.syllables(u), self._exponent_sum(u))
-        fg = forms.get(g.letters)
-        if fg is None:
-            fg = forms[g.letters] = (self.syllables(g), self._exponent_sum(g))
-        label, k = orbit_split(_mul(fu[0], fg[0])[0])
-        rep = self._reps.get(label) or self._search(label, u * g)
-        v, k_rep, e_rep = rep
-        m = k - k_rep
-        n, rest = divmod(fu[1] + fg[1] - e_rep - m, 6)
-        if rest:
-            raise VerifierError(f"exponent sum of {u * g * invert(v)} is not {m} mod 6")
-        return v, (m, n)
+        forms: dict = {}  # letters of a swept u or g -> (form, exponent sum)
+
+        def split(u: Word, g: Word):
+            fu = forms.get(u.letters)
+            if fu is None:
+                fu = forms[u.letters] = (self.syllables(u), self._exponent_sum(u))
+            fg = forms.get(g.letters)
+            if fg is None:
+                fg = forms[g.letters] = (self.syllables(g), self._exponent_sum(g))
+            label, k = orbit_split(_mul(fu[0], fg[0])[0])
+            v, k_rep, e_rep = self._reps.get(label) or self._search(label, u * g)
+            m = k - k_rep
+            n, rest = divmod(fu[1] + fg[1] - e_rep - m, 6)
+            if rest:
+                raise VerifierError(f"exponent sum of {u * g * invert(v)} is not {m} mod 6")
+            return v, (m, n)
+        return split
 
     # -- representatives: breadth-first search of the coset graph --------------
 

@@ -157,7 +157,7 @@ def test_coordinates_round_trip_on_the_basis():
 def test_coordinate_keys_leave_the_search_unchanged():
     ctx = TrefoilCentralizerContext()
     by_key = WordMetric(ctx.parent, ctx.gen_words)
-    by_coords = WordMetric(ctx.parent, ctx.gen_words, coords=ctx.y_coords)
+    by_coords = WordMetric(ctx.parent, ctx.gen_words, key=ctx.y_coords)
     for lam in range(4):
         assert by_coords.elements_within(lam) == by_key.elements_within(lam)
 
@@ -176,9 +176,20 @@ def test_crossover_from_coordinates_equals_the_search(monkeypatch, check):
         assert got.lines() == want.lines() and got.swept == want.swept
 
 
+@pytest.mark.parametrize("check", [check_limited_crossover, check_maximal_crossover])
+def test_split_with_a_given_z_equals_the_search(check):
+    ctx = TrefoilCentralizerContext()
+    sys = CosetSystem(ctx)
+    Z = [ctx.parent.alphabet.word("x x"), ctx.gen_words[1]]
+    for lam in (1, 2):
+        want = check(sys, Y=ctx.gen_words, Z=Z, lam=lam, radius=2)
+        got = check(sys, Z=Z, lam=lam, radius=2)
+        assert got.lines() == want.lines() and got.swept == want.swept
+
+
 def swept_pairs(ctx, radius, lam):
     """Every (u, g) of a crossover sweep at (radius, lam), Y and Z at {x, d}."""
-    gs = WordMetric(ctx.parent, ctx.gen_words, coords=ctx.y_coords).elements_within(lam)
+    gs = WordMetric(ctx.parent, ctx.gen_words, key=ctx.y_coords).elements_within(lam)
     return [(u, g) for u in enumerate_language(ctx.coset_language, radius) for g, _d, _y in gs]
 
 
@@ -189,11 +200,12 @@ def test_split_equals_the_search_from_scratch():
     bfs = WordMetric(scratch.parent, scratch.gen_words)
     pairs = swept_pairs(ctx, 4, 4)
     assert len(pairs) == 32 * 41
+    split = ctx.coset_splitter()
     for u, g in pairs:
         product = u * g
         v = scratch.coset_rep(product)
         h = product * invert(v)
-        got = ctx.coset_split(u, g)
+        got = split(u, g)
         assert got == (v, scratch.y_coords(h)), (str(u), str(g))
         m, n = got[1]
         assert abs(m) + abs(n) == bfs.length(h, 40), str(h)
@@ -203,22 +215,23 @@ def test_split_grows_the_search_on_a_label_miss():
     ctx = TrefoilCentralizerContext()
     alpha = ctx.parent.alphabet
     u, g = alpha.word("y x y^-1 x y"), alpha.word("x x")
-    assert ctx.coset_split(u, g)[0] == TrefoilCentralizerContext().coset_rep(u * g)
+    assert ctx.coset_splitter()(u, g)[0] == TrefoilCentralizerContext().coset_rep(u * g)
     small = TrefoilCentralizerContext(syllable_cap=1)
     with pytest.raises(VerifierError, match="raise syllable_cap"):
-        small.coset_split(alpha.word("y"), alpha.empty())
+        small.coset_splitter()(alpha.word("y"), alpha.empty())
 
 
 def test_split_checks_the_exponent_sum():
     ctx = TrefoilCentralizerContext()
     alpha = ctx.parent.alphabet
     u, g = alpha.word("y"), alpha.word("x")
-    v, _coords = ctx.coset_split(u, g)
+    split = ctx.coset_splitter()
+    v, _coords = split(u, g)
     label = orbit_label(ctx.syllables(v))
     rep, k, e = ctx._reps[label]
     ctx._reps[label] = (rep, k, e + 1)
     with pytest.raises(VerifierError, match="mod 6"):
-        ctx.coset_split(u, g)
+        split(u, g)
 
 
 def test_split_keeps_the_length_cap(monkeypatch):
