@@ -2,7 +2,7 @@
 
 A backend bundles the oracles everything downstream consumes: canonical
 (shortlex) forms and their keys, geodesic lengths and an explicit canonical
-language; balls come from certify.CayleyBall, a search over those keys.
+language; balls come from cosets.CayleyBall, a search over those keys.
 A vertex backend's key of a word is also the element the cascade scan
 carries: identity(), prepend(x, e) and append(e, x) give the elements of
 x*e and e*x in O(1) or O(head), and element_word(e) gives e's canonical word.
@@ -24,6 +24,7 @@ import math
 from typing import Optional, Sequence
 
 from . import fsa
+from .cosets import CayleyBall, WordMetric
 from .fsa import Dfa, LazyLanguage, Nfa, determinize, minimize, word_set_dfa
 from .words import Alphabet, Word, WordMap, free_reduce, invert, shortlex_key
 
@@ -342,6 +343,17 @@ class SubgroupContext:
         homomorphism exactly when each relator maps to the identity.  Free
         and trivial subgroups have none."""
         return []
+
+    def broken_relator(self, iso, target) -> Optional[Word]:
+        """The first relator that iso, a map of words over these generators
+        to words over target's, does not send to the identity of target's
+        parent; None when iso is a homomorphism."""
+        parent = target.parent
+        identity = parent.key(parent.alphabet.empty())
+        for r in self.relators():
+            if parent.key(target.expand(iso(r))) != identity:
+                return r
+        return None
 
 
 # coset language synthesis for non-independent subgroups: residual
@@ -836,24 +848,6 @@ def free_subgroup_cyclic(parent: FreeBackend, gen: Word, gen_names=None) -> Free
 
 # --- finite backend ----------------------------------------------------------
 
-def _table_bfs(table, steps) -> dict[int, tuple]:
-    """Shortlex-least word of every element reached from the identity 0 of a
-    multiplication table, by breadth-first search.  steps are (element,
-    letter) pairs in letter order; the letter moves e to table[e][element]."""
-    words = {0: ()}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g, letter in steps:
-                e2 = table[e][g]
-                if e2 not in words:
-                    words[e2] = words[e] + (letter,)
-                    nxt.append(e2)
-        frontier = nxt
-    return words
-
-
 class FiniteBackend:
     """Group given by a multiplication table; element 0 is the identity."""
 
@@ -877,7 +871,6 @@ class FiniteBackend:
                 for k in range(n):
                     if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
                         raise BackendError("table is not associative")
-        self.inv_elt = inv
         self.order = n
         if gens is None:
             gens = {f"g{i}": i for i in range(1, n)}
@@ -892,8 +885,7 @@ class FiniteBackend:
             self._letter_elt[self.alphabet.inv[p]] = inv[self.gen_elts[nm]]
         # row x of the table, indexed by e, is the element of x * e
         self._prepend_row = {x: self.table[g] for x, g in self._letter_elt.items()}
-        self._canon = _table_bfs(
-            self.table, [(self._letter_elt[x], x) for x in range(len(self.alphabet))])
+        self._canon = {self.eval(w): w.letters for w in CayleyBall(self, n).elements()}
         if len(self._canon) != n:
             raise BackendError("declared generators do not generate the group")
         self.name = f"finite(order={n})"
@@ -942,15 +934,9 @@ class FiniteBackend:
 class FiniteSubgroup(SubgroupContext):
     def __init__(self, parent: FiniteBackend, gens: Sequence[Word], gen_names=None):
         super().__init__(parent, gens, gen_names)
-        # words over the subgroup generators, by a search of H
-        ystep = []
-        for i, g in enumerate(self.gen_words):
-            p = self.gen_alphabet.index(self.gen_alphabet.generators[i])
-            e = parent.eval(g)
-            ystep.append((e, p))
-            if self.gen_alphabet.inv[p] != p:
-                ystep.append((parent.inv_elt[e], self.gen_alphabet.inv[p]))
-        self._yword = _table_bfs(parent.table, ystep)
+        # words over the subgroup generators, by a ball of H
+        self._yword = {parent.eval(w): y for w, _d, y in WordMetric(
+            parent, self.gen_words, self.gen_alphabet).elements_within(parent.order)}
         self.elements = frozenset(self._yword)
         # right cosets Hg, representative = element with shortlex-least word
         self._coset_of = {}

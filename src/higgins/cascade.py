@@ -490,7 +490,7 @@ class Pi1System:
 
 class Pi1Backend:
     """Group-backend facade over a Pi1System: canonical forms and keys are
-    Higgins normal forms, memoized by word; a certify.CayleyBall over these
+    Higgins normal forms, memoized by word; a cosets.CayleyBall over these
     keys gives its balls."""
 
     def __init__(self, system: Pi1System, v0: Optional[str] = None):

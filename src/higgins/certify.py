@@ -1,12 +1,14 @@
 """Empirical certification of fellow-traveller properties.
 
-Distances are path distances in the Cayley graph, realized inside a ball
-built by breadth-first search over canonical keys: d(g, h) is the depth of
-the canonical key of g^-1 h.  The ball grows one sphere at a time, only as
-far as the lookups ask, up to a cap of R + BALL_MARGIN for a radius-R sweep;
-a distance is exact whenever its key lies within the cap and is otherwise
-reported as escaping the ball.  Certificates never claim failure beyond the
-tested radius; an escape is an explicit signal, meaning "beyond the cap".
+Distances are path distances in the Cayley graph, realized inside a
+CayleyBall, the breadth-first ball over canonical keys that subgroup lengths
+use too (it lives in cosets and is importable from here): d(g, h) is the
+depth of the canonical key of g^-1 h.  The ball grows one sphere at a time,
+only as far as the lookups ask, up to a cap of R + BALL_MARGIN for a
+radius-R sweep; a distance is exact whenever its key lies within the cap and
+is otherwise reported as escaping the ball.  Certificates never claim
+failure beyond the tested radius; an escape is an explicit signal, meaning
+"beyond the cap".
 
 A certificate reports K, the largest over all swept pairs of each pair's
 optimal fellow constant.  The sweep measures every pair against the running
@@ -23,15 +25,12 @@ rather than starting it again from (0, 0).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Optional
 
-from .cosets import CosetSystem, WordMetric, check_limited_crossover, check_stability
+from .cosets import (_MISS, UNBOUNDED, CayleyBall, CosetSystem, ExtendedBackend, WordMetric,
+                     check_limited_crossover, check_stability)
 from .fsa import Dfa, LazyLanguage, concat as dfa_concat, enumerate_language
 from .words import Alphabet, Word, WordMap, invert, shortlex_key
-
-UNBOUNDED = None
-_MISS = object()  # a pair-cache miss; a cached escape is stored as UNBOUNDED
 
 
 class HypothesisViolation(ValueError):
@@ -43,97 +42,6 @@ BALL_MARGIN = 6  # a radius-R sweep measures distances in a ball of radius R + B
 # lambda from 1 up to these
 HYPOTHESES_MU_MAX = 3
 HYPOTHESES_LAMBDA_MAX = 3
-
-
-class CayleyBall:
-    """Ball around the identity with exact internal metric, grown on demand.
-
-    It starts as the identity alone.  A lookup that misses adds whole
-    breadth-first spheres until the key turns up or max_radius is reached;
-    len() and elements() first grow the ball to max_radius, and within(r) to
-    r.  Its words are each element's shortlex-least geodesic, in shortlex
-    order: the standard word acceptor's ball.  radius is the
-    radius reached so far and dist holds exactly the depths 0..radius.  A
-    level-by-level search finds the same first word for each element however
-    far it runs, so no answer depends on how far the ball has grown.
-
-    edges is the Cayley graph of the grown part: edges[i][x] is the index of
-    words[i] * x.  Growing a sphere fills in the rows of the sphere before it,
-    so every element inside the outermost sphere has its row, in index order.
-    """
-
-    def __init__(self, oracle, radius: int):
-        self.oracle = oracle
-        self.alphabet = oracle.alphabet
-        self.max_radius = radius
-        self.radius = 0
-        empty = self.alphabet.empty()
-        self.words: list[Word] = [empty]
-        self.dist: list[int] = [0]
-        self.edges: list[list[int]] = []
-        self._index: dict = {oracle.key(empty): 0}
-        # (i, j) with i < j -> d(g_i, g_j) or UNBOUNDED; _aligns_within reads
-        # it in place and calls distance only on a miss
-        self._pair_cache: dict = {}
-
-    def _grow(self):
-        """Add the next sphere: extend the last one by every letter, in
-        letter order, keeping the first word found for each new key."""
-        d = self.radius + 1
-        alphabet, key, index = self.alphabet, self.oracle.key, self._index
-        words, edges = self.words, self.edges
-        for i in range(len(edges), len(words)):
-            u = words[i].letters
-            row = []
-            for x in range(len(alphabet)):
-                w = Word(alphabet, u + (x,))
-                k = key(w)
-                j = index.get(k)
-                if j is None:
-                    j = index[k] = len(words)
-                    words.append(w)
-                    self.dist.append(d)
-                row.append(j)
-            edges.append(row)
-        self.radius = d
-
-    def __len__(self):
-        return len(self.elements())
-
-    def index(self, w: Word) -> Optional[int]:
-        return self.index_of_key(self.oracle.key(w))
-
-    def index_of_key(self, k) -> Optional[int]:
-        """Index of the element with canonical key k, growing the ball until
-        it turns up; None when it lies beyond max_radius."""
-        idx = self._index.get(k)
-        while idx is None and self.radius < self.max_radius:
-            self._grow()
-            idx = self._index.get(k)
-        return idx
-
-    def elements(self) -> list[Word]:
-        return self.within(self.max_radius)
-
-    def within(self, r: int) -> list[Word]:
-        """The words at distance <= r, growing the ball to r only (never
-        past max_radius)."""
-        while self.radius < min(r, self.max_radius):
-            self._grow()
-        return self.words[:bisect_right(self.dist, r)]
-
-    def distance(self, i: int, j: int) -> Optional[int]:
-        """d(g_i, g_j), or None when g_i^-1 g_j falls outside the capped ball."""
-        if i == j:
-            return 0
-        key = (i, j) if i < j else (j, i)
-        hit = self._pair_cache.get(key, _MISS)
-        if hit is _MISS:
-            a, b = key
-            idx = self.index_of_key(self.oracle.key(invert(self.words[a]) * self.words[b]))
-            hit = self.dist[idx] if idx is not None else UNBOUNDED
-            self._pair_cache[key] = hit
-        return hit
 
 
 def _step(ball: CayleyBall, i: int, x: int) -> Optional[int]:
@@ -456,23 +364,6 @@ def certify_automatic(lang, oracle, radius: int, mode: str = "sync",
         ball = CayleyBall(oracle, radius + BALL_MARGIN)
     pairs, K, violations = _sweep(lang, oracle, radius, mode, ball)
     return FellowCertificate(mode, radius, pairs, K, violations, None, _language_states(lang))
-
-
-class ExtendedBackend:
-    """Oracle over an enlarged generating set: old letters plus subgroup
-    generators realized as words over the parent."""
-
-    def __init__(self, parent, expand: WordMap):
-        self.parent = parent
-        self.alphabet = expand.source
-        self.expand = expand  # enlarged-alphabet words -> parent words
-        self.name = f"extended({parent.name})"
-
-    def canonical(self, w: Word) -> Word:
-        return self.parent.canonical(self.expand(w))
-
-    def key(self, w: Word):
-        return self.parent.key(self.expand(w))
 
 
 def concat_structure(L_H, sys: CosetSystem):

@@ -161,23 +161,25 @@ def cmd_experiment(args) -> int:
     return PASS
 
 
-def cmd_fsa(args) -> int:
-    def read(path):
-        with open(path) as fh:
-            return fsa.dfa_from_text(fh.read())
+FSA_ARITY = {"min": 1, "concat": 2, "intersect": 2, "enum": 1}
 
-    if args.op == "min":
-        out = fsa.minimize(read(args.files[0]))
-    elif args.op == "concat":
-        out = fsa.minimize(fsa.concat(read(args.files[0]), read(args.files[1])))
-    elif args.op == "intersect":
-        out = fsa.minimize(fsa.intersect(read(args.files[0]), read(args.files[1])))
-    elif args.op == "enum":
-        for w in enumerate_language(read(args.files[0]), args.max_len):
+
+def cmd_fsa(args) -> int:
+    arity = FSA_ARITY[args.op]  # argparse admits only these operations
+    if len(args.files) != arity:
+        raise ConfigError(0, f"fsa {args.op} takes {arity} automaton file(s)")
+    dfas = []
+    for path in args.files:
+        with open(path) as fh:
+            dfas.append(fsa.dfa_from_text(fh.read()))
+    if args.op == "enum":
+        for w in enumerate_language(dfas[0], args.max_len):
             _emit(str(w))
         return PASS
+    if args.op == "min":
+        out = fsa.minimize(dfas[0])
     else:
-        raise ConfigError(0, f"unknown fsa operation {args.op!r}")
+        out = fsa.minimize((fsa.concat if args.op == "concat" else fsa.intersect)(*dfas))
     text = fsa.dfa_to_text(out)
     if args.out:
         with open(args.out, "w") as fh:
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("fsa", help="operate on automaton files")
-    p.add_argument("op", choices=("min", "concat", "intersect", "enum"))
+    p.add_argument("op", choices=tuple(FSA_ARITY))
     p.add_argument("files", nargs="+")
     p.add_argument("--max-len", type=_size, default=4)
     p.add_argument("--out")

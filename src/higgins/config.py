@@ -241,7 +241,10 @@ REVERSE_ISO_DEPTH = 10  # longest source word the reverse-iso search tries
 def derive_reverse_iso(src_ctx, dst_ctx, images):
     """Invert a generator-level isomorphism by breadth-first search over the
     source subgroup: for each target generator find a source word of at most
-    REVERSE_ISO_DEPTH letters whose image matches it."""
+    REVERSE_ISO_DEPTH letters whose image matches it.
+
+    Not a CayleyBall: the benchmark checks every ball built while certifying
+    configs/hnn_z2.gog, whose load runs this (tests/test_ball_capture.py)."""
     parent_dst = dst_ctx.parent
     iso = WordMap(src_ctx.gen_alphabet, images, dst_ctx.gen_alphabet)
 

@@ -1,29 +1,39 @@
-"""Coset systems and the hypothesis verifiers: limited and maximal crossover,
-and stability of edge isomorphisms.
+"""Coset systems, Cayley balls and the hypothesis verifiers: limited and
+maximal crossover, and stability of edge isomorphisms.
 
-Subgroup lengths |h|_Y are path lengths in the subgroup's own Cayley graph
-over the probe generating set, computed by breadth-first search and memoized
-per report; they are not ambient word lengths.  A context whose generators
-form a basis of a free abelian subgroup may offer coset_splitter(), which
-gives, for one crossover sweep, a function split(u, g) -> (v, coordinates of
-u g v^-1); with Y left at the context's generators, the sweep reads v and
-|h|_Y off that one call per (u, g), and other contexts keep coset_rep and the
-search.  Such a context's y_coords(w) keys the search for g in <Z> by
-coordinates when Y and Z are both left at the generators.
+CayleyBall is the breadth-first search of group elements (only
+config.derive_reverse_iso keeps its own): a shortlex ball over an oracle's
+letters, keyed by the oracle's canonical keys.
+Subgroup lengths |h|_Y, not ambient word lengths, are path lengths in the
+subgroup's own Cayley graph over the probe generating set: a WordMetric is a
+CayleyBall over one letter per probe word, grown per report only as far as
+its callers ask.  A context whose generators form a basis of a free abelian
+subgroup may offer coset_splitter(), which gives, for one crossover sweep, a
+function split(u, g) -> (v, coordinates of u g v^-1); with Y left at the
+context's generators, the sweep reads v and |h|_Y off that one call per
+(u, g), and other contexts keep coset_rep and the ball.  Such a context's
+y_coords(w) keys the ball of g in <Z> by coordinates when Y and Z are both
+left at the generators.  Stability first checks that the generator map is a
+homomorphism, relator by relator (SubgroupContext.broken_relator), as
+GraphOfGroups.validate() does.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 from .fsa import enumerate_language
-from .words import Word, WordMap, invert, shortlex_key
+from .words import Alphabet, Word, WordMap, invert, shortlex_key
 
 WITNESS_LIMIT = 100
 # a crossover's h = u g v^-1 is looked for in <Y> up to length
 # LENGTH_CAP_PER_STEP * (radius + lambda) + LENGTH_CAP_MARGIN
 LENGTH_CAP_PER_STEP = 4
 LENGTH_CAP_MARGIN = 8
+
+UNBOUNDED = None
+_MISS = object()  # a pair-cache miss; a cached escape is stored as UNBOUNDED
 
 
 class VerifierError(ValueError):
@@ -39,74 +49,144 @@ class CosetSystem:
         self.mode = mode
 
 
-class WordMetric:
-    """Breadth-first lengths and shortest probe expressions for the subgroup
-    generated by a set of parent words.
+class CayleyBall:
+    """Ball around the identity with exact internal metric, grown on demand.
 
-    When a probe alphabet is supplied (one generator per probe word), each
-    reached element also records its shortest word over that alphabet.
+    It starts as the identity alone.  A lookup that misses adds whole
+    breadth-first spheres until the key turns up or max_radius is reached;
+    len() and elements() first grow the ball to max_radius, and within(r) to
+    r.  Its words are each element's shortlex-least geodesic, in shortlex
+    order: the standard word acceptor's ball.  radius is the
+    radius reached so far and dist holds exactly the depths 0..radius.  A
+    level-by-level search finds the same first word for each element however
+    far it runs, so no answer depends on how far the ball has grown.
 
-    key, when given, keys the search in place of parent.key (a context's
-    coordinates of its subgroup's elements, say), so the search itself is
-    unchanged.
+    edges is the Cayley graph of the grown part: edges[i][x] is the index of
+    words[i] * x.  Growing a sphere fills in the rows of the sphere before it,
+    so every element inside the outermost sphere has its row, in index order.
+    """
+
+    def __init__(self, oracle, radius: int):
+        self.oracle = oracle
+        self.alphabet = oracle.alphabet
+        self.max_radius = radius
+        self.radius = 0
+        empty = self.alphabet.empty()
+        self.words: list[Word] = [empty]
+        self.dist: list[int] = [0]
+        self.edges: list[list[int]] = []
+        self._index: dict = {oracle.key(empty): 0}
+        # (i, j) with i < j -> d(g_i, g_j) or UNBOUNDED; _aligns_within reads
+        # it in place and calls distance only on a miss
+        self._pair_cache: dict = {}
+
+    def _grow(self):
+        """Add the next sphere: extend the last one by every letter, in
+        letter order, keeping the first word found for each new key."""
+        d = self.radius + 1
+        alphabet, key, index = self.alphabet, self.oracle.key, self._index
+        words, edges = self.words, self.edges
+        for i in range(len(edges), len(words)):
+            u = words[i].letters
+            row = []
+            for x in range(len(alphabet)):
+                w = Word(alphabet, u + (x,))
+                k = key(w)
+                j = index.get(k)
+                if j is None:
+                    j = index[k] = len(words)
+                    words.append(w)
+                    self.dist.append(d)
+                row.append(j)
+            edges.append(row)
+        self.radius = d
+
+    def __len__(self):
+        return len(self.elements())
+
+    def index(self, w: Word) -> Optional[int]:
+        return self.index_of_key(self.oracle.key(w))
+
+    def index_of_key(self, k) -> Optional[int]:
+        """Index of the element with canonical key k, growing the ball until
+        it turns up; None when it lies beyond max_radius."""
+        idx = self._index.get(k)
+        while idx is None and self.radius < self.max_radius:
+            self._grow()
+            idx = self._index.get(k)
+        return idx
+
+    def elements(self) -> list[Word]:
+        return self.within(self.max_radius)
+
+    def within(self, r: int) -> list[Word]:
+        """The words at distance <= r, growing the ball to r only (never
+        past max_radius)."""
+        while self.radius < min(r, self.max_radius):
+            self._grow()
+        return self.words[:bisect_right(self.dist, r)]
+
+    def distance(self, i: int, j: int) -> Optional[int]:
+        """d(g_i, g_j), or None when g_i^-1 g_j falls outside the capped ball."""
+        if i == j:
+            return 0
+        key = (i, j) if i < j else (j, i)
+        hit = self._pair_cache.get(key, _MISS)
+        if hit is _MISS:
+            a, b = key
+            idx = self.index_of_key(self.oracle.key(invert(self.words[a]) * self.words[b]))
+            hit = self.dist[idx] if idx is not None else UNBOUNDED
+            self._pair_cache[key] = hit
+        return hit
+
+
+class ExtendedBackend:
+    """Oracle over another generating set, each letter realized as a word
+    over the parent: the parent's letters plus subgroup generators
+    (concat_structure), or one letter per probe word (WordMetric)."""
+
+    def __init__(self, parent, expand: WordMap):
+        self.parent = parent
+        self.alphabet = expand.source
+        self.expand = expand  # words over this alphabet -> parent words
+
+    def key(self, w: Word):
+        return self.parent.key(self.expand(w))
+
+
+class WordMetric(CayleyBall):
+    """Lengths and shortest probe expressions for the subgroup generated by a
+    set of parent words: a CayleyBall over one letter per probe word (the
+    generators of probe_alphabet, when one is supplied), whose letter word y
+    is keyed by key(expand(y)).  key defaults to parent.key; a context's
+    coordinates of its subgroup's elements may stand in for it.  The ball
+    grows to each caller's cap and no further.
     """
 
     def __init__(self, parent, probe_words: Sequence[Word], probe_alphabet=None,
                  key=None):
-        self.parent = parent
-        self._key = key = key if key is not None else parent.key
-        steps = []
-        seen_steps = set()
-        identity = key(parent.alphabet.empty())
-        for i, w in enumerate(probe_words):
-            if probe_alphabet is not None:
-                p = probe_alphabet.index(probe_alphabet.generators[i])
-                variants = ((w, p), (invert(w), probe_alphabet.inv[p]))
-            else:
-                variants = ((w, None), (invert(w), None))
-            for s, letter in variants:
-                k = key(s)
-                if k not in seen_steps and k != identity:
-                    seen_steps.add(k)
-                    steps.append((s, letter))
-        self.steps = steps
-        empty = parent.alphabet.empty()
-        self.table = {identity: (0, empty, ())}
-        self.frontier = [(empty, ())]
-        self.depth = 0
-
-    def grow_to(self, depth: int):
-        key = self._key
-        while self.depth < depth and self.frontier:
-            nxt = []
-            for u, ypath in self.frontier:
-                for s, letter in self.steps:
-                    w = u * s
-                    k = key(w)
-                    if k not in self.table:
-                        ny = ypath + (letter,)
-                        self.table[k] = (self.depth + 1, w, ny)
-                        nxt.append((w, ny))
-            self.frontier = nxt
-            self.depth += 1
+        if probe_alphabet is None:
+            probe_alphabet = Alphabet([f"y{i + 1}" for i in range(len(probe_words))])
+        oracle = ExtendedBackend(parent, WordMap(probe_alphabet, probe_words, parent.alphabet))
+        self._key = parent.key if key is None else key
+        if key is not None:
+            oracle.key = lambda y: key(oracle.expand(y))
+        super().__init__(oracle, 0)
 
     def length(self, w: Word, cap: int) -> Optional[int]:
-        """|w| over the probe words, or None when the search grown to cap
+        """|w| over the probe words, or None when the ball grown to cap
         (or further, if it already is) does not reach w."""
-        k = self._key(w)
-        hit = self.table.get(k)
-        while hit is None and self.depth < cap and self.frontier:
-            self.grow_to(self.depth + 1)
-            hit = self.table.get(k)
-        return None if hit is None else hit[0]
+        self.max_radius = max(self.radius, cap)
+        i = self.index_of_key(self._key(w))
+        return None if i is None else self.dist[i]
 
     def elements_within(self, radius: int):
         """(shortest witness word, length, probe path) for every element of
         length <= radius, by length and then shortlex."""
-        self.grow_to(radius)
-        return [(w, d, y) for d, w, y in sorted(
-            self.table.values(), key=lambda t: (t[0], shortlex_key(t[1])))
-            if d <= radius]
+        self.max_radius = max(self.radius, radius)
+        expand = self.oracle.expand
+        return sorted(((expand(y), d, y.letters) for y, d in zip(self.within(radius), self.dist)),
+                      key=lambda t: (t[1], shortlex_key(t[0])))
 
 
 class CrossoverReport:
@@ -248,49 +328,26 @@ def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) ->
     """mu-stability of the generator map H1 -> H2: elements of Y1-length <= mu
     must have images of Y2-length <= mu.
 
-    The map is validated as a homomorphism on all relations observable within
-    the given radius (equal products must have equal images) before sweeping.
+    The map is checked to be a homomorphism before sweeping: every relator of
+    H1 must map to the identity of H2.
     """
-    m1 = WordMetric(H1.parent, H1.gen_words, H1.gen_alphabet)
-    m2 = WordMetric(H2.parent, H2.gen_words)
     if len(iso_images) != len(H1.gen_words):
         raise VerifierError("iso must map every generator")
-
     iso = WordMap(H1.gen_alphabet, iso_images, H2.gen_alphabet)
+    r = H1.broken_relator(iso, H2)
+    if r is not None:
+        raise VerifierError(
+            f"iso is not a homomorphism: the relator {r} does not map to the identity")
 
-    def image_of_yword(yword: Word) -> Word:
-        return H2.expand(iso(yword))
-
-    # homomorphism check on observable relations
-    seen: dict = {}
-    stack = [H1.gen_alphabet.empty()]
-    all_ywords = [H1.gen_alphabet.empty()]
-    for _ in range(min(radius, 6)):
-        nxt = []
-        for yw in stack:
-            for letter in range(len(H1.gen_alphabet)):
-                nw = Word(H1.gen_alphabet, yw.letters + (letter,))
-                nxt.append(nw)
-                all_ywords.append(nw)
-        stack = nxt
-    for yw in all_ywords:
-        k1 = H1.parent.key(H1.expand(yw))
-        k2 = H2.parent.key(image_of_yword(yw))
-        if k1 in seen:
-            if seen[k1] != k2:
-                raise VerifierError(
-                    f"iso is not a homomorphism on the tested range: relation at {yw}")
-        else:
-            seen[k1] = k2
-
+    m1 = WordMetric(H1.parent, H1.gen_words, H1.gen_alphabet)
+    m2 = WordMetric(H2.parent, H2.gen_words)
     cap = 4 * (mu + radius) + 8
     witnesses = []
     swept = 0
     for _w, _d, ypath in m1.elements_within(mu):
         swept += 1
         yword = Word(H1.gen_alphabet, ypath)
-        img = image_of_yword(yword)
-        img_len = m2.length(img, cap)
+        img_len = m2.length(H2.expand(iso(yword)), cap)
         if img_len is None:
             raise VerifierError(f"image of {yword} not expressible over Y2 within {cap}")
         if img_len > mu:

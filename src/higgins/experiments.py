@@ -25,8 +25,8 @@ syllable form and the exponent sum of h.  With Y left at {x, d}, the
 crossover sweep asks coset_splitter()'s split(u, g) instead: it joins the
 carried forms of u and g at their junction, splits the product as x̄^k label
 and reads v, m = k - k' and n off the label's entry, building neither u g
-nor h.  The breadth-first search of WordMetric stays the fallback for any
-other probe set, and the oracle in the tests.
+nor h.  WordMetric, a Cayley ball of H over one letter per generator, stays
+the fallback for any other probe set, and the oracle in the tests.
 
 No bound is proved here: per crossover constant, the report only says
 whether witnesses were found at the tested radius.

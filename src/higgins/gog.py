@@ -205,13 +205,11 @@ class GraphOfGroups:
                         f"edge {name}: iso composed with reverse iso is not the identity "
                         f"on generator {i + 1}")
             # with the round trip above, a homomorphism both ways is an isomorphism
-            identity = rctx.parent.key(rctx.parent.alphabet.empty())
-            for r in ctx.relators():
-                if rctx.parent.key(rctx.expand(self.apply_iso(e, r))) != identity:
-                    problems.append(
-                        f"edge {name}: iso is not a homomorphism: the relator {r} "
-                        "does not map to the identity")
-                    break
+            r = ctx.broken_relator(lambda y: self.apply_iso(e, y), rctx)
+            if r is not None:
+                problems.append(
+                    f"edge {name}: iso is not a homomorphism: the relator {r} "
+                    "does not map to the identity")
         return problems
 
 

@@ -14,6 +14,9 @@ Cayley graph, is checked against a sweep that builds and keys every h, and
 its alignment fill against reachability over the whole prefix grid.  The
 Cayley ball, a breadth-first search, is checked against a sort of every word
 up to its radius, and a finite subgroup against a closure of its generators.
+Subgroup lengths and finite tables, read off Cayley balls over one letter per
+generator, are checked against searches that multiply by generator words
+(or table elements) step by step.
 An abelian coset's representative, read off L1 spheres labelled once, is
 checked against a scan of the spheres for each query.
 """
@@ -182,6 +185,82 @@ def table_closure(table, gens) -> frozenset:
         if not more:
             return frozenset(elts)
         elts |= more
+
+
+# --- subgroup lengths and finite tables by step searches ---------------------
+
+class SearchedWordMetric:
+    """Breadth-first lengths and shortest probe expressions for the subgroup
+    generated by parent words, searched over steps rather than letters: each
+    probe word and its inverse is a step (a step keyed like the identity or
+    like an earlier step is dropped), and level d + 1 is every level-d word
+    times every step, in step order, keeping the first word found for each
+    key.  A probe alphabet, when given, names the step letters of the probe
+    paths; key, when given, keys the search in place of parent.key."""
+
+    def __init__(self, parent, probe_words, probe_alphabet=None, key=None):
+        self.key = key = key if key is not None else parent.key
+        empty = parent.alphabet.empty()
+        identity = key(empty)
+        self.steps, seen = [], set()
+        for i, w in enumerate(probe_words):
+            if probe_alphabet is not None:
+                p = probe_alphabet.index(probe_alphabet.generators[i])
+                variants = ((w, p), (invert(w), probe_alphabet.inv[p]))
+            else:
+                variants = ((w, None), (invert(w), None))
+            for step, letter in variants:
+                k = key(step)
+                if k not in seen and k != identity:
+                    seen.add(k)
+                    self.steps.append((step, letter))
+        self.table = {identity: (0, empty, ())}
+        self.frontier = [(empty, ())]
+        self.depth = 0
+
+    def grow_to(self, depth: int):
+        while self.depth < depth and self.frontier:
+            nxt = []
+            for u, ypath in self.frontier:
+                for step, letter in self.steps:
+                    w = u * step
+                    k = self.key(w)
+                    if k not in self.table:
+                        self.table[k] = (self.depth + 1, w, ypath + (letter,))
+                        nxt.append((w, ypath + (letter,)))
+            self.frontier = nxt
+            self.depth += 1
+
+    def length(self, w: Word, cap: int):
+        k = self.key(w)
+        while k not in self.table and self.depth < cap and self.frontier:
+            self.grow_to(self.depth + 1)
+        hit = self.table.get(k)
+        return None if hit is None else hit[0]
+
+    def elements_within(self, radius: int):
+        self.grow_to(radius)
+        return [(w, d, y) for d, w, y in sorted(
+            self.table.values(), key=lambda t: (t[0], shortlex_key(t[1])))
+            if d <= radius]
+
+
+def table_search(table, steps) -> dict:
+    """Shortlex-least word of every element reached from the identity 0 of a
+    multiplication table, level by level: steps are (element, letter) pairs
+    in letter order, and a letter moves e to table[e][element]."""
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g, letter in steps:
+                e2 = table[e][g]
+                if e2 not in words:
+                    words[e2] = words[e] + (letter,)
+                    nxt.append(e2)
+        frontier = nxt
+    return words
 
 
 # --- generator maps, letter by letter ----------------------------------------

@@ -10,7 +10,7 @@ from higgins.backends import (
 from higgins.certify import CayleyBall
 from higgins.fsa import enumerate_language
 from higgins.words import Word, all_words, free_reduce, invert
-from oracles import scanned_chosen, table_closure
+from oracles import scanned_chosen, table_closure, table_search
 
 
 # --- brute-force oracles ------------------------------------------------------
@@ -470,6 +470,30 @@ def test_finite_subgroup_elements_are_the_closure():
             for e in H.elements:
                 member = Word(G.alphabet, G._canon[e])
                 assert G.eval(H.expand(H.h_express(member))) == e
+
+
+def test_finite_tables_equal_the_table_search():
+    _perms, s3 = s3_table()
+    cases = [(s3, {"r": 1, "s": 3}), (s3, {"s": 3, "t": 4}), (s3, None)]
+    cases += [([[(i + j) % n for j in range(n)] for i in range(n)], {"g": 1}) for n in (2, 5, 6)]
+    rng = random.Random(7)
+    for table, gens in cases:
+        G = finite_backend(table, gens)
+        assert G._canon == table_search(
+            table, [(G._letter_elt[x], x) for x in range(len(G.alphabet))])
+        for _ in range(6):
+            words = [Word(G.alphabet, tuple(rng.randrange(len(G.alphabet))
+                                            for _ in range(rng.randint(0, 3))))
+                     for _ in range(rng.randint(0, 2))]
+            H = finite_subgroup(G, words)
+            alpha = H.gen_alphabet
+            steps = []
+            for i, w in enumerate(words):
+                p = alpha.index(alpha.generators[i])
+                steps.append((G.eval(w), p))
+                if alpha.inv[p] != p:
+                    steps.append((G.eval(invert(w)), alpha.inv[p]))
+            assert H._yword == table_search(table, steps), [str(w) for w in words]
 
 
 def test_finite_validation_errors():

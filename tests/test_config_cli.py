@@ -336,6 +336,20 @@ def test_cmd_fsa_bad_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("op, count, arity", [
+    ("concat", 1, 2), ("intersect", 1, 2), ("min", 2, 1), ("enum", 2, 1)])
+def test_cmd_fsa_wrong_file_count_is_a_usage_error(capsys, tmp_path, op, count, arity):
+    from higgins.fsa import dfa_to_text, word_set_dfa
+    from higgins.words import Alphabet
+    AB = Alphabet(["a", "b"])
+    path = tmp_path / "one.dfa"
+    path.write_text(dfa_to_text(word_set_dfa([AB.word("a")], AB, "one")))
+    code = main(["fsa", op] + [str(path)] * count)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: fsa {op} takes {arity} automaton file(s)\n"
+
+
 def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
     code = main(["enum", cfg("hnn_z2.gog"), "--base", "nope", "--max-len", "1"])
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from higgins.backends import (
@@ -9,7 +11,8 @@ from higgins.cosets import (
     check_maximal_crossover, check_stability,
 )
 from higgins.fsa import word_set_dfa
-from higgins.words import invert
+from higgins.words import Alphabet, Word, free_reduce, invert
+from oracles import SearchedWordMetric
 
 
 def z2_axis():
@@ -23,6 +26,51 @@ def test_word_metric_lengths():
     assert m.length(G.alphabet.word("b b"), 4) == 1
     assert m.length(G.alphabet.word("b"), 4) == 2  # b = b^3 (b^2)^-1
     assert m.length(G.alphabet.empty(), 4) == 0
+
+
+def c_n(n):
+    return finite_backend([[(i + j) % n for j in range(n)] for i in range(n)], {"g": 1})
+
+
+S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+            [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]
+
+# parent, number of probe words, longest probe word; free probes are reduced
+METRIC_CASES = {
+    "abelian-torsion": (lambda: abelian_backend(2, [4], names=["x1", "x2", "t"]), 3, 3),
+    "abelian-dependent": (lambda: abelian_backend(1, names=["a"]), 3, 4),
+    "free-cyclic": (lambda: free_backend(2), 1, 4),
+    "s3": (lambda: finite_backend(S3_TABLE, {"r": 1, "s": 3}), 2, 3),
+    "c5": (lambda: c_n(5), 2, 3),
+    "c6": (lambda: c_n(6), 2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_CASES))
+def test_word_metric_equals_the_step_search(name):
+    make, count, longest = METRIC_CASES[name]
+    G = make()
+    alpha = G.alphabet
+    rng = random.Random(name)
+    for _ in range(12):
+        probes = []
+        for _ in range(rng.randint(1, count)):
+            w = Word(alpha, tuple(rng.randrange(len(alpha)) for _ in range(rng.randint(0, longest))))
+            probes.append(free_reduce(w) if name.startswith("free") else w)
+        names = Alphabet([f"y{i + 1}" for i in range(len(probes))])
+        for probe_alphabet in (None, names):
+            got = WordMetric(G, probes, probe_alphabet)
+            want = SearchedWordMetric(G, probes, probe_alphabet)
+            for r in range(4):
+                if probe_alphabet is None:  # the search's probe paths are unnamed
+                    assert ([t[:2] for t in got.elements_within(r)]
+                            == [t[:2] for t in want.elements_within(r)])
+                else:
+                    assert got.elements_within(r) == want.elements_within(r)
+            for _ in range(20):
+                w = Word(alpha, tuple(rng.randrange(len(alpha)) for _ in range(rng.randint(0, 6))))
+                cap = rng.randint(0, 6)
+                assert got.length(w, cap) == want.length(w, cap), (name, probes, str(w), cap)
 
 
 def test_limited_crossover_axis_passes():
@@ -123,3 +171,14 @@ def test_stability_rejects_non_homomorphism():
     H2 = finite_subgroup(B, [B.alphabet.word("s")])
     with pytest.raises(VerifierError):
         check_stability([H2.gen_alphabet.word("y1")], H1, H2, mu=2, radius=4)
+
+
+def test_stability_checks_every_relator():
+    # t has order 16, so t^8 = t^-8 is the shortest relation that equal
+    # products of length <= 6 cannot show; its image b^16 in Z is not 1
+    A = c_n(16)
+    B = abelian_backend(1, names=["b"])
+    H1 = finite_subgroup(A, [A.alphabet.word("g")])
+    H2 = abelian_subgroup(B, [B.alphabet.word("b")])
+    with pytest.raises(VerifierError, match="the relator .* does not map to the identity"):
+        check_stability([H2.gen_alphabet.word("y1")], H1, H2, mu=2, radius=6)

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import higgins.cosets as cosets
-from oracles import _zz_mul, trefoil_orbit_label
+from oracles import SearchedWordMetric, _zz_mul, trefoil_orbit_label
 from higgins.cosets import (
     CosetSystem, VerifierError, WordMetric, check_limited_crossover,
     check_maximal_crossover,
@@ -19,7 +19,7 @@ from higgins.experiments import (
     orbit_split, run_trefoil_experiment,
 )
 from higgins.fsa import enumerate_language
-from higgins.words import Word, all_words, invert, shortlex_key
+from higgins.words import Alphabet, Word, all_words, invert, shortlex_key
 
 
 def reduced_forms(max_syllables):
@@ -160,6 +160,19 @@ def test_coordinate_keys_leave_the_search_unchanged():
     by_coords = WordMetric(ctx.parent, ctx.gen_words, key=ctx.y_coords)
     for lam in range(4):
         assert by_coords.elements_within(lam) == by_key.elements_within(lam)
+
+
+def test_coordinate_balls_equal_the_step_search():
+    ctx = TrefoilCentralizerContext()
+    xd = Alphabet(["x", "d"])
+    got = WordMetric(ctx.parent, ctx.gen_words, xd, key=ctx.y_coords)
+    want = SearchedWordMetric(ctx.parent, ctx.gen_words, xd, key=ctx.y_coords)
+    for lam in range(5):
+        assert got.elements_within(lam) == want.elements_within(lam)
+    words = seeded_words(ctx, 200, 8, 9)
+    words += [w * invert(ctx.coset_rep(w)) for w in words[:100]]
+    for i, w in enumerate(words):
+        assert got.length(w, i % 12) == want.length(w, i % 12), str(w)
 
 
 @pytest.mark.parametrize("check", [check_limited_crossover, check_maximal_crossover])
