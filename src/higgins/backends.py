@@ -1,14 +1,20 @@
-"""Concrete vertex-group backends and subgroup contexts.
+"""Vertex-group backends and subgroup contexts, each behind one protocol.
 
-A backend bundles the oracles everything downstream consumes: canonical
-(shortlex) forms and their keys, geodesic lengths and an explicit canonical
-language; balls come from cosets.CayleyBall, a search over those keys.
-A vertex backend's key of a word is also the element the cascade scan
+A vertex backend (VertexBackend) solves the word problem of a vertex group:
+key(w) is the element of the word w, element_word(e) is the canonical
+(shortlex) word of the element e, and canonical_language is the explicit
+language of those words.  The key is also the element the cascade scan
 carries: identity(), prepend(x, e) and append(e, x) give the elements of
-x*e and e*x in O(1) or O(head), and element_word(e) gives e's canonical word.
-A subgroup context adds membership, the coset decomposition
-g = h * coset_rep(g), and a coset language whose only identity-coset
-representative is the empty word.
+x*e and e*x in O(1) or O(head).  The base class reads canonical(w) and
+geodesic_length(w) off the key; balls come from cosets.CayleyBall, a search
+over the keys.
+
+A subgroup context (SubgroupContext) gives membership, the coset
+decomposition g = h * coset_rep(g) with h_express(h) over the subgroup
+generators, and a coset language whose only identity-coset representative
+is the empty word.  The base class reads min_coset_length(w) and
+coset_key(w) off the representative; cascade.Pi1EdgeSubgroup and
+experiments.TrefoilCentralizerContext share it.
 
 Abelian groups are handled in exponent space: the subgroup plus the torsion
 relations span an integer lattice, and one Smith decomposition
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import math
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import fsa
@@ -163,6 +170,64 @@ class IntLattice:
         return x
 
 
+# --- the protocol ------------------------------------------------------------
+
+class VertexBackend:
+    """The word problem of a vertex group.  A backend gives key(w), the
+    element of w, and element_word(e), its canonical word, plus identity,
+    prepend, append and canonical_language; the rest is read off those."""
+
+    def canonical(self, w: Word) -> Word:
+        return self.element_word(self.key(w))
+
+    def geodesic_length(self, w: Word) -> int:
+        return len(self.canonical(w))
+
+
+class SubgroupContext:
+    """Oracle bundle for a subgroup H <= parent.  A context gives
+    membership, h_express, coset_rep and coset_language; the coset length
+    and key are read off the representative."""
+
+    def __init__(self, parent, gen_words, gen_names=None):
+        self.parent = parent
+        self.gen_words = list(gen_words)
+        if gen_names is None:
+            gen_names = [f"y{i + 1}" for i in range(len(gen_words))]
+        identity = parent.key(parent.alphabet.empty())
+        self_inv = [
+            nm for nm, gw in zip(gen_names, gen_words)
+            if parent.key(gw * gw) == identity and parent.key(gw) != identity
+        ]
+        self.gen_alphabet = Alphabet(gen_names, self_inverse=self_inv)
+        # words over the subgroup generators -> parent-alphabet words
+        self.expand = WordMap(self.gen_alphabet, self.gen_words, parent.alphabet)
+
+    def min_coset_length(self, w: Word) -> int:
+        return len(self.coset_rep(w))
+
+    def coset_key(self, w: Word):
+        return self.coset_rep(w).letters
+
+    def relators(self) -> list:
+        """Words over the generators whose normal closure holds every
+        relation among them: a map of the generators into a group is a
+        homomorphism exactly when each relator maps to the identity.  Free
+        and trivial subgroups have none."""
+        return []
+
+    def broken_relator(self, iso, target) -> Optional[Word]:
+        """The first relator that iso, a map of words over these generators
+        to words over target's, does not send to the identity of target's
+        parent; None when iso is a homomorphism."""
+        parent = target.parent
+        identity = parent.key(parent.alphabet.empty())
+        for r in self.relators():
+            if parent.key(target.expand(iso(r))) != identity:
+                return r
+        return None
+
+
 # --- abelian backend ---------------------------------------------------------
 
 def _pref_key(x: int):
@@ -175,7 +240,7 @@ def _pref_key(x: int):
     return (2, 0)
 
 
-class AbelianBackend:
+class AbelianBackend(VertexBackend):
     """Z^rank x prod Z/d_i with one generator per factor.
 
     Canonical forms are collected words x1^r1 ... xn^rn; torsion exponents are
@@ -206,7 +271,6 @@ class AbelianBackend:
             if self.neg[i] != self.pos[i]:
                 self._letter_vec[self.neg[i]] = (i, -1, self._moduli[i])
         self.name = f"abelian(rank={rank}, torsion={list(torsion)})"
-        self._canonical_language = None
 
     def modulus(self, i: int) -> Optional[int]:
         return self._moduli[i]
@@ -235,14 +299,8 @@ class AbelianBackend:
             letters.extend([self.pos[i] if r > 0 else self.neg[i]] * abs(r))
         return Word(self.alphabet, tuple(letters))
 
-    def canonical(self, w: Word) -> Word:
-        return self.serialize(self.normalize(self.vec(w)))
-
     def key(self, w: Word):
         return self.normalize(self.vec(w))
-
-    def geodesic_length(self, w: Word) -> int:
-        return sum(abs(r) for r in self.normalize(self.vec(w)))
 
     # elements: the normalized exponent vector, which is key(w)
 
@@ -266,18 +324,16 @@ class AbelianBackend:
     def element_word(self, vec: tuple) -> Word:
         return self.serialize(vec)
 
-    @property
+    @cached_property
     def canonical_language(self) -> Dfa:
-        if self._canonical_language is None:
-            ranges = []
-            for i in range(self.n):
-                d = self.modulus(i)
-                if d is None:
-                    ranges.append((None, None))
-                else:
-                    ranges.append((d // 2, (d - 1) // 2))
-            self._canonical_language = _collected_dfa(self, ranges, name="canonical")
-        return self._canonical_language
+        ranges = []
+        for i in range(self.n):
+            d = self.modulus(i)
+            if d is None:
+                ranges.append((None, None))
+            else:
+                ranges.append((d // 2, (d - 1) // 2))
+        return _collected_dfa(self, ranges, name="canonical")
 
 
 def _collected_dfa(backend: AbelianBackend, ranges, name) -> Dfa:
@@ -313,49 +369,6 @@ def _collected_dfa(backend: AbelianBackend, ranges, name) -> Dfa:
     return minimize(determinize(nfa, name))
 
 
-class SubgroupContext:
-    """Oracle bundle for a subgroup H <= parent: membership, h_express,
-    canonical coset representatives and the pruned coset language."""
-
-    def __init__(self, parent, gen_words, gen_names=None):
-        self.parent = parent
-        self.gen_words = list(gen_words)
-        if gen_names is None:
-            gen_names = [f"y{i + 1}" for i in range(len(gen_words))]
-        self_inv = [
-            nm for nm, gw in zip(gen_names, gen_words)
-            if parent.canonical(gw * gw) == parent.canonical(parent.alphabet.empty())
-            and len(parent.canonical(gw)) > 0
-        ]
-        self.gen_alphabet = Alphabet(gen_names, self_inverse=self_inv)
-        # words over the subgroup generators -> parent-alphabet words
-        self.expand = WordMap(self.gen_alphabet, self.gen_words, parent.alphabet)
-
-    # concrete contexts implement: membership, h_express, coset_rep,
-    # min_coset_length, coset_language
-
-    def coset_key(self, w: Word):
-        return self.coset_rep(w).letters
-
-    def relators(self) -> list:
-        """Words over the generators whose normal closure holds every
-        relation among them: a map of the generators into a group is a
-        homomorphism exactly when each relator maps to the identity.  Free
-        and trivial subgroups have none."""
-        return []
-
-    def broken_relator(self, iso, target) -> Optional[Word]:
-        """The first relator that iso, a map of words over these generators
-        to words over target's, does not send to the identity of target's
-        parent; None when iso is a homomorphism."""
-        parent = target.parent
-        identity = parent.key(parent.alphabet.empty())
-        for r in self.relators():
-            if parent.key(target.expand(iso(r))) != identity:
-                return r
-        return None
-
-
 # coset language synthesis for non-independent subgroups: residual
 # signatures look DFA_WINDOW letters ahead, and the learned DFA is checked on
 # every collected word of up to DFA_HORIZON letters
@@ -379,8 +392,6 @@ class AbelianSubgroup(SubgroupContext):
         self._independent = self._images_independent()
         self._chosen_cache: dict[tuple, tuple] = {}
         self._labelled = -1  # dependent images: spheres labelled in _chosen_cache
-        self._language = None
-        self._as_group = None
 
     def _image_orders(self):
         """Order of the image of each generator e_i in parent/H, None when
@@ -429,13 +440,15 @@ class AbelianSubgroup(SubgroupContext):
         if x is None:
             raise BackendError(f"h_express on non-member {w}")
         coeffs = x[: len(self.gen_words)]
-        if self._as_group is None:
-            self._as_group = AbelianSubgroupAsGroup(self)
         if self._as_group.relations:
             # the generators satisfy relations, so the lattice solution is one
             # spelling of many: take the subgroup's own canonical one
             coeffs = self._as_group.presentation.chosen(tuple(coeffs))
         return self._yword(coeffs)
+
+    @cached_property
+    def _as_group(self) -> "AbelianSubgroupAsGroup":
+        return AbelianSubgroupAsGroup(self)
 
     def _relation_rows(self) -> list:
         """Exponent vectors of the relations among the generators: the left
@@ -501,29 +514,23 @@ class AbelianSubgroup(SubgroupContext):
     def coset_rep(self, w: Word) -> Word:
         return self.parent.serialize(self.chosen(self.parent.vec(w)))
 
-    def min_coset_length(self, w: Word) -> int:
-        return sum(abs(r) for r in self.chosen(self.parent.vec(w)))
-
     def is_rep(self, w: Word) -> bool:
         vec = self.parent.vec(w)
         if not _is_collected(self.parent, w):
             return False
         return self.chosen(vec) == tuple(vec)
 
-    @property
+    @cached_property
     def coset_language(self):
-        if self._language is None:
-            if self._independent:
-                ranges = []
-                for o in self._orders:
-                    if o is None:
-                        ranges.append((None, None))
-                    else:
-                        ranges.append((o // 2, (o - 1) // 2))
-                self._language = _collected_dfa(self.parent, ranges, name="cosets")
-            else:
-                self._language = self._synthesize_dfa()
-        return self._language
+        if self._independent:
+            ranges = []
+            for o in self._orders:
+                if o is None:
+                    ranges.append((None, None))
+                else:
+                    ranges.append((o // 2, (o - 1) // 2))
+            return _collected_dfa(self.parent, ranges, name="cosets")
+        return self._synthesize_dfa()
 
     def _collected_extensions(self, word_letters, max_extra):
         """Collected continuations (as letter tuples) of a collected word."""
@@ -636,10 +643,6 @@ def _sphere(n, m):
             yield (head,) + rest
 
 
-def abelian_backend(rank: int, torsion: Sequence[int] = (), names=None) -> AbelianBackend:
-    return AbelianBackend(rank, torsion, names)
-
-
 class AbelianSubgroupAsGroup:
     """The subgroup of an abelian backend presented as a group in its own
     right, over the subgroup generator alphabet.
@@ -665,10 +668,6 @@ class AbelianSubgroupAsGroup:
         return self.presentation.coset_language
 
 
-def abelian_subgroup(parent: AbelianBackend, gens: Sequence[Word], gen_names=None) -> AbelianSubgroup:
-    return AbelianSubgroup(parent, gens, gen_names)
-
-
 # --- trivial subgroup --------------------------------------------------------
 
 class TrivialSubgroup(SubgroupContext):
@@ -688,21 +687,14 @@ class TrivialSubgroup(SubgroupContext):
     def coset_rep(self, w: Word) -> Word:
         return self.parent.canonical(w)
 
-    def min_coset_length(self, w: Word) -> int:
-        return self.parent.geodesic_length(w)
-
     @property
     def coset_language(self):
         return self.parent.canonical_language
 
 
-def trivial_subgroup(parent) -> TrivialSubgroup:
-    return TrivialSubgroup(parent)
-
-
 # --- free backend ------------------------------------------------------------
 
-class FreeBackend:
+class FreeBackend(VertexBackend):
     def __init__(self, rank: int, names: Optional[Sequence[str]] = None):
         if names is None:
             if rank > 26:
@@ -713,16 +705,9 @@ class FreeBackend:
         self.alphabet = Alphabet(names)
         self._inv = self.alphabet.inv
         self.name = f"free(rank={rank})"
-        self._canonical_language = None
-
-    def canonical(self, w: Word) -> Word:
-        return free_reduce(w)
 
     def key(self, w: Word):
         return free_reduce(w).letters
-
-    def geodesic_length(self, w: Word) -> int:
-        return len(free_reduce(w))
 
     # elements: the freely reduced letter tuple, which is key(w)
 
@@ -744,20 +729,17 @@ class FreeBackend:
     def element_word(self, letters: tuple) -> Word:
         return Word(self.alphabet, letters)
 
-    @property
+    @cached_property
     def canonical_language(self) -> Dfa:
-        if self._canonical_language is None:
-            m = len(self.alphabet)
-            inv = self.alphabet.inv
-            transitions = {}
-            for x in range(m):
-                transitions[(0, x)] = x + 1
-                for y in range(m):
-                    if inv[x] != y:
-                        transitions[(x + 1, y)] = y + 1
-            self._canonical_language = Dfa(
-                self.alphabet, m + 1, 0, set(range(m + 1)), transitions, "reduced")
-        return self._canonical_language
+        m = len(self.alphabet)
+        inv = self.alphabet.inv
+        transitions = {}
+        for x in range(m):
+            transitions[(0, x)] = x + 1
+            for y in range(m):
+                if inv[x] != y:
+                    transitions[(x + 1, y)] = y + 1
+        return Dfa(self.alphabet, m + 1, 0, set(range(m + 1)), transitions, "reduced")
 
 
 class FreeCyclicSubgroup(SubgroupContext):
@@ -771,7 +753,6 @@ class FreeCyclicSubgroup(SubgroupContext):
             raise BackendError("subgroup generator must be cyclically reduced")
         super().__init__(parent, [gen], gen_names)
         self.gen = gen
-        self._language = None
 
     def _power_of_gen(self, reduced: Word) -> Optional[int]:
         L = len(self.gen)
@@ -810,45 +791,31 @@ class FreeCyclicSubgroup(SubgroupContext):
                     best = cur
         return best
 
-    def min_coset_length(self, w: Word) -> int:
-        return len(self.coset_rep(w))
-
-    @property
+    @cached_property
     def coset_language(self):
-        if self._language is None:
-            if len(self.gen) == 1:
-                g = self.gen.letters[0]
-                gi = self.parent.alphabet.inv[g]
-                base = self.parent.canonical_language
-                transitions = {
-                    (s, x): t for (s, x), t in base.transitions.items()
-                    if not (s == base.start and x in (g, gi))
-                }
-                self._language = fsa._trim(Dfa(
-                    self.parent.alphabet, base.n_states, base.start,
-                    base.accepting, transitions, "cosets"))
-            else:
-                self._language = LazyLanguage(
-                    self.parent.alphabet,
-                    membership=lambda w: free_reduce(w) == w and self.coset_rep(w) == w,
-                    enumerator=lambda n: [
-                        w for w in fsa.enumerate_language(self.parent.canonical_language, n)
-                        if self.coset_rep(w) == w],
-                    name="cosets")
-        return self._language
-
-
-def free_backend(rank: int, names=None) -> FreeBackend:
-    return FreeBackend(rank, names)
-
-
-def free_subgroup_cyclic(parent: FreeBackend, gen: Word, gen_names=None) -> FreeCyclicSubgroup:
-    return FreeCyclicSubgroup(parent, gen, gen_names)
+        if len(self.gen) == 1:
+            g = self.gen.letters[0]
+            gi = self.parent.alphabet.inv[g]
+            base = self.parent.canonical_language
+            transitions = {
+                (s, x): t for (s, x), t in base.transitions.items()
+                if not (s == base.start and x in (g, gi))
+            }
+            return fsa._trim(Dfa(
+                self.parent.alphabet, base.n_states, base.start,
+                base.accepting, transitions, "cosets"))
+        return LazyLanguage(
+            self.parent.alphabet,
+            membership=lambda w: free_reduce(w) == w and self.coset_rep(w) == w,
+            enumerator=lambda n: [
+                w for w in fsa.enumerate_language(self.parent.canonical_language, n)
+                if self.coset_rep(w) == w],
+            name="cosets")
 
 
 # --- finite backend ----------------------------------------------------------
 
-class FiniteBackend:
+class FiniteBackend(VertexBackend):
     """Group given by a multiplication table; element 0 is the identity."""
 
     def __init__(self, table: Sequence[Sequence[int]], gens: Optional[dict] = None):
@@ -857,6 +824,9 @@ class FiniteBackend:
         for i in range(n):
             if len(self.table[i]) != n:
                 raise BackendError("table is not square")
+            for c in self.table[i]:
+                if not 0 <= c < n:
+                    raise BackendError(f"table cell {c} is not an element index 0..{n - 1}")
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise BackendError("row/col 0 must be the identity")
         inv = [None] * n
@@ -875,6 +845,9 @@ class FiniteBackend:
         if gens is None:
             gens = {f"g{i}": i for i in range(1, n)}
         self.gen_elts = dict(gens)
+        for nm, e in self.gen_elts.items():
+            if not 0 <= e < n:
+                raise BackendError(f"generator {nm}: {e} is not an element index 0..{n - 1}")
         names = list(self.gen_elts)
         self_inverse = [nm for nm in names if inv[self.gen_elts[nm]] == self.gen_elts[nm]]
         self.alphabet = Alphabet(names, self_inverse=self_inverse)
@@ -889,7 +862,6 @@ class FiniteBackend:
         if len(self._canon) != n:
             raise BackendError("declared generators do not generate the group")
         self.name = f"finite(order={n})"
-        self._canonical_language = None
 
     def eval(self, w: Word) -> int:
         e = 0
@@ -897,14 +869,8 @@ class FiniteBackend:
             e = self.table[e][self._letter_elt[x]]
         return e
 
-    def canonical(self, w: Word) -> Word:
-        return Word(self.alphabet, self._canon[self.eval(w)])
-
     def key(self, w: Word):
         return self.eval(w)
-
-    def geodesic_length(self, w: Word) -> int:
-        return len(self._canon[self.eval(w)])
 
     # elements: the table index, which is key(w)
 
@@ -922,13 +888,10 @@ class FiniteBackend:
     def element_word(self, e: int) -> Word:
         return Word(self.alphabet, self._canon[e])
 
-    @property
+    @cached_property
     def canonical_language(self) -> Dfa:
-        if self._canonical_language is None:
-            self._canonical_language = word_set_dfa(
-                (Word(self.alphabet, ls) for ls in self._canon.values()),
-                self.alphabet, "canonical")
-        return self._canonical_language
+        return word_set_dfa(
+            (Word(self.alphabet, ls) for ls in self._canon.values()), self.alphabet, "canonical")
 
 
 class FiniteSubgroup(SubgroupContext):
@@ -950,7 +913,6 @@ class FiniteSubgroup(SubgroupContext):
             for e in coset:
                 self._coset_of[e] = cid
             self._rep_word[cid] = Word(parent.alphabet, parent._canon[rep])
-        self._language = None
 
     def membership(self, w: Word) -> bool:
         return self.parent.eval(w) in self.elements
@@ -978,22 +940,9 @@ class FiniteSubgroup(SubgroupContext):
     def coset_rep(self, w: Word) -> Word:
         return self._rep_word[self._coset_of[self.parent.eval(w)]]
 
-    def min_coset_length(self, w: Word) -> int:
-        return len(self.coset_rep(w))
-
     def coset_count(self) -> int:
         return len(self._rep_word)
 
-    @property
+    @cached_property
     def coset_language(self):
-        if self._language is None:
-            self._language = word_set_dfa(self._rep_word.values(), self.parent.alphabet, "cosets")
-        return self._language
-
-
-def finite_backend(table, gens=None) -> FiniteBackend:
-    return FiniteBackend(table, gens)
-
-
-def finite_subgroup(parent: FiniteBackend, gens, gen_names=None) -> FiniteSubgroup:
-    return FiniteSubgroup(parent, gens, gen_names)
+        return word_set_dfa(self._rep_word.values(), self.parent.alphabet, "cosets")

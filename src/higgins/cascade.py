@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .backends import SubgroupContext
 from .fsa import Dfa, LazyLanguage
 from .gog import Edge, GogError, GraphOfGroups, SpanningTree, StableAlphabets, maximal_tree
 from .words import Word, WordMap, invert
@@ -515,7 +516,7 @@ class Pi1Backend:
         return self.system.language(("group", self.v0))
 
 
-class Pi1EdgeSubgroup:
+class Pi1EdgeSubgroup(SubgroupContext):
     """Subgroup context for an edge group inside the fundamental group."""
 
     def __init__(self, system: Pi1System, e0: Edge):
@@ -540,9 +541,6 @@ class Pi1EdgeSubgroup:
             self._rep_cache[w.letters] = hit
         return hit
 
-    def coset_key(self, w: Word):
-        return self.coset_rep(w).letters
-
     def membership(self, w: Word) -> bool:
         return len(self.coset_rep(w)) == 0
 
@@ -555,9 +553,6 @@ class Pi1EdgeSubgroup:
             if self._edge_ctx.membership(u):
                 return self._edge_ctx.h_express(u)
         raise GogError(f"h_express on non-member {w}")
-
-    def min_coset_length(self, w: Word) -> int:
-        return len(self.coset_rep(w))
 
     @property
     def coset_language(self):

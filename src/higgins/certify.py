@@ -383,40 +383,21 @@ def concat_structure(L_H, sys: CosetSystem):
     ctx = sys.context
     parent = ctx.parent
     sub = L_H.alphabet
+    lang = sys.language
     if all(len(gw) == 1 for gw in ctx.gen_words):
         to_parent = WordMap(sub, ctx.gen_words, parent.alphabet)
+        if not (isinstance(L_H, Dfa) and isinstance(lang, Dfa)):
+            return _concat_lazy(L_H, lang, to_parent, {x: x for x in range(len(parent.alphabet))})
         letter_map = {y: x for y, (x,) in enumerate(to_parent.table)}
         back: dict = {}
         for y, x in letter_map.items():
             back.setdefault(x, y)
-        lang = sys.language
-        if isinstance(L_H, Dfa) and isinstance(lang, Dfa):
-            remapped = Dfa(
-                parent.alphabet, L_H.n_states, L_H.start, L_H.accepting,
-                {(s, letter_map[a]): t for (s, a), t in L_H.transitions.items()
-                 if back[letter_map[a]] == a},
-                "subgroup")
-            return dfa_concat(remapped, lang, name="concat")
-
-        def member(w: Word) -> bool:
-            head = []
-            for cut in range(len(w) + 1):
-                if L_H.accepts(Word(sub, tuple(head))) and lang.accepts(w[cut:]):
-                    return True
-                if cut == len(w) or w.letters[cut] not in back:
-                    break
-                head.append(back[w.letters[cut]])
-            return False
-
-        def enum(n: int):
-            out = set()
-            for head in enumerate_language(L_H, n):
-                hw = to_parent(head)
-                for tail in enumerate_language(lang, n - len(head)):
-                    out.add((hw * tail).letters)
-            return [Word(parent.alphabet, ls) for ls in sorted(out, key=lambda t: (len(t), t))]
-
-        return LazyLanguage(parent.alphabet, member, enumerator=enum, name="concat")
+        remapped = Dfa(
+            parent.alphabet, L_H.n_states, L_H.start, L_H.accepting,
+            {(s, letter_map[a]): t for (s, a), t in L_H.transitions.items()
+             if back[letter_map[a]] == a},
+            "subgroup")
+        return dfa_concat(remapped, lang, name="concat")
 
     # general case: extend the alphabet by the subgroup generators
     names = list(parent.alphabet.generators)
@@ -430,35 +411,45 @@ def concat_structure(L_H, sys: CosetSystem):
     union = Alphabet(names, self_inverse=selfinv)
     y_map = WordMap(sub, [union.letter(nm) for nm in gen_names], union)
     x_map = {parent.alphabet.index(nm): union.index(nm) for nm in parent.alphabet.names}
-    y_back = {x: y for y, (x,) in enumerate(y_map.table)}
-    x_back = {x: y for y, x in x_map.items()}
+    lazy = _concat_lazy(L_H, lang, y_map, x_map)
+    to_parent = WordMap(
+        union, [parent.alphabet.letter(g) for g in parent.alphabet.generators] + ctx.gen_words,
+        parent.alphabet)
+    return lazy, ExtendedBackend(parent, to_parent)
+
+
+def _concat_lazy(L_H, lang, y_map: WordMap, x_map: dict) -> LazyLanguage:
+    """L_H . lang as a language over y_map.target, into which y_map sends
+    L_H's letters and x_map sends lang's.  A target letter that two letters
+    of L_H share pulls back to the first of them, the generator before its
+    inverse letter."""
+    sub, alphabet = y_map.source, y_map.target
+    y_back: dict = {}
+    for y, (x,) in enumerate(y_map.table):
+        y_back.setdefault(x, y)
+    x_back = {x: p for p, x in x_map.items()}
 
     def member(w: Word) -> bool:
-        cut = 0
-        while cut < len(w) and w.letters[cut] in y_back:
-            cut += 1
-        for c in range(cut + 1):
-            tail_letters = tuple(x_back.get(x) for x in w.letters[c:])
-            if any(x is None for x in tail_letters):
-                continue
-            head = Word(sub, tuple(y_back[x] for x in w.letters[:c]))
-            if L_H.accepts(head) and sys.language.accepts(Word(parent.alphabet, tail_letters)):
+        head = []
+        for cut in range(len(w) + 1):
+            tail = tuple(x_back.get(x) for x in w.letters[cut:])
+            if (None not in tail and L_H.accepts(Word(sub, tuple(head)))
+                    and lang.accepts(Word(lang.alphabet, tail))):
                 return True
+            if cut == len(w) or w.letters[cut] not in y_back:
+                break
+            head.append(y_back[w.letters[cut]])
         return False
 
     def enum(n: int):
         out = set()
         for head in enumerate_language(L_H, n):
             hw = y_map(head).letters
-            for tail in enumerate_language(sys.language, n - len(head)):
+            for tail in enumerate_language(lang, n - len(head)):
                 out.add(hw + tuple(x_map[x] for x in tail.letters))
-        return [Word(union, ls) for ls in sorted(out, key=lambda t: (len(t), t))]
+        return [Word(alphabet, ls) for ls in sorted(out, key=lambda t: (len(t), t))]
 
-    lazy = LazyLanguage(union, member, enumerator=enum, name="concat")
-    to_parent = WordMap(
-        union, [parent.alphabet.letter(g) for g in parent.alphabet.generators] + ctx.gen_words,
-        parent.alphabet)
-    return lazy, ExtendedBackend(parent, to_parent)
+    return LazyLanguage(alphabet, member, enumerator=enum, name="concat")
 
 
 def detour_padded_language(lang, alphabet: Alphabet) -> LazyLanguage:

@@ -24,10 +24,9 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from . import backends
 from .backends import (
-    abelian_backend, abelian_subgroup, finite_backend, finite_subgroup,
-    free_backend, free_subgroup_cyclic, trivial_subgroup,
+    AbelianBackend, AbelianSubgroup, FiniteBackend, FiniteSubgroup, FreeBackend,
+    FreeCyclicSubgroup, TrivialSubgroup,
 )
 from .cascade import Pi1EdgeSubgroup, Pi1System
 from .certify import detour_padded_language
@@ -163,11 +162,11 @@ def _build_group(section: _Section, base_dir: str):
         torsion = [_int(section.lineno, f"group {name}: torsion", t)
                    for t in entries.get("torsion", "").split(",") if t]
         names = [n for n in entries.get("names", "").split(",") if n] or None
-        return abelian_backend(rank, torsion, names)
+        return AbelianBackend(rank, torsion, names)
     if kind == "free":
         rank = _int(section.lineno, f"group {name}: rank", entries.get("rank", "1"))
         names = [n for n in entries.get("names", "").split(",") if n] or None
-        return free_backend(rank, names)
+        return FreeBackend(rank, names)
     if kind == "finite":
         path = entries.get("table")
         if path is None:
@@ -187,7 +186,7 @@ def _build_group(section: _Section, base_dir: str):
                                       f"group {name}: generator {item!r} is not name:index")
                 nm = nm.strip()
                 gens[nm] = _int(section.lineno, f"group {name}: generator {nm}", idx)
-        return finite_backend(table, gens)
+        return FiniteBackend(table, gens)
     raise ConfigError(section.lineno, f"group {name}: unknown kind {kind!r}")
 
 
@@ -202,16 +201,16 @@ def _build_subgroup(section: _Section, groups):
     gen_text = entries.get("generators", "")
     words = [backend.alphabet.word(t) for t in gen_text.split(";") if t.strip()]
     if not words:
-        return trivial_subgroup(backend), group_name
-    if isinstance(backend, backends.AbelianBackend):
-        return abelian_subgroup(backend, words), group_name
-    if isinstance(backend, backends.FreeBackend):
+        return TrivialSubgroup(backend), group_name
+    if isinstance(backend, AbelianBackend):
+        return AbelianSubgroup(backend, words), group_name
+    if isinstance(backend, FreeBackend):
         if len(words) != 1:
             raise ConfigError(section.lineno,
                               "free-group subgroups support a single cyclic generator")
-        return free_subgroup_cyclic(backend, words[0]), group_name
-    if isinstance(backend, backends.FiniteBackend):
-        return finite_subgroup(backend, words), group_name
+        return FreeCyclicSubgroup(backend, words[0]), group_name
+    if isinstance(backend, FiniteBackend):
+        return FiniteSubgroup(backend, words), group_name
     raise ConfigError(section.lineno, f"cannot build subgroups in {backend!r}")
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .backends import abelian_backend, abelian_subgroup
+from .backends import AbelianBackend, AbelianSubgroup, SubgroupContext
 from .cascade import Pi1Backend, Pi1System
 from .cosets import CosetSystem, VerifierError, check_limited_crossover
 from .fsa import LazyLanguage
@@ -46,14 +46,14 @@ from .words import Alphabet, Word, WordMap, invert, shortlex_key
 
 def trefoil_amalgam() -> GraphOfGroups:
     """<a, b | a^2 = b^3> as a graph of groups with two Z vertices."""
-    A = abelian_backend(1, names=["a"])
-    B = abelian_backend(1, names=["b"])
+    A = AbelianBackend(1, names=["a"])
+    B = AbelianBackend(1, names=["b"])
     graph = DirectedGraph()
     graph.add_vertex("va")
     graph.add_vertex("vb")
     graph.add_edge_pair("e", "vb", "va")
-    ctx_e = abelian_subgroup(A, [A.alphabet.word("a a")])
-    ctx_er = abelian_subgroup(B, [B.alphabet.word("b b b")])
+    ctx_e = AbelianSubgroup(A, [A.alphabet.word("a a")])
+    ctx_er = AbelianSubgroup(B, [B.alphabet.word("b b b")])
     return GraphOfGroups(
         graph, {"va": A, "vb": B},
         {"e": ctx_e, "e~": ctx_er},
@@ -164,7 +164,7 @@ def orbit_label(s):
     return orbit_split(s)[0]
 
 
-class TrefoilCentralizerContext:
+class TrefoilCentralizerContext(SubgroupContext):
     """Subgroup context for H = <x, d> over the generators {x, y}.
 
     The syllable cap bounds the coset-graph search; products swept at radius r
@@ -297,12 +297,6 @@ class TrefoilCentralizerContext:
         # grow the search only on a miss
         label = self.coset_label(w)
         return (self._reps.get(label) or self._search(label, w))[0]
-
-    def coset_key(self, w: Word):
-        return self.coset_rep(w).letters
-
-    def min_coset_length(self, w: Word) -> int:
-        return len(self.coset_rep(w))
 
     def representatives(self, radius: int):
         self.ensure_depth(radius)

@@ -3,7 +3,7 @@
 import os
 
 from higgins.backends import (
-    abelian_backend, abelian_subgroup, free_backend, trivial_subgroup,
+    AbelianBackend, AbelianSubgroup, FreeBackend, TrivialSubgroup,
 )
 from higgins.cascade import Pi1System
 from higgins.config import parse_config
@@ -12,14 +12,14 @@ from higgins.gog import DirectedGraph, GraphOfGroups
 
 def zz_gog():
     """Free product Z * Z over the trivial edge group."""
-    A = free_backend(1, ["a"])
-    B = free_backend(1, ["b"])
+    A = FreeBackend(1, ["a"])
+    B = FreeBackend(1, ["b"])
     graph = DirectedGraph()
     graph.add_vertex("va")
     graph.add_vertex("vb")
     graph.add_edge_pair("e", "vb", "va")
-    ctx_e = trivial_subgroup(A)
-    ctx_er = trivial_subgroup(B)
+    ctx_e = TrivialSubgroup(A)
+    ctx_er = TrivialSubgroup(B)
     return GraphOfGroups(
         graph, {"va": A, "vb": B},
         {"e": ctx_e, "e~": ctx_er},
@@ -33,14 +33,14 @@ def zz_system():
 
 def trefoil_gog():
     """Amalgam <a, b | a^2 = b^3>, edge subgroup <a^2> = <b^3>."""
-    A = abelian_backend(1, names=["a"])
-    B = abelian_backend(1, names=["b"])
+    A = AbelianBackend(1, names=["a"])
+    B = AbelianBackend(1, names=["b"])
     graph = DirectedGraph()
     graph.add_vertex("va")
     graph.add_vertex("vb")
     graph.add_edge_pair("e", "vb", "va")
-    ctx_e = abelian_subgroup(A, [A.alphabet.word("a a")])
-    ctx_er = abelian_subgroup(B, [B.alphabet.word("b b b")])
+    ctx_e = AbelianSubgroup(A, [A.alphabet.word("a a")])
+    ctx_er = AbelianSubgroup(B, [B.alphabet.word("b b b")])
     iso_e = [ctx_er.gen_alphabet.word("y1")]
     iso_er = [ctx_e.gen_alphabet.word("y1")]
     return GraphOfGroups(
@@ -56,12 +56,12 @@ def trefoil_system():
 
 def hnn_z2_gog():
     """HNN extension of Z^2 over <x1> with the identity isomorphism."""
-    G = abelian_backend(2)
+    G = AbelianBackend(2)
     graph = DirectedGraph()
     graph.add_vertex("v")
     graph.add_edge_pair("f", "v", "v")
-    ctx_f = abelian_subgroup(G, [G.alphabet.word("x1")])
-    ctx_fr = abelian_subgroup(G, [G.alphabet.word("x1")])
+    ctx_f = AbelianSubgroup(G, [G.alphabet.word("x1")])
+    ctx_fr = AbelianSubgroup(G, [G.alphabet.word("x1")])
     return GraphOfGroups(
         graph, {"v": G},
         {"f": ctx_f, "f~": ctx_fr},

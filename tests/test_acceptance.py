@@ -16,8 +16,8 @@ from oracles import (
     aut_compose, aut_identity, hnn_z2_key, trefoil_letter_table,
 )
 from higgins.backends import (
-    AbelianSubgroupAsGroup, abelian_backend, abelian_subgroup, finite_backend,
-    free_backend,
+    AbelianSubgroupAsGroup, AbelianBackend, AbelianSubgroup, FiniteBackend,
+    FreeBackend,
 )
 from higgins.cascade import Pi1EdgeSubgroup
 from higgins.certify import (
@@ -137,12 +137,12 @@ def test_criterion_2_free_product_normal_forms():
 def test_criterion_3_abelian_proposition():
     """1-limited crossover and finite synchronous K for abelian pairs."""
     t0 = time.time()
-    G = abelian_backend(2)
-    M = abelian_backend(2, [4], names=["x1", "x2", "t"])
+    G = AbelianBackend(2)
+    M = AbelianBackend(2, [4], names=["x1", "x2", "t"])
     systems = [
-        ("Z2/<x1>", CosetSystem(abelian_subgroup(G, [G.alphabet.word("x1")]), mode="sync")),
-        ("Z2/<x1x2>", CosetSystem(abelian_subgroup(G, [G.alphabet.word("x1 x2")]), mode="sync")),
-        ("Z2xZ4/<x1t>", CosetSystem(abelian_subgroup(M, [M.alphabet.word("x1 t")]), mode="sync")),
+        ("Z2/<x1>", CosetSystem(AbelianSubgroup(G, [G.alphabet.word("x1")]), mode="sync")),
+        ("Z2/<x1x2>", CosetSystem(AbelianSubgroup(G, [G.alphabet.word("x1 x2")]), mode="sync")),
+        ("Z2xZ4/<x1t>", CosetSystem(AbelianSubgroup(M, [M.alphabet.word("x1 t")]), mode="sync")),
     ]
     ks = []
     for name, sys_ in systems:
@@ -157,8 +157,8 @@ def test_criterion_3_abelian_proposition():
 def test_criterion_4_concatenation_theorem():
     """L_H . L^H is automatic for Z^3 over H = <x1, x2>."""
     t0 = time.time()
-    G = abelian_backend(3)
-    H = abelian_subgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
+    G = AbelianBackend(3)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
     sub = AbelianSubgroupAsGroup(H)
     assert not sub.relations  # free abelian of rank 2
     lang = concat_structure(sub.shortlex_language, CosetSystem(H))
@@ -175,8 +175,8 @@ def test_criterion_4_concatenation_theorem():
 def test_criterion_5_synchronous_subsystem():
     """Geodesic filtering of a detour-padded system recovers a synchronous one."""
     t0 = time.time()
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1")])
     padded = detour_padded_language(H.coset_language, G.alphabet)
     sys_ = CosetSystem(H, padded, mode="async")
     async_cert = certify_coset_system(sys_, radius=6, mode="async")
@@ -265,7 +265,7 @@ def test_criterion_9_infrastructure_suites():
     """Property suites: automata, word laws, backends, alignment DP."""
     t0 = time.time()
     rng = random.Random(99)
-    AB = free_backend(2).alphabet
+    AB = FreeBackend(2).alphabet
 
     def random_dfa():
         n = rng.randint(1, 5)
@@ -298,23 +298,23 @@ def test_criterion_9_infrastructure_suites():
         assert prefix(u, len(u)) == u
 
     # backend canonical forms vs brute-force equality at length 6
-    A3 = abelian_backend(1, [3], names=["x", "t"])
+    A3 = AbelianBackend(1, [3], names=["x", "t"])
     by_vec: dict = {}
     for w in all_words(A3.alphabet, 6):
         vec = A3.normalize(A3.vec(w))
         can = A3.canonical(w).letters
         assert by_vec.setdefault(vec, can) == can
-    F = free_backend(2)
+    F = FreeBackend(2)
     for _ in range(500):
         w = Word(F.alphabet, tuple(rng.randrange(4) for _ in range(6)))
         assert F.canonical(w) == free_reduce(w)
     table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
-    C5 = finite_backend(table, {"g": 1})
+    C5 = FiniteBackend(table, {"g": 1})
     for w in all_words(C5.alphabet, 6):
         assert C5.eval(C5.canonical(w)) == C5.eval(w)
 
     # alignment: async <= sync, and the DP matches brute staircase search
-    G = abelian_backend(2)
+    G = AbelianBackend(2)
     ball = CayleyBall(G, 9)
     from test_certify import brute_async
     checked = 0

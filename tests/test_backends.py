@@ -4,8 +4,8 @@ import random
 import pytest
 
 from higgins.backends import (
-    BackendError, IntLattice, abelian_backend, abelian_subgroup, finite_backend,
-    finite_subgroup, free_backend, free_subgroup_cyclic, trivial_subgroup,
+    BackendError, IntLattice, AbelianBackend, AbelianSubgroup, FiniteBackend,
+    FiniteSubgroup, FreeBackend, FreeCyclicSubgroup, TrivialSubgroup,
 )
 from higgins.certify import CayleyBall
 from higgins.fsa import enumerate_language
@@ -65,24 +65,24 @@ def s3_table():
 # --- abelian backend ----------------------------------------------------------
 
 def test_abelian_canonical_collects():
-    G = abelian_backend(2)
+    G = AbelianBackend(2)
     assert str(G.canonical(G.alphabet.word("x1 x2 x1"))) == "x1 x1 x2"
 
 
 def test_abelian_torsion_reduction():
-    G = abelian_backend(0, [4], names=["t"])
+    G = AbelianBackend(0, [4], names=["t"])
     assert str(G.canonical(G.alphabet.word("t t t t t"))) == "t"
     assert str(G.canonical(G.alphabet.word("t t t"))) == "t^-1"
     assert str(G.canonical(G.alphabet.word("t t"))) == "t t"  # tie toward positive
 
 
 def test_abelian_geodesic_length():
-    G = abelian_backend(1)
+    G = AbelianBackend(1)
     assert G.geodesic_length(G.alphabet.word("x1 x1^-1")) == 0
 
 
 def test_abelian_canonical_equals_brute_equality():
-    G = abelian_backend(1, [3], names=["x", "t"])
+    G = AbelianBackend(1, [3], names=["x", "t"])
     seen = {}
     for w in all_words(G.alphabet, 4):
         vec = G.normalize(G.vec(w))
@@ -94,14 +94,14 @@ def test_abelian_canonical_equals_brute_equality():
 
 
 def test_abelian_ball_count():
-    G = abelian_backend(2)
+    G = AbelianBackend(2)
     assert len(CayleyBall(G, 2).elements()) == 13  # |{(a,b): |a|+|b| <= 2}|
     ball = CayleyBall(G, 3).elements()
     assert len(set(w.letters for w in ball)) == len(ball)
 
 
 def test_abelian_canonical_language_agrees():
-    G = abelian_backend(1, [4], names=["x", "t"])
+    G = AbelianBackend(1, [4], names=["x", "t"])
     dfa = G.canonical_language
     for w in all_words(G.alphabet, 5):
         assert dfa.accepts(w) == (G.canonical(w) == w)
@@ -110,8 +110,8 @@ def test_abelian_canonical_language_agrees():
 # --- abelian subgroups ----------------------------------------------------------
 
 def test_abelian_subgroup_diag_example():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1 x2")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 x2")])
     w = G.alphabet.word("x1 x1 x2 x2 x2")  # exponent vector (2, 3)
     assert str(H.coset_rep(w)) == "x1^-1"
     h = H.h_express(w * invert(H.coset_rep(w)))
@@ -120,24 +120,24 @@ def test_abelian_subgroup_diag_example():
 
 
 def test_abelian_subgroup_axis():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1")])
     lang = enumerate_language(H.coset_language, 3)
     assert [str(w) for w in lang] == [
         "ε", "x2", "x2^-1", "x2 x2", "x2^-1 x2^-1", "x2 x2 x2", "x2^-1 x2^-1 x2^-1"]
 
 
 def test_abelian_subgroup_enumeration_example():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1 x2")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 x2")])
     lang = enumerate_language(H.coset_language, 2)
     assert [str(w) for w in lang] == ["ε", "x1", "x1^-1", "x1 x1", "x1^-1 x1^-1"]
 
 
 def test_abelian_membership_against_brute():
-    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
+    G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
     gens = [G.alphabet.word("x1 x2 t t"), G.alphabet.word("x2 x2")]
-    H = abelian_subgroup(G, gens)
+    H = AbelianSubgroup(G, gens)
     gen_vecs = [G.vec(g) for g in gens] + [(0, 0, 4)]
     verdicts = {}  # by exponent vector: 259 words meet only 63 vectors
     for w in all_words(G.alphabet, 3):
@@ -148,8 +148,8 @@ def test_abelian_membership_against_brute():
 
 
 def test_abelian_decomposition_identity():
-    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
-    H = abelian_subgroup(G, [G.alphabet.word("x1 t")])
+    G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 t")])
     for w in CayleyBall(G, 4).elements():
         rep = H.coset_rep(w)
         h = H.h_express(w * invert(rep))
@@ -163,8 +163,8 @@ def test_abelian_decomposition_identity():
 def test_abelian_h_express_one_connector_per_element(gens):
     # generators with relations spell an element many ways; every spelling
     # must get one connector, a geodesic one over the generators
-    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
-    H = abelian_subgroup(G, [G.alphabet.word(g) for g in gens.split(";")])
+    G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
+    H = AbelianSubgroup(G, [G.alphabet.word(g) for g in gens.split(";")])
     rng = random.Random(11)
     connector, shortest = {}, {}
     for coeffs in itertools.product(range(-5, 6), repeat=len(H.gen_words)):
@@ -184,8 +184,8 @@ def test_abelian_h_express_one_connector_per_element(gens):
 
 
 def test_abelian_h_express_reduces_torsion_powers():
-    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
-    H = abelian_subgroup(G, [G.alphabet.word("t")])
+    G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
+    H = AbelianSubgroup(G, [G.alphabet.word("t")])
     assert str(H.h_express(G.alphabet.word("t t t t t"))) == "y1"
     assert str(H.h_express(G.alphabet.word("t^-1 t^-1 t^-1"))) == "y1"
     assert str(H.h_express(G.alphabet.word("t^-1 t^-1"))) == "y1 y1"
@@ -199,8 +199,8 @@ def test_abelian_h_express_reduces_torsion_powers():
 def test_abelian_h_express_dependent_generators(rank, torsion, gens):
     # the generators satisfy relations among themselves; h_express must still
     # answer every member, with an h that expands to the member's element
-    G = abelian_backend(rank, torsion)
-    H = abelian_subgroup(G, [G.alphabet.word(g) for g in gens.split(";")])
+    G = AbelianBackend(rank, torsion)
+    H = AbelianSubgroup(G, [G.alphabet.word(g) for g in gens.split(";")])
     members = [w for w in CayleyBall(G, 6).elements() if H.membership(w)]
     assert len(members) > 5
     for w in members:
@@ -236,9 +236,9 @@ def test_lattice_solve_reads_the_smith_decomposition():
 
 
 def test_abelian_coset_rep_is_shortlex_least():
-    G = abelian_backend(2)
+    G = AbelianBackend(2)
     for gens in ([G.alphabet.word("x1 x2")], [G.alphabet.word("x1 x1 x2")]):
-        H = abelian_subgroup(G, gens)
+        H = AbelianSubgroup(G, gens)
         for w in CayleyBall(G, 3).elements():
             rep = H.coset_rep(w)
             brute = brute_coset_rep(H, w, len(rep))
@@ -246,8 +246,8 @@ def test_abelian_coset_rep_is_shortlex_least():
 
 
 def test_abelian_mixed_subgroup_synthesized_dfa():
-    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
-    H = abelian_subgroup(G, [G.alphabet.word("x1 t")])
+    G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 t")])
     dfa = H.coset_language
     for w in all_words(G.alphabet, 5):
         assert dfa.accepts(w) == H.is_rep(w), str(w)
@@ -256,11 +256,11 @@ def test_abelian_mixed_subgroup_synthesized_dfa():
 def _seeded_abelian_subgroup(rng):
     rank = rng.randint(1, 3)
     torsion = [rng.choice((2, 3, 4, 6)) for _ in range(rng.randint(0, 3 - rank))]
-    G = abelian_backend(rank, torsion)
+    G = AbelianBackend(rank, torsion)
     m = len(G.alphabet)
     gens = [Word(G.alphabet, tuple(rng.randrange(m) for _ in range(rng.randint(1, 4))))
             for _ in range(rng.randint(1, 2))]
-    return G, abelian_subgroup(G, gens)
+    return G, AbelianSubgroup(G, gens)
 
 
 def test_abelian_labelled_spheres_match_the_scan_per_query():
@@ -283,17 +283,17 @@ def test_abelian_labelled_spheres_match_the_scan_per_query():
 ], ids=["z-z4-x1t", "z-z4-x1x1t", "z-z2-z3", "z2-z2-two-gens"])
 def test_abelian_labelled_spheres_synthesize_the_scanned_dfa(rank, torsion, gens):
     names = None if len(torsion) != 1 else [f"x{i + 1}" for i in range(rank)] + ["t"]
-    G = abelian_backend(rank, torsion, names)
-    H = abelian_subgroup(G, [G.alphabet.word(g) for g in gens])
-    ref = abelian_subgroup(G, [G.alphabet.word(g) for g in gens])
+    G = AbelianBackend(rank, torsion, names)
+    H = AbelianSubgroup(G, [G.alphabet.word(g) for g in gens])
+    ref = AbelianSubgroup(G, [G.alphabet.word(g) for g in gens])
     ref.chosen = lambda vec: scanned_chosen(ref, vec)
     assert not H._independent
     assert H.coset_language == ref.coset_language
 
 
 def test_abelian_coset_language_unique_reps():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1 x2")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 x2")])
     seen = {}
     for w in enumerate_language(H.coset_language, 8):
         key = H.lattice.key(G.vec(w))
@@ -305,8 +305,8 @@ def test_abelian_coset_language_unique_reps():
 
 
 def test_abelian_coset_language_geodesic():
-    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
-    H = abelian_subgroup(G, [G.alphabet.word("x1 t")])
+    G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 t")])
     for w in enumerate_language(H.coset_language, 6):
         assert len(w) == H.min_coset_length(w)
 
@@ -318,22 +318,22 @@ def test_abelian_coset_language_geodesic():
 def test_abelian_synthesis_errors_name_their_limit(monkeypatch, limit, value, message):
     import higgins.backends
     monkeypatch.setattr(higgins.backends, limit, value)
-    G = abelian_backend(2, [4], names=["x1", "x2", "t"])
-    H = abelian_subgroup(G, [G.alphabet.word("x1 t")])
+    G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 t")])
     with pytest.raises(BackendError, match=message):
         H.coset_language
 
 
 def test_abelian_rejects_bad_modulus():
     with pytest.raises(BackendError):
-        abelian_backend(1, [1])
+        AbelianBackend(1, [1])
 
 
 # --- trivial subgroup -----------------------------------------------------------
 
 def test_trivial_subgroup():
-    G = abelian_backend(2)
-    T = trivial_subgroup(G)
+    G = AbelianBackend(2)
+    T = TrivialSubgroup(G)
     w = G.alphabet.word("x1 x2 x1^-1")
     assert T.coset_rep(w) == G.canonical(w)
     assert T.membership(G.alphabet.word("x1 x1^-1"))
@@ -344,7 +344,7 @@ def test_trivial_subgroup():
 # --- free backend ---------------------------------------------------------------
 
 def test_free_canonical_and_ball():
-    F = free_backend(2)
+    F = FreeBackend(2)
     assert F.canonical(F.alphabet.word("a b b^-1")) == F.alphabet.word("a")
     assert len(CayleyBall(F, 2).elements()) == 17  # 1 + 4 + 12
     dfa = F.canonical_language
@@ -353,25 +353,25 @@ def test_free_canonical_and_ball():
 
 
 def test_free_cyclic_membership():
-    F = free_backend(2)
-    H = free_subgroup_cyclic(F, F.alphabet.word("a"))
+    F = FreeBackend(2)
+    H = FreeCyclicSubgroup(F, F.alphabet.word("a"))
     assert H.membership(F.alphabet.word("a^-1 a^-1 a^-1"))
     assert not H.membership(F.alphabet.word("a b"))
     assert str(H.h_express(F.alphabet.word("a a"))) == "y1 y1"
 
 
 def test_free_cyclic_coset_rep_examples():
-    F = free_backend(2)
-    H = free_subgroup_cyclic(F, F.alphabet.word("a"))
+    F = FreeBackend(2)
+    H = FreeCyclicSubgroup(F, F.alphabet.word("a"))
     assert str(H.coset_rep(F.alphabet.word("a a b a"))) == "b a"
-    H2 = free_subgroup_cyclic(F, F.alphabet.word("a b"))
+    H2 = FreeCyclicSubgroup(F, F.alphabet.word("a b"))
     assert str(H2.coset_rep(F.alphabet.word("a b a b b"))) == "b"
 
 
 def test_free_cyclic_rep_constant_and_least():
-    F = free_backend(2)
+    F = FreeBackend(2)
     for gen in ("a", "a b", "a a"):
-        H = free_subgroup_cyclic(F, F.alphabet.word(gen))
+        H = FreeCyclicSubgroup(F, F.alphabet.word(gen))
         for w in CayleyBall(F, 3).elements():
             rep = H.coset_rep(w)
             assert H.coset_rep(H.gen_words[0] * w) == rep
@@ -381,13 +381,13 @@ def test_free_cyclic_rep_constant_and_least():
 
 
 def test_free_cyclic_language_agrees():
-    F = free_backend(2)
-    H = free_subgroup_cyclic(F, F.alphabet.word("a"))
+    F = FreeBackend(2)
+    H = FreeCyclicSubgroup(F, F.alphabet.word("a"))
     lang = H.coset_language
     for w in all_words(F.alphabet, 4):
         expected = free_reduce(w) == w and H.coset_rep(w) == w
         assert lang.accepts(w) == expected
-    H2 = free_subgroup_cyclic(F, F.alphabet.word("a b"))
+    H2 = FreeCyclicSubgroup(F, F.alphabet.word("a b"))
     lazy = H2.coset_language
     for w in all_words(F.alphabet, 4):
         expected = free_reduce(w) == w and H2.coset_rep(w) == w
@@ -397,17 +397,17 @@ def test_free_cyclic_language_agrees():
 
 
 def test_free_cyclic_rejects_unreduced():
-    F = free_backend(2)
+    F = FreeBackend(2)
     with pytest.raises(BackendError):
-        free_subgroup_cyclic(F, F.alphabet.word("a b a^-1"))
+        FreeCyclicSubgroup(F, F.alphabet.word("a b a^-1"))
     with pytest.raises(BackendError):
-        free_subgroup_cyclic(F, F.alphabet.empty())
+        FreeCyclicSubgroup(F, F.alphabet.empty())
 
 
 # --- finite backend --------------------------------------------------------------
 
 def test_finite_z2():
-    G = finite_backend([[0, 1], [1, 0]], {"t": 1})
+    G = FiniteBackend([[0, 1], [1, 0]], {"t": 1})
     assert str(G.canonical(G.alphabet.word("t t t"))) == "t"
     assert G.geodesic_length(G.alphabet.word("t t")) == 0
     assert G.alphabet.inv[G.alphabet.index("t")] == G.alphabet.index("t")
@@ -415,8 +415,8 @@ def test_finite_z2():
 
 def test_finite_s3_cosets():
     perms, table = s3_table()
-    G = finite_backend(table, {"r": 1, "s": 3})
-    H = finite_subgroup(G, [G.alphabet.word("s")])
+    G = FiniteBackend(table, {"r": 1, "s": 3})
+    H = FiniteSubgroup(G, [G.alphabet.word("s")])
     assert H.coset_count() == 3
     # brute force: orbit of right multiplication
     cosets = set()
@@ -428,15 +428,15 @@ def test_finite_s3_cosets():
 
 def test_finite_trivial_subgroup_rep_is_canonical():
     perms, table = s3_table()
-    G = finite_backend(table, {"r": 1, "s": 3})
-    H = finite_subgroup(G, [])
+    G = FiniteBackend(table, {"r": 1, "s": 3})
+    H = FiniteSubgroup(G, [])
     for w in all_words(G.alphabet, 3):
         assert H.coset_rep(w) == G.canonical(w)
 
 
 def test_finite_canonical_matches_table():
     perms, table = s3_table()
-    G = finite_backend(table, {"r": 1, "s": 3})
+    G = FiniteBackend(table, {"r": 1, "s": 3})
     for w in all_words(G.alphabet, 4):
         e = 0
         for x in w.letters:
@@ -447,8 +447,8 @@ def test_finite_canonical_matches_table():
 
 def test_finite_subgroup_language_and_h_express():
     perms, table = s3_table()
-    G = finite_backend(table, {"r": 1, "s": 3})
-    H = finite_subgroup(G, [G.alphabet.word("s")])
+    G = FiniteBackend(table, {"r": 1, "s": 3})
+    H = FiniteSubgroup(G, [G.alphabet.word("s")])
     lang = enumerate_language(H.coset_language, 4)
     assert len(lang) == 3 and lang[0] == G.alphabet.empty()
     for w in all_words(G.alphabet, 3):
@@ -462,10 +462,10 @@ def test_finite_subgroup_elements_are_the_closure():
     cases = [(s3, {"r": 1, "s": 3}, ["", "s", "r", "r r", "s r", "s;r", "r s;s r"]),
              (c6, {"g": 1}, ["", "g", "g g", "g g g", "g g;g g g", "g g g g"])]
     for table, gens, subgroups in cases:
-        G = finite_backend(table, gens)
+        G = FiniteBackend(table, gens)
         for spec in subgroups:
             words = [G.alphabet.word(g) for g in spec.split(";") if g]
-            H = finite_subgroup(G, words)
+            H = FiniteSubgroup(G, words)
             assert H.elements == table_closure(table, [G.eval(w) for w in words]), spec
             for e in H.elements:
                 member = Word(G.alphabet, G._canon[e])
@@ -478,14 +478,14 @@ def test_finite_tables_equal_the_table_search():
     cases += [([[(i + j) % n for j in range(n)] for i in range(n)], {"g": 1}) for n in (2, 5, 6)]
     rng = random.Random(7)
     for table, gens in cases:
-        G = finite_backend(table, gens)
+        G = FiniteBackend(table, gens)
         assert G._canon == table_search(
             table, [(G._letter_elt[x], x) for x in range(len(G.alphabet))])
         for _ in range(6):
             words = [Word(G.alphabet, tuple(rng.randrange(len(G.alphabet))
                                             for _ in range(rng.randint(0, 3))))
                      for _ in range(rng.randint(0, 2))]
-            H = finite_subgroup(G, words)
+            H = FiniteSubgroup(G, words)
             alpha = H.gen_alphabet
             steps = []
             for i, w in enumerate(words):
@@ -498,18 +498,18 @@ def test_finite_tables_equal_the_table_search():
 
 def test_finite_validation_errors():
     with pytest.raises(BackendError):
-        finite_backend([[0, 1], [1, 1]])
+        FiniteBackend([[0, 1], [1, 1]])
     with pytest.raises(BackendError):
-        finite_backend([[0, 1, 2], [1, 2, 0], [2, 0, 1]], {"r": 0})  # identity generates nothing
+        FiniteBackend([[0, 1, 2], [1, 2, 0], [2, 0, 1]], {"r": 0})  # identity generates nothing
 
 
 def test_backend_canonical_idempotent_across_backends():
     perms, table = s3_table()
     backends = [
-        abelian_backend(2),
-        abelian_backend(1, [3], names=["x", "t"]),
-        free_backend(2),
-        finite_backend(table, {"r": 1, "s": 3}),
+        AbelianBackend(2),
+        AbelianBackend(1, [3], names=["x", "t"]),
+        FreeBackend(2),
+        FiniteBackend(table, {"r": 1, "s": 3}),
     ]
     for G in backends:
         for w in all_words(G.alphabet, 3):
@@ -527,10 +527,10 @@ def test_prepend_and_append_fold_to_the_key(name):
     fold of append left to right; the element's word is the word's canonical
     form."""
     _perms, s3 = s3_table()
-    G = {"Z2xZ/4": lambda: abelian_backend(2, [4]),
-         "ZxZ/2": lambda: abelian_backend(1, [2]),  # t is self-inverse
-         "F2": lambda: free_backend(2),
-         "S3": lambda: finite_backend(s3, {"r": 1, "s": 3})}[name]()
+    G = {"Z2xZ/4": lambda: AbelianBackend(2, [4]),
+         "ZxZ/2": lambda: AbelianBackend(1, [2]),  # t is self-inverse
+         "F2": lambda: FreeBackend(2),
+         "S3": lambda: FiniteBackend(s3, {"r": 1, "s": 3})}[name]()
     rng = random.Random(7)
     m = len(G.alphabet)
     for _ in range(300):

@@ -478,10 +478,10 @@ def test_zz_automaton_examples():
 
 
 def test_automaton_single_vertex_no_edges():
-    from higgins.backends import abelian_backend
+    from higgins.backends import AbelianBackend
     from higgins.gog import DirectedGraph, GraphOfGroups
     from higgins.cascade import Pi1System
-    G = abelian_backend(1, names=["a"])
+    G = AbelianBackend(1, names=["a"])
     g = DirectedGraph()
     g.add_vertex("v")
     gog = GraphOfGroups(g, {"v": G}, {}, {})

@@ -8,8 +8,8 @@ import pytest
 
 from builders import trefoil_gog, zz_gog
 from higgins.backends import (
-    AbelianSubgroupAsGroup, abelian_backend, abelian_subgroup, free_backend,
-    trivial_subgroup,
+    AbelianSubgroupAsGroup, AbelianBackend, AbelianSubgroup, FreeBackend,
+    TrivialSubgroup,
 )
 import higgins.certify
 from higgins.certify import (
@@ -28,8 +28,8 @@ from oracles import aligns_by_grid, brute_ball, keyed_sweep
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-Z2 = abelian_backend(2)
-AXIS = abelian_subgroup(Z2, [Z2.alphabet.word("x1")])
+Z2 = AbelianBackend(2)
+AXIS = AbelianSubgroup(Z2, [Z2.alphabet.word("x1")])
 
 
 def config_path(name):
@@ -42,7 +42,7 @@ def w2(text):
 
 def test_ball_sizes():
     assert len(CayleyBall(Z2, 2)) == 13
-    assert len(CayleyBall(free_backend(2), 2)) == 17
+    assert len(CayleyBall(FreeBackend(2), 2)) == 17
     assert len(CayleyBall(Z2, 0)) == 1
 
 
@@ -126,8 +126,8 @@ def test_certify_axis_sync():
 def test_certify_whole_group():
     # v = w = empty, h a generator is a legitimate pair with d(v, hw) = 1,
     # and the fellow constant must dominate |h|, so K is 1 rather than 0
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
     cert = certify_coset_system(CosetSystem(H, mode="sync"), radius=4)
     assert cert.bounded and cert.K_observed == 1
 
@@ -183,20 +183,20 @@ def test_geodesic_filter_detects_missing_coset():
 
 
 def test_certify_automatic_free_shortlex():
-    F = free_backend(2)
+    F = FreeBackend(2)
     cert = certify_automatic(F.canonical_language, F, radius=5)
     assert cert.bounded and cert.K_observed <= 2
 
 
 def test_certify_automatic_singleton():
-    F = free_backend(1)
+    F = FreeBackend(1)
     lang = word_set_dfa([F.alphabet.empty()], F.alphabet)
     cert = certify_automatic(lang, F, radius=4)
     assert cert.bounded and cert.K_observed == 0
 
 
 def test_concat_structure_trivial_subgroup():
-    T = trivial_subgroup(Z2)
+    T = TrivialSubgroup(Z2)
     L_H = word_set_dfa([T.gen_alphabet.empty()], T.gen_alphabet)
     lang = concat_structure(L_H, CosetSystem(T))
     got = [w.letters for w in enumerate_language(lang, 4)]
@@ -205,11 +205,11 @@ def test_concat_structure_trivial_subgroup():
 
 
 def test_concat_structure_whole_group():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
     L_H = H.parent.canonical_language  # subgroup letters are x1, x2 themselves
     # relabel: the subgroup generator alphabet is y1, y2; use its own shortlex
-    sub = abelian_backend(2, names=["y1", "y2"])
+    sub = AbelianBackend(2, names=["y1", "y2"])
     lang = concat_structure(sub.canonical_language, CosetSystem(H))
     got = [w.letters for w in enumerate_language(lang, 3)]
     want = [w.letters for w in enumerate_language(G.canonical_language, 3)]
@@ -217,7 +217,7 @@ def test_concat_structure_whole_group():
 
 
 def test_concat_structure_axis():
-    sub = abelian_backend(1, names=["y1"])
+    sub = AbelianBackend(1, names=["y1"])
     lang = concat_structure(sub.canonical_language, CosetSystem(AXIS))
     got = {w.letters for w in enumerate_language(lang, 3)}
     want = {w.letters for w in all_words(Z2.alphabet, 3)
@@ -233,9 +233,9 @@ def _collected_x1_x2(w):
 
 
 def test_concat_structure_extended_alphabet():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1 x2")])
-    sub = abelian_backend(1, names=["y1"])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 x2")])
+    sub = AbelianBackend(1, names=["y1"])
     lang, oracle = concat_structure(sub.canonical_language, CosetSystem(H))
     assert "y1" in lang.alphabet.names
     words = enumerate_language(lang, 2)
@@ -250,8 +250,8 @@ def test_concat_structure_extended_alphabet():
 def test_concat_structure_order_two_generator_spelled_as_given():
     # <t t> in Z x Z/4: y1 has order 2 and is self-inverse over the subgroup
     # generators, so the concatenation words spell it y1, never y1^-1
-    G = abelian_backend(1, [4])
-    H = abelian_subgroup(G, [G.alphabet.word("t t")])
+    G = AbelianBackend(1, [4])
+    H = AbelianSubgroup(G, [G.alphabet.word("t t")])
     lang, oracle = concat_structure(AbelianSubgroupAsGroup(H).shortlex_language, CosetSystem(H))
     y1, y1_inv = lang.alphabet.word("y1"), lang.alphabet.word("y1^-1")
     words = enumerate_language(lang, 2)
@@ -265,8 +265,8 @@ def test_concat_structure_order_two_generator_before_another():
     # alphabet but two in the alphabet of its shortlex language, so x1 sits at
     # different indices in the two; the explicit and the lazy concatenation
     # must both read L_H's letters through L_H's own alphabet
-    G = abelian_backend(1, [2])
-    H = abelian_subgroup(G, [G.alphabet.word("t"), G.alphabet.word("x1")])
+    G = AbelianBackend(1, [2])
+    H = AbelianSubgroup(G, [G.alphabet.word("t"), G.alphabet.word("x1")])
     L_H = AbelianSubgroupAsGroup(H).shortlex_language
     assert len(L_H.alphabet) != len(H.gen_alphabet)
     explicit = concat_structure(L_H, CosetSystem(H))
@@ -296,14 +296,14 @@ def test_hypotheses_report_trivial_edge_groups():
 
 
 def test_hypotheses_report_unstable_iso():
-    A = abelian_backend(1, names=["a"])
-    B = abelian_backend(1, names=["b"])
+    A = AbelianBackend(1, names=["a"])
+    B = AbelianBackend(1, names=["b"])
     graph = DirectedGraph()
     graph.add_vertex("va")
     graph.add_vertex("vb")
     graph.add_edge_pair("e", "vb", "va")
-    ctx_e = abelian_subgroup(A, [A.alphabet.word("a a"), A.alphabet.word("a a a")])
-    ctx_er = abelian_subgroup(B, [B.alphabet.word("b")])
+    ctx_e = AbelianSubgroup(A, [A.alphabet.word("a a"), A.alphabet.word("a a a")])
+    ctx_er = AbelianSubgroup(B, [B.alphabet.word("b")])
     gog = GraphOfGroups(
         graph, {"va": A, "vb": B},
         {"e": ctx_e, "e~": ctx_er},
@@ -351,9 +351,9 @@ def _assert_levels(ball):
 
 def _backend(name):
     if name == "z2":
-        return abelian_backend(2)
+        return AbelianBackend(2)
     if name == "f2":
-        return free_backend(2)
+        return FreeBackend(2)
     from higgins.cascade import Pi1Backend
     return Pi1Backend(load_config(config_path("hnn_z2.gog")).system())
 
@@ -395,11 +395,11 @@ def test_lazy_ball_equals_complete_ball(name):
 
 def _oracle_backend(name):
     if name == "z2xz2":
-        return abelian_backend(1, [2], names=["x", "t"])
+        return AbelianBackend(1, [2], names=["x", "t"])
     if name == "z2xz4":
-        return abelian_backend(2, [4], names=["x1", "x2", "t"])
+        return AbelianBackend(2, [4], names=["x1", "x2", "t"])
     if name == "f2":
-        return free_backend(2)
+        return FreeBackend(2)
     if name == "s3":
         return load_config(config_path("finite_s3.gog")).groups["S"]
     from higgins.cascade import Pi1Backend
@@ -461,7 +461,7 @@ class CountingOracle:
 
 
 def test_escaped_pair_is_keyed_once():
-    oracle = CountingOracle(free_backend(2))
+    oracle = CountingOracle(FreeBackend(2))
     ball = CayleyBall(oracle, 1)
     i, j = ball.index(oracle.alphabet.word("a")), ball.index(oracle.alphabet.word("a^-1"))
     before = oracle.key_calls
@@ -685,7 +685,7 @@ def _abelian_axis_cert(system, radius, cap):
 
 
 def _free_automatic_cert(radius, cap):
-    F = free_backend(2)
+    F = FreeBackend(2)
     ball = CayleyBall(F, cap)
     return certify_automatic(F.canonical_language, F, radius, mode="async", ball=ball), ball
 

@@ -370,7 +370,14 @@ def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
      "line 1: group G: table z2.csv cell: expected an integer, got 'one'"),
     ("[group G] kind=abelian rank=1", None, ["enum", "--language", "coset", "--max-len", "1"],
      "enum --language coset: the graph has no edges"),
-], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges"])
+    ("[group G] kind=finite table=z2.csv generators=t:2", "0,1\n1,0\n", ["validate"],
+     "generator t: 2 is not an element index 0..1"),
+    ("[group G] kind=finite table=z2.csv generators=t:-1", "0,1\n1,0\n", ["validate"],
+     "generator t: -1 is not an element index 0..1"),
+    ("[group G] kind=finite table=z2.csv", "0,1\n1,9\n", ["validate"],
+     "table cell 9 is not an element index 0..1"),
+], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
+        "generator-past-table", "generator-negative", "table-cell-past-table"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from higgins.backends import (
-    abelian_backend, abelian_subgroup, finite_backend, finite_subgroup,
-    free_backend, free_subgroup_cyclic,
+    AbelianBackend, AbelianSubgroup, FiniteBackend, FiniteSubgroup,
+    FreeBackend, FreeCyclicSubgroup,
 )
 from higgins.cosets import (
     CosetSystem, VerifierError, WordMetric, check_limited_crossover,
@@ -16,12 +16,12 @@ from oracles import SearchedWordMetric
 
 
 def z2_axis():
-    G = abelian_backend(2)
-    return G, abelian_subgroup(G, [G.alphabet.word("x1")])
+    G = AbelianBackend(2)
+    return G, AbelianSubgroup(G, [G.alphabet.word("x1")])
 
 
 def test_word_metric_lengths():
-    G = abelian_backend(1, names=["b"])
+    G = AbelianBackend(1, names=["b"])
     m = WordMetric(G, [G.alphabet.word("b b"), G.alphabet.word("b b b")])
     assert m.length(G.alphabet.word("b b"), 4) == 1
     assert m.length(G.alphabet.word("b"), 4) == 2  # b = b^3 (b^2)^-1
@@ -29,7 +29,7 @@ def test_word_metric_lengths():
 
 
 def c_n(n):
-    return finite_backend([[(i + j) % n for j in range(n)] for i in range(n)], {"g": 1})
+    return FiniteBackend([[(i + j) % n for j in range(n)] for i in range(n)], {"g": 1})
 
 
 S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
@@ -37,10 +37,10 @@ S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
 
 # parent, number of probe words, longest probe word; free probes are reduced
 METRIC_CASES = {
-    "abelian-torsion": (lambda: abelian_backend(2, [4], names=["x1", "x2", "t"]), 3, 3),
-    "abelian-dependent": (lambda: abelian_backend(1, names=["a"]), 3, 4),
-    "free-cyclic": (lambda: free_backend(2), 1, 4),
-    "s3": (lambda: finite_backend(S3_TABLE, {"r": 1, "s": 3}), 2, 3),
+    "abelian-torsion": (lambda: AbelianBackend(2, [4], names=["x1", "x2", "t"]), 3, 3),
+    "abelian-dependent": (lambda: AbelianBackend(1, names=["a"]), 3, 4),
+    "free-cyclic": (lambda: FreeBackend(2), 1, 4),
+    "s3": (lambda: FiniteBackend(S3_TABLE, {"r": 1, "s": 3}), 2, 3),
     "c5": (lambda: c_n(5), 2, 3),
     "c6": (lambda: c_n(6), 2, 4),
 }
@@ -89,18 +89,18 @@ def test_limited_crossover_identity_probe():
 
 
 def test_limited_crossover_diag_and_mixed():
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1 x2")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1 x2")])
     assert check_limited_crossover(CosetSystem(H), lam=1, radius=5).passed
-    M = abelian_backend(2, [4], names=["x1", "x2", "t"])
-    HM = abelian_subgroup(M, [M.alphabet.word("x1 t")])
+    M = AbelianBackend(2, [4], names=["x1", "x2", "t"])
+    HM = AbelianSubgroup(M, [M.alphabet.word("x1 t")])
     assert check_limited_crossover(CosetSystem(HM), lam=1, radius=5).passed
 
 
 def test_crossover_scaling():
-    G = abelian_backend(2)
+    G = AbelianBackend(2)
     for gens in (["x1"], ["x1 x2"]):
-        H = abelian_subgroup(G, [G.alphabet.word(g) for g in gens])
+        H = AbelianSubgroup(G, [G.alphabet.word(g) for g in gens])
         sys = CosetSystem(H)
         assert check_limited_crossover(sys, lam=1, radius=6).passed
         for k in (2, 3):
@@ -109,8 +109,8 @@ def test_crossover_scaling():
 
 def test_limited_crossover_witness_arithmetic():
     """Failing case cross-checked by exponent arithmetic: Y too small."""
-    G = abelian_backend(2)
-    H = abelian_subgroup(G, [G.alphabet.word("x1")])
+    G = AbelianBackend(2)
+    H = AbelianSubgroup(G, [G.alphabet.word("x1")])
     # probe Z reaches x1^2 in one step, so h = u x1^2 u^-1 has Y-length 2
     report = check_limited_crossover(
         CosetSystem(H), Z=[G.alphabet.word("x1 x1")], lam=1, radius=3)
@@ -121,8 +121,8 @@ def test_limited_crossover_witness_arithmetic():
 
 
 def test_maximal_crossover_free_group():
-    F = free_backend(2)
-    H = free_subgroup_cyclic(F, F.alphabet.word("a"))
+    F = FreeBackend(2)
+    H = FreeCyclicSubgroup(F, F.alphabet.word("a"))
     report = check_maximal_crossover(CosetSystem(H), lam=1, radius=4)
     assert report.passed
 
@@ -143,19 +143,19 @@ def test_maximal_crossover_vacuous_when_u_in_H():
 
 
 def test_stability_generator_bijection():
-    A = abelian_backend(1, names=["a"])
-    B = abelian_backend(1, names=["b"])
-    H1 = abelian_subgroup(A, [A.alphabet.word("a a")])
-    H2 = abelian_subgroup(B, [B.alphabet.word("b b b")])
+    A = AbelianBackend(1, names=["a"])
+    B = AbelianBackend(1, names=["b"])
+    H1 = AbelianSubgroup(A, [A.alphabet.word("a a")])
+    H2 = AbelianSubgroup(B, [B.alphabet.word("b b b")])
     rep = check_stability([H2.gen_alphabet.word("y1")], H1, H2, mu=1, radius=4)
     assert rep.passed
 
 
 def test_stability_imbalanced_generators():
-    A = abelian_backend(1, names=["a"])
-    B = abelian_backend(1, names=["b"])
-    H1 = abelian_subgroup(A, [A.alphabet.word("a")])
-    H2 = abelian_subgroup(B, [B.alphabet.word("b b"), B.alphabet.word("b b b")])
+    A = AbelianBackend(1, names=["a"])
+    B = AbelianBackend(1, names=["b"])
+    H1 = AbelianSubgroup(A, [A.alphabet.word("a")])
+    H2 = AbelianSubgroup(B, [B.alphabet.word("b b"), B.alphabet.word("b b b")])
     img = [H2.gen_alphabet.word("y2 y1^-1")]  # a -> b
     rep1 = check_stability(img, H1, H2, mu=1, radius=3)
     assert not rep1.passed
@@ -165,10 +165,10 @@ def test_stability_imbalanced_generators():
 
 
 def test_stability_rejects_non_homomorphism():
-    A = finite_backend([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], {"t": 1})
-    B = finite_backend([[0, 1, 2], [1, 2, 0], [2, 0, 1]], {"s": 1})
-    H1 = finite_subgroup(A, [A.alphabet.word("t")])
-    H2 = finite_subgroup(B, [B.alphabet.word("s")])
+    A = FiniteBackend([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], {"t": 1})
+    B = FiniteBackend([[0, 1, 2], [1, 2, 0], [2, 0, 1]], {"s": 1})
+    H1 = FiniteSubgroup(A, [A.alphabet.word("t")])
+    H2 = FiniteSubgroup(B, [B.alphabet.word("s")])
     with pytest.raises(VerifierError):
         check_stability([H2.gen_alphabet.word("y1")], H1, H2, mu=2, radius=4)
 
@@ -177,8 +177,8 @@ def test_stability_checks_every_relator():
     # t has order 16, so t^8 = t^-8 is the shortest relation that equal
     # products of length <= 6 cannot show; its image b^16 in Z is not 1
     A = c_n(16)
-    B = abelian_backend(1, names=["b"])
-    H1 = finite_subgroup(A, [A.alphabet.word("g")])
-    H2 = abelian_subgroup(B, [B.alphabet.word("b")])
+    B = AbelianBackend(1, names=["b"])
+    H1 = FiniteSubgroup(A, [A.alphabet.word("g")])
+    H2 = AbelianSubgroup(B, [B.alphabet.word("b")])
     with pytest.raises(VerifierError, match="the relator .* does not map to the identity"):
         check_stability([H2.gen_alphabet.word("y1")], H1, H2, mu=2, radius=6)

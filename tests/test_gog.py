@@ -6,7 +6,7 @@ from builders import (
     SHIPPED_GRAPHS, hnn_z2_system, shipped_config, trefoil_gog, trefoil_system, zz_system,
 )
 from oracles import generator_image
-from higgins.backends import abelian_backend, abelian_subgroup
+from higgins.backends import AbelianBackend, AbelianSubgroup
 from higgins.cascade import Pi1EdgeSubgroup
 from higgins.gog import (
     DirectedGraph, GogError, GraphOfGroups, StableAlphabets, maximal_tree,
@@ -101,8 +101,8 @@ def test_apply_iso_follows_reassigned_iso():
 def test_expand_keeps_order_two_generator_key():
     # <t t> in Z/4: y1 has order 2, so it is self-inverse; its image "t t"
     # is not letterwise self-inverse and is used as given
-    Z4 = abelian_backend(0, [4])
-    H = abelian_subgroup(Z4, [Z4.alphabet.word("t t")])
+    Z4 = AbelianBackend(0, [4])
+    H = AbelianSubgroup(Z4, [Z4.alphabet.word("t t")])
     y1 = H.gen_alphabet.word("y1")
     assert H.gen_alphabet.names == ("y1",)
     assert str(H.expand(y1)) == "t t"
@@ -136,8 +136,8 @@ def test_generator_maps_match_letterwise_oracle(name):
 
 
 def test_validate_disconnected():
-    A = abelian_backend(1, names=["a"])
-    B = abelian_backend(1, names=["b"])
+    A = AbelianBackend(1, names=["a"])
+    B = AbelianBackend(1, names=["b"])
     g = DirectedGraph()
     g.add_vertex("u")
     g.add_vertex("v")
@@ -149,16 +149,16 @@ def test_alphabet_naming_unique_and_collision():
     sys = trefoil_system()
     assert sys.alphabet.names == ("a", "a^-1", "b", "b^-1")
     # same generator name at two vertices forces namespacing
-    A = abelian_backend(1, names=["a"])
-    B = abelian_backend(1, names=["a"])
+    A = AbelianBackend(1, names=["a"])
+    B = AbelianBackend(1, names=["a"])
     g = DirectedGraph()
     g.add_vertex("u")
     g.add_vertex("v")
     g.add_edge_pair("e", "u", "v")
-    from higgins.backends import trivial_subgroup
+    from higgins.backends import TrivialSubgroup
     gog = GraphOfGroups(
         g, {"u": A, "v": B},
-        {"e": trivial_subgroup(B), "e~": trivial_subgroup(A)},
+        {"e": TrivialSubgroup(B), "e~": TrivialSubgroup(A)},
         {"e": [], "e~": []},
     )
     alphas = StableAlphabets(gog, maximal_tree(g))
