@@ -59,6 +59,18 @@ def _abelian(rank, torsion, gens, independent):
     return build
 
 
+def _free_cyclic(gen):
+    def build():
+        F = FreeBackend(2)
+        return FreeCyclicSubgroup(F, F.alphabet.word(gen))
+    return build
+
+
+def _finite_s3():
+    G = s3()
+    return FiniteSubgroup(G, [G.alphabet.word("s")])
+
+
 def _trefoil_edge():
     system = trefoil_system()
     return Pi1EdgeSubgroup(system, system.gog.graph.edges["e"])
@@ -69,11 +81,9 @@ CONTEXTS = {
     "abelian-dependent": _abelian(2, [4], "x1 x2; x2 t", False),
     "trivial-free": lambda: TrivialSubgroup(FreeBackend(2)),
     "trivial-abelian": lambda: TrivialSubgroup(AbelianBackend(1, [3])),
-    "free-cyclic-letter": lambda: FreeCyclicSubgroup(
-        FreeBackend(2), FreeBackend(2).alphabet.word("a")),
-    "free-cyclic-word": lambda: FreeCyclicSubgroup(
-        FreeBackend(2), FreeBackend(2).alphabet.word("a b a^-1 b")),
-    "finite-s3": lambda: FiniteSubgroup(s3(), [s3().alphabet.word("s")]),
+    "free-cyclic-letter": _free_cyclic("a"),
+    "free-cyclic-word": _free_cyclic("a b a^-1 b"),
+    "finite-s3": _finite_s3,
     "pi1-edge": _trefoil_edge,
     "trefoil-centralizer": TrefoilCentralizerContext,
 }
