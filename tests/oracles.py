@@ -2,7 +2,7 @@
 
 Each group oracle decides word problems by a route that shares nothing with
 the cascade machinery: the Artin braid action on a free group for the trefoil
-amalgam, syllable reduction for free products, and direct-product splitting
+amalgam (and for the trefoil over its own generators x, y), syllable reduction for free products, and direct-product splitting
 for the HNN of Z^2 over a central generator.  The normal-form scan is checked
 against a second driver, the phase pipeline: pinch and cascade rounds over a
 materialized path word, repeated to a fixed point.  Membership in a Higgins
@@ -370,6 +370,21 @@ def trefoil_key(w: Word, table):
     phi = trefoil_aut(w, table)
     return tuple(img.letters for img in phi)
 
+
+
+# the trefoil over its own generators: x = b^-1 a and y = a^-1 b^2 in the
+# amalgam, keyed by the faithful rank-2 action
+_AB = Alphabet(["a", "b"])
+_AB_TABLE = trefoil_letter_table(_AB, rank2=True)
+_XY_IN_AB = {"x": "b^-1 a", "x^-1": "a^-1 b", "y": "a^-1 b b", "y^-1": "b^-1 b^-1 a"}
+
+
+def trefoil_xy_key(w: Word):
+    """Key of a word over {x, y}: the braid action of its amalgam image."""
+    letters = []
+    for x in w.letters:
+        letters.extend(_AB.word(_XY_IN_AB[w.alphabet.names[x]]).letters)
+    return trefoil_key(Word(_AB, tuple(letters)), _AB_TABLE)
 
 # --- free products of cyclic groups ------------------------------------------
 

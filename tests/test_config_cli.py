@@ -1,5 +1,6 @@
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -192,6 +193,36 @@ def nf_seeded_transcript(capsys):
 
 def test_cmd_nf_seeded_snapshot(capsys):
     assert nf_seeded_transcript(capsys) == snapshot("nf_seeded.txt")
+
+
+def readme_examples():
+    """(argv, expected first output line or None) for each `higgins ...` line
+    of the README's "Worked examples" block; a trailing `# ...` comment gives
+    the first line of output."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("Worked examples", 1)[1].split("\n## ", 1)[0]
+    for line in block.splitlines():
+        line = line.strip()
+        if not line.startswith("higgins "):
+            continue
+        command, _hash, comment = line.partition("#")
+        yield shlex.split(command)[1:], comment.strip() or None
+
+
+def test_readme_worked_examples(capsys, monkeypatch):
+    # the README's configs/... paths are relative to the repository root
+    monkeypatch.chdir(ROOT)
+    examples = list(readme_examples())
+    assert len(examples) == 9
+    lines = []
+    for argv, first in examples:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if first is not None:
+            assert out.splitlines()[0] == first, argv
+        lines.append(f"$ higgins {shlex.join(argv)}  # exit {code}\n")
+        lines.append(out)
+    assert "".join(lines) == snapshot("readme_examples.txt")
 
 
 def test_cmd_enum_higgins_unique(capsys):

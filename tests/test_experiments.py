@@ -9,14 +9,14 @@ import random
 import pytest
 
 import higgins.cosets as cosets
-from oracles import SearchedWordMetric, _zz_mul, trefoil_orbit_label
+from oracles import SearchedWordMetric, _zz_mul, trefoil_orbit_label, trefoil_xy_key
 from higgins.cosets import (
     CosetSystem, VerifierError, WordMetric, check_limited_crossover,
     check_maximal_crossover,
 )
 from higgins.experiments import (
-    X_BAR, X_BAR_INV, TrefoilCentralizerContext, _mul, _syl_len, orbit_label,
-    orbit_split, run_trefoil_experiment,
+    X_BAR, X_BAR_INV, TrefoilCentralizerContext, TrefoilXYBackend, _mul, _syl_len,
+    orbit_label, orbit_split, run_trefoil_experiment,
 )
 from higgins.fsa import enumerate_language
 from higgins.words import Alphabet, Word, all_words, invert, shortlex_key
@@ -35,6 +35,34 @@ def reduced_forms(max_syllables):
 
 def xbar_power(k):
     return X_BAR * k if k >= 0 else X_BAR_INV * -k
+
+
+def test_key_agrees_with_the_braid_action():
+    # v is random, or u with the relator x y x y^-1 x^-1 y^-1 inserted (the
+    # same element), or u with d^±1 inserted (same form in Z/2 * Z/3, another
+    # element): keys agree exactly when the braid action agrees
+    G = TrefoilXYBackend()
+    alpha = G.alphabet
+    relator, d = alpha.word("x y x y^-1 x^-1 y^-1"), alpha.word("x y x x y x")
+    rng = random.Random(20)
+
+    def random_word():
+        return Word(alpha, tuple(rng.randrange(len(alpha)) for _ in range(rng.randint(0, 8))))
+    equal = 0
+    for _ in range(1500):
+        u = random_word()
+        kind = rng.randrange(3)
+        if kind == 0:
+            v = random_word()
+        else:
+            r = relator if kind == 1 else d
+            r = r if rng.randrange(2) else invert(r)
+            i = rng.randint(0, len(u))
+            v = Word(alpha, u.letters[:i] + r.letters + u.letters[i:])
+        same = trefoil_xy_key(u) == trefoil_xy_key(v)
+        assert (G.key(u) == G.key(v)) == same, (str(u), str(v))
+        equal += same
+    assert 400 < equal < 700
 
 
 def test_label_matches_orbit_scan_on_every_short_form():
