@@ -248,6 +248,8 @@ class AbelianBackend(VertexBackend):
     """
 
     def __init__(self, rank: int, torsion: Sequence[int] = (), names: Optional[Sequence[str]] = None):
+        if rank < 0:
+            raise BackendError(f"rank must be >= 0, got {rank}")
         if any(d < 2 for d in torsion):
             raise BackendError("torsion moduli must be >= 2")
         self.rank = rank
@@ -696,6 +698,8 @@ class TrivialSubgroup(SubgroupContext):
 
 class FreeBackend(VertexBackend):
     def __init__(self, rank: int, names: Optional[Sequence[str]] = None):
+        if rank < 0:
+            raise BackendError(f"rank must be >= 0, got {rank}")
         if names is None:
             if rank > 26:
                 names = [f"g{i + 1}" for i in range(rank)]

@@ -33,8 +33,8 @@ from .words import AlphabetError
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _emit(text, out=None):
-    print(text, file=out or sys.stdout)
+def _emit(text):
+    print(text)
 
 
 def cmd_validate(args) -> int:

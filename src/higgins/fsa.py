@@ -420,9 +420,9 @@ class DfaFormatError(ValueError):
         self.lineno = lineno
 
 
-def dfa_from_text(text: str, alphabet: Optional[Alphabet] = None) -> Dfa:
-    """Parse the text format. Without a supplied alphabet, the letter list is
-    reconstructed assuming the g, g^-1 layout emitted by dfa_to_text."""
+def dfa_from_text(text: str) -> Dfa:
+    """Parse the text format. The letter list is reconstructed assuming the
+    g, g^-1 layout emitted by dfa_to_text."""
     name = None
     names = None
     n_states = start = None
@@ -457,21 +457,18 @@ def dfa_from_text(text: str, alphabet: Optional[Alphabet] = None) -> Dfa:
             raise DfaFormatError(lineno, f"malformed line: {raw.strip()!r}") from None
     if name is None or names is None or n_states is None or start is None:
         raise DfaFormatError(0, "missing dfa/alphabet/states header")
-    if alphabet is None:
-        gens = []
-        selfinv = []
-        i = 0
-        while i < len(names):
-            if i + 1 < len(names) and names[i + 1] == names[i] + "^-1":
-                gens.append(names[i])
-                i += 2
-            else:
-                gens.append(names[i])
-                selfinv.append(names[i])
-                i += 1
-        alphabet = Alphabet(gens, self_inverse=selfinv)
-    if list(alphabet.names) != list(names):
-        raise DfaFormatError(0, "alphabet mismatch")
+    gens = []
+    selfinv = []
+    i = 0
+    while i < len(names):
+        if i + 1 < len(names) and names[i + 1] == names[i] + "^-1":
+            gens.append(names[i])
+            i += 2
+        else:
+            gens.append(names[i])
+            selfinv.append(names[i])
+            i += 1
+    alphabet = Alphabet(gens, self_inverse=selfinv)
     resolved = {}
     for (s, letter), t in transitions.items():
         if not (0 <= s < n_states and 0 <= t < n_states):

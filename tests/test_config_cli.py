@@ -407,8 +407,13 @@ def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
      "generator t: -1 is not an element index 0..1"),
     ("[group G] kind=finite table=z2.csv", "0,1\n1,9\n", ["validate"],
      "table cell 9 is not an element index 0..1"),
+    ("[group G] kind=free rank=-2", None, ["validate"], "rank must be >= 0, got -2"),
+    ("[group G] kind=abelian rank=-1 torsion=2,3 names=p", None, ["validate"],
+     "rank must be >= 0, got -1"),
+    ("[group G] kind=abelian rank=-1", None, ["validate"], "rank must be >= 0, got -1"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
-        "generator-past-table", "generator-negative", "table-cell-past-table"])
+        "generator-past-table", "generator-negative", "table-cell-past-table",
+        "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
