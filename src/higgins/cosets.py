@@ -11,9 +11,9 @@ its callers ask.  A context whose generators form a basis of a free abelian
 subgroup may offer coset_splitter(), which gives, for one crossover sweep, a
 function split(u, g) -> (v, coordinates of u g v^-1); with Y left at the
 context's generators, the sweep reads v and |h|_Y off that one call per
-(u, g), and other contexts keep coset_rep and the ball.  Such a context's
-y_coords(w) keys the ball of g in <Z> by coordinates when Y and Z are both
-left at the generators.  Stability first checks that the generator map is a
+(u, g), and other contexts keep coset_rep and the ball.  Every ball, the
+ball of g in <Z> included, keys its words by the parent's key.  Stability
+first checks that the generator map is a
 homomorphism, relator by relator (SubgroupContext.broken_relator), as
 GraphOfGroups.validate() does.
 """
@@ -158,26 +158,21 @@ class WordMetric(CayleyBall):
     """Lengths and shortest probe expressions for the subgroup generated by a
     set of parent words: a CayleyBall over one letter per probe word (the
     generators of probe_alphabet, when one is supplied), whose letter word y
-    is keyed by key(expand(y)).  key defaults to parent.key; a context's
-    coordinates of its subgroup's elements may stand in for it.  The ball
-    grows to each caller's cap and no further.
+    is keyed by parent.key(expand(y)).  The ball grows to each caller's cap
+    and no further.
     """
 
-    def __init__(self, parent, probe_words: Sequence[Word], probe_alphabet=None,
-                 key=None):
+    def __init__(self, parent, probe_words: Sequence[Word], probe_alphabet=None):
         if probe_alphabet is None:
             probe_alphabet = Alphabet([f"y{i + 1}" for i in range(len(probe_words))])
-        oracle = ExtendedBackend(parent, WordMap(probe_alphabet, probe_words, parent.alphabet))
-        self._key = parent.key if key is None else key
-        if key is not None:
-            oracle.key = lambda y: key(oracle.expand(y))
-        super().__init__(oracle, 0)
+        super().__init__(
+            ExtendedBackend(parent, WordMap(probe_alphabet, probe_words, parent.alphabet)), 0)
 
     def length(self, w: Word, cap: int) -> Optional[int]:
         """|w| over the probe words, or None when the ball grown to cap
         (or further, if it already is) does not reach w."""
         self.max_radius = max(self.radius, cap)
-        i = self.index_of_key(self._key(w))
+        i = self.index_of_key(self.oracle.parent.key(w))
         return None if i is None else self.dist[i]
 
     def elements_within(self, radius: int):
@@ -280,12 +275,10 @@ def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None
 def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
     """The crossover sweep behind both checks.  With Y left at the context's
     generators, a context's coset_splitter() gives v and the coordinates of
-    u g v^-1 at once; with Y and Z both left so, its y_coords keys the search
-    for g."""
+    u g v^-1 at once."""
     ctx = sys.context
     parent = ctx.parent
     splitter = getattr(ctx, "coset_splitter", None) if Y is None else None
-    z_key = getattr(ctx, "y_coords", None) if Y is None and Z is None else None
     Y = list(Y) if Y is not None else list(ctx.gen_words)
     Z = list(Z) if Z is not None else list(Y)
     cap = LENGTH_CAP_PER_STEP * (radius + lam) + LENGTH_CAP_MARGIN
@@ -304,7 +297,7 @@ def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
             product = u * g
             v = ctx.coset_rep(product)
             return v, y_metric.length(product * invert(v), cap)
-    gs = WordMetric(parent, Z, key=z_key).elements_within(radius if maximal else lam)
+    gs = WordMetric(parent, Z).elements_within(radius if maximal else lam)
     witnesses = []
     swept = 0
     for u in enumerate_language(sys.language, radius):

@@ -1,32 +1,34 @@
 """The trefoil crossover experiment.
 
-The trefoil knot group G = <x, y | xyx = yxy> is realized as the amalgam
-<a, b | a^2 = b^3> via a = xyx, b = xy (so x = b^-1 a, y = a^-1 b^2), and the
-amalgam's cascade machinery decides the word problem.  The experiment itself
-lives over the group's own generators x, y: the subgroup is H = <x, d> with
-d the central element (xyx)^2, and the coset language is the set of
-shortlex-least words over {x, y} per right coset.
+The trefoil knot group G = <x, y | xyx = yxy> is worked over its own
+generators x, y.  Its word problem is syllable arithmetic: d = (xyx)^2 is
+central and G/<d> is Z/2 * Z/3 with a = xyx of order 2 and b = xy of order 3
+(so x = b^-1 a, y = a^-1 b^2).  Two words with the same syllable form there
+differ by a power d^n, and d has exponent sum 6, so TrefoilXYBackend keys a
+word by its syllable form and its exponent sum over {x, y}.  trefoil_amalgam
+builds the same group as the graph of groups <a, b | a^2 = b^3>, for the
+amalgam's own cascade machinery.
 
-H contains the center, so it is the full preimage of <x̄> under
-G -> G/<d> = Z/2 * Z/3; membership and coset labels reduce to power-pattern
-matching on free-product normal forms: orbit_split(s) writes a form as
-s = x̄^k label, with label the least form in the orbit <x̄> s.  Representatives
-come from a breadth-first search of the coset (Schreier) graph over those
-labels, pruned at a syllable cap so deep products stay tractable; the search
-grows one level at a time, only when a label is not yet known, and keeps
-each representative v with its shift k' (v = x̄^k' label) and exponent sum.
-The pruning cap is part of the documented representative choice and is
-cross-checked against an unpruned element search at small radius in the
-tests.
+The subgroup is H = <x, d>, and the coset language is the set of
+shortlex-least words over {x, y} per right coset.  H contains the center, so
+it is the full preimage of <x̄> under G -> G/<d>; membership and coset labels
+reduce to power-pattern matching on syllable forms: orbit_split(s) writes a
+form as s = x̄^k label, with label the least form in the orbit <x̄> s.
+Representatives come from a breadth-first search of the coset (Schreier)
+graph over those labels, pruned at a syllable cap so deep products stay
+tractable; the search grows one level at a time, only when a label is not
+yet known, and keeps each representative v with its shift k' (v = x̄^k' label)
+and exponent sum.  The pruning cap is part of the documented representative
+choice and is cross-checked against an unpruned element search at small
+radius in the tests.
 
 H = <x> x <d> is free abelian, so subgroup lengths need no search either:
-h = x^m d^n has |h|_{x, d} = |m| + |n|, and y_coords reads (m, n) off the
-syllable form and the exponent sum of h.  With Y left at {x, d}, the
-crossover sweep asks coset_splitter()'s split(u, g) instead: it joins the
-carried forms of u and g at their junction, splits the product as x̄^k label
-and reads v, m = k - k' and n off the label's entry, building neither u g
-nor h.  WordMetric, a Cayley ball of H over one letter per generator, stays
-the fallback for any other probe set, and the oracle in the tests.
+h = x^m d^n has |h|_{x, d} = |m| + |n|.  With Y left at {x, d}, the crossover
+sweep asks coset_splitter()'s split(u, g): it joins the keys of u and g at
+their junction, splits the product as x̄^k label and reads v, m = k - k' and
+n off the label's entry, building neither u g nor h.  WordMetric, a Cayley
+ball of H over one letter per generator keyed by the backend, measures any
+other probe set.
 
 No bound is proved here: per crossover constant, the report only says
 whether witnesses were found at the tested radius.
@@ -37,11 +39,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .backends import AbelianBackend, AbelianSubgroup, SubgroupContext
-from .cascade import Pi1Backend, Pi1System
+from .cascade import Pi1System
 from .cosets import CosetSystem, VerifierError, check_limited_crossover
 from .fsa import LazyLanguage
 from .gog import DirectedGraph, GraphOfGroups
-from .words import Alphabet, Word, WordMap, invert, shortlex_key
+from .words import Alphabet, Word, invert, shortlex_key
 
 
 def trefoil_amalgam() -> GraphOfGroups:
@@ -63,26 +65,6 @@ def trefoil_amalgam() -> GraphOfGroups:
 
 def trefoil_system() -> Pi1System:
     return Pi1System(trefoil_amalgam())
-
-
-class TrefoilXYBackend:
-    """Word-problem oracle for the trefoil group over its own generators:
-    keys are amalgam normal forms of the expanded words."""
-
-    def __init__(self):
-        self.system = trefoil_system()
-        self.pi1 = Pi1Backend(self.system, "va")
-        self.alphabet = Alphabet(["x", "y"])
-        ab = self.pi1.alphabet
-        self.expand = WordMap(self.alphabet, [ab.word("b^-1 a"), ab.word("a^-1 b b")], ab)
-        self.name = "trefoil-xy"
-
-    def canonical(self, w: Word) -> Word:
-        # canonical key only; there is no re-serialization over {x, y}
-        return self.pi1.canonical(self.expand(w))
-
-    def key(self, w: Word):
-        return self.pi1.key(self.expand(w))
 
 
 # syllable arithmetic in the central quotient Z/2 * Z/3
@@ -133,6 +115,32 @@ _LETTER_SYL = {
 }
 
 
+class TrefoilXYBackend:
+    """Word problem of the trefoil group over its own generators x, y: a
+    word's key is its syllable form in G/<d> = Z/2 * Z/3 and its exponent
+    sum, which fixes the power of the central d = (xyx)^2 (exponent sum 6)."""
+
+    def __init__(self):
+        self.alphabet = Alphabet(["x", "y"])
+        self.name = "trefoil-xy"
+        self.letter_syl = {self.alphabet.index(nm): syl for nm, syl in _LETTER_SYL.items()}
+        self.letter_exp = {self.alphabet.index(nm): -1 if nm.endswith("^-1") else 1
+                           for nm in _LETTER_SYL}
+
+    def syllables(self, w: Word):
+        stack = []
+        for letter in w.letters:
+            for v, e in self.letter_syl[letter]:
+                _push(stack, v, e)
+        return tuple(stack)
+
+    def exponent_sum(self, w: Word) -> int:
+        return sum(self.letter_exp[x] for x in w.letters)
+
+    def key(self, w: Word):
+        return self.syllables(w), self.exponent_sum(w)
+
+
 def _syl_len(s):
     return sum(1 if v == "a" else e for v, e in s)
 
@@ -173,14 +181,11 @@ class TrefoilCentralizerContext(SubgroupContext):
     """
 
     def __init__(self, syllable_cap: int = 24):
-        self.parent = TrefoilXYBackend()
-        alpha = self.parent.alphabet
-        self._letter_syl = {alpha.index(nm): syl for nm, syl in _LETTER_SYL.items()}
-        self._letter_exp = {alpha.index(nm): -1 if nm.endswith("^-1") else 1
-                            for nm in _LETTER_SYL}
+        self.parent = parent = TrefoilXYBackend()
+        alpha = parent.alphabet
         # (letter, syllable form, its syllable length, exponent sum) per letter
-        self._steps = [(x, self._letter_syl[x], _syl_len(self._letter_syl[x]),
-                        self._letter_exp[x]) for x in range(len(alpha))]
+        self._steps = [(x, parent.letter_syl[x], _syl_len(parent.letter_syl[x]),
+                        parent.letter_exp[x]) for x in range(len(alpha))]
         self.gen_words = [alpha.word("x"), alpha.word("x y x x y x")]
         self.syllable_cap = syllable_cap
         # label -> (representative, k with rep = x̄^k label, exponent sum)
@@ -188,37 +193,12 @@ class TrefoilCentralizerContext(SubgroupContext):
         self._depth = -1
         self._frontier = None
 
-    def syllables(self, w: Word):
-        stack = []
-        for letter in w.letters:
-            for v, e in self._letter_syl[letter]:
-                _push(stack, v, e)
-        return tuple(stack)
-
     def membership(self, w: Word) -> bool:
-        return orbit_label(self.syllables(w)) == ()
-
-    def _exponent_sum(self, w: Word) -> int:
-        return sum(self._letter_exp[x] for x in w.letters)
-
-    def y_coords(self, w: Word):
-        """(m, n) with w = x^m d^n, or None when w is not in H; O(|w|).
-
-        The syllable form of a member is x̄^m, and since d = (xyx)^2 the
-        exponent sum of w over {x, y} is m + 6n.  H = <x> x <d> is free
-        abelian on {x, d}, so |w|_{x, d} = |m| + |n|.
-        """
-        label, m = orbit_split(self.syllables(w))
-        if label:
-            return None
-        n, rest = divmod(self._exponent_sum(w) - m, 6)
-        if rest:
-            raise VerifierError(f"exponent sum of {w} is not {m} mod 6")
-        return m, n
+        return orbit_label(self.parent.syllables(w)) == ()
 
     def coset_label(self, w: Word):
         """Least syllable form in the orbit <x̄> w̄; a canonical coset name."""
-        return orbit_label(self.syllables(w))
+        return orbit_label(self.parent.syllables(w))
 
     def coset_splitter(self):
         """A function split(u, g) -> (v, (m, n)) for one crossover sweep, with
@@ -226,19 +206,20 @@ class TrefoilCentralizerContext(SubgroupContext):
         builds neither u g nor h = u g v^-1.
 
         With u g = x̄^k label and v = x̄^k' label in G/<d>, h maps to x̄^(k - k'),
-        and the exponent sum of h is e(u) + e(g) - e(v) = m + 6n.  The forms
-        and exponent sums of u and g are computed once per word per sweep,
+        and the exponent sum of h is e(u) + e(g) - e(v) = m + 6n.  The keys
+        (form, exponent sum) of u and g are computed once per word per sweep,
         and dropped with the function.
         """
-        forms: dict = {}  # letters of a swept u or g -> (form, exponent sum)
+        key = self.parent.key
+        forms: dict = {}  # letters of a swept u or g -> its key
 
         def split(u: Word, g: Word):
             fu = forms.get(u.letters)
             if fu is None:
-                fu = forms[u.letters] = (self.syllables(u), self._exponent_sum(u))
+                fu = forms[u.letters] = key(u)
             fg = forms.get(g.letters)
             if fg is None:
-                fg = forms[g.letters] = (self.syllables(g), self._exponent_sum(g))
+                fg = forms[g.letters] = key(g)
             label, k = orbit_split(_mul(fu[0], fg[0])[0])
             v, k_rep, e_rep = self._reps.get(label) or self._search(label, u * g)
             m = k - k_rep

@@ -1,9 +1,12 @@
 """Independent oracles the package is tested against.
 
 Each group oracle decides word problems by a route that shares nothing with
-the cascade machinery: the Artin braid action on a free group for the trefoil
-amalgam (and for the trefoil over its own generators x, y), syllable reduction for free products, and direct-product splitting
-for the HNN of Z^2 over a central generator.  The normal-form scan is checked
+the cascade machinery or the trefoil's syllable arithmetic: the Artin braid
+action on a free group for the trefoil amalgam and for the trefoil over its
+own generators x, y, syllable reduction for free products, and
+direct-product splitting for the HNN of Z^2 over a central generator.  The
+coordinates of an element of the trefoil's H = <x, d> are read off a scan
+of the powers of x̄.  The normal-form scan is checked
 against a second driver, the phase pipeline: pinch and cascade rounds over a
 materialized path word, repeated to a fixed point.  Membership in a Higgins
 language, nf(w) == w in the package, is checked against a parse of w into
@@ -472,3 +475,25 @@ def trefoil_orbit_label(s):
             if _zz_key(cur) < _zz_key(best):
                 best = cur
     return best
+
+
+_XY_SYL = {"x": _XBAR, "x^-1": _XBAR_INV, "y": (("a", 1), ("b", 2)), "y^-1": (("b", 1), ("a", 1))}
+
+
+def trefoil_coords(w: Word):
+    """(m, n) with w = x^m d^n over {x, y}, or None when w is not in
+    H = <x, d>: the syllable form of w in Z/2 * Z/3 is matched against every
+    power of x̄ up to its syllable length, and since d = (xyx)^2 the exponent
+    sum of w is m + 6n.  H is free abelian on {x, d}, so |w|_{x, d} = |m| + |n|."""
+    s = ()
+    for x in w.letters:
+        s = _zz_mul(s, _XY_SYL[w.alphabet.names[x]])
+    size = _zz_key(s)[0]
+    for m in range(-size, size + 1):
+        if (_XBAR * m if m >= 0 else _XBAR_INV * -m) == s:
+            exponent_sum = sum(-1 if w.alphabet.names[x].endswith("^-1") else 1
+                               for x in w.letters)
+            n, rest = divmod(exponent_sum - m, 6)
+            assert rest == 0, f"exponent sum of {w} is not {m} mod 6"
+            return m, n
+    return None

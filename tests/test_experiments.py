@@ -1,15 +1,18 @@
-"""The trefoil coset context: its coset label and split against the orbit
-scan, its junction product against a full push, its pruned coset-graph
-search against an unpruned element search, how far that search grows, and
-its subgroup coordinates and per-(u, g) split against breadth-first subgroup
-lengths."""
+"""The trefoil backend's key against the braid action, and the trefoil coset
+context: its coset label and split against the orbit scan, its junction
+product against a full push, its pruned coset-graph search against an
+unpruned element search, how far that search grows, and its per-(u, g) split
+against subgroup coordinates and breadth-first subgroup lengths."""
 
 import random
 
 import pytest
 
 import higgins.cosets as cosets
-from oracles import SearchedWordMetric, _zz_mul, trefoil_orbit_label, trefoil_xy_key
+from higgins.cascade import Pi1System
+from oracles import (
+    SearchedWordMetric, _zz_mul, trefoil_coords, trefoil_orbit_label, trefoil_xy_key,
+)
 from higgins.cosets import (
     CosetSystem, VerifierError, WordMetric, check_limited_crossover,
     check_maximal_crossover,
@@ -65,6 +68,15 @@ def test_key_agrees_with_the_braid_action():
     assert 400 < equal < 700
 
 
+def test_experiment_builds_no_amalgam_system(monkeypatch):
+    def no_system(*args):
+        raise AssertionError("a Pi1System was built")
+    monkeypatch.setattr(Pi1System, "__init__", no_system)
+    ctx = TrefoilCentralizerContext()
+    run_trefoil_experiment(3, 2, context=ctx)
+    assert ctx.parent.key(ctx.gen_words[1]) == ((), 6)
+
+
 def test_label_matches_orbit_scan_on_every_short_form():
     forms = reduced_forms(14)
     assert len(forms) == 890
@@ -96,7 +108,7 @@ def test_label_matches_orbit_scan_on_random_words():
     rng = random.Random(11)
     for _ in range(2000):
         w = Word(alpha, tuple(rng.randrange(len(alpha)) for _ in range(rng.randint(0, 30))))
-        s = ctx.syllables(w)
+        s = ctx.parent.syllables(w)
         assert orbit_label(s) == trefoil_orbit_label(s), str(w)
 
 
@@ -104,7 +116,7 @@ def test_search_matches_unpruned_element_search():
     # group every word of length <= 6 by its coset; the search must pick the
     # shortlex-least word of each group
     ctx = TrefoilCentralizerContext()
-    labelled = [(w, trefoil_orbit_label(ctx.syllables(w)))
+    labelled = [(w, trefoil_orbit_label(ctx.parent.syllables(w)))
                 for w in all_words(ctx.parent.alphabet, 6)]
     least = {}
     for w, label in labelled:  # shortlex order: a group's first word is its least
@@ -122,11 +134,11 @@ def test_search_entries_carry_their_words():
     ctx.ensure_depth(6)
     assert len(ctx._reps) == 55
     for label, (rep, k, e) in ctx._reps.items():
-        assert _mul(xbar_power(k), label)[0] == ctx.syllables(rep), str(rep)
-        assert e == ctx._exponent_sum(rep), str(rep)
+        assert _mul(xbar_power(k), label)[0] == ctx.parent.syllables(rep), str(rep)
+        assert e == ctx.parent.exponent_sum(rep), str(rep)
     assert ctx._frontier
     for s, n, e, word in ctx._frontier:
-        assert (s, n, e) == (ctx.syllables(word), _syl_len(s), ctx._exponent_sum(word))
+        assert (s, n, e) == (ctx.parent.syllables(word), _syl_len(s), ctx.parent.exponent_sum(word))
 
 
 def test_experiment_grows_a_small_search():
@@ -152,10 +164,10 @@ def seeded_words(ctx, count, max_len, seed):
 
 def test_coordinates_give_the_breadth_first_length():
     ctx = TrefoilCentralizerContext()
-    bfs = WordMetric(ctx.parent, ctx.gen_words)
+    bfs = SearchedWordMetric(ctx.parent, ctx.gen_words, key=trefoil_xy_key)
     for w in seeded_words(ctx, 600, 8, 5):
         h = w * invert(ctx.coset_rep(w))
-        m, n = ctx.y_coords(h)
+        m, n = trefoil_coords(h)
         assert abs(m) + abs(n) == bfs.length(h, 40), str(h)
 
 
@@ -165,7 +177,7 @@ def test_coordinates_exist_exactly_on_the_subgroup():
     words += [w * invert(ctx.coset_rep(w)) for w in words[:100]]
     members = 0
     for w in words:
-        assert (ctx.y_coords(w) is not None) == ctx.membership(w), str(w)
+        assert (trefoil_coords(w) is not None) == ctx.membership(w), str(w)
         members += ctx.membership(w)
     assert 100 <= members < len(words)
 
@@ -178,23 +190,15 @@ def test_coordinates_round_trip_on_the_basis():
         xm = Word(alpha, (x if m > 0 else invert(x)).letters * abs(m))
         for n in range(-5, 6):
             dn = Word(alpha, (d if n > 0 else invert(d)).letters * abs(n))
-            assert ctx.y_coords(xm * dn) == (m, n)
-            assert ctx.y_coords(dn * xm) == (m, n)
-
-
-def test_coordinate_keys_leave_the_search_unchanged():
-    ctx = TrefoilCentralizerContext()
-    by_key = WordMetric(ctx.parent, ctx.gen_words)
-    by_coords = WordMetric(ctx.parent, ctx.gen_words, key=ctx.y_coords)
-    for lam in range(4):
-        assert by_coords.elements_within(lam) == by_key.elements_within(lam)
+            assert trefoil_coords(xm * dn) == (m, n)
+            assert trefoil_coords(dn * xm) == (m, n)
 
 
 def test_coordinate_balls_equal_the_step_search():
     ctx = TrefoilCentralizerContext()
     xd = Alphabet(["x", "d"])
-    got = WordMetric(ctx.parent, ctx.gen_words, xd, key=ctx.y_coords)
-    want = SearchedWordMetric(ctx.parent, ctx.gen_words, xd, key=ctx.y_coords)
+    got = WordMetric(ctx.parent, ctx.gen_words, xd)
+    want = SearchedWordMetric(ctx.parent, ctx.gen_words, xd, key=trefoil_xy_key)
     for lam in range(5):
         assert got.elements_within(lam) == want.elements_within(lam)
     words = seeded_words(ctx, 200, 8, 9)
@@ -204,14 +208,10 @@ def test_coordinate_balls_equal_the_step_search():
 
 
 @pytest.mark.parametrize("check", [check_limited_crossover, check_maximal_crossover])
-def test_crossover_from_coordinates_equals_the_search(monkeypatch, check):
+def test_crossover_from_coordinates_equals_the_search(check):
     ctx = TrefoilCentralizerContext()
     sys = CosetSystem(ctx)
     searched = [check(sys, Y=ctx.gen_words, lam=lam, radius=3) for lam in (1, 2)]
-
-    def no_key(w):
-        raise AssertionError("the crossover sweep keyed a word")
-    monkeypatch.setattr(ctx.parent, "key", no_key)
     for lam, want in zip((1, 2), searched):
         got = check(sys, lam=lam, radius=3)
         assert got.lines() == want.lines() and got.swept == want.swept
@@ -230,7 +230,7 @@ def test_split_with_a_given_z_equals_the_search(check):
 
 def swept_pairs(ctx, radius, lam):
     """Every (u, g) of a crossover sweep at (radius, lam), Y and Z at {x, d}."""
-    gs = WordMetric(ctx.parent, ctx.gen_words, key=ctx.y_coords).elements_within(lam)
+    gs = WordMetric(ctx.parent, ctx.gen_words).elements_within(lam)
     return [(u, g) for u in enumerate_language(ctx.coset_language, radius) for g, _d, _y in gs]
 
 
@@ -238,7 +238,7 @@ def test_split_equals_the_search_from_scratch():
     # g up to length 4 covers the limited sweeps at r <= 4, lambda <= 3 and
     # the maximal ones at r <= 4
     ctx, scratch = TrefoilCentralizerContext(), TrefoilCentralizerContext()
-    bfs = WordMetric(scratch.parent, scratch.gen_words)
+    bfs = SearchedWordMetric(scratch.parent, scratch.gen_words, key=trefoil_xy_key)
     pairs = swept_pairs(ctx, 4, 4)
     assert len(pairs) == 32 * 41
     split = ctx.coset_splitter()
@@ -247,7 +247,7 @@ def test_split_equals_the_search_from_scratch():
         v = scratch.coset_rep(product)
         h = product * invert(v)
         got = split(u, g)
-        assert got == (v, scratch.y_coords(h)), (str(u), str(g))
+        assert got == (v, trefoil_coords(h)), (str(u), str(g))
         m, n = got[1]
         assert abs(m) + abs(n) == bfs.length(h, 40), str(h)
 
@@ -268,7 +268,7 @@ def test_split_checks_the_exponent_sum():
     u, g = alpha.word("y"), alpha.word("x")
     split = ctx.coset_splitter()
     v, _coords = split(u, g)
-    label = orbit_label(ctx.syllables(v))
+    label = orbit_label(ctx.parent.syllables(v))
     rep, k, e = ctx._reps[label]
     ctx._reps[label] = (rep, k, e + 1)
     with pytest.raises(VerifierError, match="mod 6"):
