@@ -13,9 +13,8 @@ function split(u, g) -> (v, coordinates of u g v^-1); with Y left at the
 context's generators, the sweep reads v and |h|_Y off that one call per
 (u, g), and other contexts keep coset_rep and the ball.  Every ball, the
 ball of g in <Z> included, keys its words by the parent's key.  Stability
-first checks that the generator map is a
-homomorphism, relator by relator (SubgroupContext.broken_relator), as
-GraphOfGroups.validate() does.
+first checks that the generator map is a homomorphism, relator by relator
+(SubgroupContext.broken_relator), as GraphOfGroups.validate() does.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ import random
 import pytest
 
 import higgins.cosets as cosets
-from higgins.cascade import Pi1System
 from oracles import (
     SearchedWordMetric, _zz_mul, trefoil_coords, trefoil_orbit_label, trefoil_xy_key,
 )
+from higgins.cascade import Pi1System
 from higgins.cosets import (
     CosetSystem, VerifierError, WordMetric, check_limited_crossover,
     check_maximal_crossover,
