@@ -442,15 +442,22 @@ class AbelianSubgroup(SubgroupContext):
         if x is None:
             raise BackendError(f"h_express on non-member {w}")
         coeffs = x[: len(self.gen_words)]
-        if self._as_group.relations:
+        if self.presentation.gen_words:
             # the generators satisfy relations, so the lattice solution is one
             # spelling of many: take the subgroup's own canonical one
-            coeffs = self._as_group.presentation.chosen(tuple(coeffs))
+            coeffs = self.presentation.chosen(tuple(coeffs))
         return self._yword(coeffs)
 
     @cached_property
-    def _as_group(self) -> "AbelianSubgroupAsGroup":
-        return AbelianSubgroupAsGroup(self)
+    def presentation(self) -> "AbelianSubgroup":
+        """The subgroup over its own generators modulo their relations: the
+        relation lattice as a subgroup of the free abelian group on the
+        generator alphabet.  Two generator words are equal in the subgroup
+        iff they share a coset there, and its coset language is the
+        shortlex language of the subgroup over its generators."""
+        k = len(self.gen_words)
+        free = AbelianBackend(k, names=list(self.gen_alphabet.generators))
+        return AbelianSubgroup(free, [free.serialize(row) for row in self._relation_rows()])
 
     def _relation_rows(self) -> list:
         """Exponent vectors of the relations among the generators: the left
@@ -460,8 +467,8 @@ class AbelianSubgroup(SubgroupContext):
         return [row[:k] for row in self.lattice.left_nullspace() if any(row[:k])]
 
     def relators(self) -> list:
-        """The relations among the generators, as AbelianSubgroupAsGroup
-        reads them off the lattice, and the commutator of each pair."""
+        """The relations among the generators, as presentation reads them
+        off the lattice, and the commutator of each pair."""
         k = len(self.gen_words)
         out = [self._yword(row) for row in self._relation_rows()]
         ys = [self._yword([int(t == i) for t in range(k)]) for i in range(k)]
@@ -645,31 +652,6 @@ def _sphere(n, m):
             yield (head,) + rest
 
 
-class AbelianSubgroupAsGroup:
-    """The subgroup of an abelian backend presented as a group in its own
-    right, over the subgroup generator alphabet.
-
-    Words over the generators are exponent vectors in Z^k; two words are equal
-    in the subgroup iff their difference lies in the relation lattice (the
-    left kernel of the generator matrix against the torsion relations).  The
-    shortlex language over the generators is then the representative language
-    of that lattice, reusing the coset machinery.
-    """
-
-    def __init__(self, ctx: "AbelianSubgroup"):
-        k = len(ctx.gen_words)
-        relations = ctx._relation_rows()
-        names = list(ctx.gen_alphabet.generators)
-        self.backend = AbelianBackend(k, names=names) if k else AbelianBackend(0, names=[])
-        self.relations = [self.backend.serialize(c) for c in relations]
-        self.presentation = AbelianSubgroup(self.backend, self.relations)
-
-    @property
-    def shortlex_language(self):
-        """Unique shortlex representatives of the subgroup over its generators."""
-        return self.presentation.coset_language
-
-
 # --- trivial subgroup --------------------------------------------------------
 
 class TrivialSubgroup(SubgroupContext):
@@ -705,6 +687,8 @@ class FreeBackend(VertexBackend):
                 names = [f"g{i + 1}" for i in range(rank)]
             else:
                 names = [chr(ord("a") + i) for i in range(rank)]
+        if len(names) != rank:
+            raise BackendError("need one name per generator")
         self.rank = rank
         self.alphabet = Alphabet(names)
         self._inv = self.alphabet.inv

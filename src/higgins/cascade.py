@@ -1,12 +1,13 @@
 """Higgins coset languages and the cascade procedure.
 
-Words over the working alphabet are inflated (tree stable letters inserted),
-parsed into alternating path words u0 s_{e1} u1 ... s_{ek} uk, pinch-reduced
-(backtracking subwords s_e g s_ebar with g in the edge subgroup are replaced
-by the isomorphism image), and cascaded: a right-to-left sweep that pushes
+A word over the working alphabet is inflated into its alternating path word
+u0 s_{e1} u1 ... s_{ek} uk (tree edges included), pinch-reduced (backtracking
+subwords s_e g s_ebar with g in the edge subgroup are replaced by the
+isomorphism image), and cascaded: a right-to-left sweep that pushes
 edge-subgroup components leftward through the edge isomorphisms while each
-segment drops into its coset language.  Deflating the result gives the unique
-normal form, because every component language has unique representatives.
+segment drops into its coset language.  Spelling the result over the working
+alphabet, tree edges dropped, gives the unique normal form, because every
+component language has unique representatives.
 
 Pi1System.scan_word computes every normal form: it consumes letters right to
 left and closes each segment into its coset language as the segment ends, so
@@ -22,8 +23,8 @@ element with the element of the carry it sends left; a group-based finalize
 reads the base element's canonical word, memoized by vertex and element.
 Membership in a Higgins (coset) language is scan_word(w, base) == w, and
 Pi1System.language pairs that predicate with the product automaton where one
-exists.  The phase pipeline (parse_alternating, pinch_reduce, cascade) stays
-only behind `nf --trace`: it materializes one round with the connector trace
+exists.  The phase pipeline (inflate, pinch_reduce, cascade) stays only
+behind `nf --trace`: it materializes one round with the connector trace
 printed.
 """
 
@@ -34,7 +35,9 @@ from typing import Optional
 
 from .backends import SubgroupContext
 from .fsa import Dfa, LazyLanguage
-from .gog import Edge, GogError, GraphOfGroups, SpanningTree, StableAlphabets, maximal_tree
+from .gog import (
+    Edge, GogError, GraphOfGroups, InflatedWord, SpanningTree, StableAlphabets, maximal_tree,
+)
 from .words import Word, WordMap, invert
 
 
@@ -47,35 +50,6 @@ def _pass(_x, elem):  # a stable letter's prepend: the carry opens the segment
 
 class ParseError(ValueError):
     pass
-
-
-class InflatedWord:
-    """Alternating path word: base segment plus (edge, segment) steps."""
-
-    __slots__ = ("base_vertex", "u0", "path")
-
-    def __init__(self, base_vertex: str, u0: Word, path):
-        self.base_vertex = base_vertex
-        self.u0 = u0
-        self.path = list(path)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InflatedWord)
-            and self.base_vertex == other.base_vertex
-            and self.u0 == other.u0
-            and len(self.path) == len(other.path)
-            and all(e1 is e2 and u1 == u2 for (e1, u1), (e2, u2) in zip(self.path, other.path))
-        )
-
-    def __repr__(self):
-        steps = " ".join(f"s_{e.name} [{u}]" for e, u in self.path)
-        return f"<inflated @{self.base_vertex}: [{self.u0}] {steps}>"
-
-
-class HigginsWord(InflatedWord):
-    """An inflated word whose segments are coset representatives and whose
-    backtracks and tree-final segment are nonempty; cascades produce these."""
 
 
 class CascadeTrace:
@@ -98,7 +72,7 @@ class CascadeTrace:
 
 
 class Pi1System:
-    """A graph of groups with a chosen spanning tree and its stable alphabets."""
+    """A graph of groups with a chosen spanning tree and its working alphabet."""
 
     def __init__(self, gog: GraphOfGroups, tree: Optional[SpanningTree] = None):
         problems = gog.validate()
@@ -107,10 +81,10 @@ class Pi1System:
         self.gog = gog
         self.tree = tree if tree is not None else maximal_tree(gog.graph)
         self.alphabets = StableAlphabets(gog, self.tree)
-        self.alphabet = self.alphabets.deflated
+        self.alphabet = self.alphabets.alphabet
         self._tree_paths = {}
         # (edge name, vertex element) -> (rep letters, carry element,
-        # deflated step); see _close_chain
+        # working letters of the step); see _close_chain
         self._closes = {}
         # (vertex, element) -> working letters of the element's canonical word
         self._heads = {}
@@ -140,35 +114,6 @@ class Pi1System:
         return self.alphabet.word(text)
 
     # -- phase pipeline ------------------------------------------------------
-
-    def parse_alternating(self, w_hat: Word, base: str) -> InflatedWord:
-        """Split an inflated word at stable letters, checking path continuity."""
-        cur = base
-        segments = [[]]
-        edges = []
-        for hl in w_hat.letters:
-            kind = self.alphabets.kind_hat[hl]
-            if kind[0] == "v":
-                _, v, bl = kind
-                if v != cur:
-                    raise ParseError(
-                        f"letter {self.alphabets.inflated.names[hl]} belongs to vertex {v}, "
-                        f"current vertex is {cur}")
-                segments[-1].append(bl)
-            else:
-                e = kind[1]
-                if e.src != cur:
-                    raise ParseError(
-                        f"stable letter s_{e.name} starts at {e.src}, current vertex is {cur}")
-                edges.append(e)
-                segments.append([])
-                cur = e.dst
-        u0 = self.alphabets.to_vertex_word(base, segments[0])
-        path = [
-            (e, self.alphabets.to_vertex_word(e.dst, seg))
-            for e, seg in zip(edges, segments[1:])
-        ]
-        return InflatedWord(base, u0, path)
 
     def pinch_reduce(self, iw: InflatedWord) -> InflatedWord:
         """Remove backtracking subwords s_e g s_ebar with g in the edge subgroup,
@@ -202,7 +147,9 @@ class Pi1System:
         """Right-to-left sweep through the coset languages.
 
         base is ("group", v0) or ("coset", e0); the input must satisfy the
-        no-backtracking hypothesis (run pinch_reduce first).
+        no-backtracking hypothesis (run pinch_reduce first).  In the output
+        every segment is its component's representative, and trailing tree
+        steps with empty segments are dropped.
         """
         kind, anchor = base
         base_vertex = anchor if kind == "group" else anchor.dst
@@ -231,7 +178,7 @@ class Pi1System:
         path = [(e, rep) for (e, _), rep in zip(iw.path, reps)]
         while path and self.tree.contains(path[-1][0]) and len(path[-1][1]) == 0:
             path.pop()
-        return CascadeTrace(connectors, reps, HigginsWord(base_vertex, u0, path))
+        return CascadeTrace(connectors, reps, InflatedWord(base_vertex, u0, path))
 
     def normal_form(self, w: Word, v0: Optional[str] = None) -> Word:
         v0 = v0 if v0 is not None else self.tree.root
@@ -243,9 +190,7 @@ class Pi1System:
     def normal_form_trace(self, w: Word, base) -> CascadeTrace:
         kind, anchor = base
         base_vertex = anchor if kind == "group" else anchor.dst
-        iw = self.pinch_reduce(
-            self.parse_alternating(self.alphabets.inflate(w, base_vertex), base_vertex))
-        return self.cascade(iw, base)
+        return self.cascade(self.pinch_reduce(self.alphabets.inflate(w, base_vertex)), base)
 
     def word_problem(self, w1: Word, w2: Word, v0: Optional[str] = None) -> bool:
         return self.normal_form(w1, v0) == self.normal_form(w2, v0)
@@ -281,7 +226,8 @@ class Pi1System:
         return lang
 
     def higgins_automaton(self, base) -> Dfa:
-        """Product automaton for the deflated Higgins (coset) language.
+        """Product automaton for the Higgins (coset) language over the
+        working alphabet.
 
         States carry the current component (base segment or edge coset
         language), its automaton state, and whether the segment is still
@@ -357,7 +303,7 @@ class Pi1System:
     # its element in that vertex's backend (backend.key of the segment's
     # letters, updated by backend.prepend per letter).  The tail holds the
     # closed segments, leftmost on top, as nodes (edge, rep letters, node
-    # below, deflated letters of the step); _BOTTOM ends it.  _switches maps
+    # below, working letters of the step); _BOTTOM ends it.  _switches maps
     # (letter, vertex, element), for a letter that leaves the vertex along one
     # edge e, to (e, e.reverse if the rep is empty else False, rep letters,
     # step, new vertex, carry, carry with the letter prepended, e.src's
@@ -376,7 +322,7 @@ class Pi1System:
 
         A close's coset rep and connector (seg rep^-1 mapped across the edge)
         are only needed up to the element seg represents, so _closes keeps
-        them, with the carry's element and the step's deflated letters, per
+        them, with the carry's element and the step's working letters, per
         (edge, vertex element)."""
         closes = self._closes
         for e in reversed(edges):

@@ -367,18 +367,19 @@ def certify_automatic(lang, oracle, radius: int, mode: str = "sync",
 
 
 def concat_structure(L_H, sys: CosetSystem):
-    """The concatenation language L_H . L^H over the union generating set.
+    """The concatenation language L_H . L^H over the union generating set,
+    and the word-problem oracle over its alphabet: (language, oracle).
 
     L_H is a language over its own alphabet, whose i-th generator stands for
     the i-th subgroup generator; it need not be the context's generator
     alphabet (an order-2 generator takes one slot there but two in the
-    alphabet of AbelianSubgroupAsGroup).  When every subgroup generator is a
-    single parent letter the result lives over the parent alphabet (and is an
-    explicit automaton whenever both inputs are); a self-inverse parent letter
-    then pulls back to the generator, never to its inverse letter, the only
-    spelling a shortlex L_H uses.  Otherwise the alphabet is extended by the
-    subgroup generators and the companion oracle is an ExtendedBackend over
-    the enlarged alphabet.
+    alphabet of an AbelianSubgroup's presentation).  When every subgroup
+    generator is a single parent letter the result lives over the parent
+    alphabet (and is an explicit automaton whenever both inputs are) and the
+    oracle is the parent; a self-inverse parent letter then pulls back to the
+    generator, never to its inverse letter, the only spelling a shortlex L_H
+    uses.  Otherwise the alphabet is extended by the subgroup generators and
+    the oracle is an ExtendedBackend over the enlarged alphabet.
     """
     ctx = sys.context
     parent = ctx.parent
@@ -387,7 +388,8 @@ def concat_structure(L_H, sys: CosetSystem):
     if all(len(gw) == 1 for gw in ctx.gen_words):
         to_parent = WordMap(sub, ctx.gen_words, parent.alphabet)
         if not (isinstance(L_H, Dfa) and isinstance(lang, Dfa)):
-            return _concat_lazy(L_H, lang, to_parent, {x: x for x in range(len(parent.alphabet))})
+            return _concat_lazy(
+                L_H, lang, to_parent, {x: x for x in range(len(parent.alphabet))}), parent
         letter_map = {y: x for y, (x,) in enumerate(to_parent.table)}
         back: dict = {}
         for y, x in letter_map.items():
@@ -397,7 +399,7 @@ def concat_structure(L_H, sys: CosetSystem):
             {(s, letter_map[a]): t for (s, a), t in L_H.transitions.items()
              if back[letter_map[a]] == a},
             "subgroup")
-        return dfa_concat(remapped, lang, name="concat")
+        return dfa_concat(remapped, lang, name="concat"), parent
 
     # general case: extend the alphabet by the subgroup generators
     names = list(parent.alphabet.generators)

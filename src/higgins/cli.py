@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import fsa
-from .backends import AbelianSubgroupAsGroup, AbelianSubgroup, BackendError
+from .backends import AbelianSubgroup, BackendError
 from .certify import (
     certify_automatic, certify_coset_system, combination_hypotheses_report,
     geodesic_coset_filter, concat_structure, HypothesisViolation,
@@ -141,12 +141,7 @@ def cmd_certify(args) -> int:
         ctx = system.context
         if not isinstance(ctx, AbelianSubgroup):
             raise ConfigError(0, "automatic certification needs an abelian subgroup")
-        sub = AbelianSubgroupAsGroup(ctx)
-        built = concat_structure(sub.shortlex_language, system)
-        if isinstance(built, tuple):
-            lang, oracle = built
-        else:
-            lang, oracle = built, ctx.parent
+        lang, oracle = concat_structure(ctx.presentation.coset_language, system)
         cert = certify_automatic(lang, oracle, args.radius)
         _emit(str(cert))
         return PASS if cert.bounded else FAIL

@@ -14,7 +14,6 @@ owns the following lines up to the next header.  Values that contain spaces
     edge e: vb -> va subgroup=He reverse_subgroup=Her iso=y1->y1
     tree=e
     [cosetsystem C] subgroup=H mode=sync language=canonical
-    [experiment] radius=5 lambda_max=4
 
 Parse failures carry line numbers; reference resolution happens in build().
 """
@@ -92,7 +91,6 @@ class ProjectConfig:
         self.subgroups: dict = {}          # name -> (context, group name)
         self.graph_decl = None
         self.cosetsystems: dict = {}       # name -> dict of fields
-        self.experiment = {}
         self._system = None
         self._gog = None
 
@@ -377,10 +375,12 @@ def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
         elif kind == "cosetsystem":
             if len(section.header) != 2:
                 raise ConfigError(section.lineno, "expected [cosetsystem <name>]")
+            for lineno, key, value in section.entries:
+                if key == "language" and value not in ("canonical", "padded"):
+                    raise ConfigError(
+                        lineno, f"language must be canonical or padded, got {value!r}")
             config.cosetsystems[section.header[1]] = {
                 k: v for _ln, k, v in section.entries}
-        elif kind == "experiment":
-            config.experiment = {k: v for _ln, k, v in section.entries}
         else:
             raise ConfigError(section.lineno, f"unknown section {kind!r}")
     return config

@@ -4,9 +4,10 @@ A directed graph with edge involution carries a group backend per vertex, a
 subgroup context of the terminal vertex group per directed edge, and edge
 isomorphisms in inverse pairs.  Each isomorphism is given on the generators
 of its edge subgroup and applied to words as a `words.WordMap`.  A spanning
-tree fixes the stable letters that are trivial in the fundamental group;
-inflation and deflation move words between the full stable alphabet and the
-working one.
+tree fixes the stable letters that are trivial in the fundamental group, so
+the working alphabet has vertex letters and the stable letters off the tree
+only; StableAlphabets.inflate reads a working word into its alternating path
+word, putting the tree edges back where the word changes vertex.
 """
 
 from __future__ import annotations
@@ -213,12 +214,40 @@ class GraphOfGroups:
         return problems
 
 
+class InflatedWord:
+    """Alternating path word u0 s_e1 u1 ... s_ek uk: the base segment and the
+    (edge, segment) steps, each segment a word of its edge's terminal vertex
+    group.  Tree edges appear as steps like any other edge."""
+
+    __slots__ = ("base_vertex", "u0", "path")
+
+    def __init__(self, base_vertex: str, u0: Word, path):
+        self.base_vertex = base_vertex
+        self.u0 = u0
+        self.path = list(path)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, InflatedWord)
+            and self.base_vertex == other.base_vertex
+            and self.u0 == other.u0
+            and len(self.path) == len(other.path)
+            and all(e1 is e2 and u1 == u2 for (e1, u1), (e2, u2) in zip(self.path, other.path))
+        )
+
+    def __repr__(self):
+        steps = " ".join(f"s_{e.name} [{u}]" for e, u in self.path)
+        return f"<inflated @{self.base_vertex}: [{self.u0}] {steps}>"
+
+
 class StableAlphabets:
-    """Working (deflated) and full (inflated) alphabets for the fundamental group.
+    """The working alphabet of the fundamental group, and the path word of a
+    word over it.
 
     Vertex generator names are kept bare when globally unique, namespaced as
-    vertex.name otherwise; every directed edge pair contributes a stable
-    letter s_<edge>, omitted from the working alphabet on tree edges.
+    vertex.name otherwise; every directed edge pair off the tree contributes
+    a stable letter s_<edge>.  Tree edges have no letter: inflate reads them
+    off the tree wherever a word changes vertex.
     """
 
     def __init__(self, gog: GraphOfGroups, tree: SpanningTree):
@@ -236,71 +265,35 @@ class StableAlphabets:
                 return f"{v}.{g}"
             return g
 
-        gens_x, selfinv_x = [], []
-        gens_hat, selfinv_hat = [], []
+        gens, selfinv = [], []
         vertex_letters = []  # (vertex, backend generator name, display)
         for v in graph.vertices:
             backend = gog.backend(v)
             for g in backend.alphabet.generators:
                 d = display(v, g)
                 vertex_letters.append((v, g, d))
-                gens_x.append(d)
-                gens_hat.append(d)
+                gens.append(d)
                 p = backend.alphabet.index(g)
                 if backend.alphabet.inv[p] == p:
-                    selfinv_x.append(d)
-                    selfinv_hat.append(d)
-        stable_pairs_x = []
-        for nm, rnm in graph.pairs:
-            sname = f"s_{nm}"
-            gens_hat.append(sname)
-            if nm not in tree.edge_names:
-                gens_x.append(sname)
-                stable_pairs_x.append(nm)
-        self.deflated = Alphabet(gens_x, self_inverse=selfinv_x)
-        self.inflated = Alphabet(gens_hat, self_inverse=selfinv_hat)
+                    selfinv.append(d)
+        off_tree = [nm for nm, _ in graph.pairs if nm not in tree.edge_names]
+        gens += [f"s_{nm}" for nm in off_tree]
+        self.alphabet = alphabet = Alphabet(gens, self_inverse=selfinv)
 
-        # classification and conversion tables
-        self.kind_x = {}    # X letter -> ("v", vertex, backend letter) | ("e", Edge)
-        self.kind_hat = {}  # same for the inflated alphabet
-        self.vx_to_x = {}   # (vertex, backend letter) -> X letter
-        self.vx_to_hat = {}
-        self.edge_to_hat = {}  # edge name -> inflated stable letter
-        self.edge_to_x = {}    # non-tree only
+        self.kind_x = {}     # letter -> ("v", vertex, backend letter) | ("e", Edge)
+        self.vx_to_x = {}    # (vertex, backend letter) -> letter
+        self.edge_to_x = {}  # edge name -> stable letter, off the tree only
         for v, g, d in vertex_letters:
-            backend = gog.backend(v)
-            p = backend.alphabet.index(g)
-            for bl, xl, hl in (
-                (p, self.deflated.index(d), self.inflated.index(d)),
-                (backend.alphabet.inv[p],
-                 self.deflated.inv[self.deflated.index(d)],
-                 self.inflated.inv[self.inflated.index(d)]),
-            ):
-                self.kind_x[xl] = ("v", v, bl)
-                self.kind_hat[hl] = ("v", v, bl)
-                self.vx_to_x[(v, bl)] = xl
-                self.vx_to_hat[(v, bl)] = hl
-        for nm, rnm in graph.pairs:
-            e = graph.edges[nm]
-            sname = f"s_{nm}"
-            hl = self.inflated.index(sname)
-            self.kind_hat[hl] = ("e", e)
-            self.kind_hat[self.inflated.inv[hl]] = ("e", e.reverse)
-            self.edge_to_hat[nm] = hl
-            self.edge_to_hat[rnm] = self.inflated.inv[hl]
-            if nm not in tree.edge_names:
-                xl = self.deflated.index(sname)
-                self.kind_x[xl] = ("e", e)
-                self.kind_x[self.deflated.inv[xl]] = ("e", e.reverse)
-                self.edge_to_x[nm] = xl
-                self.edge_to_x[rnm] = self.deflated.inv[xl]
-        self.x_to_hat = {}
-        for xl, kind in self.kind_x.items():
-            if kind[0] == "v":
-                self.x_to_hat[xl] = self.vx_to_hat[(kind[1], kind[2])]
-            else:
-                self.x_to_hat[xl] = self.edge_to_hat[kind[1].name]
-        self.hat_to_x = {hl: xl for xl, hl in self.x_to_hat.items()}
+            backend_alphabet = gog.backend(v).alphabet
+            p, xl = backend_alphabet.index(g), alphabet.index(d)
+            for bl, l in ((p, xl), (backend_alphabet.inv[p], alphabet.inv[xl])):
+                self.kind_x[l] = ("v", v, bl)
+                self.vx_to_x[(v, bl)] = l
+        for nm in off_tree:
+            e, xl = graph.edges[nm], alphabet.index(f"s_{nm}")
+            for edge, l in ((e, xl), (e.reverse, alphabet.inv[xl])):
+                self.kind_x[l] = ("e", edge)
+                self.edge_to_x[edge.name] = l
 
     def to_vertex_word(self, vertex: str, letters) -> Word:
         return Word(self.gog.backend(vertex).alphabet, tuple(letters))
@@ -308,35 +301,23 @@ class StableAlphabets:
     def vertex_word_to_x(self, vertex: str, w: Word) -> tuple:
         return tuple(self.vx_to_x[(vertex, bl)] for bl in w.letters)
 
-    def deflate(self, w: Word) -> Word:
-        """Drop tree stable letters; result is over the working alphabet."""
-        out = []
-        for hl in w.letters:
-            kind = self.kind_hat[hl]
-            if kind[0] == "e" and self.tree.contains(kind[1]):
-                continue
-            out.append(self.hat_to_x[hl])
-        return Word(self.deflated, tuple(out))
-
-    def inflate(self, w: Word, start: str) -> Word:
-        """Insert tree stable letters so the word parses as an alternating
-        path word starting at `start`."""
-        out = []
-        cur = start
+    def inflate(self, w: Word, start: str) -> InflatedWord:
+        """The path word of w read from vertex `start`: a step at each stable
+        letter, and one at each edge of the tree path wherever w changes
+        vertex; a segment holds the vertex letters read before the next step."""
+        head, steps = [], []
+        seg, cur = head, start
         for xl in w.letters:
             kind = self.kind_x[xl]
             if kind[0] == "v":
-                v = kind[1]
-                if v != cur:
-                    for e in self.tree.path(cur, v):
-                        out.append(self.edge_to_hat[e.name])
-                    cur = v
-                out.append(self.x_to_hat[xl])
+                edges = self.tree.path(cur, kind[1])
             else:
-                e = kind[1]
-                if e.src != cur:
-                    for te in self.tree.path(cur, e.src):
-                        out.append(self.edge_to_hat[te.name])
-                out.append(self.edge_to_hat[e.name])
+                edges = self.tree.path(cur, kind[1].src) + [kind[1]]
+            for e in edges:
+                seg = []
+                steps.append((e, seg))
                 cur = e.dst
-        return Word(self.inflated, tuple(out))
+            if kind[0] == "v":
+                seg.append(kind[2])
+        word = self.to_vertex_word
+        return InflatedWord(start, word(start, head), [(e, word(e.dst, u)) for e, u in steps])

@@ -34,7 +34,7 @@ from higgins.words import Alphabet, Word, free_reduce, invert, shortlex_key
 # --- normal forms by the phase pipeline ---------------------------------------
 
 def deflate_inflated(system, iw) -> Word:
-    """Working-alphabet word of an inflated word: tree stable letters dropped."""
+    """Working-alphabet word of a path word: tree edges dropped."""
     alphabets = system.alphabets
     letters = list(alphabets.vertex_word_to_x(iw.base_vertex, iw.u0))
     for e, u in iw.path:
@@ -49,7 +49,7 @@ def pipeline_normal_form(system, w: Word, base) -> Word:
     by pinch_reduce and cascade rounds until the path word stops changing."""
     kind, anchor = base
     base_vertex = anchor if kind == "group" else anchor.dst
-    iw = system.parse_alternating(system.alphabets.inflate(w, base_vertex), base_vertex)
+    iw = system.alphabets.inflate(w, base_vertex)
     for _ in range(len(iw.path) + 3):
         iw = system.pinch_reduce(iw)
         out = system.cascade(iw, base).output
@@ -67,7 +67,7 @@ def higgins_membership(system, w: Word, base) -> bool:
     after a final tree edge."""
     kind, anchor = base
     base_vertex = anchor if kind == "group" else anchor.dst
-    iw = system.parse_alternating(system.alphabets.inflate(w, base_vertex), base_vertex)
+    iw = system.alphabets.inflate(w, base_vertex)
     if kind == "group":
         if system.gog.backend(base_vertex).canonical(iw.u0) != iw.u0:
             return False

@@ -16,7 +16,7 @@ from oracles import (
     aut_compose, aut_identity, hnn_z2_key, trefoil_letter_table,
 )
 from higgins.backends import (
-    AbelianSubgroupAsGroup, AbelianBackend, AbelianSubgroup, FiniteBackend,
+    AbelianBackend, AbelianSubgroup, FiniteBackend,
     FreeBackend,
 )
 from higgins.cascade import Pi1EdgeSubgroup
@@ -159,10 +159,9 @@ def test_criterion_4_concatenation_theorem():
     t0 = time.time()
     G = AbelianBackend(3)
     H = AbelianSubgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
-    sub = AbelianSubgroupAsGroup(H)
-    assert not sub.relations  # free abelian of rank 2
-    lang = concat_structure(sub.shortlex_language, CosetSystem(H))
-    assert isinstance(lang, Dfa)
+    assert not H.presentation.gen_words  # free abelian of rank 2
+    lang, oracle = concat_structure(H.presentation.coset_language, CosetSystem(H))
+    assert isinstance(lang, Dfa) and oracle is G
     cert = certify_automatic(lang, G, radius=8, mode="async")
     assert cert.bounded, str(cert)
     # spot-check the language is the collected one

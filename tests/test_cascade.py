@@ -10,7 +10,7 @@ from oracles import (
 )
 from higgins.cascade import ParseError, Pi1EdgeSubgroup
 from higgins.fsa import enumerate_language
-from higgins.gog import GogError
+from higgins.gog import GogError, InflatedWord
 from higgins.words import Word, all_words, invert
 
 
@@ -74,8 +74,10 @@ def test_zz_matches_syllable_oracle():
 
 
 def test_zz_pinch_example():
-    what = ZZ.alphabets.inflated.word("b s_e s_e^-1 b")
-    iw = ZZ.parse_alternating(what, "vb")
+    # b s_e s_e^-1 b at vb: the tree edge e out and back with an empty segment
+    e = ZZ.gog.graph.edges["e"]
+    b = ZZ.gog.backend("vb").alphabet.word("b")
+    iw = InflatedWord("vb", b, [(e, ZZ.gog.backend("va").alphabet.empty()), (e.reverse, b)])
     out = ZZ.pinch_reduce(iw)
     assert not out.path
     assert str(out.u0) == "b b"  # joined at the base after the trivial pinch
@@ -90,8 +92,11 @@ def test_trefoil_edge_relation():
 
 
 def test_trefoil_pinch_example():
-    what = TREFOIL.alphabets.inflated.word("s_e^-1 b b b s_e")
-    iw = TREFOIL.parse_alternating(what, "va")
+    # s_e^-1 b b b s_e at va: b^3 lies in the edge subgroup at vb
+    e = TREFOIL.gog.graph.edges["e"]
+    bbb = TREFOIL.gog.backend("vb").alphabet.word("b b b")
+    va = TREFOIL.gog.backend("va").alphabet
+    iw = InflatedWord("va", va.empty(), [(e.reverse, bbb), (e, va.empty())])
     out = TREFOIL.pinch_reduce(iw)
     assert not out.path
     assert str(out.u0) == "a a"
@@ -128,8 +133,7 @@ def test_cascade_fixed_point_on_higgins_words():
         base = ("group", sys.tree.root)
         for w in all_words(sys.alphabet, 4):
             nf = sys.normal_form(w)
-            what = sys.alphabets.inflate(nf, sys.tree.root)
-            iw = sys.parse_alternating(what, sys.tree.root)
+            iw = sys.alphabets.inflate(nf, sys.tree.root)
             out = sys.cascade(iw, base).output
             assert out == iw
 
@@ -142,8 +146,7 @@ def test_cascade_connector_equations():
     for _ in range(100):
         w = Word(sys.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(8))))
         base_vertex = sys.tree.root
-        iw = sys.pinch_reduce(
-            sys.parse_alternating(sys.alphabets.inflate(w, base_vertex), base_vertex))
+        iw = sys.pinch_reduce(sys.alphabets.inflate(w, base_vertex))
         trace = sys.cascade(iw, ("group", base_vertex))
         pending = None
         for (e, u), (h_y, h_img_y), rep in zip(
@@ -536,7 +539,11 @@ def test_pi1_edge_subgroup_context():
 
 
 def test_parse_errors():
+    # a path word based at vb cascades only at vb
     sys = TREFOIL
-    what = sys.alphabets.inflated.word("b")
+    iw = sys.alphabets.inflate(sys.word("b"), "vb")
+    assert sys.cascade(iw, ("group", "vb")).output == iw
+    with pytest.raises(ParseError, match="word is based at vb, cascade base is va"):
+        sys.cascade(iw, ("group", "va"))
     with pytest.raises(ParseError):
-        sys.parse_alternating(what, "va")
+        sys.cascade(iw, ("coset", sys.gog.graph.edges["e"]))  # e ends at va

@@ -8,7 +8,7 @@ import pytest
 
 from builders import trefoil_gog, zz_gog
 from higgins.backends import (
-    AbelianSubgroupAsGroup, AbelianBackend, AbelianSubgroup, FreeBackend,
+    AbelianBackend, AbelianSubgroup, FreeBackend,
     TrivialSubgroup,
 )
 import higgins.certify
@@ -198,7 +198,8 @@ def test_certify_automatic_singleton():
 def test_concat_structure_trivial_subgroup():
     T = TrivialSubgroup(Z2)
     L_H = word_set_dfa([T.gen_alphabet.empty()], T.gen_alphabet)
-    lang = concat_structure(L_H, CosetSystem(T))
+    lang, oracle = concat_structure(L_H, CosetSystem(T))
+    assert oracle is Z2
     got = [w.letters for w in enumerate_language(lang, 4)]
     want = [w.letters for w in enumerate_language(Z2.canonical_language, 4)]
     assert got == want
@@ -210,7 +211,8 @@ def test_concat_structure_whole_group():
     L_H = H.parent.canonical_language  # subgroup letters are x1, x2 themselves
     # relabel: the subgroup generator alphabet is y1, y2; use its own shortlex
     sub = AbelianBackend(2, names=["y1", "y2"])
-    lang = concat_structure(sub.canonical_language, CosetSystem(H))
+    lang, oracle = concat_structure(sub.canonical_language, CosetSystem(H))
+    assert oracle is G
     got = [w.letters for w in enumerate_language(lang, 3)]
     want = [w.letters for w in enumerate_language(G.canonical_language, 3)]
     assert got == want
@@ -218,7 +220,8 @@ def test_concat_structure_whole_group():
 
 def test_concat_structure_axis():
     sub = AbelianBackend(1, names=["y1"])
-    lang = concat_structure(sub.canonical_language, CosetSystem(AXIS))
+    lang, oracle = concat_structure(sub.canonical_language, CosetSystem(AXIS))
+    assert oracle is Z2
     got = {w.letters for w in enumerate_language(lang, 3)}
     want = {w.letters for w in all_words(Z2.alphabet, 3)
             if _collected_x1_x2(w)}
@@ -252,7 +255,7 @@ def test_concat_structure_order_two_generator_spelled_as_given():
     # generators, so the concatenation words spell it y1, never y1^-1
     G = AbelianBackend(1, [4])
     H = AbelianSubgroup(G, [G.alphabet.word("t t")])
-    lang, oracle = concat_structure(AbelianSubgroupAsGroup(H).shortlex_language, CosetSystem(H))
+    lang, oracle = concat_structure(H.presentation.coset_language, CosetSystem(H))
     y1, y1_inv = lang.alphabet.word("y1"), lang.alphabet.word("y1^-1")
     words = enumerate_language(lang, 2)
     assert y1 in words and all(y1_inv.letters[0] not in u.letters for u in words)
@@ -267,11 +270,11 @@ def test_concat_structure_order_two_generator_before_another():
     # must both read L_H's letters through L_H's own alphabet
     G = AbelianBackend(1, [2])
     H = AbelianSubgroup(G, [G.alphabet.word("t"), G.alphabet.word("x1")])
-    L_H = AbelianSubgroupAsGroup(H).shortlex_language
+    L_H = H.presentation.coset_language
     assert len(L_H.alphabet) != len(H.gen_alphabet)
-    explicit = concat_structure(L_H, CosetSystem(H))
+    explicit, _ = concat_structure(L_H, CosetSystem(H))
     base = H.coset_language
-    lazy = concat_structure(L_H, CosetSystem(H, LazyLanguage(
+    lazy, _ = concat_structure(L_H, CosetSystem(H, LazyLanguage(
         G.alphabet, base.accepts, enumerator=lambda n: enumerate_language(base, n))))
     got = enumerate_language(explicit, 4)
     assert enumerate_language(lazy, 4) == got

@@ -388,6 +388,9 @@ def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
     assert captured.out == ""
 
 
+COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\n"
+
+
 @pytest.mark.parametrize("group, table, argv, message", [
     ("[group G] kind=abelian rank=two", None, ["validate"],
      "line 1: group G: rank: expected an integer, got 'two'"),
@@ -411,9 +414,20 @@ def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
     ("[group G] kind=abelian rank=-1 torsion=2,3 names=p", None, ["validate"],
      "rank must be >= 0, got -1"),
     ("[group G] kind=abelian rank=-1", None, ["validate"], "rank must be >= 0, got -1"),
+    ("[group G] kind=free rank=2 names=a", None, ["validate"], "need one name per generator"),
+    ("[group G] kind=free rank=1 names=a,b", None, ["validate"], "need one name per generator"),
+    (COSET_CONFIG + "[cosetsystem C] subgroup=H language=bogus", None,
+     ["certify", "--what", "coset", "--system", "C", "--radius", "1"],
+     "line 4: language must be canonical or padded, got 'bogus'"),
+    (COSET_CONFIG + "[cosetsystem C] subgroup=H\nlanguage=", None, ["validate"],
+     "line 5: language must be canonical or padded, got ''"),
+    ("[group G] kind=abelian rank=1\n[experiment] radius=5 lambda_max=4", None, ["validate"],
+     "line 2: unknown section 'experiment'"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
-        "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative"])
+        "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
+        "free-too-few-names", "free-too-many-names", "coset-language-bogus",
+        "coset-language-empty", "experiment-section"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
@@ -423,6 +437,17 @@ def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_canonical_coset_language_is_the_default(capsys, tmp_path):
+    outs = []
+    for extra in ("", " language=canonical"):
+        path = tmp_path / "c.gog"
+        path.write_text(f"{COSET_CONFIG}[cosetsystem C] subgroup=H{extra}\n")
+        code, out = run_cli(capsys, "certify", str(path), "--what", "coset", "--radius", "3")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv", [

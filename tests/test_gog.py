@@ -3,13 +3,14 @@ import random
 import pytest
 
 from builders import (
-    SHIPPED_GRAPHS, hnn_z2_system, shipped_config, trefoil_gog, trefoil_system, zz_system,
+    LAW_CONFIGS, SHIPPED_GRAPHS, hnn_z2_system, shipped_config, shipped_system, trefoil_gog,
+    trefoil_system, zz_system,
 )
-from oracles import generator_image
+from oracles import deflate_inflated, generator_image
 from higgins.backends import AbelianBackend, AbelianSubgroup
 from higgins.cascade import Pi1EdgeSubgroup
 from higgins.gog import (
-    DirectedGraph, GogError, GraphOfGroups, StableAlphabets, maximal_tree,
+    DirectedGraph, GogError, GraphOfGroups, InflatedWord, StableAlphabets, maximal_tree,
 )
 from higgins.words import Word, all_words
 
@@ -162,7 +163,7 @@ def test_alphabet_naming_unique_and_collision():
         {"e": [], "e~": []},
     )
     alphas = StableAlphabets(gog, maximal_tree(g))
-    assert "u.a" in alphas.deflated.names and "v.a" in alphas.deflated.names
+    assert "u.a" in alphas.alphabet.names and "v.a" in alphas.alphabet.names
 
 
 def test_hnn_alphabet_has_stable_letter():
@@ -173,43 +174,51 @@ def test_hnn_alphabet_has_stable_letter():
 
 def test_deflate_drops_tree_letters():
     sys = trefoil_system()
-    alphas = sys.alphabets
-    what = alphas.inflate(sys.word("a b"), "va")
-    names = [alphas.inflated.names[x] for x in what.letters]
-    assert names == ["a", "s_e^-1", "b"]
-    assert alphas.deflate(what) == sys.word("a b")
+    iw = sys.alphabets.inflate(sys.word("a b"), "va")
+    assert str(iw.u0) == "a"
+    assert [(e.name, str(u)) for e, u in iw.path] == [("e~", "b")]  # the tree edge va -> vb
+    assert deflate_inflated(sys, iw) == sys.word("a b")
 
 
 def test_inflate_examples():
     sys = zz_system()
-    what = sys.alphabets.inflate(sys.word("a b"), "va")
-    names = [sys.alphabets.inflated.names[x] for x in what.letters]
-    assert names == ["a", "s_e^-1", "b"]
-    assert sys.alphabets.inflate(sys.word(""), "va") == sys.alphabets.inflated.empty()
+    iw = sys.alphabets.inflate(sys.word("a b"), "va")
+    assert str(iw.u0) == "a"
+    assert [(e.name, str(u)) for e, u in iw.path] == [("e~", "b")]
+    empty = sys.alphabets.inflate(sys.word(""), "va")
+    assert empty == InflatedWord("va", sys.gog.backend("va").alphabet.empty(), [])
 
 
 def test_inflate_hnn_inverse_letter():
     sys = hnn_z2_system()
     w = sys.word("s_f x1 s_f^-1")
-    what = sys.alphabets.inflate(w, "v")
-    assert sys.alphabets.deflate(what) == w
+    iw = sys.alphabets.inflate(w, "v")
+    assert [(e.name, str(u)) for e, u in iw.path] == [("f", "x1"), ("f~", "ε")]
+    assert deflate_inflated(sys, iw) == w
 
 
 def test_inflate_deflate_roundtrip_random():
+    """From every base vertex, inflate gives a continuous path word that
+    spells w again; path_tree_hnn's tree paths run over two edges."""
     rng = random.Random(5)
-    for sysname, sys in (("trefoil", trefoil_system()), ("hnn", hnn_z2_system())):
-        base = sys.tree.root
+    for config in LAW_CONFIGS:
+        sys = shipped_system(config)
         m = len(sys.alphabet)
-        for _ in range(200):
-            letters = tuple(rng.randrange(m) for _ in range(rng.randrange(8)))
-            w = Word(sys.alphabet, letters)
-            assert sys.alphabets.deflate(sys.alphabets.inflate(w, base)) == w, sysname
+        for base in sys.gog.graph.vertices:
+            for _ in range(100):
+                letters = tuple(rng.randrange(m) for _ in range(rng.randrange(8)))
+                w = Word(sys.alphabet, letters)
+                iw = sys.alphabets.inflate(w, base)
+                cur = base
+                for e, _u in iw.path:
+                    assert e.src == cur, (config, w)
+                    cur = e.dst
+                assert deflate_inflated(sys, iw) == w, (config, w)
 
 
 def test_inflated_parse_structure():
     sys = trefoil_system()
-    what = sys.alphabets.inflate(sys.word("a b b a"), "va")
-    iw = sys.parse_alternating(what, "va")
+    iw = sys.alphabets.inflate(sys.word("a b b a"), "va")
     assert iw.base_vertex == "va"
     assert str(iw.u0) == "a"
     assert [e.name for e, _ in iw.path] == ["e~", "e"]
