@@ -18,6 +18,9 @@ exact maximum, and escapes are found exactly as without the threshold.
 
 Within one sweep, the words of g's coset and each walk back from g are kept
 per ball index of g = v x, since a padded language spells one g many ways.
+A pair (v, x, w) and its mirror (w, x^-1, v), whose h is inverted, have
+transposed distance grids because |u^-1| = |u|, so the sweep measures one of
+them and gives the other the stored value, raised to the running K.
 A pair's alignment check reads the ball's pair cache in place, and a pair
 whose lockstep diagonal fails resumes the flood fill at the failing cell
 rather than starting it again from (0, 0).
@@ -272,51 +275,68 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
 
     Many v share one g (a padded language spells each element many ways), so
     two memos local to the call serve each g in the ball once: its coset's
-    words, keyed by g's ball index gi, and each walk back, keyed by
-    (gi, letters of w).  A walked path is shared by every pair that reads
-    it, and no pair writes to it.  Returns (pairs, K, violations)."""
+    words, keyed by g's ball index gi, and each walk back, keyed by gi and
+    w's id, its place in the enumeration.  A walked path is shared by every
+    pair that reads it, and no pair writes to it.
+
+    Each pair (v, x, w), with h = v x w^-1, has a mirror (w, x^-1, v) with
+    h^-1: cell (s, t) of one grid is d(v(s), h w(t)) = |v(s)^-1 h w(t)|, and
+    cell (t, s) of the other is the length of its inverse, so the grids are
+    transposes with equal sync and async constants, escapes included.  A
+    third memo, (id of v, step of x, id of w) -> value, holds a pair's value
+    while its mirror is still ahead in the sweep; the mirror pops it in
+    place of measuring.  The value was measured against an earlier K, and K
+    only grows, so max(K, value) is max(K, what measuring against this K
+    would give).  Only pairs whose paths both lie in the ball store or reuse
+    a value, since a path that leaves the ball makes its own pair escape.
+    Every ordered pair is still counted and deduplicated, and an escaping
+    one is reported with its own v, h and w.  Returns (pairs, K,
+    violations)."""
     words = enumerate_language(lang, radius)
     group = coset_key if coset_key is not None else oracle.key
     by_coset: dict = {}
-    for w in words:
-        by_coset.setdefault(group(w), []).append(w)
-    cosets: dict = {}  # gi -> the words of g's coset
-    walks: dict = {}   # (gi, w.letters) -> _walk_back(ball, gi, w.letters)
+    for wid, w in enumerate(words):
+        by_coset.setdefault(group(w), []).append(wid)
+    cosets: dict = {}   # gi -> ids of the words of g's coset
+    walks: dict = {}    # (gi, wid) -> _walk_back(ball, gi, words[wid].letters)
+    mirrors: dict = {}  # (vid, s, wid) -> value of that pair, until its mirror reads it
     steps = _letter_words(oracle.alphabet)
+    # steps[s] is x, steps[mirror[s]] is x^-1
+    mirror = [0] + [1 + y for y in oracle.alphabet.inv]
     K = 0
     pairs = 0
     violations = []
-    for v in words:
+    for vid, v in enumerate(words):
         a = _prefix_indices(ball, 0, v)
         path_v = v if a is None else a
         seen = set()
-        for x in steps:
-            g = v * x
+        for s, x in enumerate(steps):
             if a is None:
                 gi = None
             else:
-                gi = _step(ball, a[-1], x.letters[0]) if x.letters else a[-1]
+                gi = _step(ball, a[-1], x.letters[0]) if s else a[-1]
             if gi is None:
-                coset = by_coset.get(group(g), ())
+                coset = by_coset.get(group(v * x), ())
             else:
                 coset = cosets.get(gi)
                 if coset is None:
-                    coset = cosets[gi] = by_coset.get(group(g), ())
-            for w in coset:
+                    coset = cosets[gi] = by_coset.get(group(v * x), ())
+            for wid in coset:
+                w = words[wid]
                 if gi is None:
                     b = None
                 else:
-                    b = walks.get((gi, w.letters), _MISS)
+                    b = walks.get((gi, wid), _MISS)
                     if b is _MISS:
-                        b = walks[gi, w.letters] = _walk_back(ball, gi, w.letters)
+                        b = walks[gi, wid] = _walk_back(ball, gi, w.letters)
                 if b is not None:
                     hi = b[0]
-                    pk = (w.letters, hi)
+                    pk = (wid, hi)
                 else:
-                    h = g * invert(w)
+                    h = v * x * invert(w)
                     hk = oracle.key(h)
                     hi = ball.index_of_key(hk)
-                    pk = (w.letters, hi) if hi is not None else (w.letters, None, hk)
+                    pk = (wid, hi) if hi is not None else (wid, None, hk)
                 if pk in seen:
                     continue
                 seen.add(pk)
@@ -324,12 +344,16 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                 if hi is None:
                     violations.append((v, h, w))
                     continue
-                # looked up at call time, so a wrapped module function is used
-                path_w = w if b is None else b
-                if mode == "sync":
-                    d = sync_fellow_distance(path_v, hi, path_w, ball)
-                else:
-                    d = async_fellow_distance(path_v, hi, path_w, ball, K)
+                d = _MISS if b is None else mirrors.pop((wid, mirror[s], vid), _MISS)
+                if d is _MISS:
+                    # looked up at call time, so a wrapped module function is used
+                    path_w = w if b is None else b
+                    if mode == "sync":
+                        d = sync_fellow_distance(path_v, hi, path_w, ball)
+                    else:
+                        d = async_fellow_distance(path_v, hi, path_w, ball, K)
+                    if b is not None and (wid > vid or (wid == vid and mirror[s] > s)):
+                        mirrors[vid, s, wid] = d
                 if d is UNBOUNDED:
                     violations.append((v, ball.words[hi], w))
                 else:

@@ -15,7 +15,9 @@ owns the following lines up to the next header.  Values that contain spaces
     tree=e
     [cosetsystem C] subgroup=H mode=sync language=canonical
 
-Parse failures carry line numbers; reference resolution happens in build().
+Parse failures carry line numbers, and so does an entry its section does not
+read.  Groups, subgroups and the graph are built as their sections are read;
+a coset system is resolved when coset_system() builds it.
 """
 
 from __future__ import annotations
@@ -151,10 +153,27 @@ def _int(lineno, what: str, text: str) -> int:
         raise ConfigError(lineno, f"{what}: expected an integer, got {text!r}") from None
 
 
+def _check_entries(section: _Section, allowed, what: str):
+    """Reject an entry whose key the section does not read, so a misspelt
+    key is an error rather than a silent default."""
+    for lineno, key, _value in section.entries:
+        if key not in allowed:
+            raise ConfigError(lineno, f"{what}: unknown entry {key!r}")
+
+
+GROUP_ENTRIES = {
+    "abelian": ("kind", "rank", "torsion", "names"),
+    "free": ("kind", "rank", "names"),
+    "finite": ("kind", "table", "generators"),
+}
+
+
 def _build_group(section: _Section, base_dir: str):
     entries = {k: v for _ln, k, v in section.entries}
     kind = entries.get("kind")
     name = section.header[1]
+    if kind in GROUP_ENTRIES:
+        _check_entries(section, GROUP_ENTRIES[kind], f"group {name} (kind={kind})")
     if kind == "abelian":
         rank = _int(section.lineno, f"group {name}: rank", entries.get("rank", "0"))
         torsion = [_int(section.lineno, f"group {name}: torsion", t)
@@ -195,6 +214,7 @@ def _build_subgroup(section: _Section, groups):
     if group_name not in groups:
         raise ConfigError(section.lineno, f"unknown group {group_name!r}")
     backend = groups[group_name]
+    _check_entries(section, ("generators",), f"subgroup {name}")
     entries = {k: v for _ln, k, v in section.entries}
     gen_text = entries.get("generators", "")
     words = [backend.alphabet.word(t) for t in gen_text.split(";") if t.strip()]
@@ -375,6 +395,8 @@ def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
         elif kind == "cosetsystem":
             if len(section.header) != 2:
                 raise ConfigError(section.lineno, "expected [cosetsystem <name>]")
+            _check_entries(section, ("subgroup", "edge", "mode", "language"),
+                           f"cosetsystem {section.header[1]}")
             for lineno, key, value in section.entries:
                 if key == "language" and value not in ("canonical", "padded"):
                     raise ConfigError(

@@ -13,8 +13,9 @@ language, nf(w) == w in the package, is checked against a parse of w into
 its path word, segment by segment.  Generator maps (edge
 isomorphisms and subgroup inclusions) are checked against an image read off
 the letter names.  The fellow-traveller sweep, which finds each h on the
-Cayley graph, is checked against a sweep that builds and keys every h, and
-its alignment fill against reachability over the whole prefix grid.  The
+Cayley graph, is checked against a sweep that builds and keys every h, its
+reuse of a mirror pair's value against the same sweep measuring every pair,
+and its alignment fill against reachability over the whole prefix grid.  The
 Cayley ball, a breadth-first search, is checked against a sort of every word
 up to its radius, and a finite subgroup against a closure of its generators.
 Subgroup lengths and finite tables, read off Cayley balls over one letter per
@@ -119,6 +120,73 @@ def keyed_sweep(lang, oracle, radius, mode, ball, coset_key=None):
                 else:
                     d = certify.async_fellow_distance(v, hi, w, ball, K)
                 if d is None:
+                    violations.append((v, ball.words[hi], w))
+                else:
+                    K = max(K, d)
+    violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))
+    return pairs, K, violations
+
+
+def sweep_without_reuse(lang, oracle, radius, mode, ball, coset_key=None):
+    """(pairs, K, violations) of the coset fellow sweep as it ran before a
+    pair could reuse its mirror's value: every ordered pair (v, x, w) is
+    measured, each h found by walking back from g = v x along w^-1, with the
+    words of each g's coset and each walk kept per ball index of g."""
+    words = enumerate_language(lang, radius)
+    group = coset_key if coset_key is not None else oracle.key
+    by_coset: dict = {}
+    for w in words:
+        by_coset.setdefault(group(w), []).append(w)
+    cosets: dict = {}  # gi -> the words of g's coset
+    walks: dict = {}   # (gi, w.letters) -> _walk_back(ball, gi, w.letters)
+    steps = certify._letter_words(oracle.alphabet)
+    K = 0
+    pairs = 0
+    violations = []
+    for v in words:
+        a = certify._prefix_indices(ball, 0, v)
+        path_v = v if a is None else a
+        seen = set()
+        for x in steps:
+            g = v * x
+            if a is None:
+                gi = None
+            else:
+                gi = certify._step(ball, a[-1], x.letters[0]) if x.letters else a[-1]
+            if gi is None:
+                coset = by_coset.get(group(g), ())
+            else:
+                coset = cosets.get(gi)
+                if coset is None:
+                    coset = cosets[gi] = by_coset.get(group(g), ())
+            for w in coset:
+                if gi is None:
+                    b = None
+                else:
+                    b = walks.get((gi, w.letters), certify._MISS)
+                    if b is certify._MISS:
+                        b = walks[gi, w.letters] = certify._walk_back(ball, gi, w.letters)
+                if b is not None:
+                    hi = b[0]
+                    pk = (w.letters, hi)
+                else:
+                    h = g * invert(w)
+                    hk = oracle.key(h)
+                    hi = ball.index_of_key(hk)
+                    pk = (w.letters, hi) if hi is not None else (w.letters, None, hk)
+                if pk in seen:
+                    continue
+                seen.add(pk)
+                pairs += 1
+                if hi is None:
+                    violations.append((v, h, w))
+                    continue
+                path_w = w if b is None else b
+                if mode == "sync":
+                    d = certify.sync_fellow_distance(path_v, hi, path_w, ball)
+                else:
+                    d = certify.async_fellow_distance(path_v, hi, path_w, ball, K)
+                if d is certify.UNBOUNDED:
                     violations.append((v, ball.words[hi], w))
                 else:
                     K = max(K, d)

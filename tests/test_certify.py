@@ -24,7 +24,7 @@ from higgins.cosets import CosetSystem
 from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.words import Word, all_words, invert, prefix
-from oracles import aligns_by_grid, brute_ball, keyed_sweep
+from oracles import aligns_by_grid, brute_ball, keyed_sweep, sweep_without_reuse
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -476,7 +476,7 @@ def test_coset_sweep_keys_no_h_inside_the_ball(monkeypatch):
     # on a complete ball every h is found by walking the edge table back from
     # v x, so the sweep keys only each measured pair of ball elements once and
     # each subgroup generator (kappa) once; keying every candidate h cost 59
-    # more calls
+    # more calls, and measuring both pairs of each mirror couple 6 more
     system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
     ctx, parent, R = system.context, system.context.parent, 3
     ball = CayleyBall(parent, R + BALL_MARGIN)
@@ -486,7 +486,23 @@ def test_coset_sweep_keys_no_h_inside_the_ball(monkeypatch):
     monkeypatch.setattr(parent, "key", lambda w: calls.append(w) or key(w))
     cert = certify_coset_system(system, R, ball=ball)
     assert cert.lines()[0] == "certificate mode=async radius=3 pairs=59 K=2 status=bounded"
-    assert len(calls) == len(ball._pair_cache) + len(ctx.gen_words) == 31
+    assert len(calls) == len(ball._pair_cache) + len(ctx.gen_words) == 25
+
+
+def test_sweep_measures_each_mirror_couple_once(monkeypatch):
+    # a pair (v, x, w) and its mirror (w, x^-1, v) share one measurement, so
+    # at most half the pairs, plus the self-mirrored (v, empty, v), are measured
+    system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
+    ctx, R = system.context, 9
+    calls = []
+    measure = higgins.certify.async_fellow_distance
+    monkeypatch.setattr(higgins.certify, "async_fellow_distance",
+                        lambda *args: calls.append(args) or measure(*args))
+    pairs, K, violations = _sweep(system.language, ctx.parent, R, "async",
+                                  CayleyBall(ctx.parent, R + BALL_MARGIN), ctx.coset_key)
+    words = len(enumerate_language(system.language, R))
+    assert (pairs, K, violations) == (5391, 2, [])
+    assert len(calls) <= -(-pairs // 2) + words
 
 
 def test_higgins_lazy_language_agrees_with_its_dfa():
@@ -611,6 +627,32 @@ def test_threshold_pruning_keeps_the_exact_maximum(name):
 
 
 @pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
+def test_mirror_pairs_have_equal_constants(name):
+    # d(v, h, w) == d(w, h^-1, v): the mirror's grid is the transpose, since
+    # |u^-1| == |u|; the caps are small, so some cells escape the ball.  A
+    # path that leaves the ball makes only its own pair escape, so the law
+    # is checked where all four paths lie in the ball
+    oracle = _backend(name)
+    ball = CayleyBall(oracle, {"z2": 4, "f2": 3, "hnn": 3}[name])
+    empty = ball.alphabet.empty()
+    checked = escapes = 0
+    for v, h, w in _seeded_pairs(random.Random(61), oracle.alphabet, 80, 4):
+        hinv = invert(h)
+        paths = (_prefix_indices(ball, empty, v), _prefix_indices(ball, h, w),
+                 _prefix_indices(ball, empty, w), _prefix_indices(ball, hinv, v))
+        if None in paths:
+            continue
+        checked += 1
+        d = sync_fellow_distance(v, h, w, ball)
+        assert sync_fellow_distance(w, hinv, v, ball) == d
+        for t in (None, 0, 1, 2, 3):
+            d = async_fellow_distance(v, h, w, ball, t)
+            assert async_fellow_distance(w, hinv, v, ball, t) == d, (v, h, w, t)
+        escapes += d is None
+    assert checked > 40 and 0 < escapes < checked
+
+
+@pytest.mark.parametrize("name", ["z2", "f2", "hnn"])
 def test_fill_equals_the_grid_reachability(name):
     # the caps are small, so many cells escape the ball and count as failed
     oracle = _backend(name)
@@ -731,6 +773,40 @@ def test_sweep_equals_the_keyed_sweep(config, name, radius):
                            CayleyBall(ctx.parent, radius + BALL_MARGIN), ctx.coset_key)
         assert got == want
         assert got[0] > 0
+
+
+REFERENCE_SWEEPS = (
+    [(c, n, r, r + BALL_MARGIN, f"{c.split('.')[0]}-{n}") for c, n, r in SHIPPED_COSET_SYSTEMS]
+    # a cap below the radius: walks leave the ball, so some pairs escape
+    # while their mirrors stay inside
+    + [(c, n, r, r - 1, f"{c.split('.')[0]}-{n}-capped") for c, n, r in SHIPPED_COSET_SYSTEMS]
+    # v's own path leaves the ball
+    + [("abelian_pairs.gog", "axis-padded", 3, 1, "axis-padded-cap-1")])
+
+
+@pytest.mark.parametrize("config, name, radius, cap", [t[:4] for t in REFERENCE_SWEEPS],
+                         ids=[t[4] for t in REFERENCE_SWEEPS])
+def test_sweep_equals_the_reference_sweep(config, name, radius, cap):
+    # reusing a mirror pair's value leaves every count, K and witness as when
+    # each pair is measured
+    system = load_config(config_path(config)).coset_system(name)
+    ctx = system.context
+    for mode in ("sync", "async"):
+        got = _sweep(system.language, ctx.parent, radius, mode, CayleyBall(ctx.parent, cap),
+                     ctx.coset_key)
+        want = sweep_without_reuse(system.language, ctx.parent, radius, mode,
+                                   CayleyBall(ctx.parent, cap), ctx.coset_key)
+        assert got == want
+        assert got[0] > 0
+
+
+def test_certify_automatic_equals_the_reference_sweep():
+    F, R = FreeBackend(2), 4
+    for mode in ("sync", "async"):
+        cert = certify_automatic(F.canonical_language, F, R, mode=mode)
+        want = sweep_without_reuse(F.canonical_language, F, R, mode,
+                                   CayleyBall(F, R + BALL_MARGIN))
+        assert (cert.pairs_tested, cert.K_observed, cert.violations) == want
 
 
 def test_sweep_walks_back_once_per_ball_index_and_word(monkeypatch):

@@ -423,11 +423,23 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
      "line 5: language must be canonical or padded, got ''"),
     ("[group G] kind=abelian rank=1\n[experiment] radius=5 lambda_max=4", None, ["validate"],
      "line 2: unknown section 'experiment'"),
+    ("[group G] kind=abelian rank=2 bogus=1", None, ["validate"],
+     "line 1: group G (kind=abelian): unknown entry 'bogus'"),
+    ("[group G] kind=free rank=1 torsion=2", None, ["validate"],
+     "line 1: group G (kind=free): unknown entry 'torsion'"),
+    ("[group G]\nkind=finite\ntable=z2.csv\nrank=1", "0,1\n1,0\n", ["validate"],
+     "line 4: group G (kind=finite): unknown entry 'rank'"),
+    (COSET_CONFIG + "[subgroup K in G]\ngenerator=x2", None, ["validate"],
+     "line 5: subgroup K: unknown entry 'generator'"),
+    (COSET_CONFIG + "[cosetsystem C] subgroup=H mode=async languag=padded", None,
+     ["certify", "--what", "coset", "--system", "C", "--radius", "1"],
+     "line 4: cosetsystem C: unknown entry 'languag'"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
         "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
         "free-too-few-names", "free-too-many-names", "coset-language-bogus",
-        "coset-language-empty", "experiment-section"])
+        "coset-language-empty", "experiment-section", "group-unknown-entry",
+        "free-torsion", "finite-rank", "subgroup-unknown-entry", "coset-unknown-entry"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
