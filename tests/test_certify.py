@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from builders import trefoil_gog, zz_gog
+from builders import LAW_CONFIGS, shipped_system, trefoil_gog, zz_gog
 from higgins.backends import (
     AbelianBackend, AbelianSubgroup, FreeBackend,
     TrivialSubgroup,
@@ -854,3 +854,35 @@ def test_sweep_equals_the_keyed_sweep_beyond_the_cap(cap, beyond):
         assert got == want
         ref = CayleyBall(ctx.parent, cap)
         assert got[2] and sum(ref.index(h) is None for _v, h, _w in got[2]) == beyond
+
+
+# --- the paper's conclusion: the Higgins language at the root ----------------
+
+# (async K at r4, pairs at r4, sync K at r3, pairs at r3, sync K at r4) per
+# law config; pairs at r4 are the same in both modes
+HIGGINS_CERTIFICATES = {
+    "abelian_pairs.gog": (1, 3744, 2, 856, 2),
+    "finite_s3.gog": (1, 412, 2, 188, 2),
+    "free_product_zz.gog": (1, 481, 1, 157, 1),
+    "hnn_z2.gog": (1, 1225, 2, 375, 2),
+    "trefoil_amalgam.gog": (2, 175, 2, 93, 3),
+    "dependent_amalgam.gog": (1, 25, 1, 19, 1),
+    "hnn_f2.gog": (2, 2287, 2, 495, 4),
+    "path_tree_hnn.gog": (3, 3573, 3, 759, 4),
+}
+
+
+@pytest.mark.parametrize("config", LAW_CONFIGS)
+def test_higgins_language_certificates(config):
+    # the structure the combination theorems build: the Higgins language at
+    # the root certifies bounded in both modes, with these K and pair counts
+    from higgins.cascade import Pi1Backend
+    system = shipped_system(config)
+    root = system.tree.root
+    K_async, pairs4, K_sync3, pairs3, K_sync4 = HIGGINS_CERTIFICATES[config]
+    got = []
+    for mode, R in (("async", 4), ("sync", 3), ("sync", 4)):
+        cert = certify_automatic(system.language(("group", root)), Pi1Backend(system, root),
+                                 R, mode)
+        got.append((cert.K_observed, cert.pairs_tested, cert.bounded))
+    assert got == [(K_async, pairs4, True), (K_sync3, pairs3, True), (K_sync4, pairs4, True)]
