@@ -478,14 +478,9 @@ class Pi1EdgeSubgroup(SubgroupContext):
         ]
         self.expand = WordMap(self.gen_alphabet, self.gen_words, system.alphabet)
         self._edge_ctx = edge_ctx
-        self._rep_cache = {}
 
     def coset_rep(self, w: Word) -> Word:
-        hit = self._rep_cache.get(w.letters)
-        if hit is None:
-            hit = self.system.scan_word(w, ("coset", self.e0))
-            self._rep_cache[w.letters] = hit
-        return hit
+        return self.system.scan_word(w, ("coset", self.e0))
 
     def membership(self, w: Word) -> bool:
         return len(self.coset_rep(w)) == 0

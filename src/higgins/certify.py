@@ -12,9 +12,10 @@ failure beyond the tested radius; an escape is an explicit signal, meaning
 
 A certificate reports K, the largest over all swept pairs of each pair's
 optimal fellow constant.  The sweep measures every pair against the running
-K, so a pair's own value is exact only where it exceeds that K (a pair that
-stays within it skips the exact computation); the reported K is still the
-exact maximum, and escapes are found exactly as without the threshold.
+K, so a pair's own value is exact only where it exceeds that K; the reported
+K is still the exact maximum, and escapes are found exactly as without the
+threshold.  The asynchronous constant is one search: the alignment fill, run
+at the running K and, while it fails, at the least distance it turned away.
 
 Within one sweep, the words of g's coset and each walk back from g are kept
 per ball index of g = v x, since a padded language spells one g many ways.
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .cosets import (_MISS, UNBOUNDED, CayleyBall, CosetSystem, ExtendedBackend, WordMetric,
-                     check_limited_crossover, check_stability)
+                     check_limited_crossover, check_stability, length_cap)
 from .fsa import Dfa, LazyLanguage, concat as dfa_concat, enumerate_language
 from .words import Alphabet, Word, WordMap, invert, shortlex_key
 
@@ -121,19 +122,24 @@ def sync_fellow_distance(w1, h, w2, ball: CayleyBall) -> Optional[int]:
     return best
 
 
-def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int) -> bool:
-    """Whether some monotone alignment of the prefix paths a and b keeps every
-    cell within threshold: a depth-first flood fill of the prefix grid from
-    (0, 0) over cells at distance <= threshold, with diagonal, right and down
-    moves, that evaluates distances only for the cells it reaches.
+def _aligns_within(ball: CayleyBall, a: list[int], b: list[int],
+                   threshold: int) -> bool | int | None:
+    """True when some monotone alignment of the prefix paths a and b keeps
+    every cell within threshold: a depth-first flood fill of the prefix grid
+    from (0, 0) over cells at distance <= threshold, with diagonal, right and
+    down moves, that evaluates distances only for the cells it reaches.
+
+    When the fill fails, every monotone alignment crosses a cell it turned
+    away, so it returns the least distance among those cells, the next
+    threshold worth trying, or UNBOUNDED when each of them escapes the ball.
 
     The fill's first descent is the lockstep diagonal, each path resting at
     its end; it is read first on its own, without the fill's bookkeeping, and
     most pairs that align end there.  A lockstep that fails at its cell t
     resumes the fill where that descent stands: cells 0..t-1 on the stack and
-    cell t seen.  So the fill visits the cells in the same order as from
-    (0, 0) and reads each at most once.  Distances are read from the ball's
-    pair cache in place, and ball.distance runs only on a miss."""
+    cell t turned away.  So the fill visits the cells in the same order as
+    from (0, 0) and reads each at most once.  Distances are read from the
+    ball's pair cache in place, and ball.distance runs only on a miss."""
     n1, n2 = len(a) - 1, len(b) - 1
     cache, distance = ball._pair_cache, ball.distance
     for t in range(max(n1, n2) + 1):
@@ -145,8 +151,9 @@ def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int)
             break
     else:
         return True
+    least = d
     if t == 0:
-        return False
+        return least
     path = [(s if s < n1 else n1, s if s < n2 else n2) for s in range(t + 1)]
     seen = set(path)
     path.pop()
@@ -163,53 +170,39 @@ def _aligns_within(ball: CayleyBall, a: list[int], b: list[int], threshold: int)
             d = 0 if i == j else cache.get((i, j) if i < j else (j, i), _MISS)
             if d is _MISS:
                 d = distance(i, j)
-            if d is not UNBOUNDED and d <= threshold:
+            if d is UNBOUNDED:
+                continue
+            if d <= threshold:
                 path.append(cell)
                 break
+            if least is UNBOUNDED or d < least:
+                least = d
         else:
             path.pop()
-    return False
+    return least
 
 
 def async_fellow_distance(w1, h, w2, ball: CayleyBall,
                           threshold: Optional[int] = None) -> Optional[int]:
     """Minimal K for which some monotone alignment keeps the paths K-close:
-    bottleneck dynamic programming over the prefix grid with right, down and
-    diagonal moves.
+    the alignment fill runs at the threshold (None is 0) and, while it fails,
+    again at the least distance it turned away, which no alignment avoids.
 
-    With a threshold, a pair that some alignment keeps within it returns the
-    threshold without running the dynamic programme, so the result is
-    max(exact value, threshold): exact only where it exceeds the threshold,
-    and UNBOUNDED exactly when the exact value is.  A sweep that passes its
-    running maximum therefore still ends on the exact maximum.  h is a word
-    or its index in the ball; w1 and w2 are words or their prefix paths as
-    lists of ball indices (see _paths)."""
+    The result is max(exact value, threshold): exact only where it exceeds
+    the threshold, and UNBOUNDED exactly when the exact value is, so a sweep
+    that passes its running maximum still ends on the exact maximum.  h is a
+    word or its index in the ball; w1 and w2 are words or their prefix paths
+    as lists of ball indices (see _paths)."""
     a, b = _paths(ball, w1, h, w2)
     if a is None or b is None:
         return UNBOUNDED
-    if threshold is not None and _aligns_within(ball, a, b, threshold):
-        return threshold
-    INF = float("inf")
-    n1, n2 = len(a) - 1, len(b) - 1
-    dp = [[INF] * (n2 + 1) for _ in range(n1 + 1)]
-    for i in range(n1 + 1):
-        row = dp[i]
-        for j in range(n2 + 1):
-            d = ball.distance(a[i], b[j])
-            if d is UNBOUNDED:
-                continue
-            if i == 0 and j == 0:
-                row[j] = d
-                continue
-            prev = INF
-            if i > 0:
-                prev = min(prev, dp[i - 1][j])
-            if j > 0:
-                prev = min(prev, row[j - 1])
-            if i > 0 and j > 0:
-                prev = min(prev, dp[i - 1][j - 1])
-            row[j] = max(d, prev)
-    return UNBOUNDED if dp[n1][n2] == INF else int(dp[n1][n2])
+    t = threshold or 0
+    while t is not UNBOUNDED:
+        nxt = _aligns_within(ball, a, b, t)
+        if nxt is True:
+            return t
+        t = nxt
+    return UNBOUNDED
 
 
 class FellowCertificate:
@@ -270,8 +263,11 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     v's prefix path is walked once per v and gives g = v x by one more edge;
     each candidate w is then walked back from g along w^-1 (_walk_back),
     which yields h's index and w's path from h at once, so h is neither
-    built nor keyed.  Only a walk that leaves the capped ball falls back to
-    building h and keying it; an h beyond the cap is told apart by its key.
+    built nor keyed.  A walk that leaves the capped ball, v's path to g or
+    w's back from g, is final: a path with a point beyond the cap makes its
+    pair escape, so the pair is reported without measuring.  Only such a pair
+    builds h and keys it, to tell its h apart from the other pairs' (an h
+    beyond the cap by its key).
 
     Many v share one g (a padded language spells each element many ways), so
     two memos local to the call serve each g in the ball once: its coset's
@@ -287,11 +283,10 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     while its mirror is still ahead in the sweep; the mirror pops it in
     place of measuring.  The value was measured against an earlier K, and K
     only grows, so max(K, value) is max(K, what measuring against this K
-    would give).  Only pairs whose paths both lie in the ball store or reuse
-    a value, since a path that leaves the ball makes its own pair escape.
-    Every ordered pair is still counted and deduplicated, and an escaping
-    one is reported with its own v, h and w.  Returns (pairs, K,
-    violations)."""
+    would give).  Only pairs whose paths both lie in the ball are measured,
+    so only they store or reuse a value.  Every ordered pair is still counted
+    and deduplicated, and an escaping one is reported with its own v, h and
+    w.  Returns (pairs, K, violations)."""
     words = enumerate_language(lang, radius)
     group = coset_key if coset_key is not None else oracle.key
     by_coset: dict = {}
@@ -308,7 +303,6 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     violations = []
     for vid, v in enumerate(words):
         a = _prefix_indices(ball, 0, v)
-        path_v = v if a is None else a
         seen = set()
         for s, x in enumerate(steps):
             if a is None:
@@ -323,12 +317,9 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                     coset = cosets[gi] = by_coset.get(group(v * x), ())
             for wid in coset:
                 w = words[wid]
-                if gi is None:
-                    b = None
-                else:
-                    b = walks.get((gi, wid), _MISS)
-                    if b is _MISS:
-                        b = walks[gi, wid] = _walk_back(ball, gi, w.letters)
+                b = None if gi is None else walks.get((gi, wid), _MISS)
+                if b is _MISS:
+                    b = walks[gi, wid] = _walk_back(ball, gi, w.letters)
                 if b is not None:
                     hi = b[0]
                     pk = (wid, hi)
@@ -341,18 +332,18 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                     continue
                 seen.add(pk)
                 pairs += 1
-                if hi is None:
-                    violations.append((v, h, w))
+                if b is None:
+                    # a path left the ball, so the pair escapes
+                    violations.append((v, h if hi is None else ball.words[hi], w))
                     continue
-                d = _MISS if b is None else mirrors.pop((wid, mirror[s], vid), _MISS)
+                d = mirrors.pop((wid, mirror[s], vid), _MISS)
                 if d is _MISS:
                     # looked up at call time, so a wrapped module function is used
-                    path_w = w if b is None else b
                     if mode == "sync":
-                        d = sync_fellow_distance(path_v, hi, path_w, ball)
+                        d = sync_fellow_distance(a, hi, b, ball)
                     else:
-                        d = async_fellow_distance(path_v, hi, path_w, ball, K)
-                    if b is not None and (wid > vid or (wid == vid and mirror[s] > s)):
+                        d = async_fellow_distance(a, hi, b, ball, K)
+                    if wid > vid or (wid == vid and mirror[s] > s):
                         mirrors[vid, s, wid] = d
                 if d is UNBOUNDED:
                     violations.append((v, ball.words[hi], w))
@@ -644,7 +635,7 @@ def _sync_rows(gog, e, radius, ball):
     for g in ball.within(radius):
         z = ctx.coset_rep(g)
         h = g * invert(z)
-        hlen = metric.length(h, 4 * radius + 8)
+        hlen = metric.length(h, length_cap(radius))
         if hlen is None or hlen + len(z) != parent.geodesic_length(g):
             fact_ok, detail = False, f"no geodesic y_g z_g factorization for {g}"
             break

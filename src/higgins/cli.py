@@ -39,11 +39,13 @@ def _emit(text):
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
-    problems = config.gog().validate()
+    problems = config.gog().validate() if config.graph_decl is not None else []
     if problems:
         for p in problems:
             _emit(f"invalid: {p}")
         return FAIL
+    for name in sorted(config.cosetsystems):
+        config.coset_system(name)
     _emit("valid")
     return PASS
 
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "fundamental groups of graphs of groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a graph-of-groups config")
+    p = sub.add_parser("validate", help="check a config's graph and coset systems")
     p.add_argument("config")
     p.set_defaults(func=cmd_validate)
 

@@ -26,9 +26,7 @@ from .fsa import enumerate_language
 from .words import Alphabet, Word, WordMap, invert, shortlex_key
 
 WITNESS_LIMIT = 100
-# a crossover's h = u g v^-1 is looked for in <Y> up to length
-# LENGTH_CAP_PER_STEP * (radius + lambda) + LENGTH_CAP_MARGIN
-LENGTH_CAP_PER_STEP = 4
+LENGTH_CAP_PER_STEP = 4  # see length_cap
 LENGTH_CAP_MARGIN = 8
 
 UNBOUNDED = None
@@ -37,6 +35,12 @@ _MISS = object()  # a pair-cache miss; a cached escape is stored as UNBOUNDED
 
 class VerifierError(ValueError):
     pass
+
+
+def length_cap(radius: int, constant: int = 0) -> int:
+    """How far a subgroup length is searched: a crossover's h = u g v^-1
+    (constant lambda), a stable image (mu) or a factorization's y_g (none)."""
+    return LENGTH_CAP_PER_STEP * (radius + constant) + LENGTH_CAP_MARGIN
 
 
 class CosetSystem:
@@ -280,7 +284,7 @@ def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
     splitter = getattr(ctx, "coset_splitter", None) if Y is None else None
     Y = list(Y) if Y is not None else list(ctx.gen_words)
     Z = list(Z) if Z is not None else list(Y)
-    cap = LENGTH_CAP_PER_STEP * (radius + lam) + LENGTH_CAP_MARGIN
+    cap = length_cap(radius, lam)
     if splitter is not None:
         split = splitter()
 
@@ -333,7 +337,7 @@ def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) ->
 
     m1 = WordMetric(H1.parent, H1.gen_words, H1.gen_alphabet)
     m2 = WordMetric(H2.parent, H2.gen_words)
-    cap = 4 * (mu + radius) + 8
+    cap = length_cap(radius, mu)
     witnesses = []
     swept = 0
     for _w, _d, ypath in m1.elements_within(mu):

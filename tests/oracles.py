@@ -15,7 +15,9 @@ isomorphisms and subgroup inclusions) are checked against an image read off
 the letter names.  The fellow-traveller sweep, which finds each h on the
 Cayley graph, is checked against a sweep that builds and keys every h, its
 reuse of a mirror pair's value against the same sweep measuring every pair,
-and its alignment fill against reachability over the whole prefix grid.  The
+its alignment fill against reachability over the whole prefix grid, and the
+asynchronous constant, which raises the fill's threshold until it passes,
+against bottleneck dynamic programming over that grid.  The
 Cayley ball, a breadth-first search, is checked against a sort of every word
 up to its radius, and a finite subgroup against a closure of its generators.
 Subgroup lengths and finite tables, read off Cayley balls over one letter per
@@ -194,24 +196,66 @@ def sweep_without_reuse(lang, oracle, radius, mode, ball, coset_key=None):
     return pairs, K, violations
 
 
-def aligns_by_grid(ball, a, b, threshold) -> bool:
-    """Whether some monotone alignment of the prefix paths a and b keeps every
-    cell within threshold: every cell of the grid is measured, and reachability
-    from (0, 0) by diagonal, right and down moves is filled row by row."""
+def aligns_by_grid(ball, a, b, threshold):
+    """True when some monotone alignment of the prefix paths a and b keeps
+    every cell within threshold; otherwise the least distance among the cells
+    just past the reachable region, which every alignment crosses, or None
+    when each of them escapes the ball.  Every cell of the grid is measured,
+    and reachability from (0, 0) by diagonal, right and down moves is filled
+    row by row."""
     n1, n2 = len(a) - 1, len(b) - 1
-    ok = [[d is not None and d <= threshold
-           for d in (ball.distance(a[i], b[j]) for j in range(n2 + 1))]
-          for i in range(n1 + 1)]
+    dist = [[ball.distance(a[i], b[j]) for j in range(n2 + 1)] for i in range(n1 + 1)]
     reach = [[False] * (n2 + 1) for _ in range(n1 + 1)]
+    past = []
     for i in range(n1 + 1):
         for j in range(n2 + 1):
-            if not ok[i][j]:
+            entered = (i == j == 0
+                       or (i > 0 and reach[i - 1][j])
+                       or (j > 0 and reach[i][j - 1])
+                       or (i > 0 and j > 0 and reach[i - 1][j - 1]))
+            if not entered:
                 continue
-            reach[i][j] = (i == j == 0
-                           or (i > 0 and reach[i - 1][j])
-                           or (j > 0 and reach[i][j - 1])
-                           or (i > 0 and j > 0 and reach[i - 1][j - 1]))
-    return reach[n1][n2]
+            d = dist[i][j]
+            if d is not None and d <= threshold:
+                reach[i][j] = True
+            elif d is not None:
+                past.append(d)
+    if reach[n1][n2]:
+        return True
+    return min(past, default=None)
+
+
+def async_by_grid(w1, h, w2, ball, threshold=None):
+    """The exact asynchronous fellow constant of a pair, by bottleneck
+    dynamic programming over the whole prefix grid with right, down and
+    diagonal moves: the least, over monotone alignments, of the largest cell
+    distance, or None when every alignment crosses a cell beyond the ball.
+    Arguments as for certify.async_fellow_distance; the threshold is ignored,
+    so this can stand in for it in a sweep."""
+    a, b = certify._paths(ball, w1, h, w2)
+    if a is None or b is None:
+        return None
+    INF = float("inf")
+    n1, n2 = len(a) - 1, len(b) - 1
+    dp = [[INF] * (n2 + 1) for _ in range(n1 + 1)]
+    for i in range(n1 + 1):
+        row = dp[i]
+        for j in range(n2 + 1):
+            d = ball.distance(a[i], b[j])
+            if d is None:
+                continue
+            if i == 0 and j == 0:
+                row[j] = d
+                continue
+            prev = INF
+            if i > 0:
+                prev = min(prev, dp[i - 1][j])
+            if j > 0:
+                prev = min(prev, row[j - 1])
+            if i > 0 and j > 0:
+                prev = min(prev, dp[i - 1][j - 1])
+            row[j] = max(d, prev)
+    return None if dp[n1][n2] == INF else int(dp[n1][n2])
 
 
 # --- abelian coset representatives by a scan per query ------------------------

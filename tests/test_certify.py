@@ -24,7 +24,7 @@ from higgins.cosets import CosetSystem
 from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.words import Word, all_words, invert, prefix
-from oracles import aligns_by_grid, brute_ball, keyed_sweep, sweep_without_reuse
+from oracles import aligns_by_grid, async_by_grid, brute_ball, keyed_sweep, sweep_without_reuse
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -505,6 +505,23 @@ def test_sweep_measures_each_mirror_couple_once(monkeypatch):
     assert len(calls) <= -(-pairs // 2) + words
 
 
+
+def test_sweep_fills_about_once_per_measured_pair(monkeypatch):
+    # each measuring call runs the fill at the running K; only a pair that
+    # raises K runs it again, at the least distance the last fill turned away
+    system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
+    ctx, R = system.context, 9
+    calls, fills = [], []
+    measure, fill = higgins.certify.async_fellow_distance, higgins.certify._aligns_within
+    monkeypatch.setattr(higgins.certify, "async_fellow_distance",
+                        lambda *args: calls.append(args) or measure(*args))
+    monkeypatch.setattr(higgins.certify, "_aligns_within",
+                        lambda *args: fills.append(args) or fill(*args))
+    pairs, K, violations = _sweep(system.language, ctx.parent, R, "async",
+                                  CayleyBall(ctx.parent, R + BALL_MARGIN), ctx.coset_key)
+    assert (pairs, K, violations) == (5391, 2, [])
+    assert len(calls) <= len(fills) <= len(calls) + 2
+
 def test_higgins_lazy_language_agrees_with_its_dfa():
     from builders import trefoil_system
     from higgins.cascade import Pi1EdgeSubgroup
@@ -600,7 +617,7 @@ def test_threshold_pruning_keeps_the_exact_maximum(name):
     oracle = _backend(name)
     ball = CayleyBall(oracle, {"z2": 8, "f2": 7, "hnn": 4}[name])
     pairs = _seeded_pairs(random.Random(41), oracle.alphabet, 60, 4)
-    exact = [async_fellow_distance(w1, h, w2, ball) for w1, h, w2 in pairs]
+    exact = [async_by_grid(w1, h, w2, ball) for w1, h, w2 in pairs]
     finite = [d for d in exact if d is not None]
     assert finite and 0 in finite and max(finite) > 1
     for (w1, h, w2), d in zip(pairs, exact):
@@ -610,11 +627,13 @@ def test_threshold_pruning_keeps_the_exact_maximum(name):
             got = async_fellow_distance(w1, h, w2, ball, threshold=t)
             if d is None:
                 assert got is None
-                assert a is None or b is None or not _aligns_within(ball, a, b, t)
+                assert a is None or b is None or _aligns_within(ball, a, b, t) is not True
                 continue
             assert (got <= t) == (d <= t) and got == max(d, t)
-            # the decision form alone: the fallback would hide a wrong answer
-            assert _aligns_within(ball, a, b, t) == (d <= t)
+            # the fill alone: the rising threshold would hide a wrong answer
+            fill = _aligns_within(ball, a, b, t)
+            assert (fill is True) == (d <= t)
+            assert fill == aligns_by_grid(ball, a, b, t)
     # a sweep that passes its running K ends on the exact maximum
     K = escapes = 0
     for w1, h, w2 in pairs:
@@ -667,8 +686,9 @@ def test_fill_equals_the_grid_reachability(name):
         escapes += any(ball.distance(i, j) is None for i in a for j in b)
         for t in range(4):
             got = _aligns_within(ball, a, b, t)
-            assert got == aligns_by_grid(ball, a, b, t), (w1, h, w2, t)
-            outcomes.add(got)
+            want = aligns_by_grid(ball, a, b, t)
+            assert (got is True) == (want is True) and got == want, (w1, h, w2, t)
+            outcomes.add(got is True)
     assert outcomes == {False, True} and escapes
 
 
@@ -715,12 +735,13 @@ def test_fill_reads_each_cell_at_most_once():
             got = _aligns_within(ball, a, b, t)
             assert max(ball._pair_cache.reads.values()) == 1
             resumed += len(ball._pair_cache.reads) > max(n1, n2) + 1
-            assert got == aligns_by_grid(_GridBall(table), a, b, t)
+            want = aligns_by_grid(_GridBall(table), a, b, t)
+            assert (got is True) == (want is True) and got == want
     assert resumed
 
 
 def _exact_async(w1, h, w2, ball, threshold=None):
-    return async_fellow_distance(w1, h, w2, ball)
+    return async_by_grid(w1, h, w2, ball)
 
 
 def _abelian_axis_cert(system, radius, cap):

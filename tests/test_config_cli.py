@@ -113,6 +113,22 @@ def test_cmd_validate_broken_iso(capsys, tmp_path):
     assert code == 1 and "edge e" in out
 
 
+
+@pytest.mark.parametrize("name", ["abelian_pairs.gog", "finite_s3.gog"])
+def test_cmd_validate_without_a_graph(capsys, name):
+    # a config of coset systems alone is valid when each of them resolves
+    code, out = run_cli(capsys, "validate", cfg(name))
+    assert code == 0 and out == "valid\n"
+
+
+def test_cmd_validate_resolves_coset_systems(capsys, tmp_path):
+    path = tmp_path / "bad.gog"
+    path.write_text(COSET_CONFIG + "[cosetsystem C] subgroup=K\n")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unknown subgroup 'K'\n"
+
 def test_cmd_validate_missing_file(capsys):
     code = main(["validate", "/nonexistent/nowhere.gog"])
     assert code == 2
