@@ -273,7 +273,8 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     two memos local to the call serve each g in the ball once: its coset's
     words, keyed by g's ball index gi, and each walk back, keyed by gi and
     w's id, its place in the enumeration.  A walked path is shared by every
-    pair that reads it, and no pair writes to it.
+    pair that reads it, and no pair writes to it.  Each word is keyed once,
+    and a g = v x that spells a word reads that word's key.
 
     Each pair (v, x, w), with h = v x w^-1, has a mirror (w, x^-1, v) with
     h^-1: cell (s, t) of one grid is d(v(s), h w(t)) = |v(s)^-1 h w(t)|, and
@@ -289,9 +290,10 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     w.  Returns (pairs, K, violations)."""
     words = enumerate_language(lang, radius)
     group = coset_key if coset_key is not None else oracle.key
+    key_of = {w.letters: group(w) for w in words}
     by_coset: dict = {}
     for wid, w in enumerate(words):
-        by_coset.setdefault(group(w), []).append(wid)
+        by_coset.setdefault(key_of[w.letters], []).append(wid)
     cosets: dict = {}   # gi -> ids of the words of g's coset
     walks: dict = {}    # (gi, wid) -> _walk_back(ball, gi, words[wid].letters)
     mirrors: dict = {}  # (vid, s, wid) -> value of that pair, until its mirror reads it
@@ -309,12 +311,12 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                 gi = None
             else:
                 gi = _step(ball, a[-1], x.letters[0]) if s else a[-1]
-            if gi is None:
-                coset = by_coset.get(group(v * x), ())
-            else:
-                coset = cosets.get(gi)
-                if coset is None:
-                    coset = cosets[gi] = by_coset.get(group(v * x), ())
+            coset = cosets.get(gi)
+            if coset is None:
+                k = key_of.get(v.letters + x.letters, _MISS)
+                coset = by_coset.get(group(v * x) if k is _MISS else k, ())
+                if gi is not None:
+                    cosets[gi] = coset
             for wid in coset:
                 w = words[wid]
                 b = None if gi is None else walks.get((gi, wid), _MISS)
