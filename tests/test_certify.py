@@ -505,10 +505,9 @@ def test_sweep_measures_each_mirror_couple_once(monkeypatch):
     assert len(calls) <= -(-pairs // 2) + words
 
 
-
 def test_sweep_fills_about_once_per_measured_pair(monkeypatch):
-    # each measuring call runs the fill at the running K; only a pair that
-    # raises K runs it again, at the least distance the last fill turned away
+    # each measuring call runs the fill at the running K; only a pair above K
+    # runs it again, at the least distance the last fill turned away
     system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
     ctx, R = system.context, 9
     calls, fills = [], []
