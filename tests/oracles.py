@@ -225,13 +225,12 @@ def aligns_by_grid(ball, a, b, threshold):
     return min(past, default=None)
 
 
-def async_by_grid(w1, h, w2, ball, threshold=None):
+def async_by_grid(w1, h, w2, ball):
     """The exact asynchronous fellow constant of a pair, by bottleneck
     dynamic programming over the whole prefix grid with right, down and
     diagonal moves: the least, over monotone alignments, of the largest cell
     distance, or None when every alignment crosses a cell beyond the ball.
-    Arguments as for certify.async_fellow_distance; the threshold is ignored,
-    so this can stand in for it in a sweep."""
+    Arguments as for certify.async_fellow_distance, without a threshold."""
     a, b = certify._paths(ball, w1, h, w2)
     if a is None or b is None:
         return None
