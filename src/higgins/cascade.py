@@ -11,16 +11,21 @@ component language has unique representatives.
 
 Pi1System.scan_word computes every normal form: it consumes letters right to
 left and closes each segment into its coset language as the segment ends, so
-suffix state can be shared across a word tree.  The scan state is (vertex,
-element, tail): the open segment is carried as its element in the vertex
-backend, so no segment is ever keyed again.  One loop, Pi1System._scan, reads
-every letter.  A letter of the open vertex costs one backend.prepend; a letter
-that leaves it costs one probe of a memo keyed by (letter, vertex, element),
-whose entry holds the whole switch: the closed edge and its step, the carry,
-the element the new segment opens with.  A miss, and any route of two or more
-tree edges, closes through _close_chain, which memoizes each close by edge and
-element with the element of the carry it sends left; a group-based finalize
-reads the base element's canonical word, memoized by vertex and element.
+suffix state can be shared across a word tree.  The scan state is (id,
+tail): the open segment is carried as its element in the vertex backend,
+named by a small integer id per (vertex, element) the scan has met, so no
+segment is ever keyed again.  Each id has a row over the working alphabet,
+filled on first use, as an automatic structure reads a word through a finite
+table (Epstein et al., Word Processing in Groups, 1992): a letter of the
+open vertex holds the id of its prepend, and a letter that leaves along one
+edge holds the whole switch: the closed edge and its step, the carry, the id
+the new segment opens with.  Id 0 is the empty word, whose row opens a
+segment at each letter.  One loop, Pi1System._scan, reads every letter as
+two list indexings and a type test.  An empty slot, and any route of two or
+more tree edges, closes through _close_chain, which memoizes each close by
+edge and element with the element of the carry it sends left; finalize
+reads the base element's canonical word or coset rep, memoized by base and
+element.
 Membership in a Higgins (coset) language is scan_word(w, base) == w, and
 Pi1System.language pairs that predicate with the product automaton where one
 exists.  The phase pipeline (inflate, pinch_reduce, cascade) stays only
@@ -42,10 +47,6 @@ from .words import Word, WordMap, invert
 
 
 _BOTTOM = (None, (), None, ())
-
-
-def _pass(_x, elem):  # a stable letter's prepend: the carry opens the segment
-    return elem
 
 
 class ParseError(ValueError):
@@ -86,23 +87,23 @@ class Pi1System:
         # (edge name, vertex element) -> (rep letters, carry element,
         # working letters of the step); see _close_chain
         self._closes = {}
-        # (vertex, element) -> working letters of the element's canonical word
+        # (base vertex or edge, element) -> working letters of the element's
+        # canonical word or coset rep; see scan_finalize
         self._heads = {}
-        # (letter, open vertex, element) -> a one-edge switch; see _scan
-        self._switches = {}
         # working letter -> (vertex, backend letter, backend.prepend), or
-        # (Edge, None, _pass) for a stable letter
+        # (Edge, None, None) for a stable letter
         self._scan_letters = {}
-        # vertex letter -> the scan state of the one-letter word; see scan_word
-        self._opens = {}
         for xl, kind in self.alphabets.kind_x.items():
             if kind[0] == "v":
                 _, v, bl = kind
-                backend = gog.backend(v)
-                self._scan_letters[xl] = (v, bl, backend.prepend)
-                self._opens[xl] = (v, backend.prepend(bl, backend.identity()), _BOTTOM)
+                self._scan_letters[xl] = (v, bl, gog.backend(v).prepend)
             else:
-                self._scan_letters[xl] = (kind[1], None, _pass)
+                self._scan_letters[xl] = (kind[1], None, None)
+        # the element table: id -> (vertex, element), its inverse, and each
+        # id's row over the working alphabet; id 0 is the empty word
+        self._elems = [(None, None)]
+        self._eids = {(None, None): 0}
+        self._rows = [[None] * len(self.alphabet)]
 
     def tree_path(self, u: str, v: str):
         key = (u, v)
@@ -299,19 +300,47 @@ class Pi1System:
 
     # -- incremental right-to-left driver --------------------------------------
 
-    # A scan state is (vertex, element, tail): the open segment's vertex and
-    # its element in that vertex's backend (backend.key of the segment's
-    # letters, updated by backend.prepend per letter).  The tail holds the
-    # closed segments, leftmost on top, as nodes (edge, rep letters, node
-    # below, working letters of the step); _BOTTOM ends it.  _switches maps
-    # (letter, vertex, element), for a letter that leaves the vertex along one
-    # edge e, to (e, e.reverse if the rep is empty else False, rep letters,
-    # step, new vertex, carry, carry with the letter prepended, e.src's
-    # backend.append): a hit pushes the node, or joins the segment below
-    # into the carry when that node is e.reverse's.
+    # A scan state is (id, tail).  The id names the open segment's vertex
+    # and its element in that vertex's backend (backend.key of the segment's
+    # letters), _elems[id]; id 0 is the empty word, with no open segment.
+    # The tail holds the closed segments, leftmost on top, as nodes (edge,
+    # rep letters, node below, working letters of the step); _BOTTOM ends it.
+    # _rows[id][letter] is None until the scan first reads that letter
+    # there.  Then it holds the id of the letter times the element, for a
+    # letter of the open vertex or any vertex letter at id 0, or, for a
+    # letter that leaves the vertex along one edge e, the switch (e.reverse
+    # if the rep is empty else False, e, rep letters, step, the id the new
+    # segment opens with, the carry's element, e.src's backend.append): it
+    # pushes the node, or joins the segment below into the carry when that
+    # node is e.reverse's.  backend.prepend runs once per filled slot of a
+    # vertex letter, and the join reopens through the carry's row.
 
     def scan_initial(self):
-        return (None, None, _BOTTOM)
+        return (0, _BOTTOM)
+
+    def _id(self, v, elem):
+        """The id of element `elem` at vertex v, added on first sight."""
+        key = (v, elem)
+        eid = self._eids.get(key)
+        if eid is None:
+            eid = self._eids[key] = len(self._elems)
+            self._elems.append(key)
+            self._rows.append([None] * len(self.alphabet))
+        return eid
+
+    def _open(self, v, elem, xl):
+        """The id of the segment letter xl opens at v on the element
+        `elem`: xl times elem, by elem's row, or elem itself for a stable
+        letter, whose carry opens the segment."""
+        eid = self._id(v, elem)
+        _v, bl, prepend = self._scan_letters[xl]
+        if bl is None:
+            return eid
+        row = self._rows[eid]
+        hit = row[xl]
+        if hit is None:
+            hit = row[xl] = self._id(v, prepend(bl, elem))
+        return hit
 
     def _close_chain(self, edges, elem, tail):
         """Close the open segment (element `elem`) at the last edge of
@@ -350,50 +379,50 @@ class Pi1System:
 
     def _scan(self, state, letters):
         """Prepend `letters`, in the order given, to the suffix state."""
-        vertex, elem, tail = state
-        table, switches = self._scan_letters, self._switches
+        eid, tail = state
+        rows = self._rows
         for xl in letters:
-            v, bl, prepend = table[xl]
-            if v == vertex:
-                elem = prepend(bl, elem)
-                continue
-            hit = switches.get((xl, vertex, elem))
-            if hit is None:
-                vertex, elem, tail = self._switch(xl, vertex, elem, tail)
-                continue
-            e, back, rep, step, vertex, carry, opened, append = hit
-            if tail[0] is back:  # backtrack: join the segment beyond
+            hit = rows[eid][xl]
+            if type(hit) is int:
+                eid = hit
+            elif hit is None:
+                eid, tail = self._fill(eid, xl, tail)
+            elif tail[0] is hit[0]:  # backtrack: join the segment beyond
+                e, carry, append = hit[1], hit[5], hit[6]
                 for y in tail[1]:
                     carry = append(carry, y)
                 tail = tail[2]
-                elem = prepend(bl, carry)
+                eid = self._open(e.src, carry, xl)
             else:
-                tail = (e, rep, tail, step)
-                elem = opened
-        return (vertex, elem, tail)
+                tail = (hit[1], hit[2], tail, hit[3])
+                eid = hit[4]
+        return (eid, tail)
 
-    def _switch(self, xl, vertex, elem, tail):
-        """Prepend a letter that leaves the open segment's vertex, on a miss
-        of the letter memo.  A route of one edge is remembered under
-        (letter, vertex, element) with the close _close_chain just made."""
-        v, bl, prepend = self._scan_letters[xl]
-        key = (xl, vertex, elem)
+    def _fill(self, eid, xl, tail):
+        """Prepend letter xl to the state (eid, tail) where the slot of xl in
+        the row of eid is empty, and fill it unless the letter closes a
+        route of two or more edges, which stays uncached."""
+        vertex, elem = self._elems[eid]
+        v, bl, _prepend = self._scan_letters[xl]
         if bl is None:  # stable letter s_f, read at f.src
             f, v = v, v.src
             if vertex is None:
                 vertex, elem = f.dst, self.gog.backend(f.dst).identity()
             edges = (f,) + self.tree_path(f.dst, vertex)
-        elif vertex is None:
-            return v, prepend(bl, self.gog.backend(v).identity()), tail
+        elif vertex is None:  # the letter opens the empty word's segment
+            hit = self._rows[eid][xl] = self._open(v, self.gog.backend(v).identity(), xl)
+            return hit, tail
+        elif v == vertex:
+            return self._open(v, elem, xl), tail
         else:
             edges = self.tree_path(v, vertex)
         carry, tail, (rep, closed, step) = self._close_chain(edges, elem, tail)
         if len(edges) == 1:
             e = edges[0]
-            self._switches[key] = (
-                e, False if rep else e.reverse, rep, step, v, closed,
-                prepend(bl, closed), self.gog.backend(e.src).append)
-        return v, prepend(bl, carry), tail
+            self._rows[eid][xl] = (
+                False if rep else e.reverse, e, rep, step, self._open(v, closed, xl),
+                closed, self.gog.backend(v).append)
+        return self._open(v, carry, xl), tail
 
     def scan_prepend(self, state, xl: int):
         """Prepend one working-alphabet letter to the suffix state."""
@@ -402,21 +431,21 @@ class Pi1System:
     def scan_finalize(self, state, base) -> Word:
         kind, anchor = base
         base_vertex = anchor if kind == "group" else anchor.dst
-        vertex, elem, tail = state
+        eid, tail = state
+        vertex, elem = self._elems[eid]
         backend = self.gog.backend(base_vertex)
         if vertex is None:
             elem = backend.identity()
         elif vertex != base_vertex:
             elem, tail, _ = self._close_chain(
                 self.tree_path(base_vertex, vertex), elem, tail)
-        if kind == "group":
-            head = self._heads.get((base_vertex, elem))
-            if head is None:
-                head = self._heads[(base_vertex, elem)] = self.alphabets.vertex_word_to_x(
-                    base_vertex, backend.element_word(elem))
-        else:
-            head = self.alphabets.vertex_word_to_x(
-                base_vertex, self.gog.ctx(anchor).coset_rep(backend.element_word(elem)))
+        head = self._heads.get((anchor, elem))
+        if head is None:
+            word = backend.element_word(elem)
+            if kind == "coset":
+                word = self.gog.ctx(anchor).coset_rep(word)
+            head = self._heads[(anchor, elem)] = self.alphabets.vertex_word_to_x(
+                base_vertex, word)
         letters = list(head)
         while tail is not _BOTTOM:
             letters += tail[3]
@@ -424,15 +453,7 @@ class Pi1System:
         return Word(self.alphabet, tuple(letters))
 
     def scan_word(self, w: Word, base) -> Word:
-        # a vertex letter opens the empty word's segment without a close, which
-        # no letter-memo entry expresses, so a last vertex letter is read here
-        letters = w.letters
-        state = self._opens.get(letters[-1]) if letters else None
-        if state is None:
-            state = self.scan_initial()
-        else:
-            letters = letters[:-1]
-        return self.scan_finalize(self._scan(state, reversed(letters)), base)
+        return self.scan_finalize(self._scan(self.scan_initial(), reversed(w.letters)), base)
 
 
 class Pi1Backend:

@@ -363,7 +363,7 @@ def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = No
     mode = mode if mode is not None else sys.mode
     if ball is None:
         ball = CayleyBall(ctx.parent, radius + BALL_MARGIN)
-    pairs, K, violations = _sweep(sys.language, ctx.parent, radius, mode, ball, ctx.coset_key)
+    pairs, K, violations = _sweep(sys.language, ctx.parent, radius, mode, ball, sys.coset_key)
     kappa = None
     if ctx.gen_words:
         idxs = [ball.index(gw) for gw in ctx.gen_words]
@@ -523,26 +523,34 @@ def geodesic_coset_filter(sys: CosetSystem, radius: int) -> CosetSystem:
 
     Verifies that the filtered language still represents, within the radius,
     every coset met by the ball of that radius; raises HypothesisViolation
-    otherwise.
+    otherwise.  Each word's coset key is computed once, into a memo local
+    to the call that the filtered system keeps: membership, enumeration, the
+    coverage check and the certificate's sweep all read it.
     """
     ctx = sys.context
     lang = sys.language
     accepts = lang.accepts
+    reps: dict = {}  # word letters -> ctx.coset_key(w), its rep's letters
 
-    def member(w: Word) -> bool:
-        return accepts(w) and len(w) == ctx.min_coset_length(w)
+    def rep_of(w: Word) -> tuple:
+        rep = reps.get(w.letters)
+        if rep is None:
+            rep = reps[w.letters] = ctx.coset_key(w)
+        return rep
+
+    def geodesic(w: Word) -> bool:
+        return len(w) == len(rep_of(w))
 
     filtered = LazyLanguage(
-        ctx.parent.alphabet, member,
-        enumerator=lambda n: [w for w in enumerate_language(lang, n)
-                              if len(w) == ctx.min_coset_length(w)],
+        ctx.parent.alphabet, lambda w: accepts(w) and geodesic(w),
+        enumerator=lambda n: [w for w in enumerate_language(lang, n) if geodesic(w)],
         name="geodesic-filter")
-    covered = {ctx.coset_key(w) for w in enumerate_language(filtered, radius)}
+    covered = {rep_of(w) for w in enumerate_language(filtered, radius)}
     for g in CayleyBall(ctx.parent, radius).elements():
-        if ctx.coset_key(g) not in covered:
+        if rep_of(g) not in covered:
             raise HypothesisViolation(
                 f"geodesic filter misses the coset of {g} within radius {radius}")
-    return CosetSystem(ctx, filtered, mode="sync")
+    return CosetSystem(ctx, filtered, mode="sync", coset_key=rep_of)
 
 
 class HypothesesReport:

@@ -44,12 +44,17 @@ def length_cap(radius: int, constant: int = 0) -> int:
 
 
 class CosetSystem:
-    def __init__(self, context, language=None, mode: str = "async"):
+    """A subgroup context with a language of coset representatives and a
+    fellow-travelling mode; coset_key keys a word by its coset, the
+    context's own unless a caller that has keyed the words passes its memo."""
+
+    def __init__(self, context, language=None, mode: str = "async", coset_key=None):
         if mode not in ("sync", "async"):
             raise VerifierError(f"mode must be sync or async, got {mode!r}")
         self.context = context
         self.language = language if language is not None else context.coset_language
         self.mode = mode
+        self.coset_key = coset_key if coset_key is not None else context.coset_key
 
 
 class CayleyBall:

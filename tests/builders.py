@@ -115,7 +115,7 @@ edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
 # the vertex group's words instead).  The path tree va - vb - vc of Z
 # vertices, with an HNN loop at vc, is the one config whose letters switch
 # along routes of two or three edges (a letter of va read at vc, s_f read at
-# va), the routes the scan's letter memo leaves to _close_chain.
+# va), the routes the scan's element table leaves to _close_chain.
 
 REGRESSION_GRAPHS = {
     "dependent_amalgam.gog": """

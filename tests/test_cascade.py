@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from builders import LAW_CONFIGS, hnn_z2_system, shipped_system, trefoil_system, zz_system
+from builders import (
+    LAW_CONFIGS, hnn_z2_system, shipped_config, shipped_system, trefoil_system, zz_system,
+)
 from oracles import (
     A_AUT, B_AUT, IDENT, aut_compose, higgins_membership, hnn_z2_key,
     pipeline_normal_form, syllables, trefoil_key, trefoil_letter_table, zz_vertex_table,
@@ -323,6 +325,27 @@ class _NoMemo(dict):
         pass
 
 
+class _NoRow(list):
+    """A row of the scan's element table that keeps no slot."""
+
+    def __getitem__(self, xl):
+        return None
+
+    def __setitem__(self, xl, value):
+        pass
+
+
+class _NoRows(list):
+    """An element table whose rows keep nothing, so every letter is read
+    through _fill."""
+
+    def __init__(self, rows):
+        super().__init__(_NoRow(row) for row in rows)
+
+    def append(self, row):
+        super().append(_NoRow(row))
+
+
 @pytest.mark.parametrize("config", MEMO_CONFIGS)
 def test_close_memo_is_independent_of_spelling_order(config):
     words = _memo_words(config)
@@ -347,9 +370,10 @@ def test_close_memo_has_one_entry_per_closed_element(config):
     words = _memo_words(config)
     every, misses = [], []
     unmemoized, memoized = shipped_system(config), shipped_system(config)
-    # a letter-memo hit skips _closes, so the reference keeps neither memo
+    # a filled switch slot skips _closes, so the reference keeps neither
+    # _closes nor the element table's rows
     unmemoized._closes = _NoMemo()
-    unmemoized._switches = _NoMemo()
+    unmemoized._rows = _NoRows(unmemoized._rows)
     _closes_recorded(unmemoized, every)
     _closes_recorded(memoized, misses)
     for w in words:
@@ -398,7 +422,7 @@ def test_warm_memos_give_the_fresh_normal_forms(config):
     for w in words:
         for base in _bases(warm):
             warm.scan_word(w, base)
-    assert warm._switches
+    assert any(type(slot) is tuple for row in warm._rows for slot in row), "no switch slot"
     for w in words:
         fresh = shipped_system(config)
         for base, fresh_base in zip(_bases(warm), _bases(fresh)):
@@ -409,9 +433,6 @@ def test_warm_memos_give_the_fresh_normal_forms(config):
 @pytest.mark.parametrize("config", SWITCH_CONFIGS)
 def test_scan_prepend_folds_to_the_scan(config):
     sys = shipped_system(config)
-    switches = []
-    switch = sys._switch
-    sys._switch = lambda xl, *rest: switches.append(xl) or switch(xl, *rest)
     for w in _switch_words(config):
         state = sys.scan_initial()
         for xl in reversed(w.letters):
@@ -419,13 +440,104 @@ def test_scan_prepend_folds_to_the_scan(config):
         assert state == sys._scan(sys.scan_initial(), reversed(w.letters)), f"{config}: {w}"
         for base in _bases(sys):
             assert sys.scan_word(w, base) == sys.scan_finalize(state, base), f"{config}: {w}"
-    # scan_word reads a last vertex letter off its one-letter state, not _switch
-    del switches[:]
-    for xl, (_v, bl, _prepend) in sys._scan_letters.items():
-        if bl is not None:
-            for base in _bases(sys):
-                sys.scan_word(Word(sys.alphabet, (xl,)), base)
-    assert not switches
+    # a word of one vertex letter opens a segment and closes nothing: its
+    # slot in the empty word's row is an id, never a switch, on a fresh
+    # system and on the warm one
+    for scanner in (shipped_system(config), sys):
+        closes = []
+        close_chain = scanner._close_chain
+        scanner._close_chain = lambda *args: closes.append(args) or close_chain(*args)
+        for xl, (_v, bl, _prepend) in scanner._scan_letters.items():
+            if bl is not None:
+                state = scanner._scan(scanner.scan_initial(), (xl,))
+                assert type(scanner._rows[0][xl]) is int and state[0] == scanner._rows[0][xl]
+        assert not closes
+
+
+# --- the element table ----------------------------------------------------------
+
+def _table_words(sys, seed):
+    """Seeded words of up to 24 letters, every fifth one an earlier word
+    with a cancelling pair inserted, so segments backtrack and equal
+    elements come spelled two ways."""
+    rng = random.Random(seed)
+    words = []
+    for i in range(90):
+        if i % 5 == 4:
+            w = words[rng.randrange(len(words))].letters
+            x = rng.randrange(len(sys.alphabet))
+            at = rng.randrange(len(w) + 1)
+            words.append(Word(sys.alphabet, w[:at] + (x, sys.alphabet.inv[x]) + w[at:]))
+        else:
+            words.append(_random_word(rng, sys, 0, 25))
+    return words
+
+
+def _counted_system(config):
+    """A fresh system whose vertex backends count the prepends made outside
+    a backend's own append (an abelian append is a prepend)."""
+    cfg = shipped_config(config)
+    gog = cfg.gog()
+    count = [0]
+    joining = [0]
+    patched = set()
+    for v in gog.graph.vertices:
+        backend = gog.backend(v)
+        if id(backend) in patched:  # vertices may share a group
+            continue
+        patched.add(id(backend))
+        prepend, append = backend.prepend, backend.append
+
+        def counted_prepend(x, elem, prepend=prepend):
+            count[0] += not joining[0]
+            return prepend(x, elem)
+
+        def counted_append(elem, x, append=append):
+            joining[0] += 1
+            try:
+                return append(elem, x)
+            finally:
+                joining[0] -= 1
+        backend.prepend, backend.append = counted_prepend, counted_append
+    return cfg.system(), count
+
+
+# LAW_CONFIGS holds the three nf-batch configs of the benchmark
+@pytest.mark.parametrize("config", LAW_CONFIGS)
+def test_element_table_does_each_prepend_once(config):
+    """Each (vertex, element) the scan meets has exactly one id, backend.prepend
+    runs once per filled slot of a vertex letter, and the normal forms read
+    through warm rows, in either word order, and on fresh systems equal the
+    phase pipeline's."""
+    oracle = shipped_system(config)
+    words = _table_words(oracle, 24)
+    bases = _bases(oracle)
+    expected = {(w.letters, i): pipeline_normal_form(oracle, w, base)
+                for w in words for i, base in enumerate(bases)}
+    for order in (words, words[::-1]):
+        sys, prepends = _counted_system(config)
+        for w in order:
+            for i, base in enumerate(_bases(sys)):
+                assert sys.scan_word(w, base) == expected[w.letters, i], f"{config}: {w}"
+        assert sys._elems[0] == (None, None)
+        assert sys._eids == {key: eid for eid, key in enumerate(sys._elems)}
+        assert len(sys._rows) == len(sys._elems)
+        for v, elem in sys._elems[1:]:
+            backend = sys.gog.backend(v)
+            # an element is its own key, so two spellings cannot get two ids
+            assert backend.key(backend.element_word(elem)) == elem, (v, elem)
+        vertex_letters = {xl for xl, (_v, bl, _p) in sys._scan_letters.items() if bl is not None}
+        filled = sum(type(row[xl]) is int for row in sys._rows[1:] for xl in vertex_letters)
+        assert prepends[0] == filled, f"{config}: {prepends[0]} prepends, {filled} slots"
+    # the second pass reads warm rows: no slot fills again
+    for w in words:
+        for i, base in enumerate(_bases(sys)):
+            assert sys.scan_word(w, base) == expected[w.letters, i], f"{config}: {w}"
+    assert prepends[0] == filled
+    for w in words[::9]:
+        fresh = shipped_system(config)
+        for i, base in enumerate(_bases(fresh)):
+            assert fresh.scan_word(w, base) == expected[w.letters, i], f"{config}: {w}"
 
 
 # --- membership and the automaton -------------------------------------------------
