@@ -116,6 +116,13 @@ edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
 # vertices, with an HNN loop at vc, is the one config whose letters switch
 # along routes of two or three edges (a letter of va read at vc, s_f read at
 # va), the routes the scan's element table leaves to _close_chain.
+#
+# Then the paper's families of examples: the Artin group I2(5) as the amalgam
+# <a, b | a^2 = b^5>; the Coxeter groups D_inf = C2 * C2 and PSL(2, Z) =
+# C2 * C3, whose vertex groups are finite abelian (every letter of D_inf is
+# its own inverse); the Klein bottle group, the HNN extension of Z by
+# a -> a^-1; and BS(1, 2), the HNN extension of Z by a -> a^2, whose
+# synchronous constant grows with the radius.
 
 REGRESSION_GRAPHS = {
     "dependent_amalgam.gog": """
@@ -160,6 +167,59 @@ vertices=va:A,vb:B,vc:C
 edge e: vb -> va subgroup=A2 reverse_subgroup=B3 iso=y1->y1
 edge g: vc -> vb subgroup=B2 reverse_subgroup=C3 iso=y1->y1
 edge f: vc -> vc subgroup=C2 reverse_subgroup=C2r iso=y1->y1^-1
+""",
+    "artin_i2_5.gog": """
+[group A] kind=abelian rank=1 names=a
+[group B] kind=abelian rank=1 names=b
+[subgroup A2 in A]
+generators=a a
+[subgroup B5 in B]
+generators=b b b b b
+[graph]
+vertices=va:A,vb:B
+edge e: vb -> va subgroup=A2 reverse_subgroup=B5 iso=y1->y1
+""",
+    "coxeter_d_inf.gog": """
+[group A] kind=abelian rank=0 torsion=2 names=a
+[group B] kind=abelian rank=0 torsion=2 names=b
+[subgroup Ta in A]
+generators=
+[subgroup Tb in B]
+generators=
+[graph]
+vertices=va:A,vb:B
+edge e: vb -> va subgroup=Ta reverse_subgroup=Tb
+""",
+    "coxeter_psl2z.gog": """
+[group A] kind=abelian rank=0 torsion=2 names=a
+[group B] kind=abelian rank=0 torsion=3 names=b
+[subgroup Ta in A]
+generators=
+[subgroup Tb in B]
+generators=
+[graph]
+vertices=va:A,vb:B
+edge e: vb -> va subgroup=Ta reverse_subgroup=Tb
+""",
+    "klein_bottle.gog": """
+[group A] kind=abelian rank=1 names=a
+[subgroup H in A]
+generators=a
+[subgroup Hr in A]
+generators=a
+[graph]
+vertices=v:A
+edge f: v -> v subgroup=H reverse_subgroup=Hr iso=y1->y1^-1
+""",
+    "bs_1_2.gog": """
+[group A] kind=abelian rank=1 names=a
+[subgroup H in A]
+generators=a
+[subgroup H2 in A]
+generators=a a
+[graph]
+vertices=v:A
+edge f: v -> v subgroup=H reverse_subgroup=H2 iso=y1->y1
 """,
 }
 

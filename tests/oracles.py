@@ -24,13 +24,20 @@ Subgroup lengths and finite tables, read off Cayley balls over one letter per
 generator, are checked against searches that multiply by generator words
 (or table elements) step by step.
 An abelian coset's representative, read off L1 spheres labelled once, is
-checked against a scan of the spheres for each query.
+checked against a scan of the spheres for each query.  Every automaton the
+package explores state by state from its start is checked, state for state,
+against the subset construction of a nondeterministic automaton with
+epsilon moves.
 """
 
 import itertools
+from typing import Optional
 
 from higgins import certify
-from higgins.fsa import enumerate_language
+from higgins.backends import (
+    AbelianBackend, AbelianSubgroup, FreeBackend, FreeCyclicSubgroup, TrivialSubgroup,
+)
+from higgins.fsa import Dfa, _trim, enumerate_language, minimize
 from higgins.words import Alphabet, Word, free_reduce, invert, shortlex_key
 
 
@@ -608,3 +615,282 @@ def trefoil_coords(w: Word):
             assert rest == 0, f"exponent sum of {w} is not {m} mod 6"
             return m, n
     return None
+
+
+# --- automata by the subset construction ---------------------------------------
+#
+# Each automaton the package builds is rebuilt here as a nondeterministic
+# automaton with epsilon moves and determinized by the subset construction,
+# which numbers its states breadth-first in letter order.  The Higgins product
+# enumerates every (component, state, fresh) triple up front and leaves
+# reachability to the determinization.
+
+class Nfa:
+    """Nondeterministic automaton with epsilon moves; construction scratchpad."""
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+        self.n_states = 0
+        self.starts: set[int] = set()
+        self.accepting: set[int] = set()
+        self.trans: dict[tuple[int, int], set[int]] = {}
+        self.eps: dict[int, set[int]] = {}
+
+    def add_state(self) -> int:
+        self.n_states += 1
+        return self.n_states - 1
+
+    def add_edge(self, s, letter, t):
+        self.trans.setdefault((s, letter), set()).add(t)
+
+    def add_eps(self, s, t):
+        self.eps.setdefault(s, set()).add(t)
+
+    def eps_closure(self, states) -> frozenset:
+        seen = set(states)
+        todo = list(seen)
+        while todo:
+            s = todo.pop()
+            for t in self.eps.get(s, ()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return frozenset(seen)
+
+
+def determinize(nfa: Nfa, name="dfa") -> Dfa:
+    """Subset construction; output states numbered in BFS letter order."""
+    m = len(nfa.alphabet)
+    start = nfa.eps_closure(nfa.starts)
+    index = {start: 0}
+    order = [start]
+    transitions = {}
+    qi = 0
+    while qi < len(order):
+        cur = order[qi]
+        qi += 1
+        for letter in range(m):
+            nxt = set()
+            for s in cur:
+                nxt |= nfa.trans.get((s, letter), set())
+            if not nxt:
+                continue
+            closed = nfa.eps_closure(nxt)
+            if closed not in index:
+                index[closed] = len(order)
+                order.append(closed)
+            transitions[(index[cur], letter)] = index[closed]
+    accepting = {index[ss] for ss in order if ss & nfa.accepting}
+    dfa = Dfa(nfa.alphabet, len(order), 0, accepting, transitions, name)
+    return _trim(dfa)
+
+
+def _to_nfa(dfa: Dfa) -> Nfa:
+    nfa = Nfa(dfa.alphabet)
+    for _ in range(dfa.n_states):
+        nfa.add_state()
+    nfa.starts = {dfa.start}
+    nfa.accepting = set(dfa.accepting)
+    for (s, a), t in dfa.transitions.items():
+        nfa.add_edge(s, a, t)
+    return nfa
+
+
+def union_by_subsets(a: Dfa, b: Dfa, name="union") -> Dfa:
+    nfa = Nfa(a.alphabet)
+    na = _to_nfa(a)
+    shift = na.n_states
+    nfa.n_states = a.n_states + b.n_states
+    nfa.starts = {a.start, b.start + shift}
+    nfa.accepting = set(a.accepting) | {s + shift for s in b.accepting}
+    nfa.trans = {k: set(v) for k, v in na.trans.items()}
+    for (s, x), t in b.transitions.items():
+        nfa.add_edge(s + shift, x, t + shift)
+    return determinize(nfa, name)
+
+
+def concat_by_subsets(a: Dfa, b: Dfa, name="concat") -> Dfa:
+    nfa = _to_nfa(a)
+    shift = nfa.n_states
+    nfa.n_states += b.n_states
+    for (s, x), t in b.transitions.items():
+        nfa.add_edge(s + shift, x, t + shift)
+    for s in a.accepting:
+        nfa.add_eps(s, b.start + shift)
+    nfa.accepting = {s + shift for s in b.accepting}
+    return determinize(nfa, name)
+
+
+def intersect_by_subsets(a: Dfa, b: Dfa, name="intersection") -> Dfa:
+    """One automaton state per pair of states, every pair up front."""
+    nfa = Nfa(a.alphabet)
+    pair = {(s, t): nfa.add_state() for s in range(a.n_states) for t in range(b.n_states)}
+    nfa.starts = {pair[(a.start, b.start)]}
+    nfa.accepting = {pair[(s, t)] for s in a.accepting for t in b.accepting}
+    for (s, x), s2 in a.transitions.items():
+        for t in range(b.n_states):
+            t2 = b.transitions.get((t, x))
+            if t2 is not None:
+                nfa.add_edge(pair[(s, t)], x, pair[(s2, t2)])
+    return determinize(nfa, name)
+
+
+def complement_by_subsets(a: Dfa, name="complement") -> Dfa:
+    """a completed by a sink, with the accepting states swapped."""
+    nfa = _to_nfa(a)
+    sink = nfa.add_state()
+    for s in range(sink + 1):
+        for x in range(len(a.alphabet)):
+            if (s, x) not in nfa.trans:
+                nfa.add_edge(s, x, sink)
+    nfa.accepting = set(range(sink + 1)) - set(a.accepting)
+    return determinize(nfa, name)
+
+
+def word_set_by_subsets(words, alphabet, name="wordset") -> Dfa:
+    """Trie acceptor for a finite set of words."""
+    nfa = Nfa(alphabet)
+    root = nfa.add_state()
+    nfa.starts = {root}
+    for w in words:
+        s = root
+        for x in w.letters:
+            nxt = nfa.trans.get((s, x))
+            if nxt:
+                s = next(iter(nxt))
+            else:
+                t = nfa.add_state()
+                nfa.add_edge(s, x, t)
+                s = t
+        nfa.accepting.add(s)
+    return determinize(nfa, name)
+
+
+def collected_by_subsets(backend, ranges, name) -> Dfa:
+    """DFA of collected words with per-factor exponent ranges.
+
+    ranges[i] = (max_pos, max_neg) with None meaning unbounded; (0, 0) means
+    the factor is skipped entirely.
+    """
+    nfa = Nfa(backend.alphabet)
+    chain = [nfa.add_state() for _ in range(backend.n + 1)]
+    nfa.starts = {chain[0]}
+    nfa.accepting = {chain[backend.n]}
+    for i in range(backend.n):
+        nfa.add_eps(chain[i], chain[i + 1])
+        max_pos, max_neg = ranges[i]
+        for sign, letter, bound in ((1, backend.pos[i], max_pos), (-1, backend.neg[i], max_neg)):
+            if bound == 0:
+                continue
+            if letter == backend.pos[i] and sign < 0:
+                continue  # self-inverse letter: only the positive run exists
+            if bound is None:
+                s = nfa.add_state()
+                nfa.add_edge(chain[i], letter, s)
+                nfa.add_edge(s, letter, s)
+                nfa.add_eps(s, chain[i + 1])
+            else:
+                prev = chain[i]
+                for _ in range(bound):
+                    s = nfa.add_state()
+                    nfa.add_edge(prev, letter, s)
+                    nfa.add_eps(s, chain[i + 1])
+                    prev = s
+    return minimize(determinize(nfa, name))
+
+
+def reduced_by_subsets(alphabet, first_banned=(), name="reduced") -> Dfa:
+    """Freely reduced words, one state per last letter, that do not begin
+    with a letter of first_banned."""
+    nfa = Nfa(alphabet)
+    start = nfa.add_state()
+    last = [nfa.add_state() for _ in range(len(alphabet))]
+    nfa.starts = {start}
+    nfa.accepting = {start, *last}
+    for x in range(len(alphabet)):
+        if x not in first_banned:
+            nfa.add_edge(start, x, last[x])
+        for y in range(len(alphabet)):
+            if alphabet.inv[x] != y:
+                nfa.add_edge(last[x], y, last[y])
+    return determinize(nfa, name)
+
+
+def _abelian_ranges(orders):
+    """Exponent ranges of the collected words whose factors have these
+    orders (None for infinite)."""
+    return [(None, None) if d is None else (d // 2, (d - 1) // 2) for d in orders]
+
+
+def canonical_by_subsets(backend) -> Dfa:
+    """A vertex group's canonical language, rebuilt."""
+    if isinstance(backend, AbelianBackend):
+        orders = [backend.modulus(i) for i in range(backend.n)]
+        return collected_by_subsets(backend, _abelian_ranges(orders), "canonical")
+    if isinstance(backend, FreeBackend):
+        return reduced_by_subsets(backend.alphabet)
+    words = (Word(backend.alphabet, ls) for ls in backend._canon.values())
+    return word_set_by_subsets(words, backend.alphabet, "canonical")
+
+
+def coset_language_by_subsets(ctx) -> Optional[Dfa]:
+    """An edge context's coset language, rebuilt; None where the package
+    learns it (dependent abelian generators) or has no automaton."""
+    if isinstance(ctx, TrivialSubgroup):
+        return canonical_by_subsets(ctx.parent)
+    if isinstance(ctx, AbelianSubgroup):
+        if not ctx._independent:
+            return None
+        return collected_by_subsets(ctx.parent, _abelian_ranges(ctx._orders), "cosets")
+    if isinstance(ctx, FreeCyclicSubgroup):
+        if len(ctx.gen) != 1:
+            return None
+        g = ctx.gen.letters[0]
+        alphabet = ctx.parent.alphabet
+        return reduced_by_subsets(alphabet, (g, alphabet.inv[g]), "cosets")
+    return word_set_by_subsets(ctx._rep_word.values(), ctx.parent.alphabet, "cosets")
+
+
+def higgins_by_subsets(system, base) -> Dfa:
+    """The Higgins (coset) automaton at base: one automaton state per
+    (component, component state, segment still empty), every triple up front,
+    with the moves Pi1System.higgins_automaton documents."""
+    kind, anchor = base
+    base_vertex = anchor if kind == "group" else anchor.dst
+    comps = {None: system._component_dfa(base)}
+    for e in system.gog.graph.edges.values():
+        comps[e] = system._component_dfa(("coset", e))
+    nfa = Nfa(system.alphabet)
+    index = {(marker, q, fresh): nfa.add_state()
+             for marker, dfa in comps.items()
+             for q in range(dfa.n_states) for fresh in (True, False)}
+    nfa.starts = {index[(None, comps[None].start, True)]}
+    nfa.accepting = {i for (marker, q, _f), i in index.items() if q in comps[marker].accepting}
+    for (marker, q, fresh), i in index.items():
+        dfa = comps[marker]
+        cur = base_vertex if marker is None else marker.dst
+        for xl in range(len(system.alphabet)):
+            k = system.alphabets.kind_x[xl]
+            if k[0] == "v" and k[1] == cur:
+                t = dfa.step(q, k[2])
+                if t is not None:
+                    nfa.add_edge(i, xl, index[(marker, t, False)])
+                continue
+            if q not in dfa.accepting:
+                continue
+            if k[0] == "v":
+                tpath = system.tree_path(cur, k[1])
+                if marker is not None and tpath[0] is marker.reverse and fresh:
+                    continue
+                last = tpath[-1]
+                t = comps[last].step(comps[last].start, k[2])
+                if t is not None:
+                    nfa.add_edge(i, xl, index[(last, t, False)])
+            else:
+                f = k[1]
+                tpath = system.tree_path(cur, f.src)
+                first = tpath[0] if tpath else f
+                if marker is not None and first is marker.reverse and fresh:
+                    continue
+                nfa.add_edge(i, xl, index[(f, comps[f].start, True)])
+    return determinize(nfa, "higgins")

@@ -5,12 +5,15 @@ import pytest
 
 from higgins.backends import (
     BackendError, IntLattice, AbelianBackend, AbelianSubgroup, FiniteBackend,
-    FiniteSubgroup, FreeBackend, FreeCyclicSubgroup, TrivialSubgroup,
+    FiniteSubgroup, FreeBackend, FreeCyclicSubgroup, TrivialSubgroup, _collected_dfa,
 )
 from higgins.certify import CayleyBall
 from higgins.fsa import enumerate_language
 from higgins.words import Word, all_words, free_reduce, invert
-from oracles import scanned_chosen, table_closure, table_search
+from oracles import (
+    canonical_by_subsets, collected_by_subsets, coset_language_by_subsets, scanned_chosen,
+    table_closure, table_search,
+)
 
 
 # --- brute-force oracles ------------------------------------------------------
@@ -277,6 +280,25 @@ def test_abelian_labelled_spheres_match_the_scan_per_query():
     assert dependent >= 10
 
 
+def test_abelian_automata_equal_the_subset_construction():
+    # collected words under random exponent ranges, and the canonical and
+    # independent coset languages of seeded subgroups, state for state
+    rng = random.Random(25)
+    for _ in range(60):
+        G = AbelianBackend(rng.randint(0, 2), [rng.randint(2, 6) for _ in range(rng.randint(1, 2))])
+        ranges = [(rng.choice((None, 0, 1, 2, 3)), rng.choice((None, 0, 1, 2, 3)))
+                  for _ in range(G.n)]
+        assert _collected_dfa(G, ranges, "r") == collected_by_subsets(G, ranges, "r")
+    independent = 0
+    for _ in range(40):
+        G, H = _seeded_abelian_subgroup(rng)
+        assert G.canonical_language == canonical_by_subsets(G)
+        if H._independent:
+            independent += 1
+            assert H.coset_language == coset_language_by_subsets(H)
+    assert independent >= 10
+
+
 @pytest.mark.parametrize("rank, torsion, gens", [
     (1, [4], ["x1 t"]), (1, [4], ["x1 x1 t"]),
     (1, [2, 3], ["x1 t1 t2"]), (2, [2], ["x1 t", "x2 x2"]),
@@ -350,6 +372,15 @@ def test_free_canonical_and_ball():
     dfa = F.canonical_language
     for w in all_words(F.alphabet, 4):
         assert dfa.accepts(w) == (free_reduce(w) == w)
+
+
+def test_free_automata_equal_the_subset_construction():
+    for rank in (1, 2, 3):
+        F = FreeBackend(rank)
+        assert F.canonical_language == canonical_by_subsets(F)
+        for g in F.alphabet.names:
+            H = FreeCyclicSubgroup(F, F.alphabet.word(g))
+            assert H.coset_language == coset_language_by_subsets(H)
 
 
 def test_free_cyclic_membership():

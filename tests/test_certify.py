@@ -21,10 +21,13 @@ from higgins.certify import (
 )
 from higgins.config import load_config
 from higgins.cosets import CosetSystem
-from higgins.fsa import LazyLanguage, enumerate_language, word_set_dfa
-from higgins.gog import DirectedGraph, GraphOfGroups
+from higgins.fsa import Dfa, LazyLanguage, enumerate_language, word_set_dfa
+from higgins.gog import DirectedGraph, GogError, GraphOfGroups
 from higgins.words import Word, all_words, invert, prefix
-from oracles import aligns_by_grid, async_by_grid, brute_ball, keyed_sweep, sweep_without_reuse
+from oracles import (
+    aligns_by_grid, async_by_grid, brute_ball, canonical_by_subsets, concat_by_subsets,
+    coset_language_by_subsets, higgins_by_subsets, keyed_sweep, sweep_without_reuse,
+)
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -889,6 +892,12 @@ HIGGINS_CERTIFICATES = {
     "dependent_amalgam.gog": (1, 25, 1, 19, 1),
     "hnn_f2.gog": (2, 2287, 2, 495, 4),
     "path_tree_hnn.gog": (3, 3573, 3, 759, 4),
+    "artin_i2_5.gog": (3, 247, 3, 113, 4),
+    "coxeter_d_inf.gog": (1, 25, 1, 19, 1),
+    "coxeter_psl2z.gog": (1, 76, 1, 48, 1),
+    "klein_bottle.gog": (1, 169, 2, 97, 2),
+    # the synchronous constant grows with the radius (BS(1, 2) is not automatic)
+    "bs_1_2.gog": (3, 217, 2, 105, 4),
 }
 
 
@@ -906,3 +915,37 @@ def test_higgins_language_certificates(config):
                                  R, mode)
         got.append((cert.K_observed, cert.pairs_tested, cert.bounded))
     assert got == [(K_async, pairs4, True), (K_sync3, pairs3, True), (K_sync4, pairs4, True)]
+
+
+@pytest.mark.parametrize("config", LAW_CONFIGS)
+def test_law_config_automata_equal_the_subset_construction(config, monkeypatch):
+    # every component language with a rebuilt counterpart, the Higgins
+    # automaton at every base and the concatenation structure of every
+    # abelian edge context, state for state
+    system = shipped_system(config)
+    gog = system.gog
+    for v in sorted(gog.graph.vertices):
+        backend = gog.backend(v)
+        assert backend.canonical_language == canonical_by_subsets(backend)
+    edges = [gog.graph.edges[name] for name in sorted(gog.graph.edges)]
+    for e in edges:
+        want = coset_language_by_subsets(gog.ctx(e))
+        assert want is None or gog.ctx(e).coset_language == want
+    built = 0
+    for base in [("group", v) for v in sorted(gog.graph.vertices)] + [("coset", e) for e in edges]:
+        try:
+            got = system.higgins_automaton(base)
+        except GogError:
+            continue
+        assert got == higgins_by_subsets(system, base), base
+        built += 1
+    assert built or config == "hnn_f2.gog"
+    # the structure is an automaton where every subgroup generator is a letter
+    abelian = [gog.ctx(e) for e in edges if isinstance(gog.ctx(e), AbelianSubgroup)
+               and all(len(gw) == 1 for gw in gog.ctx(e).gen_words)]
+    got = [concat_structure(ctx.presentation.coset_language, CosetSystem(ctx))[0]
+           for ctx in abelian]
+    assert all(isinstance(lang, Dfa) for lang in got)
+    monkeypatch.setattr(higgins.certify, "dfa_concat", concat_by_subsets)
+    for ctx, lang in zip(abelian, got):
+        assert lang == concat_structure(ctx.presentation.coset_language, CosetSystem(ctx))[0]

@@ -7,9 +7,14 @@ from higgins.fsa import (
     Dfa, DfaFormatError, LazyLanguage, complement, concat, dfa_from_text,
     dfa_to_text, enumerate_language, intersect, minimize, union, word_set_dfa,
 )
-from higgins.words import Alphabet, all_words
+from higgins.words import Alphabet, Word, all_words
+from oracles import (
+    complement_by_subsets, concat_by_subsets, intersect_by_subsets, union_by_subsets,
+    word_set_by_subsets,
+)
 
 AB = Alphabet(["a", "b"])
+AS = Alphabet(["a", "s"], self_inverse=["s"])
 
 
 def words(*texts):
@@ -66,6 +71,24 @@ def test_boolean_ops_agree_with_enumeration():
         assert enum_set(union(d1, d2), 6) == s1 | s2
         full = {w.letters for w in all_words(AB, 6)}
         assert enum_set(complement(d1), 6) == full - s1
+
+
+def test_constructions_equal_the_subset_construction():
+    # state for state, not only as languages: seeded pairs over a free and a
+    # partly self-inverse alphabet, each automaton with a random start state
+    rng = random.Random(25)
+    for i in range(300):
+        alphabet = (AB, AS)[i % 2]
+        d1, d2 = random_dfa(rng, alphabet), random_dfa(rng, alphabet)
+        d1.start, d2.start = rng.randrange(d1.n_states), rng.randrange(d2.n_states)
+        assert concat(d1, d2) == concat_by_subsets(d1, d2)
+        assert union(d1, d2) == union_by_subsets(d1, d2)
+        assert intersect(d1, d2) == intersect_by_subsets(d1, d2)
+        assert complement(d1) == complement_by_subsets(d1)
+        m = len(alphabet)
+        ws = [Word(alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(5))))
+              for _ in range(rng.randrange(6))]
+        assert word_set_dfa(ws, alphabet) == word_set_by_subsets(ws, alphabet)
 
 
 def test_minimize_idempotent_and_language_preserving():
