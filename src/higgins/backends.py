@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import fsa
 from .cosets import CayleyBall, WordMetric
-from .fsa import Dfa, LazyLanguage, Nfa, determinize, minimize, word_set_dfa
+from .fsa import Dfa, LazyLanguage, minimize, word_set_dfa
 from .words import Alphabet, Word, WordMap, free_reduce, invert, shortlex_key
 
 
@@ -339,36 +339,27 @@ class AbelianBackend(VertexBackend):
 
 
 def _collected_dfa(backend: AbelianBackend, ranges, name) -> Dfa:
-    """DFA of collected words with per-factor exponent ranges.
+    """Minimal DFA of collected words with per-factor exponent ranges.
 
     ranges[i] = (max_pos, max_neg) with None meaning unbounded; (0, 0) means
-    the factor is skipped entirely.
+    the factor is skipped entirely.  A state is the run being read, (factor,
+    sign, run length), where an unbounded run keeps length 1.
     """
-    nfa = Nfa(backend.alphabet)
-    chain = [nfa.add_state() for _ in range(backend.n + 1)]
-    nfa.starts = {chain[0]}
-    nfa.accepting = {chain[backend.n]}
-    for i in range(backend.n):
-        nfa.add_eps(chain[i], chain[i + 1])
-        max_pos, max_neg = ranges[i]
-        for sign, letter, bound in ((1, backend.pos[i], max_pos), (-1, backend.neg[i], max_neg)):
-            if bound == 0:
-                continue
-            if letter == backend.pos[i] and sign < 0:
-                continue  # self-inverse letter: only the positive run exists
+    def step(run, letter):
+        i, s, _d = backend._letter_vec[letter]
+        factor, sign, length = run
+        bound = ranges[i][0 if s > 0 else 1]
+        if (i, s) == (factor, sign):
             if bound is None:
-                s = nfa.add_state()
-                nfa.add_edge(chain[i], letter, s)
-                nfa.add_edge(s, letter, s)
-                nfa.add_eps(s, chain[i + 1])
-            else:
-                prev = chain[i]
-                for _ in range(bound):
-                    s = nfa.add_state()
-                    nfa.add_edge(prev, letter, s)
-                    nfa.add_eps(s, chain[i + 1])
-                    prev = s
-    return minimize(determinize(nfa, name))
+                return run
+            length += 1
+        elif i > factor:
+            length = 1
+        else:
+            return None
+        return (i, s, length) if bound is None or length <= bound else None
+
+    return minimize(fsa.explore(backend.alphabet, (-1, 0, 0), step, lambda run: True, name))
 
 
 # coset language synthesis for non-independent subgroups: residual
@@ -574,11 +565,12 @@ class AbelianSubgroup(SubgroupContext):
     def _synthesize_dfa(self) -> Dfa:
         """Learn the representative language from the exact exponent oracle.
 
-        States are residual signatures observed through a fixed window; the
-        result is verified against the oracle on every collected word up to
+        States are residual signatures observed through a fixed window, each
+        stepped from the first word found with it; the result is verified against the oracle on every collected word up to
         the horizon and the construction fails loudly on any disagreement.
         """
         alpha = self.parent.alphabet
+        first = {}  # signature -> the first word found with it
 
         def signature(letters):
             word = Word(alpha, letters)
@@ -590,29 +582,21 @@ class AbelianSubgroup(SubgroupContext):
                     acc.append(ext)
             return frozenset(acc)
 
-        sig0 = signature(())
-        states = {sig0: 0}
-        reps = [()]
-        transitions = {}
-        qi = 0
-        while qi < len(reps):
-            u = reps[qi]
+        def step(sig, letter):
+            # a letter that leaves the collected words gives None via is_rep
+            u = first[sig]
             if len(u) >= DFA_HORIZON:
                 raise BackendError(
                     "coset language synthesis did not close within its "
                     f"horizon of {DFA_HORIZON} letters")
-            for ext in self._collected_extensions(u, 1):
-                if not ext:
-                    continue
-                sig = signature(u + ext)
-                if sig is None:
-                    continue
-                if sig not in states:
-                    states[sig] = len(reps)
-                    reps.append(u + ext)
-                transitions[(qi, ext[0])] = states[sig]
-            qi += 1
-        dfa = fsa._trim(Dfa(alpha, len(reps), 0, set(range(len(reps))), transitions, "cosets"))
+            nxt = signature(u + (letter,))
+            if nxt is not None:
+                first.setdefault(nxt, u + (letter,))
+            return nxt
+
+        sig0 = signature(())
+        first[sig0] = ()
+        dfa = fsa.explore(alpha, sig0, step, lambda sig: True, "cosets")
         self._verify_dfa(dfa)
         return minimize(dfa)
 
@@ -719,15 +703,11 @@ class FreeBackend(VertexBackend):
 
     @cached_property
     def canonical_language(self) -> Dfa:
-        m = len(self.alphabet)
+        """Freely reduced words; a state is the last letter, -1 before the first."""
         inv = self.alphabet.inv
-        transitions = {}
-        for x in range(m):
-            transitions[(0, x)] = x + 1
-            for y in range(m):
-                if inv[x] != y:
-                    transitions[(x + 1, y)] = y + 1
-        return Dfa(self.alphabet, m + 1, 0, set(range(m + 1)), transitions, "reduced")
+        return fsa.explore(self.alphabet, -1,
+                           lambda last, x: x if last < 0 or inv[last] != x else None,
+                           lambda last: True, "reduced")
 
 
 class FreeCyclicSubgroup(SubgroupContext):
@@ -785,13 +765,10 @@ class FreeCyclicSubgroup(SubgroupContext):
             g = self.gen.letters[0]
             gi = self.parent.alphabet.inv[g]
             base = self.parent.canonical_language
-            transitions = {
-                (s, x): t for (s, x), t in base.transitions.items()
-                if not (s == base.start and x in (g, gi))
-            }
-            return fsa._trim(Dfa(
-                self.parent.alphabet, base.n_states, base.start,
-                base.accepting, transitions, "cosets"))
+            return fsa.explore(
+                self.parent.alphabet, base.start,
+                lambda s, x: None if s == base.start and x in (g, gi) else base.step(s, x),
+                base.accepting.__contains__, "cosets")
         return LazyLanguage(
             self.parent.alphabet,
             membership=lambda w: free_reduce(w) == w and self.coset_rep(w) == w,

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .backends import SubgroupContext
-from .fsa import Dfa, LazyLanguage
+from .fsa import Dfa, LazyLanguage, explore
 from .gog import (
     Edge, GogError, GraphOfGroups, InflatedWord, SpanningTree, StableAlphabets, maximal_tree,
 )
@@ -228,75 +228,47 @@ class Pi1System:
 
     def higgins_automaton(self, base) -> Dfa:
         """Product automaton for the Higgins (coset) language over the
-        working alphabet.
+        working alphabet, explored from its start.
 
-        States carry the current component (base segment or edge coset
-        language), its automaton state, and whether the segment is still
-        empty; stable letters and implicit tree moves are allowed only along
-        valid paths and only where an empty segment is permitted.
+        A state is (marker, q, fresh): the current component (None for the
+        base segment, else the edge whose coset language the segment reads),
+        its automaton state, and whether the segment is still empty.  Stable
+        letters and implicit tree moves are allowed only along valid paths and
+        only where an empty segment is permitted.
         """
         kind, anchor = base
         base_vertex = anchor if kind == "group" else anchor.dst
-        base_dfa = self._component_dfa(base)
-        edge_dfas = {name: self._component_dfa(("coset", e))
-                     for name, e in self.gog.graph.edges.items()}
+        comps = {None: self._component_dfa(base)}
+        comps.update((e, self._component_dfa(("coset", e)))
+                     for e in self.gog.graph.edges.values())
+        kind_x = self.alphabets.kind_x
 
-        def comp(marker):
-            return base_dfa if marker is None else edge_dfas[marker.name]
+        def step(state, xl):
+            marker, q, fresh = state
+            dfa = comps[marker]
+            cur = base_vertex if marker is None else marker.dst
+            k = kind_x[xl]
+            if k[0] == "v" and k[1] == cur:
+                t = dfa.step(q, k[2])
+                return None if t is None else (marker, t, False)
+            if q not in dfa.accepting:
+                return None
+            if k[0] == "v":
+                tpath = self.tree_path(cur, k[1])
+                if marker is not None and tpath[0] is marker.reverse and fresh:
+                    return None
+                last = tpath[-1]
+                t = comps[last].step(comps[last].start, k[2])
+                return None if t is None else (last, t, False)
+            f = k[1]
+            tpath = self.tree_path(cur, f.src)
+            first = tpath[0] if tpath else f
+            if marker is not None and first is marker.reverse and fresh:
+                return None
+            return (f, comps[f].start, True)
 
-        def vertex_of(marker):
-            return base_vertex if marker is None else marker.dst
-
-        start = (None, base_dfa.start, True)
-        index = {start: 0}
-        order = [start]
-        transitions = {}
-        qi = 0
-        while qi < len(order):
-            marker, q, fresh = order[qi]
-            dfa = comp(marker)
-            cur = vertex_of(marker)
-
-            def add(letter, state):
-                if state not in index:
-                    index[state] = len(order)
-                    order.append(state)
-                transitions[(qi, letter)] = index[state]
-
-            for xl in range(len(self.alphabet)):
-                k = self.alphabets.kind_x[xl]
-                if k[0] == "v":
-                    _, v, bl = k
-                    if v == cur:
-                        t = dfa.step(q, bl)
-                        if t is not None:
-                            add(xl, (marker, t, False))
-                    else:
-                        if q not in dfa.accepting:
-                            continue
-                        tpath = self.tree_path(cur, v)
-                        if marker is not None and tpath[0] is marker.reverse and fresh:
-                            continue
-                        last = tpath[-1]
-                        t = edge_dfas[last.name].step(edge_dfas[last.name].start, bl)
-                        if t is not None:
-                            add(xl, (last, t, False))
-                else:
-                    f = k[1]
-                    if q not in dfa.accepting:
-                        continue
-                    tpath = self.tree_path(cur, f.src)
-                    first = tpath[0] if tpath else f
-                    if marker is not None and first is marker.reverse and fresh:
-                        continue
-                    add(xl, (f, edge_dfas[f.name].start, True))
-            qi += 1
-        accepting = {
-            i for i, (marker, q, _fresh) in enumerate(order)
-            if q in comp(marker).accepting
-        }
-        from .fsa import _trim
-        return _trim(Dfa(self.alphabet, len(order), 0, accepting, transitions, "higgins"))
+        return explore(self.alphabet, (None, comps[None].start, True), step,
+                       lambda state: state[1] in comps[state[0]].accepting, "higgins")
 
     # -- incremental right-to-left driver --------------------------------------
 

@@ -80,12 +80,13 @@ def cmd_nf(args) -> int:
 
 def cmd_enum(args) -> int:
     config = load_config(args.config)
+    if args.check_unique and args.language == "component":
+        raise ConfigError(0, "--check-unique applies to higgins/coset languages")
     if args.language == "component":
         if not args.component or args.component not in config.subgroups:
             raise ConfigError(0, "component enumeration needs --component <subgroup>")
         lang = config.subgroups[args.component][0].coset_language
         words = enumerate_language(lang, args.max_len)
-        system = None
     else:
         system = config.system()
         if args.language == "higgins":
@@ -102,8 +103,6 @@ def cmd_enum(args) -> int:
     for w in words:
         _emit(str(w))
     if args.check_unique:
-        if system is None:
-            raise ConfigError(0, "--check-unique applies to higgins/coset languages")
         keys = {}
         for w in words:
             k = (system.normal_form(w).letters if args.language == "higgins"

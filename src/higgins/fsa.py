@@ -1,9 +1,13 @@
 """Deterministic finite automata over generator alphabets.
 
 States are 0..n-1 with state 0 the start after canonicalization.  Transition
-functions are partial (missing entry = implicit dead state).  All construction
-functions prune unreachable/dead states and renumber by breadth-first search in
-letter order, so equal languages built the same way yield identical objects.
+functions are partial (missing entry = implicit dead state).  Every automaton
+is built by explore: its states are found breadth-first in letter order from
+the start, by a step function over any hashable states (pairs for products,
+state sets for concatenation, prefixes for word sets), and then trimmed of
+states that cannot accept, so equal languages built the same way yield
+identical objects.  minimize is Hopcroft's refinement; dfa_from_text reads
+the text format.
 """
 
 from __future__ import annotations
@@ -50,64 +54,29 @@ class Dfa:
         return f"<dfa {self.name}: {self.n_states} states, {len(self.transitions)} transitions>"
 
 
-class Nfa:
-    """Nondeterministic automaton with epsilon moves; construction scratchpad."""
+def explore(alphabet, start, step: Callable, accepting: Callable, name="dfa") -> Dfa:
+    """The automaton of the states reachable from start, trimmed.
 
-    def __init__(self, alphabet):
-        self.alphabet = alphabet
-        self.n_states = 0
-        self.starts: set[int] = set()
-        self.accepting: set[int] = set()
-        self.trans: dict[tuple[int, int], set[int]] = {}
-        self.eps: dict[int, set[int]] = {}
-
-    def add_state(self) -> int:
-        self.n_states += 1
-        return self.n_states - 1
-
-    def add_edge(self, s, letter, t):
-        self.trans.setdefault((s, letter), set()).add(t)
-
-    def add_eps(self, s, t):
-        self.eps.setdefault(s, set()).add(t)
-
-    def eps_closure(self, states: Iterable[int]) -> frozenset:
-        seen = set(states)
-        todo = list(seen)
-        while todo:
-            s = todo.pop()
-            for t in self.eps.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(seen)
-
-
-def determinize(nfa: Nfa, name="dfa") -> Dfa:
-    """Subset construction; output states numbered in BFS letter order."""
-    m = len(nfa.alphabet)
-    start = nfa.eps_closure(nfa.starts)
+    step(state, letter) gives the next state, any hashable value, or None for
+    no move; accepting(state) says whether a state accepts.  States are found
+    breadth-first in letter order, so every construction numbers them alike.
+    """
     index = {start: 0}
     order = [start]
     transitions = {}
-    qi = 0
-    while qi < len(order):
-        cur = order[qi]
-        qi += 1
-        for letter in range(m):
-            nxt = set()
-            for s in cur:
-                nxt |= nfa.trans.get((s, letter), set())
-            if not nxt:
+    letters = range(len(alphabet))
+    for qi, state in enumerate(order):  # order grows as states are found
+        for letter in letters:
+            nxt = step(state, letter)
+            if nxt is None:
                 continue
-            closed = nfa.eps_closure(nxt)
-            if closed not in index:
-                index[closed] = len(order)
-                order.append(closed)
-            transitions[(index[cur], letter)] = index[closed]
-    accepting = {index[ss] for ss in order if ss & nfa.accepting}
-    dfa = Dfa(nfa.alphabet, len(order), 0, accepting, transitions, name)
-    return _trim(dfa)
+            t = index.get(nxt)
+            if t is None:
+                t = index[nxt] = len(order)
+                order.append(nxt)
+            transitions[(qi, letter)] = t
+    accepts = {i for i, state in enumerate(order) if accepting(state)}
+    return _trim(Dfa(alphabet, len(order), 0, accepts, transitions, name))
 
 
 def _trim(dfa: Dfa) -> Dfa:
@@ -218,17 +187,6 @@ def minimize(dfa: Dfa) -> Dfa:
     return _trim(out)
 
 
-def _to_nfa(dfa: Dfa) -> Nfa:
-    nfa = Nfa(dfa.alphabet)
-    for _ in range(dfa.n_states):
-        nfa.add_state()
-    nfa.starts = {dfa.start}
-    nfa.accepting = set(dfa.accepting)
-    for (s, a), t in dfa.transitions.items():
-        nfa.add_edge(s, a, t)
-    return nfa
-
-
 def _check_same_alphabet(a: Dfa, b: Dfa):
     if a.alphabet != b.alphabet:
         raise AlphabetError("automata over different alphabets")
@@ -236,87 +194,65 @@ def _check_same_alphabet(a: Dfa, b: Dfa):
 
 def intersect(a: Dfa, b: Dfa, name="intersection") -> Dfa:
     _check_same_alphabet(a, b)
-    m = len(a.alphabet)
-    index = {(a.start, b.start): 0}
-    order = [(a.start, b.start)]
-    transitions = {}
-    qi = 0
-    while qi < len(order):
-        s1, s2 = order[qi]
-        for letter in range(m):
-            t1 = a.transitions.get((s1, letter))
-            t2 = b.transitions.get((s2, letter))
-            if t1 is None or t2 is None:
-                continue
-            key = (t1, t2)
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            transitions[(qi, letter)] = index[key]
-        qi += 1
-    accepting = {
-        i for i, (s1, s2) in enumerate(order) if s1 in a.accepting and s2 in b.accepting
-    }
-    return _trim(Dfa(a.alphabet, len(order), 0, accepting, transitions, name))
+
+    def step(pair, letter):
+        t1 = a.transitions.get((pair[0], letter))
+        t2 = b.transitions.get((pair[1], letter))
+        return None if t1 is None or t2 is None else (t1, t2)
+
+    return explore(a.alphabet, (a.start, b.start), step,
+                   lambda pair: pair[0] in a.accepting and pair[1] in b.accepting, name)
 
 
 def union(a: Dfa, b: Dfa, name="union") -> Dfa:
+    """States are pairs, with None for a side that has no move left."""
     _check_same_alphabet(a, b)
-    nfa = Nfa(a.alphabet)
-    na = _to_nfa(a)
-    shift = na.n_states
-    nfa.n_states = a.n_states + b.n_states
-    nfa.starts = {a.start, b.start + shift}
-    nfa.accepting = set(a.accepting) | {s + shift for s in b.accepting}
-    nfa.trans = {k: set(v) for k, v in na.trans.items()}
-    for (s, x), t in b.transitions.items():
-        nfa.add_edge(s + shift, x, t + shift)
-    return determinize(nfa, name)
+
+    def step(pair, letter):
+        t1 = a.transitions.get((pair[0], letter))
+        t2 = b.transitions.get((pair[1], letter))
+        return None if t1 is None and t2 is None else (t1, t2)
+
+    return explore(a.alphabet, (a.start, b.start), step,
+                   lambda pair: pair[0] in a.accepting or pair[1] in b.accepting, name)
 
 
 def complement(a: Dfa, name="complement") -> Dfa:
-    """Complement against the full language over a's alphabet."""
-    m = len(a.alphabet)
-    n = a.n_states
-    sink = n
-    transitions = {}
-    for s in range(n + 1):
-        for letter in range(m):
-            transitions[(s, letter)] = a.transitions.get((s, letter), sink) if s < n else sink
-    accepting = {s for s in range(n + 1) if s not in a.accepting}
-    return _trim(Dfa(a.alphabet, n + 1, a.start, accepting, transitions, name))
+    """Complement against the full language over a's alphabet; -1 is the
+    sink that every missing move of a leads to."""
+    return explore(a.alphabet, a.start,
+                   lambda s, letter: a.transitions.get((s, letter), -1),
+                   lambda s: s not in a.accepting, name)
 
 
 def concat(a: Dfa, b: Dfa, name="concat") -> Dfa:
+    """States are (a's state or None, the set of b's states); b starts
+    afresh wherever a accepts."""
     _check_same_alphabet(a, b)
-    nfa = _to_nfa(a)
-    shift = nfa.n_states
-    nfa.n_states += b.n_states
-    for (s, x), t in b.transitions.items():
-        nfa.add_edge(s + shift, x, t + shift)
-    for s in a.accepting:
-        nfa.add_eps(s, b.start + shift)
-    nfa.accepting = {s + shift for s in b.accepting}
-    return determinize(nfa, name)
+
+    def state(s, bs):
+        return s, (bs | {b.start} if s in a.accepting else bs)
+
+    def step(st, letter):
+        s, bs = st
+        t = a.transitions.get((s, letter))
+        ts = frozenset(u for u in (b.transitions.get((q, letter)) for q in bs) if u is not None)
+        return None if t is None and not ts else state(t, ts)
+
+    return explore(a.alphabet, state(a.start, frozenset()), step,
+                   lambda st: not st[1].isdisjoint(b.accepting), name)
 
 
 def word_set_dfa(words: Iterable[Word], alphabet, name="wordset") -> Dfa:
-    """Trie acceptor for a finite set of words."""
-    nfa = Nfa(alphabet)
-    root = nfa.add_state()
-    nfa.starts = {root}
-    for w in words:
-        s = root
-        for x in w.letters:
-            nxt = nfa.trans.get((s, x))
-            if nxt:
-                s = next(iter(nxt))
-            else:
-                t = nfa.add_state()
-                nfa.add_edge(s, x, t)
-                s = t
-        nfa.accepting.add(s)
-    return determinize(nfa, name)
+    """Trie acceptor for a finite set of words; states are prefixes."""
+    accepted = {w.letters for w in words}
+    prefixes = {u[:i] for u in accepted for i in range(len(u) + 1)}
+
+    def step(u, letter):
+        v = u + (letter,)
+        return v if v in prefixes else None
+
+    return explore(alphabet, (), step, accepted.__contains__, name)
 
 
 class LazyLanguage:
@@ -448,6 +384,9 @@ def dfa_from_text(text: str) -> Dfa:
                 accepting = {int(p) for p in parts[1:]}
             elif kind == "trans":
                 s, letter, t = int(parts[1]), parts[2], int(parts[3])
+                if (s, letter) in transitions:
+                    raise DfaFormatError(
+                        lineno, f"second move from state {s} on {letter}: {raw.strip()!r}")
                 transitions[(s, letter)] = t
             else:
                 raise DfaFormatError(lineno, f"unknown directive {kind!r}")

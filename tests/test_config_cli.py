@@ -402,6 +402,27 @@ def test_cmd_fsa_bad_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_cmd_fsa_second_move_on_a_letter_is_a_format_error(capsys, tmp_path):
+    # a later trans line for the same state and letter used to replace the
+    # first silently, so enum printed nothing and exited 0
+    path = tmp_path / "twice.dfa"
+    path.write_text("dfa x\nalphabet a a^-1\nstates 2 start 0\naccept 1\n"
+                    "trans 0 a 1\ntrans 0 a 0\n")
+    code = main(["fsa", "enum", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: line 6: second move from state 0 on a: 'trans 0 a 0'\n"
+
+
+def test_cmd_enum_check_unique_on_a_component_lists_nothing(capsys):
+    # the flag is refused before any word is enumerated
+    code = main(["enum", cfg("abelian_pairs.gog"), "--language", "component",
+                 "--component", "Axis", "--max-len", "2", "--check-unique"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --check-unique applies to higgins/coset languages\n"
+
+
 @pytest.mark.parametrize("op, count, arity", [
     ("concat", 1, 2), ("intersect", 1, 2), ("min", 2, 1), ("enum", 2, 1)])
 def test_cmd_fsa_wrong_file_count_is_a_usage_error(capsys, tmp_path, op, count, arity):
