@@ -24,10 +24,11 @@ Subgroup lengths and finite tables, read off Cayley balls over one letter per
 generator, are checked against searches that multiply by generator words
 (or table elements) step by step.
 An abelian coset's representative, read off L1 spheres labelled once, is
-checked against a scan of the spheres for each query.  Every automaton the
-package explores state by state from its start is checked, state for state,
-against the subset construction of a nondeterministic automaton with
-epsilon moves.
+checked against a scan of the spheres for each query, and a free cyclic
+coset's representative against the least word of its orbit gen^k w.  Every
+automaton the package explores state by state from its start is checked,
+state for state, against the subset construction of a nondeterministic
+automaton with epsilon moves.
 """
 
 import itertools
@@ -279,6 +280,24 @@ def scanned_chosen(ctx, vec) -> tuple:
         if hits:
             return min(hits, key=lambda r: tuple(_pref_key(x) for x in r))
     raise AssertionError(f"no sphere up to {budget} meets the coset of {vec}")
+
+
+# --- free cyclic cosets by an orbit search -------------------------------------
+
+def free_cyclic_rep_by_orbit(gen: Word, w: Word) -> Word:
+    """The shortlex-least word of the right coset <gen> w in a free group:
+    the least free_reduce(gen^k w) over |k| <= 2 |r|, r the reduced w.  That
+    range holds the least word: the reduced gen^k has at least |k| letters
+    (its cyclic core repeats k times), and reducing it against r cancels at
+    most |r| of them and all of r, so for |k| > 2 |r| the product is longer
+    than r itself, the word at k = 0."""
+    r = free_reduce(w)
+    g, g_inv = free_reduce(gen), invert(free_reduce(gen))
+    best, up, down = r, r, r
+    for _ in range(2 * len(r)):
+        up, down = free_reduce(g * up), free_reduce(g_inv * down)
+        best = min(best, up, down, key=shortlex_key)
+    return best
 
 
 # --- balls and finite subgroups by brute force -------------------------------

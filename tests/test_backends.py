@@ -11,8 +11,8 @@ from higgins.certify import CayleyBall
 from higgins.fsa import enumerate_language
 from higgins.words import Word, all_words, free_reduce, invert
 from oracles import (
-    canonical_by_subsets, collected_by_subsets, coset_language_by_subsets, scanned_chosen,
-    table_closure, table_search,
+    canonical_by_subsets, collected_by_subsets, coset_language_by_subsets,
+    free_cyclic_rep_by_orbit, scanned_chosen, table_closure, table_search,
 )
 
 
@@ -425,6 +425,57 @@ def test_free_cyclic_language_agrees():
         assert lazy.accepts(w) == expected
     assert enumerate_language(lazy, 4) == [w for w in all_words(F.alphabet, 4)
                                            if lazy.accepts(w)]
+
+
+def _random_reduced(rng, alphabet, n, cyclic=False):
+    """A seeded freely reduced word of n letters; with cyclic, one whose
+    last letter does not cancel its first."""
+    while True:
+        letters = []
+        while len(letters) < n:
+            x = rng.randrange(len(alphabet))
+            if not letters or alphabet.inv[letters[-1]] != x:
+                letters.append(x)
+        if not cyclic or n < 2 or alphabet.inv[letters[-1]] != letters[0]:
+            return Word(alphabet, tuple(letters))
+
+
+def _free_cyclic_generators():
+    """(rank, generator) pairs: fixed examples, proper powers among them,
+    then seeded cyclically reduced words over F2 and F3."""
+    fixed = [(2, "a"), (2, "b^-1"), (2, "a a"), (2, "a b"), (2, "a a b"), (2, "b a a"),
+             (2, "a b a^-1 b^-1"), (2, "a b a b"), (2, "a b^-1 a^-1 b^-1"),
+             (3, "c"), (3, "a b c"), (3, "c^-1 a b b"), (3, "a c^-1 b a")]
+    gens = [(rank, FreeBackend(rank).alphabet.word(g)) for rank, g in fixed]
+    rng = random.Random(26)
+    for rank in (2, 3):
+        alphabet = FreeBackend(rank).alphabet
+        gens += [(rank, _random_reduced(rng, alphabet, rng.randrange(2, 8), cyclic=True))
+                 for _ in range(4)]
+    return gens
+
+
+def test_free_cyclic_matches_the_orbit_oracle():
+    # coset reps, membership, h_express and the listed coset language against
+    # an orbit search that shares nothing with the context
+    rng = random.Random(27)
+    for rank, gen in _free_cyclic_generators():
+        F = FreeBackend(rank)
+        H = FreeCyclicSubgroup(F, gen)
+        words = list(all_words(F.alphabet, 4))
+        words += [Word(F.alphabet, tuple(rng.randrange(2 * rank) for _ in range(rng.randrange(8, 15))))
+                  for _ in range(40)]
+        for w in words:
+            rep = free_cyclic_rep_by_orbit(gen, w)
+            assert H.coset_rep(w) == rep, f"<{gen}>: {w}"
+            assert H.membership(w) == (len(rep) == 0), f"<{gen}>: {w}"
+            if not rep:
+                h = H.h_express(w)
+                assert free_reduce(h) == h and free_reduce(H.expand(h)) == free_reduce(w)
+        max_len = 6 if rank == 2 else 4
+        reps = [w for w in all_words(F.alphabet, max_len)
+                if free_reduce(w) == w and free_cyclic_rep_by_orbit(gen, w) == w]
+        assert enumerate_language(H.coset_language, max_len) == reps, f"<{gen}>"
 
 
 def test_free_cyclic_rejects_unreduced():
