@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import fsa
 from .cosets import CayleyBall, WordMetric
-from .fsa import Dfa, LazyLanguage, minimize, word_set_dfa
+from .fsa import Dfa, minimize, word_set_dfa
 from .words import Alphabet, Word, WordMap, free_reduce, invert, shortlex_key
 
 
@@ -711,71 +711,80 @@ class FreeBackend(VertexBackend):
 
 
 class FreeCyclicSubgroup(SubgroupContext):
-    """H = <gen> for a cyclically reduced generator word."""
+    """H = <gen>, gen freely reduced, read off its folded graph (Stallings,
+    Invent. Math. 71, 1983; Kapovich-Myasnikov, J. Algebra 248, 2002): for
+    gen = u c u^-1, c cyclically reduced, a stem u from base vertex 0 to a
+    cycle c.  _sigma[q] is the shortlex-least path label to q, found
+    breadth-first in letter order.  A reduced word is in H when it reads back
+    to the base; the least word of its coset is sigma(q), q the vertex where
+    reading stops, then the unread rest."""
 
     def __init__(self, parent: FreeBackend, gen: Word, gen_names=None):
         gen = Word(parent.alphabet, gen.letters)
         if len(gen) == 0 or free_reduce(gen) != gen:
             raise BackendError("subgroup generator must be nonempty and freely reduced")
-        if len(gen) > 1 and parent.alphabet.inv[gen.letters[-1]] == gen.letters[0]:
-            raise BackendError("subgroup generator must be cyclically reduced")
         super().__init__(parent, [gen], gen_names)
         self.gen = gen
+        inv, letters = parent.alphabet.inv, gen.letters
+        stem = next(i for i, x in enumerate(letters) if inv[x] != letters[-1 - i])
+        # vertex i is where letters[:i] ends; the last cycle letter returns to the stem's end
+        n = len(letters) - stem
+        self._edges = {}
+        for i, x in enumerate(letters[:n]):
+            j = i + 1 if i + 1 < n else stem
+            self._edges[i, x] = j
+            self._edges[j, inv[x]] = i
+        self._crossings = {(n - 1, letters[n - 1]): 1, (stem, inv[letters[n - 1]]): -1}
+        self._sigma = {0: ()}
+        queue = [0]
+        for q in queue:
+            for x in range(len(inv)):
+                t = self._edges.get((q, x))
+                if t is not None and t not in self._sigma:
+                    self._sigma[t] = self._sigma[q] + (x,)
+                    queue.append(t)
 
-    def _power_of_gen(self, reduced: Word) -> Optional[int]:
-        L = len(self.gen)
-        if len(reduced) % L:
-            return None
-        k = len(reduced) // L
-        if k == 0:
-            return 0
-        if reduced.letters == self.gen.letters * k:
-            return k
-        if reduced.letters == invert(self.gen).letters * k:
-            return -k
-        return None
+    def _read(self, w: Word):
+        """Read the reduced w from the base: (stop vertex, rest, closing-edge crossings)."""
+        r = free_reduce(w).letters
+        q = k = 0
+        for i, x in enumerate(r):
+            t = self._edges.get((q, x))
+            if t is None:
+                return q, r[i:], k
+            k += self._crossings.get((q, x), 0)
+            q = t
+        return q, (), k
 
     def membership(self, w: Word) -> bool:
-        return self._power_of_gen(free_reduce(w)) is not None
+        return len(self.coset_rep(w)) == 0
 
     def h_express(self, w: Word) -> Word:
-        k = self._power_of_gen(free_reduce(w))
-        if k is None:
+        q, rest, k = self._read(w)
+        if q or rest:
             raise BackendError(f"h_express on non-member {w}")
-        p = self.gen_alphabet.index(self.gen_alphabet.generators[0])
-        letter = p if k > 0 else self.gen_alphabet.inv[p]
-        return Word(self.gen_alphabet, (letter,) * abs(k))
+        return Word(self.gen_alphabet, (0 if k > 0 else self.gen_alphabet.inv[0],) * abs(k))
 
     def coset_rep(self, w: Word) -> Word:
-        """Shortlex-least word in the orbit {gen^k w}."""
-        r = free_reduce(w)
-        best = r
-        window = len(r) // len(self.gen) + 2
-        for sign_gen in (self.gen, invert(self.gen)):
-            cur = r
-            for _ in range(window):
-                cur = free_reduce(sign_gen * cur)
-                if shortlex_key(cur) < shortlex_key(best):
-                    best = cur
-        return best
+        q, rest, _ = self._read(w)
+        return Word(self.parent.alphabet, self._sigma[q] + rest)
 
     @cached_property
-    def coset_language(self):
-        if len(self.gen) == 1:
-            g = self.gen.letters[0]
-            gi = self.parent.alphabet.inv[g]
-            base = self.parent.canonical_language
-            return fsa.explore(
-                self.parent.alphabet, base.start,
-                lambda s, x: None if s == base.start and x in (g, gi) else base.step(s, x),
-                base.accepting.__contains__, "cosets")
-        return LazyLanguage(
-            self.parent.alphabet,
-            membership=lambda w: free_reduce(w) == w and self.coset_rep(w) == w,
-            enumerator=lambda n: [
-                w for w in fsa.enumerate_language(self.parent.canonical_language, n)
-                if self.coset_rep(w) == w],
-            name="cosets")
+    def coset_language(self) -> Dfa:
+        """The words sigma(q) t, t reduced with its first letter missing at q:
+        states (True, q) along the shortlex tree, then (False, last letter)."""
+        edges, sigma, inv = self._edges, self._sigma, self.parent.alphabet.inv
+
+        def step(state, x):
+            on_tree, q = state
+            if not on_tree:
+                return None if inv[q] == x else (False, x)
+            t = edges.get((q, x))
+            if t is None:
+                return (False, x)
+            return (True, t) if sigma[t] == sigma[q] + (x,) else None
+
+        return fsa.explore(self.parent.alphabet, (True, 0), step, lambda state: True, "cosets")
 
 
 # --- finite backend ----------------------------------------------------------

@@ -27,8 +27,7 @@ edge and element with the element of the carry it sends left; finalize
 reads the base element's canonical word or coset rep, memoized by base and
 element.
 Membership in a Higgins (coset) language is scan_word(w, base) == w, and
-Pi1System.language pairs that predicate with the product automaton where one
-exists.  The phase pipeline (inflate, pinch_reduce, cascade) stays only
+Pi1System.language pairs that predicate with the product automaton.  The phase pipeline (inflate, pinch_reduce, cascade) stays only
 behind `nf --trace`: it materializes one round with the connector trace
 printed.
 """
@@ -200,31 +199,18 @@ class Pi1System:
 
     def language(self, base) -> LazyLanguage:
         """The Higgins language at base ("group", v0), or the coset language
-        at ("coset", e0): the words that are their own normal form.  Its dfa
-        is higgins_automaton(base), or None when some component language has
-        no explicit automaton."""
-        try:
-            dfa = self.higgins_automaton(base)
-        except GogError:
-            dfa = None
+        at ("coset", e0): the words that are their own normal form, with
+        higgins_automaton(base) as its dfa."""
         return LazyLanguage(
             self.alphabet,
             membership=lambda w: self.scan_word(w, base) == w,
-            dfa=dfa,
+            dfa=self.higgins_automaton(base),
             name="higgins" if base[0] == "group" else "higgins-cosets")
 
     def _component_dfa(self, base) -> Dfa:
         kind, anchor = base
-        if kind == "group":
-            lang = self.gog.backend(anchor).canonical_language
-        else:
-            lang = self.gog.ctx(anchor).coset_language
-        if isinstance(lang, LazyLanguage):
-            lang = lang.dfa
-        if not isinstance(lang, Dfa):
-            raise GogError(f"{kind} {getattr(anchor, 'name', anchor)}: "
-                           "component language has no explicit automaton")
-        return lang
+        return (self.gog.backend(anchor).canonical_language if kind == "group"
+                else self.gog.ctx(anchor).coset_language)
 
     def higgins_automaton(self, base) -> Dfa:
         """Product automaton for the Higgins (coset) language over the

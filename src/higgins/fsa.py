@@ -358,18 +358,21 @@ class DfaFormatError(ValueError):
 
 def dfa_from_text(text: str) -> Dfa:
     """Parse the text format. The letter list is reconstructed assuming the
-    g, g^-1 layout emitted by dfa_to_text."""
+    g, g^-1 layout emitted by dfa_to_text.  Each header comes once."""
     name = None
     names = None
     n_states = start = None
     accepting: set[int] = set()
-    transitions = {}
+    transitions = {}  # (state, letter name) -> (target, line number)
+    header_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in header_line:
+            raise DfaFormatError(lineno, f"second {kind} line: {raw.strip()!r}")
         try:
             if kind == "dfa":
                 name = parts[1] if len(parts) > 1 else "dfa"
@@ -387,13 +390,15 @@ def dfa_from_text(text: str) -> Dfa:
                 if (s, letter) in transitions:
                     raise DfaFormatError(
                         lineno, f"second move from state {s} on {letter}: {raw.strip()!r}")
-                transitions[(s, letter)] = t
+                transitions[(s, letter)] = (t, lineno)
             else:
                 raise DfaFormatError(lineno, f"unknown directive {kind!r}")
         except (IndexError, ValueError) as exc:
             if isinstance(exc, DfaFormatError):
                 raise
             raise DfaFormatError(lineno, f"malformed line: {raw.strip()!r}") from None
+        if kind != "trans":
+            header_line[kind] = lineno
     if name is None or names is None or n_states is None or start is None:
         raise DfaFormatError(0, "missing dfa/alphabet/states header")
     gens = []
@@ -409,10 +414,13 @@ def dfa_from_text(text: str) -> Dfa:
             i += 1
     alphabet = Alphabet(gens, self_inverse=selfinv)
     resolved = {}
-    for (s, letter), t in transitions.items():
+    for (s, letter), (t, lineno) in transitions.items():
         if not (0 <= s < n_states and 0 <= t < n_states):
-            raise DfaFormatError(0, f"state out of range in trans {s} {letter} {t}")
+            raise DfaFormatError(lineno, f"state out of range in trans {s} {letter} {t}")
+        if letter not in alphabet.names:
+            raise DfaFormatError(lineno, f"unknown letter {letter!r} in trans {s} {letter} {t}")
         resolved[(s, alphabet.index(letter))] = t
-    if not (0 <= start < n_states) or any(not 0 <= s < n_states for s in accepting):
-        raise DfaFormatError(0, "state out of range")
+    for kind, states in (("states", [start]), ("accept", accepting)):
+        if any(not 0 <= s < n_states for s in states):
+            raise DfaFormatError(header_line[kind], f"{kind} line: state out of range")
     return Dfa(alphabet, n_states, start, accepting, resolved, name)

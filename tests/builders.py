@@ -110,9 +110,12 @@ edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
 #
 # Whole configs for shapes the shipped ones lack, each pinned after a crash or
 # a wrong answer: Z *_Z Z over <a^2, a^3>, whose edge generators are
-# dependent (h_express used to reject members), and the HNN extension of F2
-# over <a b>, whose edge coset language has no automaton (enum used to list
-# the vertex group's words instead).  The path tree va - vb - vc of Z
+# dependent (h_express used to reject members), the HNN extension of F2
+# over <a b> (enum used to list the vertex group's words instead of Pi1's),
+# and the HNN extension of F2 by a b a^-1 -> b, Z * Z^2, whose edge
+# generator a b a^-1 is not cyclically reduced (configs used to refuse
+# it); both edge coset languages are read off the generator's folded
+# graph.  The path tree va - vb - vc of Z
 # vertices, with an HNN loop at vc, is the one config whose letters switch
 # along routes of two or three edges (a letter of va read at vc, s_f read at
 # va), the routes the scan's element table leaves to _close_chain.
@@ -142,6 +145,16 @@ edge e: vb -> va subgroup=H reverse_subgroup=K iso=y1->y1; y2->y2
 generators=a b
 [subgroup Hr in F]
 generators=a b
+[graph]
+vertices=v:F
+edge f: v -> v subgroup=H reverse_subgroup=Hr iso=y1->y1
+""",
+    "hnn_f2_stem.gog": """
+[group F] kind=free rank=2 names=a,b
+[subgroup H in F]
+generators=a b a^-1
+[subgroup Hr in F]
+generators=b
 [graph]
 vertices=v:F
 edge f: v -> v subgroup=H reverse_subgroup=Hr iso=y1->y1

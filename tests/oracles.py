@@ -835,6 +835,60 @@ def reduced_by_subsets(alphabet, first_banned=(), name="reduced") -> Dfa:
     return determinize(nfa, name)
 
 
+def free_cyclic_by_subsets(ctx) -> Dfa:
+    """The coset language of <gen> in a free group, rebuilt: the loop
+    labelled gen folded, two vertices merged at a time, until no two edges
+    from a vertex share a letter; sigma(q), the shortlex-least path label to
+    q, relaxed over the edges until it stops changing; then one state per
+    vertex along the shortlex tree and one per last letter once the word
+    has left the graph at a letter missing there."""
+    alphabet = ctx.parent.alphabet
+    inv, gen = alphabet.inv, ctx.gen.letters
+    merged = list(range(len(gen)))
+
+    def find(v):
+        while merged[v] != v:
+            v = merged[v]
+        return v
+
+    edges = {(i, x, (i + 1) % len(gen)) for i, x in enumerate(gen)}
+    edges |= {(t, inv[x], s) for s, x, t in edges}
+    while True:
+        edges = {(find(s), x, find(t)) for s, x, t in edges}
+        moves, clash = {}, None
+        for s, x, t in sorted(edges):
+            if moves.setdefault((s, x), t) != t:
+                clash = (moves[s, x], t)
+                break
+        if clash is None:
+            break
+        merged[max(clash)] = min(clash)
+    sigma, changed = {0: ()}, True
+    while changed:
+        changed = False
+        for (s, x), t in moves.items():
+            label = sigma.get(s, ()) + (x,)
+            if s in sigma and (t not in sigma or (len(label), label) < (len(sigma[t]), sigma[t])):
+                sigma[t], changed = label, True
+    nfa = Nfa(alphabet)
+    tree = {q: nfa.add_state() for q in sorted(sigma)}
+    left = [nfa.add_state() for _ in range(len(alphabet))]
+    nfa.starts = {tree[0]}
+    nfa.accepting = set(range(nfa.n_states))
+    for q, state in tree.items():
+        for x in range(len(alphabet)):
+            t = moves.get((q, x))
+            if t is None:
+                nfa.add_edge(state, x, left[x])
+            elif sigma[t] == sigma[q] + (x,):
+                nfa.add_edge(state, x, tree[t])
+    for x in range(len(alphabet)):
+        for y in range(len(alphabet)):
+            if inv[x] != y:
+                nfa.add_edge(left[x], y, left[y])
+    return determinize(nfa, "cosets")
+
+
 def _abelian_ranges(orders):
     """Exponent ranges of the collected words whose factors have these
     orders (None for infinite)."""
@@ -854,7 +908,7 @@ def canonical_by_subsets(backend) -> Dfa:
 
 def coset_language_by_subsets(ctx) -> Optional[Dfa]:
     """An edge context's coset language, rebuilt; None where the package
-    learns it (dependent abelian generators) or has no automaton."""
+    learns it (dependent abelian generators)."""
     if isinstance(ctx, TrivialSubgroup):
         return canonical_by_subsets(ctx.parent)
     if isinstance(ctx, AbelianSubgroup):
@@ -862,11 +916,7 @@ def coset_language_by_subsets(ctx) -> Optional[Dfa]:
             return None
         return collected_by_subsets(ctx.parent, _abelian_ranges(ctx._orders), "cosets")
     if isinstance(ctx, FreeCyclicSubgroup):
-        if len(ctx.gen) != 1:
-            return None
-        g = ctx.gen.letters[0]
-        alphabet = ctx.parent.alphabet
-        return reduced_by_subsets(alphabet, (g, alphabet.inv[g]), "cosets")
+        return free_cyclic_by_subsets(ctx)
     return word_set_by_subsets(ctx._rep_word.values(), ctx.parent.alphabet, "cosets")
 
 

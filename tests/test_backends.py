@@ -381,6 +381,9 @@ def test_free_automata_equal_the_subset_construction():
         for g in F.alphabet.names:
             H = FreeCyclicSubgroup(F, F.alphabet.word(g))
             assert H.coset_language == coset_language_by_subsets(H)
+    for rank, gen in _free_cyclic_generators():
+        H = FreeCyclicSubgroup(FreeBackend(rank), gen)
+        assert H.coset_language == coset_language_by_subsets(H), f"<{gen}>"
 
 
 def test_free_cyclic_membership():
@@ -419,12 +422,12 @@ def test_free_cyclic_language_agrees():
         expected = free_reduce(w) == w and H.coset_rep(w) == w
         assert lang.accepts(w) == expected
     H2 = FreeCyclicSubgroup(F, F.alphabet.word("a b"))
-    lazy = H2.coset_language
+    lang2 = H2.coset_language
     for w in all_words(F.alphabet, 4):
         expected = free_reduce(w) == w and H2.coset_rep(w) == w
-        assert lazy.accepts(w) == expected
-    assert enumerate_language(lazy, 4) == [w for w in all_words(F.alphabet, 4)
-                                           if lazy.accepts(w)]
+        assert lang2.accepts(w) == expected
+    assert enumerate_language(lang2, 4) == [w for w in all_words(F.alphabet, 4)
+                                            if lang2.accepts(w)]
 
 
 def _random_reduced(rng, alphabet, n, cyclic=False):
@@ -441,17 +444,23 @@ def _random_reduced(rng, alphabet, n, cyclic=False):
 
 
 def _free_cyclic_generators():
-    """(rank, generator) pairs: fixed examples, proper powers among them,
-    then seeded cyclically reduced words over F2 and F3."""
+    """(rank, generator) pairs: fixed examples, proper powers and conjugates
+    among them, then seeded cyclically reduced words over F2 and F3 and
+    seeded conjugates of some of them, freely reduced."""
     fixed = [(2, "a"), (2, "b^-1"), (2, "a a"), (2, "a b"), (2, "a a b"), (2, "b a a"),
              (2, "a b a^-1 b^-1"), (2, "a b a b"), (2, "a b^-1 a^-1 b^-1"),
-             (3, "c"), (3, "a b c"), (3, "c^-1 a b b"), (3, "a c^-1 b a")]
+             (2, "a b a^-1"), (2, "b^-1 a a b"), (2, "b a b a^-1 b^-1"),
+             (3, "c"), (3, "a b c"), (3, "c^-1 a b b"), (3, "a c^-1 b a"),
+             (3, "a b c b^-1 a^-1")]
     gens = [(rank, FreeBackend(rank).alphabet.word(g)) for rank, g in fixed]
     rng = random.Random(26)
     for rank in (2, 3):
         alphabet = FreeBackend(rank).alphabet
-        gens += [(rank, _random_reduced(rng, alphabet, rng.randrange(2, 8), cyclic=True))
+        cores = [_random_reduced(rng, alphabet, rng.randrange(2, 8), cyclic=True)
                  for _ in range(4)]
+        stems = [_random_reduced(rng, alphabet, rng.randrange(1, 4)) for _ in range(2)]
+        gens += [(rank, c) for c in cores]
+        gens += [(rank, free_reduce(u * c * invert(u))) for u, c in zip(stems, cores)]
     return gens
 
 
@@ -479,11 +488,16 @@ def test_free_cyclic_matches_the_orbit_oracle():
 
 
 def test_free_cyclic_rejects_unreduced():
+    # an empty or freely unreduced generator is refused; a reduced one that is
+    # not cyclically reduced folds to a stem and a cycle
     F = FreeBackend(2)
     with pytest.raises(BackendError):
-        FreeCyclicSubgroup(F, F.alphabet.word("a b a^-1"))
+        FreeCyclicSubgroup(F, F.alphabet.word("a b b^-1"))
     with pytest.raises(BackendError):
         FreeCyclicSubgroup(F, F.alphabet.empty())
+    H = FreeCyclicSubgroup(F, F.alphabet.word("a b a^-1"))
+    assert str(H.coset_rep(F.alphabet.word("a b b a^-1 b"))) == "b"
+    assert str(H.h_express(F.alphabet.word("a b^-1 a^-1"))) == "y1^-1"
 
 
 # --- finite backend --------------------------------------------------------------

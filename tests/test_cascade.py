@@ -255,9 +255,9 @@ def test_normal_form_laws(config):
 
 @pytest.mark.parametrize("config", LAW_CONFIGS)
 def test_language_membership_matches_the_parse_oracle(config):
-    """At every base, the language (nf(w) == w) and its automaton, where it
-    has one, accept exactly the words the parse-based oracle accepts; every
-    edge's h_express gives back a member's element and rejects non-members."""
+    """At every base, the language (nf(w) == w) and its automaton accept
+    exactly the words the parse-based oracle accepts; every edge's h_express
+    gives back a member's element and rejects non-members."""
     rng = random.Random(14)
     sys = shipped_system(config)
     words = list(all_words(sys.alphabet, 2)) + [_random_word(rng, sys, 3, 9) for _ in range(60)]
@@ -266,8 +266,7 @@ def test_language_membership_matches_the_parse_oracle(config):
         for w in words + [sys.scan_word(w, base) for w in words]:
             want = higgins_membership(sys, w, base)
             assert lang.accepts(w) == want, f"{config}: {w} at {base}"
-            if lang.dfa is not None:
-                assert lang.dfa.accepts(w) == want, f"{config}: {w} at {base}"
+            assert lang.dfa.accepts(w) == want, f"{config}: {w} at {base}"
     for name in sorted(sys.gog.graph.edges):
         H = Pi1EdgeSubgroup(sys, sys.gog.graph.edges[name])
         m = len(H.gen_alphabet)

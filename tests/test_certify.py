@@ -22,7 +22,7 @@ from higgins.certify import (
 from higgins.config import load_config
 from higgins.cosets import CosetSystem
 from higgins.fsa import Dfa, LazyLanguage, enumerate_language, word_set_dfa
-from higgins.gog import DirectedGraph, GogError, GraphOfGroups
+from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.words import Word, all_words, invert, prefix
 from oracles import (
     aligns_by_grid, async_by_grid, brute_ball, canonical_by_subsets, concat_by_subsets,
@@ -891,6 +891,7 @@ HIGGINS_CERTIFICATES = {
     "trefoil_amalgam.gog": (2, 175, 2, 93, 3),
     "dependent_amalgam.gog": (1, 25, 1, 19, 1),
     "hnn_f2.gog": (2, 2287, 2, 495, 4),
+    "hnn_f2_stem.gog": (2, 2279, 2, 495, 3),
     "path_tree_hnn.gog": (3, 3573, 3, 759, 4),
     "artin_i2_5.gog": (3, 247, 3, 113, 4),
     "coxeter_d_inf.gog": (1, 25, 1, 19, 1),
@@ -920,7 +921,7 @@ def test_higgins_language_certificates(config):
 @pytest.mark.parametrize("config", LAW_CONFIGS)
 def test_law_config_automata_equal_the_subset_construction(config, monkeypatch):
     # every component language with a rebuilt counterpart, the Higgins
-    # automaton at every base and the concatenation structure of every
+    # automaton, built at every base, and the concatenation structure of every
     # abelian edge context, state for state
     system = shipped_system(config)
     gog = system.gog
@@ -931,15 +932,8 @@ def test_law_config_automata_equal_the_subset_construction(config, monkeypatch):
     for e in edges:
         want = coset_language_by_subsets(gog.ctx(e))
         assert want is None or gog.ctx(e).coset_language == want
-    built = 0
     for base in [("group", v) for v in sorted(gog.graph.vertices)] + [("coset", e) for e in edges]:
-        try:
-            got = system.higgins_automaton(base)
-        except GogError:
-            continue
-        assert got == higgins_by_subsets(system, base), base
-        built += 1
-    assert built or config == "hnn_f2.gog"
+        assert system.higgins_automaton(base) == higgins_by_subsets(system, base), base
     # the structure is an automaton where every subgroup generator is a letter
     abelian = [gog.ctx(e) for e in edges if isinstance(gog.ctx(e), AbelianSubgroup)
                and all(len(gw) == 1 for gw in gog.ctx(e).gen_words)]

@@ -265,9 +265,9 @@ def test_cmd_nf_dependent_edge_generators(capsys, tmp_path):
     assert out == "a a\n"
 
 
-def test_cmd_enum_lists_stable_letters_without_an_automaton(capsys, tmp_path):
-    # the edge coset language of <a b> in F2 has no automaton; the language is
-    # still that of Pi1, stable letters included, not the vertex group's
+def test_cmd_enum_lists_stable_letters(capsys, tmp_path):
+    # the language listed is that of Pi1, stable letters included, not the
+    # vertex group's
     code, out = run_cli(capsys, "enum", _regression_config(tmp_path, "hnn_f2.gog"),
                         "--max-len", "2", "--check-unique")
     lines = out.splitlines()

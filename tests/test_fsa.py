@@ -147,6 +147,28 @@ def test_dfa_text_roundtrip():
     assert dfa_to_text(minimize(back)) == text
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("dfa x\nalphabet a a^-1\nstates 2 start 0\naccept 1\naccept 0\ntrans 0 a 1\n",
+     5, "second accept line"),
+    ("dfa x\ndfa y\nalphabet a a^-1\nstates 1 start 0\naccept 0\n", 2, "second dfa line"),
+    ("dfa x\nalphabet a a^-1\nalphabet b b^-1\nstates 1 start 0\naccept 0\n",
+     3, "second alphabet line"),
+    ("dfa x\nalphabet a a^-1\nstates 2 start 0\nstates 1 start 0\naccept 0\n",
+     4, "second states line"),
+    ("dfa x\nalphabet a a^-1\ntrans 0 a 1\nstates 1 start 0\naccept 0\n",
+     3, "state out of range in trans 0 a 1"),
+    ("dfa x\nalphabet a a^-1\nstates 1 start 0\naccept 0\ntrans 0 zz 0\n",
+     5, "unknown letter 'zz'"),
+    ("dfa x\nalphabet a a^-1\nstates 1 start 0\naccept 3\n", 4, "accept line: state out of range"),
+])
+def test_dfa_text_errors_name_their_line(text, lineno, message):
+    # a repeated header used to replace the first one silently, and range
+    # and letter errors used to name no line of the file
+    with pytest.raises(DfaFormatError, match=message) as err:
+        dfa_from_text(text)
+    assert err.value.lineno == lineno
+
+
 def test_dfa_text_errors():
     with pytest.raises(DfaFormatError):
         dfa_from_text("dfa x\nalphabet a a^-1\nstates 1 begin 0\naccept 0\n")
