@@ -724,7 +724,6 @@ class FreeCyclicSubgroup(SubgroupContext):
         if len(gen) == 0 or free_reduce(gen) != gen:
             raise BackendError("subgroup generator must be nonempty and freely reduced")
         super().__init__(parent, [gen], gen_names)
-        self.gen = gen
         inv, letters = parent.alphabet.inv, gen.letters
         stem = next(i for i, x in enumerate(letters) if inv[x] != letters[-1 - i])
         # vertex i is where letters[:i] ends; the last cycle letter returns to the stem's end
@@ -745,29 +744,28 @@ class FreeCyclicSubgroup(SubgroupContext):
                     queue.append(t)
 
     def _read(self, w: Word):
-        """Read the reduced w from the base: (stop vertex, rest, closing-edge crossings)."""
+        """(Letters of the least word of H w, signed closing-edge crossings)."""
         r = free_reduce(w).letters
         q = k = 0
         for i, x in enumerate(r):
             t = self._edges.get((q, x))
             if t is None:
-                return q, r[i:], k
+                return self._sigma[q] + r[i:], k
             k += self._crossings.get((q, x), 0)
             q = t
-        return q, (), k
+        return self._sigma[q], k
 
     def membership(self, w: Word) -> bool:
         return len(self.coset_rep(w)) == 0
 
     def h_express(self, w: Word) -> Word:
-        q, rest, k = self._read(w)
-        if q or rest:
+        rep, k = self._read(w)
+        if rep:
             raise BackendError(f"h_express on non-member {w}")
         return Word(self.gen_alphabet, (0 if k > 0 else self.gen_alphabet.inv[0],) * abs(k))
 
     def coset_rep(self, w: Word) -> Word:
-        q, rest, _ = self._read(w)
-        return Word(self.parent.alphabet, self._sigma[q] + rest)
+        return Word(self.parent.alphabet, self._read(w)[0])
 
     @cached_property
     def coset_language(self) -> Dfa:

@@ -27,9 +27,9 @@ edge and element with the element of the carry it sends left; finalize
 reads the base element's canonical word or coset rep, memoized by base and
 element.
 Membership in a Higgins (coset) language is scan_word(w, base) == w, and
-Pi1System.language pairs that predicate with the product automaton.  The phase pipeline (inflate, pinch_reduce, cascade) stays only
-behind `nf --trace`: it materializes one round with the connector trace
-printed.
+Pi1System.language pairs that predicate with the product automaton.  The
+phase pipeline (inflate, pinch_reduce, cascade) stays only behind `nf
+--trace`: it materializes one round with the connector trace printed.
 """
 
 from __future__ import annotations

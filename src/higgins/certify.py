@@ -245,8 +245,11 @@ def _letter_words(alphabet: Alphabet):
 
 
 def _language_states(lang) -> Optional[int]:
-    dfa = getattr(lang, "dfa", lang)  # a LazyLanguage's automaton, if any
-    return dfa.n_states if isinstance(dfa, Dfa) else None
+    if isinstance(lang, LazyLanguage) and lang.dfa is not None:
+        return lang.dfa.n_states
+    if isinstance(lang, Dfa):
+        return lang.n_states
+    return None
 
 
 def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=None):

@@ -371,7 +371,7 @@ def dfa_from_text(text: str) -> Dfa:
             continue
         parts = line.split()
         kind = parts[0]
-        if kind in header_line:
+        if kind != "trans" and header_line.setdefault(kind, lineno) != lineno:
             raise DfaFormatError(lineno, f"second {kind} line: {raw.strip()!r}")
         try:
             if kind == "dfa":
@@ -397,8 +397,6 @@ def dfa_from_text(text: str) -> Dfa:
             if isinstance(exc, DfaFormatError):
                 raise
             raise DfaFormatError(lineno, f"malformed line: {raw.strip()!r}") from None
-        if kind != "trans":
-            header_line[kind] = lineno
     if name is None or names is None or n_states is None or start is None:
         raise DfaFormatError(0, "missing dfa/alphabet/states header")
     gens = []

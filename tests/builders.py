@@ -112,13 +112,12 @@ edge e: vb -> va subgroup=Hs reverse_subgroup=HsR iso=y1->y1
 # a wrong answer: Z *_Z Z over <a^2, a^3>, whose edge generators are
 # dependent (h_express used to reject members), the HNN extension of F2
 # over <a b> (enum used to list the vertex group's words instead of Pi1's),
-# and the HNN extension of F2 by a b a^-1 -> b, Z * Z^2, whose edge
-# generator a b a^-1 is not cyclically reduced (configs used to refuse
-# it); both edge coset languages are read off the generator's folded
-# graph.  The path tree va - vb - vc of Z
-# vertices, with an HNN loop at vc, is the one config whose letters switch
-# along routes of two or three edges (a letter of va read at vc, s_f read at
-# va), the routes the scan's element table leaves to _close_chain.
+# and the HNN extension of F2 by a b a^-1 -> b, which is Z * Z^2 and whose
+# edge generator is not cyclically reduced (such configs used to be
+# refused).  The path tree va - vb - vc of Z vertices, with an HNN loop at
+# vc, is the one config whose letters switch along routes of two or three
+# edges (a letter of va read at vc, s_f read at va), the routes the scan's
+# element table leaves to _close_chain.
 #
 # Then the paper's families of examples: the Artin group I2(5) as the amalgam
 # <a, b | a^2 = b^5>; the Coxeter groups D_inf = C2 * C2 and PSL(2, Z) =

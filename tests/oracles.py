@@ -287,10 +287,10 @@ def scanned_chosen(ctx, vec) -> tuple:
 def free_cyclic_rep_by_orbit(gen: Word, w: Word) -> Word:
     """The shortlex-least word of the right coset <gen> w in a free group:
     the least free_reduce(gen^k w) over |k| <= 2 |r|, r the reduced w.  That
-    range holds the least word: the reduced gen^k has at least |k| letters
-    (its cyclic core repeats k times), and reducing it against r cancels at
-    most |r| of them and all of r, so for |k| > 2 |r| the product is longer
-    than r itself, the word at k = 0."""
+    range holds the least word.  The reduced gen^k = u c^k u^-1 (c the
+    cyclic core) has at least |k| letters, and appending r cancels at most
+    |r| of them, so for |k| > 2 |r| the product has more than |r| letters,
+    more than the word at k = 0."""
     r = free_reduce(w)
     g, g_inv = free_reduce(gen), invert(free_reduce(gen))
     best, up, down = r, r, r
@@ -843,7 +843,7 @@ def free_cyclic_by_subsets(ctx) -> Dfa:
     vertex along the shortlex tree and one per last letter once the word
     has left the graph at a letter missing there."""
     alphabet = ctx.parent.alphabet
-    inv, gen = alphabet.inv, ctx.gen.letters
+    inv, gen = alphabet.inv, ctx.gen_words[0].letters
     merged = list(range(len(gen)))
 
     def find(v):
@@ -867,9 +867,10 @@ def free_cyclic_by_subsets(ctx) -> Dfa:
     while changed:
         changed = False
         for (s, x), t in moves.items():
-            label = sigma.get(s, ()) + (x,)
-            if s in sigma and (t not in sigma or (len(label), label) < (len(sigma[t]), sigma[t])):
-                sigma[t], changed = label, True
+            if s in sigma:
+                label = sigma[s] + (x,)
+                if t not in sigma or (len(label), label) < (len(sigma[t]), sigma[t]):
+                    sigma[t], changed = label, True
     nfa = Nfa(alphabet)
     tree = {q: nfa.add_state() for q in sorted(sigma)}
     left = [nfa.add_state() for _ in range(len(alphabet))]

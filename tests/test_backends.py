@@ -472,7 +472,8 @@ def test_free_cyclic_matches_the_orbit_oracle():
         F = FreeBackend(rank)
         H = FreeCyclicSubgroup(F, gen)
         words = list(all_words(F.alphabet, 4))
-        words += [Word(F.alphabet, tuple(rng.randrange(2 * rank) for _ in range(rng.randrange(8, 15))))
+        words += [Word(F.alphabet, tuple(rng.randrange(2 * rank)
+                                         for _ in range(rng.randrange(8, 15))))
                   for _ in range(40)]
         for w in words:
             rep = free_cyclic_rep_by_orbit(gen, w)
