@@ -305,15 +305,15 @@ def _memo_words(config):
 
 
 def _closes_recorded(sys, log):
-    """Log (edge name, vertex key, segment letters) for every coset_rep the
-    scan computes at an edge."""
+    """Log (edge name, vertex element, the element's canonical letters) for
+    every split the scan asks of an edge's context."""
     for name, e in sys.gog.graph.edges.items():
         ctx = sys.gog.ctx(e)
 
-        def coset_rep(w, ctx=ctx, name=name, inner=ctx.coset_rep):
-            log.append((name, ctx.parent.key(w), w.letters))
-            return inner(w)
-        ctx.coset_rep = coset_rep
+        def split(elem, ctx=ctx, name=name, inner=ctx.split):
+            log.append((name, elem, ctx.parent.element_word(elem).letters))
+            return inner(elem)
+        ctx.split = split
 
 
 class _NoMemo(dict):
@@ -381,12 +381,12 @@ def test_close_memo_has_one_entry_per_closed_element(config):
     # the last four words are two pairs, each one element spelled two ways
     for short, long in (words[-4:-2], words[-2:]):
         assert memoized.normal_form(short) == memoized.normal_form(long)
-    # every close hands coset_rep the canonical word of its element, so no
-    # element is closed under two spellings
+    # every close hands split an element that is its own key, read off its
+    # canonical word, so no element is closed under two spellings
     for name, key, letters in every:
         parent = memoized.gog.ctx(memoized.gog.graph.edges[name]).parent
         seg = Word(parent.alphabet, letters)
-        assert parent.canonical(seg) == seg == parent.element_word(key), (name, key)
+        assert parent.canonical(seg) == seg and parent.key(seg) == key, (name, key)
     # each pair is computed once, where the unmemoized scan first closes it
     assert [(name, key) for name, key, _ in misses] == list(
         dict.fromkeys((name, key) for name, key, _ in every))
@@ -473,11 +473,12 @@ def _table_words(sys, seed):
 
 
 def _counted_system(config):
-    """A fresh system whose vertex backends count the prepends made outside
-    a backend's own append (an abelian append is a prepend)."""
+    """A fresh system that counts, in counts, the prepends its vertex
+    backends make outside a backend's own append (an abelian append is a
+    prepend), the appends and the scan's _open calls."""
     cfg = shipped_config(config)
     gog = cfg.gog()
-    count = [0]
+    counts = {"prepends": 0, "appends": 0, "opens": 0}
     joining = [0]
     patched = set()
     for v in gog.graph.vertices:
@@ -488,24 +489,50 @@ def _counted_system(config):
         prepend, append = backend.prepend, backend.append
 
         def counted_prepend(x, elem, prepend=prepend):
-            count[0] += not joining[0]
+            counts["prepends"] += not joining[0]
             return prepend(x, elem)
 
         def counted_append(elem, x, append=append):
+            counts["appends"] += 1
             joining[0] += 1
             try:
                 return append(elem, x)
             finally:
                 joining[0] -= 1
         backend.prepend, backend.append = counted_prepend, counted_append
-    return cfg.system(), count
+    sys = cfg.system()
+    open_ = sys._open
+
+    def counted_open(*args):
+        counts["opens"] += 1
+        return open_(*args)
+    sys._open = counted_open
+    return sys, counts
+
+
+def _scan_logging_joins(sys, w, base, counts, joins):
+    """sys.scan_word(w, base), read one letter at a time.  A letter read
+    through a filled switch slot whose node below it pops (a backtrack)
+    logs (the switch, the rep letters below, the _open calls and the
+    appends that letter made)."""
+    state = sys.scan_initial()
+    for xl in reversed(w.letters):
+        eid, tail = state
+        slot = sys._rows[eid][xl]
+        opens, appends = counts["opens"], counts["appends"]
+        state = sys.scan_prepend(state, xl)
+        if type(slot) is tuple and state[1] is tail[2]:
+            joins.append((id(slot), tail[1], counts["opens"] - opens,
+                          counts["appends"] - appends))
+    return sys.scan_finalize(state, base)
 
 
 # LAW_CONFIGS holds the three nf-batch configs of the benchmark
 @pytest.mark.parametrize("config", LAW_CONFIGS)
 def test_element_table_does_each_prepend_once(config):
     """Each (vertex, element) the scan meets has exactly one id, backend.prepend
-    runs once per filled slot of a vertex letter, and the normal forms read
+    runs once per filled slot of a vertex letter, a backtrack through a
+    switch joins each segment below it once, and the normal forms read
     through warm rows, in either word order, and on fresh systems equal the
     phase pipeline's."""
     oracle = shipped_system(config)
@@ -514,10 +541,12 @@ def test_element_table_does_each_prepend_once(config):
     expected = {(w.letters, i): pipeline_normal_form(oracle, w, base)
                 for w in words for i, base in enumerate(bases)}
     for order in (words, words[::-1]):
-        sys, prepends = _counted_system(config)
+        sys, counts = _counted_system(config)
+        joins = []
         for w in order:
             for i, base in enumerate(_bases(sys)):
-                assert sys.scan_word(w, base) == expected[w.letters, i], f"{config}: {w}"
+                got = _scan_logging_joins(sys, w, base, counts, joins)
+                assert got == expected[w.letters, i], f"{config}: {w}"
         assert sys._elems[0] == (None, None)
         assert sys._eids == {key: eid for eid, key in enumerate(sys._elems)}
         assert len(sys._rows) == len(sys._elems)
@@ -527,12 +556,24 @@ def test_element_table_does_each_prepend_once(config):
             assert backend.key(backend.element_word(elem)) == elem, (v, elem)
         vertex_letters = {xl for xl, (_v, bl, _p) in sys._scan_letters.items() if bl is not None}
         filled = sum(type(row[xl]) is int for row in sys._rows[1:] for xl in vertex_letters)
-        assert prepends[0] == filled, f"{config}: {prepends[0]} prepends, {filled} slots"
-    # the second pass reads warm rows: no slot fills again
+        assert counts["prepends"] == filled, f"{config}: {counts['prepends']} prepends, {filled} slots"
+        # the first backtrack through a switch with given letters below
+        # appends them and opens once; every later one reads its id
+        seen = set()
+        for slot, below, opens, appends in joins:
+            first = (slot, below) not in seen
+            seen.add((slot, below))
+            assert (opens, appends) == ((1, len(below)) if first else (0, 0)), (config, below)
+        assert len(joins) > len(seen), f"{config}: no segment is joined twice"
+    # the second pass reads warm rows: no slot fills again, and no join
+    # appends or opens
+    joins = []
     for w in words:
         for i, base in enumerate(_bases(sys)):
-            assert sys.scan_word(w, base) == expected[w.letters, i], f"{config}: {w}"
-    assert prepends[0] == filled
+            got = _scan_logging_joins(sys, w, base, counts, joins)
+            assert got == expected[w.letters, i], f"{config}: {w}"
+    assert counts["prepends"] == filled
+    assert all(opens == appends == 0 for _s, _b, opens, appends in joins), config
     for w in words[::9]:
         fresh = shipped_system(config)
         for i, base in enumerate(_bases(fresh)):
