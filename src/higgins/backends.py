@@ -12,15 +12,19 @@ over the keys.
 A subgroup context (SubgroupContext) gives membership, the coset
 decomposition g = h * coset_rep(g) with h_express(h) over the subgroup
 generators, and a coset language whose only identity-coset representative
-is the empty word.  The base class reads min_coset_length(w) and
+is the empty word; split(e) gives both parts of the decomposition for a
+vertex element e at once.  The base class reads min_coset_length(w) and
 coset_key(w) off the representative; cascade.Pi1EdgeSubgroup and
-experiments.TrefoilCentralizerContext share it.
+experiments.TrefoilCentralizerContext share it.  It reads split off e's
+canonical word.
 
 Abelian groups are handled in exponent space: the subgroup plus the torsion
 relations span an integer lattice, and one Smith decomposition
 U M V = diag(d) of that lattice answers every question asked of it: quotient
 keys (hence membership and minimal coset representatives), the relations
 among the generators, and the coordinates h_express reads off a member.
+AbelianSubgroup.split stays in that space: no word is spelled but the
+representative.
 """
 
 from __future__ import annotations
@@ -202,6 +206,14 @@ class SubgroupContext:
         self.gen_alphabet = Alphabet(gen_names, self_inverse=self_inv)
         # words over the subgroup generators -> parent-alphabet words
         self.expand = WordMap(self.gen_alphabet, self.gen_words, parent.alphabet)
+
+    def split(self, elem):
+        """(coset_rep(g), h_express(g coset_rep(g)^-1)) for g the parent's
+        element elem: its coset representative word and its subgroup part
+        over the generators."""
+        w = self.parent.element_word(elem)
+        rep = self.coset_rep(w)
+        return rep, self.h_express(w * invert(rep))
 
     def min_coset_length(self, w: Word) -> int:
         return len(self.coset_rep(w))
@@ -428,10 +440,20 @@ class AbelianSubgroup(SubgroupContext):
         return Word(alpha, tuple(letters))
 
     def h_express(self, w: Word) -> Word:
-        vec = self.parent.vec(w)
-        x = self.lattice.solve(vec)
+        x = self.lattice.solve(self.parent.vec(w))
         if x is None:
             raise BackendError(f"h_express on non-member {w}")
+        return self._h_word(x)
+
+    def split(self, elem):
+        """The split read in exponent space: the representative's vector is
+        chosen(elem), and elem minus it lies on the lattice."""
+        rep = self.chosen(elem)
+        x = self.lattice.solve(tuple(a - b for a, b in zip(elem, rep)))
+        return self.parent.serialize(rep), self._h_word(x)
+
+    def _h_word(self, x) -> Word:
+        """The word over the generators of the lattice solution x."""
         coeffs = x[: len(self.gen_words)]
         if self.presentation.gen_words:
             # the generators satisfy relations, so the lattice solution is one

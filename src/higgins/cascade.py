@@ -21,11 +21,16 @@ open vertex holds the id of its prepend, and a letter that leaves along one
 edge holds the whole switch: the closed edge and its step, the carry, the id
 the new segment opens with.  Id 0 is the empty word, whose row opens a
 segment at each letter.  One loop, Pi1System._scan, reads every letter as
-two list indexings and a type test.  An empty slot, and any route of two or
-more tree edges, closes through _close_chain, which memoizes each close by
-edge and element with the element of the carry it sends left; finalize
-reads the base element's canonical word or coset rep, memoized by base and
-element.
+two list indexings and a type test.  A switch whose closed segment is in
+the edge subgroup backtracks when the segment below was closed at the
+reverse edge, and joins it into the carry; the switch keeps each join it
+makes, by the rep letters below, so a segment is joined once per switch.
+An empty slot, and any route of two or more tree edges, closes through
+_close_chain, which memoizes each close by edge and element with the
+element of the carry it sends left; a miss asks the edge's context for its
+split of the element, the coset rep and the subgroup part at once.
+Finalize reads the base element's canonical word or coset rep, memoized by
+base and element.
 Membership in a Higgins (coset) language is scan_word(w, base) == w, and
 Pi1System.language pairs that predicate with the product automaton.  The
 phase pipeline (inflate, pinch_reduce, cascade) stays only behind `nf
@@ -268,10 +273,13 @@ class Pi1System:
     # letter of the open vertex or any vertex letter at id 0, or, for a
     # letter that leaves the vertex along one edge e, the switch (e.reverse
     # if the rep is empty else False, e, rep letters, step, the id the new
-    # segment opens with, the carry's element, e.src's backend.append): it
-    # pushes the node, or joins the segment below into the carry when that
-    # node is e.reverse's.  backend.prepend runs once per filled slot of a
-    # vertex letter, and the join reopens through the carry's row.
+    # segment opens with, the carry's element, e.src's backend.append, the
+    # joins): it pushes the node, or joins the segment below into the carry
+    # when that node is e.reverse's.  backend.prepend runs once per filled
+    # slot of a vertex letter.  The join appends the rep letters below to the
+    # carry and reopens through the carry's row; the switch's joins dict
+    # keeps the id that gives, by those letters, since the switch fixes
+    # everything else the join reads (e, the carry and the letter).
 
     def scan_initial(self):
         return (0, _BOTTOM)
@@ -308,19 +316,17 @@ class Pi1System:
         made at edges[0].
 
         A close's coset rep and connector (seg rep^-1 mapped across the edge)
-        are only needed up to the element seg represents, so _closes keeps
-        them, with the carry's element and the step's working letters, per
-        (edge, vertex element)."""
+        are only needed up to the element seg represents, so one ctx.split
+        of that element gives both, and _closes keeps them, with the carry's
+        element and the step's working letters, per (edge, vertex
+        element)."""
         closes = self._closes
         for e in reversed(edges):
             k = (e.name, elem)
             hit = closes.get(k)
             if hit is None:
-                ctx = self.gog.ctx(e)
-                seg = ctx.parent.element_word(elem)
-                rep = ctx.coset_rep(seg)
-                img = self.gog.ctx(e.reverse).expand(
-                    self.gog.apply_iso(e, ctx.h_express(seg * invert(rep))))
+                rep, h = self.gog.ctx(e).split(elem)
+                img = self.gog.ctx(e.reverse).expand(self.gog.apply_iso(e, h))
                 step = self.alphabets.vertex_word_to_x(e.dst, rep)
                 if not self.tree.contains(e):
                     step = (self.alphabets.edge_to_x[e.name],) + step
@@ -346,11 +352,15 @@ class Pi1System:
             elif hit is None:
                 eid, tail = self._fill(eid, xl, tail)
             elif tail[0] is hit[0]:  # backtrack: join the segment beyond
-                e, carry, append = hit[1], hit[5], hit[6]
-                for y in tail[1]:
-                    carry = append(carry, y)
+                joins, below = hit[7], tail[1]
+                joined = joins.get(below)
+                if joined is None:
+                    carry, append = hit[5], hit[6]
+                    for y in below:
+                        carry = append(carry, y)
+                    joined = joins[below] = self._open(hit[1].src, carry, xl)
                 tail = tail[2]
-                eid = self._open(e.src, carry, xl)
+                eid = joined
             else:
                 tail = (hit[1], hit[2], tail, hit[3])
                 eid = hit[4]
@@ -379,7 +389,7 @@ class Pi1System:
             e = edges[0]
             self._rows[eid][xl] = (
                 False if rep else e.reverse, e, rep, step, self._open(v, closed, xl),
-                closed, self.gog.backend(v).append)
+                closed, self.gog.backend(v).append, {})
         return self._open(v, carry, xl), tail
 
     def scan_prepend(self, state, xl: int):
