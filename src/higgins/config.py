@@ -26,14 +26,14 @@ import os
 from typing import Optional
 
 from .backends import (
-    AbelianBackend, AbelianSubgroup, FiniteBackend, FiniteSubgroup, FreeBackend,
+    AbelianBackend, AbelianSubgroup, BackendError, FiniteBackend, FiniteSubgroup, FreeBackend,
     FreeCyclicSubgroup, TrivialSubgroup,
 )
 from .cascade import Pi1EdgeSubgroup, Pi1System
 from .certify import detour_padded_language
 from .cosets import CosetSystem
 from .gog import DirectedGraph, GraphOfGroups, SpanningTree
-from .words import Word, WordMap
+from .words import AlphabetError, Word, WordMap
 
 
 class ConfigError(ValueError):
@@ -215,20 +215,23 @@ def _build_subgroup(section: _Section, groups):
         raise ConfigError(section.lineno, f"unknown group {group_name!r}")
     backend = groups[group_name]
     _check_entries(section, ("generators",), f"subgroup {name}")
-    entries = {k: v for _ln, k, v in section.entries}
-    gen_text = entries.get("generators", "")
-    words = [backend.alphabet.word(t) for t in gen_text.split(";") if t.strip()]
-    if not words:
-        return TrivialSubgroup(backend), group_name
-    if isinstance(backend, AbelianBackend):
-        return AbelianSubgroup(backend, words), group_name
-    if isinstance(backend, FreeBackend):
-        if len(words) != 1:
-            raise ConfigError(section.lineno,
-                              "free-group subgroups support a single cyclic generator")
-        return FreeCyclicSubgroup(backend, words[0]), group_name
-    if isinstance(backend, FiniteBackend):
-        return FiniteSubgroup(backend, words), group_name
+    gen_line, gen_text = next(((ln, v) for ln, k, v in section.entries if k == "generators"),
+                              (section.lineno, ""))
+    try:
+        words = [backend.alphabet.word(t) for t in gen_text.split(";") if t.strip()]
+        if not words:
+            return TrivialSubgroup(backend), group_name
+        if isinstance(backend, AbelianBackend):
+            return AbelianSubgroup(backend, words), group_name
+        if isinstance(backend, FreeBackend):
+            if len(words) != 1:
+                raise ConfigError(section.lineno,
+                                  "free-group subgroups support a single cyclic generator")
+            return FreeCyclicSubgroup(backend, words[0]), group_name
+        if isinstance(backend, FiniteBackend):
+            return FiniteSubgroup(backend, words), group_name
+    except (AlphabetError, BackendError) as exc:
+        raise ConfigError(gen_line, f"subgroup {name}: generators: {exc}") from None
     raise ConfigError(section.lineno, f"cannot build subgroups in {backend!r}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Optional
 
-from .words import Alphabet, AlphabetError, Word, all_words
+from .words import Alphabet, AlphabetError, Word
 
 
 class Dfa:
@@ -280,17 +280,15 @@ class LazyLanguage:
 def enumerate_language(lang, max_len: int) -> list[Word]:
     """All accepted words of length <= max_len in shortlex order, no duplicates.
 
-    For a DFA this prunes via distance-to-acceptance; for a LazyLanguage it
-    uses the attached enumerator or filters the full ball.
+    For a DFA this prunes via distance-to-acceptance; a LazyLanguage lists
+    its enumerator's words, or else its automaton's.
     """
     if isinstance(lang, LazyLanguage):
-        if lang.enumerator is not None:
-            out = list(lang.enumerator(max_len))
-            out.sort(key=lambda w: (len(w), w.letters))
-            return out
-        if lang.dfa is not None:
+        if lang.enumerator is None:
             return enumerate_language(lang.dfa, max_len)
-        return [w for w in all_words(lang.alphabet, max_len) if lang.membership(w)]
+        out = list(lang.enumerator(max_len))
+        out.sort(key=lambda w: (len(w), w.letters))
+        return out
     dfa: Dfa = lang
     # distance from each state to the nearest accepting state
     INF = max_len + 1
@@ -410,7 +408,10 @@ def dfa_from_text(text: str) -> Dfa:
             gens.append(names[i])
             selfinv.append(names[i])
             i += 1
-    alphabet = Alphabet(gens, self_inverse=selfinv)
+    try:
+        alphabet = Alphabet(gens, self_inverse=selfinv)
+    except AlphabetError as exc:
+        raise DfaFormatError(header_line["alphabet"], f"alphabet line: {exc}") from None
     resolved = {}
     for (s, letter), (t, lineno) in transitions.items():
         if not (0 <= s < n_states and 0 <= t < n_states):

@@ -28,7 +28,8 @@ checked against a scan of the spheres for each query, and a free cyclic
 coset's representative against the least word of its orbit gen^k w.  Every
 automaton the package explores state by state from its start is checked,
 state for state, against the subset construction of a nondeterministic
-automaton with epsilon moves.
+automaton with epsilon moves.  A test language given only by membership is
+listed by testing every word up to the length.
 """
 
 import itertools
@@ -313,6 +314,16 @@ def brute_ball(oracle, radius: int) -> list[Word]:
             if k not in least or shortlex_key(w) < shortlex_key(least[k]):
                 least[k] = w
     return sorted(least.values(), key=shortlex_key)
+
+
+def enumerator_by_filter(alphabet: Alphabet, membership):
+    """An enumerator for a LazyLanguage given only by membership: every
+    word up to the length, tested one by one."""
+    def enumerate_words(max_len):
+        return [w for n in range(max_len + 1)
+                for letters in itertools.product(range(len(alphabet)), repeat=n)
+                if membership(w := Word(alphabet, letters))]
+    return enumerate_words
 
 
 def table_closure(table, gens) -> frozenset:

@@ -26,7 +26,8 @@ from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.words import Word, all_words, invert, prefix
 from oracles import (
     aligns_by_grid, async_by_grid, brute_ball, canonical_by_subsets, concat_by_subsets,
-    coset_language_by_subsets, higgins_by_subsets, keyed_sweep, sweep_without_reuse,
+    coset_language_by_subsets, enumerator_by_filter, higgins_by_subsets, keyed_sweep,
+    sweep_without_reuse,
 )
 
 
@@ -180,7 +181,8 @@ def test_geodesic_filter_detects_missing_coset():
     def member(w):
         return all(x == fwd for x in w.letters) and len(w) % 2 == 0
 
-    half = LazyLanguage(alpha, member, name="even-only")
+    half = LazyLanguage(alpha, member, enumerator=enumerator_by_filter(alpha, member),
+                        name="even-only")
     with pytest.raises(HypothesisViolation):
         geodesic_coset_filter(CosetSystem(AXIS, half), radius=3)
 

@@ -414,6 +414,17 @@ def test_cmd_fsa_second_move_on_a_letter_is_a_format_error(capsys, tmp_path):
     assert captured.err == "error: line 6: second move from state 0 on a: 'trans 0 a 0'\n"
 
 
+def test_cmd_fsa_bad_alphabet_line_is_a_format_error(capsys, tmp_path):
+    # the alphabet line used to reach Alphabet unchecked, so the error named
+    # no line of the file
+    path = tmp_path / "twice.dfa"
+    path.write_text("dfa x\nalphabet a a\nstates 1 start 0\naccept 0\n")
+    code = main(["fsa", "enum", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: line 2: alphabet line: duplicate generator name: 'a'\n"
+
+
 def test_cmd_enum_check_unique_on_a_component_lists_nothing(capsys):
     # the flag is refused before any word is enumerated
     code = main(["enum", cfg("abelian_pairs.gog"), "--language", "component",
@@ -490,12 +501,17 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
     (COSET_CONFIG + "[cosetsystem C] subgroup=H mode=async languag=padded", None,
      ["certify", "--what", "coset", "--system", "C", "--radius", "1"],
      "line 4: cosetsystem C: unknown entry 'languag'"),
+    ("[group G] kind=free rank=2\n[subgroup H in G]\ngenerators=a b b^-1", None, ["validate"],
+     "line 3: subgroup H: generators: subgroup generator must be nonempty and freely reduced"),
+    ("[group G] kind=free rank=2\n[subgroup H in G]\ngenerators=a z", None, ["validate"],
+     "line 3: subgroup H: generators: unknown letter 'z'"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
         "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
         "free-too-few-names", "free-too-many-names", "coset-language-bogus",
         "coset-language-empty", "experiment-section", "group-unknown-entry",
-        "free-torsion", "finite-rank", "subgroup-unknown-entry", "coset-unknown-entry"])
+        "free-torsion", "finite-rank", "subgroup-unknown-entry", "coset-unknown-entry",
+        "subgroup-unreduced-generator", "subgroup-unknown-letter"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")

@@ -9,8 +9,8 @@ from higgins.fsa import (
 )
 from higgins.words import Alphabet, Word, all_words
 from oracles import (
-    complement_by_subsets, concat_by_subsets, intersect_by_subsets, union_by_subsets,
-    word_set_by_subsets,
+    complement_by_subsets, concat_by_subsets, enumerator_by_filter, intersect_by_subsets,
+    union_by_subsets, word_set_by_subsets,
 )
 
 AB = Alphabet(["a", "b"])
@@ -131,7 +131,9 @@ def test_enumerate_accepting_states_beyond_max_len():
 
 
 def test_lazy_language_enumeration():
-    lang = LazyLanguage(AB, membership=lambda w: len(w) % 2 == 0)
+    def even(w):
+        return len(w) % 2 == 0
+    lang = LazyLanguage(AB, membership=even, enumerator=enumerator_by_filter(AB, even))
     got = enumerate_language(lang, 3)
     assert all(len(w) % 2 == 0 for w in got)
     assert len(got) == 1 + 16
@@ -160,6 +162,8 @@ def test_dfa_text_roundtrip():
     ("dfa x\nalphabet a a^-1\nstates 1 start 0\naccept 0\ntrans 0 zz 0\n",
      5, "unknown letter 'zz'"),
     ("dfa x\nalphabet a a^-1\nstates 1 start 0\naccept 3\n", 4, "accept line: state out of range"),
+    ("dfa x\nalphabet a a\nstates 1 start 0\naccept 0\n", 2, "duplicate generator name: 'a'"),
+    ("dfa x\nstates 1 start 0\nalphabet a^-1\naccept 0\n", 3, "bad generator name: 'a\\^-1'"),
 ])
 def test_dfa_text_errors_name_their_line(text, lineno, message):
     # a repeated header used to replace the first one silently, and range
