@@ -274,12 +274,13 @@ class Pi1System:
     # letter that leaves the vertex along one edge e, the switch (e.reverse
     # if the rep is empty else False, e, rep letters, step, the id the new
     # segment opens with, the carry's element, e.src's backend.append, the
-    # joins): it pushes the node, or joins the segment below into the carry
-    # when that node is e.reverse's.  backend.prepend runs once per filled
-    # slot of a vertex letter.  The join appends the rep letters below to the
-    # carry and reopens through the carry's row; the switch's joins dict
-    # keeps the id that gives, by those letters, since the switch fixes
-    # everything else the join reads (e, the carry and the letter).
+    # joins, a dict if the rep is empty else None): it pushes the node, or
+    # joins the segment below into the carry when that node is e.reverse's.
+    # backend.prepend runs once per filled slot of a vertex letter.  The
+    # join appends the rep letters below to the carry and reopens through
+    # the carry's row; joins keeps the id that gives, by those letters, since
+    # the switch fixes everything else the join reads (e, the carry and the
+    # letter).
 
     def scan_initial(self):
         return (0, _BOTTOM)
@@ -389,7 +390,7 @@ class Pi1System:
             e = edges[0]
             self._rows[eid][xl] = (
                 False if rep else e.reverse, e, rep, step, self._open(v, closed, xl),
-                closed, self.gog.backend(v).append, {})
+                closed, self.gog.backend(v).append, None if rep else {})
         return self._open(v, carry, xl), tail
 
     def scan_prepend(self, state, xl: int):
