@@ -354,14 +354,13 @@ class Pi1System:
                 eid, tail = self._fill(eid, xl, tail)
             elif tail[0] is hit[0]:  # backtrack: join the segment beyond
                 joins, below = hit[7], tail[1]
-                joined = joins.get(below)
-                if joined is None:
+                eid = joins.get(below)
+                if eid is None:
                     carry, append = hit[5], hit[6]
                     for y in below:
                         carry = append(carry, y)
-                    joined = joins[below] = self._open(hit[1].src, carry, xl)
+                    eid = joins[below] = self._open(hit[1].src, carry, xl)
                 tail = tail[2]
-                eid = joined
             else:
                 tail = (hit[1], hit[2], tail, hit[3])
                 eid = hit[4]
