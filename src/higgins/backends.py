@@ -210,7 +210,8 @@ class SubgroupContext:
     def split(self, elem):
         """(coset_rep(g), h_express(g coset_rep(g)^-1)) for g the parent's
         element elem: its coset representative word and its subgroup part
-        over the generators."""
+        over the generators.  The parent is a vertex backend, which spells
+        its elements."""
         w = self.parent.element_word(elem)
         rep = self.coset_rep(w)
         return rep, self.h_express(w * invert(rep))

@@ -642,59 +642,3 @@ def test_prepend_and_append_fold_to_the_key(name):
             e = G.append(e, x)
         assert e == G.key(w), w
 
-
-def _split_context(name):
-    """One subgroup context of each class, by name."""
-    _perms, s3 = s3_table()
-    cyclic6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
-
-    def abelian(rank, torsion, gens):
-        G = AbelianBackend(rank, torsion)
-        return AbelianSubgroup(G, [G.alphabet.word(g) for g in gens.split(";")])
-
-    def free(rank, gen):
-        F = FreeBackend(rank)
-        return FreeCyclicSubgroup(F, F.alphabet.word(gen))
-
-    def finite(table, gens, sub):
-        G = FiniteBackend(table, gens)
-        return FiniteSubgroup(G, [G.alphabet.word(g) for g in sub.split(";")])
-
-    return {
-        # abelian_pairs' Mixed: the generator t has the relation t^4
-        "mixed": lambda: abelian(2, [4], "x1; t"),
-        "torsion": lambda: abelian(1, [6], "x1 t t; t t t"),
-        "dependent-z": lambda: abelian(1, [], "x1 x1; x1 x1 x1"),
-        "dependent-torsion": lambda: abelian(2, [4], "x1 t; t t"),
-        "diagonal": lambda: abelian(2, [], "x1 x2"),
-        "free-a": lambda: free(2, "a"),
-        "free-conjugate": lambda: free(2, "a b a^-1"),
-        "free-commutator": lambda: free(2, "a b a^-1 b^-1"),
-        "free-f3": lambda: free(3, "c^-1 a b b"),
-        "s3-reflection": lambda: finite(s3, {"r": 1, "s": 3}, "s"),
-        "s3-rotation": lambda: finite(s3, {"r": 1, "s": 3}, "r"),
-        "c6": lambda: finite(cyclic6, {"g": 1}, "g g"),
-        "trivial-free": lambda: TrivialSubgroup(FreeBackend(2)),
-        "trivial-abelian": lambda: TrivialSubgroup(AbelianBackend(1, [3])),
-        "trivial-s3": lambda: TrivialSubgroup(FiniteBackend(s3, {"r": 1, "s": 3})),
-    }[name]()
-
-
-@pytest.mark.parametrize("name", [
-    "mixed", "torsion", "dependent-z", "dependent-torsion", "diagonal", "free-a",
-    "free-conjugate", "free-commutator", "free-f3", "s3-reflection", "s3-rotation", "c6",
-    "trivial-free", "trivial-abelian", "trivial-s3"])
-def test_split_is_the_coset_decomposition(name):
-    """split(e) is (coset_rep(w), h_express(w rep^-1)) for w the element's
-    canonical word, and h rep spells the element back."""
-    ctx = _split_context(name)
-    G = ctx.parent
-    rng = random.Random(31)
-    m = len(G.alphabet)
-    for _ in range(150):
-        elem = G.key(Word(G.alphabet, tuple(rng.randrange(m) for _ in range(rng.randrange(13)))))
-        w = G.element_word(elem)
-        rep = ctx.coset_rep(w)
-        assert ctx.split(elem) == (rep, ctx.h_express(w * invert(rep))), (name, w)
-        h = ctx.split(elem)[1]
-        assert G.key(ctx.expand(h) * rep) == elem, (name, w)

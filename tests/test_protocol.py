@@ -1,7 +1,8 @@
 """The protocol every vertex backend and subgroup context keeps: a canonical
 form is the word of the word's key, a geodesic length is the length of the
 canonical form, a minimal coset length is the length of the coset
-representative, and a coset key is the representative's letters."""
+representative, a coset key is the representative's letters, and a split
+of a vertex element is its coset representative and subgroup part."""
 
 import random
 from pathlib import Path
@@ -14,7 +15,7 @@ from higgins.backends import (
 )
 from higgins.cascade import Pi1EdgeSubgroup
 from higgins.experiments import TrefoilCentralizerContext
-from higgins.words import Word
+from higgins.words import Word, invert
 
 from builders import trefoil_system
 
@@ -66,9 +67,15 @@ def _free_cyclic(gen):
     return build
 
 
-def _finite_s3():
-    G = s3()
-    return FiniteSubgroup(G, [G.alphabet.word("s")])
+def _finite(build_group, gen):
+    def build():
+        G = build_group()
+        return FiniteSubgroup(G, [G.alphabet.word(gen)])
+    return build
+
+
+def c6():
+    return FiniteBackend([[(i + j) % 6 for j in range(6)] for i in range(6)], {"g": 1})
 
 
 def _trefoil_edge():
@@ -79,11 +86,19 @@ def _trefoil_edge():
 CONTEXTS = {
     "abelian-independent": _abelian(2, [4], "x1; t t", True),
     "abelian-dependent": _abelian(2, [4], "x1 x2; x2 t", False),
+    # abelian_pairs' Mixed, whose generator t has the relation t^4
+    "abelian-mixed": _abelian(2, [4], "x1; t", True),
+    "abelian-torsion": _abelian(1, [6], "x1 t t; t t t", False),
+    "abelian-related-generators": _abelian(1, [], "x1 x1; x1 x1 x1", True),
     "trivial-free": lambda: TrivialSubgroup(FreeBackend(2)),
     "trivial-abelian": lambda: TrivialSubgroup(AbelianBackend(1, [3])),
+    "trivial-s3": lambda: TrivialSubgroup(s3()),
     "free-cyclic-letter": _free_cyclic("a"),
     "free-cyclic-word": _free_cyclic("a b a^-1 b"),
-    "finite-s3": _finite_s3,
+    "free-cyclic-conjugate": _free_cyclic("a b a^-1"),
+    "finite-s3": _finite(s3, "s"),
+    "finite-s3-rotation": _finite(s3, "r"),
+    "finite-c6": _finite(c6, "g g"),
     "pi1-edge": _trefoil_edge,
     "trefoil-centralizer": TrefoilCentralizerContext,
 }
@@ -96,3 +111,22 @@ def test_subgroup_context_coset_length_and_key_read_the_representative(name):
         rep = ctx.coset_rep(w)
         assert ctx.min_coset_length(w) == len(rep), w
         assert ctx.coset_key(w) == rep.letters, w
+
+
+# split(e) needs a parent that spells its elements: a vertex backend
+SPLIT_CONTEXTS = sorted(set(CONTEXTS) - {"pi1-edge", "trefoil-centralizer"})
+
+
+@pytest.mark.parametrize("name", SPLIT_CONTEXTS)
+def test_subgroup_context_split_is_the_decomposition(name):
+    """split(e) is (coset_rep(w), h_express(w rep^-1)) for w the element's
+    canonical word, and h rep spells the element back."""
+    ctx = CONTEXTS[name]()
+    G = ctx.parent
+    for w in seeded_words(G.alphabet, name, count=150):
+        elem = G.key(w)
+        w = G.element_word(elem)
+        rep = ctx.coset_rep(w)
+        rep_split, h = ctx.split(elem)
+        assert (rep_split, h) == (rep, ctx.h_express(w * invert(rep))), (name, w)
+        assert G.key(ctx.expand(h) * rep) == elem, (name, w)
