@@ -573,7 +573,7 @@ def test_element_table_does_each_prepend_once(config):
             got = _scan_logging_joins(sys, w, base, counts, joins)
             assert got == expected[w.letters, i], f"{config}: {w}"
     assert counts["prepends"] == filled
-    assert all(opens == appends == 0 for _s, _b, opens, appends in joins), config
+    assert joins and all(opens == appends == 0 for _s, _b, opens, appends in joins), config
     for w in words[::9]:
         fresh = shipped_system(config)
         for i, base in enumerate(_bases(fresh)):
