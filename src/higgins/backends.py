@@ -9,22 +9,23 @@ x*e and e*x in O(1) or O(head).  The base class reads canonical(w) and
 geodesic_length(w) off the key; balls come from cosets.CayleyBall, a search
 over the keys.
 
-A subgroup context (SubgroupContext) gives membership, the coset
-decomposition g = h * coset_rep(g) with h_express(h) over the subgroup
-generators, and a coset language whose only identity-coset representative
-is the empty word; split(e) gives both parts of the decomposition for a
-vertex element e at once.  The base class reads min_coset_length(w) and
-coset_key(w) off the representative; cascade.Pi1EdgeSubgroup and
-experiments.TrefoilCentralizerContext share it.  It reads split off e's
-canonical word.
+A subgroup context (SubgroupContext) gives split(e), the coset
+decomposition g = h * rep(g) of a parent element e: the coset representative
+word rep(g), in the coset language, and h over the subgroup generators.  The
+base class reads coset_rep(w), membership(w) (the representative is empty),
+h_express(w) (the h of a member) and coset_key(w) off split(parent.key(w)),
+and a context gives its coset language, whose only identity-coset
+representative is the empty word.  AbelianSubgroup and
+cascade.Pi1EdgeSubgroup keep a coset_rep of their own, which skips h;
+experiments.TrefoilCentralizerContext gives coset_rep and membership without
+a split, as its crossover reads h off coset_splitter.
 
 Abelian groups are handled in exponent space: the subgroup plus the torsion
 relations span an integer lattice, and one Smith decomposition
 U M V = diag(d) of that lattice answers every question asked of it: quotient
 keys (hence membership and minimal coset representatives), the relations
-among the generators, and the coordinates h_express reads off a member.
-AbelianSubgroup.split stays in that space: no word is spelled but the
-representative.
+among the generators, and the coordinates of h.  AbelianSubgroup.split stays
+in that space: no word is spelled but the representative and h.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ class VertexBackend:
 
 
 class SubgroupContext:
-    """Oracle bundle for a subgroup H <= parent.  A context gives
-    membership, h_express, coset_rep and coset_language; the coset length
-    and key are read off the representative."""
+    """Oracle bundle for a subgroup H <= parent.  A context gives split and
+    coset_language; coset_rep, membership, h_express and the coset key are
+    read off split."""
 
     def __init__(self, parent, gen_words, gen_names=None):
         self.parent = parent
@@ -208,16 +209,21 @@ class SubgroupContext:
         self.expand = WordMap(self.gen_alphabet, self.gen_words, parent.alphabet)
 
     def split(self, elem):
-        """(coset_rep(g), h_express(g coset_rep(g)^-1)) for g the parent's
-        element elem: its coset representative word and its subgroup part
-        over the generators.  The parent is a vertex backend, which spells
-        its elements."""
-        w = self.parent.element_word(elem)
-        rep = self.coset_rep(w)
-        return rep, self.h_express(w * invert(rep))
+        """(rep, h) for g = parent element elem: rep the word of g's coset in
+        the coset language, h over the generators with g = expand(h) rep."""
+        raise NotImplementedError
 
-    def min_coset_length(self, w: Word) -> int:
-        return len(self.coset_rep(w))
+    def coset_rep(self, w: Word) -> Word:
+        return self.split(self.parent.key(w))[0]
+
+    def membership(self, w: Word) -> bool:
+        return not self.coset_rep(w)
+
+    def h_express(self, w: Word) -> Word:
+        rep, h = self.split(self.parent.key(w))
+        if rep:
+            raise BackendError(f"h_express on non-member {w}")
+        return h
 
     def coset_key(self, w: Word):
         return self.coset_rep(w).letters
@@ -393,7 +399,6 @@ class AbelianSubgroup(SubgroupContext):
                 rows.append(tuple(d if j == i else 0 for j in range(parent.n)))
         self.lattice = IntLattice(rows, parent.n)
         self._rows = rows
-        self._zero_key = self.lattice.key((0,) * parent.n)
         self._orders = self._image_orders()
         self._independent = self._images_independent()
         self._chosen_cache: dict[tuple, tuple] = {}
@@ -429,9 +434,6 @@ class AbelianSubgroup(SubgroupContext):
                     return False
         return True
 
-    def membership(self, w: Word) -> bool:
-        return self.lattice.key(self.parent.vec(w)) == self._zero_key
-
     def _yword(self, coeffs) -> Word:
         letters = []
         alpha = self.gen_alphabet
@@ -440,27 +442,18 @@ class AbelianSubgroup(SubgroupContext):
             letters.extend([p if c > 0 else alpha.inv[p]] * abs(c))
         return Word(alpha, tuple(letters))
 
-    def h_express(self, w: Word) -> Word:
-        x = self.lattice.solve(self.parent.vec(w))
-        if x is None:
-            raise BackendError(f"h_express on non-member {w}")
-        return self._h_word(x)
-
     def split(self, elem):
         """The split read in exponent space: the representative's vector is
-        chosen(elem), and elem minus it lies on the lattice."""
+        chosen(elem), and elem minus it lies on the lattice, at the
+        solution x whose generator coordinates spell h."""
         rep = self.chosen(elem)
         x = self.lattice.solve(tuple(a - b for a, b in zip(elem, rep)))
-        return self.parent.serialize(rep), self._h_word(x)
-
-    def _h_word(self, x) -> Word:
-        """The word over the generators of the lattice solution x."""
         coeffs = x[: len(self.gen_words)]
         if self.presentation.gen_words:
             # the generators satisfy relations, so the lattice solution is one
             # spelling of many: take the subgroup's own canonical one
             coeffs = self.presentation.chosen(tuple(coeffs))
-        return self._yword(coeffs)
+        return self.parent.serialize(rep), self._yword(coeffs)
 
     @cached_property
     def presentation(self) -> "AbelianSubgroup":
@@ -535,6 +528,7 @@ class AbelianSubgroup(SubgroupContext):
             cache[k] = r
 
     def coset_rep(self, w: Word) -> Word:
+        # the base class's split(key(w))[0], without h
         return self.parent.serialize(self.chosen(self.parent.vec(w)))
 
     def is_rep(self, w: Word) -> bool:
@@ -667,16 +661,8 @@ class TrivialSubgroup(SubgroupContext):
     def __init__(self, parent):
         super().__init__(parent, [], [])
 
-    def membership(self, w: Word) -> bool:
-        return len(self.parent.canonical(w)) == 0
-
-    def h_express(self, w: Word) -> Word:
-        if not self.membership(w):
-            raise BackendError(f"h_express on non-member {w}")
-        return self.gen_alphabet.empty()
-
-    def coset_rep(self, w: Word) -> Word:
-        return self.parent.canonical(w)
+    def split(self, elem):
+        return self.parent.element_word(elem), self.gen_alphabet.empty()
 
     @property
     def coset_language(self):
@@ -738,8 +724,9 @@ class FreeCyclicSubgroup(SubgroupContext):
     Invent. Math. 71, 1983; Kapovich-Myasnikov, J. Algebra 248, 2002): for
     gen = u c u^-1, c cyclically reduced, a stem u from base vertex 0 to a
     cycle c.  _sigma[q] is the shortlex-least path label to q, found
-    breadth-first in letter order.  A reduced word is in H when it reads back
-    to the base; the least word of its coset is sigma(q), q the vertex where
+    breadth-first in letter order, and _sigma_k[q] its signed crossings of
+    the cycle's closing edge.  A reduced word is in H when it reads back to
+    the base; the least word of its coset is sigma(q), q the vertex where
     reading stops, then the unread rest."""
 
     def __init__(self, parent: FreeBackend, gen: Word, gen_names=None):
@@ -758,37 +745,31 @@ class FreeCyclicSubgroup(SubgroupContext):
             self._edges[j, inv[x]] = i
         self._crossings = {(n - 1, letters[n - 1]): 1, (stem, inv[letters[n - 1]]): -1}
         self._sigma = {0: ()}
+        self._sigma_k = {0: 0}
         queue = [0]
         for q in queue:
             for x in range(len(inv)):
                 t = self._edges.get((q, x))
                 if t is not None and t not in self._sigma:
                     self._sigma[t] = self._sigma[q] + (x,)
+                    self._sigma_k[t] = self._sigma_k[q] + self._crossings.get((q, x), 0)
                     queue.append(t)
 
-    def _read(self, w: Word):
-        """(Letters of the least word of H w, signed closing-edge crossings)."""
-        r = free_reduce(w).letters
-        q = k = 0
-        for i, x in enumerate(r):
+    def split(self, elem):
+        """One read of the reduced word elem along the graph, to the vertex
+        q where it stops after i letters with k crossings: h is the loop
+        that reads elem[:i] then sigma(q) back, gen to the power k less
+        sigma(q)'s crossings."""
+        q = k = i = 0
+        for x in elem:
             t = self._edges.get((q, x))
             if t is None:
-                return self._sigma[q] + r[i:], k
+                break
             k += self._crossings.get((q, x), 0)
-            q = t
-        return self._sigma[q], k
-
-    def membership(self, w: Word) -> bool:
-        return len(self.coset_rep(w)) == 0
-
-    def h_express(self, w: Word) -> Word:
-        rep, k = self._read(w)
-        if rep:
-            raise BackendError(f"h_express on non-member {w}")
-        return Word(self.gen_alphabet, (0 if k > 0 else self.gen_alphabet.inv[0],) * abs(k))
-
-    def coset_rep(self, w: Word) -> Word:
-        return Word(self.parent.alphabet, self._read(w)[0])
+            q, i = t, i + 1
+        k -= self._sigma_k[q]
+        h = (0 if k > 0 else self.gen_alphabet.inv[0],) * abs(k)
+        return Word(self.parent.alphabet, self._sigma[q] + elem[i:]), Word(self.gen_alphabet, h)
 
     @cached_property
     def coset_language(self) -> Dfa:
@@ -896,21 +877,20 @@ class FiniteSubgroup(SubgroupContext):
         self._yword = {parent.eval(w): y for w, _d, y in WordMetric(
             parent, self.gen_words, self.gen_alphabet).elements_within(parent.order)}
         self.elements = frozenset(self._yword)
-        # right cosets Hg, representative = element with shortlex-least word
-        self._coset_of = {}
-        self._rep_word = {}
+        # element h rep of the right coset H g -> (word of rep, word of h), rep
+        # the coset's element with the shortlex-least word
+        self._split = {}
         for g in range(parent.order):
-            if g in self._coset_of:
+            if g in self._split:
                 continue
-            coset = sorted(parent.table[h][g] for h in self.elements)
-            rep = min(coset, key=lambda e: shortlex_key(Word(parent.alphabet, parent._canon[e])))
-            cid = len(self._rep_word)
-            for e in coset:
-                self._coset_of[e] = cid
-            self._rep_word[cid] = Word(parent.alphabet, parent._canon[rep])
+            rep = min((parent.table[h][g] for h in self.elements),
+                      key=lambda e: shortlex_key(Word(parent.alphabet, parent._canon[e])))
+            rep_word = Word(parent.alphabet, parent._canon[rep])
+            for h, y in self._yword.items():
+                self._split[parent.table[h][rep]] = (rep_word, Word(self.gen_alphabet, y))
 
-    def membership(self, w: Word) -> bool:
-        return self.parent.eval(w) in self.elements
+    def split(self, elem):
+        return self._split[elem]
 
     def relators(self) -> list:
         """One relator per edge of H's Cayley graph over the generators:
@@ -926,18 +906,7 @@ class FiniteSubgroup(SubgroupContext):
                 out.append(Word(alpha, word + (p,) + back.letters))
         return out
 
-    def h_express(self, w: Word) -> Word:
-        e = self.parent.eval(w)
-        if e not in self.elements:
-            raise BackendError(f"h_express on non-member {w}")
-        return Word(self.gen_alphabet, self._yword[e])
-
-    def coset_rep(self, w: Word) -> Word:
-        return self._rep_word[self._coset_of[self.parent.eval(w)]]
-
-    def coset_count(self) -> int:
-        return len(self._rep_word)
-
     @cached_property
     def coset_language(self):
-        return word_set_dfa(self._rep_word.values(), self.parent.alphabet, "cosets")
+        return word_set_dfa((rep for rep, _h in self._split.values()),
+                            self.parent.alphabet, "cosets")

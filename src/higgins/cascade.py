@@ -29,12 +29,16 @@ An empty slot, and any route of two or more tree edges, closes through
 _close_chain, which memoizes each close by edge and element with the
 element of the carry it sends left; a miss asks the edge's context for its
 split of the element, the coset rep and the subgroup part at once.
-Finalize reads the base element's canonical word or coset rep, memoized by
-base and element.
-Membership in a Higgins (coset) language is scan_word(w, base) == w, and
-Pi1System.language pairs that predicate with the product automaton.  The
+Finalize reads the base element's canonical word or, at a coset base, the
+rep of the base edge context's split, memoized by base and element.
+The Higgins (coset) language is the set of words w with scan_word(w, base)
+== w, and Pi1System.higgins_automaton(base) is its automaton, the product of
+the component languages; Pi1Backend.canonical_language and
+Pi1EdgeSubgroup.coset_language are that automaton.  Pi1EdgeSubgroup.split
+reads the coset rep off the scan and h off the edge context's own split.  The
 phase pipeline (inflate, pinch_reduce, cascade) stays only behind `nf
---trace`: it materializes one round with the connector trace printed.
+--trace`: it materializes one round, one split per segment, with the
+connector trace printed.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .backends import SubgroupContext
-from .fsa import Dfa, LazyLanguage, explore
+from .fsa import Dfa, explore
 from .gog import (
     Edge, GogError, GraphOfGroups, InflatedWord, SpanningTree, StableAlphabets, maximal_tree,
 )
@@ -167,8 +171,7 @@ class Pi1System:
         for e, u in reversed(iw.path):
             ctx = self.gog.ctx(e)
             seg = u if pending is None else u * pending
-            rep = ctx.coset_rep(seg)
-            h_y = ctx.h_express(seg * invert(rep))
+            rep, h_y = ctx.split(ctx.parent.key(seg))
             h_img_y = self.gog.apply_iso(e, h_y)
             pending = self.gog.ctx(e.reverse).expand(h_img_y)
             reps.append(rep)
@@ -200,17 +203,7 @@ class Pi1System:
     def word_problem(self, w1: Word, w2: Word, v0: Optional[str] = None) -> bool:
         return self.normal_form(w1, v0) == self.normal_form(w2, v0)
 
-    # -- the language and its automaton ----------------------------------------
-
-    def language(self, base) -> LazyLanguage:
-        """The Higgins language at base ("group", v0), or the coset language
-        at ("coset", e0): the words that are their own normal form, with
-        higgins_automaton(base) as its dfa."""
-        return LazyLanguage(
-            self.alphabet,
-            membership=lambda w: self.scan_word(w, base) == w,
-            dfa=self.higgins_automaton(base),
-            name="higgins" if base[0] == "group" else "higgins-cosets")
+    # -- the Higgins automaton -------------------------------------------------
 
     def _component_dfa(self, base) -> Dfa:
         kind, anchor = base
@@ -409,9 +402,8 @@ class Pi1System:
                 self.tree_path(base_vertex, vertex), elem, tail)
         head = self._heads.get((anchor, elem))
         if head is None:
-            word = backend.element_word(elem)
-            if kind == "coset":
-                word = self.gog.ctx(anchor).coset_rep(word)
+            word = (backend.element_word(elem) if kind == "group"
+                    else self.gog.ctx(anchor).split(elem)[0])
             head = self._heads[(anchor, elem)] = self.alphabets.vertex_word_to_x(
                 base_vertex, word)
         letters = list(head)
@@ -447,8 +439,8 @@ class Pi1Backend:
         return self.canonical(w).letters
 
     @property
-    def canonical_language(self):
-        return self.system.language(("group", self.v0))
+    def canonical_language(self) -> Dfa:
+        return self.system.higgins_automaton(("group", self.v0))
 
 
 class Pi1EdgeSubgroup(SubgroupContext):
@@ -468,22 +460,23 @@ class Pi1EdgeSubgroup(SubgroupContext):
         self.expand = WordMap(self.gen_alphabet, self.gen_words, system.alphabet)
         self._edge_ctx = edge_ctx
 
+    def split(self, elem):
+        """elem is a normal form at e0.dst.  The coset rep is its coset
+        normal form, and g rep^-1, in the edge group, has a normal form that
+        is a word of the vertex group at e0.dst, which the edge's own
+        context splits."""
+        system, v0 = self.system, self.e0.dst
+        w = Word(system.alphabet, elem)
+        rep = self.coset_rep(w)
+        h_nf = self.parent.canonical(w * invert(rep)) if rep else w
+        kinds = system.alphabets.kind_x
+        u = system.alphabets.to_vertex_word(v0, [kinds[xl][2] for xl in h_nf.letters])
+        return rep, self._edge_ctx.split(self._edge_ctx.parent.key(u))[1]
+
     def coset_rep(self, w: Word) -> Word:
+        # the base class's split(key(w))[0], without h
         return self.system.scan_word(w, ("coset", self.e0))
 
-    def membership(self, w: Word) -> bool:
-        return len(self.coset_rep(w)) == 0
-
-    def h_express(self, w: Word) -> Word:
-        # a member's normal form is a word of the vertex group at e0.dst
-        v0, alphabets = self.e0.dst, self.system.alphabets
-        kinds = [alphabets.kind_x[xl] for xl in self.parent.canonical(w).letters]
-        if all(k[:2] == ("v", v0) for k in kinds):
-            u = alphabets.to_vertex_word(v0, [k[2] for k in kinds])
-            if self._edge_ctx.membership(u):
-                return self._edge_ctx.h_express(u)
-        raise GogError(f"h_express on non-member {w}")
-
     @property
-    def coset_language(self):
-        return self.system.language(("coset", self.e0))
+    def coset_language(self) -> Dfa:
+        return self.system.higgins_automaton(("coset", self.e0))

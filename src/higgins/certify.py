@@ -245,11 +245,7 @@ def _letter_words(alphabet: Alphabet):
 
 
 def _language_states(lang) -> Optional[int]:
-    if isinstance(lang, LazyLanguage) and lang.dfa is not None:
-        return lang.dfa.n_states
-    if isinstance(lang, Dfa):
-        return lang.n_states
-    return None
+    return lang.n_states if isinstance(lang, Dfa) else None
 
 
 def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=None):

@@ -23,7 +23,7 @@ from .certify import (
     certify_automatic, certify_coset_system, combination_hypotheses_report,
     geodesic_coset_filter, concat_structure, HypothesisViolation,
 )
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, read_text
 from .cosets import VerifierError
 from .experiments import run_trefoil_experiment
 from .fsa import DfaFormatError, enumerate_language
@@ -99,7 +99,7 @@ def cmd_enum(args) -> int:
             if edge is None:
                 raise ConfigError(0, f"unknown edge {ename!r}")
             base = ("coset", edge)
-        words = enumerate_language(system.language(base), args.max_len)
+        words = enumerate_language(system.higgins_automaton(base), args.max_len)
     for w in words:
         _emit(str(w))
     if args.check_unique:
@@ -164,10 +164,7 @@ def cmd_fsa(args) -> int:
     arity = FSA_ARITY[args.op]  # argparse admits only these operations
     if len(args.files) != arity:
         raise ConfigError(0, f"fsa {args.op} takes {arity} automaton file(s)")
-    dfas = []
-    for path in args.files:
-        with open(path) as fh:
-            dfas.append(fsa.dfa_from_text(fh.read()))
+    dfas = [fsa.dfa_from_text(read_text(path)) for path in args.files]
     if args.op == "enum":
         for w in enumerate_language(dfas[0], args.max_len):
             _emit(str(w))

@@ -16,8 +16,10 @@ owns the following lines up to the next header.  Values that contain spaces
     [cosetsystem C] subgroup=H mode=sync language=canonical
 
 Parse failures carry line numbers, and so does an entry its section does not
-read.  Groups, subgroups and the graph are built as their sections are read;
-a coset system is resolved when coset_system() builds it.
+read, a second section of one name and a second entry of one key (only the
+graph's edge and vertices lines add up).  Groups, subgroups and the graph are
+built as their sections are read; a coset system is resolved when
+coset_system() builds it.
 """
 
 from __future__ import annotations
@@ -153,12 +155,27 @@ def _int(lineno, what: str, text: str) -> int:
         raise ConfigError(lineno, f"{what}: expected an integer, got {text!r}") from None
 
 
-def _check_entries(section: _Section, allowed, what: str):
-    """Reject an entry whose key the section does not read, so a misspelt
-    key is an error rather than a silent default."""
-    for lineno, key, _value in section.entries:
-        if key not in allowed:
+def read_text(path: str) -> str:
+    """The text of a file the run reads: a config, a table or an automaton."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ConfigError(0, f"{path}: not UTF-8 text") from None
+
+
+def _entries(section: _Section, what: str, allowed=None) -> dict:
+    """The section's entries by key.  A second entry for a key is refused,
+    and so is one whose key is not in allowed (when given), so a repeated or
+    misspelt key is an error rather than a silent choice or default."""
+    out = {}
+    for lineno, key, value in section.entries:
+        if allowed is not None and key not in allowed:
             raise ConfigError(lineno, f"{what}: unknown entry {key!r}")
+        if key in out:
+            raise ConfigError(lineno, f"{what}: second {key}= entry")
+        out[key] = value
+    return out
 
 
 GROUP_ENTRIES = {
@@ -169,11 +186,11 @@ GROUP_ENTRIES = {
 
 
 def _build_group(section: _Section, base_dir: str):
-    entries = {k: v for _ln, k, v in section.entries}
-    kind = entries.get("kind")
     name = section.header[1]
+    entries = _entries(section, f"group {name}")
+    kind = entries.get("kind")
     if kind in GROUP_ENTRIES:
-        _check_entries(section, GROUP_ENTRIES[kind], f"group {name} (kind={kind})")
+        _entries(section, f"group {name} (kind={kind})", GROUP_ENTRIES[kind])
     if kind == "abelian":
         rank = _int(section.lineno, f"group {name}: rank", entries.get("rank", "0"))
         torsion = [_int(section.lineno, f"group {name}: torsion", t)
@@ -189,10 +206,9 @@ def _build_group(section: _Section, base_dir: str):
         if path is None:
             raise ConfigError(section.lineno, f"group {name}: finite groups need table=")
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        with open(full) as fh:
-            table = [[_int(section.lineno, f"group {name}: table {path} cell", cell)
-                      for cell in line.strip().split(",")]
-                     for line in fh if line.strip()]
+        table = [[_int(section.lineno, f"group {name}: table {path} cell", cell)
+                  for cell in line.strip().split(",")]
+                 for line in read_text(full).splitlines() if line.strip()]
         gens = None
         if "generators" in entries:
             gens = {}
@@ -214,7 +230,7 @@ def _build_subgroup(section: _Section, groups):
     if group_name not in groups:
         raise ConfigError(section.lineno, f"unknown group {group_name!r}")
     backend = groups[group_name]
-    _check_entries(section, ("generators",), f"subgroup {name}")
+    _entries(section, f"subgroup {name}", ("generators",))
     gen_line, gen_text = next(((ln, v) for ln, k, v in section.entries if k == "generators"),
                               (section.lineno, ""))
     try:
@@ -318,6 +334,8 @@ def _build_graph(section: _Section, config: ProjectConfig):
         elif key == "edge":
             edge_lines.append((lineno, value))
         elif key == "tree":
+            if decl["tree"] is not None:
+                raise ConfigError(lineno, "graph: second tree= entry")
             decl["tree"] = [t.strip() for t in value.split(",") if t.strip()]
         else:
             raise ConfigError(lineno, f"unknown graph entry {key!r}")
@@ -377,15 +395,18 @@ def _build_graph(section: _Section, config: ProjectConfig):
 
 
 def load_config(path: str) -> ProjectConfig:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_config(read_text(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
     config = ProjectConfig()
+    seen = set()  # (kind, name) of every section read
     for section in parse_sections(text):
         kind = section.header[0]
+        name = section.header[1] if kind != "graph" and len(section.header) > 1 else None
+        if (kind, name) in seen:
+            raise ConfigError(section.lineno, f"second [{' '.join(section.header)}] section")
+        seen.add((kind, name))
         if kind == "group":
             if len(section.header) != 2:
                 raise ConfigError(section.lineno, "expected [group <name>]")
@@ -398,14 +419,13 @@ def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
         elif kind == "cosetsystem":
             if len(section.header) != 2:
                 raise ConfigError(section.lineno, "expected [cosetsystem <name>]")
-            _check_entries(section, ("subgroup", "edge", "mode", "language"),
-                           f"cosetsystem {section.header[1]}")
+            decl = _entries(section, f"cosetsystem {section.header[1]}",
+                            ("subgroup", "edge", "mode", "language"))
             for lineno, key, value in section.entries:
                 if key == "language" and value not in ("canonical", "padded"):
                     raise ConfigError(
                         lineno, f"language must be canonical or padded, got {value!r}")
-            config.cosetsystems[section.header[1]] = {
-                k: v for _ln, k, v in section.entries}
+            config.cosetsystems[section.header[1]] = decl
         else:
             raise ConfigError(section.lineno, f"unknown section {kind!r}")
     return config

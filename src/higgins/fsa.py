@@ -7,7 +7,10 @@ the start, by a step function over any hashable states (pairs for products,
 state sets for concatenation, prefixes for word sets), and then trimmed of
 states that cannot accept, so equal languages built the same way yield
 identical objects.  minimize is Hopcroft's refinement; dfa_from_text reads
-the text format.
+the text format.  A language with an automaton is that Dfa, the Higgins
+languages of a graph of groups included; LazyLanguage is a language given
+by a membership predicate and an enumerator, for languages built from
+others.
 """
 
 from __future__ import annotations
@@ -256,21 +259,17 @@ def word_set_dfa(words: Iterable[Word], alphabet, name="wordset") -> Dfa:
 
 
 class LazyLanguage:
-    """A language given by a decidable membership predicate.
+    """A language given by a decidable membership predicate and an
+    enumerator, enumerator(n) listing its words of length <= n: the
+    languages built from other languages (concatenations, paddings,
+    filters) and the trefoil's coset representatives."""
 
-    Uniform wrapper so verifiers run on both explicit automata and
-    oracle-defined languages; `dfa`, when present, must agree with the
-    predicate (checked by tests up to a bound, not at construction).
-    """
+    __slots__ = ("alphabet", "membership", "enumerator", "name")
 
-    __slots__ = ("alphabet", "membership", "enumerator", "dfa", "name")
-
-    def __init__(self, alphabet, membership: Callable[[Word], bool],
-                 enumerator=None, dfa: Optional[Dfa] = None, name="lazy"):
+    def __init__(self, alphabet, membership: Callable[[Word], bool], enumerator, name="lazy"):
         self.alphabet = alphabet
         self.membership = membership
         self.enumerator = enumerator
-        self.dfa = dfa
         self.name = name
 
     def accepts(self, w: Word) -> bool:
@@ -281,11 +280,9 @@ def enumerate_language(lang, max_len: int) -> list[Word]:
     """All accepted words of length <= max_len in shortlex order, no duplicates.
 
     For a DFA this prunes via distance-to-acceptance; a LazyLanguage lists
-    its enumerator's words, or else its automaton's.
+    its enumerator's words.
     """
     if isinstance(lang, LazyLanguage):
-        if lang.enumerator is None:
-            return enumerate_language(lang.dfa, max_len)
         out = list(lang.enumerator(max_len))
         out.sort(key=lambda w: (len(w), w.letters))
         return out

@@ -929,7 +929,8 @@ def coset_language_by_subsets(ctx) -> Optional[Dfa]:
         return collected_by_subsets(ctx.parent, _abelian_ranges(ctx._orders), "cosets")
     if isinstance(ctx, FreeCyclicSubgroup):
         return free_cyclic_by_subsets(ctx)
-    return word_set_by_subsets(ctx._rep_word.values(), ctx.parent.alphabet, "cosets")
+    return word_set_by_subsets({rep for rep, _h in ctx._split.values()},
+                               ctx.parent.alphabet, "cosets")
 
 
 def higgins_by_subsets(system, base) -> Dfa:

@@ -330,7 +330,7 @@ def test_abelian_coset_language_geodesic():
     G = AbelianBackend(2, [4], names=["x1", "x2", "t"])
     H = AbelianSubgroup(G, [G.alphabet.word("x1 t")])
     for w in enumerate_language(H.coset_language, 6):
-        assert len(w) == H.min_coset_length(w)
+        assert len(w) == len(H.coset_rep(w))
 
 
 @pytest.mark.parametrize("limit, value, message", [
@@ -465,7 +465,7 @@ def _free_cyclic_generators():
 
 
 def test_free_cyclic_matches_the_orbit_oracle():
-    # coset reps, membership, h_express and the listed coset language against
+    # coset reps, membership, split, h_express and the listed coset language against
     # an orbit search that shares nothing with the context
     rng = random.Random(27)
     for rank, gen in _free_cyclic_generators():
@@ -479,6 +479,9 @@ def test_free_cyclic_matches_the_orbit_oracle():
             rep = free_cyclic_rep_by_orbit(gen, w)
             assert H.coset_rep(w) == rep, f"<{gen}>: {w}"
             assert H.membership(w) == (len(rep) == 0), f"<{gen}>: {w}"
+            rep_split, h = H.split(F.key(w))
+            assert rep_split == rep, f"<{gen}>: {w}"
+            assert free_reduce(h) == h and free_reduce(H.expand(h) * rep) == free_reduce(w)
             if not rep:
                 h = H.h_express(w)
                 assert free_reduce(h) == h and free_reduce(H.expand(h)) == free_reduce(w)
@@ -514,7 +517,7 @@ def test_finite_s3_cosets():
     perms, table = s3_table()
     G = FiniteBackend(table, {"r": 1, "s": 3})
     H = FiniteSubgroup(G, [G.alphabet.word("s")])
-    assert H.coset_count() == 3
+    assert len({H.coset_rep(w).letters for w in all_words(G.alphabet, 3)}) == 3
     # brute force: orbit of right multiplication
     cosets = set()
     for g in range(6):

@@ -166,7 +166,7 @@ def test_geodesic_filter_recovers_axis():
     got = [w.letters for w in enumerate_language(filtered.language, 6)]
     # brute-force coset geodesics: words whose length equals the coset minimum
     want = [w.letters for w in enumerate_language(lang, 6)
-            if len(w) == AXIS.min_coset_length(w)]
+            if len(w) == len(AXIS.coset_rep(w))]
     assert got == want
     assert got == [w.letters for w in enumerate_language(AXIS.coset_language, 6)
                    if lang.accepts(w)]
@@ -533,9 +533,8 @@ def test_higgins_lazy_language_agrees_with_its_dfa():
     system = trefoil_system()
     e0 = system.gog.graph.edges["e"]
     lang = Pi1EdgeSubgroup(system, e0).coset_language
-    assert lang.dfa is not None
     for w in all_words(system.alphabet, 4):
-        assert lang.membership(w) == lang.dfa.accepts(w)
+        assert lang.accepts(w) == (system.coset_normal_form(w, e0) == w)
 
 
 def test_hypotheses_report_sync_rows():
@@ -914,8 +913,8 @@ def test_higgins_language_certificates(config):
     K_async, pairs4, K_sync3, pairs3, K_sync4 = HIGGINS_CERTIFICATES[config]
     got = []
     for mode, R in (("async", 4), ("sync", 3), ("sync", 4)):
-        cert = certify_automatic(system.language(("group", root)), Pi1Backend(system, root),
-                                 R, mode)
+        cert = certify_automatic(system.higgins_automaton(("group", root)),
+                                 Pi1Backend(system, root), R, mode)
         got.append((cert.K_observed, cert.pairs_tested, cert.bounded))
     assert got == [(K_async, pairs4, True), (K_sync3, pairs3, True), (K_sync4, pairs4, True)]
 

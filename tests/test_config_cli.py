@@ -505,13 +505,34 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
      "line 3: subgroup H: generators: subgroup generator must be nonempty and freely reduced"),
     ("[group G] kind=free rank=2\n[subgroup H in G]\ngenerators=a z", None, ["validate"],
      "line 3: subgroup H: generators: unknown letter 'z'"),
+    # a repeated section or entry used to replace, or be shadowed by, the first
+    ("[group G] kind=abelian rank=1\n[group G] kind=abelian rank=2", None, ["validate"],
+     "line 2: second [group G] section"),
+    (COSET_CONFIG + "[subgroup H in G]\ngenerators=x2", None, ["validate"],
+     "line 4: second [subgroup H in G] section"),
+    (COSET_CONFIG + "[cosetsystem C] subgroup=H\n[cosetsystem C] subgroup=H mode=sync", None,
+     ["validate"], "line 5: second [cosetsystem C] section"),
+    ("[group G] kind=abelian rank=1\n[graph]\nvertices=v:G", None, ["validate"],
+     "line 4: second [graph] section"),
+    ("[group G] kind=abelian rank=1 rank=2", None, ["validate"],
+     "line 1: group G: second rank= entry"),
+    ("[group G] kind=free rank=2\n[subgroup H in G]\ngenerators=a\ngenerators=b", None,
+     ["validate"], "line 4: subgroup H: second generators= entry"),
+    (COSET_CONFIG + "[cosetsystem C] subgroup=H mode=sync mode=async", None, ["validate"],
+     "line 4: cosetsystem C: second mode= entry"),
+    ("[group G] kind=free rank=1\n[subgroup T in G]\n[graph]\nvertices=u:G,v:G\n"
+     "edge e: u -> v subgroup=T reverse_subgroup=T\ntree=e\ntree=", None, ["validate"],
+     "line 7: graph: second tree= entry"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
         "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
         "free-too-few-names", "free-too-many-names", "coset-language-bogus",
         "coset-language-empty", "experiment-section", "group-unknown-entry",
         "free-torsion", "finite-rank", "subgroup-unknown-entry", "coset-unknown-entry",
-        "subgroup-unreduced-generator", "subgroup-unknown-letter"])
+        "subgroup-unreduced-generator", "subgroup-unknown-letter", "group-second-section",
+        "subgroup-second-section", "coset-second-section", "graph-second-section",
+        "group-second-entry", "subgroup-second-entry", "coset-second-entry",
+        "graph-second-tree"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
@@ -521,6 +542,23 @@ def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("reader", ["config", "table", "fsa"])
+def test_text_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, reader):
+    # such bytes used to end in a UnicodeDecodeError traceback with exit 1
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe")
+    if reader == "table":
+        config = tmp_path / "table.gog"
+        config.write_text(f"[group S] kind=finite table={binary.name}\n")
+        argv = ["validate", str(config)]
+    else:
+        argv = ["validate", str(binary)] if reader == "config" else ["fsa", "enum", str(binary)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {binary}: not UTF-8 text\n"
 
 
 def test_canonical_coset_language_is_the_default(capsys, tmp_path):

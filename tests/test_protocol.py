@@ -1,8 +1,8 @@
 """The protocol every vertex backend and subgroup context keeps: a canonical
 form is the word of the word's key, a geodesic length is the length of the
-canonical form, a minimal coset length is the length of the coset
-representative, a coset key is the representative's letters, and a split
-of a vertex element is its coset representative and subgroup part."""
+canonical form, a coset key is the coset representative's letters, and a
+split of an element is its coset representative and its subgroup part, off
+which coset_rep, membership and h_express are read."""
 
 import random
 from pathlib import Path
@@ -109,24 +109,24 @@ def test_subgroup_context_coset_length_and_key_read_the_representative(name):
     ctx = CONTEXTS[name]()
     for w in seeded_words(ctx.parent.alphabet, name, max_len=8):
         rep = ctx.coset_rep(w)
-        assert ctx.min_coset_length(w) == len(rep), w
         assert ctx.coset_key(w) == rep.letters, w
+        assert ctx.membership(w) == (len(rep) == 0), w
 
 
-# split(e) needs a parent that spells its elements: a vertex backend
-SPLIT_CONTEXTS = sorted(set(CONTEXTS) - {"pi1-edge", "trefoil-centralizer"})
+# the trefoil centralizer's crossover reads h off coset_splitter: it has no split
+SPLIT_CONTEXTS = sorted(set(CONTEXTS) - {"trefoil-centralizer"})
 
 
 @pytest.mark.parametrize("name", SPLIT_CONTEXTS)
 def test_subgroup_context_split_is_the_decomposition(name):
-    """split(e) is (coset_rep(w), h_express(w rep^-1)) for w the element's
-    canonical word, and h rep spells the element back."""
+    """split(key(w)) is (coset_rep(w), h) with h rep spelling w back, so w is
+    a member when the rep is empty; h is the h_express of the member
+    w rep^-1, which is w itself for a member."""
     ctx = CONTEXTS[name]()
     G = ctx.parent
     for w in seeded_words(G.alphabet, name, count=150):
-        elem = G.key(w)
-        w = G.element_word(elem)
-        rep = ctx.coset_rep(w)
-        rep_split, h = ctx.split(elem)
-        assert (rep_split, h) == (rep, ctx.h_express(w * invert(rep))), (name, w)
-        assert G.key(ctx.expand(h) * rep) == elem, (name, w)
+        rep, h = ctx.split(G.key(w))
+        assert rep == ctx.coset_rep(w), (name, w)
+        assert ctx.membership(w) == (len(rep) == 0), (name, w)
+        assert h == ctx.h_express(w * invert(rep)), (name, w)
+        assert G.key(ctx.expand(h) * rep) == G.key(w), (name, w)
