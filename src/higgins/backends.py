@@ -23,9 +23,13 @@ a split, as its crossover reads h off coset_splitter.
 Abelian groups are handled in exponent space: the subgroup plus the torsion
 relations span an integer lattice, and one Smith decomposition
 U M V = diag(d) of that lattice answers every question asked of it: quotient
-keys (hence membership and minimal coset representatives), the relations
-among the generators, and the coordinates of h.  AbelianSubgroup.split stays
-in that space: no word is spelled but the representative and h.
+keys (hence membership), the relations among the generators, and the
+coordinates of h.  AbelianSubgroup.split stays in that space: no word is
+spelled but the representative and h.  A coset's representative is its
+shortlex-least word: the collected word of per-factor residues when the
+generator images are independent, and otherwise the word of the coset ball,
+one CayleyBall over the parent's letters keyed by coset, whose prefix tree
+also gives the coset automaton.
 """
 
 from __future__ import annotations
@@ -249,16 +253,6 @@ class SubgroupContext:
 
 # --- abelian backend ---------------------------------------------------------
 
-def _pref_key(x: int):
-    # preference for minimal shortlex word among equal-length collected forms:
-    # large positive, then deep negative, then zero
-    if x > 0:
-        return (0, -x)
-    if x < 0:
-        return (1, x)
-    return (2, 0)
-
-
 class AbelianBackend(VertexBackend):
     """Z^rank x prod Z/d_i with one generator per factor.
 
@@ -383,12 +377,29 @@ def _collected_dfa(backend: AbelianBackend, ranges, name) -> Dfa:
 
 # coset language synthesis for non-independent subgroups: residual
 # signatures look DFA_WINDOW letters ahead, and the learned DFA is checked on
-# every collected word of up to DFA_HORIZON letters
+# every representative of up to DFA_HORIZON letters
 DFA_WINDOW = 8
 DFA_HORIZON = 24
 
 
+class _CosetOracle:
+    """The parent's letters, a word keyed by the lattice key of its exponent
+    vector: the oracle of a subgroup's coset ball."""
+
+    def __init__(self, parent: AbelianBackend, lattice: IntLattice):
+        self.alphabet = parent.alphabet
+        self._vec, self._key = parent.vec, lattice.key
+
+    def key(self, w: Word) -> tuple:
+        return self._key(self._vec(w))
+
+
 class AbelianSubgroup(SubgroupContext):
+    """H <= Z^rank x prod Z/d_i in exponent space.  When the lattice splits
+    factor by factor (independent images), representatives are per-factor
+    residues in closed form; otherwise they, and the coset automaton, are
+    read off the coset ball _cosets."""
+
     def __init__(self, parent: AbelianBackend, gen_words, gen_names=None):
         super().__init__(parent, gen_words, gen_names)
         self.gen_vecs = [parent.vec(g) for g in gen_words]
@@ -402,7 +413,6 @@ class AbelianSubgroup(SubgroupContext):
         self._orders = self._image_orders()
         self._independent = self._images_independent()
         self._chosen_cache: dict[tuple, tuple] = {}
-        self._labelled = -1  # dependent images: spheres labelled in _chosen_cache
 
     def _image_orders(self):
         """Order of the image of each generator e_i in parent/H, None when
@@ -482,7 +492,8 @@ class AbelianSubgroup(SubgroupContext):
         return out + [a * b * invert(a) * invert(b) for i, a in enumerate(ys) for b in ys[i + 1:]]
 
     def chosen(self, vec) -> tuple:
-        """Exponent vector of the coset's canonical representative."""
+        """Exponent vector of the coset's shortlex-least word: per-factor
+        residues for independent images, else the coset ball's word."""
         key = self.lattice.key(vec)
         hit = self._chosen_cache.get(key)
         if hit is not None:
@@ -500,42 +511,23 @@ class AbelianSubgroup(SubgroupContext):
                     out.append(r)
             res = tuple(out)
         else:
-            # the coset meets the sphere of vec's normalized norm at the latest
-            budget = sum(abs(r) for r in self.parent.normalize(vec))
-            while key not in self._chosen_cache and self._labelled < budget:
-                self._label_next_sphere()
-            res = self._chosen_cache.get(key)
-            assert res is not None
+            # vec's normalized word lies in the coset, so its least word is no longer
+            ball = self._cosets
+            ball.max_radius = max(ball.radius, sum(abs(r) for r in self.parent.normalize(vec)))
+            res = self.parent.vec(ball.words[ball.index_of_key(key)])
         self._chosen_cache[key] = res
         return res
 
-    def _label_next_sphere(self):
-        """Label each coset key that the next L1 sphere reaches first with its
-        least _pref_key point there.  All least-norm points of a coset lie on
-        the first sphere that meets it, and a sphere is labelled whole before
-        it is committed, so a key is either labelled exactly or absent."""
-        self._labelled += 1
-        cache, lattice = self._chosen_cache, self.lattice
-        best: dict = {}
-        for r in _sphere(self.parent.n, self._labelled):
-            k = lattice.key(r)
-            if k in cache:
-                continue
-            pk = tuple(_pref_key(x) for x in r)
-            if k not in best or pk < best[k][0]:
-                best[k] = (pk, r)
-        for k, (_pk, r) in best.items():
-            cache[k] = r
+    @cached_property
+    def _cosets(self) -> CayleyBall:
+        """The coset ball of dependent images: its words are the coset
+        representatives, and an edge i -x-> j stays in their prefix tree
+        exactly when words[j] is words[i] x."""
+        return CayleyBall(_CosetOracle(self.parent, self.lattice), 0)
 
     def coset_rep(self, w: Word) -> Word:
         # the base class's split(key(w))[0], without h
         return self.parent.serialize(self.chosen(self.parent.vec(w)))
-
-    def is_rep(self, w: Word) -> bool:
-        vec = self.parent.vec(w)
-        if not _is_collected(self.parent, w):
-            return False
-        return self.chosen(vec) == tuple(vec)
 
     @cached_property
     def coset_language(self):
@@ -549,109 +541,66 @@ class AbelianSubgroup(SubgroupContext):
             return _collected_dfa(self.parent, ranges, name="cosets")
         return self._synthesize_dfa()
 
-    def _collected_extensions(self, word_letters, max_extra):
-        """Collected continuations (as letter tuples) of a collected word."""
-        parent = self.parent
-        if word_letters:
-            i, s, _d = parent._letter_vec[word_letters[-1]]
-            start_factor, start_sign = i, s
-        else:
-            start_factor, start_sign = -1, 0
-        out = [()]
-
-        def rec(factor, sign, acc):
-            if len(acc) == max_extra:
-                return
-            options = []
-            if factor >= 0:
-                letter = parent.pos[factor] if sign > 0 else parent.neg[factor]
-                options.append((factor, sign, letter))
-            for j in range(factor + 1, parent.n):
-                options.append((j, 1, parent.pos[j]))
-                if parent.neg[j] != parent.pos[j]:
-                    options.append((j, -1, parent.neg[j]))
-            for j, sg, letter in options:
-                acc.append(letter)
-                out.append(tuple(acc))
-                rec(j, sg, acc)
-                acc.pop()
-
-        rec(start_factor, start_sign, [])
-        return out
-
     def _synthesize_dfa(self) -> Dfa:
-        """Learn the representative language from the exact exponent oracle.
+        """Learn the representative language off the coset ball's prefix tree.
 
-        States are residual signatures observed through a fixed window, each
-        stepped from the first word found with it; the result is verified against the oracle on every collected word up to
-        the horizon and the construction fails loudly on any disagreement.
+        States are residual signatures, the extensions of at most DFA_WINDOW
+        letters that stay representatives, each stepped from the first
+        representative found with it; the result is checked on the tree up
+        to the horizon, and the construction fails loudly on any
+        disagreement.
         """
-        alpha = self.parent.alphabet
-        first = {}  # signature -> the first word found with it
+        ball = self._cosets
+        ball.max_radius = max(ball.radius, DFA_HORIZON + DFA_WINDOW)
+        words, edges, letters = ball.words, ball.edges, range(len(ball.alphabet))
 
-        def signature(letters):
-            word = Word(alpha, letters)
-            if not self.is_rep(word):
-                return None
-            acc = []
-            for ext in self._collected_extensions(letters, DFA_WINDOW):
-                if self.is_rep(Word(alpha, letters + ext)):
-                    acc.append(ext)
-            return frozenset(acc)
+        def child(i, x):
+            """The index of words[i] x when it is a representative, else None."""
+            if i >= len(edges):
+                ball.within(len(words[i]) + 1)
+            j = edges[i][x]
+            return j if words[j].letters == words[i].letters + (x,) else None
 
-        def step(sig, letter):
-            # a letter that leaves the collected words gives None via is_rep
-            u = first[sig]
-            if len(u) >= DFA_HORIZON:
+        def signature(i):
+            todo = [(i, ())]
+            for j, ext in todo:
+                if len(ext) < DFA_WINDOW:
+                    todo.extend((c, ext + (x,)) for x in letters if (c := child(j, x)) is not None)
+            return frozenset(ext for _j, ext in todo)
+
+        first = {}  # signature -> the first representative's index found with it
+
+        def step(sig, x):
+            i = first[sig]
+            if len(words[i]) >= DFA_HORIZON:
                 raise BackendError(
                     "coset language synthesis did not close within its "
                     f"horizon of {DFA_HORIZON} letters")
-            nxt = signature(u + (letter,))
-            if nxt is not None:
-                first.setdefault(nxt, u + (letter,))
+            c = child(i, x)
+            if c is None:
+                return None
+            nxt = signature(c)
+            first.setdefault(nxt, c)
             return nxt
 
-        sig0 = signature(())
-        first[sig0] = ()
-        dfa = fsa.explore(alpha, sig0, step, lambda sig: True, "cosets")
-        self._verify_dfa(dfa)
+        sig0 = signature(0)
+        first[sig0] = 0
+        dfa = fsa.explore(ball.alphabet, sig0, step, lambda sig: True, "cosets")
+        # a letter must move the automaton exactly when it extends a representative
+        todo = [(0, dfa.start)]
+        for i, q in todo:
+            if len(words[i]) == DFA_HORIZON:
+                continue
+            for x in letters:
+                c, t = child(i, x), dfa.step(q, x)
+                if (c is None) != (t is None):
+                    raise BackendError(
+                        "synthesized coset DFA disagrees with the oracle at "
+                        f"{Word(ball.alphabet, words[i].letters + (x,))}: a lookahead "
+                        f"window of {DFA_WINDOW} letters does not separate its states")
+                if c is not None:
+                    todo.append((c, t))
         return minimize(dfa)
-
-    def _verify_dfa(self, dfa: Dfa):
-        for ext in self._collected_extensions((), DFA_HORIZON):
-            w = Word(self.parent.alphabet, ext)
-            if dfa.accepts(w) != self.is_rep(w):
-                raise BackendError(
-                    f"synthesized coset DFA disagrees with the oracle at {w}: "
-                    f"a lookahead window of {DFA_WINDOW} letters does not "
-                    "separate its states")
-
-
-def _is_collected(backend: AbelianBackend, w: Word) -> bool:
-    last = (-1, 0)
-    for x in w.letters:
-        i, s, _d = backend._letter_vec[x]
-        if i < last[0] or (i == last[0] and s != last[1]):
-            return False
-        last = (i, s)
-    # torsion runs must stay in normalized range
-    vec = backend.vec(w)
-    return vec == backend.normalize(vec)
-
-
-def _sphere(n, m):
-    """All integer vectors of L1 norm exactly m."""
-    if n == 1:
-        if m == 0:
-            yield (0,)
-        else:
-            yield (m,)
-            yield (-m,)
-        return
-    for head in range(-m, m + 1):
-        for rest in _sphere(n - 1, m - abs(head)):
-            yield (head,) + rest
-
 
 # --- trivial subgroup --------------------------------------------------------
 

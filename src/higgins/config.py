@@ -18,8 +18,9 @@ owns the following lines up to the next header.  Values that contain spaces
 Parse failures carry line numbers, and so does an entry its section does not
 read, a second section of one name and a second entry of one key (only the
 graph's edge and vertices lines add up).  Groups, subgroups and the graph are
-built as their sections are read; a coset system is resolved when
-coset_system() builds it.
+built as their sections are read; a coset system's entries are checked then
+(one of subgroup= and edge=, a known mode= and language=), and the names it
+refers to are resolved when coset_system() builds it.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class ProjectConfig:
                 raise ConfigError(0, f"unknown edge {decl['edge']!r}")
             ctx = Pi1EdgeSubgroup(system, edge)
         else:
-            sub = decl.get("subgroup")
+            sub = decl["subgroup"]
             if sub not in self.subgroups:
                 raise ConfigError(0, f"unknown subgroup {sub!r}")
             ctx = self.subgroups[sub][0]
@@ -241,8 +242,7 @@ def _build_subgroup(section: _Section, groups):
             return AbelianSubgroup(backend, words), group_name
         if isinstance(backend, FreeBackend):
             if len(words) != 1:
-                raise ConfigError(section.lineno,
-                                  "free-group subgroups support a single cyclic generator")
+                raise BackendError("free-group subgroups support a single cyclic generator")
             return FreeCyclicSubgroup(backend, words[0]), group_name
         if isinstance(backend, FiniteBackend):
             return FiniteSubgroup(backend, words), group_name
@@ -277,7 +277,8 @@ REVERSE_ISO_DEPTH = 10  # longest source word the reverse-iso search tries
 def derive_reverse_iso(src_ctx, dst_ctx, images):
     """Invert a generator-level isomorphism by breadth-first search over the
     source subgroup: for each target generator find a source word of at most
-    REVERSE_ISO_DEPTH letters whose image matches it.
+    REVERSE_ISO_DEPTH letters whose image matches it.  None when some target
+    generator has no such word.
 
     Not a CayleyBall: the benchmark checks every ball built while certifying
     configs/hnn_z2.gog, whose load runs this (tests/test_ball_capture.py)."""
@@ -309,8 +310,7 @@ def derive_reverse_iso(src_ctx, dst_ctx, images):
                     nxt.append(cand)
         frontier = nxt
     if len(found) != len(dst_ctx.gen_words):
-        raise ConfigError(
-            0, "cannot derive the reverse iso by search; declare reverse_iso explicitly")
+        return None
     return [found[i] for i in range(len(dst_ctx.gen_words))]
 
 
@@ -387,7 +387,11 @@ def _build_graph(section: _Section, config: ProjectConfig):
         if "reverse_iso" in fields:
             edge_iso[edge.reverse.name] = _parse_iso(lineno, fields["reverse_iso"], rctx, ctx)
         elif rctx.gen_words:
-            edge_iso[edge.reverse.name] = derive_reverse_iso(ctx, rctx, images)
+            reverse = derive_reverse_iso(ctx, rctx, images)
+            if reverse is None:
+                raise ConfigError(lineno, f"edge {ename}: cannot derive the reverse iso by "
+                                          "search; declare reverse_iso explicitly")
+            edge_iso[edge.reverse.name] = reverse
         else:
             edge_iso[edge.reverse.name] = []
     config.graph_decl = decl
@@ -419,12 +423,19 @@ def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
         elif kind == "cosetsystem":
             if len(section.header) != 2:
                 raise ConfigError(section.lineno, "expected [cosetsystem <name>]")
-            decl = _entries(section, f"cosetsystem {section.header[1]}",
-                            ("subgroup", "edge", "mode", "language"))
-            for lineno, key, value in section.entries:
-                if key == "language" and value not in ("canonical", "padded"):
+            what = f"cosetsystem {section.header[1]}"
+            decl = _entries(section, what, ("subgroup", "edge", "mode", "language"))
+            line = {key: lineno for lineno, key, _value in section.entries}
+            for key, allowed in (("mode", ("sync", "async")),
+                                 ("language", ("canonical", "padded"))):
+                if key in decl and decl[key] not in allowed:
                     raise ConfigError(
-                        lineno, f"language must be canonical or padded, got {value!r}")
+                        line[key], f"{key} must be {' or '.join(allowed)}, got {decl[key]!r}")
+            if "subgroup" in decl and "edge" in decl:
+                raise ConfigError(max(line["subgroup"], line["edge"]),
+                                  f"{what}: give subgroup= or edge=, not both")
+            if "subgroup" not in decl and "edge" not in decl:
+                raise ConfigError(section.lineno, f"{what}: missing subgroup= or edge=")
             config.cosetsystems[section.header[1]] = decl
         else:
             raise ConfigError(section.lineno, f"unknown section {kind!r}")

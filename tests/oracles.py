@@ -23,8 +23,8 @@ up to its radius, and a finite subgroup against a closure of its generators.
 Subgroup lengths and finite tables, read off Cayley balls over one letter per
 generator, are checked against searches that multiply by generator words
 (or table elements) step by step.
-An abelian coset's representative, read off L1 spheres labelled once, is
-checked against a scan of the spheres for each query, and a free cyclic
+An abelian coset's representative, read off one coset ball, is checked
+against a scan of the L1 spheres for each query, and a free cyclic
 coset's representative against the least word of its orbit gen^k w.  Every
 automaton the package explores state by state from its start is checked,
 state for state, against the subset construction of a nondeterministic
@@ -272,14 +272,28 @@ def scanned_chosen(ctx, vec) -> tuple:
     """Exponent vector of the canonical representative of vec's coset in the
     abelian subgroup ctx: the L1 spheres are scanned from radius 0 up to the
     norm of vec's normal form, and the first sphere that meets the coset gives
-    its point least under the backend's preference order."""
-    from higgins.backends import _pref_key, _sphere
+    its point whose collected word is shortlex-least.  Among points of one
+    norm that is the least under a per-coordinate preference: a larger
+    positive exponent (more copies of the first letter), then a deeper
+    negative one, then zero."""
+    def sphere(n, m):
+        if n == 0:
+            if m == 0:
+                yield ()
+            return
+        for head in range(-m, m + 1):
+            for rest in sphere(n - 1, m - abs(head)):
+                yield (head,) + rest
+
+    def preference(r):
+        return tuple((0, -x) if x > 0 else (1, x) if x < 0 else (2, 0) for x in r)
+
     key = ctx.lattice.key(vec)
     budget = sum(abs(r) for r in ctx.parent.normalize(vec))
     for m in range(budget + 1):
-        hits = [r for r in _sphere(ctx.parent.n, m) if ctx.lattice.key(r) == key]
+        hits = [r for r in sphere(ctx.parent.n, m) if ctx.lattice.key(r) == key]
         if hits:
-            return min(hits, key=lambda r: tuple(_pref_key(x) for x in r))
+            return min(hits, key=preference)
     raise AssertionError(f"no sphere up to {budget} meets the coset of {vec}")
 
 

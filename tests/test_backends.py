@@ -12,7 +12,7 @@ from higgins.fsa import enumerate_language
 from higgins.words import Word, all_words, free_reduce, invert
 from oracles import (
     canonical_by_subsets, collected_by_subsets, coset_language_by_subsets,
-    free_cyclic_rep_by_orbit, scanned_chosen, table_closure, table_search,
+    brute_ball, free_cyclic_rep_by_orbit, scanned_chosen, table_closure, table_search,
 )
 
 
@@ -253,7 +253,7 @@ def test_abelian_mixed_subgroup_synthesized_dfa():
     H = AbelianSubgroup(G, [G.alphabet.word("x1 t")])
     dfa = H.coset_language
     for w in all_words(G.alphabet, 5):
-        assert dfa.accepts(w) == H.is_rep(w), str(w)
+        assert dfa.accepts(w) == (H.coset_rep(w) == w), str(w)
 
 
 def _seeded_abelian_subgroup(rng):
@@ -268,7 +268,7 @@ def _seeded_abelian_subgroup(rng):
 
 def test_abelian_labelled_spheres_match_the_scan_per_query():
     # Z^n x torsion with n <= 3; a third or more of the seeded subgroups have
-    # dependent images, where chosen reads the labelled spheres
+    # dependent images, where chosen reads the coset ball
     rng = random.Random(3)
     dependent = 0
     for _ in range(40):
@@ -304,13 +304,38 @@ def test_abelian_automata_equal_the_subset_construction():
     (1, [2, 3], ["x1 t1 t2"]), (2, [2], ["x1 t", "x2 x2"]),
 ], ids=["z-z4-x1t", "z-z4-x1x1t", "z-z2-z3", "z2-z2-two-gens"])
 def test_abelian_labelled_spheres_synthesize_the_scanned_dfa(rank, torsion, gens):
+    # the learned automaton's words are the scanned representatives, up to 8 letters
     names = None if len(torsion) != 1 else [f"x{i + 1}" for i in range(rank)] + ["t"]
     G = AbelianBackend(rank, torsion, names)
     H = AbelianSubgroup(G, [G.alphabet.word(g) for g in gens])
-    ref = AbelianSubgroup(G, [G.alphabet.word(g) for g in gens])
-    ref.chosen = lambda vec: scanned_chosen(ref, vec)
     assert not H._independent
-    assert H.coset_language == ref.coset_language
+    nearest = {}  # coset key -> a least-norm vector of norm <= 8 in the coset
+    for vec in sorted(itertools.product(range(-8, 9), repeat=G.n), key=lambda v: sum(map(abs, v))):
+        if sum(map(abs, vec)) <= 8:
+            nearest.setdefault(H.lattice.key(vec), vec)
+    scanned = {G.serialize(scanned_chosen(H, vec)) for vec in nearest.values()}
+    assert set(enumerate_language(H.coset_language, 8)) == scanned
+
+
+def test_abelian_coset_ball_is_the_brute_ball_of_coset_keys():
+    # dependent images read representatives off one coset ball; independent
+    # ones never build it
+    rng = random.Random(29)
+    dependent = independent = 0
+    for _ in range(40):
+        G, H = _seeded_abelian_subgroup(rng)
+        for _ in range(30):
+            H.chosen(tuple(rng.randint(-5, 5) for _ in range(G.n)))
+        if H._independent:
+            independent += 1
+            H.coset_language
+            assert "_cosets" not in vars(H)
+            continue
+        dependent += 1
+        ball = H._cosets
+        ball.max_radius = max(ball.radius, 4)
+        assert ball.within(4) == brute_ball(ball.oracle, 4), (G.name, H.gen_words)
+    assert dependent >= 10 and independent >= 10
 
 
 def test_abelian_coset_language_unique_reps():

@@ -523,6 +523,20 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
     ("[group G] kind=free rank=1\n[subgroup T in G]\n[graph]\nvertices=u:G,v:G\n"
      "edge e: u -> v subgroup=T reverse_subgroup=T\ntree=e\ntree=", None, ["validate"],
      "line 7: graph: second tree= entry"),
+    # coset system entries used to be checked only when the system was built
+    (COSET_CONFIG + "[cosetsystem C] subgroup=H\nedge=e", None, ["validate"],
+     "line 5: cosetsystem C: give subgroup= or edge=, not both"),
+    (COSET_CONFIG + "[cosetsystem C] subgroup=H mode=bogus", None,
+     ["certify", "--what", "coset", "--system", "C", "--radius", "1"],
+     "line 4: mode must be sync or async, got 'bogus'"),
+    (COSET_CONFIG + "[cosetsystem C] mode=sync\n[cosetsystem D] subgroup=H", None,
+     ["certify", "--what", "coset", "--system", "D", "--radius", "1"],
+     "line 4: cosetsystem C: missing subgroup= or edge="),
+    ("[group G] kind=free rank=2\n[subgroup H in G]\ngenerators=a;b", None, ["validate"],
+     "line 3: subgroup H: generators: free-group subgroups support a single cyclic generator"),
+    (COSET_CONFIG + "[graph]\nvertices=v:G\nedge f: v -> v subgroup=H reverse_subgroup=H "
+     "iso=y1->y1 y1", None, ["validate"],
+     "line 6: edge f: cannot derive the reverse iso by search; declare reverse_iso explicitly"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
         "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
@@ -532,7 +546,8 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
         "subgroup-unreduced-generator", "subgroup-unknown-letter", "group-second-section",
         "subgroup-second-section", "coset-second-section", "graph-second-section",
         "group-second-entry", "subgroup-second-entry", "coset-second-entry",
-        "graph-second-tree"])
+        "graph-second-tree", "coset-subgroup-and-edge", "coset-mode-bogus",
+        "coset-neither-subgroup-nor-edge", "free-two-generators", "reverse-iso-underivable"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
