@@ -9,6 +9,14 @@
 
 Exit codes: 0 pass, 1 property failure, 2 usage or input error.  A reader
 that closes the output early (`| head`) ends the run quietly with exit 2.
+
+Each command is declared once in COMMANDS.  A call builds the argument parser
+of its own command only (the command named by the first argument); with no
+command, a help flag or an unknown name first it builds every command's
+parser, so help and usage errors read the same either way.  A flag the chosen
+mode would ignore (`nf --base` with `--coset-edge`, `enum --base` outside
+`--language higgins`, `certify --sync` outside `--what hypotheses`, ...) is a
+usage error.
 """
 
 from __future__ import annotations
@@ -59,6 +67,8 @@ def _base_vertex(system, name):
 
 def cmd_nf(args) -> int:
     config = load_config(args.config)
+    if args.base is not None and args.coset_edge is not None:
+        raise ConfigError(0, "nf: give --base or --coset-edge, not both")
     system = config.system()
     word = system.word(args.word)
     if args.coset_edge:
@@ -82,6 +92,11 @@ def cmd_enum(args) -> int:
     config = load_config(args.config)
     if args.check_unique and args.language == "component":
         raise ConfigError(0, "--check-unique applies to higgins/coset languages")
+    for flag, language in (("base", "higgins"), ("coset_edge", "coset"),
+                           ("component", "component")):
+        if getattr(args, flag) is not None and args.language != language:
+            raise ConfigError(
+                0, f"--{flag.replace('_', '-')} applies to the {language} language")
     if args.language == "component":
         if not args.component or args.component not in config.subgroups:
             raise ConfigError(0, "component enumeration needs --component <subgroup>")
@@ -117,6 +132,10 @@ def cmd_enum(args) -> int:
 
 def cmd_certify(args) -> int:
     config = load_config(args.config)
+    if args.sync and args.what != "hypotheses":
+        raise ConfigError(0, "--sync applies to --what hypotheses")
+    if args.system is not None and args.what == "hypotheses":
+        raise ConfigError(0, "--system does not apply to --what hypotheses")
     if args.what == "hypotheses":
         report = combination_hypotheses_report(
             config.gog(), args.radius, sync=args.sync)
@@ -164,6 +183,8 @@ def cmd_fsa(args) -> int:
     arity = FSA_ARITY[args.op]  # argparse admits only these operations
     if len(args.files) != arity:
         raise ConfigError(0, f"fsa {args.op} takes {arity} automaton file(s)")
+    if args.out is not None and args.op == "enum":
+        raise ConfigError(0, "--out does not apply to fsa enum")
     dfas = [fsa.dfa_from_text(read_text(path)) for path in args.files]
     if args.op == "enum":
         for w in enumerate_language(dfas[0], args.max_len):
@@ -194,26 +215,19 @@ def _size(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="higgins",
-        description="Coset normal forms and desk-scale certification for "
-                    "fundamental groups of graphs of groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a config's graph and coset systems")
+def _validate_arguments(p):
     p.add_argument("config")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("nf", help="normal form of a word")
+
+def _nf_arguments(p):
     p.add_argument("config")
     p.add_argument("--word", required=True)
     p.add_argument("--base")
     p.add_argument("--coset-edge")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_nf)
 
-    p = sub.add_parser("enum", help="enumerate a language in shortlex order")
+
+def _enum_arguments(p):
     p.add_argument("config")
     p.add_argument("--language", choices=("higgins", "coset", "component"),
                    default="higgins")
@@ -222,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coset-edge")
     p.add_argument("--component")
     p.add_argument("--check-unique", action="store_true")
-    p.set_defaults(func=cmd_enum)
 
-    p = sub.add_parser("certify", help="run a fellow-traveller or hypothesis sweep")
+
+def _certify_arguments(p):
     p.add_argument("config")
     p.add_argument("--what", choices=("coset", "automatic", "hypotheses", "sync-filter"),
                    required=True)
@@ -232,26 +246,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", help="name of a declared coset system")
     p.add_argument("--sync", action="store_true",
                    help="include the synchronous hypothesis rows")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("experiment", help="run a built-in experiment")
+
+def _experiment_arguments(p):
     p.add_argument("name", choices=("trefoil",))
     p.add_argument("--radius", type=_size, default=4)
     p.add_argument("--lambda-max", type=_size, default=3)
-    p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("fsa", help="operate on automaton files")
+
+def _fsa_arguments(p):
     p.add_argument("op", choices=tuple(FSA_ARITY))
     p.add_argument("files", nargs="+")
     p.add_argument("--max-len", type=_size, default=4)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fsa)
+
+
+# name, help, handler and the function that adds the command's arguments
+COMMANDS = (
+    ("validate", "check a config's graph and coset systems", cmd_validate,
+     _validate_arguments),
+    ("nf", "normal form of a word", cmd_nf, _nf_arguments),
+    ("enum", "enumerate a language in shortlex order", cmd_enum, _enum_arguments),
+    ("certify", "run a fellow-traveller or hypothesis sweep", cmd_certify,
+     _certify_arguments),
+    ("experiment", "run a built-in experiment", cmd_experiment, _experiment_arguments),
+    ("fsa", "operate on automaton files", cmd_fsa, _fsa_arguments),
+)
+COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one command named.  The usage
+    line names every command either way, since the top-level parser prints it
+    when it reports an argument left over."""
+    parser = argparse.ArgumentParser(
+        prog="higgins",
+        description="Coset normal forms and desk-scale certification for "
+                    "fundamental groups of graphs of groups.")
+    metavar = None if command is None else "{" + ",".join(COMMAND_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, func, add_arguments in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # no command, -h or a typo first gets every command's parser and its error
+    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown

@@ -19,8 +19,9 @@ Parse failures carry line numbers, and so does an entry its section does not
 read, a second section of one name and a second entry of one key (only the
 graph's edge and vertices lines add up).  Groups, subgroups and the graph are
 built as their sections are read; a coset system's entries are checked then
-(one of subgroup= and edge=, a known mode= and language=), and the names it
-refers to are resolved when coset_system() builds it.
+(one of subgroup= and edge=, a known mode= and language=), and the subgroup or
+edge it names is checked once every section has been read, since sections may
+come in any order.  coset_system() builds a system.
 """
 
 from __future__ import annotations
@@ -134,15 +135,9 @@ class ProjectConfig:
         decl = self.cosetsystems[name]
         if "edge" in decl:
             system = self.system()
-            edge = system.gog.graph.edges.get(decl["edge"])
-            if edge is None:
-                raise ConfigError(0, f"unknown edge {decl['edge']!r}")
-            ctx = Pi1EdgeSubgroup(system, edge)
+            ctx = Pi1EdgeSubgroup(system, system.gog.graph.edges[decl["edge"]])
         else:
-            sub = decl["subgroup"]
-            if sub not in self.subgroups:
-                raise ConfigError(0, f"unknown subgroup {sub!r}")
-            ctx = self.subgroups[sub][0]
+            ctx = self.subgroups[decl["subgroup"]][0]
         language = ctx.coset_language
         if decl.get("language") == "padded":
             language = detour_padded_language(language, ctx.parent.alphabet)
@@ -405,6 +400,7 @@ def load_config(path: str) -> ProjectConfig:
 def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
     config = ProjectConfig()
     seen = set()  # (kind, name) of every section read
+    references = []  # (line, coset system, "subgroup" or "edge", name) to check at the end
     for section in parse_sections(text):
         kind = section.header[0]
         name = section.header[1] if kind != "graph" and len(section.header) > 1 else None
@@ -436,7 +432,13 @@ def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
                                   f"{what}: give subgroup= or edge=, not both")
             if "subgroup" not in decl and "edge" not in decl:
                 raise ConfigError(section.lineno, f"{what}: missing subgroup= or edge=")
+            key = "subgroup" if "subgroup" in decl else "edge"
+            references.append((line[key], what, key, decl[key]))
             config.cosetsystems[section.header[1]] = decl
         else:
             raise ConfigError(section.lineno, f"unknown section {kind!r}")
+    edges = config._gog.graph.edges if config._gog is not None else {}
+    for lineno, what, key, name in references:
+        if name not in (config.subgroups if key == "subgroup" else edges):
+            raise ConfigError(lineno, f"{what}: unknown {key} {name!r}")
     return config

@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import shlex
@@ -8,7 +9,8 @@ import pytest
 
 from builders import REGRESSION_GRAPHS
 from higgins.cascade import Pi1System
-from higgins.cli import build_parser, main
+from higgins import cli
+from higgins.cli import COMMAND_NAMES, build_parser, main
 from higgins.config import ConfigError, derive_reverse_iso, load_config, parse_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -128,7 +130,18 @@ def test_cmd_validate_resolves_coset_systems(capsys, tmp_path):
     code = main(["validate", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: unknown subgroup 'K'\n"
+    assert captured.err == "error: line 4: cosetsystem C: unknown subgroup 'K'\n"
+
+
+def test_coset_system_may_precede_what_it_names(capsys, tmp_path):
+    # names are checked once the whole file is read, whatever the section order
+    path = tmp_path / "late.gog"
+    path.write_text("[cosetsystem C] subgroup=H\n[cosetsystem D] edge=f\n" + COSET_CONFIG
+                    + "[graph]\nvertices=v:G\nedge f: v -> v subgroup=H reverse_subgroup=H "
+                    "iso=y1->y1\n")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 0 and out == "valid\n"
+
 
 def test_cmd_validate_missing_file(capsys):
     code = main(["validate", "/nonexistent/nowhere.gog"])
@@ -393,6 +406,11 @@ def test_cmd_fsa_roundtrip(capsys, tmp_path):
     assert out_path.read_text() == again  # byte-identical fixed point
     code, out = run_cli(capsys, "fsa", "enum", str(f1), "--max-len", "3")
     assert out.strip() == "a"
+    # enum used to ignore --out: it printed the words and exited 0
+    code = main(["fsa", "enum", str(f1), "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and out_path.read_text() == again
+    assert captured.err == "error: --out does not apply to fsa enum\n"
 
 
 def test_cmd_fsa_bad_file(capsys, tmp_path):
@@ -446,6 +464,30 @@ def test_cmd_fsa_wrong_file_count_is_a_usage_error(capsys, tmp_path, op, count, 
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: fsa {op} takes {arity} automaton file(s)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nf", "trefoil_amalgam.gog", "--word", "a b", "--base", "u", "--coset-edge", "e"],
+     "nf: give --base or --coset-edge, not both"),
+    (["enum", "trefoil_amalgam.gog", "--language", "higgins", "--coset-edge", "nope"],
+     "--coset-edge applies to the coset language"),
+    (["enum", "trefoil_amalgam.gog", "--language", "higgins", "--component", "H"],
+     "--component applies to the component language"),
+    (["enum", "trefoil_amalgam.gog", "--language", "coset", "--base", "nope"],
+     "--base applies to the higgins language"),
+    (["enum", "abelian_pairs.gog", "--language", "component", "--component", "Axis",
+      "--base", "v"], "--base applies to the higgins language"),
+    (["certify", "abelian_pairs.gog", "--what", "coset", "--system", "axis-padded",
+      "--sync"], "--sync applies to --what hypotheses"),
+    (["certify", "trefoil_amalgam.gog", "--what", "hypotheses", "--system", "nope"],
+     "--system does not apply to --what hypotheses"),
+], ids=" ".join)
+def test_flag_the_command_would_ignore_is_a_usage_error(capsys, argv, message):
+    # each of these flags used to be ignored: the run printed its output and exited 0
+    code = main([cfg(a) if a.endswith(".gog") else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
@@ -532,6 +574,11 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
     (COSET_CONFIG + "[cosetsystem C] mode=sync\n[cosetsystem D] subgroup=H", None,
      ["certify", "--what", "coset", "--system", "D", "--radius", "1"],
      "line 4: cosetsystem C: missing subgroup= or edge="),
+    (COSET_CONFIG + "[cosetsystem C] subgroup=Nope\n[cosetsystem D] subgroup=H", None,
+     ["certify", "--what", "coset", "--system", "D", "--radius", "1"],
+     "line 4: cosetsystem C: unknown subgroup 'Nope'"),
+    (COSET_CONFIG + "[cosetsystem C] mode=sync\nedge=e", None, ["validate"],
+     "line 5: cosetsystem C: unknown edge 'e'"),
     ("[group G] kind=free rank=2\n[subgroup H in G]\ngenerators=a;b", None, ["validate"],
      "line 3: subgroup H: generators: free-group subgroups support a single cyclic generator"),
     (COSET_CONFIG + "[graph]\nvertices=v:G\nedge f: v -> v subgroup=H reverse_subgroup=H "
@@ -547,7 +594,8 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
         "subgroup-second-section", "coset-second-section", "graph-second-section",
         "group-second-entry", "subgroup-second-entry", "coset-second-entry",
         "graph-second-tree", "coset-subgroup-and-edge", "coset-mode-bogus",
-        "coset-neither-subgroup-nor-edge", "free-two-generators", "reverse-iso-underivable"])
+        "coset-neither-subgroup-nor-edge", "coset-unknown-subgroup", "coset-unknown-edge",
+        "free-two-generators", "reverse-iso-underivable"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
@@ -604,7 +652,58 @@ def test_negative_size_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     assert f"argument {argv[-1]}: must be >= 0, got -1" in captured.err
     dest = argv[-1].lstrip("-").replace("-", "_")
-    assert getattr(build_parser().parse_args(argv + ["0"]), dest) == 0
+    for parser in (build_parser(), build_parser(argv[0])):
+        assert getattr(parser.parse_args(argv + ["0"]), dest) == 0
+
+
+# --- the parser -------------------------------------------------------------------
+# main builds the parser of the command named by argv[0] alone; what it prints
+# on help or a usage error must be what the parser of every command prints
+
+def parse_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [name, "--help"] for name in COMMAND_NAMES] + [
+    [], ["-h"], ["bogus"], ["validate", "trefoil_amalgam.gog", "extra"],
+    ["validate"],
+    ["nf", "trefoil_amalgam.gog"],
+    ["enum", "trefoil_amalgam.gog", "--language", "bogus"],
+    ["certify", "hnn_z2.gog", "--what", "bogus"],
+    ["experiment", "bogus"],
+    ["fsa", "bogus", "x.dfa"],
+], ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    argv = [cfg(a) if a.endswith(".gog") else a for a in argv]
+    lazy = parse_outcome(capsys, main, argv)
+    full = parse_outcome(capsys, build_parser().parse_args, argv)
+    assert lazy == full and lazy[0] in (0, 2) and (lazy[1] or lazy[2])
+
+
+def test_usage_errors_name_the_command_argument(capsys):
+    usage = "usage: higgins [-h] {validate,nf,enum,certify,experiment,fsa} ...\nhiggins: error: "
+    assert parse_outcome(capsys, main, []) == (
+        2, "", usage + "the following arguments are required: command\n")
+    assert parse_outcome(capsys, main, ["bogus"])[2].startswith(
+        usage + "argument command: invalid choice: 'bogus'")
+
+
+def test_certify_builds_the_certify_parser_only(monkeypatch, capsys):
+    parsers = []
+
+    def capture(*args):
+        parsers.append(build_parser(*args))
+        return parsers[-1]
+    monkeypatch.setattr(cli, "build_parser", capture)
+    code = main(["certify", cfg("hnn_z2.gog"), "--what", "coset", "--system", "edge-cosets",
+                 "--radius", "1"])
+    assert code == 0 and capsys.readouterr().out.startswith("certificate ")
+    (sub,) = [a for a in parsers[0]._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(parsers) == 1 and list(sub.choices) == ["certify"]
 
 
 def test_cmd_certify_radius_zero_trivial_pass(capsys):
