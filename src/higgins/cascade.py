@@ -49,7 +49,7 @@ from typing import Optional
 from .backends import SubgroupContext
 from .fsa import Dfa, explore
 from .gog import (
-    Edge, GogError, GraphOfGroups, InflatedWord, SpanningTree, StableAlphabets, maximal_tree,
+    Edge, GogError, GraphOfGroups, InflatedWord, SpanningTree, StableAlphabets,
 )
 from .words import Word, WordMap, invert
 
@@ -88,10 +88,9 @@ class Pi1System:
         if problems:
             raise GogError("invalid graph of groups: " + "; ".join(problems))
         self.gog = gog
-        self.tree = tree if tree is not None else maximal_tree(gog.graph)
+        self.tree = tree if tree is not None else SpanningTree(gog.graph)
         self.alphabets = StableAlphabets(gog, self.tree)
         self.alphabet = self.alphabets.alphabet
-        self._tree_paths = {}
         # (edge name, vertex element) -> (rep letters, carry element,
         # working letters of the step); see _close_chain
         self._closes = {}
@@ -112,12 +111,6 @@ class Pi1System:
         self._elems = [(None, None)]
         self._eids = {(None, None): 0}
         self._rows = [[None] * len(self.alphabet)]
-
-    def tree_path(self, u: str, v: str):
-        key = (u, v)
-        if key not in self._tree_paths:
-            self._tree_paths[key] = tuple(self.tree.path(u, v))
-        return self._tree_paths[key]
 
     def word(self, text: str) -> Word:
         return self.alphabet.word(text)
@@ -238,14 +231,14 @@ class Pi1System:
             if q not in dfa.accepting:
                 return None
             if k[0] == "v":
-                tpath = self.tree_path(cur, k[1])
+                tpath = self.tree.path(cur, k[1])
                 if marker is not None and tpath[0] is marker.reverse and fresh:
                     return None
                 last = tpath[-1]
                 t = comps[last].step(comps[last].start, k[2])
                 return None if t is None else (last, t, False)
             f = k[1]
-            tpath = self.tree_path(cur, f.src)
+            tpath = self.tree.path(cur, f.src)
             first = tpath[0] if tpath else f
             if marker is not None and first is marker.reverse and fresh:
                 return None
@@ -369,14 +362,14 @@ class Pi1System:
             f, v = v, v.src
             if vertex is None:
                 vertex, elem = f.dst, self.gog.backend(f.dst).identity()
-            edges = (f,) + self.tree_path(f.dst, vertex)
+            edges = (f,) + self.tree.path(f.dst, vertex)
         elif vertex is None:  # the letter opens the empty word's segment
             hit = self._rows[eid][xl] = self._open(v, self.gog.backend(v).identity(), xl)
             return hit, tail
         elif v == vertex:
             return self._open(v, elem, xl), tail
         else:
-            edges = self.tree_path(v, vertex)
+            edges = self.tree.path(v, vertex)
         carry, tail, (rep, closed, step) = self._close_chain(edges, elem, tail)
         if len(edges) == 1:
             e = edges[0]
@@ -399,7 +392,7 @@ class Pi1System:
             elem = backend.identity()
         elif vertex != base_vertex:
             elem, tail, _ = self._close_chain(
-                self.tree_path(base_vertex, vertex), elem, tail)
+                self.tree.path(base_vertex, vertex), elem, tail)
         head = self._heads.get((anchor, elem))
         if head is None:
             word = (backend.element_word(elem) if kind == "group"

@@ -15,8 +15,8 @@ of its own command only (the command named by the first argument); with no
 command, a help flag or an unknown name first it builds every command's
 parser, so help and usage errors read the same either way.  A flag the chosen
 mode would ignore (`nf --base` with `--coset-edge`, `enum --base` outside
-`--language higgins`, `certify --sync` outside `--what hypotheses`, ...) is a
-usage error.
+`--language higgins`, `certify --sync` outside `--what hypotheses`, `fsa
+--max-len` outside `fsa enum`, ...) is a usage error.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _emit(text):
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
-    problems = config.gog().validate() if config.graph_decl is not None else []
+    problems = config.gog().validate() if config.has_graph else []
     if problems:
         for p in problems:
             _emit(f"invalid: {p}")
@@ -98,8 +98,10 @@ def cmd_enum(args) -> int:
             raise ConfigError(
                 0, f"--{flag.replace('_', '-')} applies to the {language} language")
     if args.language == "component":
-        if not args.component or args.component not in config.subgroups:
+        if not args.component:
             raise ConfigError(0, "component enumeration needs --component <subgroup>")
+        if args.component not in config.subgroups:
+            raise ConfigError(0, f"unknown subgroup {args.component!r}")
         lang = config.subgroups[args.component][0].coset_language
         words = enumerate_language(lang, args.max_len)
     else:
@@ -185,9 +187,11 @@ def cmd_fsa(args) -> int:
         raise ConfigError(0, f"fsa {args.op} takes {arity} automaton file(s)")
     if args.out is not None and args.op == "enum":
         raise ConfigError(0, "--out does not apply to fsa enum")
+    if args.max_len is not None and args.op != "enum":
+        raise ConfigError(0, "--max-len applies to fsa enum")
     dfas = [fsa.dfa_from_text(read_text(path)) for path in args.files]
     if args.op == "enum":
-        for w in enumerate_language(dfas[0], args.max_len):
+        for w in enumerate_language(dfas[0], 4 if args.max_len is None else args.max_len):
             _emit(str(w))
         return PASS
     if args.op == "min":
@@ -257,7 +261,7 @@ def _experiment_arguments(p):
 def _fsa_arguments(p):
     p.add_argument("op", choices=tuple(FSA_ARITY))
     p.add_argument("files", nargs="+")
-    p.add_argument("--max-len", type=_size, default=4)
+    p.add_argument("--max-len", type=_size)  # fsa enum reads None as 4
     p.add_argument("--out")
 
 

@@ -18,7 +18,8 @@ owns the following lines up to the next header.  Values that contain spaces
 Parse failures carry line numbers, and so does an entry its section does not
 read, a second section of one name and a second entry of one key (only the
 graph's edge and vertices lines add up).  Groups, subgroups and the graph are
-built as their sections are read; a coset system's entries are checked then
+built as their sections are read, and a tree= entry is checked as a spanning
+tree once the graph's edges have all been read; a coset system's entries are checked then
 (one of subgroup= and edge=, a known mode= and language=), and the subgroup or
 edge it names is checked once every section has been read, since sections may
 come in any order.  coset_system() builds a system.
@@ -36,7 +37,7 @@ from .backends import (
 from .cascade import Pi1EdgeSubgroup, Pi1System
 from .certify import detour_padded_language
 from .cosets import CosetSystem
-from .gog import DirectedGraph, GraphOfGroups, SpanningTree
+from .gog import DirectedGraph, GogError, GraphOfGroups, SpanningTree
 from .words import AlphabetError, Word, WordMap
 
 
@@ -95,12 +96,16 @@ class ProjectConfig:
     def __init__(self):
         self.groups: dict = {}
         self.subgroups: dict = {}          # name -> (context, group name)
-        self.graph_decl = None
+        self.tree: Optional[SpanningTree] = None  # a declared tree=, else the default
         self.cosetsystems: dict = {}       # name -> dict of fields
         self._system = None
         self._gog = None
 
     # -- resolved objects ------------------------------------------------------
+
+    @property
+    def has_graph(self) -> bool:
+        return self._gog is not None
 
     def gog(self) -> GraphOfGroups:
         if self._gog is None:
@@ -109,21 +114,8 @@ class ProjectConfig:
 
     def system(self) -> Pi1System:
         if self._system is None:
-            self._system = Pi1System(self.gog(), self._tree())
+            self._system = Pi1System(self.gog(), self.tree)
         return self._system
-
-    def _tree(self) -> Optional[SpanningTree]:
-        names = self.graph_decl.get("tree")
-        if not names:
-            return None
-        gog = self.gog()
-        full = []
-        for nm in names:
-            if nm not in gog.graph.edges:
-                raise ConfigError(0, f"tree edge {nm!r} not declared")
-            full.append(nm)
-            full.append(gog.graph.edges[nm].reverse.name)
-        return SpanningTree(gog.graph, full, min(gog.graph.vertices))
 
     def coset_system(self, name: Optional[str] = None) -> CosetSystem:
         if not self.cosetsystems:
@@ -314,7 +306,7 @@ def _build_graph(section: _Section, config: ProjectConfig):
     vertex_backends = {}
     edge_contexts = {}
     edge_iso = {}
-    decl = {"tree": None}
+    tree_line = None  # (line, names) of the tree= entry
     edge_lines = []
     for lineno, key, value in section.entries:
         if key == "vertices":
@@ -329,9 +321,9 @@ def _build_graph(section: _Section, config: ProjectConfig):
         elif key == "edge":
             edge_lines.append((lineno, value))
         elif key == "tree":
-            if decl["tree"] is not None:
+            if tree_line is not None:
                 raise ConfigError(lineno, "graph: second tree= entry")
-            decl["tree"] = [t.strip() for t in value.split(",") if t.strip()]
+            tree_line = (lineno, [t.strip() for t in value.split(",") if t.strip()])
         else:
             raise ConfigError(lineno, f"unknown graph entry {key!r}")
     known_keys = ("subgroup", "reverse_subgroup", "iso", "reverse_iso")
@@ -389,7 +381,11 @@ def _build_graph(section: _Section, config: ProjectConfig):
             edge_iso[edge.reverse.name] = reverse
         else:
             edge_iso[edge.reverse.name] = []
-    config.graph_decl = decl
+    if tree_line is not None:
+        try:
+            config.tree = SpanningTree(graph, tree_line[1])
+        except GogError as exc:
+            raise ConfigError(tree_line[0], str(exc)) from None
     config._gog = GraphOfGroups(graph, vertex_backends, edge_contexts, edge_iso)
 
 
@@ -437,7 +433,7 @@ def parse_config(text: str, base_dir: str = ".") -> ProjectConfig:
             config.cosetsystems[section.header[1]] = decl
         else:
             raise ConfigError(section.lineno, f"unknown section {kind!r}")
-    edges = config._gog.graph.edges if config._gog is not None else {}
+    edges = config._gog.graph.edges if config.has_graph else {}
     for lineno, what, key, name in references:
         if name not in (config.subgroups if key == "subgroup" else edges):
             raise ConfigError(lineno, f"{what}: unknown {key} {name!r}")

@@ -6,8 +6,10 @@ isomorphisms in inverse pairs.  Each isomorphism is given on the generators
 of its edge subgroup and applied to words as a `words.WordMap`.  A spanning
 tree fixes the stable letters that are trivial in the fundamental group, so
 the working alphabet has vertex letters and the stable letters off the tree
-only; StableAlphabets.inflate reads a working word into its alternating path
-word, putting the tree edges back where the word changes vertex.
+only.  One breadth-first search, SpanningTree, gives the default tree and
+checks a declared one.  StableAlphabets.inflate reads a working word into
+its alternating path word, putting the tree edges back where the word
+changes vertex.
 """
 
 from __future__ import annotations
@@ -63,79 +65,72 @@ class DirectedGraph:
         self.pairs.append((name, reverse_name))
         return e
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        todo = [self.vertices[0]]
-        while todo:
-            v = todo.pop()
-            for e in self.edges.values():
-                if e.src == v and e.dst not in seen:
-                    seen.add(e.dst)
-                    todo.append(e.dst)
-        return len(seen) == len(self.vertices)
-
 
 class SpanningTree:
-    def __init__(self, graph: DirectedGraph, tree_edge_names, root: str):
-        self.graph = graph
-        self.edge_names = frozenset(tree_edge_names)
-        self.root = root
+    """The spanning tree the fundamental group is read relative to: a
+    breadth-first search from the least-named vertex that tries, at each
+    vertex it reaches, the edges out of it in name order.  With edge_names
+    None the search may cross any edge, which gives the default tree.  A
+    declared tree names its edge pairs (either direction stands for the
+    pair); the search may cross only those, and must cross every one, so a
+    name that is no edge, a tree that misses a vertex and a pair left over
+    (a loop, or an edge that closes a cycle) raise GogError."""
+
+    def __init__(self, graph: DirectedGraph, edge_names=None):
+        if edge_names is None:
+            allowed = set(graph.edges)
+        else:
+            allowed = set()
+            for nm in edge_names:
+                if nm not in graph.edges:
+                    raise GogError(f"tree edge {nm!r} not declared")
+                allowed.update((nm, graph.edges[nm].reverse.name))
+        if not graph.vertices:
+            raise GogError("graph has no vertices")
+        self.root = root = min(graph.vertices)
         # parent[v] = edge whose dst is v on the path from the root
         self.parent: dict[str, Optional[Edge]] = {root: None}
         self.depth = {root: 0}
-        changed = True
-        while changed:
-            changed = False
-            for nm in sorted(self.edge_names):
-                e = graph.edges[nm]
-                if e.src in self.depth and e.dst not in self.depth:
+        edges = [graph.edges[nm] for nm in sorted(allowed)]
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for e in edges:
+                if e.src == v and e.dst not in self.depth:
                     self.parent[e.dst] = e
-                    self.depth[e.dst] = self.depth[e.src] + 1
-                    changed = True
+                    self.depth[e.dst] = self.depth[v] + 1
+                    queue.append(e.dst)
         if len(self.depth) != len(graph.vertices):
             raise GogError("tree does not span the graph")
+        self.edge_names = frozenset(
+            nm for e in self.parent.values() if e is not None for nm in (e.name, e.reverse.name))
+        cycle = [nm for nm, _ in graph.pairs if nm in allowed and nm not in self.edge_names]
+        if edge_names is not None and cycle:
+            raise GogError(f"tree has a cycle through {', '.join(cycle)}")
+        self._paths: dict = {}  # (u, v) -> path
 
     def contains(self, edge: Edge) -> bool:
         return edge.name in self.edge_names
 
-    def path(self, u: str, v: str) -> list[Edge]:
+    def path(self, u: str, v: str) -> tuple:
         """The unique reduced tree path from u to v, as directed edges."""
-        up, vp = [], []
-        a, b = u, v
-        while self.depth[a] > self.depth[b]:
-            up.append(self.parent[a])
-            a = self.parent[a].src
-        while self.depth[b] > self.depth[a]:
-            vp.append(self.parent[b])
-            b = self.parent[b].src
-        while a != b:
-            up.append(self.parent[a])
-            a = self.parent[a].src
-            vp.append(self.parent[b])
-            b = self.parent[b].src
-        return [e.reverse for e in up] + list(reversed(vp))
-
-
-def maximal_tree(graph: DirectedGraph) -> SpanningTree:
-    """Deterministic breadth-first tree rooted at the least-named vertex."""
-    if not graph.is_connected():
-        raise GogError("graph is not connected")
-    root = min(graph.vertices)
-    seen = {root}
-    tree = []
-    queue = deque([root])
-    edges_sorted = sorted(graph.edges.values(), key=lambda e: e.name)
-    while queue:
-        v = queue.popleft()
-        for e in edges_sorted:
-            if e.src == v and e.dst not in seen:
-                seen.add(e.dst)
-                tree.append(e.name)
-                tree.append(e.reverse.name)
-                queue.append(e.dst)
-    return SpanningTree(graph, tree, root)
+        hit = self._paths.get((u, v))
+        if hit is None:
+            up, vp = [], []
+            a, b = u, v
+            while self.depth[a] > self.depth[b]:
+                up.append(self.parent[a])
+                a = self.parent[a].src
+            while self.depth[b] > self.depth[a]:
+                vp.append(self.parent[b])
+                b = self.parent[b].src
+            while a != b:
+                up.append(self.parent[a])
+                a = self.parent[a].src
+                vp.append(self.parent[b])
+                b = self.parent[b].src
+            hit = self._paths[(u, v)] = tuple([e.reverse for e in up] + vp[::-1])
+        return hit
 
 
 class GraphOfGroups:
@@ -173,7 +168,9 @@ class GraphOfGroups:
 
     def validate(self) -> list[str]:
         problems = []
-        if not self.graph.is_connected():
+        try:
+            SpanningTree(self.graph)
+        except GogError:
             problems.append("graph is not connected")
         for v in self.graph.vertices:
             if v not in self.vertex_backends:
@@ -312,7 +309,7 @@ class StableAlphabets:
             if kind[0] == "v":
                 edges = self.tree.path(cur, kind[1])
             else:
-                edges = self.tree.path(cur, kind[1].src) + [kind[1]]
+                edges = self.tree.path(cur, kind[1].src) + (kind[1],)
             for e in edges:
                 seg = []
                 steps.append((e, seg))

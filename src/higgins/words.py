@@ -189,36 +189,3 @@ def shortlex_cmp(w1: Word, w2: Word) -> int:
         raise AlphabetError("shortlex comparison across different alphabets")
     k1, k2 = shortlex_key(w1), shortlex_key(w2)
     return -1 if k1 < k2 else (0 if k1 == k2 else 1)
-
-
-def prefix(w: Word, t: int) -> Word:
-    """Length-min(t, |w|) prefix; for t >= |w| this is w itself."""
-    if t >= len(w.letters):
-        return w
-    return Word(w.alphabet, w.letters[:t])
-
-
-def words_of_length(alphabet: Alphabet, n: int):
-    """All words of exactly length n, in lexicographic (letter-index) order."""
-    if n == 0:
-        yield Word(alphabet, ())
-        return
-    m = len(alphabet)
-    if m == 0:
-        return
-    stack = [0] * n
-    while True:
-        yield Word(alphabet, tuple(stack))
-        i = n - 1
-        while i >= 0 and stack[i] == m - 1:
-            stack[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        stack[i] += 1
-
-
-def all_words(alphabet: Alphabet, max_len: int):
-    """All words of length <= max_len, in shortlex order."""
-    for n in range(max_len + 1):
-        yield from words_of_length(alphabet, n)

@@ -29,10 +29,14 @@ coset's representative against the least word of its orbit gen^k w.  Every
 automaton the package explores state by state from its start is checked,
 state for state, against the subset construction of a nondeterministic
 automaton with epsilon moves.  A test language given only by membership is
-listed by testing every word up to the length.
+listed by testing every word up to the length, and words are listed by
+enumeration.  The spanning tree, one breadth-first search, is checked against
+a breadth-first choice of its edges grown to a fixed point over them, with
+paths read by climbing to the root from both ends.
 """
 
 import itertools
+from collections import deque
 from typing import Optional
 
 from higgins import certify
@@ -40,7 +44,87 @@ from higgins.backends import (
     AbelianBackend, AbelianSubgroup, FreeBackend, FreeCyclicSubgroup, TrivialSubgroup,
 )
 from higgins.fsa import Dfa, _trim, enumerate_language, minimize
+from higgins.gog import GogError
 from higgins.words import Alphabet, Word, free_reduce, invert, shortlex_key
+
+
+# --- words by enumeration ---------------------------------------------------------
+
+def prefix(w: Word, t: int) -> Word:
+    """Length-min(t, |w|) prefix; for t >= |w| this is w itself."""
+    if t >= len(w.letters):
+        return w
+    return Word(w.alphabet, w.letters[:t])
+
+
+def words_of_length(alphabet: Alphabet, n: int):
+    """All words of exactly length n, in lexicographic (letter-index) order."""
+    for letters in itertools.product(range(len(alphabet)), repeat=n):
+        yield Word(alphabet, letters)
+
+
+def all_words(alphabet: Alphabet, max_len: int):
+    """All words of length <= max_len, in shortlex order."""
+    for n in range(max_len + 1):
+        yield from words_of_length(alphabet, n)
+
+
+# --- spanning trees by a fixed point -------------------------------------------------
+
+class FixedPointTree:
+    """A spanning tree given by its edge names (both directions of each pair)
+    and a root, grown to a fixed point: each round crosses, in name order,
+    every tree edge from a vertex already reached to one that is not."""
+
+    def __init__(self, graph, tree_edge_names, root: str):
+        self.edge_names = frozenset(tree_edge_names)
+        self.root = root
+        self.parent = {root: None}
+        self.depth = {root: 0}
+        changed = True
+        while changed:
+            changed = False
+            for nm in sorted(self.edge_names):
+                e = graph.edges[nm]
+                if e.src in self.depth and e.dst not in self.depth:
+                    self.parent[e.dst] = e
+                    self.depth[e.dst] = self.depth[e.src] + 1
+                    changed = True
+        if len(self.depth) != len(graph.vertices):
+            raise GogError("tree does not span the graph")
+
+    def path(self, u: str, v: str) -> list:
+        """The tree path from u to v: up to the root from each end, then the
+        shared part cut off."""
+        def to_root(x):
+            edges = []
+            while self.parent[x] is not None:
+                edges.append(self.parent[x])
+                x = self.parent[x].src
+            return edges
+        up, down = to_root(u), to_root(v)
+        while up and down and up[-1] is down[-1]:
+            up.pop()
+            down.pop()
+        return [e.reverse for e in up] + down[::-1]
+
+
+def bfs_tree(graph) -> FixedPointTree:
+    """The default tree: breadth-first from the least-named vertex over every
+    edge in name order, then grown to a fixed point over the edges found."""
+    root = min(graph.vertices)
+    seen = {root}
+    tree = []
+    queue = deque([root])
+    edges_sorted = sorted(graph.edges.values(), key=lambda e: e.name)
+    while queue:
+        v = queue.popleft()
+        for e in edges_sorted:
+            if e.src == v and e.dst not in seen:
+                seen.add(e.dst)
+                tree += [e.name, e.reverse.name]
+                queue.append(e.dst)
+    return FixedPointTree(graph, tree, root)
 
 
 # --- normal forms by the phase pipeline ---------------------------------------
@@ -975,7 +1059,7 @@ def higgins_by_subsets(system, base) -> Dfa:
             if q not in dfa.accepting:
                 continue
             if k[0] == "v":
-                tpath = system.tree_path(cur, k[1])
+                tpath = system.tree.path(cur, k[1])
                 if marker is not None and tpath[0] is marker.reverse and fresh:
                     continue
                 last = tpath[-1]
@@ -984,7 +1068,7 @@ def higgins_by_subsets(system, base) -> Dfa:
                     nfa.add_edge(i, xl, index[(last, t, False)])
             else:
                 f = k[1]
-                tpath = system.tree_path(cur, f.src)
+                tpath = system.tree.path(cur, f.src)
                 first = tpath[0] if tpath else f
                 if marker is not None and first is marker.reverse and fresh:
                     continue

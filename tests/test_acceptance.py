@@ -13,7 +13,7 @@ import pytest
 
 from builders import hnn_z2_system, trefoil_system, zz_system
 from oracles import (
-    aut_compose, aut_identity, hnn_z2_key, trefoil_letter_table,
+    all_words, aut_compose, aut_identity, hnn_z2_key, prefix, trefoil_letter_table,
 )
 from higgins.backends import (
     AbelianBackend, AbelianSubgroup, FiniteBackend,
@@ -28,7 +28,7 @@ from higgins.certify import (
 from higgins.cosets import CosetSystem, check_limited_crossover
 from higgins.experiments import run_trefoil_experiment
 from higgins.fsa import Dfa, enumerate_language, minimize, intersect, union, complement
-from higgins.words import Word, all_words, free_reduce, invert, prefix, shortlex_cmp
+from higgins.words import Word, free_reduce, invert, shortlex_cmp
 
 
 def _report(n, summary, t0, budget):

@@ -9,9 +9,9 @@ from higgins.backends import (
 )
 from higgins.certify import CayleyBall
 from higgins.fsa import enumerate_language
-from higgins.words import Word, all_words, free_reduce, invert
+from higgins.words import Word, free_reduce, invert
 from oracles import (
-    canonical_by_subsets, collected_by_subsets, coset_language_by_subsets,
+    all_words, canonical_by_subsets, collected_by_subsets, coset_language_by_subsets,
     brute_ball, free_cyclic_rep_by_orbit, scanned_chosen, table_closure, table_search,
 )
 

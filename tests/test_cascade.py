@@ -7,14 +7,14 @@ from builders import (
     LAW_CONFIGS, hnn_z2_system, shipped_config, shipped_system, trefoil_system, zz_system,
 )
 from oracles import (
-    A_AUT, B_AUT, IDENT, aut_compose, higgins_membership, hnn_z2_key,
+    A_AUT, B_AUT, IDENT, all_words, aut_compose, higgins_membership, hnn_z2_key,
     pipeline_normal_form, syllables, trefoil_key, trefoil_letter_table, zz_vertex_table,
 )
 from higgins.backends import BackendError
 from higgins.cascade import ParseError, Pi1EdgeSubgroup
 from higgins.fsa import enumerate_language
 from higgins.gog import InflatedWord
-from higgins.words import Word, all_words, invert
+from higgins.words import Word, invert
 
 
 ZZ = zz_system()

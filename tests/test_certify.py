@@ -23,11 +23,11 @@ from higgins.config import load_config
 from higgins.cosets import CosetSystem
 from higgins.fsa import Dfa, LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
-from higgins.words import Word, all_words, invert, prefix
+from higgins.words import Word, invert
 from oracles import (
-    aligns_by_grid, async_by_grid, brute_ball, canonical_by_subsets, concat_by_subsets,
+    aligns_by_grid, all_words, async_by_grid, brute_ball, canonical_by_subsets, concat_by_subsets,
     coset_language_by_subsets, enumerator_by_filter, higgins_by_subsets, keyed_sweep,
-    sweep_without_reuse,
+    prefix, sweep_without_reuse,
 )
 
 
@@ -529,7 +529,6 @@ def test_sweep_fills_about_once_per_measured_pair(monkeypatch):
 def test_higgins_lazy_language_agrees_with_its_dfa():
     from builders import trefoil_system
     from higgins.cascade import Pi1EdgeSubgroup
-    from higgins.words import all_words
     system = trefoil_system()
     e0 = system.gog.graph.edges["e"]
     lang = Pi1EdgeSubgroup(system, e0).coset_language

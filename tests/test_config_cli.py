@@ -296,6 +296,17 @@ def test_cmd_enum_component(capsys):
     assert out.strip().splitlines() == ["ε", "x1", "x1^-1", "x1 x1", "x1^-1 x1^-1"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    ([], "component enumeration needs --component <subgroup>"),
+    (["--component", "Nope"], "unknown subgroup 'Nope'"),
+], ids=["missing", "unknown"])
+def test_cmd_enum_component_needs_a_known_subgroup(capsys, extra, message):
+    code = main(["enum", cfg("abelian_pairs.gog"), "--language", "component"] + extra)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cmd_enum_max_len_zero(capsys):
     code, out = run_cli(capsys, "enum", cfg("free_product_zz.gog"),
                         "--language", "higgins", "--max-len", "0")
@@ -411,6 +422,23 @@ def test_cmd_fsa_roundtrip(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and out_path.read_text() == again
     assert captured.err == "error: --out does not apply to fsa enum\n"
+
+
+@pytest.mark.parametrize("op, files", [("min", 1), ("concat", 2), ("intersect", 2)])
+def test_fsa_max_len_applies_to_enum_only(capsys, tmp_path, op, files):
+    from higgins.fsa import dfa_to_text, word_set_dfa
+    from higgins.words import Alphabet
+    AB = Alphabet(["a", "b"])
+    path = tmp_path / "one.dfa"
+    path.write_text(dfa_to_text(word_set_dfa([AB.word("a b b a b")], AB, "one")))
+    # the flag used to be ignored: the automaton was printed and the run exited 0
+    code = main(["fsa", op] + [str(path)] * files + ["--max-len", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --max-len applies to fsa enum\n"
+    # fsa enum without the flag lists words up to length 4
+    assert run_cli(capsys, "fsa", "enum", str(path)) == (0, "")
+    assert run_cli(capsys, "fsa", "enum", str(path), "--max-len", "5") == (0, "a b b a b\n")
 
 
 def test_cmd_fsa_bad_file(capsys, tmp_path):
@@ -605,6 +633,51 @@ def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+TWO_EDGES = """[group A] kind=abelian rank=1 names=a
+[group B] kind=abelian rank=1 names=b
+[subgroup He in A]
+generators=a a
+[subgroup Her in B]
+generators=b b b
+[graph]
+vertices=va:A,vb:B
+edge e: vb -> va subgroup=He reverse_subgroup=Her iso=y1->y1
+edge f: vb -> va subgroup=He reverse_subgroup=Her iso=y1->y1
+"""
+
+
+def with_hnn_tree(tree):
+    with open(cfg("hnn_z2.gog")) as fh:
+        text = fh.read()
+    edge = next(line for line in text.splitlines() if line.startswith("edge f:"))
+    return text.replace(edge, f"{edge}\n{tree}")
+
+
+# each declared tree here used to be accepted by validate; nf took the cycle and
+# the loop too (computing in another group), and refused the rest without a line
+@pytest.mark.parametrize("text, message", [
+    (TWO_EDGES + "tree=e,f", "line 11: tree has a cycle through f"),
+    (with_hnn_tree("tree=f"), "line 14: tree has a cycle through f"),
+    (TWO_EDGES + "tree=e,zz", "line 11: tree edge 'zz' not declared"),
+    (REGRESSION_GRAPHS["path_tree_hnn.gog"] + "tree=g", "line 22: tree does not span the graph"),
+], ids=["cycle", "loop", "undeclared-edge", "not-spanning"])
+@pytest.mark.parametrize("argv", [["validate"], ["nf", "--word", ""]], ids=lambda a: a[0])
+def test_bad_tree_is_refused_at_its_line(capsys, tmp_path, text, message, argv):
+    path = tmp_path / "tree.gog"
+    path.write_text(text + "\n")
+    code = main([argv[0], str(path)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_declared_tree_sets_the_stable_letters():
+    # a tree of either edge leaves the other edge's stable letter
+    for tree, letter in (("e", "s_f"), ("f~", "s_e")):
+        system = parse_config(TWO_EDGES + f"tree={tree}\n").system()
+        assert system.alphabet.generators == ("a", "b", letter)
 
 
 @pytest.mark.parametrize("reader", ["config", "table", "fsa"])

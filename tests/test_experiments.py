@@ -10,7 +10,7 @@ import pytest
 
 import higgins.cosets as cosets
 from oracles import (
-    SearchedWordMetric, _zz_mul, trefoil_coords, trefoil_orbit_label, trefoil_xy_key,
+    SearchedWordMetric, _zz_mul, all_words, trefoil_coords, trefoil_orbit_label, trefoil_xy_key,
 )
 from higgins.cascade import Pi1System
 from higgins.cosets import (
@@ -22,7 +22,7 @@ from higgins.experiments import (
     orbit_label, orbit_split, run_trefoil_experiment,
 )
 from higgins.fsa import enumerate_language
-from higgins.words import Alphabet, Word, all_words, invert, shortlex_key
+from higgins.words import Alphabet, Word, invert, shortlex_key
 
 
 def reduced_forms(max_syllables):

@@ -7,9 +7,9 @@ from higgins.fsa import (
     Dfa, DfaFormatError, LazyLanguage, complement, concat, dfa_from_text,
     dfa_to_text, enumerate_language, intersect, minimize, union, word_set_dfa,
 )
-from higgins.words import Alphabet, Word, all_words
+from higgins.words import Alphabet, Word
 from oracles import (
-    complement_by_subsets, concat_by_subsets, enumerator_by_filter, intersect_by_subsets,
+    all_words, complement_by_subsets, concat_by_subsets, enumerator_by_filter, intersect_by_subsets,
     union_by_subsets, word_set_by_subsets,
 )
 

@@ -6,13 +6,13 @@ from builders import (
     LAW_CONFIGS, SHIPPED_GRAPHS, hnn_z2_system, shipped_config, shipped_system, trefoil_gog,
     trefoil_system, zz_system,
 )
-from oracles import deflate_inflated, generator_image
+from oracles import FixedPointTree, all_words, bfs_tree, deflate_inflated, generator_image
 from higgins.backends import AbelianBackend, AbelianSubgroup
 from higgins.cascade import Pi1EdgeSubgroup
 from higgins.gog import (
-    DirectedGraph, GogError, GraphOfGroups, InflatedWord, StableAlphabets, maximal_tree,
+    DirectedGraph, GogError, GraphOfGroups, InflatedWord, SpanningTree, StableAlphabets,
 )
-from higgins.words import Word, all_words
+from higgins.words import Word
 
 
 def test_graph_involution():
@@ -31,7 +31,7 @@ def test_maximal_tree_two_vertices():
     g.add_vertex("u")
     g.add_vertex("v")
     g.add_edge_pair("e", "u", "v")
-    t = maximal_tree(g)
+    t = SpanningTree(g)
     assert t.edge_names == {"e", "e~"}
 
 
@@ -39,7 +39,7 @@ def test_maximal_tree_loop_is_empty():
     g = DirectedGraph()
     g.add_vertex("v")
     g.add_edge_pair("f", "v", "v")
-    t = maximal_tree(g)
+    t = SpanningTree(g)
     assert t.edge_names == frozenset()
 
 
@@ -50,7 +50,7 @@ def test_maximal_tree_triangle():
     g.add_edge_pair("p", "u", "v")
     g.add_edge_pair("q", "v", "w")
     g.add_edge_pair("r", "w", "u")
-    t = maximal_tree(g)
+    t = SpanningTree(g)
     # breadth-first from u: p reaches v, r~ reaches w
     assert t.edge_names == {"p", "p~", "r", "r~"}
     path = t.path("v", "w")
@@ -62,7 +62,81 @@ def test_maximal_tree_disconnected():
     g.add_vertex("u")
     g.add_vertex("v")
     with pytest.raises(GogError):
-        maximal_tree(g)
+        SpanningTree(g)
+
+
+# --- the tree against the fixed-point reference ----------------------------------
+
+def seeded_graph(seed):
+    """A connected multigraph on 2-5 vertices: a random tree, then up to four
+    more edges, loops among them.  Vertex and edge names are drawn at random,
+    so name order is not the order of adding.  Also returns the tree's pairs,
+    each named by a random one of its two directions."""
+    rng = random.Random(seed)
+    vertices = rng.sample("pqrstuvw", rng.randint(2, 5))
+    names = iter(rng.sample([f"e{i}" for i in range(10)], 10))
+    g = DirectedGraph()
+    tree = []
+    for i, v in enumerate(vertices):
+        g.add_vertex(v)
+        if i:
+            u = rng.choice(vertices[:i])
+            e = g.add_edge_pair(next(names), *rng.sample((u, v), 2))
+            tree.append(rng.choice((e, e.reverse)).name)
+    for _ in range(rng.randint(0, 4)):
+        g.add_edge_pair(next(names), rng.choice(vertices), rng.choice(vertices))
+    return g, tree
+
+
+SEEDED_GRAPHS = range(50)
+
+
+def tree_graph(name):
+    if name in LAW_CONFIGS:
+        return shipped_config(name).gog().graph
+    return seeded_graph(int(name.split()[1]))[0]
+
+
+def assert_same_tree(tree, ref, graph):
+    assert tree.root == ref.root
+    assert tree.parent == ref.parent and tree.depth == ref.depth
+    assert tree.edge_names == ref.edge_names
+    for u in graph.vertices:
+        for v in graph.vertices:
+            assert tree.path(u, v) == tuple(ref.path(u, v)), (u, v)
+            assert tree.path(u, v) is tree.path(u, v)  # kept, not computed again
+
+
+@pytest.mark.parametrize("name", LAW_CONFIGS + [f"seed {seed}" for seed in SEEDED_GRAPHS])
+def test_tree_matches_the_fixed_point_reference(name):
+    graph = tree_graph(name)
+    ref = bfs_tree(graph)
+    assert_same_tree(SpanningTree(graph), ref, graph)
+    assert_same_tree(SpanningTree(graph, ref.edge_names), ref, graph)
+    declared = [nm for nm, _ in graph.pairs if nm in ref.edge_names]
+    assert_same_tree(SpanningTree(graph, declared), ref, graph)
+
+
+@pytest.mark.parametrize("seed", SEEDED_GRAPHS)
+def test_declared_tree_matches_the_fixed_point_reference(seed):
+    graph, names = seeded_graph(seed)
+    both = [nm for name in names for nm in (name, graph.edges[name].reverse.name)]
+    ref = FixedPointTree(graph, both, min(graph.vertices))
+    assert_same_tree(SpanningTree(graph, names), ref, graph)
+    # one pair more closes a cycle, and the search names the pair it left
+    # over (a loop is always left over); one pair less misses a vertex
+    for extra, _ in graph.pairs:
+        if extra in ref.edge_names:
+            continue
+        e = graph.edges[extra]
+        with pytest.raises(GogError, match="^tree has a cycle through ") as exc:
+            SpanningTree(graph, names + [extra])
+        leftover = str(exc.value).rsplit(" ", 1)[1]
+        assert leftover == extra if e.src == e.dst else leftover in ref.edge_names | {extra}
+    with pytest.raises(GogError, match="^tree does not span the graph$"):
+        SpanningTree(graph, names[1:])
+    with pytest.raises(GogError, match="^tree edge 'zz' not declared$"):
+        SpanningTree(graph, names + ["zz"])
 
 
 def test_validate_trefoil_ok():
@@ -162,7 +236,7 @@ def test_alphabet_naming_unique_and_collision():
         {"e": TrivialSubgroup(B), "e~": TrivialSubgroup(A)},
         {"e": [], "e~": []},
     )
-    alphas = StableAlphabets(gog, maximal_tree(g))
+    alphas = StableAlphabets(gog, SpanningTree(g))
     assert "u.a" in alphas.alphabet.names and "v.a" in alphas.alphabet.names
 
 
