@@ -2,21 +2,27 @@
 
     higgins validate CONFIG
     higgins nf CONFIG --word W [--base V | --coset-edge E] [--trace]
-    higgins enum CONFIG --language higgins|coset|component --max-len N ...
-    higgins certify CONFIG --what coset|automatic|hypotheses|sync-filter ...
+    higgins enum CONFIG --language higgins|coset|component --max-len N
+                 [--base V | --coset-edge E | --component H] [--check-unique]
+    higgins certify CONFIG --what coset|automatic|hypotheses|sync-filter
+                    --radius R [--system NAME] [--sync]
     higgins experiment trefoil --radius R --lambda-max M
-    higgins fsa min|concat|intersect|enum FILES ...
+    higgins fsa min|concat|intersect|enum FILES ... [--out FILE] [--max-len N]
 
 Exit codes: 0 pass, 1 property failure, 2 usage or input error.  A reader
 that closes the output early (`| head`) ends the run quietly with exit 2.
 
-Each command is declared once in COMMANDS.  A call builds the argument parser
-of its own command only (the command named by the first argument); with no
-command, a help flag or an unknown name first it builds every command's
-parser, so help and usage errors read the same either way.  A flag the chosen
-mode would ignore (`nf --base` with `--coset-edge`, `enum --base` outside
-`--language higgins`, `certify --sync` outside `--what hypotheses`, `fsa
---max-len` outside `fsa enum`, ...) is a usage error.
+Each command and its arguments are declared once in COMMANDS, as the pairs
+that `add_argument` takes.  A plain call (exact option names, each once, with
+valid values, and the positionals in one run) is parsed off those pairs by
+_plain_parse without argparse.  Any other call goes through argparse: help,
+usage errors and abbreviated or `=` forms read as before.  It builds the
+parser of the command named by the first argument only; with no command, a
+help flag or an unknown name first it builds every command's parser, so help
+and usage errors read the same either way.  A flag the chosen mode would
+ignore (`nf --base` with `--coset-edge`, `enum --base` outside `--language
+higgins`, `certify --sync` outside `--what hypotheses`, `fsa --max-len`
+outside `fsa enum`, ...) is a usage error.
 """
 
 from __future__ import annotations
@@ -219,62 +225,47 @@ def _size(text: str) -> int:
     return n
 
 
-def _validate_arguments(p):
-    p.add_argument("config")
+def _arg(*names, **kwargs):
+    """One argument of a command: what `add_argument` takes."""
+    return names, kwargs
 
 
-def _nf_arguments(p):
-    p.add_argument("config")
-    p.add_argument("--word", required=True)
-    p.add_argument("--base")
-    p.add_argument("--coset-edge")
-    p.add_argument("--trace", action="store_true")
+CONFIG = _arg("config")
 
-
-def _enum_arguments(p):
-    p.add_argument("config")
-    p.add_argument("--language", choices=("higgins", "coset", "component"),
-                   default="higgins")
-    p.add_argument("--max-len", type=_size, default=4)
-    p.add_argument("--base")
-    p.add_argument("--coset-edge")
-    p.add_argument("--component")
-    p.add_argument("--check-unique", action="store_true")
-
-
-def _certify_arguments(p):
-    p.add_argument("config")
-    p.add_argument("--what", choices=("coset", "automatic", "hypotheses", "sync-filter"),
-                   required=True)
-    p.add_argument("--radius", type=_size, default=4)
-    p.add_argument("--system", help="name of a declared coset system")
-    p.add_argument("--sync", action="store_true",
-                   help="include the synchronous hypothesis rows")
-
-
-def _experiment_arguments(p):
-    p.add_argument("name", choices=("trefoil",))
-    p.add_argument("--radius", type=_size, default=4)
-    p.add_argument("--lambda-max", type=_size, default=3)
-
-
-def _fsa_arguments(p):
-    p.add_argument("op", choices=tuple(FSA_ARITY))
-    p.add_argument("files", nargs="+")
-    p.add_argument("--max-len", type=_size)  # fsa enum reads None as 4
-    p.add_argument("--out")
-
-
-# name, help, handler and the function that adds the command's arguments
+# name, help, handler and the command's arguments
 COMMANDS = (
-    ("validate", "check a config's graph and coset systems", cmd_validate,
-     _validate_arguments),
-    ("nf", "normal form of a word", cmd_nf, _nf_arguments),
-    ("enum", "enumerate a language in shortlex order", cmd_enum, _enum_arguments),
-    ("certify", "run a fellow-traveller or hypothesis sweep", cmd_certify,
-     _certify_arguments),
-    ("experiment", "run a built-in experiment", cmd_experiment, _experiment_arguments),
-    ("fsa", "operate on automaton files", cmd_fsa, _fsa_arguments),
+    ("validate", "check a config's graph and coset systems", cmd_validate, (CONFIG,)),
+    ("nf", "normal form of a word", cmd_nf, (
+        CONFIG,
+        _arg("--word", required=True),
+        _arg("--base"),
+        _arg("--coset-edge"),
+        _arg("--trace", action="store_true"))),
+    ("enum", "enumerate a language in shortlex order", cmd_enum, (
+        CONFIG,
+        _arg("--language", choices=("higgins", "coset", "component"), default="higgins"),
+        _arg("--max-len", type=_size, default=4),
+        _arg("--base"),
+        _arg("--coset-edge"),
+        _arg("--component"),
+        _arg("--check-unique", action="store_true"))),
+    ("certify", "run a fellow-traveller or hypothesis sweep", cmd_certify, (
+        CONFIG,
+        _arg("--what", choices=("coset", "automatic", "hypotheses", "sync-filter"),
+             required=True),
+        _arg("--radius", type=_size, default=4),
+        _arg("--system", help="name of a declared coset system"),
+        _arg("--sync", action="store_true",
+             help="include the synchronous hypothesis rows"))),
+    ("experiment", "run a built-in experiment", cmd_experiment, (
+        _arg("name", choices=("trefoil",)),
+        _arg("--radius", type=_size, default=4),
+        _arg("--lambda-max", type=_size, default=3))),
+    ("fsa", "operate on automaton files", cmd_fsa, (
+        _arg("op", choices=tuple(FSA_ARITY)),
+        _arg("files", nargs="+"),
+        _arg("--max-len", type=_size),  # fsa enum reads None as 4
+        _arg("--out"))),
 )
 COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
 
@@ -289,19 +280,84 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                     "fundamental groups of graphs of groups.")
     metavar = None if command is None else "{" + ",".join(COMMAND_NAMES) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, func, add_arguments in COMMANDS:
+    for name, help_text, func, arguments in COMMANDS:
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
+            for names, kwargs in arguments:
+                p.add_argument(*names, **kwargs)
             p.set_defaults(func=func)
     return parser
+
+
+def _plain_parse(command, rest):
+    """The Namespace that argparse returns for `higgins COMMAND *rest`, read
+    off the command's declared arguments, or None when in doubt: a token that
+    starts with `-` and is not a declared option (`-h`, `--`, `--rad`,
+    `--radius=3`), an option value that starts with `-`, an option given
+    twice, a value its choices or type refuse, a missing required option, or
+    positionals that are not one run of the declared count.  argparse parses
+    those command lines, and prints their help or usage error."""
+    _name, _help, func, arguments = next(c for c in COMMANDS if c[0] == command)
+    options = {names[0]: kwargs for names, kwargs in arguments if names[0][0] == "-"}
+    given = {}      # option string -> its value, True for a flag
+    run = []        # the positional tokens
+    closed = False  # an option has followed the positional run
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            if closed:
+                return None
+            run.append(token)
+            continue
+        closed = bool(run)
+        kwargs = options.get(token)
+        if kwargs is None or token in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value counts as one that starts with -
+        if value.startswith("-"):
+            return None
+        given[token] = value
+    positionals = [kwargs for names, kwargs in arguments if names[0][0] != "-"]
+    spare = len(run) - len(positionals)
+    if spare < 0 or spare > 0 and positionals[-1].get("nargs") != "+":
+        return None
+    run = iter(run)
+    args = {"command": command}
+    for names, kwargs in arguments:
+        name = names[0]
+        if name[0] != "-":
+            dest, value = name, list(run) if kwargs.get("nargs") == "+" else next(run)
+        else:
+            dest = name[2:].replace("-", "_")
+            if name not in given:
+                if kwargs.get("required"):
+                    return None
+                flag = kwargs.get("action") == "store_true"
+                args[dest] = kwargs.get("default", False if flag else None)
+                continue
+            value = given[name]
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        args[dest] = value
+    args["func"] = func
+    return argparse.Namespace(**args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # no command, -h or a typo first gets every command's parser and its error
     command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
-    args = build_parser(command).parse_args(argv)
+    args = None if command is None else _plain_parse(command, argv[1:])
+    if args is None:
+        args = build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown

@@ -17,7 +17,11 @@ owns the following lines up to the next header.  Values that contain spaces
 
 Parse failures carry line numbers, and so does an entry its section does not
 read, a second section of one name and a second entry of one key (only the
-graph's edge and vertices lines add up).  Groups, subgroups and the graph are
+graph's edge and vertices lines add up).  A group entry that is not a number
+names its own line; a fault the group's constructor finds among its entries
+(a negative rank, a torsion modulus below 2, names that do not match the
+rank, a table whose row 0 is not the identity, ...) names the section's last
+line.  Groups, subgroups and the graph are
 built as their sections are read, and a tree= entry is checked as a spanning
 tree once the graph's edges have all been read; a coset system's entries are checked then
 (one of subgroup= and edge=, a known mode= and language=), and the subgroup or
@@ -176,38 +180,50 @@ GROUP_ENTRIES = {
 def _build_group(section: _Section, base_dir: str):
     name = section.header[1]
     entries = _entries(section, f"group {name}")
+    line = {key: lineno for lineno, key, _value in section.entries}
+
+    def number(key, what, text):
+        return _int(line.get(key, section.lineno), f"group {name}: {what}", text)
+
+    def build(backend, *args):
+        try:
+            return backend(*args)
+        except (AlphabetError, BackendError) as exc:
+            # the constructor reads the entries together: name the last one's line
+            raise ConfigError(max(line.values()), f"group {name}: {exc}") from None
+
     kind = entries.get("kind")
     if kind in GROUP_ENTRIES:
         _entries(section, f"group {name} (kind={kind})", GROUP_ENTRIES[kind])
     if kind == "abelian":
-        rank = _int(section.lineno, f"group {name}: rank", entries.get("rank", "0"))
-        torsion = [_int(section.lineno, f"group {name}: torsion", t)
+        rank = number("rank", "rank", entries.get("rank", "0"))
+        torsion = [number("torsion", "torsion", t)
                    for t in entries.get("torsion", "").split(",") if t]
         names = [n for n in entries.get("names", "").split(",") if n] or None
-        return AbelianBackend(rank, torsion, names)
+        return build(AbelianBackend, rank, torsion, names)
     if kind == "free":
-        rank = _int(section.lineno, f"group {name}: rank", entries.get("rank", "1"))
+        rank = number("rank", "rank", entries.get("rank", "1"))
         names = [n for n in entries.get("names", "").split(",") if n] or None
-        return FreeBackend(rank, names)
+        return build(FreeBackend, rank, names)
     if kind == "finite":
         path = entries.get("table")
         if path is None:
             raise ConfigError(section.lineno, f"group {name}: finite groups need table=")
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        table = [[_int(section.lineno, f"group {name}: table {path} cell", cell)
-                  for cell in line.strip().split(",")]
-                 for line in read_text(full).splitlines() if line.strip()]
+        table = [[number("table", f"table {path} cell", cell)
+                  for cell in row.strip().split(",")]
+                 for row in read_text(full).splitlines() if row.strip()]
         gens = None
         if "generators" in entries:
             gens = {}
             for item in entries["generators"].split(","):
                 nm, colon, idx = item.partition(":")
                 if not colon:
-                    raise ConfigError(section.lineno,
+                    raise ConfigError(line["generators"],
                                       f"group {name}: generator {item!r} is not name:index")
                 nm = nm.strip()
-                gens[nm] = _int(section.lineno, f"group {name}: generator {nm}", idx)
-        return FiniteBackend(table, gens)
+                gens[nm] = number("generators", f"generator {nm}", idx)
+        return build(FiniteBackend, table, gens)
     raise ConfigError(section.lineno, f"group {name}: unknown kind {kind!r}")
 
 

@@ -1,6 +1,9 @@
 import argparse
+import collections
+import importlib.util
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -313,43 +316,34 @@ def test_cmd_enum_max_len_zero(capsys):
     assert out.strip() == "ε"
 
 
+# (config, certify flags, exit code, snapshot); the sync-factorization rows
+# name the first failing g of the ball, so the --sync runs pin the ball's order
+CERTIFY_SNAPSHOTS = (
+    ("abelian_pairs.gog", "--what coset --system axis --radius 6", 0, "certify_axis_r6.txt"),
+    ("trefoil_amalgam.gog", "--what hypotheses --radius 3", 0, "hypotheses_trefoil_r3.txt"),
+    ("abelian_pairs.gog", "--what sync-filter --system axis-padded --radius 5", 0,
+     "sync_filter_axis_r5.txt"),
+    ("hnn_z2.gog", "--what coset --system edge-cosets --radius 4", 0, "certify_hnn_r4.txt"),
+    ("abelian_pairs.gog", "--what coset --system axis-padded --radius 9", 0,
+     "certify_axis_padded_r9.txt"),
+    ("abelian_pairs.gog", "--what automatic --system axis --radius 8", 0,
+     "automatic_axis_r8.txt"),
+    ("abelian_pairs.gog", "--what coset --system mixed --radius 6", 0, "certify_mixed_r6.txt"),
+    ("trefoil_amalgam.gog", "--what hypotheses --radius 3 --sync", 1,
+     "hypotheses_trefoil_r3_sync.txt"),
+    ("hnn_z2.gog", "--what hypotheses --radius 3 --sync", 0, "hypotheses_hnn_r3_sync.txt"),
+    ("hnn_z2.gog", "--what sync-filter --system edge-cosets --radius 3", 0,
+     "sync_filter_hnn_r3.txt"),
+    ("finite_s3.gog", "--what sync-filter --system s3-cosets --radius 4", 0,
+     "sync_filter_s3_r4.txt"),
+)
+EXPERIMENT_SNAPSHOT = ["experiment", "trefoil", "--radius", "3", "--lambda-max", "2"]
+
+
 def test_cmd_certify_snapshots(capsys):
-    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
-                        "--what", "coset", "--system", "axis", "--radius", "6")
-    assert code == 0 and out == snapshot("certify_axis_r6.txt")
-    code, out = run_cli(capsys, "certify", cfg("trefoil_amalgam.gog"),
-                        "--what", "hypotheses", "--radius", "3")
-    assert code == 0 and out == snapshot("hypotheses_trefoil_r3.txt")
-    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
-                        "--what", "sync-filter", "--system", "axis-padded",
-                        "--radius", "5")
-    assert code == 0 and out == snapshot("sync_filter_axis_r5.txt")
-    code, out = run_cli(capsys, "certify", cfg("hnn_z2.gog"),
-                        "--what", "coset", "--system", "edge-cosets", "--radius", "4")
-    assert code == 0 and out == snapshot("certify_hnn_r4.txt")
-    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
-                        "--what", "coset", "--system", "axis-padded", "--radius", "9")
-    assert code == 0 and out == snapshot("certify_axis_padded_r9.txt")
-    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
-                        "--what", "automatic", "--system", "axis", "--radius", "8")
-    assert code == 0 and out == snapshot("automatic_axis_r8.txt")
-    code, out = run_cli(capsys, "certify", cfg("abelian_pairs.gog"),
-                        "--what", "coset", "--system", "mixed", "--radius", "6")
-    assert code == 0 and out == snapshot("certify_mixed_r6.txt")
-    # the sync-factorization rows name the first failing g of the ball, so
-    # this pins the ball's order
-    code, out = run_cli(capsys, "certify", cfg("trefoil_amalgam.gog"),
-                        "--what", "hypotheses", "--radius", "3", "--sync")
-    assert code == 1 and out == snapshot("hypotheses_trefoil_r3_sync.txt")
-    code, out = run_cli(capsys, "certify", cfg("hnn_z2.gog"),
-                        "--what", "hypotheses", "--radius", "3", "--sync")
-    assert code == 0 and out == snapshot("hypotheses_hnn_r3_sync.txt")
-    code, out = run_cli(capsys, "certify", cfg("hnn_z2.gog"), "--what", "sync-filter",
-                        "--system", "edge-cosets", "--radius", "3")
-    assert code == 0 and out == snapshot("sync_filter_hnn_r3.txt")
-    code, out = run_cli(capsys, "certify", cfg("finite_s3.gog"), "--what", "sync-filter",
-                        "--system", "s3-cosets", "--radius", "4")
-    assert code == 0 and out == snapshot("sync_filter_s3_r4.txt")
+    for name, flags, expected_code, expected in CERTIFY_SNAPSHOTS:
+        code, out = run_cli(capsys, "certify", cfg(name), *flags.split())
+        assert code == expected_code and out == snapshot(expected), flags
 
 
 def test_sync_filter_keys_each_word_once(capsys, monkeypatch):
@@ -397,8 +391,7 @@ def test_cmd_certify_automatic_order_two_generator(tmp_path, generators):
 
 
 def test_cmd_experiment_snapshot(capsys):
-    code, out = run_cli(capsys, "experiment", "trefoil",
-                        "--radius", "3", "--lambda-max", "2")
+    code, out = run_cli(capsys, *EXPERIMENT_SNAPSHOT)
     assert code == 0 and out == snapshot("experiment_trefoil_r3.txt")
 
 
@@ -542,17 +535,40 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
     ("[group G] kind=abelian rank=1", None, ["enum", "--language", "coset", "--max-len", "1"],
      "enum --language coset: the graph has no edges"),
     ("[group G] kind=finite table=z2.csv generators=t:2", "0,1\n1,0\n", ["validate"],
-     "generator t: 2 is not an element index 0..1"),
+     "line 1: group G: generator t: 2 is not an element index 0..1"),
     ("[group G] kind=finite table=z2.csv generators=t:-1", "0,1\n1,0\n", ["validate"],
-     "generator t: -1 is not an element index 0..1"),
+     "line 1: group G: generator t: -1 is not an element index 0..1"),
     ("[group G] kind=finite table=z2.csv", "0,1\n1,9\n", ["validate"],
-     "table cell 9 is not an element index 0..1"),
-    ("[group G] kind=free rank=-2", None, ["validate"], "rank must be >= 0, got -2"),
+     "line 1: group G: table cell 9 is not an element index 0..1"),
+    ("[group G] kind=free rank=-2", None, ["validate"],
+     "line 1: group G: rank must be >= 0, got -2"),
     ("[group G] kind=abelian rank=-1 torsion=2,3 names=p", None, ["validate"],
-     "rank must be >= 0, got -1"),
-    ("[group G] kind=abelian rank=-1", None, ["validate"], "rank must be >= 0, got -1"),
-    ("[group G] kind=free rank=2 names=a", None, ["validate"], "need one name per generator"),
-    ("[group G] kind=free rank=1 names=a,b", None, ["validate"], "need one name per generator"),
+     "line 1: group G: rank must be >= 0, got -1"),
+    ("[group G] kind=abelian rank=-1", None, ["validate"],
+     "line 1: group G: rank must be >= 0, got -1"),
+    ("[group G] kind=free rank=2 names=a", None, ["validate"],
+     "line 1: group G: need one name per generator"),
+    ("[group G] kind=free rank=1 names=a,b", None, ["validate"],
+     "line 1: group G: need one name per generator"),
+    # these errors used to name the section's header line, or no line at all
+    ("# c\n[group G] kind=abelian\nrank=x", None, ["validate"],
+     "line 3: group G: rank: expected an integer, got 'x'"),
+    ("[group G]\nkind=finite\ntable=z2.csv", "0,1\n1,one\n", ["validate"],
+     "line 3: group G: table z2.csv cell: expected an integer, got 'one'"),
+    ("[group G] kind=finite table=z2.csv\ngenerators=r1", "0,1\n1,0\n", ["validate"],
+     "line 2: group G: generator 'r1' is not name:index"),
+    ("[group G] kind=abelian rank=1\ntorsion=1", None, ["validate"],
+     "line 2: group G: torsion moduli must be >= 2"),
+    ("[group G] kind=free\nrank=-1", None, ["validate"],
+     "line 2: group G: rank must be >= 0, got -1"),
+    ("[group G] kind=abelian rank=2\nnames=a", None, ["validate"],
+     "line 2: group G: need one name per factor"),
+    ("[group G] kind=free rank=2 names=a,a", None, ["validate"],
+     "line 1: group G: duplicate generator name: 'a'"),
+    ("[group G] kind=finite\ntable=z2.csv", "1,0\n0,1\n", ["validate"],
+     "line 2: group G: row/col 0 must be the identity"),
+    ("[group G] kind=finite table=z2.csv\ngenerators=g:5", "0,1\n1,0\n", ["validate"],
+     "line 2: group G: generator g: 5 is not an element index 0..1"),
     (COSET_CONFIG + "[cosetsystem C] subgroup=H language=bogus", None,
      ["certify", "--what", "coset", "--system", "C", "--radius", "1"],
      "line 4: language must be canonical or padded, got 'bogus'"),
@@ -615,7 +631,10 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
         "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
-        "free-too-few-names", "free-too-many-names", "coset-language-bogus",
+        "free-too-few-names", "free-too-many-names", "rank-entry-line",
+        "table-cell-entry-line", "generator-colon-entry-line", "torsion-one",
+        "free-rank-entry-line", "abelian-too-few-names", "free-duplicate-names",
+        "finite-row-zero", "generator-entry-line", "coset-language-bogus",
         "coset-language-empty", "experiment-section", "group-unknown-entry",
         "free-torsion", "finite-rank", "subgroup-unknown-entry", "coset-unknown-entry",
         "subgroup-unreduced-generator", "subgroup-unknown-letter", "group-second-section",
@@ -766,17 +785,190 @@ def test_usage_errors_name_the_command_argument(capsys):
 
 
 def test_certify_builds_the_certify_parser_only(monkeypatch, capsys):
+    # a plain command line builds no parser; one left to argparse (here an
+    # abbreviated option) builds the parser of its own command alone
     parsers = []
 
     def capture(*args):
         parsers.append(build_parser(*args))
         return parsers[-1]
     monkeypatch.setattr(cli, "build_parser", capture)
-    code = main(["certify", cfg("hnn_z2.gog"), "--what", "coset", "--system", "edge-cosets",
-                 "--radius", "1"])
+    argv = ["certify", cfg("hnn_z2.gog"), "--what", "coset", "--system", "edge-cosets"]
+    code = main(argv + ["--radius", "1"])
+    assert code == 0 and capsys.readouterr().out.startswith("certificate ")
+    assert parsers == []
+    code = main(argv + ["--rad", "1"])
     assert code == 0 and capsys.readouterr().out.startswith("certificate ")
     (sub,) = [a for a in parsers[0]._actions if isinstance(a, argparse._SubParsersAction)]
     assert len(parsers) == 1 and list(sub.choices) == ["certify"]
+
+
+def perfbench_cli_argv():
+    """The argv of the benchmark's CLI workloads (perfbench/run.py)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        del sys.modules[spec.name]
+    return [list(w.argv) for w in run.WORKLOADS.values() if w.kind == "cli"]
+
+
+def pinned_argv():
+    """Every argv of the CLI snapshot tests, the README examples and the
+    benchmark's CLI workloads."""
+    for name, flags, _code, _snapshot in CERTIFY_SNAPSHOTS:
+        yield ["certify", cfg(name)] + flags.split()
+    yield EXPERIMENT_SNAPSHOT
+    for name, args in nf_seeded_runs():
+        yield ["nf", cfg(name), *args]
+    for argv, _first in readme_examples():
+        yield argv
+    yield from perfbench_cli_argv()
+
+
+PLAIN_FAULTS = ("abbreviation", "equals", "repeat", "dashdash", "help", "dash-value",
+                "bad-choice", "bad-size", "missing", "extra", "split")
+
+
+def plain_parse_case(rng, fault):
+    """A command line built from the declared arguments, options in random
+    order, with the fault given (one of PLAIN_FAULTS), or None when the fault
+    does not apply to the command and options drawn."""
+    def value(kwargs):
+        if "choices" in kwargs:
+            return rng.choice(kwargs["choices"])
+        if kwargs.get("type") is cli._size:
+            return str(rng.randrange(12))
+        return rng.choice(["x.gog", "a b", "e~", "", "v", "x1 x1^-1", "ε"])
+
+    command, _help, _func, arguments = rng.choice(cli.COMMANDS)
+    declared = {names[0]: kwargs for names, kwargs in arguments}
+    positionals = [flag for flag in declared if flag[0] != "-"]
+    run, groups = [], []  # positional tokens; each option string with its value
+    for flag, kwargs in declared.items():
+        if flag[0] != "-":
+            run += [value(kwargs) for _ in range(
+                rng.randint(1, 3) if kwargs.get("nargs") == "+" else 1)]
+        elif kwargs.get("required") or rng.random() < 0.5:
+            groups.append([flag] if "action" in kwargs else [flag, value(kwargs)])
+    valued = [group for group in groups if len(group) == 2]
+    chosen = [flag for flag, kwargs in declared.items() if "choices" in kwargs]
+    sizes = [flag for flag, kwargs in declared.items() if kwargs.get("type") is cli._size]
+    if fault and not {
+            "abbreviation": groups, "equals": valued, "repeat": groups,
+            "dashdash": True, "help": True, "dash-value": valued,
+            "bad-choice": chosen, "bad-size": sizes,
+            "missing": any(kwargs.get("required") for kwargs in declared.values()),
+            "extra": all(kwargs.get("nargs") != "+" for kwargs in declared.values()),
+            "split": len(run) > 1 and groups}[fault]:
+        return None
+    parts = [run]
+    if fault == "abbreviation":
+        group = rng.choice(groups)
+        group[0] = group[0][:rng.randrange(3, len(group[0]))]
+    elif fault == "equals":
+        group = rng.choice(valued)
+        group[:] = ["=".join(group)]
+    elif fault == "repeat":
+        groups.append(list(rng.choice(groups)))
+    elif fault == "dash-value":
+        rng.choice(valued)[1] = rng.choice(["-1", "-x", "--trace", "-"])
+    elif fault in ("bad-choice", "bad-size"):
+        flag = rng.choice(chosen if fault == "bad-choice" else sizes)
+        bad = "bogus" if fault == "bad-choice" else rng.choice(["x", "2.5", "", "three"])
+        if flag in positionals:
+            run[positionals.index(flag)] = bad
+        else:
+            groups = [group for group in groups if group[0] != flag] + [[flag, bad]]
+    elif fault == "missing":
+        groups = [group for group in groups if not declared[group[0]].get("required")]
+    elif fault == "extra":
+        run.append("y.gog")
+    elif fault == "split":
+        cut = rng.randint(1, len(run) - 1)
+        parts = [run[:cut], groups.pop(rng.randrange(len(groups))), run[cut:]]
+    rng.shuffle(groups)
+    at = rng.randint(0, len(groups))
+    argv = [command] + [token for block in groups[:at] + parts + groups[at:]
+                        for token in block]
+    if fault in ("dashdash", "help"):
+        argv.insert(rng.randint(1, len(argv)),
+                    "--" if fault == "dashdash" else rng.choice(["-h", "--help"]))
+    return argv
+
+
+def plain_parse_cases(count=2000, seed=32):
+    """(argv, fault): fault is None for a command line the plain parser must
+    read, else the one of PLAIN_FAULTS it must leave to argparse."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        fault = rng.choice((None,) * 8 + PLAIN_FAULTS)
+        argv = None
+        while argv is None:
+            argv = plain_parse_case(rng, fault)
+        yield argv, fault
+
+
+def test_plain_parse_returns_what_argparse_returns():
+    parsers = {name: build_parser(name) for name in COMMAND_NAMES}
+
+    def argparse_vars(argv):
+        return vars(parsers[argv[0]].parse_args(argv))
+
+    pinned = list(pinned_argv())
+    # the certify and experiment snapshots, 360 seeded nf runs, 9 README
+    # examples and 3 benchmark workloads
+    assert len(pinned) == len(CERTIFY_SNAPSHOTS) + 1 + 360 + 9 + 3
+    for argv in pinned:
+        plain = cli._plain_parse(argv[0], argv[1:])
+        assert plain is not None and vars(plain) == argparse_vars(argv), argv
+    faults = collections.Counter()
+    for argv, fault in plain_parse_cases():
+        plain = cli._plain_parse(argv[0], argv[1:])
+        assert (plain is None) == (fault is not None), (argv, fault)
+        if plain is not None:
+            assert vars(plain) == argparse_vars(argv), argv
+        faults[fault] += 1
+    assert set(faults) == {None, *PLAIN_FAULTS} and min(faults.values()) > 50, faults
+
+
+def test_plain_command_line_builds_no_parser_and_imports_no_locale():
+    # argparse's gettext imports locale when a parser is built; a plain
+    # command line needs neither
+    probe = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def count(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = count\n"
+        "from higgins import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, 'locale' in sys.modules, len(built), file=sys.stderr)\n")
+    argv = ["certify", cfg("hnn_z2.gog"), "--what", "coset", "--system", "edge-cosets",
+            "--radius", "1"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.startswith("certificate ")
+    assert proc.stderr == "0 False 0\n"
+
+
+def test_readme_synopsis_lists_every_declared_option():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("Exit codes", 1)[0]
+    synopsis = {line.split()[1]: line for line in map(str.strip, block.splitlines())
+                if line.startswith("higgins ")}
+    assert list(synopsis) == list(COMMAND_NAMES)
+    for command, _help, _func, arguments in cli.COMMANDS:
+        for names, _kwargs in arguments:
+            for option in (n for n in names if n[0] == "-"):
+                pattern = rf"(?<![\w-]){re.escape(option)}(?![\w-])"
+                assert re.search(pattern, synopsis[command]), (command, option)
 
 
 def test_cmd_certify_radius_zero_trivial_pass(capsys):
