@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Optional, Sequence
 
 from . import fsa
 from .cosets import CayleyBall, WordMetric
@@ -160,7 +160,7 @@ class IntLattice:
                 out.append(w)
         return tuple(out)
 
-    def solve(self, vec) -> Optional[list[int]]:
+    def solve(self, vec) -> list[int] | None:
         """Integer x with x M = vec, or None when vec is off the lattice.
 
         With U M V = D, the diag(d) padded with zeros, x M = vec exactly
@@ -239,7 +239,7 @@ class SubgroupContext:
         and trivial subgroups have none."""
         return []
 
-    def broken_relator(self, iso, target) -> Optional[Word]:
+    def broken_relator(self, iso, target) -> Word | None:
         """The first relator that iso, a map of words over these generators
         to words over target's, does not send to the identity of target's
         parent; None when iso is a homomorphism."""
@@ -260,7 +260,7 @@ class AbelianBackend(VertexBackend):
     the residue of minimal absolute value, ties broken toward positive.
     """
 
-    def __init__(self, rank: int, torsion: Sequence[int] = (), names: Optional[Sequence[str]] = None):
+    def __init__(self, rank: int, torsion: Sequence[int] = (), names: Sequence[str] | None = None):
         if rank < 0:
             raise BackendError(f"rank must be >= 0, got {rank}")
         if any(d < 2 for d in torsion):
@@ -287,7 +287,7 @@ class AbelianBackend(VertexBackend):
                 self._letter_vec[self.neg[i]] = (i, -1, self._moduli[i])
         self.name = f"abelian(rank={rank}, torsion={list(torsion)})"
 
-    def modulus(self, i: int) -> Optional[int]:
+    def modulus(self, i: int) -> int | None:
         return self._moduli[i]
 
     def vec(self, w: Word):
@@ -621,7 +621,7 @@ class TrivialSubgroup(SubgroupContext):
 # --- free backend ------------------------------------------------------------
 
 class FreeBackend(VertexBackend):
-    def __init__(self, rank: int, names: Optional[Sequence[str]] = None):
+    def __init__(self, rank: int, names: Sequence[str] | None = None):
         if rank < 0:
             raise BackendError(f"rank must be >= 0, got {rank}")
         if names is None:
@@ -743,7 +743,7 @@ class FreeCyclicSubgroup(SubgroupContext):
 class FiniteBackend(VertexBackend):
     """Group given by a multiplication table; element 0 is the identity."""
 
-    def __init__(self, table: Sequence[Sequence[int]], gens: Optional[dict] = None):
+    def __init__(self, table: Sequence[Sequence[int]], gens: dict | None = None):
         n = len(table)
         self.table = [tuple(row) for row in table]
         for i in range(n):

@@ -43,9 +43,6 @@ connector trace printed.
 
 from __future__ import annotations
 
-
-from typing import Optional
-
 from .backends import SubgroupContext
 from .fsa import Dfa, explore
 from .gog import (
@@ -83,7 +80,7 @@ class CascadeTrace:
 class Pi1System:
     """A graph of groups with a chosen spanning tree and its working alphabet."""
 
-    def __init__(self, gog: GraphOfGroups, tree: Optional[SpanningTree] = None):
+    def __init__(self, gog: GraphOfGroups, tree: SpanningTree | None = None):
         problems = gog.validate()
         if problems:
             raise GogError("invalid graph of groups: " + "; ".join(problems))
@@ -181,7 +178,7 @@ class Pi1System:
             path.pop()
         return CascadeTrace(connectors, reps, InflatedWord(base_vertex, u0, path))
 
-    def normal_form(self, w: Word, v0: Optional[str] = None) -> Word:
+    def normal_form(self, w: Word, v0: str | None = None) -> Word:
         v0 = v0 if v0 is not None else self.tree.root
         return self.scan_word(w, ("group", v0))
 
@@ -193,7 +190,7 @@ class Pi1System:
         base_vertex = anchor if kind == "group" else anchor.dst
         return self.cascade(self.pinch_reduce(self.alphabets.inflate(w, base_vertex)), base)
 
-    def word_problem(self, w1: Word, w2: Word, v0: Optional[str] = None) -> bool:
+    def word_problem(self, w1: Word, w2: Word, v0: str | None = None) -> bool:
         return self.normal_form(w1, v0) == self.normal_form(w2, v0)
 
     # -- the Higgins automaton -------------------------------------------------
@@ -414,7 +411,7 @@ class Pi1Backend:
     Higgins normal forms, memoized by word; a cosets.CayleyBall over these
     keys gives its balls."""
 
-    def __init__(self, system: Pi1System, v0: Optional[str] = None):
+    def __init__(self, system: Pi1System, v0: str | None = None):
         self.system = system
         self.v0 = v0 if v0 is not None else system.tree.root
         self.alphabet = system.alphabet

@@ -29,8 +29,6 @@ rather than starting it again from (0, 0).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cosets import (_MISS, UNBOUNDED, CayleyBall, CosetSystem, ExtendedBackend, WordMetric,
                      check_limited_crossover, check_stability, length_cap)
 from .fsa import Dfa, LazyLanguage, concat as dfa_concat, enumerate_language
@@ -48,7 +46,7 @@ HYPOTHESES_MU_MAX = 3
 HYPOTHESES_LAMBDA_MAX = 3
 
 
-def _step(ball: CayleyBall, i: int, x: int) -> Optional[int]:
+def _step(ball: CayleyBall, i: int, x: int) -> int | None:
     """Index of words[i] * x, or None beyond the cap.  An element of the
     outermost grown sphere has no edge-table row yet; its step is keyed and
     looked up, which grows the ball only when the neighbour is new."""
@@ -57,7 +55,7 @@ def _step(ball: CayleyBall, i: int, x: int) -> Optional[int]:
     return ball.index(Word(ball.alphabet, ball.words[i].letters + (x,)))
 
 
-def _prefix_indices(ball: CayleyBall, start, w: Word) -> Optional[list[int]]:
+def _prefix_indices(ball: CayleyBall, start, w: Word) -> list[int] | None:
     """Ball indices of start * prefix(w, t) for t = 0..|w|, walked forward
     along the edge table, or None when a step leaves the capped ball.  start
     is a word, or its index in the ball, which saves keying it."""
@@ -77,7 +75,7 @@ def _prefix_indices(ball: CayleyBall, start, w: Word) -> Optional[list[int]]:
     return out
 
 
-def _walk_back(ball: CayleyBall, g: int, letters: tuple) -> Optional[list[int]]:
+def _walk_back(ball: CayleyBall, g: int, letters: tuple) -> list[int] | None:
     """Ball indices b[t] = h * prefix(w, t) for t = 0..|w|, where g = h * w is
     given by its index and w by its letters: the edge table is walked from g
     along w^-1, one inverse letter at a time from the right, so b[0] is the
@@ -105,7 +103,7 @@ def _paths(ball: CayleyBall, w1, h, w2):
     return a, b
 
 
-def sync_fellow_distance(w1, h, w2, ball: CayleyBall) -> Optional[int]:
+def sync_fellow_distance(w1, h, w2, ball: CayleyBall) -> int | None:
     """max_t d(w1(t), h w2(t)), with each path resting at its endpoint.  h is
     a word or its index in the ball; w1 and w2 are words or their prefix
     paths as lists of ball indices (see _paths)."""
@@ -183,7 +181,7 @@ def _aligns_within(ball: CayleyBall, a: list[int], b: list[int],
 
 
 def async_fellow_distance(w1, h, w2, ball: CayleyBall,
-                          threshold: Optional[int] = None) -> Optional[int]:
+                          threshold: int | None = None) -> int | None:
     """Minimal K for which some monotone alignment keeps the paths K-close:
     the alignment fill runs at the threshold (None is 0) and, while it fails,
     again at the least distance it turned away, which no alignment avoids.
@@ -244,7 +242,7 @@ def _letter_words(alphabet: Alphabet):
     return out
 
 
-def _language_states(lang) -> Optional[int]:
+def _language_states(lang) -> int | None:
     return lang.n_states if isinstance(lang, Dfa) else None
 
 
@@ -351,8 +349,8 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     return pairs, K, violations
 
 
-def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = None,
-                         ball: Optional[CayleyBall] = None) -> FellowCertificate:
+def certify_coset_system(sys: CosetSystem, radius: int, mode: str | None = None,
+                         ball: CayleyBall | None = None) -> FellowCertificate:
     """Sweep all v, w in the language with d(v, hw) <= 1 for some h in the
     subgroup, and report the largest optimal per-pair fellow constant."""
     ctx = sys.context
@@ -370,7 +368,7 @@ def certify_coset_system(sys: CosetSystem, radius: int, mode: Optional[str] = No
 
 
 def certify_automatic(lang, oracle, radius: int, mode: str = "sync",
-                      ball: Optional[CayleyBall] = None) -> FellowCertificate:
+                      ball: CayleyBall | None = None) -> FellowCertificate:
     """The coset sweep with the trivial subgroup: pairs u, v in the language
     whose endpoints are at distance <= 1."""
     if ball is None:

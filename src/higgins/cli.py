@@ -15,21 +15,21 @@ that closes the output early (`| head`) ends the run quietly with exit 2.
 Each command and its arguments are declared once in COMMANDS, as the pairs
 that `add_argument` takes.  A plain call (exact option names, each once, with
 valid values, and the positionals in one run) is parsed off those pairs by
-_plain_parse without argparse.  Any other call goes through argparse: help,
-usage errors and abbreviated or `=` forms read as before.  It builds the
-parser of the command named by the first argument only; with no command, a
-help flag or an unknown name first it builds every command's parser, so help
-and usage errors read the same either way.  A flag the chosen mode would
-ignore (`nf --base` with `--coset-edge`, `enum --base` outside `--language
-higgins`, `certify --sync` outside `--what hypotheses`, `fsa --max-len`
-outside `fsa enum`, ...) is a usage error.
+_plain_parse, and argparse is never imported.  Any other call goes
+through argparse, imported only then: help, usage errors and abbreviated or
+`=` forms read as before.  It builds the parser of the command named by the
+first argument only; with no command, a help flag or an unknown name first it
+builds every command's parser, so help and usage errors read the same either
+way.  A flag the chosen mode would ignore (`nf --base` with `--coset-edge`,
+`enum --base` outside `--language higgins`, `certify --sync` outside `--what
+hypotheses`, `fsa --max-len` outside `fsa enum`, ...) is a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+import types
 
 from . import fsa
 from .backends import AbelianSubgroup, BackendError
@@ -215,12 +215,15 @@ def cmd_fsa(args) -> int:
 
 def _size(text: str) -> int:
     """argparse type of a radius or length: an int >= 0.  A negative size
-    would make a sweep over nothing and so a pass that checks nothing."""
+    would make a sweep over nothing and so a pass that checks nothing.  Only
+    a refusal imports argparse, for the error type its message needs."""
     try:
         n = int(text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
 
@@ -270,10 +273,11 @@ COMMANDS = (
 COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the one command named.  The usage
-    line names every command either way, since the top-level parser prints it
-    when it reports an argument left over."""
+def build_parser(command=None):
+    """The argparse parser of every command, or of the one command named.
+    The usage line names every command either way, since the top-level parser
+    prints it when it reports an argument left over."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="higgins",
         description="Coset normal forms and desk-scale certification for "
@@ -290,13 +294,14 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def _plain_parse(command, rest):
-    """The Namespace that argparse returns for `higgins COMMAND *rest`, read
-    off the command's declared arguments, or None when in doubt: a token that
-    starts with `-` and is not a declared option (`-h`, `--`, `--rad`,
-    `--radius=3`), an option value that starts with `-`, an option given
-    twice, a value its choices or type refuse, a missing required option, or
-    positionals that are not one run of the declared count.  argparse parses
-    those command lines, and prints their help or usage error."""
+    """A namespace with the attributes of the one argparse returns for
+    `higgins COMMAND *rest`, read off the command's declared arguments without
+    argparse, or None when in doubt: a token that starts with `-` and is not a
+    declared option (`-h`, `--`, `--rad`, `--radius=3`), an option value that
+    starts with `-`, an option given twice, a value its choices or type
+    refuse, a missing required option, or positionals that are not one run of
+    the declared count.  argparse parses those command lines, and prints their
+    help or usage error."""
     _name, _help, func, arguments = next(c for c in COMMANDS if c[0] == command)
     options = {names[0]: kwargs for names, kwargs in arguments if names[0][0] == "-"}
     given = {}      # option string -> its value, True for a flag
@@ -342,13 +347,13 @@ def _plain_parse(command, rest):
         if "type" in kwargs:
             try:
                 value = kwargs["type"](value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except Exception:  # a refused value is argparse's to report
                 return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         args[dest] = value
     args["func"] = func
-    return argparse.Namespace(**args)
+    return types.SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:

@@ -17,22 +17,22 @@ owns the following lines up to the next header.  Values that contain spaces
 
 Parse failures carry line numbers, and so does an entry its section does not
 read, a second section of one name and a second entry of one key (only the
-graph's edge and vertices lines add up).  A group entry that is not a number
-names its own line; a fault the group's constructor finds among its entries
-(a negative rank, a torsion modulus below 2, names that do not match the
-rank, a table whose row 0 is not the identity, ...) names the section's last
-line.  Groups, subgroups and the graph are
+graph's edge and vertices lines add up), an empty name in names=, and a
+generator named twice in a finite group's generators= or in an iso.  A group
+entry that is not a number names its own line; a fault the group's
+constructor finds among its entries (a negative rank, a torsion modulus below
+2, names that do not match the rank, a table whose row 0 is not the identity,
+...) names the section's last line.  Groups, subgroups and the graph are
 built as their sections are read, and a tree= entry is checked as a spanning
-tree once the graph's edges have all been read; a coset system's entries are checked then
-(one of subgroup= and edge=, a known mode= and language=), and the subgroup or
-edge it names is checked once every section has been read, since sections may
-come in any order.  coset_system() builds a system.
+tree once the graph's edges have all been read; a coset system's entries are
+checked then (one of subgroup= and edge=, a known mode= and language=), and
+the subgroup or edge it names is checked once every section has been read,
+since sections may come in any order.  coset_system() builds a system.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from .backends import (
     AbelianBackend, AbelianSubgroup, BackendError, FiniteBackend, FiniteSubgroup, FreeBackend,
@@ -100,7 +100,7 @@ class ProjectConfig:
     def __init__(self):
         self.groups: dict = {}
         self.subgroups: dict = {}          # name -> (context, group name)
-        self.tree: Optional[SpanningTree] = None  # a declared tree=, else the default
+        self.tree: SpanningTree | None = None  # a declared tree=, else the default
         self.cosetsystems: dict = {}       # name -> dict of fields
         self._system = None
         self._gog = None
@@ -121,7 +121,7 @@ class ProjectConfig:
             self._system = Pi1System(self.gog(), self.tree)
         return self._system
 
-    def coset_system(self, name: Optional[str] = None) -> CosetSystem:
+    def coset_system(self, name: str | None = None) -> CosetSystem:
         if not self.cosetsystems:
             raise ConfigError(0, "config declares no coset systems")
         if name is None:
@@ -185,6 +185,15 @@ def _build_group(section: _Section, base_dir: str):
     def number(key, what, text):
         return _int(line.get(key, section.lineno), f"group {name}: {what}", text)
 
+    def declared_names():
+        if "names" not in entries:
+            return None
+        names = entries["names"].split(",")
+        if "" in names:
+            raise ConfigError(line["names"], f"group {name}: empty name in "
+                                             f"names={entries['names']}")
+        return names
+
     def build(backend, *args):
         try:
             return backend(*args)
@@ -199,12 +208,10 @@ def _build_group(section: _Section, base_dir: str):
         rank = number("rank", "rank", entries.get("rank", "0"))
         torsion = [number("torsion", "torsion", t)
                    for t in entries.get("torsion", "").split(",") if t]
-        names = [n for n in entries.get("names", "").split(",") if n] or None
-        return build(AbelianBackend, rank, torsion, names)
+        return build(AbelianBackend, rank, torsion, declared_names())
     if kind == "free":
         rank = number("rank", "rank", entries.get("rank", "1"))
-        names = [n for n in entries.get("names", "").split(",") if n] or None
-        return build(FreeBackend, rank, names)
+        return build(FreeBackend, rank, declared_names())
     if kind == "finite":
         path = entries.get("table")
         if path is None:
@@ -222,6 +229,9 @@ def _build_group(section: _Section, base_dir: str):
                     raise ConfigError(line["generators"],
                                       f"group {name}: generator {item!r} is not name:index")
                 nm = nm.strip()
+                if nm in gens:
+                    raise ConfigError(line["generators"],
+                                      f"group {name}: generator {nm!r} given twice")
                 gens[nm] = number("generators", f"generator {nm}", idx)
         return build(FiniteBackend, table, gens)
     raise ConfigError(section.lineno, f"group {name}: unknown kind {kind!r}")
@@ -263,7 +273,10 @@ def _parse_iso(lineno, text, src_ctx, dst_ctx):
         if "->" not in item:
             raise ConfigError(lineno, f"bad iso entry {item!r}")
         src, img = item.split("->", 1)
-        images[src.strip()] = dst_ctx.gen_alphabet.word(img.strip())
+        src = src.strip()
+        if src in images:
+            raise ConfigError(lineno, f"iso maps generator {src!r} twice")
+        images[src] = dst_ctx.gen_alphabet.word(img.strip())
     out = []
     for g in src_ctx.gen_alphabet.generators:
         if g not in images:

@@ -20,7 +20,7 @@ first checks that the generator map is a homomorphism, relator by relator
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .fsa import enumerate_language
 from .words import Alphabet, Word, WordMap, invert, shortlex_key
@@ -112,10 +112,10 @@ class CayleyBall:
     def __len__(self):
         return len(self.elements())
 
-    def index(self, w: Word) -> Optional[int]:
+    def index(self, w: Word) -> int | None:
         return self.index_of_key(self.oracle.key(w))
 
-    def index_of_key(self, k) -> Optional[int]:
+    def index_of_key(self, k) -> int | None:
         """Index of the element with canonical key k, growing the ball until
         it turns up; None when it lies beyond max_radius."""
         idx = self._index.get(k)
@@ -134,7 +134,7 @@ class CayleyBall:
             self._grow()
         return self.words[:bisect_right(self.dist, r)]
 
-    def distance(self, i: int, j: int) -> Optional[int]:
+    def distance(self, i: int, j: int) -> int | None:
         """d(g_i, g_j), or None when g_i^-1 g_j falls outside the capped ball."""
         if i == j:
             return 0
@@ -176,7 +176,7 @@ class WordMetric(CayleyBall):
         super().__init__(
             ExtendedBackend(parent, WordMap(probe_alphabet, probe_words, parent.alphabet)), 0)
 
-    def length(self, w: Word, cap: int) -> Optional[int]:
+    def length(self, w: Word, cap: int) -> int | None:
         """|w| over the probe words, or None when the ball grown to cap
         (or further, if it already is) does not reach w."""
         self.max_radius = max(self.radius, cap)
@@ -263,8 +263,8 @@ def _check_generates(metric: WordMetric, ctx, radius: int):
                 f"within radius {radius + 2}")
 
 
-def check_limited_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None,
-                            Z: Optional[Sequence[Word]] = None, lam: int = 1,
+def check_limited_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
+                            Z: Sequence[Word] | None = None, lam: int = 1,
                             radius: int = 4) -> CrossoverReport:
     """Exhaustively test |u g v^-1|_Y <= lambda for u in the language with
     |u| <= radius, g in <Z> with |g|_Z <= lambda, and v the representative of
@@ -272,8 +272,8 @@ def check_limited_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None
     return _crossover(sys, Y, Z, lam, radius, maximal=False)
 
 
-def check_maximal_crossover(sys: CosetSystem, Y: Optional[Sequence[Word]] = None,
-                            Z: Optional[Sequence[Word]] = None, lam: int = 1,
+def check_maximal_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
+                            Z: Sequence[Word] | None = None, lam: int = 1,
                             radius: int = 4) -> CrossoverReport:
     """Like limited crossover but g ranges over all of <Z> with |g|_Z <= radius
     and u is restricted to non-subgroup representatives."""

@@ -36,8 +36,6 @@ whether witnesses were found at the tested radius.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .backends import AbelianBackend, AbelianSubgroup, SubgroupContext
 from .cascade import Pi1System
 from .cosets import CosetSystem, VerifierError, check_limited_crossover
@@ -328,7 +326,7 @@ class TrefoilExperimentReport:
 
 
 def run_trefoil_experiment(radius: int, lambda_max: int,
-                           context: Optional[TrefoilCentralizerContext] = None
+                           context: TrefoilCentralizerContext | None = None
                            ) -> TrefoilExperimentReport:
     if context is not None:
         ctx = context

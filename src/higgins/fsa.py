@@ -16,7 +16,7 @@ others.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Optional
+from collections.abc import Callable, Iterable
 
 from .words import Alphabet, AlphabetError, Word
 
@@ -32,7 +32,7 @@ class Dfa:
         self.transitions = dict(transitions)  # (state, letter) -> state
         self.name = name
 
-    def step(self, state: int, letter: int) -> Optional[int]:
+    def step(self, state: int, letter: int) -> int | None:
         return self.transitions.get((state, letter))
 
     def accepts(self, w: Word) -> bool:

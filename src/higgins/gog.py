@@ -15,7 +15,6 @@ changes vertex.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from .words import Alphabet, Word, WordMap
 
@@ -47,7 +46,7 @@ class DirectedGraph:
             raise GogError(f"duplicate vertex {name!r}")
         self.vertices.append(name)
 
-    def add_edge_pair(self, name: str, src: str, dst: str, reverse_name: Optional[str] = None) -> Edge:
+    def add_edge_pair(self, name: str, src: str, dst: str, reverse_name: str | None = None) -> Edge:
         if reverse_name is None:
             reverse_name = name + "~"
         for nm in (name, reverse_name):
@@ -89,7 +88,7 @@ class SpanningTree:
             raise GogError("graph has no vertices")
         self.root = root = min(graph.vertices)
         # parent[v] = edge whose dst is v on the path from the root
-        self.parent: dict[str, Optional[Edge]] = {root: None}
+        self.parent: dict[str, Edge | None] = {root: None}
         self.depth = {root: 0}
         edges = [graph.edges[nm] for nm in sorted(allowed)]
         queue = deque([root])

@@ -7,7 +7,7 @@ word is a table lookup per letter.  Everything here is immutable.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 class AlphabetError(ValueError):

@@ -519,6 +519,9 @@ def test_cmd_enum_unknown_base_is_a_usage_error(capsys):
 
 
 COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\n"
+# a loop edge over a rank-2 subgroup, up to its iso= entry (line 6)
+ISO_CONFIG = ("[group G] kind=abelian rank=2\n[subgroup K in G]\ngenerators=x1;x2\n[graph]\n"
+              "vertices=v:G\nedge f: v -> v subgroup=K reverse_subgroup=K ")
 
 
 @pytest.mark.parametrize("group, table, argv, message", [
@@ -628,6 +631,20 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
     (COSET_CONFIG + "[graph]\nvertices=v:G\nedge f: v -> v subgroup=H reverse_subgroup=H "
      "iso=y1->y1 y1", None, ["validate"],
      "line 6: edge f: cannot derive the reverse iso by search; declare reverse_iso explicitly"),
+    # a repeated generator, an empty name and a generator mapped twice used to
+    # be read silently, or reported as some other fault
+    ("[group G] kind=finite table=z2.csv generators=a:1,a:1", "0,1\n1,0\n", ["validate"],
+     "line 1: group G: generator 'a' given twice"),
+    ("[group G] kind=finite table=z2.csv\ngenerators=a:1,a:0", "0,1\n1,0\n", ["validate"],
+     "line 2: group G: generator 'a' given twice"),
+    ("[group G] kind=abelian rank=2 names=a,,b", None, ["validate"],
+     "line 1: group G: empty name in names=a,,b"),
+    ("[group G] kind=free rank=2\nnames=a,b,", None, ["validate"],
+     "line 2: group G: empty name in names=a,b,"),
+    (ISO_CONFIG + "iso=y1->y2; y2->y1; y1->y1; y2->y2", None, ["validate"],
+     "line 6: iso maps generator 'y1' twice"),
+    (ISO_CONFIG + "iso=y1->y1; y2->y2 reverse_iso=y2->y2; y1->y1; y2->y1", None, ["validate"],
+     "line 6: iso maps generator 'y2' twice"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
         "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
@@ -642,7 +659,9 @@ COSET_CONFIG = "[group G] kind=abelian rank=2\n[subgroup H in G]\ngenerators=x1\
         "group-second-entry", "subgroup-second-entry", "coset-second-entry",
         "graph-second-tree", "coset-subgroup-and-edge", "coset-mode-bogus",
         "coset-neither-subgroup-nor-edge", "coset-unknown-subgroup", "coset-unknown-edge",
-        "free-two-generators", "reverse-iso-underivable"])
+        "free-two-generators", "reverse-iso-underivable", "generator-twice-same-index",
+        "generator-twice", "abelian-empty-name", "free-empty-name", "iso-generator-twice",
+        "reverse-iso-generator-twice"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
@@ -746,6 +765,32 @@ def test_negative_size_is_a_usage_error(capsys, argv):
     dest = argv[-1].lstrip("-").replace("-", "_")
     for parser in (build_parser(), build_parser(argv[0])):
         assert getattr(parser.parse_args(argv + ["0"]), dest) == 0
+
+
+SIZE_USAGE = ("usage: higgins certify [-h] --what {coset,automatic,hypotheses,sync-filter}\n"
+              "                       [--radius RADIUS] [--system SYSTEM] [--sync]\n"
+              "                       config\n"
+              "higgins certify: error: argument --radius: ")
+
+
+@pytest.mark.parametrize("flags, code, err", [
+    (["--radius", "-1"], 2, SIZE_USAGE + "must be >= 0, got -1\n"),
+    (["--radius", "x"], 2, SIZE_USAGE + "invalid int value: 'x'\n"),
+    (["--rad", "1"], 0, ""),
+], ids=["negative", "not-an-int", "abbreviated"])
+def test_refused_and_abbreviated_sizes_read_as_argparse_prints_them(monkeypatch, capsys,
+                                                                   flags, code, err):
+    # _size imports argparse only to refuse a value; argparse prints the refusal
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["certify", cfg("hnn_z2.gog"), "--what", "coset", "--system", "edge-cosets"]
+    try:
+        got = main(argv + flags)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (code, err)
+    if code == 0:
+        assert captured.out == run_cli(capsys, *argv, "--radius", "1")[1]
 
 
 # --- the parser -------------------------------------------------------------------
@@ -956,6 +1001,26 @@ def test_plain_command_line_builds_no_parser_and_imports_no_locale():
                           capture_output=True, text=True, env=env)
     assert proc.stdout.startswith("certificate ")
     assert proc.stderr == "0 False 0\n"
+
+
+def test_plain_command_line_imports_no_argparse_gettext_or_typing():
+    # the benchmark's CLI workloads and a plain nf and enum call, one after
+    # another in a fresh interpreter without site (which imports typing)
+    argvs = perfbench_cli_argv() + [
+        ["nf", "configs/trefoil_amalgam.gog", "--word", "a b a"],
+        ["enum", "configs/free_product_zz.gog", "--max-len", "2"]]
+    probe = (
+        "import sys\n"
+        "from higgins import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    loaded = sorted({'argparse', 'gettext', 'typing'} & set(sys.modules))\n"
+        "    print(code, *loaded, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.stderr == "0\n" * len(argvs)
+    assert proc.stdout.count("certificate ") == 2
 
 
 def test_readme_synopsis_lists_every_declared_option():
