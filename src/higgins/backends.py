@@ -859,3 +859,21 @@ class FiniteSubgroup(SubgroupContext):
     def coset_language(self):
         return word_set_dfa((rep for rep, _h in self._split.values()),
                             self.parent.alphabet, "cosets")
+
+
+def subgroup_context(parent, gen_words) -> SubgroupContext:
+    """The context of the subgroup of parent that gen_words generate: the
+    trivial context when there are none, else the one of the parent's kind.
+    BackendError when that kind does not take these words (a free group
+    takes one nonempty reduced generator)."""
+    if not gen_words:
+        return TrivialSubgroup(parent)
+    if isinstance(parent, AbelianBackend):
+        return AbelianSubgroup(parent, gen_words)
+    if isinstance(parent, FreeBackend):
+        if len(gen_words) != 1:
+            raise BackendError("free-group subgroups support a single cyclic generator")
+        return FreeCyclicSubgroup(parent, gen_words[0])
+    if isinstance(parent, FiniteBackend):
+        return FiniteSubgroup(parent, gen_words)
+    raise BackendError(f"cannot build subgroups in {parent!r}")

@@ -16,13 +16,11 @@ Each command and its arguments are declared once in COMMANDS, as the pairs
 that `add_argument` takes.  A plain call (exact option names, each once, with
 valid values, and the positionals in one run) is parsed off those pairs by
 _plain_parse, and argparse is never imported.  Any other call goes
-through argparse, imported only then: help, usage errors and abbreviated or
-`=` forms read as before.  It builds the parser of the command named by the
-first argument only; with no command, a help flag or an unknown name first it
-builds every command's parser, so help and usage errors read the same either
-way.  A flag the chosen mode would ignore (`nf --base` with `--coset-edge`,
-`enum --base` outside `--language higgins`, `certify --sync` outside `--what
-hypotheses`, `fsa --max-len` outside `fsa enum`, ...) is a usage error.
+through argparse, imported only then, with the parser of every command:
+help, usage errors and abbreviated or `=` forms read as before.  A flag the
+chosen mode would ignore (`nf --base` with `--coset-edge`, `enum --base`
+outside `--language higgins`, `certify --sync` outside `--what hypotheses`,
+`fsa --max-len` outside `fsa enum`, ...) is a usage error.
 """
 
 from __future__ import annotations
@@ -273,23 +271,19 @@ COMMANDS = (
 COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
 
 
-def build_parser(command=None):
-    """The argparse parser of every command, or of the one command named.
-    The usage line names every command either way, since the top-level parser
-    prints it when it reports an argument left over."""
+def build_parser():
+    """The argparse parser of every command."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="higgins",
         description="Coset normal forms and desk-scale certification for "
                     "fundamental groups of graphs of groups.")
-    metavar = None if command is None else "{" + ",".join(COMMAND_NAMES) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func, arguments in COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for names, kwargs in arguments:
-                p.add_argument(*names, **kwargs)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -358,11 +352,9 @@ def _plain_parse(command, rest):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # no command, -h or a typo first gets every command's parser and its error
-    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
-    args = None if command is None else _plain_parse(command, argv[1:])
+    args = _plain_parse(argv[0], argv[1:]) if argv and argv[0] in COMMAND_NAMES else None
     if args is None:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown

@@ -17,8 +17,10 @@ owns the following lines up to the next header.  Values that contain spaces
 
 Parse failures carry line numbers, and so does an entry its section does not
 read, a second section of one name and a second entry of one key (only the
-graph's edge and vertices lines add up), an empty name in names=, and a
-generator named twice in a finite group's generators= or in an iso.  A group
+graph's edge and vertices lines add up; an edge line's attributes are its
+entries), an empty name in names=, a generator named twice in a finite
+group's generators= or in an iso, a vertex or edge named twice, an edge to
+an unknown vertex and an iso image letter the target subgroup lacks.  A group
 entry that is not a number names its own line; a fault the group's
 constructor finds among its entries (a negative rank, a torsion modulus below
 2, names that do not match the rank, a table whose row 0 is not the identity,
@@ -28,21 +30,23 @@ tree once the graph's edges have all been read; a coset system's entries are
 checked then (one of subgroup= and edge=, a known mode= and language=), and
 the subgroup or edge it names is checked once every section has been read,
 since sections may come in any order.  coset_system() builds a system.
+
+An edge without reverse_iso= gets the exact inverse of its iso
+(derive_reverse_iso), read off the subgroup its images generate.  That
+subgroup's context, like a declared subgroup's, comes from
+backends.subgroup_context.
 """
 
 from __future__ import annotations
 
 import os
 
-from .backends import (
-    AbelianBackend, AbelianSubgroup, BackendError, FiniteBackend, FiniteSubgroup, FreeBackend,
-    FreeCyclicSubgroup, TrivialSubgroup,
-)
+from .backends import AbelianBackend, BackendError, FiniteBackend, FreeBackend, subgroup_context
 from .cascade import Pi1EdgeSubgroup, Pi1System
 from .certify import detour_padded_language
 from .cosets import CosetSystem
 from .gog import DirectedGraph, GogError, GraphOfGroups, SpanningTree
-from .words import AlphabetError, Word, WordMap
+from .words import AlphabetError, WordMap, free_reduce
 
 
 class ConfigError(ValueError):
@@ -249,85 +253,52 @@ def _build_subgroup(section: _Section, groups):
                               (section.lineno, ""))
     try:
         words = [backend.alphabet.word(t) for t in gen_text.split(";") if t.strip()]
-        if not words:
-            return TrivialSubgroup(backend), group_name
-        if isinstance(backend, AbelianBackend):
-            return AbelianSubgroup(backend, words), group_name
-        if isinstance(backend, FreeBackend):
-            if len(words) != 1:
-                raise BackendError("free-group subgroups support a single cyclic generator")
-            return FreeCyclicSubgroup(backend, words[0]), group_name
-        if isinstance(backend, FiniteBackend):
-            return FiniteSubgroup(backend, words), group_name
+        return subgroup_context(backend, words), group_name
     except (AlphabetError, BackendError) as exc:
         raise ConfigError(gen_line, f"subgroup {name}: generators: {exc}") from None
-    raise ConfigError(section.lineno, f"cannot build subgroups in {backend!r}")
 
 
-def _parse_iso(lineno, text, src_ctx, dst_ctx):
+def _parse_iso(lineno, what, text, src_ctx, dst_ctx):
     images = {}
     for item in text.split(";"):
         item = item.strip()
         if not item:
             continue
         if "->" not in item:
-            raise ConfigError(lineno, f"bad iso entry {item!r}")
+            raise ConfigError(lineno, f"{what}: bad entry {item!r}")
         src, img = item.split("->", 1)
         src = src.strip()
         if src in images:
-            raise ConfigError(lineno, f"iso maps generator {src!r} twice")
-        images[src] = dst_ctx.gen_alphabet.word(img.strip())
+            raise ConfigError(lineno, f"{what} maps generator {src!r} twice")
+        try:
+            images[src] = dst_ctx.gen_alphabet.word(img.strip())
+        except AlphabetError as exc:
+            raise ConfigError(lineno, f"{what}: {exc}") from None
     out = []
     for g in src_ctx.gen_alphabet.generators:
         if g not in images:
-            raise ConfigError(lineno, f"iso does not map generator {g!r}")
+            raise ConfigError(lineno, f"{what} does not map generator {g!r}")
         out.append(images.pop(g))
     if images:
-        raise ConfigError(lineno, f"iso maps unknown generators {sorted(images)}")
+        raise ConfigError(lineno, f"{what} maps unknown generators {sorted(images)}")
     return out
 
 
-REVERSE_ISO_DEPTH = 10  # longest source word the reverse-iso search tries
-
-
 def derive_reverse_iso(src_ctx, dst_ctx, images):
-    """Invert a generator-level isomorphism by breadth-first search over the
-    source subgroup: for each target generator find a source word of at most
-    REVERSE_ISO_DEPTH letters whose image matches it.  None when some target
-    generator has no such word.
-
-    Not a CayleyBall: the benchmark checks every ball built while certifying
-    configs/hnn_z2.gog, whose load runs this (tests/test_ball_capture.py)."""
-    parent_dst = dst_ctx.parent
-    iso = WordMap(src_ctx.gen_alphabet, images, dst_ctx.gen_alphabet)
-
-    def image_key(yword: Word):
-        return parent_dst.key(dst_ctx.expand(iso(yword)))
-
-    targets = {parent_dst.key(gw): i for i, gw in enumerate(dst_ctx.gen_words)}
-    found: dict = {}
-    empty = src_ctx.gen_alphabet.empty()
-    seen = {image_key(empty)}
-    frontier = [empty]
-    if image_key(empty) in targets:
-        found[targets[image_key(empty)]] = empty
-    for _ in range(REVERSE_ISO_DEPTH):
-        if len(found) == len(dst_ctx.gen_words):
-            break
-        nxt = []
-        for yw in frontier:
-            for letter in range(len(src_ctx.gen_alphabet)):
-                cand = Word(src_ctx.gen_alphabet, yw.letters + (letter,))
-                k = image_key(cand)
-                if k in targets and targets[k] not in found:
-                    found[targets[k]] = cand
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(cand)
-        frontier = nxt
-    if len(found) != len(dst_ctx.gen_words):
+    """Invert a generator-level isomorphism exactly: the images generate a
+    subgroup of dst_ctx's parent, whose own split expresses each generator of
+    dst_ctx over the images, and image i is read back as source generator i.
+    None when the map is not onto dst_ctx's subgroup, or when the parent
+    takes no subgroup generated by the images (several in a free group)."""
+    try:
+        image_ctx = subgroup_context(dst_ctx.parent,
+                                     [free_reduce(dst_ctx.expand(y)) for y in images])
+        over_images = [image_ctx.h_express(gw) for gw in dst_ctx.gen_words]
+    except BackendError:
         return None
-    return [found[i] for i in range(len(dst_ctx.gen_words))]
+    source = src_ctx.gen_alphabet
+    back = WordMap(image_ctx.gen_alphabet, [source.letter(g) for g in source.generators], source)
+    return [back(h) for h in over_images]
 
 
 def _build_graph(section: _Section, config: ProjectConfig):
@@ -345,7 +316,10 @@ def _build_graph(section: _Section, config: ProjectConfig):
                 v, g = (p.strip() for p in item.split(":", 1))
                 if g not in config.groups:
                     raise ConfigError(lineno, f"unknown group {g!r}")
-                graph.add_vertex(v)
+                try:
+                    graph.add_vertex(v)
+                except GogError as exc:
+                    raise ConfigError(lineno, str(exc)) from None
                 vertex_backends[v] = config.groups[g]
         elif key == "edge":
             edge_lines.append((lineno, value))
@@ -380,6 +354,8 @@ def _build_graph(section: _Section, config: ProjectConfig):
                 pos = rest2.find(f" {other}=")
                 if 0 <= pos < stop:
                     stop = pos
+            if key in fields:
+                raise ConfigError(lineno, f"edge {ename}: second {key}= entry")
             fields[key] = rest2[:stop].strip()
             remaining = rest2[stop:].strip()
         for needed in ("subgroup", "reverse_subgroup"):
@@ -390,23 +366,28 @@ def _build_graph(section: _Section, config: ProjectConfig):
                 raise ConfigError(lineno, f"edge {ename}: unknown subgroup {sub!r}")
         ctx = config.subgroups[fields["subgroup"]][0]
         rctx = config.subgroups[fields["reverse_subgroup"]][0]
-        edge = graph.add_edge_pair(ename, src, dst)
+        try:
+            edge = graph.add_edge_pair(ename, src, dst)
+        except GogError as exc:
+            raise ConfigError(lineno, str(exc)) from None
         edge_contexts[ename] = ctx
         edge_contexts[edge.reverse.name] = rctx
         if ctx.gen_words:
             if "iso" not in fields:
                 raise ConfigError(lineno, f"edge {ename}: missing iso=")
-            images = _parse_iso(lineno, fields["iso"], ctx, rctx)
+            images = _parse_iso(lineno, f"edge {ename}: iso", fields["iso"], ctx, rctx)
         else:
             images = []
         edge_iso[ename] = images
         if "reverse_iso" in fields:
-            edge_iso[edge.reverse.name] = _parse_iso(lineno, fields["reverse_iso"], rctx, ctx)
+            edge_iso[edge.reverse.name] = _parse_iso(
+                lineno, f"edge {ename}: reverse_iso", fields["reverse_iso"], rctx, ctx)
         elif rctx.gen_words:
             reverse = derive_reverse_iso(ctx, rctx, images)
             if reverse is None:
-                raise ConfigError(lineno, f"edge {ename}: cannot derive the reverse iso by "
-                                          "search; declare reverse_iso explicitly")
+                raise ConfigError(lineno, f"edge {ename}: iso is not onto the reverse subgroup, "
+                                          "or has several images in a free group; "
+                                          "declare reverse_iso explicitly")
             edge_iso[edge.reverse.name] = reverse
         else:
             edge_iso[edge.reverse.name] = []

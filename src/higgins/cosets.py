@@ -1,9 +1,8 @@
 """Coset systems, Cayley balls and the hypothesis verifiers: limited and
 maximal crossover, and stability of edge isomorphisms.
 
-CayleyBall is the breadth-first search of group elements (only
-config.derive_reverse_iso keeps its own): a shortlex ball over an oracle's
-letters, keyed by the oracle's canonical keys.
+CayleyBall is the breadth-first search of group elements: a shortlex ball
+over an oracle's letters, keyed by the oracle's canonical keys.
 Subgroup lengths |h|_Y, not ambient word lengths, are path lengths in the
 subgroup's own Cayley graph over the probe generating set: a WordMetric is a
 CayleyBall over one letter per probe word, grown per report only as far as

@@ -12,7 +12,9 @@ materialized path word, repeated to a fixed point.  Membership in a Higgins
 language, nf(w) == w in the package, is checked against a parse of w into
 its path word, segment by segment.  Generator maps (edge
 isomorphisms and subgroup inclusions) are checked against an image read off
-the letter names.  The fellow-traveller sweep, which finds each h on the
+the letter names, and an edge isomorphism's inverse, read off the split of
+the subgroup its images generate, against a breadth-first search over
+source words.  The fellow-traveller sweep, which finds each h on the
 Cayley graph, is checked against a sweep that builds and keys every h, its
 reuse of a mirror pair's value against the same sweep measuring every pair,
 its alignment fill against reachability over the whole prefix grid, and the
@@ -529,6 +531,45 @@ def generator_image(source: Alphabet, images, target: Alphabet, w: Word) -> Word
         else:
             out.extend(images[list(source.generators).index(name)].letters)
     return Word(target, tuple(out))
+
+
+def reverse_iso_by_search(src_ctx, dst_ctx, images, depth=10):
+    """The inverse of a generator map by breadth-first search over the source
+    subgroup: for each generator of dst_ctx, the first source word of at most
+    depth letters whose image names its element.  None when some generator
+    has no such word."""
+    parent = dst_ctx.parent
+    source, target = src_ctx.gen_alphabet, dst_ctx.gen_alphabet
+    image = [generator_image(source, images, target, Word(source, (x,))).letters
+             for x in range(len(source))]
+
+    def image_key(yword: Word):
+        return parent.key(dst_ctx.expand(Word(target, sum((image[x] for x in yword), ()))))
+
+    targets = {parent.key(gw): i for i, gw in enumerate(dst_ctx.gen_words)}
+    found = {}
+    empty = source.empty()
+    seen = {image_key(empty)}
+    frontier = [empty]
+    if image_key(empty) in targets:
+        found[targets[image_key(empty)]] = empty
+    for _ in range(depth):
+        if len(found) == len(dst_ctx.gen_words):
+            break
+        nxt = []
+        for yw in frontier:
+            for letter in range(len(source)):
+                cand = Word(source, yw.letters + (letter,))
+                k = image_key(cand)
+                if k in targets and targets[k] not in found:
+                    found[targets[k]] = cand
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(cand)
+        frontier = nxt
+    if len(found) != len(dst_ctx.gen_words):
+        return None
+    return [found[i] for i in range(len(dst_ctx.gen_words))]
 
 
 # --- trefoil group via the braid action --------------------------------------

@@ -2,7 +2,8 @@
 CayleyBall built while `higgins certify configs/hnn_z2.gog` runs and checks
 each one against a ball of Z x F2.  That holds only while the certificate's
 ball is the one CayleyBall the run builds: loading the config derives the
-reverse edge isomorphism by its own search, and no subgroup ball is built.
+reverse edge isomorphism off the split of an abelian subgroup with
+independent images, which builds no ball, and no subgroup ball is built.
 Check that here, so a change that builds a second ball fails in the tests
 instead of in a benchmark run."""
 

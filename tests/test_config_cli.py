@@ -630,7 +630,8 @@ ISO_CONFIG = ("[group G] kind=abelian rank=2\n[subgroup K in G]\ngenerators=x1;x
      "line 3: subgroup H: generators: free-group subgroups support a single cyclic generator"),
     (COSET_CONFIG + "[graph]\nvertices=v:G\nedge f: v -> v subgroup=H reverse_subgroup=H "
      "iso=y1->y1 y1", None, ["validate"],
-     "line 6: edge f: cannot derive the reverse iso by search; declare reverse_iso explicitly"),
+     "line 6: edge f: iso is not onto the reverse subgroup, or has several images in a free "
+     "group; declare reverse_iso explicitly"),
     # a repeated generator, an empty name and a generator mapped twice used to
     # be read silently, or reported as some other fault
     ("[group G] kind=finite table=z2.csv generators=a:1,a:1", "0,1\n1,0\n", ["validate"],
@@ -642,9 +643,28 @@ ISO_CONFIG = ("[group G] kind=abelian rank=2\n[subgroup K in G]\ngenerators=x1;x
     ("[group G] kind=free rank=2\nnames=a,b,", None, ["validate"],
      "line 2: group G: empty name in names=a,b,"),
     (ISO_CONFIG + "iso=y1->y2; y2->y1; y1->y1; y2->y2", None, ["validate"],
-     "line 6: iso maps generator 'y1' twice"),
+     "line 6: edge f: iso maps generator 'y1' twice"),
     (ISO_CONFIG + "iso=y1->y1; y2->y2 reverse_iso=y2->y2; y1->y1; y2->y1", None, ["validate"],
-     "line 6: iso maps generator 'y2' twice"),
+     "line 6: edge f: reverse_iso maps generator 'y2' twice"),
+    # a repeated edge attribute used to replace the first; a repeated vertex or
+    # edge, an unknown vertex and an unknown image letter used to name no line
+    (COSET_CONFIG + "[subgroup K in G]\ngenerators=x2\n[graph]\nvertices=v:G\n"
+     "edge f: v -> v subgroup=H reverse_subgroup=H iso=y1->y1 subgroup=K", None, ["validate"],
+     "line 8: edge f: second subgroup= entry"),
+    (COSET_CONFIG + "[graph]\nvertices=v:G\n"
+     "edge f: v -> v subgroup=H reverse_subgroup=H iso=y1->y1 iso=y1->y1^-1", None,
+     ["validate"], "line 6: edge f: second iso= entry"),
+    (COSET_CONFIG + "[graph]\nvertices=v:G,v:G", None, ["validate"],
+     "line 5: duplicate vertex 'v'"),
+    (COSET_CONFIG + "[graph]\nvertices=v:G\nedge f: v -> w subgroup=H reverse_subgroup=H "
+     "iso=y1->y1", None, ["validate"], "line 6: unknown vertex 'w'"),
+    (COSET_CONFIG + "[graph]\nvertices=v:G\nedge f: v -> v subgroup=H reverse_subgroup=H "
+     "iso=y1->y1\nedge f: v -> v subgroup=H reverse_subgroup=H iso=y1->y1", None,
+     ["validate"], "line 7: duplicate edge 'f'"),
+    (ISO_CONFIG + "iso=y1->y3; y2->y2", None, ["validate"],
+     "line 6: edge f: iso: unknown letter 'y3'"),
+    (ISO_CONFIG + "iso=y1->y1; y2->y2 reverse_iso=y1->q; y2->y2", None, ["validate"],
+     "line 6: edge f: reverse_iso: unknown letter 'q'"),
 ], ids=["rank", "torsion", "free-rank", "generator-colon", "table-cell", "coset-no-edges",
         "generator-past-table", "generator-negative", "table-cell-past-table",
         "free-rank-negative", "abelian-rank-negative-names", "abelian-rank-negative",
@@ -661,7 +681,9 @@ ISO_CONFIG = ("[group G] kind=abelian rank=2\n[subgroup K in G]\ngenerators=x1;x
         "coset-neither-subgroup-nor-edge", "coset-unknown-subgroup", "coset-unknown-edge",
         "free-two-generators", "reverse-iso-underivable", "generator-twice-same-index",
         "generator-twice", "abelian-empty-name", "free-empty-name", "iso-generator-twice",
-        "reverse-iso-generator-twice"])
+        "reverse-iso-generator-twice", "edge-second-subgroup", "edge-second-iso",
+        "graph-duplicate-vertex", "edge-unknown-vertex", "graph-second-edge",
+        "iso-unknown-letter", "reverse-iso-unknown-letter"])
 def test_malformed_config_is_a_usage_error(capsys, tmp_path, group, table, argv, message):
     path = tmp_path / "bad.gog"
     path.write_text(f"{group}\n[graph]\nvertices=v:G\n")
@@ -763,8 +785,7 @@ def test_negative_size_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     assert f"argument {argv[-1]}: must be >= 0, got -1" in captured.err
     dest = argv[-1].lstrip("-").replace("-", "_")
-    for parser in (build_parser(), build_parser(argv[0])):
-        assert getattr(parser.parse_args(argv + ["0"]), dest) == 0
+    assert getattr(build_parser().parse_args(argv + ["0"]), dest) == 0
 
 
 SIZE_USAGE = ("usage: higgins certify [-h] --what {coset,automatic,hypotheses,sync-filter}\n"
@@ -794,8 +815,8 @@ def test_refused_and_abbreviated_sizes_read_as_argparse_prints_them(monkeypatch,
 
 
 # --- the parser -------------------------------------------------------------------
-# main builds the parser of the command named by argv[0] alone; what it prints
-# on help or a usage error must be what the parser of every command prints
+# main leaves help and usage errors to argparse; what it prints then must be
+# what the parser of every command prints
 
 def parse_outcome(capsys, parse, argv):
     with pytest.raises(SystemExit) as exc:
@@ -829,13 +850,13 @@ def test_usage_errors_name_the_command_argument(capsys):
         usage + "argument command: invalid choice: 'bogus'")
 
 
-def test_certify_builds_the_certify_parser_only(monkeypatch, capsys):
+def test_only_a_command_line_left_to_argparse_builds_a_parser(monkeypatch, capsys):
     # a plain command line builds no parser; one left to argparse (here an
-    # abbreviated option) builds the parser of its own command alone
+    # abbreviated option) builds one parser, with every command
     parsers = []
 
-    def capture(*args):
-        parsers.append(build_parser(*args))
+    def capture():
+        parsers.append(build_parser())
         return parsers[-1]
     monkeypatch.setattr(cli, "build_parser", capture)
     argv = ["certify", cfg("hnn_z2.gog"), "--what", "coset", "--system", "edge-cosets"]
@@ -845,7 +866,7 @@ def test_certify_builds_the_certify_parser_only(monkeypatch, capsys):
     code = main(argv + ["--rad", "1"])
     assert code == 0 and capsys.readouterr().out.startswith("certificate ")
     (sub,) = [a for a in parsers[0]._actions if isinstance(a, argparse._SubParsersAction)]
-    assert len(parsers) == 1 and list(sub.choices) == ["certify"]
+    assert len(parsers) == 1 and tuple(sub.choices) == COMMAND_NAMES
 
 
 def perfbench_cli_argv():
@@ -958,10 +979,10 @@ def plain_parse_cases(count=2000, seed=32):
 
 
 def test_plain_parse_returns_what_argparse_returns():
-    parsers = {name: build_parser(name) for name in COMMAND_NAMES}
+    parser = build_parser()
 
     def argparse_vars(argv):
-        return vars(parsers[argv[0]].parse_args(argv))
+        return vars(parser.parse_args(argv))
 
     pinned = list(pinned_argv())
     # the certify and experiment snapshots, 360 seeded nf runs, 9 README
