@@ -198,11 +198,10 @@ class SubgroupContext:
     coset_language; coset_rep, membership, h_express and the coset key are
     read off split."""
 
-    def __init__(self, parent, gen_words, gen_names=None):
+    def __init__(self, parent, gen_words):
         self.parent = parent
         self.gen_words = list(gen_words)
-        if gen_names is None:
-            gen_names = [f"y{i + 1}" for i in range(len(gen_words))]
+        gen_names = [f"y{i + 1}" for i in range(len(gen_words))]
         identity = parent.key(parent.alphabet.empty())
         self_inv = [
             nm for nm, gw in zip(gen_names, gen_words)
@@ -400,8 +399,8 @@ class AbelianSubgroup(SubgroupContext):
     residues in closed form; otherwise they, and the coset automaton, are
     read off the coset ball _cosets."""
 
-    def __init__(self, parent: AbelianBackend, gen_words, gen_names=None):
-        super().__init__(parent, gen_words, gen_names)
+    def __init__(self, parent: AbelianBackend, gen_words):
+        super().__init__(parent, gen_words)
         self.gen_vecs = [parent.vec(g) for g in gen_words]
         rows = list(self.gen_vecs)
         for i in range(parent.n):
@@ -459,7 +458,7 @@ class AbelianSubgroup(SubgroupContext):
         rep = self.chosen(elem)
         x = self.lattice.solve(tuple(a - b for a, b in zip(elem, rep)))
         coeffs = x[: len(self.gen_words)]
-        if self.presentation.gen_words:
+        if self._relation_rows:
             # the generators satisfy relations, so the lattice solution is one
             # spelling of many: take the subgroup's own canonical one
             coeffs = self.presentation.chosen(tuple(coeffs))
@@ -474,8 +473,9 @@ class AbelianSubgroup(SubgroupContext):
         shortlex language of the subgroup over its generators."""
         k = len(self.gen_words)
         free = AbelianBackend(k, names=list(self.gen_alphabet.generators))
-        return AbelianSubgroup(free, [free.serialize(row) for row in self._relation_rows()])
+        return AbelianSubgroup(free, [free.serialize(row) for row in self._relation_rows])
 
+    @cached_property
     def _relation_rows(self) -> list:
         """Exponent vectors of the relations among the generators: the left
         kernel of the lattice (generators stacked over the torsion rows),
@@ -487,7 +487,7 @@ class AbelianSubgroup(SubgroupContext):
         """The relations among the generators, as presentation reads them
         off the lattice, and the commutator of each pair."""
         k = len(self.gen_words)
-        out = [self._yword(row) for row in self._relation_rows()]
+        out = [self._yword(row) for row in self._relation_rows]
         ys = [self._yword([int(t == i) for t in range(k)]) for i in range(k)]
         return out + [a * b * invert(a) * invert(b) for i, a in enumerate(ys) for b in ys[i + 1:]]
 
@@ -608,7 +608,7 @@ class TrivialSubgroup(SubgroupContext):
     """H = 1 in any backend; the coset language is the canonical language."""
 
     def __init__(self, parent):
-        super().__init__(parent, [], [])
+        super().__init__(parent, [])
 
     def split(self, elem):
         return self.parent.element_word(elem), self.gen_alphabet.empty()
@@ -678,11 +678,11 @@ class FreeCyclicSubgroup(SubgroupContext):
     the base; the least word of its coset is sigma(q), q the vertex where
     reading stops, then the unread rest."""
 
-    def __init__(self, parent: FreeBackend, gen: Word, gen_names=None):
+    def __init__(self, parent: FreeBackend, gen: Word):
         gen = Word(parent.alphabet, gen.letters)
         if len(gen) == 0 or free_reduce(gen) != gen:
             raise BackendError("subgroup generator must be nonempty and freely reduced")
-        super().__init__(parent, [gen], gen_names)
+        super().__init__(parent, [gen])
         inv, letters = parent.alphabet.inv, gen.letters
         stem = next(i for i, x in enumerate(letters) if inv[x] != letters[-1 - i])
         # vertex i is where letters[:i] ends; the last cycle letter returns to the stem's end
@@ -820,8 +820,8 @@ class FiniteBackend(VertexBackend):
 
 
 class FiniteSubgroup(SubgroupContext):
-    def __init__(self, parent: FiniteBackend, gens: Sequence[Word], gen_names=None):
-        super().__init__(parent, gens, gen_names)
+    def __init__(self, parent: FiniteBackend, gens: Sequence[Word]):
+        super().__init__(parent, gens)
         # words over the subgroup generators, by a ball of H
         self._yword = {parent.eval(w): y for w, _d, y in WordMetric(
             parent, self.gen_words, self.gen_alphabet).elements_within(parent.order)}

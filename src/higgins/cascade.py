@@ -190,9 +190,6 @@ class Pi1System:
         base_vertex = anchor if kind == "group" else anchor.dst
         return self.cascade(self.pinch_reduce(self.alphabets.inflate(w, base_vertex)), base)
 
-    def word_problem(self, w1: Word, w2: Word, v0: str | None = None) -> bool:
-        return self.normal_form(w1, v0) == self.normal_form(w2, v0)
-
     # -- the Higgins automaton -------------------------------------------------
 
     def _component_dfa(self, base) -> Dfa:

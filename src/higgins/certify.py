@@ -421,38 +421,20 @@ def concat_structure(L_H, sys: CosetSystem):
         nm = g if g not in names else f"h.{g}"
         gen_names.append(nm)
         names.append(nm)
-    union = Alphabet(names, self_inverse=selfinv)
-    y_map = WordMap(sub, [union.letter(nm) for nm in gen_names], union)
-    x_map = {parent.alphabet.index(nm): union.index(nm) for nm in parent.alphabet.names}
+    extended = Alphabet(names, self_inverse=selfinv)
+    y_map = WordMap(sub, [extended.letter(nm) for nm in gen_names], extended)
+    x_map = {parent.alphabet.index(nm): extended.index(nm) for nm in parent.alphabet.names}
     lazy = _concat_lazy(L_H, lang, y_map, x_map)
     to_parent = WordMap(
-        union, [parent.alphabet.letter(g) for g in parent.alphabet.generators] + ctx.gen_words,
+        extended, [parent.alphabet.letter(g) for g in parent.alphabet.generators] + ctx.gen_words,
         parent.alphabet)
     return lazy, ExtendedBackend(parent, to_parent)
 
 
 def _concat_lazy(L_H, lang, y_map: WordMap, x_map: dict) -> LazyLanguage:
     """L_H . lang as a language over y_map.target, into which y_map sends
-    L_H's letters and x_map sends lang's.  A target letter that two letters
-    of L_H share pulls back to the first of them, the generator before its
-    inverse letter."""
-    sub, alphabet = y_map.source, y_map.target
-    y_back: dict = {}
-    for y, (x,) in enumerate(y_map.table):
-        y_back.setdefault(x, y)
-    x_back = {x: p for p, x in x_map.items()}
-
-    def member(w: Word) -> bool:
-        head = []
-        for cut in range(len(w) + 1):
-            tail = tuple(x_back.get(x) for x in w.letters[cut:])
-            if (None not in tail and L_H.accepts(Word(sub, tuple(head)))
-                    and lang.accepts(Word(lang.alphabet, tail))):
-                return True
-            if cut == len(w) or w.letters[cut] not in y_back:
-                break
-            head.append(y_back[w.letters[cut]])
-        return False
+    L_H's letters and x_map sends lang's."""
+    alphabet = y_map.target
 
     def enum(n: int):
         out = set()
@@ -462,7 +444,7 @@ def _concat_lazy(L_H, lang, y_map: WordMap, x_map: dict) -> LazyLanguage:
                 out.add(hw + tuple(x_map[x] for x in tail.letters))
         return [Word(alphabet, ls) for ls in sorted(out, key=lambda t: (len(t), t))]
 
-    return LazyLanguage(alphabet, member, enumerator=enum, name="concat")
+    return LazyLanguage(alphabet, enum, "concat")
 
 
 def detour_padded_language(lang, alphabet: Alphabet) -> LazyLanguage:
@@ -479,22 +461,6 @@ def detour_padded_language(lang, alphabet: Alphabet) -> LazyLanguage:
                 return d
         return None
 
-    def strip(ls):
-        out = []
-        i = 0
-        while i < len(ls):
-            out.append(ls[i])
-            d = detour(ls[i])
-            if (d is not None and i + 2 < len(ls)
-                    and ls[i + 1] == d and ls[i + 2] == alphabet.inv[d]):
-                i += 3
-            else:
-                i += 1
-        return tuple(out)
-
-    def member(w: Word) -> bool:
-        return lang.accepts(Word(alphabet, strip(w.letters)))
-
     def enum(n: int):
         out = []
         for base in enumerate_language(lang, n):
@@ -509,7 +475,7 @@ def detour_padded_language(lang, alphabet: Alphabet) -> LazyLanguage:
         uniq = sorted({w.letters for w in out}, key=lambda t: (len(t), t))
         return [Word(alphabet, t) for t in uniq]
 
-    return LazyLanguage(alphabet, member, enumerator=enum, name="padded-detours")
+    return LazyLanguage(alphabet, enum, "padded-detours")
 
 
 def geodesic_coset_filter(sys: CosetSystem, radius: int) -> CosetSystem:
@@ -518,12 +484,11 @@ def geodesic_coset_filter(sys: CosetSystem, radius: int) -> CosetSystem:
     Verifies that the filtered language still represents, within the radius,
     every coset met by the ball of that radius; raises HypothesisViolation
     otherwise.  Each word's coset key is computed once, into a memo local
-    to the call that the filtered system keeps: membership, enumeration, the
-    coverage check and the certificate's sweep all read it.
+    to the call that the filtered system keeps: enumeration, the coverage
+    check and the certificate's sweep all read it.
     """
     ctx = sys.context
     lang = sys.language
-    accepts = lang.accepts
     reps: dict = {}  # word letters -> ctx.coset_key(w), its rep's letters
 
     def rep_of(w: Word) -> tuple:
@@ -536,9 +501,8 @@ def geodesic_coset_filter(sys: CosetSystem, radius: int) -> CosetSystem:
         return len(w) == len(rep_of(w))
 
     filtered = LazyLanguage(
-        ctx.parent.alphabet, lambda w: accepts(w) and geodesic(w),
-        enumerator=lambda n: [w for w in enumerate_language(lang, n) if geodesic(w)],
-        name="geodesic-filter")
+        ctx.parent.alphabet, lambda n: [w for w in enumerate_language(lang, n) if geodesic(w)],
+        "geodesic-filter")
     covered = {rep_of(w) for w in enumerate_language(filtered, radius)}
     for g in CayleyBall(ctx.parent, radius).elements():
         if rep_of(g) not in covered:

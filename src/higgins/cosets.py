@@ -191,67 +191,19 @@ class WordMetric(CayleyBall):
                       key=lambda t: (t[1], shortlex_key(t[0])))
 
 
-class CrossoverReport:
-    def __init__(self, kind, lam, Y, Z, radius, witnesses, total_violations, swept):
-        self.kind = kind
-        self.lam = lam
-        self.Y = Y
-        self.Z = Z
-        self.radius = radius
-        self.witnesses = witnesses  # (u, g, v, excess)
+class VerifierReport:
+    """What a crossover or stability sweep found: its first WITNESS_LIMIT
+    witnesses in shortlex order, the exact number of violations and the
+    number of cases swept."""
+
+    def __init__(self, witnesses, total_violations, swept):
+        self.witnesses = witnesses  # crossover: (u, g, v, excess); stability: (h, image length)
         self.total_violations = total_violations
         self.swept = swept
 
     @property
     def passed(self) -> bool:
         return self.total_violations == 0
-
-    def lines(self):
-        out = [
-            f"property {self.kind}",
-            "params lambda=%d Y=[%s] Z=[%s]" % (
-                self.lam,
-                "; ".join(str(w) for w in self.Y),
-                "; ".join(str(w) for w in self.Z),
-            ),
-            f"radius {self.radius}",
-            f"status {'pass' if self.passed else 'fail'}",
-            f"violations {self.total_violations}",
-        ]
-        for u, g, v, excess in self.witnesses:
-            out.append(f"witness u={u} g={g} v={v} excess={excess}")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
-class StabilityReport:
-    def __init__(self, mu, radius, witnesses, total_violations, swept):
-        self.mu = mu
-        self.radius = radius
-        self.witnesses = witnesses  # (h as Y1-word, image length)
-        self.total_violations = total_violations
-        self.swept = swept
-
-    @property
-    def passed(self) -> bool:
-        return self.total_violations == 0
-
-    def lines(self):
-        out = [
-            "property stability",
-            f"params mu={self.mu}",
-            f"radius {self.radius}",
-            f"status {'pass' if self.passed else 'fail'}",
-            f"violations {self.total_violations}",
-        ]
-        for h, img_len in self.witnesses:
-            out.append(f"witness h={h} image_length={img_len}")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
 
 
 def _check_generates(metric: WordMetric, ctx, radius: int):
@@ -264,7 +216,7 @@ def _check_generates(metric: WordMetric, ctx, radius: int):
 
 def check_limited_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
                             Z: Sequence[Word] | None = None, lam: int = 1,
-                            radius: int = 4) -> CrossoverReport:
+                            radius: int = 4) -> VerifierReport:
     """Exhaustively test |u g v^-1|_Y <= lambda for u in the language with
     |u| <= radius, g in <Z> with |g|_Z <= lambda, and v the representative of
     the coset of u g."""
@@ -273,7 +225,7 @@ def check_limited_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
 
 def check_maximal_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
                             Z: Sequence[Word] | None = None, lam: int = 1,
-                            radius: int = 4) -> CrossoverReport:
+                            radius: int = 4) -> VerifierReport:
     """Like limited crossover but g ranges over all of <Z> with |g|_Z <= radius
     and u is restricted to non-subgroup representatives."""
     return _crossover(sys, Y, Z, lam, radius, maximal=True)
@@ -319,12 +271,10 @@ def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
             if hlen > lam:
                 witnesses.append((u, g, v, hlen - lam))
     witnesses.sort(key=lambda t: tuple(shortlex_key(w) for w in t[:-1]))
-    kind = "maximal-crossover" if maximal else "limited-crossover"
-    return CrossoverReport(kind, lam, Y, Z, radius, witnesses[:WITNESS_LIMIT],
-                           len(witnesses), swept)
+    return VerifierReport(witnesses[:WITNESS_LIMIT], len(witnesses), swept)
 
 
-def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) -> StabilityReport:
+def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) -> VerifierReport:
     """mu-stability of the generator map H1 -> H2: elements of Y1-length <= mu
     must have images of Y2-length <= mu.
 
@@ -353,5 +303,4 @@ def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) ->
         if img_len > mu:
             witnesses.append((yword, img_len))
     witnesses.sort(key=lambda t: shortlex_key(t[0]))
-    kept = witnesses[:WITNESS_LIMIT]
-    return StabilityReport(mu, radius, kept, len(witnesses), swept)
+    return VerifierReport(witnesses[:WITNESS_LIMIT], len(witnesses), swept)

@@ -285,11 +285,7 @@ class TrefoilCentralizerContext(SubgroupContext):
 
     @property
     def coset_language(self):
-        return LazyLanguage(
-            self.parent.alphabet,
-            membership=lambda w: self.coset_rep(w) == w,
-            enumerator=self.representatives,
-            name="trefoil-xd-reps")
+        return LazyLanguage(self.parent.alphabet, self.representatives, "trefoil-xd-reps")
 
 
 class TrefoilExperimentReport:

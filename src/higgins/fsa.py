@@ -8,9 +8,8 @@ state sets for concatenation, prefixes for word sets), and then trimmed of
 states that cannot accept, so equal languages built the same way yield
 identical objects.  minimize is Hopcroft's refinement; dfa_from_text reads
 the text format.  A language with an automaton is that Dfa, the Higgins
-languages of a graph of groups included; LazyLanguage is a language given
-by a membership predicate and an enumerator, for languages built from
-others.
+languages of a graph of groups included; a LazyLanguage is an enumerator,
+for languages built from others, which are only ever listed.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ def explore(alphabet, start, step: Callable, accepting: Callable, name="dfa") ->
                 t = index[nxt] = len(order)
                 order.append(nxt)
             transitions[(qi, letter)] = t
-    accepts = {i for i, state in enumerate(order) if accepting(state)}
-    return _trim(Dfa(alphabet, len(order), 0, accepts, transitions, name))
+    final = {i for i, state in enumerate(order) if accepting(state)}
+    return _trim(Dfa(alphabet, len(order), 0, final, transitions, name))
 
 
 def _trim(dfa: Dfa) -> Dfa:
@@ -259,21 +258,17 @@ def word_set_dfa(words: Iterable[Word], alphabet, name="wordset") -> Dfa:
 
 
 class LazyLanguage:
-    """A language given by a decidable membership predicate and an
-    enumerator, enumerator(n) listing its words of length <= n: the
-    languages built from other languages (concatenations, paddings,
-    filters) and the trefoil's coset representatives."""
+    """A language given by an enumerator, enumerator(n) listing its words of
+    length <= n in shortlex order without repeats: the languages built from
+    other languages (concatenations, paddings, filters) and the trefoil's
+    coset representatives."""
 
-    __slots__ = ("alphabet", "membership", "enumerator", "name")
+    __slots__ = ("alphabet", "enumerator", "name")
 
-    def __init__(self, alphabet, membership: Callable[[Word], bool], enumerator, name="lazy"):
+    def __init__(self, alphabet, enumerator, name="lazy"):
         self.alphabet = alphabet
-        self.membership = membership
         self.enumerator = enumerator
         self.name = name
-
-    def accepts(self, w: Word) -> bool:
-        return bool(self.membership(w))
 
 
 def enumerate_language(lang, max_len: int) -> list[Word]:
@@ -283,9 +278,7 @@ def enumerate_language(lang, max_len: int) -> list[Word]:
     its enumerator's words.
     """
     if isinstance(lang, LazyLanguage):
-        out = list(lang.enumerator(max_len))
-        out.sort(key=lambda w: (len(w), w.letters))
-        return out
+        return lang.enumerator(max_len)
     dfa: Dfa = lang
     # distance from each state to the nearest accepting state
     INF = max_len + 1

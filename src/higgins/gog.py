@@ -46,9 +46,8 @@ class DirectedGraph:
             raise GogError(f"duplicate vertex {name!r}")
         self.vertices.append(name)
 
-    def add_edge_pair(self, name: str, src: str, dst: str, reverse_name: str | None = None) -> Edge:
-        if reverse_name is None:
-            reverse_name = name + "~"
+    def add_edge_pair(self, name: str, src: str, dst: str) -> Edge:
+        reverse_name = name + "~"
         for nm in (name, reverse_name):
             if nm in self.edges:
                 raise GogError(f"duplicate edge {nm!r}")

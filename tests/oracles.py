@@ -32,7 +32,9 @@ automaton the package explores state by state from its start is checked,
 state for state, against the subset construction of a nondeterministic
 automaton with epsilon moves.  A test language given only by membership is
 listed by testing every word up to the length, and words are listed by
-enumeration.  The spanning tree, one breadth-first search, is checked against
+enumeration.  The languages the package builds from others, which it only
+lists, are checked against membership tests: a padded word with its detours
+struck out, and a concatenation cut at every point.  The spanning tree, one breadth-first search, is checked against
 a breadth-first choice of its edges grown to a fixed point over them, with
 paths read by climbing to the root from both ends.
 """
@@ -424,6 +426,47 @@ def enumerator_by_filter(alphabet: Alphabet, membership):
                 for letters in itertools.product(range(len(alphabet)), repeat=n)
                 if membership(w := Word(alphabet, letters))]
     return enumerate_words
+
+
+# --- membership in languages built from others ---------------------------------
+
+def detour_padded_accepts(lang: Dfa, alphabet: Alphabet, w: Word) -> bool:
+    """Whether w is in certify.detour_padded_language(lang, alphabet): w with
+    each detour d d^-1 after a letter x struck out, d the least letter other
+    than x and x^-1, is a word of lang."""
+    def detour(x):
+        return next((d for d in range(len(alphabet)) if d != x and d != alphabet.inv[x]), None)
+
+    ls, out, i = w.letters, [], 0
+    while i < len(ls):
+        out.append(ls[i])
+        d = detour(ls[i])
+        if d is not None and ls[i + 1:i + 3] == (d, alphabet.inv[d]):
+            i += 3
+        else:
+            i += 1
+    return lang.accepts(Word(alphabet, tuple(out)))
+
+
+def concat_accepts(L_H: Dfa, lang: Dfa, y_map, x_map: dict, w: Word) -> bool:
+    """Whether w is in L_H . lang over y_map.target, into which y_map sends
+    L_H's letters and x_map sends lang's: some cut of w pulls back to a word
+    of L_H and a word of lang.  A target letter that two letters of L_H
+    share pulls back to the first of them, the generator before its inverse
+    letter."""
+    y_back: dict = {}
+    for y, (x,) in enumerate(y_map.table):
+        y_back.setdefault(x, y)
+    x_back = {x: p for p, x in x_map.items()}
+    head = []
+    for cut in range(len(w) + 1):
+        tail = tuple(x_back.get(x) for x in w.letters[cut:])
+        if (None not in tail and L_H.accepts(Word(L_H.alphabet, tuple(head)))
+                and lang.accepts(Word(lang.alphabet, tail))):
+            return True
+        if cut == len(w) or w.letters[cut] not in y_back:
+            return False
+        head.append(y_back[w.letters[cut]])
 
 
 def table_closure(table, gens) -> frozenset:

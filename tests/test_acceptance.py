@@ -13,7 +13,8 @@ import pytest
 
 from builders import hnn_z2_system, trefoil_system, zz_system
 from oracles import (
-    all_words, aut_compose, aut_identity, hnn_z2_key, prefix, trefoil_letter_table,
+    all_words, aut_compose, aut_identity, detour_padded_accepts, hnn_z2_key, prefix,
+    trefoil_letter_table,
 )
 from higgins.backends import (
     AbelianBackend, AbelianSubgroup, FiniteBackend,
@@ -147,7 +148,7 @@ def test_criterion_3_abelian_proposition():
     ks = []
     for name, sys_ in systems:
         crossover = check_limited_crossover(sys_, lam=1, radius=8)
-        assert crossover.passed, f"{name}: {crossover}"
+        assert crossover.passed, f"{name}: {crossover.witnesses}"
         cert = certify_coset_system(sys_, radius=8, mode="sync")
         assert cert.bounded, f"{name}: {cert}"
         ks.append(cert.K_observed)
@@ -188,7 +189,8 @@ def test_criterion_5_synchronous_subsystem():
     brute_geo = set()
     for w in all_words(G.alphabet, 8):
         vec = G.vec(w)
-        if vec[0] == 0 and len(w) == abs(vec[1]) and padded.accepts(w):
+        if (vec[0] == 0 and len(w) == abs(vec[1])
+                and detour_padded_accepts(H.coset_language, G.alphabet, w)):
             brute_geo.add(w.letters)
     # coset-geodesic words over Z^2/<x1> are exactly the pure x2 powers
     assert brute_geo == {(x2,) * r for r in range(9)} | {(x2i,) * r for r in range(1, 9)}

@@ -1,13 +1,16 @@
 import itertools
+import os
 import random
 
 import pytest
 
+from builders import CONFIGS
 from higgins.backends import (
     BackendError, IntLattice, AbelianBackend, AbelianSubgroup, FiniteBackend,
     FiniteSubgroup, FreeBackend, FreeCyclicSubgroup, TrivialSubgroup, _collected_dfa,
 )
 from higgins.certify import CayleyBall
+from higgins.config import load_config
 from higgins.fsa import enumerate_language
 from higgins.words import Word, free_reduce, invert
 from oracles import (
@@ -212,6 +215,20 @@ def test_abelian_h_express_dependent_generators(rank, torsion, gens):
         if not H.membership(w):
             with pytest.raises(BackendError):
                 H.h_express(w)
+
+
+def test_split_builds_the_presentation_only_for_related_generators():
+    # independent generators spell each h one way, so a split (and the load,
+    # which splits to derive the reverse iso) leaves the presentation unbuilt
+    ctx, _group = load_config(os.path.join(CONFIGS, "hnn_z2.gog")).subgroups["Hf"]
+    G = ctx.parent
+    rep, h = ctx.split(G.key(G.alphabet.word("x2 x1 x1")))
+    assert (str(rep), str(h)) == ("x2", "y1 y1")
+    assert "presentation" not in vars(ctx)
+    # related generators take h's canonical spelling from the presentation
+    H = AbelianSubgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x1 x1")])
+    assert str(H.split(G.key(G.alphabet.word("x1 x1 x1")))[1]) == "y1 y2"
+    assert "presentation" in vars(H)
 
 
 def test_lattice_solve_reads_the_smith_decomposition():

@@ -23,11 +23,12 @@ from higgins.config import load_config
 from higgins.cosets import CosetSystem
 from higgins.fsa import Dfa, LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
-from higgins.words import Word, invert
+from higgins.experiments import TrefoilCentralizerContext
+from higgins.words import Word, WordMap, invert, shortlex_key
 from oracles import (
-    aligns_by_grid, all_words, async_by_grid, brute_ball, canonical_by_subsets, concat_by_subsets,
-    coset_language_by_subsets, enumerator_by_filter, higgins_by_subsets, keyed_sweep,
-    prefix, sweep_without_reuse,
+    aligns_by_grid, all_words, async_by_grid, brute_ball, canonical_by_subsets, concat_accepts,
+    concat_by_subsets, coset_language_by_subsets, detour_padded_accepts, enumerator_by_filter,
+    higgins_by_subsets, keyed_sweep, prefix, sweep_without_reuse,
 )
 
 
@@ -138,15 +139,18 @@ def test_certify_whole_group():
 
 def test_detour_language_contains_base_and_padded():
     lang = detour_padded_language(AXIS.coset_language, Z2.alphabet)
-    assert lang.accepts(w2("x2 x2"))
-    assert lang.accepts(w2("x2 x1 x1^-1 x2"))
-    assert lang.accepts(w2("x2 x1 x1^-1 x2 x1 x1^-1"))
-    assert not lang.accepts(w2("x1 x1^-1"))
-    assert not lang.accepts(w2("x2 x1"))
+
+    def accepts(w):
+        return detour_padded_accepts(AXIS.coset_language, Z2.alphabet, w)
+    assert accepts(w2("x2 x2"))
+    assert accepts(w2("x2 x1 x1^-1 x2"))
+    assert accepts(w2("x2 x1 x1^-1 x2 x1 x1^-1"))
+    assert not accepts(w2("x1 x1^-1"))
+    assert not accepts(w2("x2 x1"))
     got = {v.letters for v in enumerate_language(lang, 4)}
     assert w2("x2 x1 x1^-1 x2").letters in got
     assert w2("x2 x1 x1^-1").letters in got
-    assert all(lang.accepts(Word(Z2.alphabet, t)) for t in got)
+    assert got == {w.letters for w in all_words(Z2.alphabet, 4) if accepts(w)}
 
 
 def test_detour_language_is_async_only():
@@ -169,7 +173,7 @@ def test_geodesic_filter_recovers_axis():
             if len(w) == len(AXIS.coset_rep(w))]
     assert got == want
     assert got == [w.letters for w in enumerate_language(AXIS.coset_language, 6)
-                   if lang.accepts(w)]
+                   if detour_padded_accepts(AXIS.coset_language, Z2.alphabet, w)]
     cert = certify_coset_system(filtered, radius=6, mode="sync")
     assert cert.bounded
 
@@ -181,10 +185,42 @@ def test_geodesic_filter_detects_missing_coset():
     def member(w):
         return all(x == fwd for x in w.letters) and len(w) % 2 == 0
 
-    half = LazyLanguage(alpha, member, enumerator=enumerator_by_filter(alpha, member),
-                        name="even-only")
+    half = LazyLanguage(alpha, enumerator_by_filter(alpha, member), "even-only")
     with pytest.raises(HypothesisViolation):
         geodesic_coset_filter(CosetSystem(AXIS, half), radius=3)
+
+
+def _lazy_concat_over_parent_letters():
+    base = detour_padded_language(AXIS.coset_language, Z2.alphabet)
+    return concat_structure(AXIS.presentation.coset_language, CosetSystem(AXIS, base))[0]
+
+
+def _lazy_concat_over_extended_letters():
+    G = AbelianBackend(1, [4])
+    H = AbelianSubgroup(G, [G.alphabet.word("t t")])
+    return concat_structure(H.presentation.coset_language, CosetSystem(H))[0]
+
+
+def _lazy_geodesic_filter():
+    padded = detour_padded_language(AXIS.coset_language, Z2.alphabet)
+    return geodesic_coset_filter(CosetSystem(AXIS, padded), radius=5).language
+
+
+@pytest.mark.parametrize("build", [
+    _lazy_concat_over_parent_letters,
+    _lazy_concat_over_extended_letters,
+    lambda: detour_padded_language(AXIS.coset_language, Z2.alphabet),
+    _lazy_geodesic_filter,
+    lambda: TrefoilCentralizerContext().coset_language,
+], ids=["concat-parent", "concat-extended", "padded", "geodesic-filter", "trefoil-reps"])
+def test_lazy_enumeration_is_strictly_shortlex(build):
+    # _sweep would count the pairs of a repeated word twice
+    lang = build()
+    assert isinstance(lang, LazyLanguage)
+    for n in range(6):
+        keys = [shortlex_key(w) for w in enumerate_language(lang, n)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (lang.name, n)
+        assert keys and keys[-1][0] <= n
 
 
 def test_certify_automatic_free_shortlex():
@@ -260,11 +296,16 @@ def test_concat_structure_order_two_generator_spelled_as_given():
     # generators, so the concatenation words spell it y1, never y1^-1
     G = AbelianBackend(1, [4])
     H = AbelianSubgroup(G, [G.alphabet.word("t t")])
-    lang, oracle = concat_structure(H.presentation.coset_language, CosetSystem(H))
+    L_H = H.presentation.coset_language
+    lang, oracle = concat_structure(L_H, CosetSystem(H))
     y1, y1_inv = lang.alphabet.word("y1"), lang.alphabet.word("y1^-1")
     words = enumerate_language(lang, 2)
     assert y1 in words and all(y1_inv.letters[0] not in u.letters for u in words)
-    assert lang.membership(y1) and not lang.membership(y1_inv)
+    ext = lang.alphabet
+    y_map = WordMap(L_H.alphabet, [ext.letter(g) for g in L_H.alphabet.generators], ext)
+    x_map = {G.alphabet.index(nm): ext.index(nm) for nm in G.alphabet.names}
+    assert concat_accepts(L_H, H.coset_language, y_map, x_map, y1)
+    assert not concat_accepts(L_H, H.coset_language, y_map, x_map, y1_inv)
     assert oracle.key(y1) == oracle.key(y1_inv) == G.key(G.alphabet.word("t t"))
 
 
@@ -280,13 +321,16 @@ def test_concat_structure_order_two_generator_before_another():
     explicit, _ = concat_structure(L_H, CosetSystem(H))
     base = H.coset_language
     lazy, _ = concat_structure(L_H, CosetSystem(H, LazyLanguage(
-        G.alphabet, base.accepts, enumerator=lambda n: enumerate_language(base, n))))
+        G.alphabet, lambda n: enumerate_language(base, n))))
     got = enumerate_language(explicit, 4)
     assert enumerate_language(lazy, 4) == got
     # every element of the radius-4 ball is spelled exactly once
     assert sorted(G.key(w) for w in got) == sorted({G.key(w) for w in all_words(G.alphabet, 4)})
+    to_parent = WordMap(L_H.alphabet, H.gen_words, G.alphabet)
+    identity = {x: x for x in range(len(G.alphabet))}
     for w in all_words(G.alphabet, 4):
-        assert lazy.membership(w) == explicit.accepts(w) == (w in got)
+        assert (concat_accepts(L_H, base, to_parent, identity, w)
+                == explicit.accepts(w) == (w in got))
 
 
 def test_hypotheses_report_trefoil():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import importlib.util
 import os
@@ -240,6 +241,31 @@ def readme_examples():
             continue
         command, _hash, comment = line.partition("#")
         yield shlex.split(command)[1:], comment.strip() or None
+
+
+def test_readme_library_example(monkeypatch):
+    # the README's ```python block runs as written, and each commented line
+    # gives its result: `name = ...  # -> text` is str(name), `expr  # text`
+    # is repr(expr)
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        _, hashed, comment = lines[stmt.end_lineno - 1].partition("#")
+        comment = comment.strip()
+        if hashed and isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert repr(value) == comment
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            if hashed:
+                assert comment.startswith("-> ")
+                assert str(namespace[stmt.targets[0].id]) == comment[3:]
+        checked += bool(hashed)
+    assert checked == 2
 
 
 def test_readme_worked_examples(capsys, monkeypatch):

@@ -77,7 +77,6 @@ def test_limited_crossover_axis_passes():
     G, H = z2_axis()
     report = check_limited_crossover(CosetSystem(H), lam=1, radius=6)
     assert report.passed and report.swept > 0
-    assert "status pass" in str(report)
 
 
 def test_limited_crossover_identity_probe():

@@ -133,7 +133,7 @@ def test_enumerate_accepting_states_beyond_max_len():
 def test_lazy_language_enumeration():
     def even(w):
         return len(w) % 2 == 0
-    lang = LazyLanguage(AB, membership=even, enumerator=enumerator_by_filter(AB, even))
+    lang = LazyLanguage(AB, enumerator_by_filter(AB, even))
     got = enumerate_language(lang, 3)
     assert all(len(w) % 2 == 0 for w in got)
     assert len(got) == 1 + 16
