@@ -1,30 +1,20 @@
 """Empirical certification of fellow-traveller properties.
 
 Distances are path distances in the Cayley graph, realized inside a
-CayleyBall, the breadth-first ball over canonical keys that subgroup lengths
-use too (it lives in cosets and is importable from here): d(g, h) is the
-depth of the canonical key of g^-1 h.  The ball grows one sphere at a time,
-only as far as the lookups ask, up to a cap of R + BALL_MARGIN for a
-radius-R sweep; a distance is exact whenever its key lies within the cap and
-is otherwise reported as escaping the ball.  Certificates never claim
-failure beyond the tested radius; an escape is an explicit signal, meaning
-"beyond the cap".
+CayleyBall (cosets), grown only as far as lookups ask, up to a cap of
+R + BALL_MARGIN for a radius-R sweep.  A distance beyond the cap escapes the
+ball: an explicit signal, never a failure claimed beyond the tested radius.
 
-A certificate reports K, the largest over all swept pairs of each pair's
-optimal fellow constant.  The sweep measures every pair against the running
-K, so a pair's own value is exact only where it exceeds that K; the reported
-K is still the exact maximum, and escapes are found exactly as without the
-threshold.  The asynchronous constant is one search: the alignment fill, run
-at the running K and, while it fails, at the least distance it turned away.
-
-Within one sweep, the words of g's coset and each walk back from g are kept
-per ball index of g = v x, since a padded language spells one g many ways.
-A pair (v, x, w) and its mirror (w, x^-1, v), whose h is inverted, have
-transposed distance grids because |u^-1| = |u|, so the sweep measures one of
-them and gives the other the stored value, raised to the running K.
-A pair's alignment check reads the ball's pair cache in place, and a pair
-whose lockstep diagonal fails resumes the flood fill at the failing cell
-rather than starting it again from (0, 0).
+A certificate reports K, the exact largest optimal fellow constant over the
+swept pairs; each pair is measured against the running K, so its own value
+is exact only above it.  The asynchronous constant is one search, the
+alignment fill, run at the running K and, while it fails, at the least
+distance it turned away.  The fill and the lockstep read a cell (p, q) as
+its word difference v(p)^-1 h w(q) (Epstein et al., Word Processing in
+Groups, ch. 2), got from a neighbour's by one or two reads of the ball's
+edge and left tables.  The sweep keeps the words of g's coset and each walk
+back from g per ball index of g = v x, and a pair's mirror (w, x^-1, v),
+whose grid is the transpose, takes the pair's stored value.
 """
 
 from __future__ import annotations
@@ -46,157 +36,180 @@ HYPOTHESES_MU_MAX = 3
 HYPOTHESES_LAMBDA_MAX = 3
 
 
-def _step(ball: CayleyBall, i: int, x: int) -> int | None:
-    """Index of words[i] * x, or None beyond the cap.  An element of the
-    outermost grown sphere has no edge-table row yet; its step is keyed and
-    looked up, which grows the ball only when the neighbour is new."""
-    if i < len(ball.edges):
-        return ball.edges[i][x]
-    return ball.index(Word(ball.alphabet, ball.words[i].letters + (x,)))
-
-
-def _prefix_indices(ball: CayleyBall, start, w: Word) -> list[int] | None:
-    """Ball indices of start * prefix(w, t) for t = 0..|w|, walked forward
-    along the edge table, or None when a step leaves the capped ball.  start
-    is a word, or its index in the ball, which saves keying it."""
-    if isinstance(start, int):
-        i = start
-    else:
-        i = ball.index(start) if start.letters else 0
-        if i is None:
-            return None
-    out = [i]
+def _walk(ball: CayleyBall, i: int, letters) -> int | None:
+    """Index of words[i] * w for the letters of w, walked along the edge
+    table, or None when a step leaves the capped ball.  An element of the
+    outermost grown sphere has no row yet; its step is keyed and looked up,
+    which grows the ball only when the neighbour is new."""
     edges = ball.edges
-    for x in w.letters:
-        i = edges[i][x] if i < len(edges) else _step(ball, i, x)
+    for x in letters:
+        if i < len(edges):
+            i = edges[i][x]
+        else:
+            i = ball.index(Word(ball.alphabet, ball.words[i].letters + (x,)))
         if i is None:
             return None
-        out.append(i)
-    return out
+    return i
 
 
-def _walk_back(ball: CayleyBall, g: int, letters: tuple) -> list[int] | None:
-    """Ball indices b[t] = h * prefix(w, t) for t = 0..|w|, where g = h * w is
-    given by its index and w by its letters: the edge table is walked from g
-    along w^-1, one inverse letter at a time from the right, so b[0] is the
-    index of h = g * w^-1, found without building or keying h.  None when a
-    step leaves the capped ball."""
-    n = len(letters)
-    out = [g] * (n + 1)
-    inv, edges = ball.alphabet.inv, ball.edges
-    i = g
-    for t in range(n, 0, -1):
-        x = inv[letters[t - 1]]
-        i = edges[i][x] if i < len(edges) else _step(ball, i, x)
-        if i is None:
-            return None
-        out[t - 1] = i
-    return out
+def _walk_back(ball: CayleyBall, g: int, letters: tuple) -> int | None:
+    """Index of h = g * w^-1, walked from g along w^-1 without keying h, or
+    None when a step of h * w's path leaves the capped ball."""
+    inv = ball.alphabet.inv
+    return _walk(ball, g, [inv[x] for x in reversed(letters)])
 
 
-def _paths(ball: CayleyBall, w1, h, w2):
-    """The prefix paths of w1 from the identity and of w2 from h.  Either word
-    may already be given as its path, a list of ball indices; a path for w2
-    starts at h, so h is then not read."""
-    a = w1 if isinstance(w1, list) else _prefix_indices(ball, 0, w1)
-    b = w2 if isinstance(w2, list) else _prefix_indices(ball, h, w2)
-    return a, b
+def _move(ball: CayleyBall, i: int, x: int, y: tuple = ()) -> int | None:
+    """Index of x * words[i] * y (y no letter or one), or None beyond the
+    cap: x * words[i] from ball.left, keyed on first use, then the edge table;
+    past an x * words[i] beyond the cap, the product is keyed in one step."""
+    k = i * len(ball.alphabet.inv) + x
+    j = ball.left.get(k, _MISS)
+    if j is _MISS:
+        j = ball.left[k] = ball.index(Word(ball.alphabet, (x,) + ball.words[i].letters))
+    if j is None and y:
+        return ball.index(Word(ball.alphabet, (x,) + ball.words[i].letters + y))
+    return j if j is None else _walk(ball, j, y)
+
+
+def _grid(ball: CayleyBall, w1, h, w2):
+    """(index of h, letters of w1, letters of w2), or None when the path of
+    w1 or of h w2 leaves the capped ball: w1, h and w2 are words, or letters
+    whose paths the caller has walked in the ball and h's index."""
+    if isinstance(w1, tuple):
+        return h, w1, w2
+    hi = h if isinstance(h, int) else ball.index(h)
+    if hi is None or _walk(ball, 0, w1.letters) is None or _walk(ball, hi, w2.letters) is None:
+        return None
+    return hi, w1.letters, w2.letters
+
+
+def _lockstep(ball: CayleyBall, hi: int, v: tuple, w: tuple, threshold: int,
+              deltas: list) -> bool | int | None:
+    """The lockstep diagonal of v against h w, each path resting at its end:
+    cell t is (p, q) = (min(t, |v|), min(t, |w|)), the word difference
+    δ = v(p)^-1 h w(q), whose depth is the cell's distance.  A diagonal,
+    down or right move reads the next δ as _move does, unrolled.  Appends
+    each δ to deltas and stops at the first cell beyond threshold or the
+    ball: returns its distance (UNBOUNDED for an escape), else True."""
+    edges, left, dist, inv = ball.edges, ball.left, ball.dist, ball.alphabet.inv
+    m, n1, n2 = len(inv), len(v), len(w)
+    di = hi
+    deltas.append(di)
+    d = dist[di]
+    if d > threshold:
+        return d
+    for t in range(n1 if n1 > n2 else n2):
+        if t < n1:
+            x = inv[v[t]]
+            j = left.get(di * m + x, _MISS)
+            if j is None or j is _MISS:
+                di = _move(ball, di, x, w[t:t + 1])
+            elif t < n2:
+                try:
+                    di = edges[j][w[t]]
+                except IndexError:
+                    di = _walk(ball, j, w[t:t + 1])
+            else:
+                di = j
+        else:
+            try:
+                di = edges[di][w[t]]
+            except IndexError:
+                di = _walk(ball, di, w[t:t + 1])
+        deltas.append(di)
+        if di is None:
+            return UNBOUNDED
+        d = dist[di]
+        if d > threshold:
+            return d
+    return True
 
 
 def sync_fellow_distance(w1, h, w2, ball: CayleyBall) -> int | None:
-    """max_t d(w1(t), h w2(t)), with each path resting at its endpoint.  h is
-    a word or its index in the ball; w1 and w2 are words or their prefix
-    paths as lists of ball indices (see _paths)."""
-    a, b = _paths(ball, w1, h, w2)
-    if a is None or b is None:
+    """max_t d(w1(t), h w2(t)), with each path resting at its endpoint: the
+    lockstep walk, which no distance within the ball stops.  For the
+    arguments see _grid."""
+    grid, deltas = _grid(ball, w1, h, w2), []
+    if grid is None or _lockstep(ball, *grid, ball.max_radius, deltas) is UNBOUNDED:
         return UNBOUNDED
-    n1, n2 = len(a) - 1, len(b) - 1
-    best = 0
-    for t in range(max(n1, n2) + 1):
-        d = ball.distance(a[min(t, n1)], b[min(t, n2)])
-        if d is UNBOUNDED:
-            return UNBOUNDED
-        best = max(best, d)
-    return best
+    return max(ball.dist[i] for i in deltas)
 
 
-def _aligns_within(ball: CayleyBall, a: list[int], b: list[int],
+def _aligns_within(ball: CayleyBall, hi: int, v: tuple, w: tuple,
                    threshold: int) -> bool | int | None:
-    """True when some monotone alignment of the prefix paths a and b keeps
-    every cell within threshold: a depth-first flood fill of the prefix grid
-    from (0, 0) over cells at distance <= threshold, with diagonal, right and
-    down moves, that evaluates distances only for the cells it reaches.
+    """True when some monotone alignment of v against h w (h by its ball
+    index) keeps every cell within threshold: a depth-first flood fill from
+    (0, 0) over cells at distance <= threshold, by diagonal, right and down
+    moves.  Otherwise every alignment crosses a cell it turned away, and it
+    returns their least distance, or UNBOUNDED when all of them escape.
 
-    When the fill fails, every monotone alignment crosses a cell it turned
-    away, so it returns the least distance among those cells, the next
-    threshold worth trying, or UNBOUNDED when each of them escapes the ball.
-
-    The fill's first descent is the lockstep diagonal, each path resting at
-    its end; it is read first on its own, without the fill's bookkeeping, and
-    most pairs that align end there.  A lockstep that fails at its cell t
-    resumes the fill where that descent stands: cells 0..t-1 on the stack and
-    cell t turned away.  So the fill visits the cells in the same order as
-    from (0, 0) and reads each at most once.  Distances are read from the
-    ball's pair cache in place, and ball.distance runs only on a miss."""
-    n1, n2 = len(a) - 1, len(b) - 1
-    cache, distance = ball._pair_cache, ball.distance
-    for t in range(max(n1, n2) + 1):
-        i, j = a[t if t < n1 else n1], b[t if t < n2 else n2]
-        d = 0 if i == j else cache.get((i, j) if i < j else (j, i), _MISS)
-        if d is _MISS:
-            d = distance(i, j)
-        if d is UNBOUNDED or d > threshold:
-            break
-    else:
-        return True
-    least = d
-    if t == 0:
+    Its first descent is the lockstep, read on its own (_lockstep); a
+    lockstep that fails at cell t resumes the fill with cells 0..t-1 and
+    their δ on the stack and cell t turned away, so the cells are visited
+    in the same order as from (0, 0) and each is read at most once.  A move
+    reads its cell's δ as _move does, unrolled."""
+    deltas: list = []
+    least = _lockstep(ball, hi, v, w, threshold, deltas)
+    if least is True or len(deltas) == 1:
         return least
-    path = [(s if s < n1 else n1, s if s < n2 else n2) for s in range(t + 1)]
-    seen = set(path)
-    path.pop()
-    while path:
-        p, q = path[-1]
+    n1, n2 = len(v), len(w)
+    edges, left, dist, inv = ball.edges, ball.left, ball.dist, ball.alphabet.inv
+    cols, m = n2 + 1, len(inv)
+    stack = [(s if s < n1 else n1, s if s < n2 else n2, di) for s, di in enumerate(deltas)]
+    seen = bytearray((n1 + 1) * cols)
+    for p, q, _di in stack:
+        seen[p * cols + q] = 1
+    stack.pop()
+    while stack:
+        p, q, di = stack[-1]
         if p == n1 and q == n2:
             return True
-        for cell in ((p + 1, q + 1), (p, q + 1), (p + 1, q)):
-            r, s = cell
-            if r > n1 or s > n2 or cell in seen:
-                continue
-            seen.add(cell)
-            i, j = a[r], b[s]
-            d = 0 if i == j else cache.get((i, j) if i < j else (j, i), _MISS)
-            if d is _MISS:
-                d = distance(i, j)
-            if d is UNBOUNDED:
-                continue
-            if d <= threshold:
-                path.append(cell)
-                break
-            if least is UNBOUNDED or d < least:
-                least = d
+        k = p * cols + q
+        if p < n1 and q < n2 and not seen[k + cols + 1]:
+            r, s, x = p + 1, q + 1, inv[v[p]]
+            nd = left.get(di * m + x, _MISS)
+            if nd is None or nd is _MISS:
+                nd = _move(ball, di, x, w[q:q + 1])
+            else:
+                try:
+                    nd = edges[nd][w[q]]
+                except IndexError:
+                    nd = _walk(ball, nd, w[q:q + 1])
+        elif q < n2 and not seen[k + 1]:
+            r, s = p, q + 1
+            try:
+                nd = edges[di][w[q]]
+            except IndexError:
+                nd = _walk(ball, di, w[q:q + 1])
+        elif p < n1 and not seen[k + cols]:
+            r, s = p + 1, q
+            nd = _move(ball, di, inv[v[p]])
         else:
-            path.pop()
+            stack.pop()
+            continue
+        seen[r * cols + s] = 1
+        if nd is not None:
+            d = dist[nd]
+            if d <= threshold:
+                stack.append((r, s, nd))
+            elif least is UNBOUNDED or d < least:
+                least = d
     return least
 
 
 def async_fellow_distance(w1, h, w2, ball: CayleyBall,
                           threshold: int | None = None) -> int | None:
     """Minimal K for which some monotone alignment keeps the paths K-close:
-    the alignment fill runs at the threshold (None is 0) and, while it fails,
-    again at the least distance it turned away, which no alignment avoids.
-
-    The result is max(exact value, threshold): exact only where it exceeds
-    the threshold, and UNBOUNDED exactly when the exact value is, so a sweep
-    that passes its running maximum still ends on the exact maximum.  h is a
-    word or its index in the ball; w1 and w2 are words or their prefix paths
-    as lists of ball indices (see _paths)."""
-    a, b = _paths(ball, w1, h, w2)
-    if a is None or b is None:
-        return UNBOUNDED
+    the fill runs at the threshold (None is 0) and, while it fails, at the
+    least distance it turned away.  The result is max(exact value,
+    threshold), UNBOUNDED exactly when the exact value is, so a sweep that
+    passes its running maximum ends on the exact maximum.  For the
+    arguments see _grid."""
+    grid = _grid(ball, w1, h, w2)
     t = threshold or 0
-    while t is not UNBOUNDED:
-        nxt = _aligns_within(ball, a, b, t)
+    while grid is not None and t is not UNBOUNDED:
+        nxt = _aligns_within(ball, *grid, t)
         if nxt is True:
             return t
         t = nxt
@@ -236,12 +249,6 @@ class FellowCertificate:
         return "\n".join(self.lines())
 
 
-def _letter_words(alphabet: Alphabet):
-    out = [alphabet.empty()]
-    out.extend(Word(alphabet, (x,)) for x in range(len(alphabet)))
-    return out
-
-
 def _language_states(lang) -> int | None:
     return lang.n_states if isinstance(lang, Dfa) else None
 
@@ -253,35 +260,22 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     largest per-pair constant.  coset_key None stands for the trivial
     subgroup: words are grouped by element and h is the identity.
 
-    Every pair is measured on index paths in the Cayley graph of the ball.
-    v's prefix path is walked once per v and gives g = v x by one more edge;
-    each candidate w is then walked back from g along w^-1 (_walk_back),
-    which yields h's index and w's path from h at once, so h is neither
-    built nor keyed.  A walk that leaves the capped ball, v's path to g or
-    w's back from g, is final: a path with a point beyond the cap makes its
-    pair escape, so the pair is reported without measuring.  Only such a pair
-    builds h and keys it, to tell its h apart from the other pairs' (an h
-    beyond the cap by its key).
+    v is walked once along the edge table to g = v x, and each candidate w
+    back from g along w^-1 (_walk_back), which gives h's index without
+    building or keying h.  A walk that leaves the capped ball makes its pair
+    escape unmeasured; only such a pair builds and keys h, to tell it apart.
+    Other pairs go by name to sync_fellow_distance or async_fellow_distance
+    with h's index and the letters of v and w, so no path is walked again.
+    Memos local to the call serve each g once (a padded language spells one
+    g many ways): its coset's words and each walk back, by g's ball index.
 
-    Many v share one g (a padded language spells each element many ways), so
-    two memos local to the call serve each g in the ball once: its coset's
-    words, keyed by g's ball index gi, and each walk back, keyed by gi and
-    w's id, its place in the enumeration.  A walked path is shared by every
-    pair that reads it, and no pair writes to it.  Each word is keyed once,
-    and a g = v x that spells a word reads that word's key.
-
-    Each pair (v, x, w), with h = v x w^-1, has a mirror (w, x^-1, v) with
-    h^-1: cell (s, t) of one grid is d(v(s), h w(t)) = |v(s)^-1 h w(t)|, and
-    cell (t, s) of the other is the length of its inverse, so the grids are
-    transposes with equal sync and async constants, escapes included.  A
-    third memo, (id of v, step of x, id of w) -> value, holds a pair's value
-    while its mirror is still ahead in the sweep; the mirror pops it in
-    place of measuring.  The value was measured against an earlier K, and K
-    only grows, so max(K, value) is max(K, what measuring against this K
-    would give).  Only pairs whose paths both lie in the ball are measured,
-    so only they store or reuse a value.  Every ordered pair is still counted
-    and deduplicated, and an escaping one is reported with its own v, h and
-    w.  Returns (pairs, K, violations)."""
+    A pair (v, x, w) and its mirror (w, x^-1, v), with h^-1, have transposed
+    grids, since |u^-1| = |u|, so equal constants, escapes included.  A third
+    memo, (id of v, step of x, id of w) -> value, holds a measured pair's
+    value until its mirror pops it in place of measuring; K only grows, so
+    max(K, value) is what measuring against this K would give.  Every ordered
+    pair is still counted and deduplicated, and an escaping one is reported
+    with its own v, h and w.  Returns (pairs, K, violations)."""
     words = enumerate_language(lang, radius)
     group = coset_key if coset_key is not None else oracle.key
     key_of = {w.letters: group(w) for w in words}
@@ -289,22 +283,20 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
     for wid, w in enumerate(words):
         by_coset.setdefault(key_of[w.letters], []).append(wid)
     cosets: dict = {}   # gi -> ids of the words of g's coset
-    walks: dict = {}    # (gi, wid) -> _walk_back(ball, gi, words[wid].letters)
+    walks: dict = {}    # (gi, wid) -> index of h, _walk_back(ball, gi, words[wid].letters)
     mirrors: dict = {}  # (vid, s, wid) -> value of that pair, until its mirror reads it
-    steps = _letter_words(oracle.alphabet)
-    # steps[s] is x, steps[mirror[s]] is x^-1
-    mirror = [0] + [1 + y for y in oracle.alphabet.inv]
+    alphabet = oracle.alphabet
+    # steps[s] is x, the empty word or a letter, and steps[mirror[s]] is x^-1
+    steps = [alphabet.empty()] + [Word(alphabet, (y,)) for y in range(len(alphabet))]
+    mirror = [0] + [1 + y for y in alphabet.inv]
     K = 0
     pairs = 0
     violations = []
     for vid, v in enumerate(words):
-        a = _prefix_indices(ball, 0, v)
+        vi = _walk(ball, 0, v.letters)
         seen = set()
         for s, x in enumerate(steps):
-            if a is None:
-                gi = None
-            else:
-                gi = _step(ball, a[-1], x.letters[0]) if s else a[-1]
+            gi = None if vi is None else _walk(ball, vi, x.letters)
             coset = cosets.get(gi)
             if coset is None:
                 k = key_of.get(v.letters + x.letters, _MISS)
@@ -313,11 +305,11 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                     cosets[gi] = coset
             for wid in coset:
                 w = words[wid]
-                b = None if gi is None else walks.get((gi, wid), _MISS)
-                if b is _MISS:
-                    b = walks[gi, wid] = _walk_back(ball, gi, w.letters)
-                if b is not None:
-                    hi = b[0]
+                hi = None if gi is None else walks.get((gi, wid), _MISS)
+                if hi is _MISS:
+                    hi = walks[gi, wid] = _walk_back(ball, gi, w.letters)
+                walked = hi is not None
+                if walked:
                     pk = (wid, hi)
                 else:
                     h = v * x * invert(w)
@@ -328,7 +320,7 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                     continue
                 seen.add(pk)
                 pairs += 1
-                if b is None:
+                if not walked:
                     # a path left the ball, so the pair escapes
                     violations.append((v, h if hi is None else ball.words[hi], w))
                     continue
@@ -336,9 +328,9 @@ def _sweep(lang, oracle, radius: int, mode: str, ball: CayleyBall, coset_key=Non
                 if d is _MISS:
                     # looked up at call time, so a wrapped module function is used
                     if mode == "sync":
-                        d = sync_fellow_distance(a, hi, b, ball)
+                        d = sync_fellow_distance(v.letters, hi, w.letters, ball)
                     else:
-                        d = async_fellow_distance(a, hi, b, ball, K)
+                        d = async_fellow_distance(v.letters, hi, w.letters, ball, K)
                     if wid > vid or (wid == vid and mirror[s] > s):
                         mirrors[vid, s, wid] = d
                 if d is UNBOUNDED:
@@ -462,18 +454,19 @@ def detour_padded_language(lang, alphabet: Alphabet) -> LazyLanguage:
         return None
 
     def enum(n: int):
-        out = []
+        out = set()
         for base in enumerate_language(lang, n):
             variants = [()]
-            for x in base.letters:
+            for k, x in enumerate(base.letters, 1):
                 d = detour(x)
                 ext = [v + (x,) for v in variants]
                 if d is not None:
-                    ext.extend(v + (x, d, alphabet.inv[d]) for v in variants)
+                    # a detour only where it and the base letters after x still fit in n
+                    room, pad = n - 3 - (len(base) - k), (x, d, alphabet.inv[d])
+                    ext.extend(v + pad for v in variants if len(v) <= room)
                 variants = ext
-            out.extend(Word(alphabet, v) for v in variants if len(v) <= n)
-        uniq = sorted({w.letters for w in out}, key=lambda t: (len(t), t))
-        return [Word(alphabet, t) for t in uniq]
+            out.update(variants)
+        return [Word(alphabet, t) for t in sorted(out, key=lambda t: (len(t), t))]
 
     return LazyLanguage(alphabet, enum, "padded-detours")
 

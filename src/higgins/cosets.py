@@ -29,7 +29,7 @@ LENGTH_CAP_PER_STEP = 4  # see length_cap
 LENGTH_CAP_MARGIN = 8
 
 UNBOUNDED = None
-_MISS = object()  # a pair-cache miss; a cached escape is stored as UNBOUNDED
+_MISS = object()  # a memo miss; a cached escape is stored as UNBOUNDED
 
 
 class VerifierError(ValueError):
@@ -71,6 +71,9 @@ class CayleyBall:
     edges is the Cayley graph of the grown part: edges[i][x] is the index of
     words[i] * x.  Growing a sphere fills in the rows of the sphere before it,
     so every element inside the outermost sphere has its row, in index order.
+    left is the left-multiplication table beside it, filled on first use:
+    left[i * len(alphabet) + x] is the index of x * words[i], or UNBOUNDED
+    beyond the cap, so each x * words[i] the fellow sweep meets is keyed once.
     """
 
     def __init__(self, oracle, radius: int):
@@ -82,9 +85,9 @@ class CayleyBall:
         self.words: list[Word] = [empty]
         self.dist: list[int] = [0]
         self.edges: list[list[int]] = []
+        self.left: dict = {}
         self._index: dict = {oracle.key(empty): 0}
-        # (i, j) with i < j -> d(g_i, g_j) or UNBOUNDED; _aligns_within reads
-        # it in place and calls distance only on a miss
+        # (i, j) with i < j -> d(g_i, g_j) or UNBOUNDED, filled by distance
         self._pair_cache: dict = {}
 
     def _grow(self):

@@ -237,21 +237,21 @@ def sweep_without_reuse(lang, oracle, radius, mode, ball, coset_key=None):
     for w in words:
         by_coset.setdefault(group(w), []).append(w)
     cosets: dict = {}  # gi -> the words of g's coset
-    walks: dict = {}   # (gi, w.letters) -> _walk_back(ball, gi, w.letters)
-    steps = certify._letter_words(oracle.alphabet)
+    walks: dict = {}   # (gi, w.letters) -> _walk_back(ball, gi, w.letters), h's index
+    alphabet = oracle.alphabet
+    steps = [alphabet.empty()] + [Word(alphabet, (x,)) for x in range(len(alphabet))]
     K = 0
     pairs = 0
     violations = []
     for v in words:
-        a = certify._prefix_indices(ball, 0, v)
-        path_v = v if a is None else a
+        vi = certify._walk(ball, 0, v.letters)
         seen = set()
         for x in steps:
             g = v * x
-            if a is None:
+            if vi is None:
                 gi = None
             else:
-                gi = certify._step(ball, a[-1], x.letters[0]) if x.letters else a[-1]
+                gi = certify._walk(ball, vi, x.letters)
             if gi is None:
                 coset = by_coset.get(group(g), ())
             else:
@@ -266,7 +266,7 @@ def sweep_without_reuse(lang, oracle, radius, mode, ball, coset_key=None):
                     if b is certify._MISS:
                         b = walks[gi, w.letters] = certify._walk_back(ball, gi, w.letters)
                 if b is not None:
-                    hi = b[0]
+                    hi = b
                     pk = (w.letters, hi)
                 else:
                     h = g * invert(w)
@@ -280,17 +280,42 @@ def sweep_without_reuse(lang, oracle, radius, mode, ball, coset_key=None):
                 if hi is None:
                     violations.append((v, h, w))
                     continue
-                path_w = w if b is None else b
+                # letters for paths walked in the ball, else words to walk
+                v_in, w_in = (v, w) if b is None else (v.letters, w.letters)
                 if mode == "sync":
-                    d = certify.sync_fellow_distance(path_v, hi, path_w, ball)
+                    d = certify.sync_fellow_distance(v_in, hi, w_in, ball)
                 else:
-                    d = certify.async_fellow_distance(path_v, hi, path_w, ball, K)
+                    d = certify.async_fellow_distance(v_in, hi, w_in, ball, K)
                 if d is certify.UNBOUNDED:
                     violations.append((v, ball.words[hi], w))
                 else:
                     K = max(K, d)
     violations.sort(key=lambda t: tuple(shortlex_key(u) for u in t))
     return pairs, K, violations
+
+
+def prefix_path(ball, start, w):
+    """Ball indices of start * prefix(w, t) for t = 0..|w|, each step one
+    certify._walk along the edge table, or None when one leaves the ball.
+    start is a word or its index in the ball."""
+    i = start if isinstance(start, int) else ball.index(start)
+    out = [i]
+    for x in w.letters:
+        if i is None:
+            break
+        i = certify._walk(ball, i, (x,))
+        out.append(i)
+    return None if i is None else out
+
+
+def fellow_paths(ball, w1, h, w2):
+    """The prefix paths, lists of ball indices, of w1 from the identity and of
+    w2 from h, or None for a path that leaves the ball.  w1 and w2 are words
+    or letter tuples, h a word or its ball index, as for
+    certify.async_fellow_distance."""
+    if isinstance(w1, tuple):
+        w1, w2 = Word(ball.alphabet, w1), Word(ball.alphabet, w2)
+    return prefix_path(ball, 0, w1), prefix_path(ball, h, w2)
 
 
 def aligns_by_grid(ball, a, b, threshold):
@@ -328,7 +353,7 @@ def async_by_grid(w1, h, w2, ball):
     diagonal moves: the least, over monotone alignments, of the largest cell
     distance, or None when every alignment crosses a cell beyond the ball.
     Arguments as for certify.async_fellow_distance, without a threshold."""
-    a, b = certify._paths(ball, w1, h, w2)
+    a, b = fellow_paths(ball, w1, h, w2)
     if a is None or b is None:
         return None
     INF = float("inf")
@@ -429,6 +454,27 @@ def enumerator_by_filter(alphabet: Alphabet, membership):
 
 
 # --- membership in languages built from others ---------------------------------
+
+def detour_padded_by_expansion(lang, alphabet: Alphabet, n: int) -> list[Word]:
+    """The words of length <= n of certify.detour_padded_language(lang,
+    alphabet), built without pruning: all 2^k padded variants of each base
+    word of k letters, the detour d d^-1 after a letter x optional, d the
+    least letter other than x and x^-1; those longer than n are dropped."""
+    def detour(x):
+        return next((d for d in range(len(alphabet)) if d != x and d != alphabet.inv[x]), None)
+
+    out = set()
+    for base in enumerate_language(lang, n):
+        variants = [()]
+        for x in base.letters:
+            d = detour(x)
+            ext = [v + (x,) for v in variants]
+            if d is not None:
+                ext.extend(v + (x, d, alphabet.inv[d]) for v in variants)
+            variants = ext
+        out.update(v for v in variants if len(v) <= n)
+    return [Word(alphabet, t) for t in sorted(out, key=lambda t: (len(t), t))]
+
 
 def detour_padded_accepts(lang: Dfa, alphabet: Alphabet, w: Word) -> bool:
     """Whether w is in certify.detour_padded_language(lang, alphabet): w with

@@ -13,8 +13,7 @@ from higgins.backends import (
 )
 import higgins.certify
 from higgins.certify import (
-    BALL_MARGIN, CayleyBall, HypothesisViolation, _aligns_within, _prefix_indices, _sweep,
-    _walk_back,
+    BALL_MARGIN, CayleyBall, HypothesisViolation, _aligns_within, _sweep, _walk, _walk_back,
     async_fellow_distance, certify_automatic, certify_coset_system,
     combination_hypotheses_report, concat_structure, detour_padded_language,
     geodesic_coset_filter, sync_fellow_distance,
@@ -24,11 +23,12 @@ from higgins.cosets import CosetSystem
 from higgins.fsa import Dfa, LazyLanguage, enumerate_language, word_set_dfa
 from higgins.gog import DirectedGraph, GraphOfGroups
 from higgins.experiments import TrefoilCentralizerContext
-from higgins.words import Word, WordMap, invert, shortlex_key
+from higgins.words import Alphabet, Word, WordMap, invert, shortlex_key
 from oracles import (
     aligns_by_grid, all_words, async_by_grid, brute_ball, canonical_by_subsets, concat_accepts,
-    concat_by_subsets, coset_language_by_subsets, detour_padded_accepts, enumerator_by_filter,
-    higgins_by_subsets, keyed_sweep, prefix, sweep_without_reuse,
+    concat_by_subsets, coset_language_by_subsets, detour_padded_accepts,
+    detour_padded_by_expansion, enumerator_by_filter, fellow_paths, higgins_by_subsets,
+    keyed_sweep, prefix, prefix_path, sweep_without_reuse,
 )
 
 
@@ -78,8 +78,8 @@ def test_async_distance_examples():
 
 def brute_async(w1, h, w2w, ball):
     """Minimum over all monotone staircases of the maximum distance."""
-    a = _prefix_indices(ball, ball.alphabet.empty(), w1)
-    b = _prefix_indices(ball, h, w2w)
+    a = prefix_path(ball, ball.alphabet.empty(), w1)
+    b = prefix_path(ball, h, w2w)
     if a is None or b is None:
         return None
     n1, n2 = len(w1), len(w2w)
@@ -135,6 +135,18 @@ def test_certify_whole_group():
     H = AbelianSubgroup(G, [G.alphabet.word("x1"), G.alphabet.word("x2")])
     cert = certify_coset_system(CosetSystem(H, mode="sync"), radius=4)
     assert cert.bounded and cert.K_observed == 1
+
+
+def test_detour_padding_equals_the_unpruned_expansion():
+    # a detour is added only where the variant still fits, so the enumerator
+    # builds just the kept words; the full expansion drops the rest
+    system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
+    base, alphabet = system.context.coset_language, system.context.parent.alphabet
+    for n in range(13):
+        want = detour_padded_by_expansion(base, alphabet, n)
+        assert enumerate_language(system.language, n) == want
+        assert enumerate_language(detour_padded_language(base, alphabet), n) == want
+    assert len(want) == 375
 
 
 def test_detour_language_contains_base_and_padded():
@@ -523,9 +535,11 @@ def test_escaped_pair_is_keyed_once():
 
 def test_coset_sweep_keys_no_h_inside_the_ball(monkeypatch):
     # on a complete ball every h is found by walking the edge table back from
-    # v x, so the sweep keys only each measured pair of ball elements once and
-    # each subgroup generator (kappa) once; keying every candidate h cost 59
-    # more calls, and measuring both pairs of each mirror couple 6 more
+    # v x, and each cell's word difference is read off the edge and left
+    # tables, so the sweep keys only each left entry once and each subgroup
+    # generator (kappa) once; keying every candidate h cost 59 more calls,
+    # measuring both pairs of each mirror couple 6 more, and keying each
+    # measured pair of ball elements g_i^-1 g_j 14 more
     system = load_config(config_path("abelian_pairs.gog")).coset_system("axis-padded")
     ctx, parent, R = system.context, system.context.parent, 3
     ball = CayleyBall(parent, R + BALL_MARGIN)
@@ -535,7 +549,22 @@ def test_coset_sweep_keys_no_h_inside_the_ball(monkeypatch):
     monkeypatch.setattr(parent, "key", lambda w: calls.append(w) or key(w))
     cert = certify_coset_system(system, R, ball=ball)
     assert cert.lines()[0] == "certificate mode=async radius=3 pairs=59 K=2 status=bounded"
-    assert len(calls) == len(ball._pair_cache) + len(ctx.gen_words) == 25
+    assert len(calls) == len(ball.left) + len(ctx.gen_words) == 11
+    assert ball._pair_cache == {}
+
+
+@pytest.mark.parametrize("config, name, radius, most", [
+    ("abelian_pairs.gog", "axis-padded", 9, 50), ("hnn_z2.gog", "edge-cosets", 7, 10),
+], ids=["axis-padded-r9", "hnn-r7"])
+def test_sweep_keys_few_word_differences(config, name, radius, most):
+    # the cells are read off the edge and left tables: the pair cache stays
+    # empty, and only a few x delta are keyed into the left table (46 and 8
+    # here, where the pair cache took 338 and 8,745 entries)
+    system = load_config(config_path(config)).coset_system(name)
+    ball = CayleyBall(system.context.parent, radius + BALL_MARGIN)
+    assert certify_coset_system(system, radius, ball=ball).bounded
+    assert ball._pair_cache == {}
+    assert 0 < len(ball.left) <= most
 
 
 def test_sweep_measures_each_mirror_couple_once(monkeypatch):
@@ -600,11 +629,13 @@ def test_prefix_walk_follows_the_edge_table(name):
         start = _random_words(rng, oracle.alphabet, 1, 2)[0]
         w = _random_words(rng, oracle.alphabet, 1, 2 * cap)[0]
         want = [ref.index(start * prefix(w, t)) for t in range(len(w) + 1)]
-        ball.index(start)
+        si = ball.index(start)
         before = ball.radius
-        got = _prefix_indices(ball, start, w)
+        got = _walk(ball, si, w.letters)
         grew += ball.radius > before  # the walk itself left the grown ball
-        assert got == (None if None in want else want)
+        assert got == (None if None in want else want[-1])
+        # and step by step, each prefix
+        assert prefix_path(ball, si, w) == (None if None in want else want)
         capped += got is None
         _assert_levels(ball)
     assert grew and capped
@@ -633,7 +664,7 @@ def test_walk_back_finds_h_on_the_edge_table(name):
         before = ball.radius
         got = _walk_back(ball, gi, w.letters)
         grew += ball.radius > before  # the walk itself left the grown ball
-        assert got == (None if None in want else want)
+        assert got == (None if None in want else want[0])
         capped += got is None
         _assert_levels(ball)
     assert grew and capped
@@ -667,17 +698,18 @@ def test_threshold_pruning_keeps_the_exact_maximum(name):
     finite = [d for d in exact if d is not None]
     assert finite and 0 in finite and max(finite) > 1
     for (w1, h, w2), d in zip(pairs, exact):
-        a = _prefix_indices(ball, ball.alphabet.empty(), w1)
-        b = _prefix_indices(ball, h, w2)
+        a = prefix_path(ball, ball.alphabet.empty(), w1)
+        b = prefix_path(ball, h, w2)
         for t in range(4):
             got = async_fellow_distance(w1, h, w2, ball, threshold=t)
             if d is None:
                 assert got is None
-                assert a is None or b is None or _aligns_within(ball, a, b, t) is not True
+                assert (a is None or b is None
+                        or _aligns_within(ball, b[0], w1.letters, w2.letters, t) is not True)
                 continue
             assert (got <= t) == (d <= t) and got == max(d, t)
             # the fill alone: the rising threshold would hide a wrong answer
-            fill = _aligns_within(ball, a, b, t)
+            fill = _aligns_within(ball, b[0], w1.letters, w2.letters, t)
             assert (fill is True) == (d <= t)
             assert fill == aligns_by_grid(ball, a, b, t)
     # a sweep that passes its running K ends on the exact maximum
@@ -703,8 +735,8 @@ def test_mirror_pairs_have_equal_constants(name):
     checked = escapes = 0
     for v, h, w in _seeded_pairs(random.Random(61), oracle.alphabet, 80, 4):
         hinv = invert(h)
-        paths = (_prefix_indices(ball, empty, v), _prefix_indices(ball, h, w),
-                 _prefix_indices(ball, empty, w), _prefix_indices(ball, hinv, v))
+        paths = (prefix_path(ball, empty, v), prefix_path(ball, h, w),
+                 prefix_path(ball, empty, w), prefix_path(ball, hinv, v))
         if None in paths:
             continue
         checked += 1
@@ -725,80 +757,139 @@ def test_fill_equals_the_grid_reachability(name):
     rng = random.Random(53)
     outcomes, escapes = set(), 0
     for w1, h, w2 in _seeded_pairs(rng, oracle.alphabet, 80, 5):
-        a = _prefix_indices(ball, ball.alphabet.empty(), w1)
-        b = _prefix_indices(ball, h, w2)
+        a = prefix_path(ball, ball.alphabet.empty(), w1)
+        b = prefix_path(ball, h, w2)
         if a is None or b is None:
             continue
         escapes += any(ball.distance(i, j) is None for i in a for j in b)
         for t in range(4):
-            got = _aligns_within(ball, a, b, t)
+            got = _aligns_within(ball, b[0], w1.letters, w2.letters, t)
             want = aligns_by_grid(ball, a, b, t)
             assert (got is True) == (want is True) and got == want, (w1, h, w2, t)
             outcomes.add(got is True)
     assert outcomes == {False, True} and escapes
 
 
-class _CountingCache(dict):
-    """A pair cache that counts the reads of each key."""
+class _CountingList(list):
+    """A list that counts the reads of each position."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, items=()):
+        super().__init__(items)
         self.reads: dict = {}
 
-    def get(self, key, default=None):
-        self.reads[key] = self.reads.get(key, 0) + 1
-        return super().get(key, default)
+    def __getitem__(self, i):
+        self.reads[i] = self.reads.get(i, 0) + 1
+        return super().__getitem__(i)
 
 
 class _GridBall:
-    """The pair-cache interface of a CayleyBall over a table of distances,
-    None for an escape; the paths a = 0..n1 and b = 100..100+n2 give every
-    cell of the grid its own key."""
+    """The tables of a CayleyBall realizing a grid of distances, None for an
+    escape.  v = r0 ... has one letter per row and w = c0 ... one per column,
+    h is the identity, and cell (p, q) is the word difference v(p)^-1 w(q) in
+    the free group on those letters, with index p * (n2 + 1) + q unless it
+    escapes: edges and left hold exactly the moves of the grid, and index()
+    keys a diagonal past an escaped cell.  dist counts the reads of each
+    cell.  For aligns_by_grid, distance(i, j) reads cell (i, j - 100) off
+    the paths a = 0..n1 and b = 100..100+n2."""
 
     def __init__(self, table):
-        self.table = table
-        self._pair_cache = _CountingCache()
+        n1, n2 = len(table) - 1, len(table[0]) - 1
+        self.table, self.cols = table, n2 + 1
+        self.alphabet = Alphabet([f"r{p}" for p in range(n1)] + [f"c{q}" for q in range(n2)])
+        inv, m = self.alphabet.inv, len(self.alphabet)
+        self.v = tuple(self.alphabet.index(f"r{p}") for p in range(n1))
+        self.w = tuple(self.alphabet.index(f"c{q}") for q in range(n2))
+        cells = [(p, q) for p in range(n1 + 1) for q in range(n2 + 1)]
+        self.words = [Word(self.alphabet, tuple(inv[x] for x in reversed(self.v[:p])) + self.w[:q])
+                      for p, q in cells]
+        self.dist = _CountingList(table[p][q] for p, q in cells)
+        self.edges = [[None] * m for _ in cells]
+        self.left: dict = {}
+        for p, q in cells:
+            if q < n2:
+                self.edges[p * self.cols + q][self.w[q]] = self.cell(p, q + 1)
+            if p < n1:
+                self.left[(p * self.cols + q) * m + inv[self.v[p]]] = self.cell(p + 1, q)
+
+    def cell(self, p, q):
+        return None if self.table[p][q] is None else p * self.cols + q
+
+    def index(self, word):
+        # row letters appear inverted, at the odd places of the alphabet
+        p = sum(x % 2 for x in word.letters)
+        q = len(word) - p
+        assert word == self.words[p * self.cols + q]
+        return self.cell(p, q)
 
     def distance(self, i, j):
-        key = (i, j) if i < j else (j, i)
-        d = self.table[key[0]][key[1] - 100]
-        dict.__setitem__(self._pair_cache, key, d)
-        return d
+        return self.table[i][j - 100]
 
 
 def test_fill_reads_each_cell_at_most_once():
     # a lockstep that fails at cell t resumes the fill with cell t seen, so
     # no cell is read twice, and the answer is the grid's reachability
     rng = random.Random(59)
-    resumed = 0
+    resumed = keyed = 0
     for _ in range(300):
         n1, n2 = rng.randrange(6), rng.randrange(6)
         table = [[rng.choice((0, 1, 1, 2, 2, 3, None)) for _ in range(n2 + 1)]
                  for _ in range(n1 + 1)]
+        if table[0][0] is None:
+            # cell (0, 0) is h, which lies in the ball for every pair that is measured
+            table[0][0] = rng.choice((0, 1, 1, 2, 2, 3))
         a, b = list(range(n1 + 1)), list(range(100, 100 + n2 + 1))
         for t in range(4):
             ball = _GridBall(table)
-            got = _aligns_within(ball, a, b, t)
-            assert max(ball._pair_cache.reads.values()) == 1
-            resumed += len(ball._pair_cache.reads) > max(n1, n2) + 1
-            want = aligns_by_grid(_GridBall(table), a, b, t)
+            calls = []
+            index = ball.index
+            ball.index = lambda word: calls.append(word) or index(word)
+            got = _aligns_within(ball, 0, ball.v, ball.w, t)
+            assert max(ball.dist.reads.values()) == 1
+            resumed += len(ball.dist.reads) > max(n1, n2) + 1
+            keyed += len(calls)
+            want = aligns_by_grid(ball, a, b, t)
             assert (got is True) == (want is True) and got == want
-    assert resumed
+    # some fills resumed past the lockstep, and some diagonals passed an escape
+    assert resumed and keyed
+
+
+def test_diagonal_keys_the_cell_past_an_escaped_step():
+    # in Z^2 capped at 3, x delta = x1^-1 h = (-3, -1) lies beyond the cap
+    # but cell (1, 1), x1^-1 h x2 = (-3, 0), lies inside: the diagonal keys
+    # the cell in one step, and its distance 3 is the pair's constant
+    ball = CayleyBall(Z2, 3)
+    v, h, w = w2("x1"), w2("x1^-1 x1^-1 x2^-1"), w2("x2")
+    assert ball.index(w2("x1^-1") * h) is None
+    assert ball.index(w2("x1^-1") * h * w) is not None
+    a, b = fellow_paths(ball, v, h, w)
+    for t in range(5):
+        want = aligns_by_grid(ball, a, b, t)
+        assert _aligns_within(ball, ball.index(h), v.letters, w.letters, t) == want
+        assert want == (True if t >= 3 else 3)
+    assert async_by_grid(v, h, w, ball) == async_fellow_distance(v, h, w, ball) == 3
+    assert sync_fellow_distance(v, h, w, ball) == 3
 
 
 def _exact_async(w1, h, w2, ball, threshold=None):
     return async_by_grid(w1, h, w2, ball)
 
 
+def _counting_ball(oracle, cap):
+    """A CayleyBall whose dist counts the reads of each depth."""
+    ball = CayleyBall(oracle, cap)
+    ball.dist = _CountingList(ball.dist)
+    return ball
+
+
 def _abelian_axis_cert(system, radius, cap):
     sys = load_config(config_path("abelian_pairs.gog")).coset_system(system)
-    ball = CayleyBall(sys.context.parent, cap)
+    ball = _counting_ball(sys.context.parent, cap)
     return certify_coset_system(sys, radius, mode="async", ball=ball), ball
 
 
 def _free_automatic_cert(radius, cap):
     F = FreeBackend(2)
-    ball = CayleyBall(F, cap)
+    ball = _counting_ball(F, cap)
     return certify_automatic(F.canonical_language, F, radius, mode="async", ball=ball), ball
 
 
@@ -811,13 +902,19 @@ def _free_automatic_cert(radius, cap):
 def test_pruned_certificate_equals_the_exact_sweep(monkeypatch, run):
     pruned, pruned_ball = run()
     monkeypatch.setattr(higgins.certify, "async_fellow_distance", _exact_async)
+    cells = []
+    distance = CayleyBall.distance
+    monkeypatch.setattr(CayleyBall, "distance",
+                        lambda ball, i, j: cells.append((i, j)) or distance(ball, i, j))
     exact, exact_ball = run()
     assert pruned.K_observed == exact.K_observed
     assert pruned.pairs_tested == exact.pairs_tested
     assert pruned.violations == exact.violations
     assert pruned.lines() == exact.lines()
-    # the pruned sweep skipped cells that the exact one measured
-    assert len(pruned_ball._pair_cache) < len(exact_ball._pair_cache)
+    # the pruned sweep skipped cells that the exact one measured: it read
+    # fewer depths than the exact one read cells, and no pair of the cache
+    assert pruned_ball._pair_cache == {}
+    assert sum(pruned_ball.dist.reads.values()) < len(cells)
 
 
 SHIPPED_COSET_SYSTEMS = [

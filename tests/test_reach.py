@@ -17,6 +17,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 ALLOWED = {
     "scan_prepend": "the benchmark's tracer patches it; criteria 1 and 2 walk words with it",
     "check_maximal_crossover": "the benchmark's tracer patches it",
+    "distance": "the benchmark's tracer wraps `CayleyBall.distance` and reads `_pair_cache`; "
+                "`tests/oracles.py` measures grids with it",
     "trefoil_system": "the benchmark's nf-batch child builds the trefoil with it",
     "shortlex_cmp": "criterion 9 tests it",
     "union": "criterion 9 tests it",
