@@ -553,11 +553,15 @@ def combination_hypotheses_report(gog, radius: int, sync: bool = False) -> Hypot
         for f in edges:
             if f.dst != e.dst:
                 continue
+            # a failing row sweeps again at the largest lambda, read at every lambda
+            Z = gog.ctx(f).gen_words
+            sweep = check_limited_crossover(sysd, Y=ctx.gen_words, Z=Z, lam=1, radius=radius)
+            if not sweep.passed:
+                sweep = check_limited_crossover(sysd, Y=ctx.gen_words, Z=Z,
+                                                lam=HYPOTHESES_LAMBDA_MAX, radius=radius)
             best_lam = None
             for lam in range(1, HYPOTHESES_LAMBDA_MAX + 1):
-                rep = check_limited_crossover(
-                    sysd, Y=ctx.gen_words, Z=gog.ctx(f).gen_words, lam=lam, radius=radius)
-                if rep.passed:
+                if sweep.at(lam).passed:
                     best_lam = lam
                     break
             rows.append((f"crossover({e.name},{f.name})", best_lam is not None,

@@ -6,13 +6,16 @@ over an oracle's letters, keyed by the oracle's canonical keys.
 Subgroup lengths |h|_Y, not ambient word lengths, are path lengths in the
 subgroup's own Cayley graph over the probe generating set: a WordMetric is a
 CayleyBall over one letter per probe word, grown per report only as far as
-its callers ask.  A context whose generators form a basis of a free abelian
-subgroup may offer coset_splitter(), which gives, for one crossover sweep, a
-function split(u, g) -> (v, coordinates of u g v^-1); with Y left at the
-context's generators, the sweep reads v and |h|_Y off that one call per
-(u, g), and other contexts keep coset_rep and the ball.  Every ball, the
-ball of g in <Z> included, keys its words by the parent's key.  Stability
-first checks that the generator map is a homomorphism, relator by relator
+its callers ask.  Every ball, the ball of g in <Z> included, keys its words
+by the parent's key.
+
+A crossover sweep measures each (u, g) once, so one limited sweep is read
+at every lambda up to its own.  A context whose generators form a basis of
+a free abelian subgroup may offer coset_splitter(), which gives, for one
+sweep, a function split(u, g) -> (v, coordinates of u g v^-1); with Y left
+at the context's generators, the sweep reads v and |h|_Y off that one call,
+and other contexts keep coset_rep and the ball.  Stability first checks that
+the generator map is a homomorphism, relator by relator
 (SubgroupContext.broken_relator), as GraphOfGroups.validate() does.
 """
 
@@ -199,9 +202,10 @@ class VerifierReport:
     witnesses in shortlex order, the exact number of violations and the
     number of cases swept."""
 
-    def __init__(self, witnesses, total_violations, swept):
-        self.witnesses = witnesses  # crossover: (u, g, v, excess); stability: (h, image length)
-        self.total_violations = total_violations
+    def __init__(self, witnesses: list, swept: int):
+        witnesses.sort(key=lambda t: tuple(shortlex_key(w) for w in t[:-1]))
+        self.witnesses = witnesses[:WITNESS_LIMIT]  # (u, g, v, excess) or (h, image length)
+        self.total_violations = len(witnesses)
         self.swept = swept
 
     @property
@@ -209,21 +213,46 @@ class VerifierReport:
         return self.total_violations == 0
 
 
-def _check_generates(metric: WordMetric, ctx, radius: int):
-    for gw in ctx.gen_words:
-        if metric.length(gw, radius + 2) is None:
-            raise VerifierError(
-                f"probe set does not generate the subgroup generator {gw} "
-                f"within radius {radius + 2}")
+class CrossoverReport(VerifierReport):
+    """A limited-crossover sweep at lam: at(lam') is the VerifierReport of a
+    sweep at lam' <= lam alone, or raises its first VerifierError.  The own
+    fields are those of at(lam), but swept counts the (u, g) measured."""
+
+    def __init__(self, lam, radius, floor, glens, us, found):
+        # found: (n, m, u, g, v) in sweep order for each pair with n = |g|_Z
+        # and m = |u g v^-1|_Y that is a witness (n <= lam' < m) or breaks the
+        # cap (m > length_cap(radius, lam'), or m None: beyond every cap, or v
+        # is the error of a failed measure) at some lam'.  A sweep at one
+        # lam' let lengths up to floor, the radius Y's ball reached before it,
+        # pass every cap.
+        self.lam, self.swept = lam, us * len(glens)
+        self._radius, self._floor, self._glens, self._us = radius, floor, glens, us
+        self._found = found
+
+    def at(self, lam: int) -> VerifierReport:
+        cap, witnesses = length_cap(self._radius, lam), []
+        limit = max(self._floor, cap)
+        for n, m, u, g, v in self._found:
+            if n <= lam and (m is None or m > limit):
+                raise v if isinstance(v, VerifierError) else VerifierError(
+                    f"Y does not express u g v^-1 = {u * g * invert(v)} within length {cap}")
+            if n <= lam < m:
+                witnesses.append((u, g, v, m - lam))
+        return VerifierReport(witnesses, self._us * bisect_right(self._glens, lam))
+
+    witnesses = property(lambda self: self.at(self.lam).witnesses)
+    total_violations = property(lambda self: self.at(self.lam).total_violations)
 
 
 def check_limited_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
                             Z: Sequence[Word] | None = None, lam: int = 1,
-                            radius: int = 4) -> VerifierReport:
+                            radius: int = 4) -> CrossoverReport:
     """Exhaustively test |u g v^-1|_Y <= lambda for u in the language with
     |u| <= radius, g in <Z> with |g|_Z <= lambda, and v the representative of
-    the coset of u g."""
-    return _crossover(sys, Y, Z, lam, radius, maximal=False)
+    the coset of u g, for every lambda <= lam (CrossoverReport.at)."""
+    report = _crossover(sys, Y, Z, lam, radius, maximal=False)
+    report.at(min(lam, 1))  # the call raises lambda = 1's error, at() a larger lambda's
+    return report
 
 
 def check_maximal_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
@@ -231,50 +260,54 @@ def check_maximal_crossover(sys: CosetSystem, Y: Sequence[Word] | None = None,
                             radius: int = 4) -> VerifierReport:
     """Like limited crossover but g ranges over all of <Z> with |g|_Z <= radius
     and u is restricted to non-subgroup representatives."""
-    return _crossover(sys, Y, Z, lam, radius, maximal=True)
+    return _crossover(sys, Y, Z, lam, radius, maximal=True).at(lam)
 
 
 def _crossover(sys: CosetSystem, Y, Z, lam: int, radius: int, maximal: bool):
     """The crossover sweep behind both checks.  With Y left at the context's
     generators, a context's coset_splitter() gives v and the coordinates of
-    u g v^-1 at once."""
+    u g v^-1 at once.  A maximal sweep's g is swept at lam alone."""
     ctx = sys.context
-    parent = ctx.parent
     splitter = getattr(ctx, "coset_splitter", None) if Y is None else None
     Y = list(Y) if Y is not None else list(ctx.gen_words)
     Z = list(Z) if Z is not None else list(Y)
     cap = length_cap(radius, lam)
     if splitter is not None:
-        split = splitter()
+        split, floor = splitter(), 0
 
         def measure(u, g):
             v, (m, n) = split(u, g)
-            hlen = abs(m) + abs(n)
-            return v, (hlen if hlen <= cap else None)
+            return v, abs(m) + abs(n)
     else:
-        y_metric = WordMetric(parent, Y)
-        _check_generates(y_metric, ctx, radius)
+        y_metric = WordMetric(ctx.parent, Y)
+        for gw in ctx.gen_words:
+            if y_metric.length(gw, radius + 2) is None:
+                raise VerifierError(f"probe set does not generate the subgroup generator {gw} "
+                                    f"within radius {radius + 2}")
+        floor = y_metric.radius
 
         def measure(u, g):
             product = u * g
             v = ctx.coset_rep(product)
             return v, y_metric.length(product * invert(v), cap)
-    gs = WordMetric(parent, Z).elements_within(radius if maximal else lam)
-    witnesses = []
-    swept = 0
+    gs, glens = [], []
+    for g, n, _y in WordMetric(ctx.parent, Z).elements_within(radius if maximal else lam):
+        n = lam if maximal else n
+        gs.append((g, n, max(floor, length_cap(radius, n))))
+        glens.append(n)
+    found, us = [], 0
     for u in enumerate_language(sys.language, radius):
         if maximal and ctx.membership(u):
             continue
-        for g, _glen, _y in gs:
-            swept += 1
-            v, hlen = measure(u, g)
-            if hlen is None:
-                raise VerifierError(
-                    f"Y does not express u g v^-1 = {u * g * invert(v)} within length {cap}")
-            if hlen > lam:
-                witnesses.append((u, g, v, hlen - lam))
-    witnesses.sort(key=lambda t: tuple(shortlex_key(w) for w in t[:-1]))
-    return VerifierReport(witnesses[:WITNESS_LIMIT], len(witnesses), swept)
+        us += 1
+        for g, n, limit in gs:
+            try:
+                v, m = measure(u, g)
+            except VerifierError as e:
+                v, m = e, None
+            if m is None or m > n or m > limit:
+                found.append((n, m, u, g, v))
+    return CrossoverReport(lam, radius, floor, glens, us, found)
 
 
 def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) -> VerifierReport:
@@ -296,14 +329,12 @@ def check_stability(iso_images: Sequence[Word], H1, H2, mu: int, radius: int) ->
     m2 = WordMetric(H2.parent, H2.gen_words)
     cap = length_cap(radius, mu)
     witnesses = []
-    swept = 0
-    for _w, _d, ypath in m1.elements_within(mu):
-        swept += 1
+    ys = m1.elements_within(mu)
+    for _w, _d, ypath in ys:
         yword = Word(H1.gen_alphabet, ypath)
         img_len = m2.length(H2.expand(iso(yword)), cap)
         if img_len is None:
             raise VerifierError(f"image of {yword} not expressible over Y2 within {cap}")
         if img_len > mu:
             witnesses.append((yword, img_len))
-    witnesses.sort(key=lambda t: shortlex_key(t[0]))
-    return VerifierReport(witnesses[:WITNESS_LIMIT], len(witnesses), swept)
+    return VerifierReport(witnesses, len(ys))

@@ -30,8 +30,9 @@ n off the label's entry, building neither u g nor h.  WordMetric, a Cayley
 ball of H over one letter per generator keyed by the backend, measures any
 other probe set.
 
-No bound is proved here: per crossover constant, the report only says
-whether witnesses were found at the tested radius.
+The experiment sweeps once, at lambda_max, and reads every lambda off that
+sweep.  No bound is proved here: per crossover constant, the report only
+says whether witnesses were found at the tested radius.
 """
 
 from __future__ import annotations
@@ -289,19 +290,20 @@ class TrefoilCentralizerContext(SubgroupContext):
 
 
 class TrefoilExperimentReport:
-    def __init__(self, radius, lambda_max, coset_count, rows, certified):
+    def __init__(self, radius, lambda_max, syllable_cap, coset_count, rows):
         self.radius = radius
         self.lambda_max = lambda_max
+        self.syllable_cap = syllable_cap
         self.coset_count = coset_count
         self.rows = rows              # (lam, status, violations, sample or None)
-        self.certified = certified    # least certified lambda or None
+        self.certified = next((lam for lam, status, *_ in rows if status == "no-witnesses"), None)
 
     def lines(self):
         out = [
             "experiment trefoil-crossover",
             f"params radius={self.radius} lambda_max={self.lambda_max}",
             "representatives shortlex-bfs over {x,y} "
-            f"(coset-graph search, syllable cap {3 * (self.radius + self.lambda_max) + 4})",
+            f"(coset-graph search, syllable cap {self.syllable_cap})",
             f"cosets {self.coset_count}",
         ]
         for lam, status, violations, sample in self.rows:
@@ -324,29 +326,14 @@ class TrefoilExperimentReport:
 def run_trefoil_experiment(radius: int, lambda_max: int,
                            context: TrefoilCentralizerContext | None = None
                            ) -> TrefoilExperimentReport:
-    if context is not None:
-        ctx = context
-    else:
-        ctx = TrefoilCentralizerContext(syllable_cap=3 * (radius + lambda_max) + 4)
-    sys = CosetSystem(ctx, mode="async")
+    ctx = context or TrefoilCentralizerContext(syllable_cap=3 * (radius + lambda_max) + 4)
     reps = ctx.representatives(radius)
-    if len(reps) <= 1:
-        return TrefoilExperimentReport(
-            radius, lambda_max, len(reps),
-            [(lam, "inconclusive", 0, None) for lam in range(1, lambda_max + 1)], None)
-    rows = []
-    certified = None
-    for lam in range(1, lambda_max + 1):
-        report = check_limited_crossover(sys, lam=lam, radius=radius)
-        conclusive = lam < radius
-        if not conclusive:
-            status = "inconclusive"
-        elif report.passed:
-            status = "no-witnesses"
-        else:
-            status = "witnesses"
-        sample = report.witnesses[0] if report.witnesses else None
-        rows.append((lam, status, report.total_violations, sample))
-        if certified is None and status == "no-witnesses":
-            certified = lam
-    return TrefoilExperimentReport(radius, lambda_max, len(reps), rows, certified)
+    rows = [(lam, "inconclusive", 0, None) for lam in range(1, lambda_max + 1)]
+    if len(reps) > 1 and lambda_max > 0:
+        sweep = check_limited_crossover(CosetSystem(ctx), lam=lambda_max, radius=radius)
+        for lam in range(1, lambda_max + 1):
+            report = sweep.at(lam)
+            status = ("inconclusive" if lam >= radius else
+                      "no-witnesses" if report.passed else "witnesses")
+            rows[lam - 1] = (lam, status, report.total_violations, (report.witnesses or [None])[0])
+    return TrefoilExperimentReport(radius, lambda_max, ctx.syllable_cap, len(reps), rows)

@@ -24,7 +24,8 @@ Cayley ball, a breadth-first search, is checked against a sort of every word
 up to its radius, and a finite subgroup against a closure of its generators.
 Subgroup lengths and finite tables, read off Cayley balls over one letter per
 generator, are checked against searches that multiply by generator words
-(or table elements) step by step.
+(or table elements) step by step.  One limited-crossover sweep, read at
+every lambda, is checked against a full sweep per lambda.
 An abelian coset's representative, read off one coset ball, is checked
 against a scan of the L1 spheres for each query, and a free cyclic
 coset's representative against the least word of its orbit gen^k w.  Every
@@ -43,7 +44,7 @@ import itertools
 from collections import deque
 from typing import Optional
 
-from higgins import certify
+from higgins import certify, cosets
 from higgins.backends import (
     AbelianBackend, AbelianSubgroup, FreeBackend, FreeCyclicSubgroup, TrivialSubgroup,
 )
@@ -583,6 +584,64 @@ class SearchedWordMetric:
         return [(w, d, y) for d, w, y in sorted(
             self.table.values(), key=lambda t: (t[0], shortlex_key(t[1])))
             if d <= radius]
+
+
+# --- limited crossover by one sweep per lambda -------------------------------------
+
+def crossover_sweep(sys, Y, Z, lam: int, radius: int):
+    """(witnesses, total_violations, swept) of one limited-crossover sweep at
+    lam alone: every u of the language with |u| <= radius against every g
+    with |g|_Z <= lam, measuring |u g v^-1|_Y against length_cap(radius, lam)
+    through the context's coset_splitter when Y is None, else through
+    coset_rep and a WordMetric; raises the first VerifierError in sweep
+    order."""
+    ctx = sys.context
+    splitter = getattr(ctx, "coset_splitter", None) if Y is None else None
+    Y = list(Y) if Y is not None else list(ctx.gen_words)
+    Z = list(Z) if Z is not None else list(Y)
+    cap = cosets.length_cap(radius, lam)
+    if splitter is not None:
+        split = splitter()
+
+        def measure(u, g):
+            v, (m, n) = split(u, g)
+            return v, (abs(m) + abs(n) if abs(m) + abs(n) <= cap else None)
+    else:
+        y_metric = cosets.WordMetric(ctx.parent, Y)
+        for gw in ctx.gen_words:
+            if y_metric.length(gw, radius + 2) is None:
+                raise cosets.VerifierError(
+                    f"probe set does not generate the subgroup generator {gw} "
+                    f"within radius {radius + 2}")
+
+        def measure(u, g):
+            v = ctx.coset_rep(u * g)
+            return v, y_metric.length(u * g * invert(v), cap)
+    gs = cosets.WordMetric(ctx.parent, Z).elements_within(lam)
+    witnesses, swept = [], 0
+    for u in enumerate_language(sys.language, radius):
+        for g, _n, _y in gs:
+            swept += 1
+            v, hlen = measure(u, g)
+            if hlen is None:
+                raise cosets.VerifierError(
+                    f"Y does not express u g v^-1 = {u * g * invert(v)} within length {cap}")
+            if hlen > lam:
+                witnesses.append((u, g, v, hlen - lam))
+    witnesses.sort(key=lambda t: tuple(shortlex_key(w) for w in t[:-1]))
+    return witnesses[:cosets.WITNESS_LIMIT], len(witnesses), swept
+
+
+def crossover_by_separate_sweeps(sys, Y=None, Z=None, lam_max: int = 1, radius: int = 4):
+    """One crossover_sweep per lambda = 1..lam_max, each its (witnesses,
+    total_violations, swept) or the message of the VerifierError it raised."""
+    out = []
+    for lam in range(1, lam_max + 1):
+        try:
+            out.append(crossover_sweep(sys, Y, Z, lam, radius))
+        except cosets.VerifierError as e:
+            out.append(str(e))
+    return out
 
 
 def table_search(table, steps) -> dict:

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import higgins.certify as certify
+import higgins.cosets as cosets
+from builders import LAW_CONFIGS, shipped_config
 from higgins.backends import (
     AbelianBackend, AbelianSubgroup, FiniteBackend, FiniteSubgroup,
     FreeBackend, FreeCyclicSubgroup,
@@ -10,9 +13,10 @@ from higgins.cosets import (
     CosetSystem, VerifierError, WordMetric, check_limited_crossover,
     check_maximal_crossover, check_stability,
 )
+from higgins.experiments import TrefoilCentralizerContext
 from higgins.fsa import word_set_dfa
 from higgins.words import Alphabet, Word, free_reduce, invert
-from oracles import SearchedWordMetric
+from oracles import SearchedWordMetric, crossover_by_separate_sweeps
 
 
 def z2_axis():
@@ -181,3 +185,140 @@ def test_stability_checks_every_relator():
     H2 = AbelianSubgroup(B, [B.alphabet.word("b")])
     with pytest.raises(VerifierError, match="the relator .* does not map to the identity"):
         check_stability([H2.gen_alphabet.word("y1")], H1, H2, mu=2, radius=6)
+
+
+# --- one limited-crossover sweep, read at every lambda -----------------------------
+
+def read_every_lambda(sys, Y=None, Z=None, lam_max=1, radius=4):
+    """crossover_by_separate_sweeps' list read off one check_limited_crossover
+    call at lam_max: each lambda's (witnesses, total_violations, swept) or
+    error message.  A call that raises holds only the lambda = 1 entry."""
+    try:
+        report = check_limited_crossover(sys, Y=Y, Z=Z, lam=lam_max, radius=radius)
+    except VerifierError as e:
+        return [str(e)]
+    out = []
+    for lam in range(1, lam_max + 1):
+        try:
+            r = report.at(lam)
+            out.append((r.witnesses, r.total_violations, r.swept))
+        except VerifierError as e:
+            out.append(str(e))
+    if not isinstance(out[-1], str):
+        # the report's own fields are those of lam_max, and every pair is measured once
+        assert (report.witnesses, report.total_violations, report.swept) == out[-1]
+    return out
+
+
+def assert_one_sweep_equals_separate_sweeps(make_sys, Y=None, Z=None, lam_max=1, radius=4):
+    want = crossover_by_separate_sweeps(make_sys(), Y, Z, lam_max, radius)
+    got = read_every_lambda(make_sys(), Y, Z, lam_max, radius)
+    assert got == (want[:1] if isinstance(want[0], str) else want)
+    return want
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+@pytest.mark.parametrize("probes", ["split", "Y", "Z"])
+def test_trefoil_one_sweep_equals_separate_sweeps(radius, probes):
+    ctx = TrefoilCentralizerContext()
+    alpha = ctx.parent.alphabet
+    Y = ctx.gen_words if probes == "Y" else None  # a given Y skips the splitter
+    Z = [alpha.word("x x"), ctx.gen_words[1]] if probes == "Z" else None
+    want = assert_one_sweep_equals_separate_sweeps(
+        lambda: CosetSystem(TrefoilCentralizerContext()), Y, Z, 4, radius)
+    assert any(w[1] for w in want)  # witnesses at some lambda
+
+
+ABELIAN_CONTEXTS = {
+    "axis": (lambda: AbelianBackend(2), "x1"),
+    "diag": (lambda: AbelianBackend(2), "x1 x2"),
+    "mixed": (lambda: AbelianBackend(2, [4], names=["x1", "x2", "t"]), "x1 t"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABELIAN_CONTEXTS))
+@pytest.mark.parametrize("z", [None, "", "x1 x1"])
+def test_abelian_one_sweep_equals_separate_sweeps(name, z):
+    make, gen = ABELIAN_CONTEXTS[name]
+    G = make()
+    Z = None if z is None else [G.alphabet.word(z)]
+    for radius in (3, 5):
+        assert_one_sweep_equals_separate_sweeps(
+            lambda: CosetSystem(AbelianSubgroup(G, [G.alphabet.word(gen)])), None, Z, 3, radius)
+
+
+def crossover_rows(gog):
+    """(Y, Z) of every crossover row of the hypotheses report, by row name."""
+    edges = sorted(gog.graph.edges.values(), key=lambda e: e.name)
+    return {f"crossover({e.name},{f.name})": (gog.ctx(e), gog.ctx(f).gen_words)
+            for e in edges for f in edges if f.dst == e.dst}
+
+
+@pytest.mark.parametrize("config", LAW_CONFIGS)
+def test_hypotheses_rows_equal_separate_sweeps(config, monkeypatch):
+    calls = []
+
+    def counted(sys, Y=None, Z=None, lam=1, radius=4):
+        calls.append(lam)
+        return check_limited_crossover(sys, Y=Y, Z=Z, lam=lam, radius=radius)
+    monkeypatch.setattr(certify, "check_limited_crossover", counted)
+    lam_max = certify.HYPOTHESES_LAMBDA_MAX
+    for radius in (3, 4):
+        gog = shipped_config(config).gog()
+        rows = crossover_rows(gog)
+        del calls[:]
+        report = certify.combination_hypotheses_report(gog, radius)
+        details = {name: detail for name, _ok, detail in report.rows}
+        failing = 0
+        for name, (ctx, Z) in rows.items():
+            want = assert_one_sweep_equals_separate_sweeps(
+                lambda: CosetSystem(ctx), ctx.gen_words, Z, lam_max, radius)
+            best = next((lam for lam, w in enumerate(want, 1) if w[1] == 0), None)
+            assert details[name] == (f"lambda={best}" if best else f"no lambda <= {lam_max}")
+            failing += best != 1
+        # a passing row sweeps once at lambda = 1, a failing one once more at lam_max
+        assert sorted(calls) == sorted([1] * len(rows) + [lam_max] * failing)
+        if config in ("bs_1_2.gog", "path_tree_hnn.gog"):
+            assert failing
+
+
+# caps (LENGTH_CAP_PER_STEP, LENGTH_CAP_MARGIN) small enough to fail: at 0, 0
+# every lambda fails, the first call raises; at 0, 3 and 0, 4 the trefoil's
+# lambda = 1 passes its cap and a larger lambda's error waits until it is read
+@pytest.mark.parametrize("caps", [(0, 0), (0, 3), (0, 4)])
+def test_cap_errors_equal_separate_sweeps(caps, monkeypatch):
+    monkeypatch.setattr(cosets, "LENGTH_CAP_PER_STEP", caps[0])
+    monkeypatch.setattr(cosets, "LENGTH_CAP_MARGIN", caps[1])
+    ctx = TrefoilCentralizerContext()
+    errors = []
+    for Y in (None, ctx.gen_words):
+        want = assert_one_sweep_equals_separate_sweeps(
+            lambda: CosetSystem(TrefoilCentralizerContext()), Y, None, 3, 2)
+        errors.append([isinstance(w, str) for w in want])
+    # over Y = {x1^2, x1^3} the check reaches x1 at length 2, so that a sweep
+    # alone keeps lengths up to 2 within every cap: g = x1 is a witness there
+    G = AbelianBackend(2)
+    for Y in (None, [G.alphabet.word("x1 x1"), G.alphabet.word("x1 x1 x1")]):
+        for Z in (None, [G.alphabet.word("x1 x1")], [G.alphabet.word("x1")]):
+            want = assert_one_sweep_equals_separate_sweeps(
+                lambda: CosetSystem(AbelianSubgroup(G, [G.alphabet.word("x1")])), Y, Z, 3, 3)
+            errors.append([isinstance(w, str) for w in want])
+    assert errors[0] == {(0, 0): [True] * 3, (0, 3): [False, True, True],
+                         (0, 4): [False, False, True]}[caps]
+
+
+# the messages of the separate sweeps, which the hypotheses report raised when
+# it swept once per lambda: raised by the first call (margin 1), and by the
+# second call at lambda = 2 (margin 3) and at lambda = 3 (margin 4)
+@pytest.mark.parametrize("margin, message", [
+    (1, "a a within length 1"), (3, "a a a a within length 3"), (4, "a a a a a a within length 4")])
+def test_failing_hypotheses_row_raises_the_separate_sweeps_error(margin, message, monkeypatch):
+    monkeypatch.setattr(cosets, "LENGTH_CAP_PER_STEP", 0)
+    monkeypatch.setattr(cosets, "LENGTH_CAP_MARGIN", margin)
+    gog = shipped_config("bs_1_2.gog").gog()
+    ctx, Z = crossover_rows(gog)["crossover(f,f~)"]
+    want = crossover_by_separate_sweeps(CosetSystem(ctx), ctx.gen_words, Z, 3, 3)
+    assert want[-1] == f"Y does not express u g v^-1 = {message}"
+    with pytest.raises(VerifierError) as err:
+        certify.combination_hypotheses_report(gog, 3)
+    assert str(err.value) == want[-1]

@@ -283,3 +283,43 @@ def test_split_keeps_the_length_cap(monkeypatch):
     sys = CosetSystem(TrefoilCentralizerContext())
     with pytest.raises(VerifierError, match=r"u g v\^-1 = .* within length 0"):
         check_limited_crossover(sys, lam=1, radius=2)
+
+
+def count_splits(monkeypatch):
+    """A list that grows by one entry per split call of every splitter made."""
+    calls = []
+    make = TrefoilCentralizerContext.coset_splitter
+
+    def counting(self):
+        split = make(self)
+
+        def counted(u, g):
+            calls.append(1)
+            return split(u, g)
+        return counted
+    monkeypatch.setattr(TrefoilCentralizerContext, "coset_splitter", counting)
+    return calls
+
+
+@pytest.mark.parametrize("radius, lambda_max, splits", [(3, 2, 208), (5, 4, 2624)])
+def test_experiment_measures_each_pair_once(radius, lambda_max, splits, monkeypatch):
+    # one sweep at lambda_max: |language(r)| x |B_Z(lambda_max)| splits, where
+    # a sweep per lambda made 288 and 5,376
+    calls = count_splits(monkeypatch)
+    run_trefoil_experiment(radius, lambda_max)
+    ctx = TrefoilCentralizerContext()
+    assert len(calls) == splits == len(swept_pairs(ctx, radius, lambda_max))
+
+
+def test_report_prints_the_contexts_syllable_cap():
+    lines = run_trefoil_experiment(3, 2, context=TrefoilCentralizerContext()).lines()
+    assert lines[2].endswith("(coset-graph search, syllable cap 24)")
+    assert "syllable cap 19)" in run_trefoil_experiment(3, 2).lines()[2]
+
+
+def test_experiment_raises_the_first_lambdas_cap_error(monkeypatch):
+    monkeypatch.setattr(cosets, "LENGTH_CAP_PER_STEP", 0)
+    monkeypatch.setattr(cosets, "LENGTH_CAP_MARGIN", 0)
+    with pytest.raises(VerifierError) as err:
+        run_trefoil_experiment(2, 2)
+    assert str(err.value) == "Y does not express u g v^-1 = x within length 0"

@@ -109,3 +109,19 @@ def test_layer_metrics_name_every_per_layer_metric(capsys, workload):
     metrics = tracing.layer_metrics(tracer, focus)
     assert set(metrics) | ADDED_BY_THE_RUNNER == PER_LAYER
     assert metrics[reached] > 0
+
+
+def test_traced_trefoil_counts_each_crossover_pair_once(capsys):
+    # one sweep at lambda 2 measures 16 coset words against 13 g; a sweep per
+    # lambda measured the 5 g of lambda 1 again (288)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.region():
+            assert main(["experiment", "trefoil", "--radius", "3", "--lambda-max", "2"]) == 0
+    finally:
+        assert tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tracer, "experiments.coset_rep")
+    assert metrics["cosets.crossover.calls"] == 1
+    assert metrics["cosets.crossover.swept"] == 208
